@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Instance, Schedule, Sensor
+from .model import Instance, Schedule, Sensor, _sym
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
 from .riccati import invert_trajectory
 from .surrogate import (
@@ -95,25 +95,19 @@ def save_bracket_report(path, report: BracketReport) -> None:
 
 
 def _nodewise_min_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a - b
-    d = 0.5 * (d + d.transpose(0, 2, 1))
-    return np.linalg.eigvalsh(d)[:, 0]
+    return np.linalg.eigvalsh(_sym(a - b))[:, 0]
 
 
-def _objective_parts(instance, schedule, n_runs, n_eval, substeps,
-                     surrogate_substeps, seed, scheme, n_jobs):
+def _objective_parts(instance, schedule, surrogate_substeps, scheme, est):
     j_lower = surrogate_objective(instance, schedule, "info",
                                   surrogate_substeps, scheme)
     j_upper = surrogate_objective(instance, schedule, "cov",
                                   surrogate_substeps, scheme)
-    est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
-                       substeps=substeps, seed=seed, scheme=scheme,
-                       n_jobs=n_jobs)
     # the deterministic term absorbs surrogate-vs-rollout grid resolution;
     # it only matters when the Monte Carlo spread is exactly zero
     slack = 3.0 * est.stderr + DET_MARGIN_REL * max(abs(j_lower), abs(j_upper))
     contained = bool(j_lower - slack <= est.mean <= j_upper + slack)
-    return j_lower, j_upper, est, contained
+    return j_lower, j_upper, contained
 
 
 def objective_bracket(
@@ -128,10 +122,11 @@ def objective_bracket(
     n_jobs: int = 1,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
-    j_lower, j_upper, est, contained = _objective_parts(
-        instance, schedule, n_runs, n_eval, substeps, surrogate_substeps,
-        seed, scheme, n_jobs,
-    )
+    est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
+                       substeps=substeps, seed=seed, scheme=scheme,
+                       n_jobs=n_jobs)
+    j_lower, j_upper, contained = _objective_parts(
+        instance, schedule, surrogate_substeps, scheme, est)
     return BracketReport(
         j_lower=j_lower,
         j_upper=j_upper,
@@ -156,8 +151,8 @@ def trajectory_bracket(
 
     Compares, on the shared evaluation grid, the surrogate covariance bounds
     against each other and against the Monte Carlo means of P(t) and of
-    Y(t) = P(t)^{-1} computed from the same realizations (same seed) as the
-    objective estimate.
+    Y(t) = P(t)^{-1}.  The objective estimate comes from the same
+    realizations, each rolled out once.
     """
     n = instance.n
     grid = np.linspace(0.0, instance.T, n_eval + 1)
@@ -168,11 +163,10 @@ def trajectory_bracket(
                                     scheme, grid=grid)
     mct = mc_mean_trajectories(instance, schedule, n_runs=n_runs,
                                n_eval=n_eval, substeps=substeps, seed=seed,
-                               scheme=scheme)
-    j_lower, j_upper, est, contained = _objective_parts(
-        instance, schedule, n_runs, n_eval, substeps, surrogate_substeps,
-        seed, scheme, n_jobs,
-    )
+                               scheme=scheme, n_jobs=n_jobs)
+    est = mct.objective
+    j_lower, j_upper, contained = _objective_parts(
+        instance, schedule, surrogate_substeps, scheme, est)
 
     p_scale = np.maximum(
         np.trace(p_cov.values, axis1=1, axis2=2),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError
+from .model import Instance, Schedule, ValidationError, _generator, _sym
 from .riccati import (
     COV,
     INFO,
@@ -34,6 +34,7 @@ from .riccati import (
     flow_info,
     jump_cov,
     jump_info,
+    walk_stops,
 )
 
 
@@ -117,11 +118,6 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
         )
 
 
-def _segment_substeps(seg: float, grid_dt: float, substeps: int) -> int:
-    # keep step size at or below grid_dt / substeps
-    return max(1, math.ceil(substeps * seg / grid_dt - 1e-9))
-
-
 def _rollout(instance, arrivals, n_eval, substeps, coordinates, scheme):
     _check_arrivals(instance, arrivals)
     if n_eval < 1:
@@ -129,37 +125,28 @@ def _rollout(instance, arrivals, n_eval, substeps, coordinates, scheme):
     sys = instance.system
     T = sys.T
     grid = np.linspace(0.0, T, n_eval + 1)
-    grid_dt = T / n_eval
-    stops = np.union1d(grid, arrivals.times)
 
     if coordinates == COV:
         X = np.array(sys.P0)
         flow = lambda x, dt, ns: flow_cov(x, sys.A, sys.Q, dt, ns, scheme)
         jump = jump_cov
     else:
-        X = np.linalg.inv(sys.P0)
-        X = 0.5 * (X + X.T)
+        X = _sym(np.linalg.inv(sys.P0))
         flow = lambda x, dt, ns: flow_info(x, sys.A, sys.Q, dt, ns, scheme)
         jump = jump_info
 
     values = np.empty((n_eval + 1, sys.n, sys.n))
     ev_times, ev_sensors = arrivals.times, arrivals.sensors
     ei = 0
-    gi = 0
-    prev = None
-    for t in stops:
-        if prev is not None:
-            seg = t - prev
-            X = flow(X, seg, _segment_substeps(seg, grid_dt, substeps))
+    for prev, t, n_steps, node in walk_stops(grid, ev_times, T / n_eval,
+                                             substeps):
+        if n_steps:
+            X = flow(X, t - prev, n_steps)
         while ei < len(ev_times) and ev_times[ei] == t:
             X = jump(X, instance.sensors[int(ev_sensors[ei])])
             ei += 1
-        if gi <= n_eval and grid[gi] == t:
-            values[gi] = X
-            gi += 1
-        prev = t
-    if gi != n_eval + 1:   # pragma: no cover - union1d guarantees coverage
-        raise RuntimeError("internal: evaluation grid not fully visited")
+        if node is not None:
+            values[node] = X
     return Trajectory(coordinates=coordinates, times=grid, values=values)
 
 
@@ -253,13 +240,11 @@ def simulate_realization(
     if dt_sde <= 0:
         raise ValidationError(f"dt_sde must be positive, got {dt_sde}")
 
-    rng = np.random.Generator(np.random.Philox(noise_ss))
+    rng = _generator(noise_ss)
     sys = instance.system
     n = sys.n
     T = sys.T
     grid = np.linspace(0.0, T, n_eval + 1)
-    grid_dt = T / n_eval
-    stops = np.union1d(grid, arrivals.times)
     L = _psd_factor(sys.Q)
     chol_R = {j: np.linalg.cholesky(s.R) for j, s in enumerate(instance.sensors)}
     step = _stepper(scheme)
@@ -275,10 +260,9 @@ def simulate_realization(
     measurements = []
     ev_times, ev_sensors = arrivals.times, arrivals.sensors
     ei = 0
-    gi = 0
-    prev = None
-    for t in stops:
-        if prev is not None:
+    for prev, t, n_steps, node in walk_stops(grid, ev_times, T / n_eval,
+                                             substeps):
+        if n_steps:
             seg = t - prev
             # truth: Euler-Maruyama at steps <= dt_sde
             n_em = max(1, math.ceil(seg / dt_sde - 1e-12))
@@ -287,10 +271,9 @@ def simulate_realization(
             for _ in range(n_em):
                 x = x + h * (sys.A @ x) + sqh * (L @ rng.standard_normal(n))
             # filter: same flow calls as the covariance rollout
-            ns = _segment_substeps(seg, grid_dt, substeps)
-            P = flow_cov(P, sys.A, sys.Q, seg, ns, scheme)
-            hsub = seg / ns
-            for _ in range(ns):
+            P = flow_cov(P, sys.A, sys.Q, seg, n_steps, scheme)
+            hsub = seg / n_steps
+            for _ in range(n_steps):
                 m = step(m, hsub, mean_rhs)
         while ei < len(ev_times) and ev_times[ei] == t:
             sensor_idx = int(ev_sensors[ei])
@@ -302,12 +285,10 @@ def simulate_realization(
             P = jump_cov(P, sensor)
             measurements.append((float(t), sensor_idx, z))
             ei += 1
-        if gi <= n_eval and grid[gi] == t:
-            states[gi] = x
-            means[gi] = m
-            values[gi] = P
-            gi += 1
-        prev = t
+        if node is not None:
+            states[node] = x
+            means[node] = m
+            values[node] = P
 
     traj = Trajectory(coordinates=COV, times=grid, values=values)
     return SimulationResult(

@@ -28,6 +28,7 @@ from . import bounds as bounds_mod
 from .model import (
     InstanceSpec,
     ValidationError,
+    _generator,
     load_instance,
     load_schedule,
     random_instance,
@@ -40,7 +41,6 @@ from .optimize import (
     ProjectionError,
     ShootingProblem,
     SolveOptions,
-    benchmark_assembly,
     centered_rates,
     gradient_check,
     objective_and_gradient,
@@ -99,13 +99,10 @@ def _instance_from_args(args) -> "Instance":
         return load_instance(args.instance)
     if getattr(args, "random", None):
         spec_kw = _parse_random_spec(args.random)
-        budget = getattr(args, "budget", 5.0)
-        if budget is not None and budget <= 0.0:
-            budget = 1e-12      # zero budget: admissible set collapses to {0}
         return random_instance(InstanceSpec(
             n=spec_kw["n"], M=spec_kw["M"], p=spec_kw.get("p", 1),
             seed=spec_kw.get("seed", 0), T=getattr(args, "T", 3.0),
-            budget=budget,
+            budget=getattr(args, "budget", 5.0),
         ))
     raise ValidationError("provide --instance PATH or --random SPEC")
 
@@ -323,7 +320,7 @@ def cmd_gradcheck(args) -> int:
     else:
         instance = _scalar_gradcheck_instance()
         N = min(args.N, 2)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rng = _generator(args.seed)
     kinds = ("info", "cov") if args.kind == "both" else (args.kind,)
     worst = 0.0
     ok = True

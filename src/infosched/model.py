@@ -29,7 +29,8 @@ class ValidationError(ValueError):
 
 
 def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
 def _freeze(x: np.ndarray) -> np.ndarray:
@@ -175,8 +176,8 @@ class ResourcePolytope:
             raise ValidationError("constraint data contains non-finite entries")
         if np.any(C < 0):
             raise ValidationError("C must be elementwise nonnegative")
-        if np.any(b <= 0):
-            raise ValidationError("b must be elementwise positive")
+        if np.any(b < 0):
+            raise ValidationError("b must be elementwise nonnegative")
         if np.any(C.sum(axis=0) <= 0):
             j = int(np.argmin(C.sum(axis=0)))
             raise ValidationError(

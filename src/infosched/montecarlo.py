@@ -17,23 +17,18 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cdkf import ArrivalRecord, rollout_covariance
-from .model import Instance, Schedule, ValidationError
+from .model import Instance, Schedule, ValidationError, _generator, _sym
 from .riccati import COV, INFO, Trajectory, pathwise_cost
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     """Child seed of one Monte Carlo run; documented so studies can be sharded."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
-
-
-def _philox(seed) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
@@ -43,7 +38,7 @@ def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
     interval-major: one Poisson count then that many uniforms), so equal
     seeds give equal records.
     """
-    rng = _philox(seed)
+    rng = _generator(seed)
     delta = schedule.delta
     times = []
     sensors = []
@@ -90,14 +85,43 @@ def save_mc_report(path, estimate: McEstimate) -> None:
         fh.write("\n")
 
 
-def _one_run_cost(instance, schedule, n_eval, substeps, scheme, seed, r):
+def _one_run(instance, schedule, n_eval, substeps, scheme, seed, keep_path, r):
+    # cost of run r, and its covariance path when keep_path is set
     arrivals = sample_arrivals(schedule, run_seed(seed, r))
     traj = rollout_covariance(instance, arrivals, n_eval, substeps, scheme)
-    return pathwise_cost(traj, instance.weights, instance.T)
+    cost = pathwise_cost(traj, instance.weights, instance.T)
+    return (cost, traj.values) if keep_path else cost
 
 
-def _worker(args):
-    return _one_run_cost(*args)
+def _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme, n_jobs,
+          keep_path):
+    """Per-run results in run order, streamed; a pool when n_jobs > 1."""
+    one_run = partial(_one_run, instance, schedule, n_eval, substeps, scheme,
+                      seed, keep_path)
+    if n_jobs > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            yield from pool.map(one_run, range(n_runs),
+                                chunksize=max(1, n_runs // (4 * n_jobs)))
+    else:
+        yield from map(one_run, range(n_runs))
+
+
+def _estimate(costs: np.ndarray) -> McEstimate:
+    n_runs = len(costs)
+    mean = float(np.mean(costs))
+    # identical costs (zero schedule) must report exactly zero spread; np.std
+    # of equal values returns ulp noise because fl(n*a)/n != a
+    if n_runs > 1 and not np.all(costs == costs[0]):
+        std = float(np.std(costs, ddof=1))
+    else:
+        std = 0.0
+    return McEstimate(
+        mean=mean,
+        std=std,
+        stderr=std / np.sqrt(n_runs),
+        n_runs=n_runs,
+        per_run_costs=costs,
+    )
 
 
 def mc_objective(
@@ -115,37 +139,13 @@ def mc_objective(
     Per run: sample arrivals, roll the exact covariance recursion on the
     evaluation grid, apply the trapezoid objective.  per_run_costs comes back
     in run order regardless of n_jobs, so the reduction is deterministic.
+    Paths are not kept.
     """
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
-    if n_jobs > 1:
-        jobs = [(instance, schedule, n_eval, substeps, scheme, seed, r)
-                for r in range(n_runs)]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            costs = np.fromiter(
-                pool.map(_worker, jobs, chunksize=max(1, n_runs // (4 * n_jobs))),
-                dtype=float, count=n_runs,
-            )
-    else:
-        costs = np.fromiter(
-            (_one_run_cost(instance, schedule, n_eval, substeps, scheme, seed, r)
-             for r in range(n_runs)),
-            dtype=float, count=n_runs,
-        )
-    mean = float(np.mean(costs))
-    # identical costs (zero schedule) must report exactly zero spread; np.std
-    # of equal values returns ulp noise because fl(n*a)/n != a
-    if n_runs > 1 and not np.all(costs == costs[0]):
-        std = float(np.std(costs, ddof=1))
-    else:
-        std = 0.0
-    return McEstimate(
-        mean=mean,
-        std=std,
-        stderr=std / np.sqrt(n_runs),
-        n_runs=n_runs,
-        per_run_costs=costs,
-    )
+    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme,
+                 n_jobs, keep_path=False)
+    return _estimate(np.fromiter(runs, dtype=float, count=n_runs))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,9 @@ class McTrajectories:
     Both means come from the same arrival realizations (the information path
     of a run is the nodewise inverse of its covariance path).  The stderr
     arrays are the per-node standard errors of the matrix trace, a scalar
-    proxy for the statistical uncertainty scale of each node.
+    proxy for the statistical uncertainty scale of each node.  objective is
+    the pathwise-cost estimate of the same runs, equal to mc_objective with
+    the same arguments.
     """
 
     p_mean: Trajectory
@@ -163,6 +165,7 @@ class McTrajectories:
     p_trace_stderr: np.ndarray
     y_trace_stderr: np.ndarray
     n_runs: int
+    objective: McEstimate
 
 
 def mc_mean_trajectories(
@@ -173,19 +176,25 @@ def mc_mean_trajectories(
     substeps: int = 4,
     seed: int = 0,
     scheme: str = "rk4",
+    n_jobs: int = 1,
 ) -> McTrajectories:
-    """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations."""
+    """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
+
+    Runs, seeding and the n_jobs contract are those of mc_objective; every
+    covariance path is kept for the nodewise statistics.
+    """
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
     n = instance.n
+    costs = np.empty(n_runs)
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    for r in range(n_runs):
-        arrivals = sample_arrivals(schedule, run_seed(seed, r))
-        traj = rollout_covariance(instance, arrivals, n_eval, substeps, scheme)
-        p_paths[r] = traj.values
-        times = traj.times
-    y_paths = np.linalg.inv(p_paths)
-    y_paths = 0.5 * (y_paths + y_paths.transpose(0, 1, 3, 2))
+    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme,
+                 n_jobs, keep_path=True)
+    for r, (cost, path) in enumerate(runs):
+        costs[r] = cost
+        p_paths[r] = path
+    times = np.linspace(0.0, instance.T, n_eval + 1)
+    y_paths = _sym(np.linalg.inv(p_paths))
 
     if np.all(p_paths == p_paths[0]):
         # all realizations identical (e.g. zero schedule): averaging would
@@ -210,6 +219,7 @@ def mc_mean_trajectories(
         p_trace_stderr=p_se,
         y_trace_stderr=y_se,
         n_runs=n_runs,
+        objective=_estimate(costs),
     )
 
 

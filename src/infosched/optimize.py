@@ -27,15 +27,17 @@ from .model import (
     ResourcePolytope,
     Schedule,
     ValidationError,
+    _sym,
     schedule_to_dict,
 )
-from .riccati import PositiveDefinitenessError, quadrature_weights
+from .riccati import PositiveDefinitenessError, info_rhs, quadrature_weights
 from .surrogate import (
     KINDS,
     cost_of_trajectory,
-    integrate_cov_surrogate,
-    integrate_info_surrogate,
+    cov_rate_rhs,
     stage_increments,
+    surrogate_objective,
+    surrogate_trajectory,
 )
 
 
@@ -73,24 +75,12 @@ class ShootingProblem:
 
 def objective(problem: ShootingProblem, rates: np.ndarray) -> float:
     """Forward pass only; exactly the discretized surrogate objective."""
-    sched = problem.schedule(rates)
-    if problem.kind == "info":
-        traj = integrate_info_surrogate(
-            problem.instance, sched, problem.substeps, problem.scheme
-        )
-    else:
-        traj = integrate_cov_surrogate(
-            problem.instance, sched, problem.substeps, problem.scheme
-        )
-    return cost_of_trajectory(traj, problem.instance.weights, problem.instance.T)
+    return surrogate_objective(problem.instance, problem.schedule(rates),
+                               problem.kind, problem.substeps, problem.scheme)
 
 
 # ---------------------------------------------------------------------------
 # adjoint sweeps
-
-
-def _sym(x):
-    return 0.5 * (x + x.T)
 
 
 def _info_df_adj(Y, L, A, Q):
@@ -127,11 +117,11 @@ def _grad_info(problem: ShootingProblem, traj, U):
                 Lam = _sym(Lam + _info_df_adj(Y0, kbar, A, Q))
             else:
                 # recompute internal stages of the forward RK4 step
-                k1 = _info_rate_rhs(Y0, A, Q, Uk)
+                k1 = info_rhs(Y0, A, Q) + Uk
                 Ya = Y0 + 0.5 * h * k1
-                k2 = _info_rate_rhs(Ya, A, Q, Uk)
+                k2 = info_rhs(Ya, A, Q) + Uk
                 Yb = Y0 + 0.5 * h * k2
-                k3 = _info_rate_rhs(Yb, A, Q, Uk)
+                k3 = info_rhs(Yb, A, Q) + Uk
                 Yc = Y0 + h * k3
 
                 kb4 = (h / 6.0) * Lam
@@ -151,11 +141,6 @@ def _grad_info(problem: ShootingProblem, traj, U):
     return G
 
 
-def _info_rate_rhs(Y, A, Q, U):
-    YA = Y @ A
-    return -(YA + YA.T) - Y @ Q @ Y + U
-
-
 def _cov_sensor_cache(P, sensors):
     # per sensor: decrement g = P H' M^{-1} H P and B = H' M^{-1} H P
     gs, Bs = [], []
@@ -166,16 +151,6 @@ def _cov_sensor_cache(P, sensors):
         gs.append(_sym(HP.T @ sol))
         Bs.append(s.H.T @ sol)
     return gs, Bs
-
-
-def _cov_rate_rhs_cached(P, A, Q, lam_row, gs):
-    AP = A @ P
-    out = AP + AP.T + Q
-    for j in range(len(gs)):
-        lam = lam_row[j]
-        if lam != 0.0:
-            out = out - lam * gs[j]
-    return out
 
 
 def _cov_df_adj(L, A, lam_row, Bs):
@@ -215,13 +190,13 @@ def _grad_cov(problem: ShootingProblem, traj, rates):
                 Lam = _sym(Lam + _cov_df_adj(kbar, A, lam_row, B0))
             else:
                 g0, B0 = _cov_sensor_cache(P0, sensors)
-                k1 = _cov_rate_rhs_cached(P0, A, Q, lam_row, g0)
+                k1 = cov_rate_rhs(P0, A, Q, lam_row, g0.__getitem__)
                 Ya = P0 + 0.5 * h * k1
                 ga, Ba = _cov_sensor_cache(Ya, sensors)
-                k2 = _cov_rate_rhs_cached(Ya, A, Q, lam_row, ga)
+                k2 = cov_rate_rhs(Ya, A, Q, lam_row, ga.__getitem__)
                 Yb = P0 + 0.5 * h * k2
                 gb, Bb = _cov_sensor_cache(Yb, sensors)
-                k3 = _cov_rate_rhs_cached(Yb, A, Q, lam_row, gb)
+                k3 = cov_rate_rhs(Yb, A, Q, lam_row, gb.__getitem__)
                 Yc = P0 + h * k3
                 gc, Bc = _cov_sensor_cache(Yc, sensors)
 
@@ -254,20 +229,23 @@ def objective_and_gradient(
     rates must be elementwise nonnegative; polytope feasibility is not
     required for evaluation.
     """
+    J, sched, traj = _forward(problem, rates)
+    return J, _gradient(problem, sched, traj)
+
+
+def _forward(problem: ShootingProblem, rates: np.ndarray):
+    # objective, schedule and trajectory: everything the adjoint consumes
     sched = problem.schedule(rates)
     inst = problem.instance
+    traj = surrogate_trajectory(inst, sched, problem.kind, problem.substeps,
+                                problem.scheme)
+    return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj
+
+
+def _gradient(problem: ShootingProblem, sched: Schedule, traj) -> np.ndarray:
     if problem.kind == "info":
-        traj = integrate_info_surrogate(inst, sched, problem.substeps,
-                                        problem.scheme)
-        J = cost_of_trajectory(traj, inst.weights, inst.T)
-        U = stage_increments(inst, sched)
-        G = _grad_info(problem, traj, U)
-    else:
-        traj = integrate_cov_surrogate(inst, sched, problem.substeps,
-                                       problem.scheme)
-        J = cost_of_trajectory(traj, inst.weights, inst.T)
-        G = _grad_cov(problem, traj, sched.rates)
-    return J, G
+        return _grad_info(problem, traj, stage_increments(problem.instance, sched))
+    return _grad_cov(problem, traj, sched.rates)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +260,11 @@ def _project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - budget
     idx = np.arange(1, v.size + 1)
-    rho = idx[u - css / idx > 0][-1]
+    # the largest entry always qualifies, but its test u - (u - budget) > 0
+    # is false at budget 0 (and can round to false at a tiny budget); with
+    # rho = 1 the result is v - max(v), clipped: exactly zero at budget 0
+    active = idx[u - css / idx > 0]
+    rho = active[-1] if active.size else 1
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
 
@@ -413,28 +395,15 @@ def solve(
     timings = {"forward_s": 0.0, "gradient_assembly_s": 0.0, "projection_s": 0.0}
     per_iter: list[dict] = []
 
-    def timed_grad(x):
-        t0 = time.perf_counter()
-        out = objective_and_gradient(problem, x)
-        timings["gradient_assembly_s"] += time.perf_counter() - t0
-        return out
-
-    def timed_forward(x):
+    def timed(key, fn, *args):
         t0 = time.perf_counter()
         try:
-            val = objective(problem, x)
-        except PositiveDefinitenessError:
-            val = math.inf     # failed trial, not a crash
-        timings["forward_s"] += time.perf_counter() - t0
-        return val
+            return fn(*args)
+        finally:
+            timings[key] += time.perf_counter() - t0
 
-    def timed_project(x):
-        t0 = time.perf_counter()
-        out = project_schedule(x, polytope)
-        timings["projection_s"] += time.perf_counter() - t0
-        return out
-
-    J, G = timed_grad(lam)
+    J, sched, traj = timed("forward_s", _forward, problem, lam)
+    G = timed("gradient_assembly_s", _gradient, problem, sched, traj)
     history = [J]
     best_J, best_lam = J, lam
     gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), opts.bb_min),
@@ -446,7 +415,6 @@ def solve(
 
     for _ in range(opts.max_iters):
         iter_t0 = time.perf_counter()
-        pg = _pg_norm(lam, G, polytope)
         if pg <= opts.grad_tol:
             converged = True
             break
@@ -464,11 +432,16 @@ def solve(
         g_try = gamma
         trial = lam
         for _bt in range(opts.max_backtracks):
-            trial = timed_project(lam - g_try * G)
+            trial = timed("projection_s", project_schedule, lam - g_try * G,
+                          polytope)
             d = trial - lam
             if float(np.linalg.norm(d)) <= 1e-15 * (1.0 + float(np.linalg.norm(lam))):
                 break
-            J_trial = timed_forward(trial)
+            try:
+                J_trial, sched, traj = timed("forward_s", _forward, problem,
+                                             trial)
+            except PositiveDefinitenessError:
+                J_trial = math.inf     # failed trial, not a crash
             if J_trial <= J + opts.armijo_c1 * float(np.vdot(G, d)):
                 accepted = True
                 break
@@ -476,10 +449,13 @@ def solve(
         if not accepted:
             break
 
+        # the accepted trial's forward pass feeds the adjoint directly
         prev_lam, prev_G = lam, G
         lam = trial
         gamma = g_try
-        J, G = timed_grad(lam)
+        J = J_trial
+        G = timed("gradient_assembly_s", _gradient, problem, sched, traj)
+        pg = _pg_norm(lam, G, polytope)
         history.append(J)
         iterations += 1
         if J < best_J:
@@ -491,7 +467,6 @@ def solve(
             "seconds": time.perf_counter() - iter_t0,
         })
     else:
-        pg = _pg_norm(lam, G, polytope)
         converged = pg <= opts.grad_tol
 
     timings["total_s"] = time.perf_counter() - t_start

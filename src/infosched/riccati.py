@@ -23,11 +23,12 @@ repaired.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError, WeightSpec
+from .model import ValidationError, WeightSpec, _sym
 
 PD_FLOOR_REL = 1e-12   # min eigenvalue must stay above PD_FLOOR_REL * trace/n
 
@@ -41,10 +42,6 @@ class PositiveDefinitenessError(RuntimeError):
     def __init__(self, msg: str, min_eig: float | None = None):
         super().__init__(msg)
         self.min_eig = min_eig
-
-
-def _sym(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.T)
 
 
 def pd_floor(x: np.ndarray) -> float:
@@ -150,6 +147,38 @@ def jump_info(Y, sensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stop walking
+
+
+def walk_stops(grid, cuts, base_dt: float, substeps: int):
+    """Walk the merged stops of a recording grid and extra cut times.
+
+    Yields (t_prev, t, n_steps, node) for every stop t in increasing order.
+    t_prev is the previous stop (None at the first, where n_steps is 0);
+    n_steps is the integrator step count for the segment [t_prev, t], chosen
+    so no step exceeds base_dt / substeps and every segment gets at least
+    one; node is the index of t in grid, or None when t is only a cut.
+    Callers flow over the segment, apply whatever happens at t, then record
+    at node.  Exhausting the walk checks that every grid node was visited.
+    """
+    stops = np.union1d(grid, cuts)
+    n_nodes = len(grid)
+    gi = 0
+    prev = None
+    for t in stops:
+        n_steps = 0 if prev is None else \
+            max(1, math.ceil(substeps * (t - prev) / base_dt - 1e-9))
+        node = None
+        if gi < n_nodes and grid[gi] == t:
+            node = gi
+            gi += 1
+        yield prev, t, n_steps, node
+        prev = t
+    if gi != n_nodes:   # pragma: no cover - union1d guarantees coverage
+        raise RuntimeError("internal: recording grid not fully visited")
+
+
+# ---------------------------------------------------------------------------
 # trajectories
 
 
@@ -207,8 +236,7 @@ class Trajectory:
 
 def invert_trajectory(traj: Trajectory) -> Trajectory:
     """Nodewise inverse; flips between covariance and information coordinates."""
-    inv = np.linalg.inv(traj.values)
-    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+    inv = _sym(np.linalg.inv(traj.values))
     coords = INFO if traj.coordinates == COV else COV
     return Trajectory(coordinates=coords, times=traj.times, values=inv)
 
@@ -301,4 +329,5 @@ __all__ = [
     "quadrature_weights",
     "require_pd",
     "trajectory_to_csv",
+    "walk_stops",
 ]

@@ -22,11 +22,9 @@ and fail loudly if an iterate leaves the positive definite cone.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError
+from .model import Instance, Schedule, ValidationError, _sym
 from .riccati import (
     COV,
     INFO,
@@ -35,8 +33,10 @@ from .riccati import (
     covariance_decrement,
     info_rhs,
     lyapunov_rhs,
+    pathwise_cost,
     quadrature_weights,
     require_pd,
+    walk_stops,
 )
 
 KINDS = ("info", "cov")
@@ -59,12 +59,17 @@ def _check_pair(instance: Instance, schedule: Schedule) -> None:
         )
 
 
-def _cov_rate_rhs(P, A, Q, sensors, lam_row):
+def cov_rate_rhs(P, A, Q, lam_row, decrement):
+    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j(P).
+
+    decrement(j) returns the gain update g_j(P); it is only called for
+    sensors with a nonzero rate.
+    """
     out = lyapunov_rhs(P, A, Q)
-    for j in range(len(sensors)):
+    for j in range(len(lam_row)):
         lam = lam_row[j]
         if lam != 0.0:
-            out = out - lam * covariance_decrement(P, sensors[j])
+            out = out - lam * decrement(j)
     return out
 
 
@@ -75,6 +80,7 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
     sys = instance.system
+    A, Q = sys.A, sys.Q
     N, T = schedule.N, schedule.T
     delta = schedule.delta
 
@@ -92,43 +98,33 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
                 "grid must be strictly increasing and span [0, T]"
             )
         boundaries = np.linspace(0.0, T, N + 1)
-    stops = np.union1d(times, boundaries)
 
     step = _stepper(scheme)
     rates = schedule.rates
     if kind == "info":
-        X = np.linalg.inv(sys.P0)
-        X = 0.5 * (X + X.T)
+        X = _sym(np.linalg.inv(sys.P0))
         U = stage_increments(instance, schedule)
     else:
         X = np.array(sys.P0)
 
     values = np.empty((len(times), sys.n, sys.n))
-    gi = 0
-    prev = None
-    for t in stops:
-        if prev is not None:
-            seg = t - prev
+    for prev, t, n_steps, node in walk_stops(times, boundaries, delta, substeps):
+        if n_steps:
             k = min(int((0.5 * (prev + t)) / delta), N - 1)
             if kind == "info":
                 Uk = U[k]
-                rhs = lambda Y: info_rhs(Y, sys.A, sys.Q) + Uk
+                rhs = lambda Y: info_rhs(Y, A, Q) + Uk
             else:
                 lam_row = rates[k]
-                rhs = lambda P: _cov_rate_rhs(P, sys.A, sys.Q,
-                                              instance.sensors, lam_row)
-            ns = max(1, math.ceil(substeps * seg / delta - 1e-9))
-            h = seg / ns
-            for _ in range(ns):
-                X = step(X, h, rhs)
-                X = 0.5 * (X + X.T)
+                rhs = lambda P: cov_rate_rhs(
+                    P, A, Q, lam_row,
+                    lambda j: covariance_decrement(P, instance.sensors[j]))
+            h = (t - prev) / n_steps
+            for _ in range(n_steps):
+                X = _sym(step(X, h, rhs))
                 require_pd(X, f"in {kind} surrogate near t={t:g}")
-        if gi < len(times) and times[gi] == t:
-            values[gi] = X
-            gi += 1
-        prev = t
-    if gi != len(times):   # pragma: no cover
-        raise RuntimeError("internal: surrogate grid not fully visited")
+        if node is not None:
+            values[node] = X
     coords = INFO if kind == "info" else COV
     return Trajectory(coordinates=coords, times=times, values=values)
 
@@ -168,18 +164,29 @@ def cost_of_trajectory(traj: Trajectory, weights, horizon: float) -> float:
     zero-running-weight case cheap.
     """
     if traj.coordinates == COV:
-        from .riccati import pathwise_cost
-
         return pathwise_cost(traj, weights, horizon)
     w_hat = quadrature_weights(traj.times, weights)
-    Pk = np.linalg.inv(traj.values[-1])
-    Pk = 0.5 * (Pk + Pk.T)
+    Pk = _sym(np.linalg.inv(traj.values[-1]))
     total = float(np.tensordot(weights.W_T, Pk, axes=2))
     if w_hat is not None:
-        inv = np.linalg.inv(traj.values)
-        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        inv = _sym(np.linalg.inv(traj.values))
         total += float(np.sum(w_hat * inv))
     return total
+
+
+def surrogate_trajectory(
+    instance: Instance,
+    schedule: Schedule,
+    kind: str = "info",
+    substeps: int = 10,
+    scheme: str = "rk4",
+) -> Trajectory:
+    """Trajectory of the chosen surrogate kind at substep resolution."""
+    if kind == "info":
+        return integrate_info_surrogate(instance, schedule, substeps, scheme)
+    if kind == "cov":
+        return integrate_cov_surrogate(instance, schedule, substeps, scheme)
+    raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def surrogate_objective(
@@ -194,20 +201,17 @@ def surrogate_objective(
     Equals pathwise_cost of the (inverted, for the info kind) surrogate
     trajectory at substep resolution.
     """
-    if kind == "info":
-        traj = integrate_info_surrogate(instance, schedule, substeps, scheme)
-    elif kind == "cov":
-        traj = integrate_cov_surrogate(instance, schedule, substeps, scheme)
-    else:
-        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
+    traj = surrogate_trajectory(instance, schedule, kind, substeps, scheme)
     return cost_of_trajectory(traj, instance.weights, instance.T)
 
 
 __all__ = [
     "KINDS",
     "cost_of_trajectory",
+    "cov_rate_rhs",
     "integrate_cov_surrogate",
     "integrate_info_surrogate",
     "stage_increments",
     "surrogate_objective",
+    "surrogate_trajectory",
 ]

@@ -52,6 +52,14 @@ def test_solve_zero_budget_returns_zero_schedule(tmp_path, capsys):
     assert np.all(sched.rates <= 1e-9)
 
 
+def test_solve_negative_budget_is_usage_error(tmp_path, capsys):
+    argv = ["solve", "--random", "n=1,M=1,seed=2", "--T", "1.0",
+            "--budget", "-3", "--N", "2", "--out", str(tmp_path / "neg")]
+    assert cli.main(argv) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "neg.schedule.json").exists()
+
+
 def test_solve_requires_an_instance_source(capsys):
     assert cli.main(["solve", "--N", "2"]) == 2
     assert "instance" in capsys.readouterr().err

@@ -90,6 +90,13 @@ def test_rate_caps_rejects_unconstrained_column():
         ResourcePolytope(C=np.array([[1.0, 0.0]]), b=np.array([1.0]))
 
 
+def test_polytope_accepts_zero_budget_rejects_negative():
+    poly = ResourcePolytope(C=np.ones((1, 2)), b=np.array([0.0]))
+    np.testing.assert_array_equal(rate_caps(poly), [0.0, 0.0])
+    with pytest.raises(ValidationError):
+        ResourcePolytope(C=np.ones((1, 2)), b=np.array([-1.0]))
+
+
 @given(st.integers(0, 10_000))
 def test_rate_caps_monotone_in_b(seed):
     rng = rng_for(seed)

@@ -122,6 +122,27 @@ def test_mc_objective_parallel_matches_serial():
     assert serial.mean == parallel.mean
 
 
+def test_mc_mean_trajectories_parallel_matches_serial():
+    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=1.0))
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
+    serial = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
+                                  substeps=2, seed=9, n_jobs=1)
+    parallel = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
+                                    substeps=2, seed=9, n_jobs=2)
+    for a, b in ((serial.p_mean, parallel.p_mean),
+                 (serial.y_mean, parallel.y_mean)):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(serial.p_trace_stderr,
+                                  parallel.p_trace_stderr)
+    np.testing.assert_array_equal(serial.y_trace_stderr,
+                                  parallel.y_trace_stderr)
+    np.testing.assert_array_equal(serial.objective.per_run_costs,
+                                  parallel.objective.per_run_costs)
+    assert (serial.objective.mean, serial.objective.std) == \
+        (parallel.objective.mean, parallel.objective.std)
+
+
 def test_mc_objective_estimate_invariants():
     inst = make_scalar_instance(T=1.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 3.0))

@@ -18,6 +18,7 @@ from infosched.model import (
     WeightSpec,
     random_instance,
 )
+from infosched import optimize, surrogate
 from infosched.optimize import (
     ProjectionError,
     ShootingProblem,
@@ -334,13 +335,50 @@ def test_solve_saturates_single_sensor_budget():
 
 
 def test_solve_with_negligible_budget_returns_open_loop_cost():
-    inst = make_scalar_instance(a=-0.5, q=0.3, p0=2.0, budget=1e-12)
-    problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=8)
-    report = solve(problem)
     # var' = 2 a var + q with no measurements
     expected = (2.0 - 0.3) * math.exp(-1.0) + 0.3
-    assert abs(report.objective - expected) <= 1e-6 * expected
-    assert np.all(report.schedule.rates <= 1e-12)
+    for budget in (1e-12, 0.0):
+        inst = make_scalar_instance(a=-0.5, q=0.3, p0=2.0, budget=budget)
+        problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=8)
+        report = solve(problem)
+        assert abs(report.objective - expected) <= 1e-6 * expected
+        assert np.all(report.schedule.rates <= budget)
+
+
+@pytest.mark.parametrize("kind", ["info", "cov"])
+def test_solve_integrates_each_iterate_once(kind, monkeypatch):
+    # every adjoint sweep consumes the trajectory of a line-search forward:
+    # no rate table is integrated twice
+    integrated, swept = [], []
+    name = f"integrate_{kind}_surrogate"
+    original = getattr(surrogate, name)
+
+    def record_forward(instance, schedule, *args):
+        traj = original(instance, schedule, *args)
+        integrated.append((schedule.rates.copy(), traj))
+        return traj
+
+    grad_name = f"_grad_{kind}"
+    original_grad = getattr(optimize, grad_name)
+
+    def record_sweep(problem, traj, *args):
+        swept.append(traj)
+        return original_grad(problem, traj, *args)
+
+    for module in (surrogate, optimize):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, record_forward)
+    monkeypatch.setattr(optimize, grad_name, record_sweep)
+    inst = random_instance(InstanceSpec(n=2, M=3, p=1, seed=3, T=1.5,
+                                        budget=3.0))
+    problem = ShootingProblem(instance=inst, N=3, kind=kind, substeps=4)
+    report = solve(problem, options=SolveOptions(max_iters=8))
+    assert report.iterations >= 2
+    assert len(swept) == report.iterations + 1
+    produced = [traj for _, traj in integrated]
+    assert all(any(t is p for p in produced) for t in swept)
+    for (a, _), (b, _) in itertools.combinations(integrated, 2):
+        assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", ["info", "cov"])
