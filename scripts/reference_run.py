@@ -11,7 +11,6 @@ tighter statistics.
 """
 
 import argparse
-import json
 import pathlib
 import time
 
@@ -23,7 +22,13 @@ from infosched.bounds import (
     trajectory_bracket,
     write_snr_csv,
 )
-from infosched.model import InstanceSpec, random_instance, save_instance, save_schedule
+from infosched.model import (
+    InstanceSpec,
+    _dump_json,
+    random_instance,
+    save_instance,
+    save_schedule,
+)
 from infosched.optimize import ShootingProblem, SolveOptions, solve
 
 
@@ -57,9 +62,7 @@ def main() -> int:
           f"iterations={report.iterations} converged={report.converged} "
           f"normalized objective={report.objective / tr:.6g}")
     save_schedule(out / "schedule.json", report.schedule)
-    with open(out / "solve_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(out / "solve_report.json", report.to_dict())
 
     t0 = time.perf_counter()
     cert = trajectory_bracket(inst, report.schedule, n_runs=args.runs,

@@ -7,7 +7,9 @@ Monte Carlo ground truth gives a falsifiable sandwich
 
     J_info  <=  E[J]  <=  J_cov
 
-whose width is the price of certifying an open-loop schedule.  Matrix-level
+whose width is the price of certifying an open-loop schedule.  Both bounds
+and the Monte Carlo objective are trapezoid sums on one evaluation grid,
+where the surrogates are recorded and the rollouts sampled.  Matrix-level
 margins are reported as nodewise minimum eigenvalues of symmetrized
 differences; deterministic comparisons get a scale-relative tolerance
 1e-7 * trace/n to absorb integrator error, statistical comparisons add three
@@ -17,18 +19,17 @@ standard errors of the nodewise trace.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Instance, Schedule, Sensor, _sym
+from .model import Instance, Schedule, Sensor, _dump_json, _sym
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
 from .riccati import invert_trajectory
 from .surrogate import (
+    cost_of_trajectory,
     integrate_cov_surrogate,
     integrate_info_surrogate,
-    surrogate_objective,
 )
 
 DET_MARGIN_REL = 1e-7     # integrator-error allowance, times trace/n
@@ -89,21 +90,29 @@ class BracketReport:
 
 
 def save_bracket_report(path, report: BracketReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(path, report.to_dict())
 
 
 def _nodewise_min_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_sym(a - b))[:, 0]
 
 
-def _objective_parts(instance, schedule, surrogate_substeps, scheme, est):
-    j_lower = surrogate_objective(instance, schedule, "info",
-                                  surrogate_substeps, scheme)
-    j_upper = surrogate_objective(instance, schedule, "cov",
-                                  surrogate_substeps, scheme)
-    # the deterministic term absorbs surrogate-vs-rollout grid resolution;
+def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
+    # both surrogates, recorded on the grid the Monte Carlo runs record on
+    grid = np.linspace(0.0, instance.T, n_eval + 1)
+    info_y = integrate_info_surrogate(instance, schedule, surrogate_substeps,
+                                      grid=grid)
+    p_cov = integrate_cov_surrogate(instance, schedule, surrogate_substeps,
+                                    grid=grid)
+    return info_y, p_cov
+
+
+def _objective_parts(instance, info_y, p_cov, est):
+    # the trapezoid rule on the evaluation grid, as for the Monte Carlo
+    # objective, so all three objectives share one quadrature
+    j_lower = cost_of_trajectory(info_y, instance.weights, instance.T)
+    j_upper = cost_of_trajectory(p_cov, instance.weights, instance.T)
+    # the deterministic term absorbs surrogate-vs-rollout step resolution;
     # it only matters when the Monte Carlo spread is exactly zero
     slack = 3.0 * est.stderr + DET_MARGIN_REL * max(abs(j_lower), abs(j_upper))
     contained = bool(j_lower - slack <= est.mean <= j_upper + slack)
@@ -118,15 +127,15 @@ def objective_bracket(
     substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    scheme: str = "rk4",
     n_jobs: int = 1,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
-                       substeps=substeps, seed=seed, scheme=scheme,
-                       n_jobs=n_jobs)
-    j_lower, j_upper, contained = _objective_parts(
-        instance, schedule, surrogate_substeps, scheme, est)
+                       substeps=substeps, seed=seed, n_jobs=n_jobs)
+    info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
+                                     surrogate_substeps)
+    j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
+                                                   est)
     return BracketReport(
         j_lower=j_lower,
         j_upper=j_upper,
@@ -144,7 +153,6 @@ def trajectory_bracket(
     substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    scheme: str = "rk4",
     n_jobs: int = 1,
 ) -> BracketReport:
     """Full certificate: objective bracket plus nodewise Loewner margins.
@@ -155,18 +163,15 @@ def trajectory_bracket(
     realizations, each rolled out once.
     """
     n = instance.n
-    grid = np.linspace(0.0, instance.T, n_eval + 1)
-    info_y = integrate_info_surrogate(instance, schedule, surrogate_substeps,
-                                      scheme, grid=grid)
+    info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
+                                     surrogate_substeps)
     p_info = invert_trajectory(info_y)
-    p_cov = integrate_cov_surrogate(instance, schedule, surrogate_substeps,
-                                    scheme, grid=grid)
     mct = mc_mean_trajectories(instance, schedule, n_runs=n_runs,
                                n_eval=n_eval, substeps=substeps, seed=seed,
-                               scheme=scheme, n_jobs=n_jobs)
+                               n_jobs=n_jobs)
     est = mct.objective
-    j_lower, j_upper, contained = _objective_parts(
-        instance, schedule, surrogate_substeps, scheme, est)
+    j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
+                                                   est)
 
     p_scale = np.maximum(
         np.trace(p_cov.values, axis1=1, axis2=2),
@@ -199,7 +204,7 @@ def trajectory_bracket(
         mc=est,
         trace_p0=float(np.trace(instance.system.P0)),
         contained=contained,
-        times=grid,
+        times=info_y.times,
         margins=margins,
         margin_tol=margin_tol,
         trajectory_contained=trajectory_contained,
@@ -221,7 +226,6 @@ def snr_sweep(
     substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    scheme: str = "rk4",
     n_jobs: int = 1,
 ) -> list[tuple[float, BracketReport]]:
     """Objective bracket of the same schedule across noise scalings.
@@ -239,8 +243,7 @@ def snr_sweep(
         scaled = scale_sensor_noise(instance, float(r))
         report = objective_bracket(
             scaled, schedule, n_runs=n_runs, n_eval=n_eval, substeps=substeps,
-            surrogate_substeps=surrogate_substeps, seed=seed, scheme=scheme,
-            n_jobs=n_jobs,
+            surrogate_substeps=surrogate_substeps, seed=seed, n_jobs=n_jobs,
         )
         out.append((float(r), report))
     return out

@@ -18,18 +18,18 @@ the schedule-design loop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError, _generator, _sym
+from .model import Instance, Schedule, ValidationError
+from .model import _dump_json, _generator, _load_json, _sym
 from .riccati import (
     COV,
     INFO,
     Trajectory,
-    _stepper,
+    _rk4_step,
     flow_cov,
     flow_info,
     jump_cov,
@@ -92,14 +92,11 @@ class ArrivalRecord:
 
 
 def save_arrivals(path, record: ArrivalRecord) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(path, record.to_dict())
 
 
 def load_arrivals(path) -> ArrivalRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ArrivalRecord.from_dict(json.load(fh))
+    return ArrivalRecord.from_dict(_load_json(path))
 
 
 def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
@@ -118,7 +115,7 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
         )
 
 
-def _rollout(instance, arrivals, n_eval, substeps, coordinates, scheme):
+def _rollout(instance, arrivals, n_eval, substeps, coordinates):
     _check_arrivals(instance, arrivals)
     if n_eval < 1:
         raise ValidationError(f"n_eval must be >= 1, got {n_eval}")
@@ -128,11 +125,11 @@ def _rollout(instance, arrivals, n_eval, substeps, coordinates, scheme):
 
     if coordinates == COV:
         X = np.array(sys.P0)
-        flow = lambda x, dt, ns: flow_cov(x, sys.A, sys.Q, dt, ns, scheme)
+        flow = lambda x, dt, ns: flow_cov(x, sys.A, sys.Q, dt, ns)
         jump = jump_cov
     else:
         X = _sym(np.linalg.inv(sys.P0))
-        flow = lambda x, dt, ns: flow_info(x, sys.A, sys.Q, dt, ns, scheme)
+        flow = lambda x, dt, ns: flow_info(x, sys.A, sys.Q, dt, ns)
         jump = jump_info
 
     values = np.empty((n_eval + 1, sys.n, sys.n))
@@ -155,14 +152,13 @@ def rollout_covariance(
     arrivals: ArrivalRecord,
     n_eval: int = 300,
     substeps: int = 4,
-    scheme: str = "rk4",
 ) -> Trajectory:
     """Deterministic covariance path of the filter for fixed arrivals.
 
     substeps counts integrator steps per evaluation-grid interval; segments
     cut short by an arrival get proportionally fewer steps (at least one).
     """
-    return _rollout(instance, arrivals, n_eval, substeps, COV, scheme)
+    return _rollout(instance, arrivals, n_eval, substeps, COV)
 
 
 def rollout_information(
@@ -170,10 +166,9 @@ def rollout_information(
     arrivals: ArrivalRecord,
     n_eval: int = 300,
     substeps: int = 4,
-    scheme: str = "rk4",
 ) -> Trajectory:
     """Same path as rollout_covariance, integrated in information coordinates."""
-    return _rollout(instance, arrivals, n_eval, substeps, INFO, scheme)
+    return _rollout(instance, arrivals, n_eval, substeps, INFO)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,6 @@ def simulate_realization(
     dt_sde: float = 1e-3,
     n_eval: int = 300,
     substeps: int = 4,
-    scheme: str = "rk4",
 ) -> SimulationResult:
     """Simulate truth, measurements, and the filter along one realization.
 
@@ -247,7 +241,6 @@ def simulate_realization(
     grid = np.linspace(0.0, T, n_eval + 1)
     L = _psd_factor(sys.Q)
     chol_R = {j: np.linalg.cholesky(s.R) for j, s in enumerate(instance.sensors)}
-    step = _stepper(scheme)
     mean_rhs = lambda m: sys.A @ m
 
     x = sys.m0 + np.linalg.cholesky(sys.P0) @ rng.standard_normal(n)
@@ -271,10 +264,10 @@ def simulate_realization(
             for _ in range(n_em):
                 x = x + h * (sys.A @ x) + sqh * (L @ rng.standard_normal(n))
             # filter: same flow calls as the covariance rollout
-            P = flow_cov(P, sys.A, sys.Q, seg, n_steps, scheme)
+            P = flow_cov(P, sys.A, sys.Q, seg, n_steps)
             hsub = seg / n_steps
             for _ in range(n_steps):
-                m = step(m, hsub, mean_rhs)
+                m = _rk4_step(m, hsub, mean_rhs)
         while ei < len(ev_times) and ev_times[ei] == t:
             sensor_idx = int(ev_sensors[ei])
             sensor = instance.sensors[sensor_idx]

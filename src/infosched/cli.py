@@ -28,6 +28,7 @@ from . import bounds as bounds_mod
 from .model import (
     InstanceSpec,
     ValidationError,
+    _dump_json,
     _generator,
     load_instance,
     load_schedule,
@@ -123,10 +124,8 @@ def cmd_solve(args) -> int:
           f"feasible={feas.feasible}")
     if args.out:
         save_schedule(f"{args.out}.schedule.json", report.schedule)
-        with open(f"{args.out}.report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(include_timings=not args.no_timings),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(f"{args.out}.report.json",
+                   report.to_dict(include_timings=not args.no_timings))
         if args.random:
             save_instance(f"{args.out}.instance.json", instance)
     return 0

@@ -14,7 +14,6 @@ bit-identical for any parallelism degree.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +21,8 @@ from functools import partial
 import numpy as np
 
 from .cdkf import ArrivalRecord, rollout_covariance
-from .model import Instance, Schedule, ValidationError, _generator, _sym
+from .model import Instance, Schedule, ValidationError
+from .model import _dump_json, _generator, _sym
 from .riccati import COV, INFO, Trajectory, pathwise_cost
 
 
@@ -80,24 +80,21 @@ class McEstimate:
 
 
 def save_mc_report(path, estimate: McEstimate) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(estimate.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(path, estimate.to_dict())
 
 
-def _one_run(instance, schedule, n_eval, substeps, scheme, seed, keep_path, r):
+def _one_run(instance, schedule, n_eval, substeps, seed, keep_path, r):
     # cost of run r, and its covariance path when keep_path is set
     arrivals = sample_arrivals(schedule, run_seed(seed, r))
-    traj = rollout_covariance(instance, arrivals, n_eval, substeps, scheme)
+    traj = rollout_covariance(instance, arrivals, n_eval, substeps)
     cost = pathwise_cost(traj, instance.weights, instance.T)
     return (cost, traj.values) if keep_path else cost
 
 
-def _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme, n_jobs,
-          keep_path):
+def _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs, keep_path):
     """Per-run results in run order, streamed; a pool when n_jobs > 1."""
-    one_run = partial(_one_run, instance, schedule, n_eval, substeps, scheme,
-                      seed, keep_path)
+    one_run = partial(_one_run, instance, schedule, n_eval, substeps, seed,
+                      keep_path)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             yield from pool.map(one_run, range(n_runs),
@@ -131,7 +128,6 @@ def mc_objective(
     n_eval: int = 300,
     substeps: int = 4,
     seed: int = 0,
-    scheme: str = "rk4",
     n_jobs: int = 1,
 ) -> McEstimate:
     """Estimate the expected pathwise objective of a schedule.
@@ -143,8 +139,8 @@ def mc_objective(
     """
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
-    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme,
-                 n_jobs, keep_path=False)
+    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs,
+                 keep_path=False)
     return _estimate(np.fromiter(runs, dtype=float, count=n_runs))
 
 
@@ -175,7 +171,6 @@ def mc_mean_trajectories(
     n_eval: int = 300,
     substeps: int = 4,
     seed: int = 0,
-    scheme: str = "rk4",
     n_jobs: int = 1,
 ) -> McTrajectories:
     """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
@@ -188,8 +183,8 @@ def mc_mean_trajectories(
     n = instance.n
     costs = np.empty(n_runs)
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, scheme,
-                 n_jobs, keep_path=True)
+    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs,
+                 keep_path=True)
     for r, (cost, path) in enumerate(runs):
         costs[r] = cost
         p_paths[r] = path

@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +33,12 @@ from .model import (
     _sym,
     schedule_to_dict,
 )
-from .riccati import PositiveDefinitenessError, info_rhs, quadrature_weights
+from .riccati import (
+    PositiveDefinitenessError,
+    _scheme,
+    info_rhs,
+    quadrature_weights,
+)
 from .surrogate import (
     KINDS,
     cost_of_trajectory,
@@ -80,144 +88,117 @@ def objective(problem: ShootingProblem, rates: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adjoint sweeps
+# adjoint sweep
+#
+# One reverse sweep serves both kinds through the scheme's reverse step.  A
+# kind supplies the rest: its rate linearized at a stage point (point), a
+# stage's gradient row from its stage-rate adjoints (collect, then row), and
+# the adjoint that a weighted node enters (node).
 
 
-def _info_df_adj(Y, L, A, Q):
-    # adjoint of V -> -VA - A^T V - VQY - YQV at symmetric L
-    QY = Q @ Y
-    return -(A @ L + L @ A.T) - (QY @ L + L @ QY.T)
+class _InfoForm:
+    """Information form: a rate enters through its constant increment S_j.
+
+    d rate / d lam_kj = S_j at every stage point, so a stage's stage-rate
+    adjoints are summed and contracted with the stacked S_j once per stage.
+    A weighted node enters -P W P with P = Y^{-1}.
+    """
+
+    def __init__(self, inst, sched):
+        self.A, self.Q = inst.system.A, inst.system.Q
+        self.U = stage_increments(inst, sched)
+        self.S = np.stack([s.S for s in inst.sensors])
+
+    def point(self, k, Y):
+        A, Q, Uk = self.A, self.Q, self.U[k]
+        QY = Q @ Y
+        # vjp: adjoint of V -> -VA - A^T V - VQY - YQV at symmetric L
+        return SimpleNamespace(
+            rate=lambda: info_rhs(Y, A, Q) + Uk,
+            vjp=lambda L: -(A @ L + L @ A.T) - (QY @ L + L @ QY.T))
+
+    def collect(self, stages):
+        return reduce(add, (kbar for _, kbar in stages))
+
+    def row(self, acc):
+        return np.tensordot(self.S, acc, axes=([1, 2], [0, 1]))
+
+    def node(self, Y, W):
+        P = _sym(np.linalg.inv(Y))
+        return -_sym(P @ W @ P)
 
 
-def _grad_info(problem: ShootingProblem, traj, U):
+class _CovForm:
+    """Covariance form: a rate enters through the gain update g_j(P).
+
+    d rate / d lam_kj = -g_j(P) depends on the state, so every stage point
+    carries each sensor's g_j and B_j, and each stage-rate adjoint is
+    contracted with the g_j of its own point.  A weighted node enters W.
+    """
+
+    def __init__(self, inst, sched):
+        self.A, self.Q = inst.system.A, inst.system.Q
+        self.sensors = inst.sensors
+        self.rates = sched.rates
+
+    def point(self, k, P):
+        A, Q, lam_row = self.A, self.Q, self.rates[k]
+        # per sensor: gain update g = P H' M^{-1} H P and B = H' M^{-1} H P
+        g, B = [], []
+        for s in self.sensors:
+            HP = s.H @ P
+            sol = np.linalg.solve(HP @ s.H.T + s.R, HP)
+            g.append(_sym(HP.T @ sol))
+            B.append(s.H.T @ sol)
+
+        def vjp(L):
+            out = A.T @ L + L @ A
+            for lam, Bj in zip(lam_row, B):
+                if lam != 0.0:
+                    BL = Bj @ L
+                    out = out - lam * (BL + BL.T - BL @ Bj.T)
+            return out
+
+        return SimpleNamespace(
+            g=g, vjp=vjp,
+            rate=lambda: cov_rate_rhs(P, A, Q, lam_row, g.__getitem__))
+
+    def collect(self, stages):
+        return np.array([
+            -reduce(add, (np.tensordot(kbar, pt.g[j], axes=2)
+                          for pt, kbar in stages))
+            for j in range(len(self.sensors))])
+
+    def row(self, acc):
+        return acc
+
+    def node(self, P, W):
+        return W
+
+
+def _gradient(problem: ShootingProblem, sched: Schedule, traj) -> np.ndarray:
+    # reverse sweep over the substeps of the forward trajectory traj
     inst = problem.instance
-    sys = inst.system
-    A, Q = sys.A, sys.Q
+    form = (_InfoForm if problem.kind == "info" else _CovForm)(inst, sched)
+    _, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     values = traj.values
     h = inst.T / (N * S)
     w_hat = quadrature_weights(traj.times, inst.weights)
 
-    Pk = _sym(np.linalg.inv(values[-1]))
-    Wterm = inst.weights.W_T if w_hat is None else inst.weights.W_T + w_hat[-1]
-    Lam = -_sym(Pk @ Wterm @ Pk)
-
-    S_stack = np.stack([s.S for s in inst.sensors])
-    G = np.zeros((N, problem.M))
-    euler = problem.scheme == "euler"
+    W_T = inst.weights.W_T
+    Lam = _sym(form.node(values[-1], W_T if w_hat is None else W_T + w_hat[-1]))
+    G = np.empty((N, problem.M))
     for k in range(N - 1, -1, -1):
-        Uk = U[k]
-        acc = np.zeros_like(Lam)
+        linearize = partial(form.point, k)
+        acc = 0.0
         for s in range(S - 1, -1, -1):
             i = k * S + s
-            Y0 = values[i]
-            if euler:
-                kbar = h * Lam
-                acc += kbar
-                Lam = _sym(Lam + _info_df_adj(Y0, kbar, A, Q))
-            else:
-                # recompute internal stages of the forward RK4 step
-                k1 = info_rhs(Y0, A, Q) + Uk
-                Ya = Y0 + 0.5 * h * k1
-                k2 = info_rhs(Ya, A, Q) + Uk
-                Yb = Y0 + 0.5 * h * k2
-                k3 = info_rhs(Yb, A, Q) + Uk
-                Yc = Y0 + h * k3
-
-                kb4 = (h / 6.0) * Lam
-                ycbar = _info_df_adj(Yc, kb4, A, Q)
-                kb3 = (h / 3.0) * Lam + h * ycbar
-                ybbar = _info_df_adj(Yb, kb3, A, Q)
-                kb2 = (h / 3.0) * Lam + 0.5 * h * ybbar
-                yabar = _info_df_adj(Ya, kb2, A, Q)
-                kb1 = (h / 6.0) * Lam + 0.5 * h * yabar
-                acc += kb1 + kb2 + kb3 + kb4
-                Lam = _sym(Lam + ycbar + ybbar + yabar
-                           + _info_df_adj(Y0, kb1, A, Q))
+            Lam, stages = reverse(values[i], h, linearize, Lam)
+            acc = acc + form.collect(stages)
             if i > 0 and w_hat is not None:
-                Pi = _sym(np.linalg.inv(values[i]))
-                Lam = Lam - _sym(Pi @ w_hat[i] @ Pi)
-        G[k] = np.tensordot(S_stack, acc, axes=([1, 2], [0, 1]))
-    return G
-
-
-def _cov_sensor_cache(P, sensors):
-    # per sensor: decrement g = P H' M^{-1} H P and B = H' M^{-1} H P
-    gs, Bs = [], []
-    for s in sensors:
-        HP = s.H @ P
-        Mj = HP @ s.H.T + s.R
-        sol = np.linalg.solve(Mj, HP)
-        gs.append(_sym(HP.T @ sol))
-        Bs.append(s.H.T @ sol)
-    return gs, Bs
-
-
-def _cov_df_adj(L, A, lam_row, Bs):
-    out = A.T @ L + L @ A
-    for j in range(len(Bs)):
-        lam = lam_row[j]
-        if lam != 0.0:
-            BL = Bs[j] @ L
-            out = out - lam * (BL + BL.T - BL @ Bs[j].T)
-    return out
-
-
-def _grad_cov(problem: ShootingProblem, traj, rates):
-    inst = problem.instance
-    sys = inst.system
-    A, Q = sys.A, sys.Q
-    sensors = inst.sensors
-    N, S = problem.N, problem.substeps
-    values = traj.values
-    h = inst.T / (N * S)
-    w_hat = quadrature_weights(traj.times, inst.weights)
-
-    Wterm = inst.weights.W_T if w_hat is None else inst.weights.W_T + w_hat[-1]
-    Lam = _sym(np.array(Wterm))
-    G = np.zeros((N, problem.M))
-    euler = problem.scheme == "euler"
-    for k in range(N - 1, -1, -1):
-        lam_row = rates[k]
-        for s in range(S - 1, -1, -1):
-            i = k * S + s
-            P0 = values[i]
-            if euler:
-                g0, B0 = _cov_sensor_cache(P0, sensors)
-                kbar = h * Lam
-                for j in range(problem.M):
-                    G[k, j] -= np.tensordot(kbar, g0[j], axes=2)
-                Lam = _sym(Lam + _cov_df_adj(kbar, A, lam_row, B0))
-            else:
-                g0, B0 = _cov_sensor_cache(P0, sensors)
-                k1 = cov_rate_rhs(P0, A, Q, lam_row, g0.__getitem__)
-                Ya = P0 + 0.5 * h * k1
-                ga, Ba = _cov_sensor_cache(Ya, sensors)
-                k2 = cov_rate_rhs(Ya, A, Q, lam_row, ga.__getitem__)
-                Yb = P0 + 0.5 * h * k2
-                gb, Bb = _cov_sensor_cache(Yb, sensors)
-                k3 = cov_rate_rhs(Yb, A, Q, lam_row, gb.__getitem__)
-                Yc = P0 + h * k3
-                gc, Bc = _cov_sensor_cache(Yc, sensors)
-
-                kb4 = (h / 6.0) * Lam
-                ycbar = _cov_df_adj(kb4, A, lam_row, Bc)
-                kb3 = (h / 3.0) * Lam + h * ycbar
-                ybbar = _cov_df_adj(kb3, A, lam_row, Bb)
-                kb2 = (h / 3.0) * Lam + 0.5 * h * ybbar
-                yabar = _cov_df_adj(kb2, A, lam_row, Ba)
-                kb1 = (h / 6.0) * Lam + 0.5 * h * yabar
-                for j in range(problem.M):
-                    G[k, j] -= (
-                        np.tensordot(kb1, g0[j], axes=2)
-                        + np.tensordot(kb2, ga[j], axes=2)
-                        + np.tensordot(kb3, gb[j], axes=2)
-                        + np.tensordot(kb4, gc[j], axes=2)
-                    )
-                Lam = _sym(Lam + ycbar + ybbar + yabar
-                           + _cov_df_adj(kb1, A, lam_row, B0))
-            if i > 0 and w_hat is not None:
-                Lam = Lam + w_hat[i]
+                Lam = Lam + form.node(values[i], w_hat[i])
+        G[k] = form.row(acc)
     return G
 
 
@@ -240,12 +221,6 @@ def _forward(problem: ShootingProblem, rates: np.ndarray):
     traj = surrogate_trajectory(inst, sched, problem.kind, problem.substeps,
                                 problem.scheme)
     return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj
-
-
-def _gradient(problem: ShootingProblem, sched: Schedule, traj) -> np.ndarray:
-    if problem.kind == "info":
-        return _grad_info(problem, traj, stage_increments(problem.instance, sched))
-    return _grad_cov(problem, traj, sched.rates)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +301,16 @@ def centered_rates(polytope: ResourcePolytope, N: int) -> np.ndarray:
 # solver
 
 
+ARMIJO_C1 = 1e-4        # sufficient-decrease constant of the line search
+BACKTRACK = 0.5         # step shrink factor per failed trial
+MAX_BACKTRACKS = 40
+BB_MIN, BB_MAX = 1e-8, 1e8   # safeguard interval of the Barzilai-Borwein step
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
-    bb_min: float = 1e-8
-    bb_max: float = 1e8
 
 
 @dataclass
@@ -406,8 +382,7 @@ def solve(
     G = timed("gradient_assembly_s", _gradient, problem, sched, traj)
     history = [J]
     best_J, best_lam = J, lam
-    gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), opts.bb_min),
-                opts.bb_max)
+    gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), BB_MIN), BB_MAX)
     prev_lam = prev_G = None
     iterations = 0
     converged = False
@@ -426,12 +401,12 @@ def solve(
                 gamma = float(np.vdot(dl, dl)) / den
             else:
                 gamma = 2.0 * gamma
-            gamma = min(max(gamma, opts.bb_min), opts.bb_max)
+            gamma = min(max(gamma, BB_MIN), BB_MAX)
 
         accepted = False
         g_try = gamma
         trial = lam
-        for _bt in range(opts.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             trial = timed("projection_s", project_schedule, lam - g_try * G,
                           polytope)
             d = trial - lam
@@ -442,10 +417,10 @@ def solve(
                                              trial)
             except PositiveDefinitenessError:
                 J_trial = math.inf     # failed trial, not a crash
-            if J_trial <= J + opts.armijo_c1 * float(np.vdot(G, d)):
+            if J_trial <= J + ARMIJO_C1 * float(np.vdot(G, d)):
                 accepted = True
                 break
-            g_try *= opts.backtrack
+            g_try *= BACKTRACK
         if not accepted:
             break
 
@@ -540,33 +515,34 @@ def benchmark_assembly(
     N: int = 30,
     repetitions: int = 10,
     substeps: int = 10,
-    scheme: str = "rk4",
     rates: np.ndarray | None = None,
 ) -> BenchmarkResult:
     """Wall-time comparison of objective_and_gradient for both kinds.
 
     Both kinds are evaluated at the identical rate table (the centered point
-    by default).  One untimed warmup precedes the measured repetitions; runs
-    are sequential and single-threaded.
+    by default).  One untimed warmup per kind precedes the measured
+    repetitions; runs are sequential and single-threaded.  The kinds
+    alternate inside each repetition, so the two sides of the ratio are
+    sampled at the same host speed.
     """
     if rates is None:
         rates = centered_rates(instance.polytope, N)
-    forward_med, gradient_med, samples = {}, {}, {}
-    for kind in KINDS:
-        problem = ShootingProblem(instance=instance, N=N, kind=kind,
-                                  substeps=substeps, scheme=scheme)
+    problems = {kind: ShootingProblem(instance=instance, N=N, kind=kind,
+                                      substeps=substeps) for kind in KINDS}
+    samples = {kind: {"forward": [], "gradient": []} for kind in KINDS}
+    for problem in problems.values():
         objective_and_gradient(problem, rates)   # warmup, excluded
-        fwd, grad = [], []
-        for _ in range(repetitions):
+    for _ in range(repetitions):
+        for kind, problem in problems.items():
             t0 = time.perf_counter()
             objective(problem, rates)
-            fwd.append(time.perf_counter() - t0)
+            samples[kind]["forward"].append(time.perf_counter() - t0)
             t0 = time.perf_counter()
             objective_and_gradient(problem, rates)
-            grad.append(time.perf_counter() - t0)
-        forward_med[kind] = float(np.median(fwd))
-        gradient_med[kind] = float(np.median(grad))
-        samples[kind] = {"forward": fwd, "gradient": grad}
+            samples[kind]["gradient"].append(time.perf_counter() - t0)
+    forward_med = {k: float(np.median(v["forward"])) for k, v in samples.items()}
+    gradient_med = {k: float(np.median(v["gradient"]))
+                    for k, v in samples.items()}
     return BenchmarkResult(
         repetitions=repetitions,
         forward_s=forward_med,

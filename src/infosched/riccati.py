@@ -13,7 +13,9 @@ at an arrival.  Information coordinates Y = P^{-1} obey the dual pair
     Ydot = -Y A - A^T Y - Y Q Y,        Y+ = Y + H^T R^{-1} H.
 
 Flows are integrated with fixed-step explicit schemes: classical RK4 by
-default, forward Euler as a cross-check.  Every step re-symmetrizes the state
+default, forward Euler as a cross-check.  Each scheme is defined once here,
+its forward step paired with the step's exact adjoint, which the optimizer's
+reverse sweep runs.  Every step re-symmetrizes the state
 ((X + X^T)/2) so roundoff cannot push iterates off the symmetric cone, and
 positive definiteness is enforced against a scale-relative floor; losing it
 is reported as an error suggesting more substeps rather than silently
@@ -84,19 +86,52 @@ def _rk4_step(x, h, rhs):
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _rk4_reverse(x, h, linearize, bar):
+    """Carry the adjoint bar of one RK4 step's output back to its input x.
+
+    linearize(z) is the right-hand side linearized at z: rate() is the rate
+    there, vjp(v) the transposed Jacobian applied to v.  The stage points are
+    recomputed from x.  Returns the adjoint of x and, in stage order, each
+    stage point's linearization paired with the adjoint of its rate.
+    """
+    l1 = linearize(x)
+    l2 = linearize(x + 0.5 * h * l1.rate())
+    l3 = linearize(x + 0.5 * h * l2.rate())
+    l4 = linearize(x + h * l3.rate())
+    kb4 = (h / 6.0) * bar
+    xb4 = l4.vjp(kb4)
+    kb3 = (h / 3.0) * bar + h * xb4
+    xb3 = l3.vjp(kb3)
+    kb2 = (h / 3.0) * bar + 0.5 * h * xb3
+    xb2 = l2.vjp(kb2)
+    kb1 = (h / 6.0) * bar + 0.5 * h * xb2
+    x_bar = _sym(bar + xb4 + xb3 + xb2 + l1.vjp(kb1))
+    return x_bar, ((l1, kb1), (l2, kb2), (l3, kb3), (l4, kb4))
+
+
 def _euler_step(x, h, rhs):
     return x + h * rhs(x)
 
 
-_STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
+def _euler_reverse(x, h, linearize, bar):
+    """Adjoint of one Euler step; same contract as _rk4_reverse."""
+    l1 = linearize(x)
+    kb1 = h * bar
+    return _sym(bar + l1.vjp(kb1)), ((l1, kb1),)
 
 
-def _stepper(scheme: str):
+# each scheme once: its forward step paired with the step's exact adjoint
+_SCHEMES = {"rk4": (_rk4_step, _rk4_reverse),
+            "euler": (_euler_step, _euler_reverse)}
+
+
+def _scheme(name: str):
+    """The (step, reverse) pair of a scheme."""
     try:
-        return _STEPPERS[scheme]
+        return _SCHEMES[name]
     except KeyError:
         raise ValidationError(
-            f"unknown scheme {scheme!r}, expected one of {sorted(_STEPPERS)}"
+            f"unknown scheme {name!r}, expected one of {sorted(_SCHEMES)}"
         ) from None
 
 
@@ -107,7 +142,7 @@ def _integrate(x0, dt, substeps, rhs, scheme):
         return x0.copy()
     if substeps < 1:
         raise ValidationError(f"substeps must be >= 1, got {substeps}")
-    step = _stepper(scheme)
+    step, _ = _scheme(scheme)
     h = dt / substeps
     x = x0
     for _ in range(substeps):

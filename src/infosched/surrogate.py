@@ -16,8 +16,9 @@ which forces one g_j evaluation per sensor at every integrator stage.  That
 asymmetry is the point of the information form and is what the assembly
 benchmark in the optimizer module measures.
 
-Both integrators use the shared fixed-step schemes, re-symmetrize every step,
-and fail loudly if an iterate leaves the positive definite cone.
+Both integrators step each segment between stops through the shared
+fixed-step schemes of the riccati module and fail loudly if the state at the
+segment's end leaves the positive definite cone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .riccati import (
     COV,
     INFO,
     Trajectory,
-    _stepper,
+    _integrate,
     covariance_decrement,
     info_rhs,
     lyapunov_rhs,
@@ -99,7 +100,6 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
             )
         boundaries = np.linspace(0.0, T, N + 1)
 
-    step = _stepper(scheme)
     rates = schedule.rates
     if kind == "info":
         X = _sym(np.linalg.inv(sys.P0))
@@ -119,10 +119,8 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
                 rhs = lambda P: cov_rate_rhs(
                     P, A, Q, lam_row,
                     lambda j: covariance_decrement(P, instance.sensors[j]))
-            h = (t - prev) / n_steps
-            for _ in range(n_steps):
-                X = _sym(step(X, h, rhs))
-                require_pd(X, f"in {kind} surrogate near t={t:g}")
+            X = _integrate(X, t - prev, n_steps, rhs, scheme)
+            require_pd(X, f"in {kind} surrogate near t={t:g}")
         if node is not None:
             values[node] = X
     coords = INFO if kind == "info" else COV

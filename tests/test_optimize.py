@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,12 +263,34 @@ def test_duplicate_sensors_share_gradient_columns():
         assert np.allclose(G[:, 0], G[:, 1], rtol=0, atol=1e-14), kind
 
 
-@pytest.mark.parametrize("kind", ["info", "cov"])
-@pytest.mark.parametrize("seed", [7, 8])
-def test_gradient_matches_central_differences(kind, seed):
+def _stage_weights(n, n_stages, seed):
+    # distinct positive definite running weights, one per weight stage
+    B = rng_for(seed).normal(size=(n_stages, n, n))
+    return np.einsum("kab,kcb->kac", B, B) + 0.1 * np.eye(n)
+
+
+# seed x kind x scheme x weights; an id names the scheme and the weights
+# only where they differ from RK4 with a terminal weight alone
+GRADIENT_CASES = [
+    pytest.param(seed, kind, scheme, weights, id="-".join(
+        [str(seed), kind]
+        + ([] if (scheme, weights) == ("rk4", "terminal") else [scheme, weights])))
+    for seed, kind, scheme, weights in itertools.product(
+        (7, 8), ("info", "cov"), ("rk4", "euler"), ("terminal", "running"))
+]
+
+
+@pytest.mark.parametrize("seed,kind,scheme,weights", GRADIENT_CASES)
+def test_gradient_matches_central_differences(seed, kind, scheme, weights):
     inst = random_instance(InstanceSpec(n=3, M=3, p=1, seed=seed, T=2.0,
                                         budget=4.0))
-    problem = ShootingProblem(instance=inst, N=5, kind=kind, substeps=6)
+    if weights == "running":
+        # three weight stages over five control intervals: the node adjoint
+        # enters at every substep node, with stage changes inside intervals
+        inst = replace(inst, weights=WeightSpec(
+            W_stages=_stage_weights(3, 3, seed), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=5, kind=kind, substeps=6,
+                              scheme=scheme)
     rates = centered_rates(inst.polytope, 5)
     assert gradient_check(problem, rates) <= 1e-6
 
@@ -358,12 +381,12 @@ def test_solve_integrates_each_iterate_once(kind, monkeypatch):
         integrated.append((schedule.rates.copy(), traj))
         return traj
 
-    grad_name = f"_grad_{kind}"
+    grad_name = "_gradient"
     original_grad = getattr(optimize, grad_name)
 
-    def record_sweep(problem, traj, *args):
+    def record_sweep(problem, sched, traj):
         swept.append(traj)
-        return original_grad(problem, traj, *args)
+        return original_grad(problem, sched, traj)
 
     for module in (surrogate, optimize):
         if hasattr(module, name):
