@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cdkf import _evaluation_grid
 from .model import Instance, Schedule, Sensor, _dump_json, _sym
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
 from .riccati import invert_trajectory
@@ -99,7 +100,7 @@ def _nodewise_min_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
     # both surrogates, recorded on the grid the Monte Carlo runs record on
-    grid = np.linspace(0.0, instance.T, n_eval + 1)
+    grid = _evaluation_grid(instance.T, n_eval)
     info_y = integrate_info_surrogate(instance, schedule, surrogate_substeps,
                                       grid=grid)
     p_cov = integrate_cov_surrogate(instance, schedule, surrogate_substeps,
@@ -124,14 +125,13 @@ def objective_bracket(
     schedule: Schedule,
     n_runs: int = 100,
     n_eval: int = 300,
-    substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
     n_jobs: int = 1,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
-                       substeps=substeps, seed=seed, n_jobs=n_jobs)
+                       seed=seed, n_jobs=n_jobs)
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
                                      surrogate_substeps)
     j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
@@ -150,7 +150,6 @@ def trajectory_bracket(
     schedule: Schedule,
     n_runs: int = 100,
     n_eval: int = 300,
-    substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
     n_jobs: int = 1,
@@ -167,8 +166,7 @@ def trajectory_bracket(
                                      surrogate_substeps)
     p_info = invert_trajectory(info_y)
     mct = mc_mean_trajectories(instance, schedule, n_runs=n_runs,
-                               n_eval=n_eval, substeps=substeps, seed=seed,
-                               n_jobs=n_jobs)
+                               n_eval=n_eval, seed=seed, n_jobs=n_jobs)
     est = mct.objective
     j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
                                                    est)
@@ -223,7 +221,6 @@ def snr_sweep(
     r_scales: np.ndarray | None = None,
     n_runs: int = 100,
     n_eval: int = 300,
-    substeps: int = 4,
     surrogate_substeps: int = 10,
     seed: int = 0,
     n_jobs: int = 1,
@@ -242,7 +239,7 @@ def snr_sweep(
     for r in np.asarray(r_scales, dtype=float):
         scaled = scale_sensor_noise(instance, float(r))
         report = objective_bracket(
-            scaled, schedule, n_runs=n_runs, n_eval=n_eval, substeps=substeps,
+            scaled, schedule, n_runs=n_runs, n_eval=n_eval,
             surrogate_substeps=surrogate_substeps, seed=seed, n_jobs=n_jobs,
         )
         out.append((float(r), report))

@@ -2,23 +2,22 @@
 
 Given an arrival record (time, sensor index) the covariance path of the
 continuous-discrete Kalman filter is deterministic: Lyapunov flow between
-arrivals, gain update at each arrival.  ``rollout_covariance`` and
-``rollout_information`` integrate that path in either coordinate system and
-sample it on a uniform evaluation grid.
+arrivals, gain update at each arrival.  ``rollout_covariance`` steps it
+exactly (one Lyapunov map per segment between stops) and samples it on a
+uniform evaluation grid; ``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
 records the jumped matrix; multiple arrivals at the same instant are
 processed in ascending sensor index.
 
-``simulate_realization`` also integrates a state truth path (Euler-Maruyama)
-and the filter mean, and is meant for demos and consistency tests, not for
-the schedule-design loop.
+``simulate_realization`` also samples a state truth path and the filter
+mean through the same maps (x -> Phi x + N(0, W), m -> Phi m), and is meant
+for demos and consistency tests, not for the schedule-design loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,11 @@ from .model import Instance, Schedule, ValidationError
 from .model import _dump_json, _generator, _load_json, _sym
 from .riccati import (
     COV,
-    INFO,
     Trajectory,
-    _rk4_step,
-    flow_cov,
-    flow_info,
+    invert_trajectory,
     jump_cov,
-    jump_info,
+    lyapunov_maps,
+    require_pd,
     walk_stops,
 )
 
@@ -115,60 +112,67 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
         )
 
 
-def _rollout(instance, arrivals, n_eval, substeps, coordinates):
-    _check_arrivals(instance, arrivals)
+def _evaluation_grid(T: float, n_eval: int) -> np.ndarray:
+    """The uniform grid of n_eval intervals on [0, T] that rollouts record on."""
     if n_eval < 1:
         raise ValidationError(f"n_eval must be >= 1, got {n_eval}")
+    return np.linspace(0.0, T, n_eval + 1)
+
+
+def _filter_walk(instance, arrivals, grid):
+    """Step the exact filter covariance along the stops of grid and arrivals.
+
+    Yields (kind, t, arg, P) in time order: ("flow", t, (Phi, W), P) after
+    the exact map of the segment ending at t, ("jump", t, j, P) before the
+    gain update of an arrival from sensor j, ("node", t, i, P) at grid node
+    i.  Each distinct segment is mapped once, in one lyapunov_maps call: all
+    uncut grid steps share one map, a segment cut by an arrival has its own.
+    """
+    _check_arrivals(instance, arrivals)
     sys = instance.system
-    T = sys.T
-    grid = np.linspace(0.0, T, n_eval + 1)
-
-    if coordinates == COV:
-        X = np.array(sys.P0)
-        flow = lambda x, dt, ns: flow_cov(x, sys.A, sys.Q, dt, ns)
-        jump = jump_cov
-    else:
-        X = _sym(np.linalg.inv(sys.P0))
-        flow = lambda x, dt, ns: flow_info(x, sys.A, sys.Q, dt, ns)
-        jump = jump_info
-
-    values = np.empty((n_eval + 1, sys.n, sys.n))
-    ev_times, ev_sensors = arrivals.times, arrivals.sensors
+    stops = list(walk_stops(grid, arrivals.times))
+    lengths = [grid[1] - grid[0] if a[2] is not None and b[2] is not None
+               else b[1] - b[0] for a, b in zip(stops, stops[1:])]
+    distinct, index = np.unique(lengths, return_inverse=True)
+    phi, w = lyapunov_maps(sys.A, sys.Q, distinct)
+    P = np.array(sys.P0)
     ei = 0
-    for prev, t, n_steps, node in walk_stops(grid, ev_times, T / n_eval,
-                                             substeps):
-        if n_steps:
-            X = flow(X, t - prev, n_steps)
-        while ei < len(ev_times) and ev_times[ei] == t:
-            X = jump(X, instance.sensors[int(ev_sensors[ei])])
+    for i, (prev, t, node) in enumerate(stops):
+        if prev is not None:
+            k = index[i - 1]
+            P = _sym(phi[k] @ P @ phi[k].T + w[k])
+            require_pd(P, f"after covariance map to t={t:g}")
+            yield "flow", t, (phi[k], w[k]), P
+        while ei < arrivals.n_events and arrivals.times[ei] == t:
+            j = int(arrivals.sensors[ei])
+            yield "jump", t, j, P
+            P = jump_cov(P, instance.sensors[j])
             ei += 1
         if node is not None:
-            values[node] = X
-    return Trajectory(coordinates=coordinates, times=grid, values=values)
+            yield "node", t, node, P
 
 
 def rollout_covariance(
     instance: Instance,
     arrivals: ArrivalRecord,
     n_eval: int = 300,
-    substeps: int = 4,
 ) -> Trajectory:
-    """Deterministic covariance path of the filter for fixed arrivals.
-
-    substeps counts integrator steps per evaluation-grid interval; segments
-    cut short by an arrival get proportionally fewer steps (at least one).
-    """
-    return _rollout(instance, arrivals, n_eval, substeps, COV)
+    """Deterministic covariance path of the filter for fixed arrivals."""
+    grid = _evaluation_grid(instance.T, n_eval)
+    values = np.empty((n_eval + 1, instance.n, instance.n))
+    for kind, _, node, P in _filter_walk(instance, arrivals, grid):
+        if kind == "node":
+            values[node] = P
+    return Trajectory(coordinates=COV, times=grid, values=values)
 
 
 def rollout_information(
     instance: Instance,
     arrivals: ArrivalRecord,
     n_eval: int = 300,
-    substeps: int = 4,
 ) -> Trajectory:
-    """Same path as rollout_covariance, integrated in information coordinates."""
-    return _rollout(instance, arrivals, n_eval, substeps, INFO)
+    """Same path as rollout_covariance, in information coordinates."""
+    return invert_trajectory(rollout_covariance(instance, arrivals, n_eval))
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +204,20 @@ class SimulationResult:
         ]
 
 
-def _psd_factor(Q: np.ndarray) -> np.ndarray:
-    # any L with L L^T = Q works; eigen factor tolerates semidefinite Q
-    w, V = np.linalg.eigh(Q)
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 def simulate_realization(
     instance: Instance,
     schedule: Schedule | None = None,
     arrivals: ArrivalRecord | None = None,
     seed: int = 0,
-    dt_sde: float = 1e-3,
     n_eval: int = 300,
-    substeps: int = 4,
 ) -> SimulationResult:
     """Simulate truth, measurements, and the filter along one realization.
 
     When arrivals is None they are sampled from the schedule first (the seed
-    then covers both arrivals and noise).  The covariance path is stepped by
-    exactly the same flow and jump calls as rollout_covariance, so with fixed
-    arrivals the two paths agree bit for bit.
+    then covers both arrivals and noise).  The truth is sampled exactly at
+    the stops: x -> Phi x + w with w ~ N(0, W) for the segment's map.  The
+    covariance path comes from the same walk as rollout_covariance, so with
+    fixed arrivals the two paths agree bit for bit.
     """
     ss = np.random.SeedSequence(seed)
     arr_ss, noise_ss = ss.spawn(2)
@@ -230,58 +227,37 @@ def simulate_realization(
         from .montecarlo import sample_arrivals
 
         arrivals = sample_arrivals(schedule, arr_ss)
-    _check_arrivals(instance, arrivals)
-    if dt_sde <= 0:
-        raise ValidationError(f"dt_sde must be positive, got {dt_sde}")
 
     rng = _generator(noise_ss)
     sys = instance.system
     n = sys.n
-    T = sys.T
-    grid = np.linspace(0.0, T, n_eval + 1)
-    L = _psd_factor(sys.Q)
+    grid = _evaluation_grid(sys.T, n_eval)
     chol_R = {j: np.linalg.cholesky(s.R) for j, s in enumerate(instance.sensors)}
-    mean_rhs = lambda m: sys.A @ m
 
     x = sys.m0 + np.linalg.cholesky(sys.P0) @ rng.standard_normal(n)
     m = np.array(sys.m0, dtype=float)
-    P = np.array(sys.P0)
 
     states = np.empty((n_eval + 1, n))
     means = np.empty((n_eval + 1, n))
     values = np.empty((n_eval + 1, n, n))
     measurements = []
-    ev_times, ev_sensors = arrivals.times, arrivals.sensors
-    ei = 0
-    for prev, t, n_steps, node in walk_stops(grid, ev_times, T / n_eval,
-                                             substeps):
-        if n_steps:
-            seg = t - prev
-            # truth: Euler-Maruyama at steps <= dt_sde
-            n_em = max(1, math.ceil(seg / dt_sde - 1e-12))
-            h = seg / n_em
-            sqh = math.sqrt(h)
-            for _ in range(n_em):
-                x = x + h * (sys.A @ x) + sqh * (L @ rng.standard_normal(n))
-            # filter: same flow calls as the covariance rollout
-            P = flow_cov(P, sys.A, sys.Q, seg, n_steps)
-            hsub = seg / n_steps
-            for _ in range(n_steps):
-                m = _rk4_step(m, hsub, mean_rhs)
-        while ei < len(ev_times) and ev_times[ei] == t:
-            sensor_idx = int(ev_sensors[ei])
-            sensor = instance.sensors[sensor_idx]
-            z = sensor.H @ x + chol_R[sensor_idx] @ rng.standard_normal(sensor.p)
+    for kind, t, arg, P in _filter_walk(instance, arrivals, grid):
+        if kind == "flow":
+            Phi, W = arg
+            lam, V = np.linalg.eigh(W)   # an eigen factor: W may be singular
+            x = Phi @ x + V @ (np.sqrt(lam.clip(0.0)) * rng.standard_normal(n))
+            m = Phi @ m
+        elif kind == "jump":
+            sensor = instance.sensors[arg]
+            z = sensor.H @ x + chol_R[arg] @ rng.standard_normal(sensor.p)
             Mj = sensor.H @ P @ sensor.H.T + sensor.R
             K = np.linalg.solve(Mj, sensor.H @ P).T
             m = m + K @ (z - sensor.H @ m)
-            P = jump_cov(P, sensor)
-            measurements.append((float(t), sensor_idx, z))
-            ei += 1
-        if node is not None:
-            states[node] = x
-            means[node] = m
-            values[node] = P
+            measurements.append((float(t), arg, z))
+        else:
+            states[arg] = x
+            means[arg] = m
+            values[arg] = P
 
     traj = Trajectory(coordinates=COV, times=grid, values=values)
     return SimulationResult(

@@ -136,7 +136,7 @@ def cmd_evaluate(args) -> int:
     schedule = load_schedule(args.schedule)
     est = mc_objective(
         instance, schedule, n_runs=args.runs, n_eval=args.n_eval,
-        substeps=args.substeps, seed=args.seed, n_jobs=args.jobs,
+        seed=args.seed, n_jobs=args.jobs,
     )
     tr = float(np.trace(instance.system.P0))
     print(f"runs={est.n_runs} mean={est.mean:.9g} stderr={est.stderr:.3g}")
@@ -149,7 +149,7 @@ def cmd_evaluate(args) -> int:
 def cmd_bracket(args) -> int:
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
-    kwargs = dict(n_runs=args.runs, n_eval=args.n_eval, substeps=args.substeps,
+    kwargs = dict(n_runs=args.runs, n_eval=args.n_eval,
                   surrogate_substeps=args.surrogate_substeps, seed=args.seed,
                   n_jobs=args.jobs)
     if args.objective_only:
@@ -172,7 +172,7 @@ def cmd_bracket(args) -> int:
         scales = _parse_snr_spec(args.snr_sweep)
         sweep = bounds_mod.snr_sweep(
             instance, schedule, r_scales=scales, n_runs=args.runs,
-            n_eval=args.n_eval, substeps=args.substeps,
+            n_eval=args.n_eval,
             surrogate_substeps=args.surrogate_substeps, seed=args.seed,
             n_jobs=args.jobs,
         )
@@ -195,6 +195,8 @@ def _sweep_points(args) -> list[tuple[str, int]]:
         points = [10, 20, 40, 60, 80, 100] if args.full else [10, 20, 40]
     else:
         points = [2, 4, 8, 12, 16, 20] if args.full else [2, 4, 8]
+    if not points:
+        raise ValidationError(f"--grid {args.grid!r} names no point")
     return [(args.sweep, pt) for pt in points]
 
 
@@ -223,7 +225,7 @@ def _estimate_sweep_seconds(points, args) -> float:
             per_point += 1.7 * args.max_iters * per_iter
         t0 = time.perf_counter()
         mc_objective(instance, problem.schedule(rates), n_runs=2,
-                     n_eval=args.n_eval, substeps=2, seed=args.seed)
+                     n_eval=args.n_eval, seed=args.seed)
         per_run = (time.perf_counter() - t0) / 2.0
         per_point += 2.0 * args.runs * per_run
         total += args.instances * per_point
@@ -231,6 +233,8 @@ def _estimate_sweep_seconds(points, args) -> float:
 
 
 def cmd_sweep(args) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be >= 1, got {args.instances}")
     points = _sweep_points(args)
     if args.full:
         print("warning: --full grids can take hours",
@@ -253,8 +257,7 @@ def cmd_sweep(args) -> int:
                     max_iters=args.max_iters, grad_tol=args.grad_tol))
                 est = mc_objective(
                     instance, report.schedule, n_runs=args.runs,
-                    n_eval=args.n_eval, substeps=2, seed=args.seed,
-                    n_jobs=args.jobs,
+                    n_eval=args.n_eval, seed=args.seed, n_jobs=args.jobs,
                 )
                 tr = float(np.trace(instance.system.P0))
                 t = report.timings
@@ -382,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--n-eval", type=int, default=300)
-    p.add_argument("--substeps", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="MC report JSON path")
@@ -393,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--n-eval", type=int, default=300)
-    p.add_argument("--substeps", type=int, default=4)
     p.add_argument("--surrogate-substeps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

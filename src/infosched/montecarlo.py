@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .cdkf import ArrivalRecord, rollout_covariance
+from .cdkf import ArrivalRecord, _evaluation_grid, rollout_covariance
 from .model import Instance, Schedule, ValidationError
 from .model import _dump_json, _generator, _sym
 from .riccati import COV, INFO, Trajectory, pathwise_cost
@@ -83,18 +83,17 @@ def save_mc_report(path, estimate: McEstimate) -> None:
     _dump_json(path, estimate.to_dict())
 
 
-def _one_run(instance, schedule, n_eval, substeps, seed, keep_path, r):
+def _one_run(instance, schedule, n_eval, seed, keep_path, r):
     # cost of run r, and its covariance path when keep_path is set
     arrivals = sample_arrivals(schedule, run_seed(seed, r))
-    traj = rollout_covariance(instance, arrivals, n_eval, substeps)
+    traj = rollout_covariance(instance, arrivals, n_eval)
     cost = pathwise_cost(traj, instance.weights, instance.T)
     return (cost, traj.values) if keep_path else cost
 
 
-def _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs, keep_path):
+def _runs(instance, schedule, n_runs, n_eval, seed, n_jobs, keep_path):
     """Per-run results in run order, streamed; a pool when n_jobs > 1."""
-    one_run = partial(_one_run, instance, schedule, n_eval, substeps, seed,
-                      keep_path)
+    one_run = partial(_one_run, instance, schedule, n_eval, seed, keep_path)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             yield from pool.map(one_run, range(n_runs),
@@ -126,20 +125,19 @@ def mc_objective(
     schedule: Schedule,
     n_runs: int = 100,
     n_eval: int = 300,
-    substeps: int = 4,
     seed: int = 0,
     n_jobs: int = 1,
 ) -> McEstimate:
     """Estimate the expected pathwise objective of a schedule.
 
-    Per run: sample arrivals, roll the exact covariance recursion on the
-    evaluation grid, apply the trapezoid objective.  per_run_costs comes back
-    in run order regardless of n_jobs, so the reduction is deterministic.
-    Paths are not kept.
+    Per run: sample arrivals, step the exact covariance recursion and sample
+    it on the evaluation grid, apply the trapezoid objective.  per_run_costs
+    comes back in run order regardless of n_jobs, so the reduction is
+    deterministic.  Paths are not kept.
     """
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
-    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs,
+    runs = _runs(instance, schedule, n_runs, n_eval, seed, n_jobs,
                  keep_path=False)
     return _estimate(np.fromiter(runs, dtype=float, count=n_runs))
 
@@ -169,7 +167,6 @@ def mc_mean_trajectories(
     schedule: Schedule,
     n_runs: int = 100,
     n_eval: int = 300,
-    substeps: int = 4,
     seed: int = 0,
     n_jobs: int = 1,
 ) -> McTrajectories:
@@ -180,15 +177,15 @@ def mc_mean_trajectories(
     """
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
+    times = _evaluation_grid(instance.T, n_eval)
     n = instance.n
     costs = np.empty(n_runs)
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    runs = _runs(instance, schedule, n_runs, n_eval, substeps, seed, n_jobs,
+    runs = _runs(instance, schedule, n_runs, n_eval, seed, n_jobs,
                  keep_path=True)
     for r, (cost, path) in enumerate(runs):
         costs[r] = cost
         p_paths[r] = path
-    times = np.linspace(0.0, instance.T, n_eval + 1)
     y_paths = _sym(np.linalg.inv(p_paths))
 
     if np.all(p_paths == p_paths[0]):

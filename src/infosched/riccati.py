@@ -12,20 +12,19 @@ at an arrival.  Information coordinates Y = P^{-1} obey the dual pair
 
     Ydot = -Y A - A^T Y - Y Q Y,        Y+ = Y + H^T R^{-1} H.
 
-Flows are integrated with fixed-step explicit schemes: classical RK4 by
-default, forward Euler as a cross-check.  Each scheme is defined once here,
-its forward step paired with the step's exact adjoint, which the optimizer's
-reverse sweep runs.  Every step re-symmetrizes the state
-((X + X^T)/2) so roundoff cannot push iterates off the symmetric cone, and
-positive definiteness is enforced against a scale-relative floor; losing it
-is reported as an error suggesting more substeps rather than silently
-repaired.
+The filter rollouts step the linear Lyapunov flow by its exact map
+(``lyapunov_maps``).  Other flows are integrated with fixed-step explicit
+schemes: classical RK4 by default, forward Euler as a cross-check.  Each
+scheme is defined once here, its forward step paired with the step's exact
+adjoint, which the optimizer's reverse sweep runs.  Every step
+re-symmetrizes the state so roundoff cannot push iterates off the symmetric
+cone, and positive definiteness is enforced against a scale-relative floor;
+losing it is an error suggesting more substeps, never silently repaired.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ import numpy as np
 from .model import ValidationError, WeightSpec, _sym
 
 PD_FLOOR_REL = 1e-12   # min eigenvalue must stay above PD_FLOOR_REL * trace/n
+EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
+MAP_BATCH = 32         # exponentials per batch: bounds the working memory
 
 COV = "covariance"
 INFO = "information"
@@ -46,18 +47,29 @@ class PositiveDefinitenessError(RuntimeError):
         self.min_eig = min_eig
 
 
-def pd_floor(x: np.ndarray) -> float:
-    """Scale-relative positive definiteness floor for a state of x's size."""
-    n = x.shape[0]
-    return PD_FLOOR_REL * max(float(np.trace(x)) / n, 1e-300)
+def pd_floor(x: np.ndarray):
+    """Scale-relative positive definiteness floor of x, or of each in a stack."""
+    n = x.shape[-1]
+    return PD_FLOOR_REL * np.maximum(x.trace(axis1=-2, axis2=-1) / n, 1e-300)
 
 
-def require_pd(x: np.ndarray, context: str = "") -> None:
-    """Raise if min eig of x is at or below the scale-relative floor."""
+def require_pd(x: np.ndarray, context="") -> None:
+    """Raise if min eig of x is at or below the scale-relative floor.
+
+    x may be a stack of matrices, checked with one batched Cholesky; context
+    is then a function of a matrix's index, and the error names the first
+    matrix that fails.
+    """
+    if x.ndim > 2:
+        try:
+            np.linalg.cholesky(x - pd_floor(x)[:, None, None] * np.eye(x.shape[-1]))
+        except np.linalg.LinAlgError:
+            for i in range(x.shape[0]):
+                require_pd(x[i], context(i))
+        return
     floor = pd_floor(x)
-    shifted = x - floor * np.eye(x.shape[0])
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(x - floor * np.eye(x.shape[0]))
     except np.linalg.LinAlgError:
         m = float(np.linalg.eigvalsh(_sym(x))[0])
         where = f" {context}" if context else ""
@@ -164,6 +176,42 @@ def flow_info(Y, A, Q, dt, substeps: int = 100, scheme: str = "rk4") -> np.ndarr
     return out
 
 
+def expm(X: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix in a stack X.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005): each
+    matrix is scaled by its own 2^-s to 1-norm at most 1, its Taylor
+    polynomial evaluated by Horner's rule, and the result squared s times.
+    """
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(int)
+    X = X / np.ldexp(1.0, s)[..., None, None]
+    eye = np.eye(X.shape[-1])
+    E = eye + X / EXPM_DEGREE
+    for k in range(EXPM_DEGREE - 1, 0, -1):
+        E = eye + (X @ E) / k
+    for i in range(int(s.max(initial=0))):
+        E = np.where((s > i)[..., None, None], E @ E, E)
+    return E
+
+
+def lyapunov_maps(A, Q, durations):
+    """Exact maps of the Lyapunov flow over each duration d in durations.
+
+    Returns stacks (Phi, W) with P(t + d) = Phi P Phi^T + W, where
+    Phi = e^{A d} and W = int_0^d e^{A s} Q e^{A^T s} ds.  Both come from the
+    exponential of the block [[-A, Q], [0, A^T]] d (Van Loan, IEEE TAC
+    1978), taken MAP_BATCH durations at a time.
+    """
+    n = A.shape[0]
+    block = np.block([[-A, Q], [np.zeros_like(A), A.T]])
+    d = np.asarray(durations, dtype=float)[:, None, None]
+    F = np.concatenate([expm(block * d[lo:lo + MAP_BATCH])
+                        for lo in range(0, len(d), MAP_BATCH)])
+    phi = F[:, n:, n:].transpose(0, 2, 1)
+    return phi, _sym(phi @ F[:, :n, n:])
+
+
 def covariance_decrement(P, sensor) -> np.ndarray:
     """Gain update g(P) = P H^T (H P H^T + R)^{-1} H P for one arrival."""
     HP = sensor.H @ P
@@ -185,29 +233,25 @@ def jump_info(Y, sensor) -> np.ndarray:
 # stop walking
 
 
-def walk_stops(grid, cuts, base_dt: float, substeps: int):
+def walk_stops(grid, cuts):
     """Walk the merged stops of a recording grid and extra cut times.
 
-    Yields (t_prev, t, n_steps, node) for every stop t in increasing order.
-    t_prev is the previous stop (None at the first, where n_steps is 0);
-    n_steps is the integrator step count for the segment [t_prev, t], chosen
-    so no step exceeds base_dt / substeps and every segment gets at least
-    one; node is the index of t in grid, or None when t is only a cut.
-    Callers flow over the segment, apply whatever happens at t, then record
-    at node.  Exhausting the walk checks that every grid node was visited.
+    Yields (t_prev, t, node) for every stop t in increasing order.  t_prev is
+    the previous stop (None at the first); node is the index of t in grid,
+    or None when t is only a cut.  Callers flow over the segment
+    [t_prev, t], apply whatever happens at t, then record at node.
+    Exhausting the walk checks that every grid node was visited.
     """
     stops = np.union1d(grid, cuts)
     n_nodes = len(grid)
     gi = 0
     prev = None
     for t in stops:
-        n_steps = 0 if prev is None else \
-            max(1, math.ceil(substeps * (t - prev) / base_dt - 1e-9))
         node = None
         if gi < n_nodes and grid[gi] == t:
             node = gi
             gi += 1
-        yield prev, t, n_steps, node
+        yield prev, t, node
         prev = t
     if gi != n_nodes:   # pragma: no cover - union1d guarantees coverage
         raise RuntimeError("internal: recording grid not fully visited")
@@ -252,11 +296,10 @@ class Trajectory:
             raise ValidationError(
                 f"trajectory nodes not symmetric: max skew {skew:.3e}"
             )
-        for i in range(values.shape[0]):
-            try:
-                require_pd(values[i], f"at node t={times[i]:g}")
-            except PositiveDefinitenessError as exc:
-                raise ValidationError(str(exc)) from None
+        try:
+            require_pd(values, lambda i: f"at node t={times[i]:g}")
+        except PositiveDefinitenessError as exc:
+            raise ValidationError(str(exc)) from None
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -352,12 +395,14 @@ __all__ = [
     "PositiveDefinitenessError",
     "Trajectory",
     "covariance_decrement",
+    "expm",
     "flow_cov",
     "flow_info",
     "info_rhs",
     "invert_trajectory",
     "jump_cov",
     "jump_info",
+    "lyapunov_maps",
     "lyapunov_rhs",
     "pathwise_cost",
     "pd_floor",

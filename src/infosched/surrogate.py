@@ -23,6 +23,8 @@ segment's end leaves the positive definite cone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import Instance, Schedule, ValidationError, _sym
@@ -85,20 +87,24 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
     N, T = schedule.N, schedule.T
     delta = schedule.delta
 
+    tol = 1e-9 * max(1.0, T)
     if grid is None:
         times = np.linspace(0.0, T, N * substeps + 1)
-        # boundaries share bits with the node grid: exactly one integrator
-        # step per node gap, no micro-segments from float disagreement
-        boundaries = times[:: substeps]
     else:
         times = np.asarray(grid, dtype=float)
-        tol = 1e-9 * max(1.0, T)
         if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0) \
                 or abs(times[0]) > tol or abs(times[-1] - T) > tol:
             raise ValidationError(
                 "grid must be strictly increasing and span [0, T]"
             )
-        boundaries = np.linspace(0.0, T, N + 1)
+    # a stage boundary that misses a node by roundoff is that node, so no
+    # segment is an ulp long (on the default grid: exactly one integrator
+    # step per node gap)
+    boundaries = np.linspace(0.0, T, N + 1)
+    i = np.searchsorted(times, boundaries).clip(1, len(times) - 1)
+    near = np.where(times[i] - boundaries < boundaries - times[i - 1],
+                    times[i], times[i - 1])
+    boundaries = np.where(np.abs(near - boundaries) <= tol, near, boundaries)
 
     rates = schedule.rates
     if kind == "info":
@@ -108,8 +114,10 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
         X = np.array(sys.P0)
 
     values = np.empty((len(times), sys.n, sys.n))
-    for prev, t, n_steps, node in walk_stops(times, boundaries, delta, substeps):
-        if n_steps:
+    for prev, t, node in walk_stops(times, boundaries):
+        if prev is not None:
+            # no step longer than delta / substeps, at least one per segment
+            n_steps = max(1, math.ceil(substeps * (t - prev) / delta - 1e-9))
             k = min(int((0.5 * (prev + t)) / delta), N - 1)
             if kind == "info":
                 Uk = U[k]

@@ -111,7 +111,7 @@ def test_criterion_4_objective_bracket_closed_form():
     t0 = time.perf_counter()
     inst = make_scalar_instance()
     sched = Schedule(N=1, T=1.0, rates=np.array([[2.0]]))
-    rep = objective_bracket(inst, sched, n_runs=5000, n_eval=25, substeps=1,
+    rep = objective_bracket(inst, sched, n_runs=5000, n_eval=25,
                             surrogate_substeps=50, seed=400)
     root = brentq(lambda p: math.log(p) - 1.0 / p + 3.0, 1e-6, 1.0,
                   xtol=1e-15)
@@ -134,7 +134,7 @@ def test_criterion_5_reference_bracket(reference_solution):
     inst, report, solve_s = reference_solution
     t0 = time.perf_counter() - solve_s      # charge the shared solve here
     rep = trajectory_bracket(inst, report.schedule, n_runs=100, n_eval=300,
-                             substeps=4, surrogate_substeps=10, seed=500)
+                             surrogate_substeps=10, seed=500)
     det_ok = bool(np.all(rep.margins["cov_minus_info"]
                          >= -rep.margin_tol["cov_minus_info"]))
     ok = rep.contained and det_ok
@@ -149,7 +149,7 @@ def test_criterion_6_snr_sweep(reference_solution):
     inst, report, _ = reference_solution
     t0 = time.perf_counter()
     sweep = snr_sweep(inst, report.schedule, n_runs=100, n_eval=300,
-                      substeps=4, surrogate_substeps=10, seed=600)
+                      surrogate_substeps=10, seed=600)
     n_contained = sum(rep.contained for _, rep in sweep)
     widths = [rep.normalized_width for _, rep in sweep]
     ok = len(sweep) == 9 and n_contained == 9
@@ -164,9 +164,9 @@ def test_criterion_7_optimizer_quality(reference_solution):
     t0 = time.perf_counter()
     centered = Schedule(N=30, T=3.0, rates=centered_rates(inst.polytope, 30))
     est_cen = mc_objective(inst, centered, n_runs=100, n_eval=300,
-                           substeps=4, seed=700)
+                           seed=700)
     est_opt = mc_objective(inst, report.schedule, n_runs=100, n_eval=300,
-                           substeps=4, seed=700)
+                           seed=700)
     slack = 3.0 * math.hypot(est_cen.stderr, est_opt.stderr)
     hist = np.asarray(report.history)
     monotone = bool(np.all(np.diff(hist) <= 1e-12))
@@ -246,7 +246,7 @@ def test_criterion_10_information_side_statistical_bound():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=1000, T=3.0,
                                         budget=5.0))
     sched = Schedule(N=6, T=3.0, rates=centered_rates(inst.polytope, 6))
-    rep = trajectory_bracket(inst, sched, n_runs=500, n_eval=100, substeps=4,
+    rep = trajectory_bracket(inst, sched, n_runs=500, n_eval=100,
                              surrogate_substeps=10, seed=1001)
     margin = rep.margins["info_minus_mc_y"]
     tol = rep.margin_tol["info_minus_mc_y"]

@@ -28,7 +28,7 @@ COV_SURROGATE_ROOT = 0.452910851609152
 def test_zero_rate_bracket_degenerates_to_open_loop():
     inst = make_scalar_instance(a=-0.5, q=0.4, p0=2.0)
     sched = Schedule(N=3, T=1.0, rates=np.zeros((3, 1)))
-    rep = objective_bracket(inst, sched, n_runs=5, n_eval=50, substeps=4,
+    rep = objective_bracket(inst, sched, n_runs=5, n_eval=50,
                             surrogate_substeps=10, seed=1)
     assert rep.mc.std == 0.0
     assert rep.contained
@@ -43,7 +43,7 @@ def test_scalar_poisson_bracket_matches_closed_forms():
     # the implicit-equation root
     inst = make_scalar_instance()
     sched = Schedule(N=1, T=1.0, rates=np.array([[2.0]]))
-    rep = objective_bracket(inst, sched, n_runs=800, n_eval=25, substeps=1,
+    rep = objective_bracket(inst, sched, n_runs=800, n_eval=25,
                             surrogate_substeps=50, seed=3)
     assert abs(rep.j_lower - 1.0 / 3.0) <= 1e-12
     assert abs(rep.j_upper - COV_SURROGATE_ROOT) <= 1e-6
@@ -56,7 +56,7 @@ def test_scalar_poisson_bracket_matches_closed_forms():
 def test_trajectory_bracket_zero_rates_is_tight():
     inst = make_scalar_instance(a=-0.3, q=0.5, p0=1.5)
     sched = Schedule(N=2, T=1.0, rates=np.zeros((2, 1)))
-    rep = trajectory_bracket(inst, sched, n_runs=4, n_eval=40, substeps=4,
+    rep = trajectory_bracket(inst, sched, n_runs=4, n_eval=40,
                              surrogate_substeps=10, seed=2)
     assert rep.mc.std == 0.0
     assert rep.contained and rep.trajectory_contained
@@ -77,7 +77,7 @@ def test_trajectory_bracket_random_schedule_contained():
     rng = rng_for(21)
     rates = rng.uniform(0.0, 1.5, size=(4, 2))
     sched = Schedule(N=4, T=1.5, rates=rates)
-    rep = trajectory_bracket(inst, sched, n_runs=60, n_eval=60, substeps=4,
+    rep = trajectory_bracket(inst, sched, n_runs=60, n_eval=60,
                              surrogate_substeps=10, seed=4)
     assert rep.contained
     assert rep.trajectory_contained
@@ -94,7 +94,7 @@ def test_trajectory_bracket_estimate_equals_mc_objective(n_jobs):
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=9, T=1.5,
                                         budget=3.0))
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 2), 1.0))
-    kw = dict(n_runs=6, n_eval=30, substeps=2, seed=5, n_jobs=n_jobs)
+    kw = dict(n_runs=6, n_eval=30, seed=5, n_jobs=n_jobs)
     rep = trajectory_bracket(inst, sched, surrogate_substeps=4, **kw)
     est = mc_objective(inst, sched, **kw)
     np.testing.assert_array_equal(rep.mc.per_run_costs, est.per_run_costs)
@@ -116,8 +116,7 @@ def test_snr_sweep_contained_and_width_shrinks():
     inst = make_scalar_instance(a=-0.2, q=0.3, p0=2.0, budget=4.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 2.0))
     sweep = snr_sweep(inst, sched, r_scales=np.array([0.1, 1.0, 10.0]),
-                      n_runs=150, n_eval=40, substeps=2,
-                      surrogate_substeps=20, seed=5)
+                      n_runs=150, n_eval=40, surrogate_substeps=20, seed=5)
     assert [r for r, _ in sweep] == [0.1, 1.0, 10.0]
     widths = []
     for _, rep in sweep:
@@ -130,7 +129,7 @@ def test_uninformative_limit_collapses_the_bracket():
     inst = make_scalar_instance(a=-0.4, q=0.5, p0=2.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 3.0))
     rep = objective_bracket(scale_sensor_noise(inst, 1e12), sched,
-                            n_runs=20, n_eval=40, substeps=4,
+                            n_runs=20, n_eval=40,
                             surrogate_substeps=20, seed=7)
     open_loop = flow_cov(np.array([[2.0]]), inst.system.A, inst.system.Q,
                          1.0, substeps=400)[0, 0]
@@ -146,7 +145,7 @@ def test_containment_survives_joint_state_scaling():
     for alpha in (1.0, 10.0):
         inst = make_scalar_instance(a=-0.3, q=0.4 * alpha, p0=2.0 * alpha)
         rep = objective_bracket(inst, sched, n_runs=120, n_eval=30,
-                                substeps=2, surrogate_substeps=20, seed=8)
+                                surrogate_substeps=20, seed=8)
         assert rep.contained, alpha
         assert rep.trace_p0 == 2.0 * alpha
 
@@ -155,8 +154,7 @@ def test_write_snr_csv_round_trips(tmp_path):
     inst = make_scalar_instance(a=-0.2, q=0.3)
     sched = Schedule(N=1, T=1.0, rates=np.array([[1.0]]))
     sweep = snr_sweep(inst, sched, r_scales=np.array([0.5, 2.0]),
-                      n_runs=10, n_eval=20, substeps=2,
-                      surrogate_substeps=10, seed=9)
+                      n_runs=10, n_eval=20, surrogate_substeps=10, seed=9)
     path = tmp_path / "sweep.csv"
     write_snr_csv(path, sweep)
     with open(path, newline="") as fh:
@@ -175,7 +173,7 @@ def test_write_snr_csv_round_trips(tmp_path):
 def test_bracket_report_serialization(tmp_path):
     inst = make_scalar_instance(a=-0.3, q=0.2)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 1.0))
-    rep = trajectory_bracket(inst, sched, n_runs=8, n_eval=20, substeps=2,
+    rep = trajectory_bracket(inst, sched, n_runs=8, n_eval=20,
                              surrogate_substeps=10, seed=10)
     out = rep.to_dict()
     assert out["normalized"]["width"] == pytest.approx(

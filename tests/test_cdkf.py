@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infosched.cdkf import (
     ArrivalRecord,
@@ -53,10 +55,10 @@ def test_rollout_rejects_out_of_range_arrivals():
     inst = make_scalar_instance(T=1.0)
     late = ArrivalRecord.from_events([(1.5, 0)])
     with pytest.raises(ValidationError):
-        rollout_covariance(inst, late, n_eval=4, substeps=2)
+        rollout_covariance(inst, late, n_eval=4)
     bad_sensor = ArrivalRecord.from_events([(0.5, 3)])
     with pytest.raises(ValidationError):
-        rollout_covariance(inst, bad_sensor, n_eval=4, substeps=2)
+        rollout_covariance(inst, bad_sensor, n_eval=4)
 
 
 # ------------------------------------------------------------------ rollouts
@@ -65,7 +67,7 @@ def test_rollout_covariance_scalar_ladder():
     # static scalar state: each unit-information arrival maps p to p/(1+p)
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
     arr = ArrivalRecord.from_events([(0.5, 0), (1.0, 0)])
-    traj = rollout_covariance(inst, arr, n_eval=2, substeps=2)
+    traj = rollout_covariance(inst, arr, n_eval=2)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
     vals = traj.values[:, 0, 0]
     np.testing.assert_allclose(vals, [1.0, 0.5, 1.0 / 3.0], rtol=1e-12)
@@ -74,7 +76,7 @@ def test_rollout_covariance_scalar_ladder():
 def test_rollout_information_scalar_ladder():
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
     arr = ArrivalRecord.from_events([(0.5, 0), (1.0, 0)])
-    traj = rollout_information(inst, arr, n_eval=2, substeps=2)
+    traj = rollout_information(inst, arr, n_eval=2)
     np.testing.assert_allclose(traj.values[:, 0, 0], [1.0, 2.0, 3.0],
                                rtol=1e-12)
 
@@ -82,7 +84,7 @@ def test_rollout_information_scalar_ladder():
 def test_rollout_empty_arrivals_is_lyapunov():
     inst = random_instance(InstanceSpec(n=3, M=2, p=1, seed=8, T=1.5))
     empty = ArrivalRecord.from_events([])
-    traj = rollout_covariance(inst, empty, n_eval=30, substeps=6)
+    traj = rollout_covariance(inst, empty, n_eval=30)
     direct = flow_cov(inst.system.P0, inst.system.A, inst.system.Q, 1.5,
                       substeps=30 * 6)
     np.testing.assert_allclose(traj.values[-1], direct, rtol=1e-9)
@@ -91,7 +93,7 @@ def test_rollout_empty_arrivals_is_lyapunov():
 def test_rollout_information_no_arrivals_harmonic():
     inst = make_scalar_instance(a=0.0, q=1.0, p0=1.0, T=1.0)
     traj = rollout_information(inst, ArrivalRecord.from_events([]),
-                               n_eval=10, substeps=20)
+                               n_eval=10)
     assert abs(traj.values[-1, 0, 0] - 0.5) <= 1e-8
 
 
@@ -101,8 +103,8 @@ def test_rollout_coordinate_duality():
     times = np.sort(rng.uniform(0.0, 2.0, size=7))
     sensors = rng.integers(0, 3, size=7)
     arr = ArrivalRecord(times=times, sensors=sensors)
-    p_traj = rollout_covariance(inst, arr, n_eval=40, substeps=8)
-    y_traj = rollout_information(inst, arr, n_eval=40, substeps=8)
+    p_traj = rollout_covariance(inst, arr, n_eval=40)
+    y_traj = rollout_information(inst, arr, n_eval=40)
     dual = invert_trajectory(y_traj)
     for got, want in zip(dual.values, p_traj.values):
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -112,18 +114,91 @@ def test_rollout_coordinate_duality():
 def test_rollout_coincident_arrivals_ascending_sensor():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=21, T=1.0))
     arr = ArrivalRecord(times=np.array([0.5, 0.5]), sensors=np.array([1, 0]))
-    traj = rollout_covariance(inst, arr, n_eval=2, substeps=4)
-    # manual: flow to 0.5, jump sensor 0 then sensor 1, flow to 1.0
+    traj = rollout_covariance(inst, arr, n_eval=2)
+    # manual: flow to 0.5 (RK4 converged to roundoff), jump sensor 0 then
+    # sensor 1, flow to 1.0
     P = flow_cov(inst.system.P0, inst.system.A, inst.system.Q, 0.5,
-                 substeps=4)
+                 substeps=400)
     P = jump_cov(jump_cov(P, inst.sensors[0]), inst.sensors[1])
     np.testing.assert_allclose(traj.values[1], P, rtol=1e-12)
+
+
+def _scalar_oracle(a, q, p0, events, t):
+    # p' = 2 a p + q between arrivals: p(s) = (p + q/2a) e^{2as} - q/2a;
+    # p -> p / (1 + p) at each arrival (h = r = 1)
+    def flow(p, s):
+        return (p + q / (2 * a)) * np.exp(2 * a * s) - q / (2 * a)
+
+    start, p = 0.0, p0
+    for te in events:
+        if te > t:
+            break
+        p = flow(p, te - start)
+        p = p / (1.0 + p)
+        start = te
+    return flow(p, t - start)
+
+
+def test_rollout_scalar_closed_form_with_arrivals():
+    a, q, p0 = -0.4, 0.3, 1.5
+    inst = make_scalar_instance(a=a, q=q, p0=p0, T=1.0)
+    # a double arrival, one on a grid node, the rest cutting grid steps
+    events = [0.05, 0.23, 0.23, 0.5, 0.777, 0.999]
+    arr = ArrivalRecord.from_events([(t, 0) for t in events])
+    traj = rollout_covariance(inst, arr, n_eval=10)
+    want = [_scalar_oracle(a, q, p0, events, t) for t in traj.times]
+    np.testing.assert_allclose(traj.values[:, 0, 0], want, rtol=1e-13)
+
+
+def _defective_instance(seed, zero_q):
+    # n = 3, A similar to a 3x3 Jordan block; p = 2 sensors
+    rng = rng_for(seed)
+    lam = rng.uniform(-1.0, 0.5)
+    J = lam * np.eye(3) + np.diag(np.ones(2), 1)
+    V = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.3 * np.eye(3)
+    A = V @ J @ np.linalg.inv(V)
+    B = rng.normal(size=(3, 3))
+    Q = np.zeros((3, 3)) if zero_q else 0.3 * B @ B.T
+    system = SystemModel(n=3, A=A, Q=Q, m0=np.zeros(3), P0=np.eye(3), T=1.0)
+    sensors = []
+    for _ in range(2):
+        C = rng.normal(size=(2, 2))
+        sensors.append(Sensor(H=rng.normal(size=(2, 3)),
+                              R=C @ C.T + 0.1 * np.eye(2)))
+    return Instance(system=system, sensors=tuple(sensors),
+                    polytope=ResourcePolytope(C=np.ones((1, 2)),
+                                              b=np.ones(1)),
+                    weights=WeightSpec(W_stages=None, W_T=np.eye(3)))
+
+
+@given(st.integers(0, 10_000), st.booleans(), st.integers(0, 6))
+def test_rollout_matches_fine_rk4_on_defective_a(seed, zero_q, n_arrivals):
+    inst = _defective_instance(seed, zero_q)
+    rng = rng_for(seed + 1)
+    arr = ArrivalRecord(times=rng.uniform(0.0, 1.0, size=n_arrivals),
+                        sensors=rng.integers(0, 2, size=n_arrivals))
+    traj = rollout_covariance(inst, arr, n_eval=10)
+    # reference: RK4 at 200 steps per segment between the same stops
+    sys = inst.system
+    grid = set(traj.times.tolist())
+    P, prev, ei, ref = sys.P0, 0.0, 0, []
+    for t in np.union1d(traj.times, arr.times):
+        if t > prev:
+            P = flow_cov(P, sys.A, sys.Q, t - prev, substeps=200)
+        while ei < arr.n_events and arr.times[ei] == t:
+            P = jump_cov(P, inst.sensors[int(arr.sensors[ei])])
+            ei += 1
+        if t in grid:
+            ref.append(P)
+        prev = t
+    for got, want in zip(traj.values, ref):
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_rollout_grid_node_records_post_jump():
     inst = make_scalar_instance(a=0.0, q=0.0, p0=1.0, T=1.0)
     arr = ArrivalRecord.from_events([(0.5, 0)])
-    traj = rollout_covariance(inst, arr, n_eval=2, substeps=1)
+    traj = rollout_covariance(inst, arr, n_eval=2)
     assert traj.values[1, 0, 0] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -132,7 +207,7 @@ def test_arrival_jump_decreases_trace():
     rng = rng_for(5)
     times = np.sort(rng.uniform(0.05, 0.95, size=5))
     arr = ArrivalRecord(times=times, sensors=rng.integers(0, 3, size=5))
-    fine = rollout_covariance(inst, arr, n_eval=400, substeps=2)
+    fine = rollout_covariance(inst, arr, n_eval=400)
     traces = np.trace(fine.values, axis1=1, axis2=2)
     for t in times:
         i = np.searchsorted(fine.times, t)
@@ -150,7 +225,7 @@ def test_simulate_constant_when_no_noise_no_arrivals():
                     polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
                     weights=WeightSpec(W_stages=None, W_T=np.eye(2)))
     sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                               seed=3, n_eval=5, substeps=2, dt_sde=0.05)
+                               seed=3, n_eval=5)
     for state in sim.states:
         np.testing.assert_allclose(state, sim.states[0], atol=1e-12)
     for mean in sim.means:
@@ -158,12 +233,25 @@ def test_simulate_constant_when_no_noise_no_arrivals():
     assert len(sim.measurements) == 0
 
 
+def test_simulate_mean_follows_exact_transition():
+    # no arrivals: m(t) = e^{a t} m0 on the grid, exact up to roundoff
+    system = SystemModel(n=1, A=np.array([[-0.5]]), Q=np.array([[0.2]]),
+                         m0=np.array([2.0]), P0=np.eye(1), T=1.0)
+    sensor = Sensor(H=np.eye(1), R=np.eye(1))
+    inst = Instance(system=system, sensors=(sensor,),
+                    polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
+                    weights=WeightSpec(W_stages=None, W_T=np.eye(1)))
+    sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
+                               seed=0, n_eval=8)
+    np.testing.assert_allclose(sim.means[:, 0], 2.0 * np.exp(-0.5 * sim.times),
+                               rtol=1e-14)
+
+
 def test_simulate_covariance_path_matches_rollout_bitwise():
     inst = random_instance(InstanceSpec(n=3, M=2, p=1, seed=6, T=1.0))
     arr = ArrivalRecord.from_events([(0.21, 1), (0.68, 0)])
-    traj = rollout_covariance(inst, arr, n_eval=20, substeps=3)
-    sim = simulate_realization(inst, arrivals=arr, seed=4, n_eval=20,
-                               substeps=3, dt_sde=0.01)
+    traj = rollout_covariance(inst, arr, n_eval=20)
+    sim = simulate_realization(inst, arrivals=arr, seed=4, n_eval=20)
     assert all(np.array_equal(a, b)
                for a, b in zip(sim.covariances.values, traj.values))
 
@@ -171,21 +259,12 @@ def test_simulate_covariance_path_matches_rollout_bitwise():
 def test_simulate_covariance_independent_of_noise_seed():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=9, T=1.0))
     arr = ArrivalRecord.from_events([(0.3, 0), (0.7, 1)])
-    sim_a = simulate_realization(inst, arrivals=arr, seed=1, n_eval=10,
-                                 substeps=2, dt_sde=0.02)
-    sim_b = simulate_realization(inst, arrivals=arr, seed=2, n_eval=10,
-                                 substeps=2, dt_sde=0.02)
+    sim_a = simulate_realization(inst, arrivals=arr, seed=1, n_eval=10)
+    sim_b = simulate_realization(inst, arrivals=arr, seed=2, n_eval=10)
     assert all(np.array_equal(a, b) for a, b in
                zip(sim_a.covariances.values, sim_b.covariances.values))
     # but the realized states differ
     assert not np.allclose(sim_a.states[-1], sim_b.states[-1])
-
-
-def test_simulate_rejects_bad_dt():
-    inst = make_scalar_instance()
-    with pytest.raises(ValidationError):
-        simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                             seed=0, dt_sde=0.0)
 
 
 def test_simulate_estimation_error_consistency():
@@ -195,8 +274,7 @@ def test_simulate_estimation_error_consistency():
     errors = []
     p_terminal = []
     for r in range(2000):
-        sim = simulate_realization(inst, schedule=sched, seed=r, n_eval=4,
-                                   substeps=10, dt_sde=0.01)
+        sim = simulate_realization(inst, schedule=sched, seed=r, n_eval=4)
         errors.append(sim.states[-1][0] - sim.means[-1][0])
         p_terminal.append(sim.covariances.values[-1][0, 0])
     emp = np.var(errors, ddof=1)
@@ -208,7 +286,7 @@ def test_simulate_estimation_error_consistency():
 def test_simulate_filter_states_shape():
     inst = make_scalar_instance(T=1.0)
     sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                               seed=0, n_eval=6, substeps=2, dt_sde=0.05)
+                               seed=0, n_eval=6)
     states = sim.filter_states()
     assert len(states) == 7
     assert states[0].t == 0.0 and states[-1].t == 1.0

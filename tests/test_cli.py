@@ -96,7 +96,7 @@ def test_evaluate_zero_schedule_deterministic_report(tmp_path, capsys):
     write_schedule(sched_path, np.zeros((2, 1)))
     base = ["evaluate", "--instance", str(inst_path),
             "--schedule", str(sched_path), "--runs", "4",
-            "--n-eval", "20", "--substeps", "2"]
+            "--n-eval", "20"]
     assert cli.main(base + ["--out", str(tmp_path / "mc1.json")]) == 0
     out = capsys.readouterr().out
     assert "runs=4" in out and "stderr=0" in out
@@ -116,7 +116,7 @@ def test_bracket_zero_schedule_certifies(tmp_path, capsys):
     write_schedule(sched_path, np.zeros((2, 1)))
     argv = ["bracket", "--instance", str(inst_path),
             "--schedule", str(sched_path), "--runs", "4", "--n-eval", "30",
-            "--substeps", "2", "--surrogate-substeps", "10",
+            "--surrogate-substeps", "10",
             "--out", str(tmp_path / "cert")]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
@@ -134,7 +134,7 @@ def test_bracket_snr_sweep_writes_csv(tmp_path, capsys):
     write_schedule(sched_path, np.full((2, 1), 1.5))
     argv = ["bracket", "--instance", str(inst_path),
             "--schedule", str(sched_path), "--runs", "60", "--n-eval", "20",
-            "--substeps", "2", "--surrogate-substeps", "20",
+            "--surrogate-substeps", "20",
             "--objective-only", "--snr-sweep", "1e-1..1e1,3",
             "--out", str(tmp_path / "cert")]
     assert cli.main(argv) == 0
@@ -156,6 +156,29 @@ def test_bad_snr_spec_is_usage_error(tmp_path, capsys):
             "--snr-sweep", "bogus"]
     assert cli.main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_eval", ["0", "-3"])
+@pytest.mark.parametrize("mode", [[], ["--objective-only"]])
+def test_bracket_bad_n_eval_is_usage_error(tmp_path, capsys, n_eval, mode):
+    inst_path = tmp_path / "inst.json"
+    write_scalar_instance(inst_path)
+    sched_path = tmp_path / "sched.json"
+    write_schedule(sched_path, np.zeros((1, 1)))
+    argv = ["bracket", "--instance", str(inst_path),
+            "--schedule", str(sched_path), "--runs", "2",
+            "--n-eval", n_eval] + mode
+    assert cli.main(argv) == 2
+    assert f"n_eval must be >= 1, got {n_eval}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--instances", "0"], ["--grid", ","]])
+def test_sweep_empty_is_usage_error(tmp_path, capsys, bad):
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2", "--runs", "2",
+            "--out", str(tmp_path / "s.csv")] + bad
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_run_seed_distinct_streams():
 def test_mc_objective_zero_rates_degenerate():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=1, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.zeros((2, 2)))
-    est = mc_objective(inst, sched, n_runs=5, n_eval=40, substeps=3, seed=0)
+    est = mc_objective(inst, sched, n_runs=5, n_eval=40, seed=0)
     assert est.std == 0.0
     assert np.all(est.per_run_costs == est.per_run_costs[0])
     lyap = np.trace(flow_cov(inst.system.P0, inst.system.A, inst.system.Q,
@@ -105,18 +105,16 @@ def test_mc_objective_scalar_poisson_expectation():
     assert abs(series - closed) <= 1e-14
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 2.0))
-    est = mc_objective(inst, sched, n_runs=1200, n_eval=20, substeps=1,
-                       seed=3)
+    est = mc_objective(inst, sched, n_runs=1200, n_eval=20, seed=3)
     assert abs(est.mean - closed) <= 3.0 * est.stderr
 
 
 def test_mc_objective_parallel_matches_serial():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
-    serial = mc_objective(inst, sched, n_runs=6, n_eval=30, substeps=2,
-                          seed=9, n_jobs=1)
-    parallel = mc_objective(inst, sched, n_runs=6, n_eval=30, substeps=2,
-                            seed=9, n_jobs=2)
+    serial = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9, n_jobs=1)
+    parallel = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9,
+                            n_jobs=2)
     np.testing.assert_array_equal(serial.per_run_costs,
                                   parallel.per_run_costs)
     assert serial.mean == parallel.mean
@@ -126,9 +124,9 @@ def test_mc_mean_trajectories_parallel_matches_serial():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
     serial = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
-                                  substeps=2, seed=9, n_jobs=1)
+                                  seed=9, n_jobs=1)
     parallel = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
-                                    substeps=2, seed=9, n_jobs=2)
+                                    seed=9, n_jobs=2)
     for a, b in ((serial.p_mean, parallel.p_mean),
                  (serial.y_mean, parallel.y_mean)):
         np.testing.assert_array_equal(a.times, b.times)
@@ -146,7 +144,7 @@ def test_mc_mean_trajectories_parallel_matches_serial():
 def test_mc_objective_estimate_invariants():
     inst = make_scalar_instance(T=1.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 3.0))
-    est = mc_objective(inst, sched, n_runs=12, n_eval=25, substeps=2, seed=0)
+    est = mc_objective(inst, sched, n_runs=12, n_eval=25, seed=0)
     assert est.n_runs == 12
     assert est.stderr == pytest.approx(est.std / np.sqrt(12))
     assert est.mean == pytest.approx(np.mean(est.per_run_costs))
@@ -162,7 +160,7 @@ def test_mc_objective_rejects_zero_runs():
 def test_mc_report_json(tmp_path):
     inst = make_scalar_instance(T=1.0)
     sched = Schedule(N=1, T=1.0, rates=np.full((1, 1), 2.0))
-    est = mc_objective(inst, sched, n_runs=4, n_eval=15, substeps=1, seed=1)
+    est = mc_objective(inst, sched, n_runs=4, n_eval=15, seed=1)
     path = tmp_path / "mc.json"
     save_mc_report(path, est)
     data = json.loads(path.read_text())
@@ -176,10 +174,9 @@ def test_mc_report_json(tmp_path):
 def test_mc_mean_trajectories_zero_rates():
     inst = random_instance(InstanceSpec(n=2, M=1, p=1, seed=6, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.zeros((2, 1)))
-    out = mc_mean_trajectories(inst, sched, n_runs=3, n_eval=20, substeps=3)
+    out = mc_mean_trajectories(inst, sched, n_runs=3, n_eval=20)
     from infosched.cdkf import ArrivalRecord
-    det = rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=20,
-                             substeps=3)
+    det = rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=20)
     np.testing.assert_array_equal(out.p_mean.values, det.values)
     assert np.all(out.p_trace_stderr == 0.0)
 
@@ -187,10 +184,9 @@ def test_mc_mean_trajectories_zero_rates():
 def test_mc_mean_trajectories_single_run():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=2, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
-    out = mc_mean_trajectories(inst, sched, n_runs=1, n_eval=15, substeps=2,
-                               seed=5)
+    out = mc_mean_trajectories(inst, sched, n_runs=1, n_eval=15, seed=5)
     arrivals = sample_arrivals(sched, run_seed(5, 0))
-    single = rollout_covariance(inst, arrivals, n_eval=15, substeps=2)
+    single = rollout_covariance(inst, arrivals, n_eval=15)
     np.testing.assert_array_equal(out.p_mean.values, single.values)
     assert np.all(out.p_trace_stderr == 0.0)
 
@@ -202,7 +198,7 @@ def test_mc_mean_trajectories_jensen_direction():
                                         budget=4.0))
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 2), 1.0))
     out = mc_mean_trajectories(inst, sched, n_runs=200, n_eval=40,
-                               substeps=3, seed=11)
+                               seed=11)
     inv_mean_y = np.linalg.inv(out.y_mean.values)
     inv_mean_y = 0.5 * (inv_mean_y + inv_mean_y.transpose(0, 2, 1))
     for i in range(len(out.p_mean.times)):
@@ -216,13 +212,12 @@ def test_mc_mean_trajectories_same_realizations():
     # y_mean is built from the same arrival draws as p_mean
     inst = random_instance(InstanceSpec(n=2, M=1, p=1, seed=3, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 2.0))
-    out = mc_mean_trajectories(inst, sched, n_runs=4, n_eval=10, substeps=2,
-                               seed=21)
+    out = mc_mean_trajectories(inst, sched, n_runs=4, n_eval=10, seed=21)
     acc_p = np.zeros((11, 2, 2))
     acc_y = np.zeros((11, 2, 2))
     for r in range(4):
         arr = sample_arrivals(sched, run_seed(21, r))
-        traj = rollout_covariance(inst, arr, n_eval=10, substeps=2)
+        traj = rollout_covariance(inst, arr, n_eval=10)
         acc_p += traj.values
         inv = np.linalg.inv(traj.values)
         acc_y += 0.5 * (inv + inv.transpose(0, 2, 1))

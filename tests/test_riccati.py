@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from infosched.model import Sensor, WeightSpec
 from infosched.riccati import (
@@ -11,11 +12,13 @@ from infosched.riccati import (
     INFO,
     PositiveDefinitenessError,
     Trajectory,
+    expm,
     flow_cov,
     flow_info,
     invert_trajectory,
     jump_cov,
     jump_info,
+    lyapunov_maps,
     pathwise_cost,
     quadrature_weights,
     trajectory_to_csv,
@@ -125,6 +128,49 @@ def test_flow_pd_loss_raises():
                   1.0, substeps=1, scheme="euler")
 
 
+# --------------------------------------------------------------- exact maps
+
+def _expm_cases():
+    rng = rng_for(1978)
+    cases = {}
+    for norm in (1e-12, 1e-6, 1e-2, 0.5, 1.0, 3.0, 10.0, 40.0):
+        X = rng.normal(size=(5, 5))
+        cases[f"random-{norm:g}"] = X * (norm / np.abs(X).sum(axis=0).max())
+    jordan = np.diag(np.full(4, -0.7)) + np.diag(np.ones(3), 1)
+    cases["jordan"] = jordan
+    cases["jordan-scaled"] = 7.3 * jordan
+    cases["zero"] = np.zeros((3, 3))
+    cases["nilpotent"] = np.array([[0.0, 1e3], [0.0, 0.0]])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_expm_cases()))
+def test_expm_matches_scipy(name):
+    X = _expm_cases()[name]
+    want = scipy_expm(X)
+    got = expm(X[None])[0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_batch_equals_single_matrices():
+    # scaling is chosen per matrix, so batch neighbours do not interact
+    X = np.stack([_expm_cases()[f"random-{v:g}"] for v in (1e-6, 0.5, 40.0)])
+    single = np.stack([expm(x[None])[0] for x in X])
+    np.testing.assert_array_equal(expm(X), single)
+
+
+def test_lyapunov_maps_scalar_closed_form():
+    a, q = -1.0, 2.0
+    d = np.array([0.0, 1e-3, 0.37, 2.0])
+    phi, w = lyapunov_maps(np.array([[a]]), np.array([[q]]), d)
+    np.testing.assert_allclose(phi[:, 0, 0], np.exp(a * d), rtol=1e-14)
+    # P(d) = Phi p0 Phi + W against the analytic solution, several p0
+    for p0 in (0.2, 5.0):
+        got = phi[:, 0, 0] ** 2 * p0 + w[:, 0, 0]
+        np.testing.assert_allclose(got, scalar_lyapunov(a, q, p0, d),
+                                   rtol=1e-14)
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         flow_cov(np.eye(1), np.eye(1), np.eye(1), 0.1, scheme="rk9")
@@ -205,6 +251,12 @@ def test_trajectory_requires_pd_nodes():
     vals = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValueError, match="positive definiteness"):
         Trajectory(coordinates=COV, times=np.array([0.0, 1.0]), values=vals)
+    # a failing middle node, and a later one: the first is named
+    bad = np.diag([1.0, -1.0])
+    vals = np.stack([np.eye(2), np.eye(2), bad, np.eye(2), bad])
+    with pytest.raises(ValueError, match="at node t=0.5: min eigenvalue"):
+        Trajectory(coordinates=COV, times=np.linspace(0.0, 1.0, 5),
+                   values=vals)
 
 
 def test_trajectory_requires_symmetry():

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from infosched import surrogate
 from infosched.model import (
     Instance,
     InstanceSpec,
@@ -241,3 +242,24 @@ def test_default_grid_contains_stage_boundaries():
     assert boundaries[0] == 0.0 and boundaries[-1] == 3.0
     np.testing.assert_allclose(boundaries, np.linspace(0.0, 3.0, 6),
                                rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["info", "cov"])
+def test_explicit_grid_has_no_ulp_segments(monkeypatch, kind):
+    # on linspace(0, 3, 301) six of the 31 stage boundaries miss their grid
+    # node by roundoff; each must still fall on it: one segment per node gap
+    segments = []
+    real = surrogate._integrate
+
+    def counting(x0, dt, *args):
+        segments.append(dt)
+        return real(x0, dt, *args)
+
+    monkeypatch.setattr(surrogate, "_integrate", counting)
+    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=3.0))
+    sched = uniform_schedule(inst, 30, 0.7)
+    integrate = integrate_info_surrogate if kind == "info" \
+        else integrate_cov_surrogate
+    integrate(inst, sched, substeps=10, grid=np.linspace(0.0, 3.0, 301))
+    assert len(segments) == 300
+    assert min(segments) > 0.5 * 3.0 / 300
