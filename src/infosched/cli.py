@@ -371,8 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_instance(p)
     p.add_argument("--kind", choices=("info", "cov"), default="info")
     p.add_argument("--N", type=int, default=30, help="control intervals")
-    p.add_argument("--substeps", type=int, default=10)
-    p.add_argument("--scheme", choices=("rk4", "euler"), default="rk4")
+    p.add_argument("--substeps", type=int, default=10,
+                   help="integrator steps per stage (cov); for info only the "
+                        "quadrature grid of running weights")
+    p.add_argument("--scheme", choices=("rk4", "euler"), default="rk4",
+                   help="integration scheme of the cov kind; the info kind "
+                        "steps exact stage maps and rejects euler")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-6)
     p.add_argument("--out", help="output prefix for schedule/report JSON")

@@ -1,11 +1,15 @@
 """Schedule optimization by single shooting with an exact discrete adjoint.
 
-The decision variable is the full rate table lam (N stages x M sensors).  A
-forward pass integrates the chosen surrogate at substep resolution; the
-gradient comes from reverse-mode differentiation of that exact discrete map,
-stage state by stage state through each RK4 (or Euler) step.  No ODE is
-solved backwards, so the gradient matches central differences to roundoff
-rather than to integrator tolerance.
+The decision variable is the full rate table lam (N stages x M sensors).  In
+the information form a forward pass steps the surrogate by its exact stage
+maps: one exponential of a 2n Hamiltonian block per stage, then a
+linear-fractional map per step (riccati.hamiltonian_maps).  The gradient is
+that map's closed-form adjoint, summed over a stage's steps and carried
+through one Frechet adjoint of the exponential per stage, so the rates enter
+only through U_k = sum_j lam_kj S_j.  The covariance form integrates at
+substep resolution with RK4 (or Euler) and reverses each step, stage state
+by stage state.  No ODE is solved backwards, so either gradient matches
+central differences to roundoff rather than to integrator tolerance.
 
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
@@ -19,8 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,18 +37,22 @@ from .model import (
     schedule_to_dict,
 )
 from .riccati import (
+    INFO,
     PositiveDefinitenessError,
+    Trajectory,
     _scheme,
-    info_rhs,
+    expm_adjoint,
+    hamiltonian_maps,
     quadrature_weights,
+    require_pd,
 )
 from .surrogate import (
     KINDS,
+    _check_pair,
     cost_of_trajectory,
     cov_rate_rhs,
+    integrate_cov_surrogate,
     stage_increments,
-    surrogate_objective,
-    surrogate_trajectory,
 )
 
 
@@ -60,12 +67,18 @@ class ShootingProblem:
     instance: Instance
     N: int
     kind: str = "info"
-    substeps: int = 10
-    scheme: str = "rk4"
+    substeps: int = 10     # steps per stage; info: the running-weight grid
+    scheme: str = "rk4"    # cov only: the info kind uses exact maps
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _scheme(self.scheme)
+        if self.kind == "info" and self.scheme != "rk4":
+            raise ValidationError(
+                f"scheme {self.scheme!r} applies to the cov kind only; the "
+                f"info kind steps exact stage maps"
+            )
         if int(self.N) < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         if int(self.substeps) < 1:
@@ -83,103 +96,132 @@ class ShootingProblem:
 
 def objective(problem: ShootingProblem, rates: np.ndarray) -> float:
     """Forward pass only; exactly the discretized surrogate objective."""
-    return surrogate_objective(problem.instance, problem.schedule(rates),
-                               problem.kind, problem.substeps, problem.scheme)
+    return _forward(problem, rates)[0]
 
 
 # ---------------------------------------------------------------------------
-# adjoint sweep
+# information form: exact stage maps
 #
-# One reverse sweep serves both kinds through the scheme's reverse step.  A
-# kind supplies the rest: its rate linearized at a stage point (point), a
-# stage's gradient row from its stage-rate adjoints (collect, then row), and
-# the adjoint that a weighted node enters (node).
+# U_k is constant on stage k, so the info surrogate has an exact step map
+# there (riccati.hamiltonian_maps): one exponential per stage, and each step
+# a linear-fractional map Y+ = (C + D Y) Z^{-1} with Z = E + F Y.  Y(T) does
+# not depend on the step count, so with a terminal weight alone a stage is
+# one step (split further only when the input is stiff); running weights
+# need the N * substeps + 1 nodes of the trapezoid rule.
 
 
-class _InfoForm:
-    """Information form: a rate enters through its constant increment S_j.
-
-    d rate / d lam_kj = S_j at every stage point, so a stage's stage-rate
-    adjoints are summed and contracted with the stacked S_j once per stage.
-    A weighted node enters -P W P with P = Y^{-1}.
-    """
-
-    def __init__(self, inst, sched):
-        self.A, self.Q = inst.system.A, inst.system.Q
-        self.U = stage_increments(inst, sched)
-        self.S = np.stack([s.S for s in inst.sensors])
-
-    def point(self, k, Y):
-        A, Q, Uk = self.A, self.Q, self.U[k]
-        QY = Q @ Y
-        # vjp: adjoint of V -> -VA - A^T V - VQY - YQV at symmetric L
-        return SimpleNamespace(
-            rate=lambda: info_rhs(Y, A, Q) + Uk,
-            vjp=lambda L: -(A @ L + L @ A.T) - (QY @ L + L @ QY.T))
-
-    def collect(self, stages):
-        return reduce(add, (kbar for _, kbar in stages))
-
-    def row(self, acc):
-        return np.tensordot(self.S, acc, axes=([1, 2], [0, 1]))
-
-    def node(self, Y, W):
-        P = _sym(np.linalg.inv(Y))
-        return -_sym(P @ W @ P)
+def _blocks(Phi, n):
+    return Phi[:n, :n], Phi[:n, n:], Phi[n:, :n], Phi[n:, n:]
 
 
-class _CovForm:
-    """Covariance form: a rate enters through the gain update g_j(P).
-
-    d rate / d lam_kj = -g_j(P) depends on the state, so every stage point
-    carries each sensor's g_j and B_j, and each stage-rate adjoint is
-    contracted with the g_j of its own point.  A weighted node enters W.
-    """
-
-    def __init__(self, inst, sched):
-        self.A, self.Q = inst.system.A, inst.system.Q
-        self.sensors = inst.sensors
-        self.rates = sched.rates
-
-    def point(self, k, P):
-        A, Q, lam_row = self.A, self.Q, self.rates[k]
-        # per sensor: gain update g = P H' M^{-1} H P and B = H' M^{-1} H P
-        g, B = [], []
-        for s in self.sensors:
-            HP = s.H @ P
-            sol = np.linalg.solve(HP @ s.H.T + s.R, HP)
-            g.append(_sym(HP.T @ sol))
-            B.append(s.H.T @ sol)
-
-        def vjp(L):
-            out = A.T @ L + L @ A
-            for lam, Bj in zip(lam_row, B):
-                if lam != 0.0:
-                    BL = Bj @ L
-                    out = out - lam * (BL + BL.T - BL @ Bj.T)
-            return out
-
-        return SimpleNamespace(
-            g=g, vjp=vjp,
-            rate=lambda: cov_rate_rhs(P, A, Q, lam_row, g.__getitem__))
-
-    def collect(self, stages):
-        return np.array([
-            -reduce(add, (np.tensordot(kbar, pt.g[j], axes=2)
-                          for pt, kbar in stages))
-            for j in range(len(self.sensors))])
-
-    def row(self, acc):
-        return acc
-
-    def node(self, P, W):
-        return W
+def _info_forward(instance: Instance, sched: Schedule, substeps: int):
+    """Exact info surrogate path and what its adjoint reuses: the stage
+    maps and every step's state."""
+    _check_pair(instance, sched)
+    sys = instance.system
+    n, N = sys.n, sched.N
+    nodes = 1 if instance.weights.W_stages is None else substeps
+    # a non-finite map is reported by the node check below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        X, Phi, m = hamiltonian_maps(sys.A, sys.Q,
+                                     stage_increments(instance, sched),
+                                     sched.delta / nodes)
+        steps = nodes * m           # map steps per stage
+        path = np.empty((N * steps + 1, n, n))
+        Y = path[0] = _sym(np.linalg.inv(sys.P0))
+        for k in range(N):
+            E, F, C, D = _blocks(Phi[k], n)
+            for s in range(1, steps + 1):
+                try:
+                    # Y+ = (C + D Y) Z^{-1}, transposed: Z^{-T} (C + D Y)^T
+                    Y = _sym(np.linalg.solve((E + F @ Y).T, (C + D @ Y).T))
+                except np.linalg.LinAlgError:
+                    raise PositiveDefinitenessError(
+                        f"singular step map in info surrogate stage {k}"
+                    ) from None
+                path[k * steps + s] = Y
+    values = path[::m]
+    times = np.linspace(0.0, sched.T, N * nodes + 1)
+    require_pd(values, lambda i: f"in info surrogate at t={times[i]:g}")
+    traj = Trajectory(coordinates=INFO, times=times, values=values)
+    return traj, (X, Phi, path)
 
 
-def _gradient(problem: ShootingProblem, sched: Schedule, traj) -> np.ndarray:
+def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
+    # reverse sweep over the steps of the forward path, one Frechet adjoint
+    # of the exponential per stage
+    inst = problem.instance
+    X, Phi, path = maps
+    n, N = inst.n, problem.N
+    steps = (len(path) - 1) // N
+    m = (len(path) - 1) // (len(traj.times) - 1)     # map steps per node
+    w_hat = quadrature_weights(traj.times, inst.weights)
+    # a weighted node enters d<W, Y^{-1}> = <-P W P, dY>, P = Y^{-1}
+    W_T = inst.weights.W_T if w_hat is None else inst.weights.W_T + w_hat[-1]
+    P = _sym(np.linalg.inv(path[-1]))
+    Lam = -_sym(P @ W_T @ P)
+    if w_hat is not None:
+        P = _sym(np.linalg.inv(traj.values))
+        node = -_sym(P @ w_hat @ P)
+    bar = np.zeros_like(Phi)    # adjoint of each stage map, block by block
+    for k in range(N - 1, -1, -1):
+        E, F, C, D = _blocks(Phi[k], n)
+        Eb, Fb, Cb, Db = _blocks(bar[k], n)
+        for s in range(steps - 1, -1, -1):
+            i = k * steps + s
+            Y, Y_next = path[i], path[i + 1]
+            K = np.linalg.solve(E + F @ Y, Lam).T       # Lam Z^{-T}
+            YK = Y_next @ K
+            Cb += K
+            Db += K @ Y
+            Eb -= YK
+            Fb -= YK @ Y
+            Lam = _sym((D - Y_next @ F).T @ K)
+            if i > 0 and w_hat is not None and i % m == 0:
+                Lam = Lam + node[i // m]
+    # U_k enters X_k = h [[A, Q], [U_k, -A^T]] in its lower-left block, h
+    # the length of one map step
+    h = inst.T / (len(path) - 1)
+    U_bar = h * expm_adjoint(X, bar)[:, n:, :n]
+    S = np.stack([s.S for s in inst.sensors])
+    return np.tensordot(U_bar, S, axes=([1, 2], [1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# covariance form: reverse sweep through the integration scheme
+#
+# A rate enters through the gain update g_j(P): d rate / d lam_kj = -g_j(P)
+# depends on the state, so every stage point carries each sensor's g_j and
+# B_j, and each stage-rate adjoint is contracted with the g_j of its own
+# point.  A weighted node enters W.
+
+
+def _cov_point(A, Q, sensors, lam_row, P):
+    # per sensor: gain update g = P H' M^{-1} H P and B = H' M^{-1} H P
+    g, B = [], []
+    for s in sensors:
+        HP = s.H @ P
+        sol = np.linalg.solve(HP @ s.H.T + s.R, HP)
+        g.append(_sym(HP.T @ sol))
+        B.append(s.H.T @ sol)
+
+    def vjp(L):
+        out = A.T @ L + L @ A
+        for lam, Bj in zip(lam_row, B):
+            if lam != 0.0:
+                BL = Bj @ L
+                out = out - lam * (BL + BL.T - BL @ Bj.T)
+        return out
+
+    return SimpleNamespace(
+        g=g, vjp=vjp,
+        rate=lambda: cov_rate_rhs(P, A, Q, lam_row, g.__getitem__))
+
+
+def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     # reverse sweep over the substeps of the forward trajectory traj
     inst = problem.instance
-    form = (_InfoForm if problem.kind == "info" else _CovForm)(inst, sched)
+    A, Q, sensors = inst.system.A, inst.system.Q, inst.sensors
     _, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     values = traj.values
@@ -187,19 +229,42 @@ def _gradient(problem: ShootingProblem, sched: Schedule, traj) -> np.ndarray:
     w_hat = quadrature_weights(traj.times, inst.weights)
 
     W_T = inst.weights.W_T
-    Lam = _sym(form.node(values[-1], W_T if w_hat is None else W_T + w_hat[-1]))
+    Lam = _sym(W_T if w_hat is None else W_T + w_hat[-1])
     G = np.empty((N, problem.M))
     for k in range(N - 1, -1, -1):
-        linearize = partial(form.point, k)
+        linearize = partial(_cov_point, A, Q, sensors, sched.rates[k])
         acc = 0.0
         for s in range(S - 1, -1, -1):
             i = k * S + s
             Lam, stages = reverse(values[i], h, linearize, Lam)
-            acc = acc + form.collect(stages)
+            acc = acc + np.array([
+                -sum(np.tensordot(kbar, pt.g[j], axes=2)
+                     for pt, kbar in stages)
+                for j in range(len(sensors))])
             if i > 0 and w_hat is not None:
-                Lam = Lam + form.node(values[i], w_hat[i])
-        G[k] = form.row(acc)
+                Lam = Lam + w_hat[i]
+        G[k] = acc
     return G
+
+
+def _forward(problem: ShootingProblem, rates: np.ndarray):
+    # objective, schedule, trajectory and (info kind) the stage maps: what
+    # the adjoint consumes
+    sched = problem.schedule(rates)
+    inst = problem.instance
+    if problem.kind == "info":
+        traj, maps = _info_forward(inst, sched, problem.substeps)
+    else:
+        traj = integrate_cov_surrogate(inst, sched, problem.substeps,
+                                       problem.scheme)
+        maps = None
+    return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj, maps
+
+
+def _gradient(problem: ShootingProblem, sched: Schedule, traj, maps):
+    if problem.kind == "info":
+        return _info_gradient(problem, traj, maps)
+    return _cov_gradient(problem, sched, traj)
 
 
 def objective_and_gradient(
@@ -210,17 +275,8 @@ def objective_and_gradient(
     rates must be elementwise nonnegative; polytope feasibility is not
     required for evaluation.
     """
-    J, sched, traj = _forward(problem, rates)
-    return J, _gradient(problem, sched, traj)
-
-
-def _forward(problem: ShootingProblem, rates: np.ndarray):
-    # objective, schedule and trajectory: everything the adjoint consumes
-    sched = problem.schedule(rates)
-    inst = problem.instance
-    traj = surrogate_trajectory(inst, sched, problem.kind, problem.substeps,
-                                problem.scheme)
-    return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj
+    J, sched, traj, maps = _forward(problem, rates)
+    return J, _gradient(problem, sched, traj, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +434,8 @@ def solve(
         finally:
             timings[key] += time.perf_counter() - t0
 
-    J, sched, traj = timed("forward_s", _forward, problem, lam)
-    G = timed("gradient_assembly_s", _gradient, problem, sched, traj)
+    J, sched, traj, maps = timed("forward_s", _forward, problem, lam)
+    G = timed("gradient_assembly_s", _gradient, problem, sched, traj, maps)
     history = [J]
     best_J, best_lam = J, lam
     gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), BB_MIN), BB_MAX)
@@ -413,8 +469,8 @@ def solve(
             if float(np.linalg.norm(d)) <= 1e-15 * (1.0 + float(np.linalg.norm(lam))):
                 break
             try:
-                J_trial, sched, traj = timed("forward_s", _forward, problem,
-                                             trial)
+                J_trial, sched, traj, maps = timed("forward_s", _forward,
+                                                   problem, trial)
             except PositiveDefinitenessError:
                 J_trial = math.inf     # failed trial, not a crash
             if J_trial <= J + ARMIJO_C1 * float(np.vdot(G, d)):
@@ -429,7 +485,8 @@ def solve(
         lam = trial
         gamma = g_try
         J = J_trial
-        G = timed("gradient_assembly_s", _gradient, problem, sched, traj)
+        G = timed("gradient_assembly_s", _gradient, problem, sched, traj,
+                  maps)
         pg = _pg_norm(lam, G, polytope)
         history.append(J)
         iterations += 1

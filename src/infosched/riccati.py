@@ -13,18 +13,24 @@ at an arrival.  Information coordinates Y = P^{-1} obey the dual pair
     Ydot = -Y A - A^T Y - Y Q Y,        Y+ = Y + H^T R^{-1} H.
 
 The filter rollouts step the linear Lyapunov flow by its exact map
-(``lyapunov_maps``).  Other flows are integrated with fixed-step explicit
-schemes: classical RK4 by default, forward Euler as a cross-check.  Each
-scheme is defined once here, its forward step paired with the step's exact
-adjoint, which the optimizer's reverse sweep runs.  Every step
-re-symmetrizes the state so roundoff cannot push iterates off the symmetric
-cone, and positive definiteness is enforced against a scale-relative floor;
-losing it is an error suggesting more substeps, never silently repaired.
+(``lyapunov_maps``).  The optimizer steps the information flow with a
+constant input by its exact linear-fractional map (``hamiltonian_maps``),
+and differentiates the exponential behind it with ``expm_adjoint``.  The
+remaining flows (the certificates' surrogates and the ``flow_*`` references)
+are integrated with fixed-step explicit schemes: classical RK4 by default,
+forward Euler as a cross-check.  Each scheme is defined once here, its
+forward step paired with the step's exact adjoint, which the optimizer's
+reverse sweep runs.  Every step re-symmetrizes the state so roundoff cannot
+push iterates off the symmetric cone, and positive definiteness is enforced
+against a scale-relative floor.  Losing it, or a non-finite entry, is a
+typed error, never silently repaired; only the integrators, which have
+substeps to refine, suggest more of them.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +38,10 @@ import numpy as np
 from .model import ValidationError, WeightSpec, _sym
 
 PD_FLOOR_REL = 1e-12   # min eigenvalue must stay above PD_FLOOR_REL * trace/n
+SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
 MAP_BATCH = 32         # exponentials per batch: bounds the working memory
+MAX_MAP_SPLIT = 1024   # most steps of an information map per step asked for
 
 COV = "covariance"
 INFO = "information"
@@ -53,31 +61,44 @@ def pd_floor(x: np.ndarray):
     return PD_FLOOR_REL * np.maximum(x.trace(axis1=-2, axis2=-1) / n, 1e-300)
 
 
-def require_pd(x: np.ndarray, context="") -> None:
-    """Raise if min eig of x is at or below the scale-relative floor.
+def require_pd(x: np.ndarray, context="", advice="") -> None:
+    """Raise if x is non-finite or its min eig is at or below the floor.
 
     x may be a stack of matrices, checked with one batched Cholesky; context
     is then a function of a matrix's index, and the error names the first
-    matrix that fails.
+    matrix that fails.  advice, when given, ends the error message.
     """
     if x.ndim > 2:
         try:
-            np.linalg.cholesky(x - pd_floor(x)[:, None, None] * np.eye(x.shape[-1]))
+            L = np.linalg.cholesky(
+                x - pd_floor(x)[:, None, None] * np.eye(x.shape[-1]))
+            if np.isfinite(L[:, -1, -1]).all():
+                return
         except np.linalg.LinAlgError:
-            for i in range(x.shape[0]):
-                require_pd(x[i], context(i))
+            pass
+        for i in range(x.shape[0]):
+            require_pd(x[i], context(i), advice)
         return
     floor = pd_floor(x)
     try:
-        np.linalg.cholesky(x - floor * np.eye(x.shape[0]))
+        # numpy's Cholesky passes NaN through without raising; a non-finite
+        # entry of the lower triangle reaches the last diagonal entry
+        L = np.linalg.cholesky(x - floor * np.eye(x.shape[0]))
+        if math.isfinite(L[-1, -1]):
+            return
     except np.linalg.LinAlgError:
-        m = float(np.linalg.eigvalsh(_sym(x))[0])
-        where = f" {context}" if context else ""
+        pass
+    where = f" {context}" if context else ""
+    tail = f"; {advice}" if advice else ""
+    if not np.isfinite(x).all():
         raise PositiveDefinitenessError(
-            f"matrix lost positive definiteness{where}: min eigenvalue "
-            f"{m:.6e} <= floor {floor:.6e}; increase substeps",
-            min_eig=m,
-        ) from None
+            f"matrix has non-finite entries{where}{tail}")
+    m = float(np.linalg.eigvalsh(_sym(x))[0])
+    raise PositiveDefinitenessError(
+        f"matrix lost positive definiteness{where}: min eigenvalue "
+        f"{m:.6e} <= floor {floor:.6e}{tail}",
+        min_eig=m,
+    )
 
 
 def lyapunov_rhs(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -165,14 +186,14 @@ def _integrate(x0, dt, substeps, rhs, scheme):
 def flow_cov(P, A, Q, dt, substeps: int = 100, scheme: str = "rk4") -> np.ndarray:
     """Propagate a covariance through the Lyapunov flow for a time dt."""
     out = _integrate(P, dt, substeps, lambda X: lyapunov_rhs(X, A, Q), scheme)
-    require_pd(out, f"after covariance flow over dt={dt:g}")
+    require_pd(out, f"after covariance flow over dt={dt:g}", SUBSTEP_ADVICE)
     return out
 
 
 def flow_info(Y, A, Q, dt, substeps: int = 100, scheme: str = "rk4") -> np.ndarray:
     """Propagate an information matrix through the dual flow for a time dt."""
     out = _integrate(Y, dt, substeps, lambda X: info_rhs(X, A, Q), scheme)
-    require_pd(out, f"after information flow over dt={dt:g}")
+    require_pd(out, f"after information flow over dt={dt:g}", SUBSTEP_ADVICE)
     return out
 
 
@@ -210,6 +231,65 @@ def lyapunov_maps(A, Q, durations):
                         for lo in range(0, len(d), MAP_BATCH)])
     phi = F[:, n:, n:].transpose(0, 2, 1)
     return phi, _sym(phi @ F[:, :n, n:])
+
+
+def hamiltonian_maps(A, Q, U, h):
+    """Exact step maps of the information flow under each constant input U_k.
+
+    On a stretch where Ydot = -Y A - A^T Y - Y Q Y + U_k, Radon's lemma gives
+    Y = N M^{-1} with d/dt [M; N] = [[A, Q], [U_k, -A^T]] [M; N] (Davison &
+    Maki, IEEE TAC 1973).  Restarted at M = I every step (Kenney & Leipnik,
+    IEEE TAC 1985), a step of length h/m is the linear-fractional map
+
+        Y+ = (C + D Y)(E + F Y)^{-1},   [[E, F], [C, D]] = expm(X_k),
+        X_k = (h/m) [[A, Q], [U_k, -A^T]].
+
+    The blocks grow like e^{g_k}, g_k = h (|A| + sqrt(|Q| |U_k|)) (the
+    1-norm of X_k balanced by a diagonal similarity, which the map does not
+    see), and a long step loses the weakly driven directions to roundoff.
+    So a step of length h is taken as m steps, m the least power of two
+    with every g_k / m <= 1.  Returns the stacks X and expm(X), one matrix
+    per U_k, and m.  An input so stiff that m would exceed MAX_MAP_SPLIT is
+    a typed error.
+    """
+    n = A.shape[0]
+    X = np.empty((len(U), 2 * n, 2 * n))
+    X[:, :n, :n] = h * A
+    X[:, :n, n:] = h * Q
+    X[:, n:, :n] = h * U
+    X[:, n:, n:] = -h * A.T
+    a = max(np.abs(A).sum(axis=0).max(), np.abs(A).sum(axis=1).max())
+    u = np.abs(U).sum(axis=-2).max(initial=0.0)
+    growth = h * (a + math.sqrt(np.abs(Q).sum(axis=0).max() * u))
+    if not growth <= MAX_MAP_SPLIT:
+        raise PositiveDefinitenessError(
+            f"stage input too stiff for the exact map: growth {growth:.3e} "
+            f"per step needs more than {MAX_MAP_SPLIT} steps"
+        )
+    m = 2 ** max(0, math.ceil(math.log2(max(growth, 1.0))))
+    X /= m
+    return X, expm(X), m
+
+
+def expm_adjoint(X, B):
+    """Adjoint of the derivative of expm at X, applied to B, for each pair.
+
+    Returns Xbar with <L(X, V), B> = <V, Xbar> for every direction V, where
+    L(X, V) is the Frechet derivative of expm at X.  Xbar = L(X^T, B) is the
+    upper-right block of expm([[X^T, B], [0, X^T]]) (Najfeld & Havel, Adv.
+    Appl. Math. 1995; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).  It
+    is linear in B, so each B enters the block at unit 1-norm and the block
+    keeps the scaling of X.
+    """
+    d = X.shape[-1]
+    c = np.abs(B).sum(axis=-2).max(axis=-1)[..., None, None]
+    c = np.where(c > 0.0, c, 1.0)
+    Xt = X.swapaxes(-1, -2)
+    block = np.zeros(X.shape[:-2] + (2 * d, 2 * d))
+    block[..., :d, :d] = Xt
+    block[..., :d, d:] = B / c
+    block[..., d:, d:] = Xt
+    return c * expm(block)[..., :d, d:]
 
 
 def covariance_decrement(P, sensor) -> np.ndarray:
@@ -396,8 +476,10 @@ __all__ = [
     "Trajectory",
     "covariance_decrement",
     "expm",
+    "expm_adjoint",
     "flow_cov",
     "flow_info",
+    "hamiltonian_maps",
     "info_rhs",
     "invert_trajectory",
     "jump_cov",

@@ -16,9 +16,12 @@ which forces one g_j evaluation per sensor at every integrator stage.  That
 asymmetry is the point of the information form and is what the assembly
 benchmark in the optimizer module measures.
 
-Both integrators step each segment between stops through the shared
+Both integrators here step each segment between stops through the shared
 fixed-step schemes of the riccati module and fail loudly if the state at the
-segment's end leaves the positive definite cone.
+segment's end leaves the positive definite cone.  The certificates use them.
+The optimizer does not integrate the information form: with U_k constant on
+a stage, the flow has an exact step map (riccati.hamiltonian_maps), and the
+design path steps that map instead (optimize).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .model import Instance, Schedule, ValidationError, _sym
 from .riccati import (
     COV,
     INFO,
+    SUBSTEP_ADVICE,
     Trajectory,
     _integrate,
     covariance_decrement,
@@ -128,7 +132,7 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
                     P, A, Q, lam_row,
                     lambda j: covariance_decrement(P, instance.sensors[j]))
             X = _integrate(X, t - prev, n_steps, rhs, scheme)
-            require_pd(X, f"in {kind} surrogate near t={t:g}")
+            require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
         if node is not None:
             values[node] = X
     coords = INFO if kind == "info" else COV
@@ -180,21 +184,6 @@ def cost_of_trajectory(traj: Trajectory, weights, horizon: float) -> float:
     return total
 
 
-def surrogate_trajectory(
-    instance: Instance,
-    schedule: Schedule,
-    kind: str = "info",
-    substeps: int = 10,
-    scheme: str = "rk4",
-) -> Trajectory:
-    """Trajectory of the chosen surrogate kind at substep resolution."""
-    if kind == "info":
-        return integrate_info_surrogate(instance, schedule, substeps, scheme)
-    if kind == "cov":
-        return integrate_cov_surrogate(instance, schedule, substeps, scheme)
-    raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
 def surrogate_objective(
     instance: Instance,
     schedule: Schedule,
@@ -202,12 +191,18 @@ def surrogate_objective(
     substeps: int = 10,
     scheme: str = "rk4",
 ) -> float:
-    """Objective value of the chosen surrogate at the schedule.
+    """Objective value of the chosen surrogate kind, integrated at substep
+    resolution.
 
     Equals pathwise_cost of the (inverted, for the info kind) surrogate
-    trajectory at substep resolution.
+    trajectory on its N * substeps + 1 nodes.
     """
-    traj = surrogate_trajectory(instance, schedule, kind, substeps, scheme)
+    if kind == "info":
+        traj = integrate_info_surrogate(instance, schedule, substeps, scheme)
+    elif kind == "cov":
+        traj = integrate_cov_surrogate(instance, schedule, substeps, scheme)
+    else:
+        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
     return cost_of_trajectory(traj, instance.weights, instance.T)
 
 
@@ -219,5 +214,4 @@ __all__ = [
     "integrate_info_surrogate",
     "stage_increments",
     "surrogate_objective",
-    "surrogate_trajectory",
 ]

@@ -22,7 +22,13 @@ from infosched.model import (
     WeightSpec,
     random_instance,
 )
-from infosched.riccati import flow_cov, flow_info, invert_trajectory, jump_cov
+from infosched.riccati import (
+    PositiveDefinitenessError,
+    flow_cov,
+    flow_info,
+    invert_trajectory,
+    jump_cov,
+)
 
 from conftest import make_scalar_instance, rng_for
 
@@ -88,6 +94,16 @@ def test_rollout_empty_arrivals_is_lyapunov():
     direct = flow_cov(inst.system.P0, inst.system.A, inst.system.Q, 1.5,
                       substeps=30 * 6)
     np.testing.assert_allclose(traj.values[-1], direct, rtol=1e-9)
+
+
+def test_rollout_failure_names_no_substeps():
+    # an exploding exact map is a typed error; a rollout has no substeps
+    inst = make_scalar_instance(a=400.0, q=1.0, T=3.0)
+    with pytest.raises(PositiveDefinitenessError) as exc, \
+            np.errstate(all="ignore"):
+        rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=1)
+    assert "non-finite" in str(exc.value)
+    assert "substeps" not in str(exc.value)
 
 
 def test_rollout_information_no_arrivals_harmonic():

@@ -60,6 +60,18 @@ def test_solve_negative_budget_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "neg.schedule.json").exists()
 
 
+def test_solve_info_euler_is_usage_error(tmp_path, capsys):
+    # the info kind steps exact stage maps; euler applies to cov only
+    argv = ["solve", "--random", "n=2,M=2,seed=2", "--T", "1.0", "--N", "2",
+            "--kind", "info", "--scheme", "euler",
+            "--out", str(tmp_path / "e")]
+    assert cli.main(argv) == 2
+    assert "cov kind only" in capsys.readouterr().err
+    assert not (tmp_path / "e.schedule.json").exists()
+    argv[argv.index("info")] = "cov"
+    assert cli.main(argv + ["--max-iters", "2"]) == 0
+
+
 def test_solve_requires_an_instance_source(capsys):
     assert cli.main(["solve", "--N", "2"]) == 2
     assert "instance" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from infosched.model import (
     random_instance,
 )
 from infosched import optimize, surrogate
+from infosched.riccati import PositiveDefinitenessError
 from infosched.optimize import (
     ProjectionError,
     ShootingProblem,
@@ -215,6 +216,154 @@ def test_scalar_closed_form_objective_and_gradient():
     assert np.all(np.abs(G + 0.125) <= 1e-13)
 
 
+@pytest.mark.parametrize("a", [-0.6, 0.0, 0.45])
+def test_scalar_exact_stage_maps_closed_form(a):
+    # q = 0, unit sensor: y' = -2 a y + lam_k on stage k, so stage k maps
+    # y -> (y - lam_k/2a) e + lam_k/2a with e = e^{-2a delta}.  J = 1/y(T),
+    # and dJ/dlam_k = -y(T)^{-2} (1 - e)/2a e^{N-1-k}, at delta for a = 0
+    N, T = 4, 2.0
+    inst = make_scalar_instance(a=a, q=0.0, p0=0.8, T=T)
+    rates = np.array([[0.3], [2.0], [0.0], [1.1]])
+    problem = ShootingProblem(instance=inst, N=N, kind="info", substeps=3)
+    J, G = objective_and_gradient(problem, rates)
+    delta = T / N
+    e = math.exp(-2.0 * a * delta)
+    gain = delta if a == 0.0 else (1.0 - e) / (2.0 * a)
+    y = 1.0 / 0.8
+    for lam in rates[:, 0]:
+        y = e * y + gain * lam
+    assert abs(J - 1.0 / y) <= 1e-14 * (1.0 / y)
+    want = [-gain * e ** (N - 1 - k) / y**2 for k in range(N)]
+    np.testing.assert_allclose(G[:, 0], want, rtol=1e-12)
+
+
+def _stiff_instance(seed, defective, q_zero, r_scale):
+    # n=3, M=3: a defective A under a random similarity, Q=0 or not, and the
+    # sensor noise scaled by r_scale (1e-2 and 1e-4 make the inputs U_k
+    # stiff: the exact map then splits each step, 8 and 64 ways)
+    inst = random_instance(InstanceSpec(n=3, M=3, p=1, seed=seed, T=2.0,
+                                        budget=4.0))
+    sys = inst.system
+    A = sys.A
+    if defective:
+        V = rng_for(seed).normal(size=(3, 3)) + 3.0 * np.eye(3)
+        J = np.array([[-0.3, 1.0, 0.0], [0.0, -0.3, 1.0], [0.0, 0.0, -0.3]])
+        A = V @ J @ np.linalg.inv(V)
+    Q = np.zeros((3, 3)) if q_zero else sys.Q
+    sensors = tuple(Sensor(H=s.H, R=r_scale * s.R) for s in inst.sensors)
+    return replace(inst, system=replace(sys, A=A, Q=Q), sensors=sensors)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    defective=st.booleans(),
+    q_zero=st.booleans(),
+    r_scale=st.sampled_from([1.0, 1e-2, 1e-4]),
+)
+def test_exact_forward_matches_fine_rk4(seed, defective, q_zero, r_scale):
+    inst = _stiff_instance(seed, defective, q_zero, r_scale)
+    N = 5
+    rates = centered_rates(inst.polytope, N) * \
+        rng_for(seed).uniform(0.0, 2.0, size=(N, inst.M))
+    sched = Schedule(N=N, T=inst.T, rates=rates)
+    exact, _ = optimize._info_forward(inst, sched, 10)
+    fine = surrogate.integrate_info_surrogate(inst, sched, substeps=400)
+    assert exact.values.shape[0] == N + 1
+    ref = fine.values[::400]
+    err = np.linalg.norm(exact.values - ref, axis=(1, 2)) \
+        / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() <= 1e-9
+
+
+@pytest.mark.parametrize("weights", ["terminal", "running"])
+def test_split_step_gradient_matches_central_differences(weights):
+    # stiff inputs split every step into several map steps; the adjoint
+    # walks all of them and enters a running weight only at the nodes.  The
+    # early stages are mostly forgotten (entries span six decades), so the
+    # gap is measured against the largest entry
+    inst = _stiff_instance(5, True, False, 1e-4)
+    if weights == "running":
+        inst = replace(inst, weights=WeightSpec(
+            W_stages=_stage_weights(3, 3, 5), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=5, kind="info", substeps=2)
+    rates = centered_rates(inst.polytope, 5)
+    _, (_, _, path) = optimize._info_forward(inst, problem.schedule(rates), 2)
+    assert len(path) - 1 > 5 * (1 if weights == "terminal" else 2)
+    _, G = objective_and_gradient(problem, rates)
+    fd = np.empty_like(G)
+    for k, j in itertools.product(range(5), range(3)):
+        step = np.zeros_like(rates)
+        step[k, j] = 1e-4
+        fd[k, j] = (objective(problem, rates + step)
+                    - objective(problem, rates - step)) / 2e-4
+    assert np.abs(fd - G).max() <= 1e-6 * np.abs(G).max()
+
+
+def test_running_weights_record_every_substep_node():
+    inst = _stiff_instance(3, True, False, 1.0)
+    inst = replace(inst, weights=WeightSpec(
+        W_stages=_stage_weights(3, 2, 3), W_T=inst.weights.W_T))
+    sched = Schedule(N=4, T=inst.T, rates=centered_rates(inst.polytope, 4))
+    traj, _ = optimize._info_forward(inst, sched, 6)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, inst.T, 25))
+    fine = surrogate.integrate_info_surrogate(inst, sched, substeps=600)
+    np.testing.assert_allclose(traj.values, fine.values[::100], rtol=1e-9)
+
+
+@pytest.mark.parametrize("blocks", ["zero", "nan"])
+def test_exact_forward_failures_are_typed(monkeypatch, blocks):
+    # a singular step map, or a non-finite one, raises the solver's typed
+    # error, so a line search counts a failed trial
+    problem = ShootingProblem(instance=make_scalar_instance(q=1.0), N=2,
+                              kind="info")
+    real = optimize.hamiltonian_maps
+
+    def broken(A, Q, U, h):
+        X, Phi, m = real(A, Q, U, h)
+        return X, np.full_like(Phi, 0.0 if blocks == "zero" else np.nan), m
+
+    monkeypatch.setattr(optimize, "hamiltonian_maps", broken)
+    match = "singular" if blocks == "zero" else "non-finite"
+    with pytest.raises(PositiveDefinitenessError, match=match):
+        objective(problem, np.ones((2, 1)))
+
+
+def test_too_stiff_stage_is_typed():
+    # a step is split until each map step grows by at most e; past
+    # MAX_MAP_SPLIT steps that is a typed error, not a stall.  Scalar, a = 0:
+    # y' = u - q y^2, so y(t) = r tanh(r q t + atanh(y0 / r)), r = sqrt(u/q)
+    problem = ShootingProblem(
+        instance=make_scalar_instance(q=1.0, budget=1e7), N=1, kind="info")
+    u = 1000.0
+    r = math.sqrt(u)
+    y = r * math.tanh(r + math.atanh(1.0 / r))
+    assert objective(problem, np.array([[u]])) == \
+        pytest.approx(1.0 / y, rel=1e-12)
+    with pytest.raises(PositiveDefinitenessError, match="too stiff"):
+        objective(problem, np.array([[1e7]]))
+
+
+def test_solve_counts_a_failed_trial(monkeypatch):
+    # a line-search forward that loses positive definiteness is a failed
+    # trial: the step shrinks and the solve goes on
+    inst = make_scalar_instance(budget=3.0)
+    problem = ShootingProblem(instance=inst, N=2, kind="info", substeps=2)
+    calls = []
+    real = optimize._info_forward
+
+    def fail_second(instance, sched, substeps):
+        calls.append(sched.rates.copy())
+        if len(calls) == 2:
+            raise PositiveDefinitenessError("lost positive definiteness")
+        return real(instance, sched, substeps)
+
+    monkeypatch.setattr(optimize, "_info_forward", fail_second)
+    report = solve(problem, options=SolveOptions(max_iters=20))
+    assert len(calls) > 2
+    assert report.converged
+    assert abs(report.objective - 0.25) <= 1e-6
+
+
 def test_zero_information_sensor_has_zero_gradient_column():
     system = SystemModel(
         n=2,
@@ -270,13 +419,15 @@ def _stage_weights(n, n_stages, seed):
 
 
 # seed x kind x scheme x weights; an id names the scheme and the weights
-# only where they differ from RK4 with a terminal weight alone
+# only where they differ from RK4 with a terminal weight alone.  The info
+# kind steps exact maps, so only the cov kind varies the scheme.
 GRADIENT_CASES = [
     pytest.param(seed, kind, scheme, weights, id="-".join(
         [str(seed), kind]
         + ([] if (scheme, weights) == ("rk4", "terminal") else [scheme, weights])))
     for seed, kind, scheme, weights in itertools.product(
         (7, 8), ("info", "cov"), ("rk4", "euler"), ("terminal", "running"))
+    if (kind, scheme) != ("info", "euler")
 ]
 
 
@@ -297,9 +448,20 @@ def test_gradient_matches_central_differences(seed, kind, scheme, weights):
 
 def test_gradient_check_euler_scheme():
     inst = make_scalar_instance(a=-0.4, q=0.5, budget=6.0)
-    problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=20,
+    problem = ShootingProblem(instance=inst, N=3, kind="cov", substeps=20,
                               scheme="euler")
     assert gradient_check(problem, np.full((3, 1), 1.5)) <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk9"])
+def test_info_kind_rejects_a_scheme(scheme):
+    # the info kind steps exact stage maps: a scheme would change nothing
+    inst = make_scalar_instance()
+    with pytest.raises(ValidationError, match="scheme"):
+        ShootingProblem(instance=inst, N=2, kind="info", scheme=scheme)
+    if scheme == "rk9":
+        with pytest.raises(ValidationError, match="scheme"):
+            ShootingProblem(instance=inst, N=2, kind="cov", scheme=scheme)
 
 
 def test_gradient_check_rejects_boundary_point():
@@ -371,26 +533,26 @@ def test_solve_with_negligible_budget_returns_open_loop_cost():
 @pytest.mark.parametrize("kind", ["info", "cov"])
 def test_solve_integrates_each_iterate_once(kind, monkeypatch):
     # every adjoint sweep consumes the trajectory of a line-search forward:
-    # no rate table is integrated twice
+    # no rate table is integrated twice.  The design forward of the info
+    # kind steps exact maps and also hands its stage maps to the adjoint.
     integrated, swept = [], []
-    name = f"integrate_{kind}_surrogate"
-    original = getattr(surrogate, name)
+    name = "_info_forward" if kind == "info" else "integrate_cov_surrogate"
+    original = getattr(optimize, name)
 
     def record_forward(instance, schedule, *args):
-        traj = original(instance, schedule, *args)
+        out = original(instance, schedule, *args)
+        traj = out[0] if kind == "info" else out
         integrated.append((schedule.rates.copy(), traj))
-        return traj
+        return out
 
     grad_name = "_gradient"
     original_grad = getattr(optimize, grad_name)
 
-    def record_sweep(problem, sched, traj):
+    def record_sweep(problem, sched, traj, maps):
         swept.append(traj)
-        return original_grad(problem, sched, traj)
+        return original_grad(problem, sched, traj, maps)
 
-    for module in (surrogate, optimize):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, record_forward)
+    monkeypatch.setattr(optimize, name, record_forward)
     monkeypatch.setattr(optimize, grad_name, record_sweep)
     inst = random_instance(InstanceSpec(n=2, M=3, p=1, seed=3, T=1.5,
                                         budget=3.0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
+from scipy.linalg import expm_frechet
 
 from infosched.model import Sensor, WeightSpec
 from infosched.riccati import (
@@ -13,14 +14,17 @@ from infosched.riccati import (
     PositiveDefinitenessError,
     Trajectory,
     expm,
+    expm_adjoint,
     flow_cov,
     flow_info,
+    hamiltonian_maps,
     invert_trajectory,
     jump_cov,
     jump_info,
     lyapunov_maps,
     pathwise_cost,
     quadrature_weights,
+    require_pd,
     trajectory_to_csv,
 )
 
@@ -171,6 +175,64 @@ def test_lyapunov_maps_scalar_closed_form():
                                    rtol=1e-14)
 
 
+def _adjoint_cases():
+    rng = rng_for(1995)
+    cases = {}
+    for norm in (1e-3, 0.7, 5.0, 30.0):
+        X = rng.normal(size=(6, 6))
+        cases[f"random-{norm:g}"] = X * (norm / np.abs(X).sum(axis=0).max())
+    jordan = np.diag(np.full(6, 0.4)) + np.diag(np.ones(5), 1)
+    V = rng.normal(size=(6, 6))
+    cases["defective"] = V @ jordan @ np.linalg.inv(V)
+    cases["zero"] = np.zeros((6, 6))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_adjoint_cases()))
+def test_expm_adjoint_is_the_frechet_adjoint(name):
+    # <L(X, V), B> = <V, adjoint(X, B)>, with scipy's Frechet derivative as
+    # a test-only oracle for L
+    X = _adjoint_cases()[name]
+    rng = rng_for(len(name))
+    B = rng.normal(size=(3, 6, 6))
+    got = expm_adjoint(np.repeat(X[None], 3, axis=0), B)
+    for b, xbar in zip(B, got):
+        for _ in range(3):
+            V = rng.normal(size=(6, 6))
+            lhs = np.vdot(expm_frechet(X, V, compute_expm=False), b)
+            rhs = np.vdot(V, xbar)
+            scale = np.linalg.norm(expm_frechet(X, V, compute_expm=False)) \
+                * np.linalg.norm(b)
+            assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def test_expm_adjoint_of_zero_adjoint_is_zero():
+    X = _adjoint_cases()["random-5"][None]
+    np.testing.assert_array_equal(expm_adjoint(X, np.zeros_like(X)), 0.0)
+
+
+@pytest.mark.parametrize("a", [-0.8, 0.0, 0.3])
+def test_hamiltonian_map_scalar_closed_form(a):
+    # q = 0: y' = -2 a y + u, so y(t) = (y0 - u/2a) e^{-2at} + u/2a, and a
+    # step of the map is (C + D y) / (E + F y)
+    u = np.array([0.0, 0.5, 4.0])
+    h = 0.37
+    _, Phi, m = hamiltonian_maps(np.array([[a]]), np.zeros((1, 1)),
+                                 u[:, None, None], h)
+    assert m == 1
+    for y0 in (0.2, 3.0):
+        E, F, C, D = (Phi[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        y = y0
+        for _ in range(3):
+            y = (C + D * y) / (E + F * y)
+        t = 3 * h
+        if a == 0.0:
+            want = y0 + u * t
+        else:
+            want = (y0 - u / (2 * a)) * np.exp(-2 * a * t) + u / (2 * a)
+        np.testing.assert_allclose(y, want, rtol=1e-13)
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         flow_cov(np.eye(1), np.eye(1), np.eye(1), 0.1, scheme="rk9")
@@ -257,6 +319,33 @@ def test_trajectory_requires_pd_nodes():
     with pytest.raises(ValueError, match="at node t=0.5: min eigenvalue"):
         Trajectory(coordinates=COV, times=np.linspace(0.0, 1.0, 5),
                    values=vals)
+
+
+def test_pd_checks_reject_non_finite_matrices():
+    # numpy's Cholesky passes NaN through; every path must still refuse it
+    with pytest.raises(PositiveDefinitenessError, match="non-finite"), \
+            np.errstate(all="ignore"):
+        flow_cov(np.eye(2), 1000.0 * np.eye(2), np.eye(2), 3.0,
+                 substeps=1000)
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory(coordinates=COV, times=np.array([0.0, 1.0]),
+                   values=np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)])
+    with pytest.raises(PositiveDefinitenessError, match="non-finite entries at 1"):
+        require_pd(stack, lambda i: f"at {i}")
+    with pytest.raises(PositiveDefinitenessError, match="non-finite"):
+        require_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
+def test_only_integrators_advise_more_substeps():
+    with pytest.raises(PositiveDefinitenessError, match="increase substeps"):
+        flow_info(np.array([[1.0]]), np.array([[0.0]]), np.array([[5.0]]),
+                  1.0, substeps=1, scheme="euler")
+    with pytest.raises(ValueError) as exc:
+        Trajectory(coordinates=COV, times=np.array([0.0, 1.0]),
+                   values=np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+    assert "positive definiteness" in str(exc.value)
+    assert "substeps" not in str(exc.value)
 
 
 def test_trajectory_requires_symmetry():
