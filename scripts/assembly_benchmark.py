@@ -2,8 +2,8 @@
 
 The information-form surrogate folds all sensors into one precomputed
 per-stage increment, so its per-substep work is independent of M; the
-covariance-form surrogate evaluates every sensor's jump term at every
-substep.  This script times objective+gradient assembly for both at equal
+covariance-form surrogate takes one batched gain solve over all its sensors
+at every stage point, whose size grows with M.  This script times objective+gradient assembly for both at equal
 rate tables and reports the cov/info median ratio per sensor count.
 """
 

@@ -26,6 +26,7 @@ from .model import Instance, Schedule, ValidationError
 from .model import _dump_json, _generator, _load_json, _sym
 from .riccati import (
     COV,
+    PositiveDefinitenessError,
     Trajectory,
     invert_trajectory,
     jump_cov,
@@ -127,6 +128,8 @@ def _filter_walk(instance, arrivals, grid):
     gain update of an arrival from sensor j, ("node", t, i, P) at grid node
     i.  Each distinct segment is mapped once, in one lyapunov_maps call: all
     uncut grid steps share one map, a segment cut by an arrival has its own.
+    An exact map keeps P positive definite up to roundoff: the walk checks
+    the maps' finiteness and each gain update, the callers all nodes at once.
     """
     _check_arrivals(instance, arrivals)
     sys = instance.system
@@ -135,18 +138,20 @@ def _filter_walk(instance, arrivals, grid):
                else b[1] - b[0] for a, b in zip(stops, stops[1:])]
     distinct, index = np.unique(lengths, return_inverse=True)
     phi, w = lyapunov_maps(sys.A, sys.Q, distinct)
+    if not (np.isfinite(phi).all() and np.isfinite(w).all()):
+        raise PositiveDefinitenessError("non-finite covariance map")
     P = np.array(sys.P0)
     ei = 0
     for i, (prev, t, node) in enumerate(stops):
         if prev is not None:
             k = index[i - 1]
             P = _sym(phi[k] @ P @ phi[k].T + w[k])
-            require_pd(P, f"after covariance map to t={t:g}")
             yield "flow", t, (phi[k], w[k]), P
         while ei < arrivals.n_events and arrivals.times[ei] == t:
             j = int(arrivals.sensors[ei])
             yield "jump", t, j, P
             P = jump_cov(P, instance.sensors[j])
+            require_pd(P, f"after an arrival from sensor {j} at t={t:g}")
             ei += 1
         if node is not None:
             yield "node", t, node, P
@@ -163,6 +168,7 @@ def rollout_covariance(
     for kind, _, node, P in _filter_walk(instance, arrivals, grid):
         if kind == "node":
             values[node] = P
+    require_pd(values, lambda i: f"at node t={grid[i]:g}")
     return Trajectory(coordinates=COV, times=grid, values=values)
 
 
@@ -259,6 +265,7 @@ def simulate_realization(
             means[arg] = m
             values[arg] = P
 
+    require_pd(values, lambda i: f"at node t={grid[i]:g}")
     traj = Trajectory(coordinates=COV, times=grid, values=values)
     return SimulationResult(
         times=grid,

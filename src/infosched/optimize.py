@@ -8,8 +8,9 @@ that map's closed-form adjoint, summed over a stage's steps and carried
 through one Frechet adjoint of the exponential per stage, so the rates enter
 only through U_k = sum_j lam_kj S_j.  The covariance form integrates at
 substep resolution with RK4 (or Euler) and reverses each step, stage state
-by stage state.  No ODE is solved backwards, so either gradient matches
-central differences to roundoff rather than to integrator tolerance.
+by stage state, with one batched gain solve per stage point.  No ODE is
+solved backwards, so either gradient matches central differences to
+roundoff rather than to integrator tolerance.
 
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
@@ -24,7 +25,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .riccati import (
     hamiltonian_maps,
     quadrature_weights,
     require_pd,
+    sensor_stacks,
+    stacked_gains,
 )
 from .surrogate import (
     KINDS,
@@ -191,37 +193,36 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 # covariance form: reverse sweep through the integration scheme
 #
 # A rate enters through the gain update g_j(P): d rate / d lam_kj = -g_j(P)
-# depends on the state, so every stage point carries each sensor's g_j and
-# B_j, and each stage-rate adjoint is contracted with the g_j of its own
-# point.  A weighted node enters W.
+# depends on the state, so every stage point carries g_j and B_j of all
+# sensors (a zero rate still has a gradient), and each stage-rate adjoint is
+# contracted with the g_j of its own point.  A weighted node enters W.
 
 
-def _cov_point(A, Q, sensors, lam_row, P):
-    # per sensor: gain update g = P H' M^{-1} H P and B = H' M^{-1} H P
-    g, B = [], []
-    for s in sensors:
-        HP = s.H @ P
-        sol = np.linalg.solve(HP @ s.H.T + s.R, HP)
-        g.append(_sym(HP.T @ sol))
-        B.append(s.H.T @ sol)
+class _CovPoint:
+    """The cov rate linearized at P: the rate() and vjp(L) of the reverse
+    steps' contract."""
 
-    def vjp(L):
-        out = A.T @ L + L @ A
-        for lam, Bj in zip(lam_row, B):
-            if lam != 0.0:
-                BL = Bj @ L
-                out = out - lam * (BL + BL.T - BL @ Bj.T)
-        return out
+    def __init__(self, A, Q, stacks, lam, P):
+        self.A, self.lam = A, lam
+        self.g, self.B = stacked_gains(P, stacks)
+        self._rate = cov_rate_rhs(P, A, Q, lam, self.g)
 
-    return SimpleNamespace(
-        g=g, vjp=vjp,
-        rate=lambda: cov_rate_rhs(P, A, Q, lam_row, g.__getitem__))
+    def rate(self):
+        return self._rate
+
+    def vjp(self, L):
+        # d g_j = dP - (I - B_j^T) dP (I - B_j)
+        BL = self.B @ L
+        terms = BL + BL.swapaxes(1, 2) - BL @ self.B.swapaxes(1, 2)
+        return self.A.T @ L + L @ self.A - np.einsum("j,jab->ab", self.lam,
+                                                      terms)
 
 
 def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     # reverse sweep over the substeps of the forward trajectory traj
     inst = problem.instance
-    A, Q, sensors = inst.system.A, inst.system.Q, inst.sensors
+    A, Q = inst.system.A, inst.system.Q
+    stacks = sensor_stacks(inst.sensors, range(problem.M))
     _, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     values = traj.values
@@ -230,20 +231,16 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
 
     W_T = inst.weights.W_T
     Lam = _sym(W_T if w_hat is None else W_T + w_hat[-1])
-    G = np.empty((N, problem.M))
+    G = np.zeros((N, problem.M))
     for k in range(N - 1, -1, -1):
-        linearize = partial(_cov_point, A, Q, sensors, sched.rates[k])
-        acc = 0.0
+        linearize = partial(_CovPoint, A, Q, stacks, sched.rates[k])
         for s in range(S - 1, -1, -1):
             i = k * S + s
             Lam, stages = reverse(values[i], h, linearize, Lam)
-            acc = acc + np.array([
-                -sum(np.tensordot(kbar, pt.g[j], axes=2)
-                     for pt, kbar in stages)
-                for j in range(len(sensors))])
+            for pt, kbar in stages:
+                G[k] -= np.einsum("ab,jab->j", kbar, pt.g)
             if i > 0 and w_hat is not None:
                 Lam = Lam + w_hat[i]
-        G[k] = acc
     return G
 
 

@@ -299,6 +299,31 @@ def covariance_decrement(P, sensor) -> np.ndarray:
     return _sym(HP.T @ np.linalg.solve(M, HP))
 
 
+def sensor_stacks(sensors, columns):
+    """The sensors at columns stacked for stacked_gains: one (rows, H, R)
+    per output dimension p, rows their positions in columns (a slice when
+    all share one p), H of shape (m, p, n) and R of shape (m, p, p)."""
+    by_p = {}
+    for i, j in enumerate(columns):
+        by_p.setdefault(sensors[j].p, []).append(i)
+    return [(slice(None) if len(by_p) == 1 else np.array(rows),
+             np.stack([sensors[columns[i]].H for i in rows]),
+             np.stack([sensors[columns[i]].R for i in rows]))
+            for rows in by_p.values()]
+
+
+def stacked_gains(P, stacks):
+    """Gain updates of all stacked sensors at P, one batched solve per p:
+    with sol = (H P H^T + R)^{-1} H P, the (m, n, n) stacks g = sym(P H^T
+    sol), each a covariance_decrement, and B = H^T sol, in columns order."""
+    g, B = np.empty((2, sum(len(H) for _, H, _ in stacks)) + P.shape)
+    for rows, H, R in stacks:
+        HP, Ht = H @ P, H.swapaxes(1, 2)
+        sol = np.linalg.solve(HP @ Ht + R, HP)
+        g[rows], B[rows] = _sym(HP.swapaxes(1, 2) @ sol), Ht @ sol
+    return g, B
+
+
 def jump_cov(P, sensor) -> np.ndarray:
     """Covariance after processing one arrival from the given sensor."""
     return _sym(P - covariance_decrement(P, sensor))
@@ -490,6 +515,8 @@ __all__ = [
     "pd_floor",
     "quadrature_weights",
     "require_pd",
+    "sensor_stacks",
+    "stacked_gains",
     "trajectory_to_csv",
     "walk_stops",
 ]

@@ -12,9 +12,10 @@ rate enters through the state-dependent gain update,
 
     Pdot = A P + P A^T + Q - sum_j lam_j(t) g_j(P),
 
-which forces one g_j evaluation per sensor at every integrator stage.  That
-asymmetry is the point of the information form and is what the assembly
-benchmark in the optimizer module measures.
+which forces the gain update of every sensor with a nonzero rate at every
+stage point: one batched gain solve that grows with M.  That asymmetry is
+the point of the information form and is what the assembly benchmark in the
+optimizer module measures.
 
 Both integrators here step each segment between stops through the shared
 fixed-step schemes of the riccati module and fail loudly if the state at the
@@ -37,12 +38,13 @@ from .riccati import (
     SUBSTEP_ADVICE,
     Trajectory,
     _integrate,
-    covariance_decrement,
     info_rhs,
     lyapunov_rhs,
     pathwise_cost,
     quadrature_weights,
     require_pd,
+    sensor_stacks,
+    stacked_gains,
     walk_stops,
 )
 
@@ -66,18 +68,10 @@ def _check_pair(instance: Instance, schedule: Schedule) -> None:
         )
 
 
-def cov_rate_rhs(P, A, Q, lam_row, decrement):
-    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j(P).
-
-    decrement(j) returns the gain update g_j(P); it is only called for
-    sensors with a nonzero rate.
-    """
-    out = lyapunov_rhs(P, A, Q)
-    for j in range(len(lam_row)):
-        lam = lam_row[j]
-        if lam != 0.0:
-            out = out - lam * decrement(j)
-    return out
+def cov_rate_rhs(P, A, Q, lam, g):
+    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j, with g
+    the stacked gain updates g_j(P) of the sensors whose rates are lam."""
+    return lyapunov_rhs(P, A, Q) - np.einsum("j,jab->ab", lam, g)
 
 
 def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
@@ -116,6 +110,9 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
         U = stage_increments(instance, schedule)
     else:
         X = np.array(sys.P0)
+        # per stage: the sensors with a nonzero rate, stacked, and their rates
+        stages = [(sensor_stacks(instance.sensors, cols), lam[cols])
+                  for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
     values = np.empty((len(times), sys.n, sys.n))
     for prev, t, node in walk_stops(times, boundaries):
@@ -127,10 +124,9 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
                 Uk = U[k]
                 rhs = lambda Y: info_rhs(Y, A, Q) + Uk
             else:
-                lam_row = rates[k]
-                rhs = lambda P: cov_rate_rhs(
-                    P, A, Q, lam_row,
-                    lambda j: covariance_decrement(P, instance.sensors[j]))
+                stacks, lam = stages[k]
+                rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
+                                             stacked_gains(P, stacks)[0])
             X = _integrate(X, t - prev, n_steps, rhs, scheme)
             require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
         if node is not None:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infosched import cdkf
 from infosched.cdkf import (
     ArrivalRecord,
     load_arrivals,
@@ -104,6 +105,30 @@ def test_rollout_failure_names_no_substeps():
         rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=1)
     assert "non-finite" in str(exc.value)
     assert "substeps" not in str(exc.value)
+
+
+@pytest.mark.parametrize("where", ["node", "arrival"])
+def test_rollout_pd_loss_is_typed(monkeypatch, where):
+    # a node is checked in one batch and an arrival update on its own; a
+    # loss is a PositiveDefinitenessError, never malformed input
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    events = []
+    if where == "node":
+        maps = cdkf.lyapunov_maps
+
+        def negative_noise(A, Q, durations):
+            phi, w = maps(A, Q, durations)
+            return phi, -w
+
+        monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
+    else:
+        events = [(0.4, 0)]
+        monkeypatch.setattr(cdkf, "jump_cov", lambda P, sensor: -P)
+    for run in (rollout_covariance,
+                lambda i, a, n_eval: simulate_realization(i, arrivals=a,
+                                                          n_eval=n_eval)):
+        with pytest.raises(PositiveDefinitenessError, match=where):
+            run(inst, ArrivalRecord.from_events(events), n_eval=4)
 
 
 def test_rollout_information_no_arrivals_harmonic():

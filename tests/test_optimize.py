@@ -17,10 +17,19 @@ from infosched.model import (
     SystemModel,
     ValidationError,
     WeightSpec,
+    _sym,
     random_instance,
 )
 from infosched import optimize, surrogate
-from infosched.riccati import PositiveDefinitenessError
+from infosched.riccati import (
+    COV,
+    PositiveDefinitenessError,
+    Trajectory,
+    _scheme,
+    covariance_decrement,
+    pathwise_cost,
+    quadrature_weights,
+)
 from infosched.optimize import (
     ProjectionError,
     ShootingProblem,
@@ -35,7 +44,7 @@ from infosched.optimize import (
     solve,
 )
 
-from conftest import make_scalar_instance, rng_for
+from conftest import make_scalar_instance, mixed_instance, rng_for
 
 
 def kkt_projection_oracle(v, C, b, tol=1e-9):
@@ -481,6 +490,100 @@ def test_gradient_check_flags_corrupted_gradient():
 
     worst = gradient_check(problem, np.ones((2, 1)), gradient_fn=corrupted)
     assert worst > 0.05
+
+
+class _LoopPoint:
+    """Per-sensor reference of the cov rate linearized at P: one
+    covariance_decrement per sensor, summed in a Python loop."""
+
+    def __init__(self, A, Q, sensors, lam, P):
+        self.A, self.lam = A, lam
+        self.g = [covariance_decrement(P, s) for s in sensors]
+        self.B = [s.H.T @ np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
+                  for s in sensors]
+        self._rate = A @ P + P @ A.T + Q
+        for lam_j, g in zip(lam, self.g):
+            self._rate = self._rate - lam_j * g
+
+    def rate(self):
+        return self._rate
+
+    def vjp(self, L):
+        out = self.A.T @ L + L @ self.A
+        for lam_j, B in zip(self.lam, self.B):
+            BL = B @ L
+            out = out - lam_j * (BL + BL.T - BL @ B.T)
+        return out
+
+
+def _loop_cov_objective_and_gradient(problem, rates):
+    # the cov surrogate and its reverse sweep, stepped through the shared
+    # schemes with the per-sensor reference point
+    inst = problem.instance
+    A, Q, sensors = inst.system.A, inst.system.Q, inst.sensors
+    step, reverse = _scheme(problem.scheme)
+    N, S = problem.N, problem.substeps
+    h = inst.T / (N * S)
+    P = [inst.system.P0]
+    for i in range(N * S):
+        rhs = lambda X: _LoopPoint(A, Q, sensors, rates[i // S], X).rate()
+        P.append(_sym(step(P[-1], h, rhs)))
+    times = np.linspace(0.0, inst.T, N * S + 1)
+    J = pathwise_cost(Trajectory(COV, times, np.array(P)), inst.weights)
+    w_hat = quadrature_weights(times, inst.weights)
+    Lam = inst.weights.W_T + (0.0 if w_hat is None else w_hat[-1])
+    G = np.zeros_like(rates)
+    for i in range(N * S - 1, -1, -1):
+        k = i // S
+        point = lambda X: _LoopPoint(A, Q, sensors, rates[k], X)
+        Lam, stages = reverse(P[i], h, point, Lam)
+        for pt, kbar in stages:
+            G[k] -= [np.sum(kbar * g) for g in pt.g]
+        if i > 0 and w_hat is not None:
+            Lam = Lam + w_hat[i]
+    return np.array(P), J, G
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_cov_stacked_kernels_match_a_per_sensor_loop(scheme):
+    # output dimensions 1 and 2 interleaved, a zero rate on a p = 2 sensor
+    inst = mixed_instance(seed=61)
+    inst = replace(inst, weights=WeightSpec(
+        W_stages=_stage_weights(4, 3, 61), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=4, kind="cov", substeps=5,
+                              scheme=scheme)
+    interior = rng_for(62).uniform(0.2, 1.5, size=(4, inst.M))
+    rates = interior.copy()
+    rates[1, 3] = 0.0
+    path = surrogate.integrate_cov_surrogate(
+        inst, problem.schedule(rates), substeps=5, scheme=scheme).values
+    J, G = objective_and_gradient(problem, rates)
+    path_ref, J_ref, G_ref = _loop_cov_objective_and_gradient(problem, rates)
+    assert np.abs(path - path_ref).max() <= 1e-12 * np.abs(path_ref).max()
+    assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
+    assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+    assert gradient_check(problem, interior) <= 1e-6
+
+
+def test_cov_gradient_at_zero_rates_matches_one_sided_differences():
+    # the forward skips a zero-rate sensor, which still has a gradient
+    inst = mixed_instance(seed=71)
+    problem = ShootingProblem(instance=inst, N=3, kind="cov", substeps=4)
+    rates = rng_for(72).uniform(0.2, 1.5, size=(3, inst.M))
+    rates[:, 1] = 0.0
+    rates[2, 4] = 0.0
+    _, G = objective_and_gradient(problem, rates)
+    h = 1e-4
+    for k, j in [(0, 1), (1, 1), (2, 1), (2, 4)]:
+        J = []
+        for c in (0, 1, 2):
+            trial = rates.copy()
+            trial[k, j] = c * h
+            J.append(objective(problem, trial))
+        # second-order one-sided stencil
+        fd = (-3.0 * J[0] + 4.0 * J[1] - J[2]) / (2.0 * h)
+        assert G[k, j] != 0.0
+        assert abs(fd - G[k, j]) <= 1e-6 * np.abs(G).max()
 
 
 def test_objective_agrees_with_gradient_forward_pass():

@@ -23,8 +23,11 @@ from infosched.riccati import (
     jump_info,
     lyapunov_maps,
     pathwise_cost,
+    covariance_decrement,
     quadrature_weights,
     require_pd,
+    sensor_stacks,
+    stacked_gains,
     trajectory_to_csv,
 )
 
@@ -294,6 +297,32 @@ def test_jump_monotonicity(seed):
     assert np.linalg.eigvalsh(P - jump_cov(P, s)).min() >= -1e-10
     Y = np.linalg.inv(P)
     assert np.linalg.eigvalsh(jump_info(Y, s) - Y).min() >= -1e-10
+
+
+def _ill_conditioned_sensor(rng, p, n):
+    # R at condition number 1e8 (p > 1); a p = 1 noise spans the same range
+    V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    scale = float(rng.choice([1e-4, 1e4])) if p == 1 else 1.0
+    R = scale * (V * np.logspace(0.0, -8.0, p)) @ V.T
+    return Sensor(H=rng.normal(size=(p, n)), R=R)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_gains_match_per_sensor_decrements(seed):
+    rng = rng_for(700 + seed)
+    n = 4
+    sensors = [_ill_conditioned_sensor(rng, p, n) for p in (1, 2, 3) * 3]
+    rng.shuffle(sensors)
+    columns = rng.permutation(len(sensors))[:7]
+    P = random_spd(rng, n)
+    g, B = stacked_gains(P, sensor_stacks(sensors, columns))
+    assert g.shape == B.shape == (7, n, n)
+    for i, j in enumerate(columns):
+        s = sensors[j]
+        want = covariance_decrement(P, s)
+        assert np.linalg.norm(g[i] - want) <= 1e-12 * np.linalg.norm(want)
+        want_B = s.H.T @ np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
+        assert np.linalg.norm(B[i] - want_B) <= 1e-12 * np.linalg.norm(want_B)
 
 
 # ---------------------------------------------------------------- trajectory

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from infosched.surrogate import (
     surrogate_objective,
 )
 
-from conftest import make_scalar_instance, rng_for
+from conftest import make_scalar_instance, mixed_instance, rng_for
 
 # frozen oracle: p solving ln p - 1/p = -3 (static scalar unit sensor,
 # rate 2 over unit horizon, p0 = 1); brentq-confirmed below
@@ -132,6 +134,37 @@ def test_cov_surrogate_scalar_implicit_solution():
     assert abs(root - COV_SURROGATE_ROOT) <= 1e-12
     assert abs(p_T - root) <= 1e-4
     assert abs(p_T - root) <= 1e-8      # RK4 at 100 steps is far tighter
+
+
+@pytest.mark.parametrize("r", [0.25, 1.0, 4.0])
+def test_cov_surrogate_scalar_invariant_along_the_path(r):
+    # a = q = 0, h = 1, constant rate lam: p' = -lam p^2 / (p + r), so
+    # ln p - r / p + lam t is constant along the exact path.  RK4 error at
+    # 400 substeps per stage measured 2.1e-12 (r = 0.25), 4.4e-13 and 2.3e-14
+    lam = 3.0
+    inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=r, p0=1.0, T=2.0)
+    traj = integrate_cov_surrogate(inst, uniform_schedule(inst, 4, lam),
+                                   substeps=400)
+    p = traj.values[:, 0, 0]
+    invariant = np.log(p) - r / p + lam * traj.times
+    assert np.abs(invariant - invariant[0]).max() <= 1e-11
+
+
+def test_cov_surrogate_skips_an_idle_sensor():
+    # an all-zero rate column takes no part in the forward: removing the
+    # sensor leaves the path unchanged bit for bit (mixed output dimensions)
+    inst = mixed_instance(seed=41, budget=6.0)
+    rates = rng_for(42).uniform(0.2, 1.0, size=(4, inst.M))
+    rates[:, 2] = 0.0
+    keep = [j for j in range(inst.M) if j != 2]
+    small = replace(inst, sensors=[inst.sensors[j] for j in keep],
+                    polytope=ResourcePolytope(C=np.ones((1, len(keep))),
+                                              b=np.array([6.0])))
+    full = integrate_cov_surrogate(inst, Schedule(N=4, T=inst.T, rates=rates),
+                                   substeps=5)
+    cut = integrate_cov_surrogate(
+        small, Schedule(N=4, T=inst.T, rates=rates[:, keep]), substeps=5)
+    np.testing.assert_array_equal(full.values, cut.values)
 
 
 def test_surrogate_divergence_at_high_snr():
