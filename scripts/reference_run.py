@@ -42,7 +42,6 @@ def main() -> int:
     ap.add_argument("--N", type=int, default=30)
     ap.add_argument("--substeps", type=int, default=10)
     ap.add_argument("--max-iters", type=int, default=200)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--skip-sweep", action="store_true")
     args = ap.parse_args()
 
@@ -66,8 +65,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     cert = trajectory_bracket(inst, report.schedule, n_runs=args.runs,
-                              n_eval=args.n_eval, seed=args.mc_seed,
-                              n_jobs=args.jobs)
+                              n_eval=args.n_eval, seed=args.mc_seed)
     print(f"certificate: {time.perf_counter() - t0:.1f}s "
           f"contained={cert.contained} "
           f"trajectory_contained={cert.trajectory_contained}")
@@ -79,8 +77,7 @@ def main() -> int:
     if not args.skip_sweep:
         t0 = time.perf_counter()
         sweep = snr_sweep(inst, report.schedule, n_runs=args.runs,
-                          n_eval=args.n_eval, seed=args.mc_seed + 100,
-                          n_jobs=args.jobs)
+                          n_eval=args.n_eval, seed=args.mc_seed + 100)
         write_snr_csv(out / "snr_sweep.csv", sweep)
         print(f"noise sweep: {time.perf_counter() - t0:.1f}s, "
               f"{sum(r.contained for _, r in sweep)}/{len(sweep)} contained")

@@ -9,7 +9,8 @@ Monte Carlo ground truth gives a falsifiable sandwich
 
 whose width is the price of certifying an open-loop schedule.  Both bounds
 and the Monte Carlo objective are trapezoid sums on one evaluation grid,
-where the surrogates are recorded and the rollouts sampled.  Matrix-level
+where the surrogates are recorded and the rollouts sampled; the Monte Carlo
+runs are stepped together in one batched filter walk.  Matrix-level
 margins are reported as nodewise minimum eigenvalues of symmetrized
 differences; deterministic comparisons get a scale-relative tolerance
 1e-7 * trace/n to absorb integrator error, statistical comparisons add three
@@ -127,11 +128,10 @@ def objective_bracket(
     n_eval: int = 300,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
-                       seed=seed, n_jobs=n_jobs)
+                       seed=seed)
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
                                      surrogate_substeps)
     j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
@@ -152,7 +152,6 @@ def trajectory_bracket(
     n_eval: int = 300,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> BracketReport:
     """Full certificate: objective bracket plus nodewise Loewner margins.
 
@@ -166,7 +165,7 @@ def trajectory_bracket(
                                      surrogate_substeps)
     p_info = invert_trajectory(info_y)
     mct = mc_mean_trajectories(instance, schedule, n_runs=n_runs,
-                               n_eval=n_eval, seed=seed, n_jobs=n_jobs)
+                               n_eval=n_eval, seed=seed)
     est = mct.objective
     j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
                                                    est)
@@ -223,7 +222,6 @@ def snr_sweep(
     n_eval: int = 300,
     surrogate_substeps: int = 10,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> list[tuple[float, BracketReport]]:
     """Objective bracket of the same schedule across noise scalings.
 
@@ -240,7 +238,7 @@ def snr_sweep(
         scaled = scale_sensor_noise(instance, float(r))
         report = objective_bracket(
             scaled, schedule, n_runs=n_runs, n_eval=n_eval,
-            surrogate_substeps=surrogate_substeps, seed=seed, n_jobs=n_jobs,
+            surrogate_substeps=surrogate_substeps, seed=seed,
         )
         out.append((float(r), report))
     return out

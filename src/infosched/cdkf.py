@@ -2,9 +2,12 @@
 
 Given an arrival record (time, sensor index) the covariance path of the
 continuous-discrete Kalman filter is deterministic: Lyapunov flow between
-arrivals, gain update at each arrival.  ``rollout_covariance`` steps it
-exactly (one Lyapunov map per segment between stops) and samples it on a
-uniform evaluation grid; ``rollout_information`` is its nodewise inverse.
+arrivals, gain update at each arrival.  One walk steps it exactly (one
+Lyapunov map per segment between stops) for a whole batch of records at
+once: the Monte Carlo runs of ``montecarlo`` step together, and
+``rollout_covariance`` is the batch of one record, sampled on a uniform
+evaluation grid.  A run's path does not depend on what else the batch
+holds, bit for bit.  ``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
@@ -29,10 +32,11 @@ from .riccati import (
     PositiveDefinitenessError,
     Trajectory,
     invert_trajectory,
-    jump_cov,
     lyapunov_maps,
     require_pd,
-    walk_stops,
+    sensor_stacks,
+    sensor_table,
+    stacked_gains,
 )
 
 
@@ -120,41 +124,105 @@ def _evaluation_grid(T: float, n_eval: int) -> np.ndarray:
     return np.linspace(0.0, T, n_eval + 1)
 
 
-def _filter_walk(instance, arrivals, grid):
-    """Step the exact filter covariance along the stops of grid and arrivals.
+# the segment a step flows over: none (a coincident event, the first step or
+# padding), an uncut grid step (one map shared by all), or a cut (its own map)
+IDLE, GRID_STEP, CUT = 0, 1, 2
 
-    Yields (kind, t, arg, P) in time order: ("flow", t, (Phi, W), P) after
-    the exact map of the segment ending at t, ("jump", t, j, P) before the
-    gain update of an arrival from sensor j, ("node", t, i, P) at grid node
-    i.  Each distinct segment is mapped once, in one lyapunov_maps call: all
-    uncut grid steps share one map, a segment cut by an arrival has its own.
-    An exact map keeps P positive definite up to roundoff: the walk checks
-    the maps' finiteness and each gain update, the callers all nodes at once.
+
+def _steps(records, grid):
+    """The step table of a batch of arrival records on a recording grid.
+
+    A run's steps are its arrivals and the grid nodes merged in time order,
+    an arrival before the node at its instant; a step flows over the
+    segment from the run's previous step, applies its arrival, then records
+    its node.  Returns (L, R) tables for R runs: the time, the arriving
+    sensor and the recorded node (-1 for none), and the kind of the segment
+    that ends at the step.  A run with fewer steps than the longest is
+    padded at the end with IDLE steps at T, which do nothing.
     """
-    _check_arrivals(instance, arrivals)
-    sys = instance.system
-    stops = list(walk_stops(grid, arrivals.times))
-    lengths = [grid[1] - grid[0] if a[2] is not None and b[2] is not None
-               else b[1] - b[0] for a, b in zip(stops, stops[1:])]
-    distinct, index = np.unique(lengths, return_inverse=True)
-    phi, w = lyapunov_maps(sys.A, sys.Q, distinct)
+    n_nodes = len(grid)
+    shape = (n_nodes + max(rec.n_events for rec in records), len(records))
+    time = np.full(shape, grid[-1])
+    sensor = np.full(shape, -1, dtype=np.int32)
+    node = np.full(shape, -1, dtype=np.int32)
+    on_grid = np.zeros(shape, dtype=bool)
+    nodes = np.arange(n_nodes)
+    for r, rec in enumerate(records):
+        events = np.arange(rec.n_events)
+        at_node = nodes + np.searchsorted(rec.times, grid, side="right")
+        at_event = events + np.searchsorted(grid, rec.times, side="left")
+        time[at_node, r], node[at_node, r], on_grid[at_node, r] = grid, nodes, True
+        time[at_event, r], sensor[at_event, r] = rec.times, rec.sensors
+        on_grid[at_event, r] = np.isin(rec.times, grid)
+    kind = np.full(shape, CUT, dtype=np.int8)
+    kind[1:][on_grid[1:] & on_grid[:-1]] = GRID_STEP
+    kind[1:][time[1:] == time[:-1]] = IDLE
+    kind[0] = IDLE
+    return time, sensor, node, kind
+
+
+def _maps(A, Q, durations):
+    phi, w = lyapunov_maps(A, Q, durations)
     if not (np.isfinite(phi).all() and np.isfinite(w).all()):
         raise PositiveDefinitenessError("non-finite covariance map")
-    P = np.array(sys.P0)
-    ei = 0
-    for i, (prev, t, node) in enumerate(stops):
-        if prev is not None:
-            k = index[i - 1]
-            P = _sym(phi[k] @ P @ phi[k].T + w[k])
-            yield "flow", t, (phi[k], w[k]), P
-        while ei < arrivals.n_events and arrivals.times[ei] == t:
-            j = int(arrivals.sensors[ei])
-            yield "jump", t, j, P
-            P = jump_cov(P, instance.sensors[j])
-            require_pd(P, f"after an arrival from sensor {j} at t={t:g}")
-            ei += 1
-        if node is not None:
-            yield "node", t, node, P
+    return phi, w
+
+
+def _filter_walk(instance, records, grid):
+    """Step the exact filter covariances of a batch of runs together.
+
+    records holds one arrival record per run; every run keeps its own stops
+    (see _steps) and all runs take step s at once.  Per step: one batched
+    P <- Phi P Phi^T + W with each run's map, then one gain update over the
+    runs with an arrival there (riccati.stacked_gains, one solve per output
+    dimension p), then the nodes.  The uncut grid step has one map shared by
+    all runs; the cut segments of a step are mapped together, in one
+    lyapunov_maps call, so only one step's maps are alive at a time.
+
+    Yields (kind, arg, P), P the (R, n, n) stack of all runs (live: copy
+    what you keep): ("flow", (Phi, W, moved), P) after each step's maps,
+    moved marking the runs whose segment has a length; ("jump", (runs,
+    sensors, times), P) before the gain update of the runs with an arrival;
+    ("node", (runs, nodes), P) with the runs that record a node.  Each run's
+    path depends on its own record alone, bit for bit, whatever else the
+    batch holds.  An exact map keeps P positive definite up to roundoff: the
+    walk checks the maps' finiteness, the runs that jumped and the recorded
+    nodes, one batch per step.
+    """
+    for rec in records:
+        _check_arrivals(instance, rec)
+    sys = instance.system
+    n, R = sys.n, len(records)
+    time, sensor, node, kind = _steps(records, grid)
+    table = sensor_table(instance.sensors)
+    phi_h, w_h = _maps(sys.A, sys.Q, [grid[1] - grid[0]])
+    fixed_phi = np.stack([np.eye(n), phi_h[0]])
+    fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
+    P = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
+    for s in range(len(kind)):
+        shared = np.minimum(kind[s], GRID_STEP)
+        phi, w = fixed_phi[shared], fixed_w[shared]
+        cut = np.flatnonzero(kind[s] == CUT)
+        if cut.size:
+            lengths = time[s, cut] - time[s - 1, cut]
+            phi[cut], w[cut] = _maps(sys.A, sys.Q, lengths)
+        P = _sym(phi @ P @ phi.swapaxes(1, 2) + w)
+        yield "flow", (phi, w, kind[s] != IDLE), P
+        runs = np.flatnonzero(sensor[s] >= 0)
+        if runs.size:
+            js, ts = sensor[s, runs], time[s, runs]
+            yield "jump", (runs, js, ts), P
+            before = P[runs]
+            g = stacked_gains(before, sensor_stacks(table, js))[0]
+            P[runs] = _sym(before - g)
+            require_pd(P[runs], lambda i: f"after an arrival from sensor "
+                       f"{js[i]} at t={ts[i]:g} in run {runs[i]}")
+        runs = np.flatnonzero(node[s] >= 0)
+        if runs.size:
+            nodes = node[s, runs]
+            require_pd(P[runs], lambda i: f"at node t={grid[nodes[i]]:g} "
+                       f"in run {runs[i]}")
+            yield "node", (runs, nodes), P
 
 
 def rollout_covariance(
@@ -165,10 +233,9 @@ def rollout_covariance(
     """Deterministic covariance path of the filter for fixed arrivals."""
     grid = _evaluation_grid(instance.T, n_eval)
     values = np.empty((n_eval + 1, instance.n, instance.n))
-    for kind, _, node, P in _filter_walk(instance, arrivals, grid):
+    for kind, arg, P in _filter_walk(instance, [arrivals], grid):
         if kind == "node":
-            values[node] = P
-    require_pd(values, lambda i: f"at node t={grid[i]:g}")
+            values[arg[1]] = P[arg[0]]
     return Trajectory(coordinates=COV, times=grid, values=values)
 
 
@@ -247,25 +314,29 @@ def simulate_realization(
     means = np.empty((n_eval + 1, n))
     values = np.empty((n_eval + 1, n, n))
     measurements = []
-    for kind, t, arg, P in _filter_walk(instance, arrivals, grid):
+    for kind, arg, P in _filter_walk(instance, [arrivals], grid):
         if kind == "flow":
-            Phi, W = arg
-            lam, V = np.linalg.eigh(W)   # an eigen factor: W may be singular
-            x = Phi @ x + V @ (np.sqrt(lam.clip(0.0)) * rng.standard_normal(n))
-            m = Phi @ m
+            Phi, W, moved = arg
+            if moved[0]:
+                # an eigen factor: W may be singular
+                lam, V = np.linalg.eigh(W[0])
+                x = Phi[0] @ x + V @ (np.sqrt(lam.clip(0.0))
+                                      * rng.standard_normal(n))
+                m = Phi[0] @ m
         elif kind == "jump":
-            sensor = instance.sensors[arg]
-            z = sensor.H @ x + chol_R[arg] @ rng.standard_normal(sensor.p)
-            Mj = sensor.H @ P @ sensor.H.T + sensor.R
-            K = np.linalg.solve(Mj, sensor.H @ P).T
+            j, t = int(arg[1][0]), float(arg[2][0])
+            sensor = instance.sensors[j]
+            z = sensor.H @ x + chol_R[j] @ rng.standard_normal(sensor.p)
+            Mj = sensor.H @ P[0] @ sensor.H.T + sensor.R
+            K = np.linalg.solve(Mj, sensor.H @ P[0]).T
             m = m + K @ (z - sensor.H @ m)
-            measurements.append((float(t), arg, z))
+            measurements.append((t, j, z))
         else:
-            states[arg] = x
-            means[arg] = m
-            values[arg] = P
+            i = arg[1][0]
+            states[i] = x
+            means[i] = m
+            values[i] = P[0]
 
-    require_pd(values, lambda i: f"at node t={grid[i]:g}")
     traj = Trajectory(coordinates=COV, times=grid, values=values)
     return SimulationResult(
         times=grid,

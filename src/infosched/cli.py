@@ -50,6 +50,7 @@ from .optimize import (
 from .riccati import PositiveDefinitenessError
 
 GRADCHECK_TOL = 1e-6
+PROBE_RUNS = (2, 8)    # batch sizes timed to predict a sweep's Monte Carlo
 
 
 def _parse_random_spec(text: str) -> dict:
@@ -136,7 +137,7 @@ def cmd_evaluate(args) -> int:
     schedule = load_schedule(args.schedule)
     est = mc_objective(
         instance, schedule, n_runs=args.runs, n_eval=args.n_eval,
-        seed=args.seed, n_jobs=args.jobs,
+        seed=args.seed,
     )
     tr = float(np.trace(instance.system.P0))
     print(f"runs={est.n_runs} mean={est.mean:.9g} stderr={est.stderr:.3g}")
@@ -150,8 +151,7 @@ def cmd_bracket(args) -> int:
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     kwargs = dict(n_runs=args.runs, n_eval=args.n_eval,
-                  surrogate_substeps=args.surrogate_substeps, seed=args.seed,
-                  n_jobs=args.jobs)
+                  surrogate_substeps=args.surrogate_substeps, seed=args.seed)
     if args.objective_only:
         report = bounds_mod.objective_bracket(instance, schedule, **kwargs)
     else:
@@ -174,7 +174,6 @@ def cmd_bracket(args) -> int:
             instance, schedule, r_scales=scales, n_runs=args.runs,
             n_eval=args.n_eval,
             surrogate_substeps=args.surrogate_substeps, seed=args.seed,
-            n_jobs=args.jobs,
         )
         for r, rep in sweep:
             print(f"r_scale={r:.4g} contained={rep.contained} "
@@ -210,6 +209,21 @@ def _sweep_instance(kind: str, point: int, idx: int, args):
     return random_instance(spec)
 
 
+def _mc_seconds(instance, schedule, args) -> float:
+    """Predicted time of one --runs Monte Carlo estimate.  The runs are
+    stepped in one batch, so its cost is a fixed part plus a per-run part,
+    fitted to two timed batches of PROBE_RUNS."""
+    seconds = []
+    for n_runs in PROBE_RUNS:
+        t0 = time.perf_counter()
+        mc_objective(instance, schedule, n_runs=n_runs, n_eval=args.n_eval,
+                     seed=args.seed)
+        seconds.append(time.perf_counter() - t0)
+    (r0, r1), (s0, s1) = PROBE_RUNS, seconds
+    per_run = max(0.0, (s1 - s0) / (r1 - r0))
+    return max(0.0, s0 - per_run * r0) + per_run * args.runs
+
+
 def _estimate_sweep_seconds(points, args) -> float:
     total = 0.0
     for sweep_kind, pt in points:
@@ -223,11 +237,7 @@ def _estimate_sweep_seconds(points, args) -> float:
             objective_and_gradient(problem, rates)
             per_iter = time.perf_counter() - t0
             per_point += 1.7 * args.max_iters * per_iter
-        t0 = time.perf_counter()
-        mc_objective(instance, problem.schedule(rates), n_runs=2,
-                     n_eval=args.n_eval, seed=args.seed)
-        per_run = (time.perf_counter() - t0) / 2.0
-        per_point += 2.0 * args.runs * per_run
+        per_point += 2.0 * _mc_seconds(instance, problem.schedule(rates), args)
         total += args.instances * per_point
     return total
 
@@ -257,7 +267,7 @@ def cmd_sweep(args) -> int:
                     max_iters=args.max_iters, grad_tol=args.grad_tol))
                 est = mc_objective(
                     instance, report.schedule, n_runs=args.runs,
-                    n_eval=args.n_eval, seed=args.seed, n_jobs=args.jobs,
+                    n_eval=args.n_eval, seed=args.seed,
                 )
                 tr = float(np.trace(instance.system.P0))
                 t = report.timings
@@ -390,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--n-eval", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="MC report JSON path")
     p.set_defaults(func=cmd_evaluate)
 
@@ -401,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-eval", type=int, default=300)
     p.add_argument("--surrogate-substeps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--objective-only", action="store_true",
                    help="skip nodewise trajectory margins")
     p.add_argument("--snr-sweep", metavar="LO..HI,COUNT",
@@ -423,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substeps", type=int, default=10)
     p.add_argument("--max-iters", type=int, default=150)
     p.add_argument("--grad-tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--full", action="store_true",
                    help="full-size benchmark grids (slow)")
     p.add_argument("--max-minutes", type=float, default=30.0,

@@ -7,23 +7,24 @@ that many uniform times in the interval.  Superposing sensors and sorting by
 
 Seeding policy: run r of a study with master seed s draws from the Philox
 generator keyed by SeedSequence(entropy=s, spawn_key=(r,)).  Within a run,
-draws happen sensor-major then interval-major.  Because every run owns its
-stream and per-run results are reduced in run order, estimates are
-bit-identical for any parallelism degree.
+draws happen sensor-major then interval-major.  All runs of an estimate are
+stepped together in one batched filter walk (cdkf), and each run's cost is
+reduced as the walk records its nodes.  Because every run owns its stream
+and its path does not depend on the rest of the batch, a run's cost is
+bit-identical whatever batch it is stepped in, and estimates reduce the
+costs in run order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .cdkf import ArrivalRecord, _evaluation_grid, rollout_covariance
+from .cdkf import ArrivalRecord, _evaluation_grid, _filter_walk
 from .model import Instance, Schedule, ValidationError
 from .model import _dump_json, _generator, _sym
-from .riccati import COV, INFO, Trajectory, pathwise_cost
+from .riccati import COV, INFO, Trajectory, quadrature_weights
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
@@ -40,16 +41,15 @@ def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
     """
     rng = _generator(seed)
     delta = schedule.delta
+    rates = schedule.rates.T
     times = []
     sensors = []
-    for j in range(schedule.M):
-        for k in range(schedule.N):
-            lam = schedule.rates[k, j]
-            count = int(rng.poisson(lam * delta)) if lam > 0.0 else 0
-            if count:
-                t = k * delta + delta * rng.random(count)
-                times.append(t)
-                sensors.append(np.full(count, j, dtype=np.int64))
+    # the positive rates in (sensor, interval) order: a zero rate draws nothing
+    for j, k in zip(*np.nonzero(rates > 0.0)):
+        count = int(rng.poisson(rates[j, k] * delta))
+        if count:
+            times.append(k * delta + delta * rng.random(count))
+            sensors.append(np.full(count, j, dtype=np.int64))
     if times:
         times = np.concatenate(times)
         sensors = np.concatenate(sensors)
@@ -83,23 +83,35 @@ def save_mc_report(path, estimate: McEstimate) -> None:
     _dump_json(path, estimate.to_dict())
 
 
-def _one_run(instance, schedule, n_eval, seed, keep_path, r):
-    # cost of run r, and its covariance path when keep_path is set
-    arrivals = sample_arrivals(schedule, run_seed(seed, r))
-    traj = rollout_covariance(instance, arrivals, n_eval)
-    cost = pathwise_cost(traj, instance.weights, instance.T)
-    return (cost, traj.values) if keep_path else cost
+def _sample_runs(schedule, n_runs, seed):
+    """The arrival records of runs 0..n_runs-1, each from its own stream."""
+    if n_runs < 1:
+        raise ValidationError(f"need n_runs >= 1, got {n_runs}")
+    return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
 
 
-def _runs(instance, schedule, n_runs, n_eval, seed, n_jobs, keep_path):
-    """Per-run results in run order, streamed; a pool when n_jobs > 1."""
-    one_run = partial(_one_run, instance, schedule, n_eval, seed, keep_path)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            yield from pool.map(one_run, range(n_runs),
-                                chunksize=max(1, n_runs // (4 * n_jobs)))
-    else:
-        yield from map(one_run, range(n_runs))
+def _run_costs(instance, records, n_eval, paths=None):
+    """Pathwise costs of a batch of runs, stepped together in one filter walk.
+
+    Each run's cost is the trapezoid objective of its path, reduced as the
+    walk records its nodes: <W_i, P_i> summed in node order, W_i the node's
+    quadrature weight plus W_T at the end.  The nodes also go to paths[r, i]
+    when paths is given.
+    """
+    grid = _evaluation_grid(instance.T, n_eval)
+    weights = quadrature_weights(grid, instance.weights)
+    if weights is None:
+        weights = np.zeros((n_eval + 1, instance.n, instance.n))
+    weights[-1] += instance.weights.W_T
+    costs = np.zeros(len(records))
+    for kind, arg, P in _filter_walk(instance, records, grid):
+        if kind == "node":
+            runs, nodes = arg
+            costs[runs] += (weights[nodes] * P[runs]).reshape(
+                len(runs), -1).sum(axis=1)
+            if paths is not None:
+                paths[runs, nodes] = P[runs]
+    return costs
 
 
 def _estimate(costs: np.ndarray) -> McEstimate:
@@ -126,20 +138,16 @@ def mc_objective(
     n_runs: int = 100,
     n_eval: int = 300,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> McEstimate:
     """Estimate the expected pathwise objective of a schedule.
 
     Per run: sample arrivals, step the exact covariance recursion and sample
-    it on the evaluation grid, apply the trapezoid objective.  per_run_costs
-    comes back in run order regardless of n_jobs, so the reduction is
-    deterministic.  Paths are not kept.
+    it on the evaluation grid, apply the trapezoid objective.  All runs are
+    stepped together and per_run_costs comes back in run order, so the
+    reduction is deterministic.  Paths are not kept.
     """
-    if n_runs < 1:
-        raise ValidationError(f"need n_runs >= 1, got {n_runs}")
-    runs = _runs(instance, schedule, n_runs, n_eval, seed, n_jobs,
-                 keep_path=False)
-    return _estimate(np.fromiter(runs, dtype=float, count=n_runs))
+    records = _sample_runs(schedule, n_runs, seed)
+    return _estimate(_run_costs(instance, records, n_eval))
 
 
 @dataclass(frozen=True)
@@ -168,24 +176,17 @@ def mc_mean_trajectories(
     n_runs: int = 100,
     n_eval: int = 300,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> McTrajectories:
     """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
 
-    Runs, seeding and the n_jobs contract are those of mc_objective; every
-    covariance path is kept for the nodewise statistics.
+    Runs, seeding and costs are those of mc_objective; every covariance path
+    is kept for the nodewise statistics.
     """
-    if n_runs < 1:
-        raise ValidationError(f"need n_runs >= 1, got {n_runs}")
+    records = _sample_runs(schedule, n_runs, seed)
     times = _evaluation_grid(instance.T, n_eval)
     n = instance.n
-    costs = np.empty(n_runs)
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    runs = _runs(instance, schedule, n_runs, n_eval, seed, n_jobs,
-                 keep_path=True)
-    for r, (cost, path) in enumerate(runs):
-        costs[r] = cost
-        p_paths[r] = path
+    costs = _run_costs(instance, records, n_eval, p_paths)
     y_paths = _sym(np.linalg.inv(p_paths))
 
     if np.all(p_paths == p_paths[0]):

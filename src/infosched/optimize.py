@@ -45,7 +45,7 @@ from .riccati import (
     hamiltonian_maps,
     quadrature_weights,
     require_pd,
-    sensor_stacks,
+    sensor_table,
     stacked_gains,
 )
 from .surrogate import (
@@ -204,7 +204,10 @@ class _CovPoint:
 
     def __init__(self, A, Q, stacks, lam, P):
         self.A, self.lam = A, lam
-        self.g, self.B = stacked_gains(P, stacks)
+        self.g, sols = stacked_gains(P, stacks)
+        self.B = np.empty_like(self.g)
+        for (rows, H, _), sol in zip(stacks, sols):
+            self.B[rows] = H.swapaxes(1, 2) @ sol
         self._rate = cov_rate_rhs(P, A, Q, lam, self.g)
 
     def rate(self):
@@ -222,7 +225,7 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     # reverse sweep over the substeps of the forward trajectory traj
     inst = problem.instance
     A, Q = inst.system.A, inst.system.Q
-    stacks = sensor_stacks(inst.sensors, range(problem.M))
+    stacks = sensor_table(inst.sensors)
     _, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     values = traj.values

@@ -44,6 +44,7 @@ from .riccati import (
     quadrature_weights,
     require_pd,
     sensor_stacks,
+    sensor_table,
     stacked_gains,
     walk_stops,
 )
@@ -111,7 +112,8 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
     else:
         X = np.array(sys.P0)
         # per stage: the sensors with a nonzero rate, stacked, and their rates
-        stages = [(sensor_stacks(instance.sensors, cols), lam[cols])
+        table = sensor_table(instance.sensors)
+        stages = [(sensor_stacks(table, cols), lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
     values = np.empty((len(times), sys.n, sys.n))

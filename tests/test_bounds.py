@@ -87,14 +87,13 @@ def test_trajectory_bracket_random_schedule_contained():
     assert rep.j_lower <= rep.j_upper + 1e-9 * rep.trace_p0
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
-def test_trajectory_bracket_estimate_equals_mc_objective(n_jobs):
+def test_trajectory_bracket_estimate_equals_mc_objective():
     # the bracket takes its estimate from the runs behind its mean paths;
     # it must be the estimate mc_objective reports for the same seed
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=9, T=1.5,
                                         budget=3.0))
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 2), 1.0))
-    kw = dict(n_runs=6, n_eval=30, seed=5, n_jobs=n_jobs)
+    kw = dict(n_runs=6, n_eval=30, seed=5)
     rep = trajectory_bracket(inst, sched, surrogate_substeps=4, **kw)
     est = mc_objective(inst, sched, **kw)
     np.testing.assert_array_equal(rep.mc.per_run_costs, est.per_run_costs)

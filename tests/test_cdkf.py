@@ -109,8 +109,8 @@ def test_rollout_failure_names_no_substeps():
 
 @pytest.mark.parametrize("where", ["node", "arrival"])
 def test_rollout_pd_loss_is_typed(monkeypatch, where):
-    # a node is checked in one batch and an arrival update on its own; a
-    # loss is a PositiveDefinitenessError, never malformed input
+    # the walk checks the recorded nodes and the gain updates of each step;
+    # a loss is a PositiveDefinitenessError, never malformed input
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     events = []
     if where == "node":
@@ -123,7 +123,9 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
         monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
     else:
         events = [(0.4, 0)]
-        monkeypatch.setattr(cdkf, "jump_cov", lambda P, sensor: -P)
+        # the walk's gain update: g = 2 P leaves P - g = -P
+        monkeypatch.setattr(cdkf, "stacked_gains",
+                            lambda P, stacks: (2.0 * P, None))
     for run in (rollout_covariance,
                 lambda i, a, n_eval: simulate_realization(i, arrivals=a,
                                                           n_eval=n_eval)):

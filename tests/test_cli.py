@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,6 +224,28 @@ def test_sweep_refuses_over_time_cap(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert "refusing sweep" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_estimate_fits_fixed_and_per_run_monte_carlo_cost(monkeypatch):
+    # a stubbed clock: a gradient costs 0.01 s and a batch of r runs
+    # 0.5 + 0.002 r s, so --runs 500 costs 1.5 s per estimate, not the
+    # 126 s a linear scaling of 2 runs would predict
+    clock = [0.0]
+
+    def advance(seconds):
+        clock[0] += seconds
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(cli, "objective_and_gradient",
+                        lambda problem, rates: advance(0.01))
+    monkeypatch.setattr(cli, "mc_objective",
+                        lambda *a, n_runs, **kw: advance(0.5 + 0.002 * n_runs))
+    args = cli.build_parser().parse_args(
+        ["sweep", "--grid", "8,10", "--instances", "3", "--runs", "500",
+         "--max-iters", "10", "--out", "unused.csv"])
+    got = cli._estimate_sweep_seconds(cli._sweep_points(args), args)
+    per_point = 2 * 1.7 * 10 * 0.01 + 2 * (0.5 + 0.002 * 500)
+    assert got == pytest.approx(2 * 3 * per_point, rel=1e-9)
 
 
 def test_gradcheck_builtin_scalar_passes(capsys):

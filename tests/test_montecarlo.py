@@ -1,22 +1,32 @@
 import json
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from infosched.cdkf import rollout_covariance
-from infosched.model import InstanceSpec, Schedule, ValidationError, random_instance
+from infosched import cdkf
+from infosched.cdkf import ArrivalRecord, rollout_covariance
+from infosched.model import (
+    InstanceSpec,
+    Schedule,
+    ValidationError,
+    WeightSpec,
+    _generator,
+    random_instance,
+)
 from infosched.montecarlo import (
+    _run_costs,
     mc_mean_trajectories,
     mc_objective,
     run_seed,
     sample_arrivals,
     save_mc_report,
 )
-from infosched.riccati import flow_cov
+from infosched.riccati import PositiveDefinitenessError, flow_cov, pathwise_cost
 
-from conftest import make_scalar_instance
+from conftest import make_scalar_instance, mixed_instance, rng_for
 
 
 # ------------------------------------------------------------------ sampling
@@ -52,6 +62,35 @@ def test_sample_arrivals_respects_stage_rates():
     rec = sample_arrivals(sched, seed=5)
     assert rec.times.size > 0
     assert np.all(rec.times >= 1.0)
+
+
+def _double_loop_arrivals(schedule, seed):
+    # the documented draw order, written out: every sensor, then every
+    # interval, one Poisson count then that many uniforms; zero rates skip
+    rng = _generator(seed)
+    delta = schedule.delta
+    times, sensors = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for j in range(schedule.M):
+        for k in range(schedule.N):
+            lam = schedule.rates[k, j]
+            count = int(rng.poisson(lam * delta)) if lam > 0.0 else 0
+            times.append(k * delta + delta * rng.random(count))
+            sensors.append(np.full(count, j, dtype=np.int64))
+    return ArrivalRecord(times=np.concatenate(times),
+                         sensors=np.concatenate(sensors))
+
+
+def test_sample_arrivals_matches_the_documented_double_loop():
+    rates = rng_for(17).uniform(0.0, 3.0, size=(6, 5))
+    rates[:, [0, 3]] = 0.0                 # idle sensors
+    rates[[0, 4], 2] = 0.0                 # idle intervals of a live sensor
+    sched = Schedule(N=6, T=2.0, rates=rates)
+    for seed in (0, 7, run_seed(3, 2)):
+        got = sample_arrivals(sched, seed)
+        want = _double_loop_arrivals(sched, seed)
+        assert got.n_events > 0
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.sensors, want.sensors)
 
 
 def test_sample_arrivals_poisson_moments():
@@ -109,36 +148,105 @@ def test_mc_objective_scalar_poisson_expectation():
     assert abs(est.mean - closed) <= 3.0 * est.stderr
 
 
-def test_mc_objective_parallel_matches_serial():
+def test_mc_objective_independent_of_batch_composition():
+    # run r's cost depends on its own stream alone: the same in a batch of
+    # 6 and of 9, and on a repeated call
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
-    serial = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9, n_jobs=1)
-    parallel = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9,
-                            n_jobs=2)
-    np.testing.assert_array_equal(serial.per_run_costs,
-                                  parallel.per_run_costs)
-    assert serial.mean == parallel.mean
+    six = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9)
+    nine = mc_objective(inst, sched, n_runs=9, n_eval=30, seed=9)
+    again = mc_objective(inst, sched, n_runs=6, n_eval=30, seed=9)
+    np.testing.assert_array_equal(six.per_run_costs, nine.per_run_costs[:6])
+    np.testing.assert_array_equal(six.per_run_costs, again.per_run_costs)
+    assert (six.mean, six.std) == (again.mean, again.std)
 
 
-def test_mc_mean_trajectories_parallel_matches_serial():
-    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=1.0))
-    sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
-    serial = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
-                                  seed=9, n_jobs=1)
-    parallel = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30,
-                                    seed=9, n_jobs=2)
-    for a, b in ((serial.p_mean, parallel.p_mean),
-                 (serial.y_mean, parallel.y_mean)):
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(serial.p_trace_stderr,
-                                  parallel.p_trace_stderr)
-    np.testing.assert_array_equal(serial.y_trace_stderr,
-                                  parallel.y_trace_stderr)
-    np.testing.assert_array_equal(serial.objective.per_run_costs,
-                                  parallel.objective.per_run_costs)
-    assert (serial.objective.mean, serial.objective.std) == \
-        (parallel.objective.mean, parallel.objective.std)
+def test_mc_mean_trajectories_independent_of_batch_composition():
+    # the paths behind the means, walked in another batch (reversed, with
+    # runs of another seed between), give the same statistics bit for bit
+    inst = mixed_instance(4, T=1.0)
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 5), 1.0))
+    out = mc_mean_trajectories(inst, sched, n_runs=6, n_eval=30, seed=9)
+    records = [sample_arrivals(sched, run_seed(9, r)) for r in range(6)]
+    others = [sample_arrivals(sched, run_seed(10, r)) for r in range(3)]
+    batch = records[::-1][:3] + others + records[::-1][3:]
+    paths = np.empty((9, 31, 4, 4))
+    costs = _run_costs(inst, batch, 30, paths)
+    keep = [8, 7, 6, 2, 1, 0]          # batch positions of runs 0..5
+    np.testing.assert_array_equal(paths[keep].mean(axis=0),
+                                  out.p_mean.values)
+    y = np.linalg.inv(paths[keep])
+    y = 0.5 * (y + y.transpose(0, 1, 3, 2))
+    np.testing.assert_array_equal(y.mean(axis=0), out.y_mean.values)
+    np.testing.assert_array_equal(
+        np.trace(paths[keep], axis1=2, axis2=3).std(axis=0, ddof=1)
+        / np.sqrt(6), out.p_trace_stderr)
+    np.testing.assert_array_equal(costs[keep], out.objective.per_run_costs)
+
+
+def _batch_records(inst, grid):
+    # a run with no arrivals, one with coincident arrivals (p = 1 and p = 2
+    # sensors at one instant), one on a grid node, and runs of many arrivals
+    rng = rng_for(31)
+    many = [ArrivalRecord(times=rng.uniform(0.0, inst.T, size=k),
+                          sensors=rng.integers(0, inst.M, size=k))
+            for k in (25, 40, 12)]
+    mixed = ArrivalRecord.from_events(
+        [(0.0, 1), (0.31, 3), (0.31, 0), (0.31, 1), (grid[4], 2),
+         (grid[4], 3), (0.77, 4), (inst.T, 1)])
+    empty = ArrivalRecord.from_events([])
+    return [mixed, empty, many[0]], many[1:]
+
+
+def test_batched_walk_paths_independent_of_batch():
+    inst = mixed_instance(12, T=1.0)
+    n_eval = 10
+    grid = np.linspace(0.0, inst.T, n_eval + 1)
+    runs, extra = _batch_records(inst, grid)
+    three = np.empty((3, n_eval + 1, 4, 4))
+    costs3 = _run_costs(inst, runs, n_eval, three)
+    seven = np.empty((7, n_eval + 1, 4, 4))
+    order = [extra[0], runs[2], runs[1], extra[1], runs[0], runs[2], runs[1]]
+    costs7 = _run_costs(inst, order, n_eval, seven)
+    for r, at in enumerate(([4], [2, 6], [1, 5])):
+        single = rollout_covariance(inst, runs[r], n_eval)
+        np.testing.assert_array_equal(three[r], single.values)
+        for i in at:
+            np.testing.assert_array_equal(seven[i], three[r])
+            assert costs7[i] == costs3[r]
+        want = pathwise_cost(single, inst.weights, inst.T)
+        assert abs(costs3[r] - want) <= 1e-12 * abs(want)
+    # the nodes saw the arrivals: at T the busy run sits below the idle one
+    assert np.trace(three[0][-1]) < np.trace(three[1][-1])
+
+
+def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
+    inst = random_instance(InstanceSpec(n=3, M=4, p=2, seed=5, T=1.5))
+    W = rng_for(2).normal(size=(3, 3, 3))
+    inst = replace(inst, weights=WeightSpec(W_stages=W @ W.transpose(0, 2, 1),
+                                            W_T=np.eye(3)))
+    sched = Schedule(N=3, T=1.5, rates=np.full((3, 4), 2.0))
+    records = [sample_arrivals(sched, run_seed(3, r)) for r in range(8)]
+    paths = np.empty((8, 21, 3, 3))
+    costs = _run_costs(inst, records, 20, paths)
+    for r, rec in enumerate(records):
+        traj = rollout_covariance(inst, rec, 20)
+        np.testing.assert_array_equal(paths[r], traj.values)
+        want = pathwise_cost(traj, inst.weights, inst.T)
+        assert abs(costs[r] - want) <= 1e-12 * abs(want)
+
+
+def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
+    # only run 1 of the batch has an arrival; a gain update g = 2 P leaves
+    # P - g = -P there, and the error names that run, its sensor and t
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    monkeypatch.setattr(cdkf, "stacked_gains",
+                        lambda P, stacks: (2.0 * P, None))
+    empty = ArrivalRecord.from_events([])
+    records = [empty, ArrivalRecord.from_events([(0.4, 0)]), empty]
+    with pytest.raises(PositiveDefinitenessError,
+                       match="arrival from sensor 0 at t=0.4 in run 1"):
+        _run_costs(inst, records, 4)
 
 
 def test_mc_objective_estimate_invariants():

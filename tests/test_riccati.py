@@ -27,6 +27,7 @@ from infosched.riccati import (
     quadrature_weights,
     require_pd,
     sensor_stacks,
+    sensor_table,
     stacked_gains,
     trajectory_to_csv,
 )
@@ -315,14 +316,17 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
     rng.shuffle(sensors)
     columns = rng.permutation(len(sensors))[:7]
     P = random_spd(rng, n)
-    g, B = stacked_gains(P, sensor_stacks(sensors, columns))
-    assert g.shape == B.shape == (7, n, n)
+    stacks = sensor_stacks(sensor_table(sensors), columns)
+    g, sols = stacked_gains(P, stacks)
+    assert g.shape == (7, n, n)
     for i, j in enumerate(columns):
-        s = sensors[j]
-        want = covariance_decrement(P, s)
+        want = covariance_decrement(P, sensors[j])
         assert np.linalg.norm(g[i] - want) <= 1e-12 * np.linalg.norm(want)
-        want_B = s.H.T @ np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
-        assert np.linalg.norm(B[i] - want_B) <= 1e-12 * np.linalg.norm(want_B)
+    for (rows, H, R), sol in zip(stacks, sols):
+        for i, j in enumerate(columns[rows]):
+            s = sensors[j]
+            want = np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
+            assert np.linalg.norm(sol[i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------- trajectory
