@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
     instance = _instance_from_args(args)
     problem = ShootingProblem(
         instance=instance, N=args.N, kind=args.kind,
-        substeps=args.substeps, scheme=args.scheme,
+        substeps=args.substeps,
     )
     options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     report = solve(problem, options=options)
@@ -343,13 +343,7 @@ def cmd_gradcheck(args) -> int:
         base = centered_rates(instance.polytope, N)
         t_star = 2.0 * base[0, 0]
         rates = t_star * rng.uniform(0.2, 0.8, size=base.shape)
-        grad_fn = objective_and_gradient
-        if args.corrupt:
-            def grad_fn(problem, x):
-                J, G = objective_and_gradient(problem, x)
-                return J, 1.1 * G     # negative control: must fail
-        err = gradient_check(problem, rates, fd_step=args.fd_step,
-                             gradient_fn=grad_fn)
+        err = gradient_check(problem, rates, fd_step=args.fd_step)
         worst = max(worst, err)
         passed = err <= GRADCHECK_TOL
         ok = ok and passed
@@ -384,9 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substeps", type=int, default=10,
                    help="integrator steps per stage (cov); for info only the "
                         "quadrature grid of running weights")
-    p.add_argument("--scheme", choices=("rk4", "euler"), default="rk4",
-                   help="integration scheme of the cov kind; the info kind "
-                        "steps exact stage maps and rejects euler")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-6)
     p.add_argument("--out", help="output prefix for schedule/report JSON")
@@ -447,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--substeps", type=int, default=10)
     p.add_argument("--fd-step", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true",
-                   help="test hook: corrupt the gradient, expect exit 1")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

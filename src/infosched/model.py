@@ -365,8 +365,7 @@ class InstanceSpec:
     """Recipe for a random instance.
 
     n state dimensions, M sensors of output dimension p each, horizon T and a
-    single total-rate budget (sum of rates <= budget per stage).  n_stable
-    controls the stable/unstable eigenvalue split of A; the default puts
+    single total-rate budget (sum of rates <= budget per stage).  A has
     ceil(n/2) eigenvalues in [-1, -0.1] and the rest in [0.1, 1].
     """
 
@@ -376,7 +375,6 @@ class InstanceSpec:
     seed: int = 0
     T: float = 3.0
     budget: float = 5.0
-    n_stable: int | None = None
 
 
 def _generator(seed) -> np.random.Generator:
@@ -408,14 +406,12 @@ def random_instance(spec: InstanceSpec) -> Instance:
         raise ValidationError(f"need 1 <= p <= n, got p={p}, n={n}")
     if M < 1:
         raise ValidationError(f"need at least one sensor, got M={M}")
-    n_stable = math.ceil(n / 2) if spec.n_stable is None else int(spec.n_stable)
-    if not (0 <= n_stable <= n):
-        raise ValidationError(f"need 0 <= n_stable <= n, got {n_stable}")
+    stable = math.ceil(n / 2)
     rng = _generator(spec.seed)
 
     V = _random_orthogonal(rng, n)
     mu = np.concatenate(
-        [rng.uniform(-1.0, -0.1, n_stable), rng.uniform(0.1, 1.0, n - n_stable)]
+        [rng.uniform(-1.0, -0.1, stable), rng.uniform(0.1, 1.0, n - stable)]
     )
     A = V @ np.diag(mu) @ V.T
 

@@ -7,8 +7,8 @@ linear-fractional map per step (riccati.hamiltonian_maps).  The gradient is
 that map's closed-form adjoint, summed over a stage's steps and carried
 through one Frechet adjoint of the exponential per stage, so the rates enter
 only through U_k = sum_j lam_kj S_j.  The covariance form integrates at
-substep resolution with RK4 (or Euler) and reverses each step, stage state
-by stage state, with one batched gain solve per stage point.  No ODE is
+substep resolution with RK4 and reverses each step, stage state by stage
+state, with one batched gain solve per stage point.  No ODE is
 solved backwards, so either gradient matches central differences to
 roundoff rather than to integrator tolerance.
 
@@ -40,7 +40,7 @@ from .riccati import (
     INFO,
     PositiveDefinitenessError,
     Trajectory,
-    _scheme,
+    _rk4_reverse,
     expm_adjoint,
     hamiltonian_maps,
     quadrature_weights,
@@ -70,17 +70,10 @@ class ShootingProblem:
     N: int
     kind: str = "info"
     substeps: int = 10     # steps per stage; info: the running-weight grid
-    scheme: str = "rk4"    # cov only: the info kind uses exact maps
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        _scheme(self.scheme)
-        if self.kind == "info" and self.scheme != "rk4":
-            raise ValidationError(
-                f"scheme {self.scheme!r} applies to the cov kind only; the "
-                f"info kind steps exact stage maps"
-            )
         if int(self.N) < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         if int(self.substeps) < 1:
@@ -190,7 +183,7 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# covariance form: reverse sweep through the integration scheme
+# covariance form: reverse sweep through the RK4 steps
 #
 # A rate enters through the gain update g_j(P): d rate / d lam_kj = -g_j(P)
 # depends on the state, so every stage point carries g_j and B_j of all
@@ -199,8 +192,8 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 
 
 class _CovPoint:
-    """The cov rate linearized at P: the rate() and vjp(L) of the reverse
-    steps' contract."""
+    """The cov rate linearized at P: the rate() and vjp(L) of
+    _rk4_reverse's contract."""
 
     def __init__(self, A, Q, stacks, lam, P):
         self.A, self.lam = A, lam
@@ -226,7 +219,6 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     inst = problem.instance
     A, Q = inst.system.A, inst.system.Q
     stacks = sensor_table(inst.sensors)
-    _, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     values = traj.values
     h = inst.T / (N * S)
@@ -239,7 +231,7 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
         linearize = partial(_CovPoint, A, Q, stacks, sched.rates[k])
         for s in range(S - 1, -1, -1):
             i = k * S + s
-            Lam, stages = reverse(values[i], h, linearize, Lam)
+            Lam, stages = _rk4_reverse(values[i], h, linearize, Lam)
             for pt, kbar in stages:
                 G[k] -= np.einsum("ab,jab->j", kbar, pt.g)
             if i > 0 and w_hat is not None:
@@ -255,8 +247,7 @@ def _forward(problem: ShootingProblem, rates: np.ndarray):
     if problem.kind == "info":
         traj, maps = _info_forward(inst, sched, problem.substeps)
     else:
-        traj = integrate_cov_surrogate(inst, sched, problem.substeps,
-                                       problem.scheme)
+        traj = integrate_cov_surrogate(inst, sched, problem.substeps)
         maps = None
     return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj, maps
 
@@ -528,7 +519,7 @@ def gradient_check(
 
     Uses per-entry steps h = fd_step * (1 + |rate|); every rate must exceed
     its own step so the stencil stays in the admissible orthant.  gradient_fn
-    defaults to objective_and_gradient; tests can inject a corrupted one as a
+    defaults to objective_and_gradient; tests can inject a wrong one as a
     negative control.
     """
     if gradient_fn is None:

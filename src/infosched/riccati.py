@@ -16,15 +16,15 @@ The filter rollouts step the linear Lyapunov flow by its exact map
 (``lyapunov_maps``).  The optimizer steps the information flow with a
 constant input by its exact linear-fractional map (``hamiltonian_maps``),
 and differentiates the exponential behind it with ``expm_adjoint``.  The
-remaining flows (the certificates' surrogates and the ``flow_*`` references)
-are integrated with fixed-step explicit schemes: classical RK4 by default,
-forward Euler as a cross-check.  Each scheme is defined once here, its
-forward step paired with the step's exact adjoint, which the optimizer's
-reverse sweep runs.  Every step re-symmetrizes the state so roundoff cannot
-push iterates off the symmetric cone, and positive definiteness is enforced
-against a scale-relative floor.  Losing it, or a non-finite entry, is a
-typed error, never silently repaired; only the integrators, which have
-substeps to refine, suggest more of them.
+remaining flows (the certificates' surrogates, the covariance-form design
+path and the ``flow_*`` references) are integrated with one fixed-step
+scheme, classical RK4, defined here once: its forward step paired with the
+step's exact adjoint, which the optimizer's reverse sweep runs.  Every step
+re-symmetrizes the state so roundoff cannot push iterates off the symmetric
+cone, and positive definiteness is enforced against a scale-relative floor.
+Losing it, or a non-finite entry, is a typed error, never silently
+repaired; only the integrators, which have substeps to refine, suggest more
+of them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .model import ValidationError, WeightSpec, _sym
 PD_FLOOR_REL = 1e-12   # min eigenvalue must stay above PD_FLOOR_REL * trace/n
 SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
-MAP_BATCH = 32         # exponentials per batch: bounds the working memory
 MAX_MAP_SPLIT = 1024   # most steps of an information map per step asked for
 
 COV = "covariance"
@@ -142,57 +141,30 @@ def _rk4_reverse(x, h, linearize, bar):
     return x_bar, ((l1, kb1), (l2, kb2), (l3, kb3), (l4, kb4))
 
 
-def _euler_step(x, h, rhs):
-    return x + h * rhs(x)
-
-
-def _euler_reverse(x, h, linearize, bar):
-    """Adjoint of one Euler step; same contract as _rk4_reverse."""
-    l1 = linearize(x)
-    kb1 = h * bar
-    return _sym(bar + l1.vjp(kb1)), ((l1, kb1),)
-
-
-# each scheme once: its forward step paired with the step's exact adjoint
-_SCHEMES = {"rk4": (_rk4_step, _rk4_reverse),
-            "euler": (_euler_step, _euler_reverse)}
-
-
-def _scheme(name: str):
-    """The (step, reverse) pair of a scheme."""
-    try:
-        return _SCHEMES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown scheme {name!r}, expected one of {sorted(_SCHEMES)}"
-        ) from None
-
-
-def _integrate(x0, dt, substeps, rhs, scheme):
+def _integrate(x0, dt, substeps, rhs):
     if dt < 0:
         raise ValidationError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return x0.copy()
     if substeps < 1:
         raise ValidationError(f"substeps must be >= 1, got {substeps}")
-    step, _ = _scheme(scheme)
     h = dt / substeps
     x = x0
     for _ in range(substeps):
-        x = _sym(step(x, h, rhs))
+        x = _sym(_rk4_step(x, h, rhs))
     return x
 
 
-def flow_cov(P, A, Q, dt, substeps: int = 100, scheme: str = "rk4") -> np.ndarray:
+def flow_cov(P, A, Q, dt, substeps: int = 100) -> np.ndarray:
     """Propagate a covariance through the Lyapunov flow for a time dt."""
-    out = _integrate(P, dt, substeps, lambda X: lyapunov_rhs(X, A, Q), scheme)
+    out = _integrate(P, dt, substeps, lambda X: lyapunov_rhs(X, A, Q))
     require_pd(out, f"after covariance flow over dt={dt:g}", SUBSTEP_ADVICE)
     return out
 
 
-def flow_info(Y, A, Q, dt, substeps: int = 100, scheme: str = "rk4") -> np.ndarray:
+def flow_info(Y, A, Q, dt, substeps: int = 100) -> np.ndarray:
     """Propagate an information matrix through the dual flow for a time dt."""
-    out = _integrate(Y, dt, substeps, lambda X: info_rhs(X, A, Q), scheme)
+    out = _integrate(Y, dt, substeps, lambda X: info_rhs(X, A, Q))
     require_pd(out, f"after information flow over dt={dt:g}", SUBSTEP_ADVICE)
     return out
 
@@ -222,14 +194,14 @@ def lyapunov_maps(A, Q, durations):
     Returns stacks (Phi, W) with P(t + d) = Phi P Phi^T + W, where
     Phi = e^{A d} and W = int_0^d e^{A s} Q e^{A^T s} ds.  Both come from the
     exponential of the block [[-A, Q], [0, A^T]] d (Van Loan, IEEE TAC
-    1978), taken MAP_BATCH durations at a time.
+    1978), all durations in one batch: the working memory of a call grows
+    with their number, which the filter walk keeps to one step's cut
+    segments, at most one per run of the batch.
     """
     n = A.shape[0]
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n], block[:n, n:], block[n:, n:] = -A, Q, A.T
-    d = np.asarray(durations, dtype=float)[:, None, None]
-    F = np.concatenate([expm(block * d[lo:lo + MAP_BATCH])
-                        for lo in range(0, len(d), MAP_BATCH)])
+    F = expm(block * np.asarray(durations, dtype=float)[:, None, None])
     phi = F[:, n:, n:].transpose(0, 2, 1)
     return phi, _sym(phi @ F[:, :n, n:])
 
@@ -359,34 +331,6 @@ def jump_cov(P, sensor) -> np.ndarray:
 def jump_info(Y, sensor) -> np.ndarray:
     """Information matrix after one arrival: Y + H^T R^{-1} H."""
     return _sym(Y + sensor.S)
-
-
-# ---------------------------------------------------------------------------
-# stop walking
-
-
-def walk_stops(grid, cuts):
-    """Walk the merged stops of a recording grid and extra cut times.
-
-    Yields (t_prev, t, node) for every stop t in increasing order.  t_prev is
-    the previous stop (None at the first); node is the index of t in grid,
-    or None when t is only a cut.  Callers flow over the segment
-    [t_prev, t], apply whatever happens at t, then record at node.
-    Exhausting the walk checks that every grid node was visited.
-    """
-    stops = np.union1d(grid, cuts)
-    n_nodes = len(grid)
-    gi = 0
-    prev = None
-    for t in stops:
-        node = None
-        if gi < n_nodes and grid[gi] == t:
-            node = gi
-            gi += 1
-        yield prev, t, node
-        prev = t
-    if gi != n_nodes:   # pragma: no cover - union1d guarantees coverage
-        raise RuntimeError("internal: recording grid not fully visited")
 
 
 # ---------------------------------------------------------------------------
@@ -546,5 +490,4 @@ __all__ = [
     "sensor_table",
     "stacked_gains",
     "trajectory_to_csv",
-    "walk_stops",
 ]

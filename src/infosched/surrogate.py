@@ -17,12 +17,13 @@ stage point: one batched gain solve that grows with M.  That asymmetry is
 the point of the information form and is what the assembly benchmark in the
 optimizer module measures.
 
-Both integrators here step each segment between stops through the shared
-fixed-step schemes of the riccati module and fail loudly if the state at the
-segment's end leaves the positive definite cone.  The certificates use them.
-The optimizer does not integrate the information form: with U_k constant on
-a stage, the flow has an exact step map (riccati.hamiltonian_maps), and the
-design path steps that map instead (optimize).
+Both integrators here step each segment between stops (the recording grid
+merged with the stage boundaries) by the riccati module's RK4 and fail
+loudly if the state at the segment's end leaves the positive definite cone.
+The certificates use them.  The optimizer does not integrate the
+information form: with U_k constant on a stage, the flow has an exact step
+map (riccati.hamiltonian_maps), and the design path steps that map instead
+(optimize).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .riccati import (
     sensor_stacks,
     sensor_table,
     stacked_gains,
-    walk_stops,
 )
 
 KINDS = ("info", "cov")
@@ -75,7 +75,7 @@ def cov_rate_rhs(P, A, Q, lam, g):
     return lyapunov_rhs(P, A, Q) - np.einsum("j,jab->ab", lam, g)
 
 
-def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
+def _integrate_surrogate(instance, schedule, substeps, kind, grid):
     _check_pair(instance, schedule)
     if substeps < 1:
         raise ValidationError(f"substeps must be >= 1, got {substeps}")
@@ -116,23 +116,24 @@ def _integrate_surrogate(instance, schedule, substeps, scheme, kind, grid):
         stages = [(sensor_stacks(table, cols), lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
-    values = np.empty((len(times), sys.n, sys.n))
-    for prev, t, node in walk_stops(times, boundaries):
-        if prev is not None:
-            # no step longer than delta / substeps, at least one per segment
-            n_steps = max(1, math.ceil(substeps * (t - prev) / delta - 1e-9))
-            k = min(int((0.5 * (prev + t)) / delta), N - 1)
-            if kind == "info":
-                Uk = U[k]
-                rhs = lambda Y: info_rhs(Y, A, Q) + Uk
-            else:
-                stacks, lam = stages[k]
-                rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
-                                             stacked_gains(P, stacks)[0])
-            X = _integrate(X, t - prev, n_steps, rhs, scheme)
-            require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
-        if node is not None:
-            values[node] = X
+    # every stop, with the path recorded at the grid's nodes among them
+    stops = np.union1d(times, boundaries)
+    path = np.empty((len(stops), sys.n, sys.n))
+    path[0] = X
+    for i, (prev, t) in enumerate(zip(stops[:-1], stops[1:]), 1):
+        # no step longer than delta / substeps, at least one per segment
+        n_steps = max(1, math.ceil(substeps * (t - prev) / delta - 1e-9))
+        k = min(int((0.5 * (prev + t)) / delta), N - 1)
+        if kind == "info":
+            Uk = U[k]
+            rhs = lambda Y: info_rhs(Y, A, Q) + Uk
+        else:
+            stacks, lam = stages[k]
+            rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
+                                         stacked_gains(P, stacks)[0])
+        X = path[i] = _integrate(X, t - prev, n_steps, rhs)
+        require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
+    values = path[np.searchsorted(stops, times)]
     coords = INFO if kind == "info" else COV
     return Trajectory(coordinates=coords, times=times, values=values)
 
@@ -141,7 +142,6 @@ def integrate_info_surrogate(
     instance: Instance,
     schedule: Schedule,
     substeps: int = 10,
-    scheme: str = "rk4",
     grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the information-form surrogate.
@@ -150,18 +150,17 @@ def integrate_info_surrogate(
     an explicit grid records there instead while still honoring stage
     boundaries and the per-stage substep budget.
     """
-    return _integrate_surrogate(instance, schedule, substeps, scheme, "info", grid)
+    return _integrate_surrogate(instance, schedule, substeps, "info", grid)
 
 
 def integrate_cov_surrogate(
     instance: Instance,
     schedule: Schedule,
     substeps: int = 10,
-    scheme: str = "rk4",
     grid: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the covariance-form surrogate; sampling as in the info form."""
-    return _integrate_surrogate(instance, schedule, substeps, scheme, "cov", grid)
+    return _integrate_surrogate(instance, schedule, substeps, "cov", grid)
 
 
 def cost_of_trajectory(traj: Trajectory, weights, horizon: float) -> float:
@@ -187,7 +186,6 @@ def surrogate_objective(
     schedule: Schedule,
     kind: str = "info",
     substeps: int = 10,
-    scheme: str = "rk4",
 ) -> float:
     """Objective value of the chosen surrogate kind, integrated at substep
     resolution.
@@ -196,9 +194,9 @@ def surrogate_objective(
     trajectory on its N * substeps + 1 nodes.
     """
     if kind == "info":
-        traj = integrate_info_surrogate(instance, schedule, substeps, scheme)
+        traj = integrate_info_surrogate(instance, schedule, substeps)
     elif kind == "cov":
-        traj = integrate_cov_surrogate(instance, schedule, substeps, scheme)
+        traj = integrate_cov_surrogate(instance, schedule, substeps)
     else:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
     return cost_of_trajectory(traj, instance.weights, instance.T)

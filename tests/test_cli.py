@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from infosched import cli
+from infosched import cli, optimize
 from infosched.model import Schedule, load_schedule, save_instance, save_schedule
 
 from conftest import make_scalar_instance
@@ -59,18 +59,6 @@ def test_solve_negative_budget_is_usage_error(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "neg.schedule.json").exists()
-
-
-def test_solve_info_euler_is_usage_error(tmp_path, capsys):
-    # the info kind steps exact stage maps; euler applies to cov only
-    argv = ["solve", "--random", "n=2,M=2,seed=2", "--T", "1.0", "--N", "2",
-            "--kind", "info", "--scheme", "euler",
-            "--out", str(tmp_path / "e")]
-    assert cli.main(argv) == 2
-    assert "cov kind only" in capsys.readouterr().err
-    assert not (tmp_path / "e.schedule.json").exists()
-    argv[argv.index("info")] = "cov"
-    assert cli.main(argv + ["--max-iters", "2"]) == 0
 
 
 def test_solve_requires_an_instance_source(capsys):
@@ -254,8 +242,16 @@ def test_gradcheck_builtin_scalar_passes(capsys):
     assert out.count("PASS") == 2
 
 
-def test_gradcheck_corrupted_gradient_fails(capsys):
-    assert cli.main(["gradcheck", "--kind", "info", "--corrupt"]) == 1
+def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
+    # negative control: the adjoint gradient that gradcheck checks, off by 10%
+    exact = optimize.objective_and_gradient
+
+    def corrupted(problem, rates):
+        J, G = exact(problem, rates)
+        return J, 1.1 * G
+
+    monkeypatch.setattr(optimize, "objective_and_gradient", corrupted)
+    assert cli.main(["gradcheck", "--kind", "info"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -25,7 +25,8 @@ from infosched.riccati import (
     COV,
     PositiveDefinitenessError,
     Trajectory,
-    _scheme,
+    _rk4_reverse,
+    _rk4_step,
     covariance_decrement,
     pathwise_cost,
     quadrature_weights,
@@ -427,21 +428,17 @@ def _stage_weights(n, n_stages, seed):
     return np.einsum("kab,kcb->kac", B, B) + 0.1 * np.eye(n)
 
 
-# seed x kind x scheme x weights; an id names the scheme and the weights
-# only where they differ from RK4 with a terminal weight alone.  The info
-# kind steps exact maps, so only the cov kind varies the scheme.
+# seed x kind x weights
 GRADIENT_CASES = [
-    pytest.param(seed, kind, scheme, weights, id="-".join(
-        [str(seed), kind]
-        + ([] if (scheme, weights) == ("rk4", "terminal") else [scheme, weights])))
-    for seed, kind, scheme, weights in itertools.product(
-        (7, 8), ("info", "cov"), ("rk4", "euler"), ("terminal", "running"))
-    if (kind, scheme) != ("info", "euler")
+    pytest.param(seed, kind, weights, id="-".join(
+        [str(seed), kind] + ([] if weights == "terminal" else ["rk4", weights])))
+    for seed, kind, weights in itertools.product(
+        (7, 8), ("info", "cov"), ("terminal", "running"))
 ]
 
 
-@pytest.mark.parametrize("seed,kind,scheme,weights", GRADIENT_CASES)
-def test_gradient_matches_central_differences(seed, kind, scheme, weights):
+@pytest.mark.parametrize("seed,kind,weights", GRADIENT_CASES)
+def test_gradient_matches_central_differences(seed, kind, weights):
     inst = random_instance(InstanceSpec(n=3, M=3, p=1, seed=seed, T=2.0,
                                         budget=4.0))
     if weights == "running":
@@ -449,28 +446,9 @@ def test_gradient_matches_central_differences(seed, kind, scheme, weights):
         # enters at every substep node, with stage changes inside intervals
         inst = replace(inst, weights=WeightSpec(
             W_stages=_stage_weights(3, 3, seed), W_T=inst.weights.W_T))
-    problem = ShootingProblem(instance=inst, N=5, kind=kind, substeps=6,
-                              scheme=scheme)
+    problem = ShootingProblem(instance=inst, N=5, kind=kind, substeps=6)
     rates = centered_rates(inst.polytope, 5)
     assert gradient_check(problem, rates) <= 1e-6
-
-
-def test_gradient_check_euler_scheme():
-    inst = make_scalar_instance(a=-0.4, q=0.5, budget=6.0)
-    problem = ShootingProblem(instance=inst, N=3, kind="cov", substeps=20,
-                              scheme="euler")
-    assert gradient_check(problem, np.full((3, 1), 1.5)) <= 1e-6
-
-
-@pytest.mark.parametrize("scheme", ["euler", "rk9"])
-def test_info_kind_rejects_a_scheme(scheme):
-    # the info kind steps exact stage maps: a scheme would change nothing
-    inst = make_scalar_instance()
-    with pytest.raises(ValidationError, match="scheme"):
-        ShootingProblem(instance=inst, N=2, kind="info", scheme=scheme)
-    if scheme == "rk9":
-        with pytest.raises(ValidationError, match="scheme"):
-            ShootingProblem(instance=inst, N=2, kind="cov", scheme=scheme)
 
 
 def test_gradient_check_rejects_boundary_point():
@@ -516,12 +494,11 @@ class _LoopPoint:
         return out
 
 
-def _loop_cov_objective_and_gradient(problem, rates):
-    # the cov surrogate and its reverse sweep, stepped through the shared
-    # schemes with the per-sensor reference point
+def _loop_cov_objective_and_gradient(problem, rates, step, reverse):
+    # the cov surrogate and its reverse sweep, stepped with the per-sensor
+    # reference point
     inst = problem.instance
     A, Q, sensors = inst.system.A, inst.system.Q, inst.sensors
-    step, reverse = _scheme(problem.scheme)
     N, S = problem.N, problem.substeps
     h = inst.T / (N * S)
     P = [inst.system.P0]
@@ -544,21 +521,23 @@ def _loop_cov_objective_and_gradient(problem, rates):
     return np.array(P), J, G
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "euler"])
-def test_cov_stacked_kernels_match_a_per_sensor_loop(scheme):
+# the id names the scheme the per-sensor reference steps with
+@pytest.mark.parametrize("step,reverse", [(_rk4_step, _rk4_reverse)],
+                         ids=["rk4"])
+def test_cov_stacked_kernels_match_a_per_sensor_loop(step, reverse):
     # output dimensions 1 and 2 interleaved, a zero rate on a p = 2 sensor
     inst = mixed_instance(seed=61)
     inst = replace(inst, weights=WeightSpec(
         W_stages=_stage_weights(4, 3, 61), W_T=inst.weights.W_T))
-    problem = ShootingProblem(instance=inst, N=4, kind="cov", substeps=5,
-                              scheme=scheme)
+    problem = ShootingProblem(instance=inst, N=4, kind="cov", substeps=5)
     interior = rng_for(62).uniform(0.2, 1.5, size=(4, inst.M))
     rates = interior.copy()
     rates[1, 3] = 0.0
     path = surrogate.integrate_cov_surrogate(
-        inst, problem.schedule(rates), substeps=5, scheme=scheme).values
+        inst, problem.schedule(rates), substeps=5).values
     J, G = objective_and_gradient(problem, rates)
-    path_ref, J_ref, G_ref = _loop_cov_objective_and_gradient(problem, rates)
+    path_ref, J_ref, G_ref = _loop_cov_objective_and_gradient(
+        problem, rates, step, reverse)
     assert np.abs(path - path_ref).max() <= 1e-12 * np.abs(path_ref).max()
     assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
     assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()

@@ -52,9 +52,6 @@ def test_flow_cov_constant_rhs_exact():
     # dyadic step sizes keep the constant-RHS update exact in floating point
     out = flow_cov(np.eye(2), np.zeros((2, 2)), np.eye(2), 0.5, substeps=2)
     np.testing.assert_array_equal(out, 1.5 * np.eye(2))
-    out_euler = flow_cov(np.eye(2), np.zeros((2, 2)), np.eye(2), 0.5,
-                         substeps=2, scheme="euler")
-    np.testing.assert_array_equal(out_euler, 1.5 * np.eye(2))
 
 
 def test_flow_cov_scalar_exponential():
@@ -120,20 +117,11 @@ def test_rk4_order_of_convergence():
         assert 12.0 <= coarse / fine <= 20.0
 
 
-def test_euler_scheme_first_order():
-    a, q, p0, t = -1.0, 2.0, 5.0, 2.0
-    exact = scalar_lyapunov(a, q, p0, t)
-    A, Q, P = np.array([[a]]), np.array([[q]]), np.array([[p0]])
-    errs = [abs(flow_cov(P, A, Q, t, substeps=s, scheme="euler")[0, 0] - exact)
-            for s in (100, 200)]
-    assert 1.7 <= errs[0] / errs[1] <= 2.3
-
-
 def test_flow_pd_loss_raises():
-    # one huge Euler step drives a scalar information state negative
+    # one huge RK4 step drives a scalar information state negative (-9.39e3)
     with pytest.raises(PositiveDefinitenessError, match="substeps"):
         flow_info(np.array([[1.0]]), np.array([[0.0]]), np.array([[5.0]]),
-                  1.0, substeps=1, scheme="euler")
+                  1.0, substeps=1)
 
 
 # --------------------------------------------------------------- exact maps
@@ -235,11 +223,6 @@ def test_hamiltonian_map_scalar_closed_form(a):
         else:
             want = (y0 - u / (2 * a)) * np.exp(-2 * a * t) + u / (2 * a)
         np.testing.assert_allclose(y, want, rtol=1e-13)
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        flow_cov(np.eye(1), np.eye(1), np.eye(1), 0.1, scheme="rk9")
 
 
 # --------------------------------------------------------------------- jumps
@@ -373,7 +356,7 @@ def test_pd_checks_reject_non_finite_matrices():
 def test_only_integrators_advise_more_substeps():
     with pytest.raises(PositiveDefinitenessError, match="increase substeps"):
         flow_info(np.array([[1.0]]), np.array([[0.0]]), np.array([[5.0]]),
-                  1.0, substeps=1, scheme="euler")
+                  1.0, substeps=1)
     with pytest.raises(ValueError) as exc:
         Trajectory(coordinates=COV, times=np.array([0.0, 1.0]),
                    values=np.stack([np.eye(2), np.diag([1.0, -1.0])]))

@@ -296,3 +296,22 @@ def test_explicit_grid_has_no_ulp_segments(monkeypatch, kind):
     integrate(inst, sched, substeps=10, grid=np.linspace(0.0, 3.0, 301))
     assert len(segments) == 300
     assert min(segments) > 0.5 * 3.0 / 300
+
+
+@pytest.mark.parametrize("kind", ["info", "cov"])
+def test_grid_off_the_stage_boundaries_records_the_merged_path(kind):
+    # linspace(0, 1, 8) misses both inner boundaries of N = 3 stages: the
+    # path steps over the merged stops and is recorded at the grid's nodes
+    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=5, T=1.0))
+    sched = Schedule(N=3, T=1.0,
+                     rates=rng_for(5).uniform(0.2, 1.5, size=(3, 2)))
+    integrate = integrate_info_surrogate if kind == "info" \
+        else integrate_cov_surrogate
+    grid = np.linspace(0.0, 1.0, 8)
+    merged = np.union1d(grid, np.linspace(0.0, 1.0, 4))
+    assert len(merged) == 10
+    traj = integrate(inst, sched, substeps=3, grid=grid)
+    full = integrate(inst, sched, substeps=3, grid=merged)
+    np.testing.assert_array_equal(traj.times, grid)
+    np.testing.assert_array_equal(
+        traj.values, full.values[np.searchsorted(merged, grid)])
