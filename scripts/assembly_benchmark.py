@@ -10,8 +10,6 @@ rate tables and reports the cov/info median ratio per sensor count.
 import argparse
 import csv
 
-import numpy as np
-
 from infosched.model import InstanceSpec, random_instance
 from infosched.optimize import benchmark_assembly
 

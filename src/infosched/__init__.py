@@ -19,10 +19,8 @@ from .cdkf import (
     ArrivalRecord,
     FilterState,
     SimulationResult,
-    load_arrivals,
     rollout_covariance,
     rollout_information,
-    save_arrivals,
     simulate_realization,
 )
 from .model import (
@@ -77,14 +75,13 @@ from .riccati import (
     invert_trajectory,
     jump_cov,
     jump_info,
+    node_weights,
     pathwise_cost,
-    trajectory_to_csv,
 )
 from .surrogate import (
     integrate_cov_surrogate,
     integrate_info_surrogate,
     stage_increments,
-    surrogate_objective,
 )
 
 __version__ = "0.1.0"

@@ -8,13 +8,14 @@ Monte Carlo ground truth gives a falsifiable sandwich
     J_info  <=  E[J]  <=  J_cov
 
 whose width is the price of certifying an open-loop schedule.  Both bounds
-and the Monte Carlo objective are trapezoid sums on one evaluation grid,
-where the surrogates are recorded and the rollouts sampled; the Monte Carlo
-runs are stepped together in one batched filter walk.  Matrix-level
-margins are reported as nodewise minimum eigenvalues of symmetrized
-differences; deterministic comparisons get a scale-relative tolerance
-1e-7 * trace/n to absorb integrator error, statistical comparisons add three
-standard errors of the nodewise trace.
+and the Monte Carlo objective reduce their paths with one table of node
+weights (riccati.node_weights) on one evaluation grid, where the surrogates
+are recorded and the rollouts sampled; the information bound inverts its
+path at the weighted nodes only.  The Monte Carlo runs are stepped together
+in one batched filter walk.  Matrix-level margins are reported as nodewise
+minimum eigenvalues of symmetrized differences; deterministic comparisons
+get a scale-relative tolerance 1e-7 * trace/n to absorb integrator error,
+statistical comparisons add three standard errors of the nodewise trace.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ import numpy as np
 from .cdkf import _evaluation_grid
 from .model import Instance, Schedule, Sensor, _dump_json, _sym
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
-from .riccati import invert_trajectory
-from .surrogate import (
-    cost_of_trajectory,
-    integrate_cov_surrogate,
-    integrate_info_surrogate,
-)
+from .riccati import invert_trajectory, pathwise_cost
+from .surrogate import integrate_cov_surrogate, integrate_info_surrogate
 
 DET_MARGIN_REL = 1e-7     # integrator-error allowance, times trace/n
 
@@ -110,10 +107,10 @@ def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
 
 
 def _objective_parts(instance, info_y, p_cov, est):
-    # the trapezoid rule on the evaluation grid, as for the Monte Carlo
+    # the node weights of the evaluation grid, as for the Monte Carlo
     # objective, so all three objectives share one quadrature
-    j_lower = cost_of_trajectory(info_y, instance.weights, instance.T)
-    j_upper = cost_of_trajectory(p_cov, instance.weights, instance.T)
+    j_lower = pathwise_cost(info_y, instance.weights, instance.T)
+    j_upper = pathwise_cost(p_cov, instance.weights, instance.T)
     # the deterministic term absorbs surrogate-vs-rollout step resolution;
     # it only matters when the Monte Carlo spread is exactly zero
     slack = 3.0 * est.stderr + DET_MARGIN_REL * max(abs(j_lower), abs(j_upper))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Schedule, ValidationError
-from .model import _dump_json, _generator, _load_json, _sym
+from .model import _generator, _sym
 from .riccati import (
     COV,
     PositiveDefinitenessError,
@@ -80,25 +80,6 @@ class ArrivalRecord:
         sensors = [j for _, j in events]
         return cls(times=np.asarray(times, dtype=float),
                    sensors=np.asarray(sensors, dtype=np.int64))
-
-    def to_dict(self) -> dict:
-        return {"events": [[float(t), int(j)]
-                           for t, j in zip(self.times, self.sensors)]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArrivalRecord":
-        try:
-            return cls.from_events(data["events"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed arrival payload: {exc!r}") from exc
-
-
-def save_arrivals(path, record: ArrivalRecord) -> None:
-    _dump_json(path, record.to_dict())
-
-
-def load_arrivals(path) -> ArrivalRecord:
-    return ArrivalRecord.from_dict(_load_json(path))
 
 
 def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
@@ -351,9 +332,7 @@ __all__ = [
     "ArrivalRecord",
     "FilterState",
     "SimulationResult",
-    "load_arrivals",
     "rollout_covariance",
     "rollout_information",
-    "save_arrivals",
     "simulate_realization",
 ]

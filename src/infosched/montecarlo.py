@@ -9,10 +9,11 @@ Seeding policy: run r of a study with master seed s draws from the Philox
 generator keyed by SeedSequence(entropy=s, spawn_key=(r,)).  Within a run,
 draws happen sensor-major then interval-major.  All runs of an estimate are
 stepped together in one batched filter walk (cdkf), and each run's cost is
-reduced as the walk records its nodes.  Because every run owns its stream
-and its path does not depend on the rest of the batch, a run's cost is
-bit-identical whatever batch it is stepped in, and estimates reduce the
-costs in run order.
+reduced as the walk records its nodes, with the node weights
+(riccati.node_weights) behind every other objective too.  Because every run
+owns its stream and its path does not depend on the rest of the batch, a
+run's cost is bit-identical whatever batch it is stepped in, and estimates
+reduce the costs in run order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .cdkf import ArrivalRecord, _evaluation_grid, _filter_walk
 from .model import Instance, Schedule, ValidationError
 from .model import _dump_json, _generator, _sym
-from .riccati import COV, INFO, Trajectory, quadrature_weights
+from .riccati import COV, INFO, Trajectory, node_weights
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
@@ -93,16 +94,13 @@ def _sample_runs(schedule, n_runs, seed):
 def _run_costs(instance, records, n_eval, paths=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
-    Each run's cost is the trapezoid objective of its path, reduced as the
-    walk records its nodes: <W_i, P_i> summed in node order, W_i the node's
-    quadrature weight plus W_T at the end.  The nodes also go to paths[r, i]
-    when paths is given.
+    Each run's cost is the objective of its path, reduced as the walk
+    records its nodes: <W_i, P_i> summed in node order, W_i the node's
+    riccati.node_weights entry.  The nodes also go to paths[r, i] when paths
+    is given.
     """
     grid = _evaluation_grid(instance.T, n_eval)
-    weights = quadrature_weights(grid, instance.weights)
-    if weights is None:
-        weights = np.zeros((n_eval + 1, instance.n, instance.n))
-    weights[-1] += instance.weights.W_T
+    weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))
     for kind, arg, P in _filter_walk(instance, records, grid):
         if kind == "node":
@@ -189,9 +187,10 @@ def mc_mean_trajectories(
     costs = _run_costs(instance, records, n_eval, p_paths)
     y_paths = _sym(np.linalg.inv(p_paths))
 
-    if np.all(p_paths == p_paths[0]):
-        # all realizations identical (e.g. zero schedule): averaging would
-        # only add roundoff
+    # all realizations identical (e.g. zero schedule): averaging would only
+    # add roundoff, and the spread is exactly zero
+    identical = bool(np.all(p_paths == p_paths[0]))
+    if identical:
         p_mean = p_paths[0].copy()
         y_mean = y_paths[0].copy()
     else:
@@ -200,7 +199,7 @@ def mc_mean_trajectories(
     p_traces = np.trace(p_paths, axis1=2, axis2=3)
     y_traces = np.trace(y_paths, axis1=2, axis2=3)
     scale = np.sqrt(n_runs)
-    if n_runs > 1 and not np.all(p_paths == p_paths[0]):
+    if not identical:
         p_se = p_traces.std(axis=0, ddof=1) / scale
         y_se = y_traces.std(axis=0, ddof=1) / scale
     else:

@@ -43,7 +43,8 @@ from .riccati import (
     _rk4_reverse,
     expm_adjoint,
     hamiltonian_maps,
-    quadrature_weights,
+    node_weights,
+    pathwise_cost,
     require_pd,
     sensor_table,
     stacked_gains,
@@ -51,7 +52,6 @@ from .riccati import (
 from .surrogate import (
     KINDS,
     _check_pair,
-    cost_of_trajectory,
     cov_rate_rhs,
     integrate_cov_surrogate,
     stage_increments,
@@ -150,14 +150,14 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     n, N = inst.n, problem.N
     steps = (len(path) - 1) // N
     m = (len(path) - 1) // (len(traj.times) - 1)     # map steps per node
-    w_hat = quadrature_weights(traj.times, inst.weights)
+    table = node_weights(traj.times, inst.weights)
+    running = inst.weights.W_stages is not None
     # a weighted node enters d<W, Y^{-1}> = <-P W P, dY>, P = Y^{-1}
-    W_T = inst.weights.W_T if w_hat is None else inst.weights.W_T + w_hat[-1]
     P = _sym(np.linalg.inv(path[-1]))
-    Lam = -_sym(P @ W_T @ P)
-    if w_hat is not None:
+    Lam = -_sym(P @ table[-1] @ P)
+    if running:
         P = _sym(np.linalg.inv(traj.values))
-        node = -_sym(P @ w_hat @ P)
+        node = -_sym(P @ table @ P)
     bar = np.zeros_like(Phi)    # adjoint of each stage map, block by block
     for k in range(N - 1, -1, -1):
         E, F, C, D = _blocks(Phi[k], n)
@@ -172,7 +172,7 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
             Eb -= YK
             Fb -= YK @ Y
             Lam = _sym((D - Y_next @ F).T @ K)
-            if i > 0 and w_hat is not None and i % m == 0:
+            if i > 0 and running and i % m == 0:
                 Lam = Lam + node[i // m]
     # U_k enters X_k = h [[A, Q], [U_k, -A^T]] in its lower-left block, h
     # the length of one map step
@@ -222,10 +222,10 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     N, S = problem.N, problem.substeps
     values = traj.values
     h = inst.T / (N * S)
-    w_hat = quadrature_weights(traj.times, inst.weights)
+    table = node_weights(traj.times, inst.weights)
+    running = inst.weights.W_stages is not None
 
-    W_T = inst.weights.W_T
-    Lam = _sym(W_T if w_hat is None else W_T + w_hat[-1])
+    Lam = _sym(table[-1])
     G = np.zeros((N, problem.M))
     for k in range(N - 1, -1, -1):
         linearize = partial(_CovPoint, A, Q, stacks, sched.rates[k])
@@ -234,8 +234,8 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
             Lam, stages = _rk4_reverse(values[i], h, linearize, Lam)
             for pt, kbar in stages:
                 G[k] -= np.einsum("ab,jab->j", kbar, pt.g)
-            if i > 0 and w_hat is not None:
-                Lam = Lam + w_hat[i]
+            if i > 0 and running:
+                Lam = Lam + table[i]
     return G
 
 
@@ -249,7 +249,7 @@ def _forward(problem: ShootingProblem, rates: np.ndarray):
     else:
         traj = integrate_cov_surrogate(inst, sched, problem.substeps)
         maps = None
-    return cost_of_trajectory(traj, inst.weights, inst.T), sched, traj, maps
+    return pathwise_cost(traj, inst.weights, inst.T), sched, traj, maps
 
 
 def _gradient(problem: ShootingProblem, sched: Schedule, traj, maps):
@@ -433,7 +433,7 @@ def solve(
     prev_lam = prev_G = None
     iterations = 0
     converged = False
-    pg = _pg_norm(lam, G, polytope)
+    pg = timed("projection_s", _pg_norm, lam, G, polytope)
 
     for _ in range(opts.max_iters):
         iter_t0 = time.perf_counter()
@@ -478,7 +478,7 @@ def solve(
         J = J_trial
         G = timed("gradient_assembly_s", _gradient, problem, sched, traj,
                   maps)
-        pg = _pg_norm(lam, G, polytope)
+        pg = timed("projection_s", _pg_norm, lam, G, polytope)
         history.append(J)
         iterations += 1
         if J < best_J:

@@ -25,11 +25,17 @@ cone, and positive definiteness is enforced against a scale-relative floor.
 Losing it, or a non-finite entry, is a typed error, never silently
 repaired; only the integrators, which have substeps to refine, suggest more
 of them.
+
+The objective of a path is one quadrature, defined here once:
+``node_weights`` is the table of per-node weight matrices (trapezoid rule of
+the running weight plus W_T on the last node), and ``pathwise_cost`` reduces
+a path in either coordinate system with it.  The surrogate bounds, the
+Monte Carlo costs, the design objective and both adjoint seeds read the
+same table.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -395,29 +401,27 @@ def invert_trajectory(traj: Trajectory) -> Trajectory:
     return Trajectory(coordinates=coords, times=traj.times, values=inv)
 
 
-def quadrature_weights(times: np.ndarray, weights: WeightSpec) -> np.ndarray | None:
-    """Effective per-node weight matrices of the composite trapezoid rule.
+def node_weights(times: np.ndarray, weights: WeightSpec) -> np.ndarray:
+    """Per-node weight matrices of the objective on a time grid.
 
-    Returns W_hat with cost = sum_i <W_hat[i], P_i> equal to the trapezoid
-    approximation of the running integral, or None when W is identically
-    zero.  The running weight on a subinterval is the stage matrix at the
-    subinterval midpoint, which reproduces the piecewise-constant W exactly
-    whenever the grid contains the stage boundaries.
+    Returns the (len(times), n, n) table W_hat with cost = sum_i <W_hat[i],
+    P_i>: the composite trapezoid rule of the running integral plus W_T on
+    the last node.  The running weight of a subinterval is the stage matrix
+    at its midpoint, which reproduces the piecewise-constant W exactly
+    whenever the grid contains the stage boundaries.  Every objective, Monte
+    Carlo cost and adjoint seed of the package reads this one table.
     """
+    table = np.zeros((len(times), weights.n, weights.n))
     stages = weights.W_stages
-    if stages is None:
-        return None
-    n_stages = stages.shape[0]
-    span = float(times[-1] - times[0])
-    delta = span / n_stages
-    out = np.zeros((len(times),) + stages.shape[1:])
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        mid = 0.5 * (times[i] + times[i + 1]) - times[0]
-        k = min(int(mid / delta), n_stages - 1)
-        out[i] += 0.5 * dt * stages[k]
-        out[i + 1] += 0.5 * dt * stages[k]
-    return out
+    if stages is not None:
+        delta = float(times[-1] - times[0]) / len(stages)
+        mid = 0.5 * (times[:-1] + times[1:]) - times[0]
+        k = np.minimum((mid / delta).astype(int), len(stages) - 1)
+        half = (0.5 * np.diff(times))[:, None, None] * stages[k]
+        table[:-1] += half
+        table[1:] += half
+    table[-1] += weights.W_T
+    return table
 
 
 def pathwise_cost(
@@ -425,15 +429,10 @@ def pathwise_cost(
 ) -> float:
     """Objective integral(<W(t), P(t)>) dt + <W_T, P(T)> along a trajectory.
 
-    Uses the composite trapezoid rule on the trajectory's own grid.  The
-    trajectory must be in covariance coordinates; invert information paths
-    first.  When horizon is given, the grid must span [0, horizon].
+    Reduces the path with its node_weights table.  An information path is
+    inverted at its weighted nodes only (with a terminal weight alone, the
+    last).  When horizon is given, the grid must span [0, horizon].
     """
-    if traj.coordinates != COV:
-        raise ValidationError(
-            "pathwise_cost expects covariance coordinates; "
-            "apply invert_trajectory first"
-        )
     if weights.n != traj.n:
         raise ValidationError(
             f"weights are {weights.n}x{weights.n}, trajectory is {traj.n}x{traj.n}"
@@ -445,24 +444,12 @@ def pathwise_cost(
                 f"trajectory grid spans [{traj.times[0]:g}, {traj.times[-1]:g}], "
                 f"expected [0, {horizon:g}]"
             )
-    total = float(np.tensordot(weights.W_T, traj.values[-1], axes=2))
-    w_hat = quadrature_weights(traj.times, weights)
-    if w_hat is not None:
-        total += float(np.sum(w_hat * traj.values))
-    return total
-
-
-def trajectory_to_csv(path, traj: Trajectory) -> None:
-    """Write nodes as rows: t, then the matrix entries in row-major order."""
-    n = traj.n
-    header = ["t"] + [f"x{i}{j}" if n <= 10 else f"x{i}_{j}"
-                      for i in range(n) for j in range(n)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, val in zip(traj.times, traj.values):
-            writer.writerow([repr(float(t))] + [repr(float(v))
-                                                for v in val.ravel()])
+    table = node_weights(traj.times, weights)
+    at = np.flatnonzero(table.any(axis=(1, 2)))
+    values = traj.values[at]
+    if traj.coordinates == INFO:
+        values = _sym(np.linalg.inv(values))
+    return float(np.tensordot(table[at], values, axes=3))
 
 
 __all__ = [
@@ -482,12 +469,11 @@ __all__ = [
     "jump_info",
     "lyapunov_maps",
     "lyapunov_rhs",
+    "node_weights",
     "pathwise_cost",
     "pd_floor",
-    "quadrature_weights",
     "require_pd",
     "sensor_stacks",
     "sensor_table",
     "stacked_gains",
-    "trajectory_to_csv",
 ]

@@ -20,7 +20,9 @@ optimizer module measures.
 Both integrators here step each segment between stops (the recording grid
 merged with the stage boundaries) by the riccati module's RK4 and fail
 loudly if the state at the segment's end leaves the positive definite cone.
-The certificates use them.  The optimizer does not integrate the
+The certificates use them, and the covariance-form design path integrates
+the covariance form.  This module returns paths only: every objective is
+riccati.pathwise_cost of one, in either coordinate system.  The optimizer does not integrate the
 information form: with U_k constant on a stage, the flow has an exact step
 map (riccati.hamiltonian_maps), and the design path steps that map instead
 (optimize).
@@ -41,8 +43,6 @@ from .riccati import (
     _integrate,
     info_rhs,
     lyapunov_rhs,
-    pathwise_cost,
-    quadrature_weights,
     require_pd,
     sensor_stacks,
     sensor_table,
@@ -79,8 +79,6 @@ def _integrate_surrogate(instance, schedule, substeps, kind, grid):
     _check_pair(instance, schedule)
     if substeps < 1:
         raise ValidationError(f"substeps must be >= 1, got {substeps}")
-    if kind not in KINDS:
-        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
     sys = instance.system
     A, Q = sys.A, sys.Q
     N, T = schedule.N, schedule.T
@@ -163,51 +161,10 @@ def integrate_cov_surrogate(
     return _integrate_surrogate(instance, schedule, substeps, "cov", grid)
 
 
-def cost_of_trajectory(traj: Trajectory, weights, horizon: float) -> float:
-    """Objective of a surrogate path in either coordinate system.
-
-    Identical quadrature to riccati.pathwise_cost; information paths are
-    inverted only at the nodes the weights actually touch, which keeps the
-    zero-running-weight case cheap.
-    """
-    if traj.coordinates == COV:
-        return pathwise_cost(traj, weights, horizon)
-    w_hat = quadrature_weights(traj.times, weights)
-    Pk = _sym(np.linalg.inv(traj.values[-1]))
-    total = float(np.tensordot(weights.W_T, Pk, axes=2))
-    if w_hat is not None:
-        inv = _sym(np.linalg.inv(traj.values))
-        total += float(np.sum(w_hat * inv))
-    return total
-
-
-def surrogate_objective(
-    instance: Instance,
-    schedule: Schedule,
-    kind: str = "info",
-    substeps: int = 10,
-) -> float:
-    """Objective value of the chosen surrogate kind, integrated at substep
-    resolution.
-
-    Equals pathwise_cost of the (inverted, for the info kind) surrogate
-    trajectory on its N * substeps + 1 nodes.
-    """
-    if kind == "info":
-        traj = integrate_info_surrogate(instance, schedule, substeps)
-    elif kind == "cov":
-        traj = integrate_cov_surrogate(instance, schedule, substeps)
-    else:
-        raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-    return cost_of_trajectory(traj, instance.weights, instance.T)
-
-
 __all__ = [
     "KINDS",
-    "cost_of_trajectory",
     "cov_rate_rhs",
     "integrate_cov_surrogate",
     "integrate_info_surrogate",
     "stage_increments",
-    "surrogate_objective",
 ]

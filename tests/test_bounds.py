@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from infosched.bounds import (
-    BracketReport,
     objective_bracket,
     save_bracket_report,
     scale_sensor_noise,

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from infosched import cdkf
 from infosched.cdkf import (
     ArrivalRecord,
-    load_arrivals,
     rollout_covariance,
     rollout_information,
-    save_arrivals,
     simulate_realization,
 )
 from infosched.model import (
@@ -26,7 +24,6 @@ from infosched.model import (
 from infosched.riccati import (
     PositiveDefinitenessError,
     flow_cov,
-    flow_info,
     invert_trajectory,
     jump_cov,
 )
@@ -46,16 +43,6 @@ def test_arrival_record_sorts_events():
 def test_arrival_record_ties_sorted_by_sensor():
     rec = ArrivalRecord(times=np.array([0.5, 0.5]), sensors=np.array([1, 0]))
     np.testing.assert_array_equal(rec.sensors, [0, 1])
-
-
-def test_arrival_record_json_round_trip(tmp_path):
-    rec = ArrivalRecord.from_events([(0.25, 1), (0.75, 0)])
-    path = tmp_path / "arr.json"
-    save_arrivals(path, rec)
-    back = load_arrivals(path)
-    np.testing.assert_array_equal(back.times, rec.times)
-    np.testing.assert_array_equal(back.sensors, rec.sensors)
-    assert path.read_text().startswith('{\n  "events"')
 
 
 def test_rollout_rejects_out_of_range_arrivals():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +29,8 @@ from infosched.riccati import (
     _rk4_reverse,
     _rk4_step,
     covariance_decrement,
+    node_weights,
     pathwise_cost,
-    quadrature_weights,
 )
 from infosched.optimize import (
     ProjectionError,
@@ -507,8 +508,8 @@ def _loop_cov_objective_and_gradient(problem, rates, step, reverse):
         P.append(_sym(step(P[-1], h, rhs)))
     times = np.linspace(0.0, inst.T, N * S + 1)
     J = pathwise_cost(Trajectory(COV, times, np.array(P)), inst.weights)
-    w_hat = quadrature_weights(times, inst.weights)
-    Lam = inst.weights.W_T + (0.0 if w_hat is None else w_hat[-1])
+    table = node_weights(times, inst.weights)
+    Lam = table[-1]
     G = np.zeros_like(rates)
     for i in range(N * S - 1, -1, -1):
         k = i // S
@@ -516,8 +517,8 @@ def _loop_cov_objective_and_gradient(problem, rates, step, reverse):
         Lam, stages = reverse(P[i], h, point, Lam)
         for pt, kbar in stages:
             G[k] -= [np.sum(kbar * g) for g in pt.g]
-        if i > 0 and w_hat is not None:
-            Lam = Lam + w_hat[i]
+        if i > 0:
+            Lam = Lam + table[i]
     return np.array(P), J, G
 
 
@@ -690,6 +691,29 @@ def test_solve_report_serialization_and_timing_scrub():
         else:
             assert value == 0.0
     json.dumps(scrubbed)
+
+
+def test_solve_books_every_projection_as_projection_time(monkeypatch):
+    # the line search's trial points and the projected-gradient norm of
+    # each iterate are all projections: each call is delayed, and
+    # projection_s must hold every delay
+    delay = 0.002
+    calls = []
+    original = optimize.project_schedule
+
+    def delayed(rates, polytope):
+        calls.append(rates)
+        time.sleep(delay)
+        return original(rates, polytope)
+
+    monkeypatch.setattr(optimize, "project_schedule", delayed)
+    inst = random_instance(InstanceSpec(n=2, M=3, p=1, seed=3, T=1.5,
+                                        budget=3.0))
+    problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=4)
+    report = solve(problem, options=SolveOptions(max_iters=4))
+    assert report.iterations == 4
+    assert len(calls) >= 2 * report.iterations + 1
+    assert report.timings["projection_s"] >= len(calls) * delay
 
 
 def test_benchmark_assembly_smoke():

@@ -22,14 +22,13 @@ from infosched.riccati import (
     jump_cov,
     jump_info,
     lyapunov_maps,
+    node_weights,
     pathwise_cost,
     covariance_decrement,
-    quadrature_weights,
     require_pd,
     sensor_stacks,
     sensor_table,
     stacked_gains,
-    trajectory_to_csv,
 )
 
 from conftest import random_spd, rng_for
@@ -394,14 +393,18 @@ def test_pathwise_cost_affine_scalar():
 
 
 def test_pathwise_cost_requires_covariance_and_full_span():
+    # an information path costs its inverse: Y = 2 I has P(T) = I / 2
     times = np.linspace(0.0, 1.0, 4)
-    traj = _const_traj(np.eye(2), times, coords=INFO)
+    traj = _const_traj(2.0 * np.eye(2), times, coords=INFO)
     weights = WeightSpec(W_stages=None, W_T=np.eye(2))
-    with pytest.raises(ValueError):
-        pathwise_cost(traj, weights)
+    assert pathwise_cost(traj, weights) == 1.0
     cov = _const_traj(np.eye(2), times)
     with pytest.raises(ValueError):
         pathwise_cost(cov, weights, horizon=2.0)
+    with pytest.raises(ValueError):
+        pathwise_cost(traj, weights, horizon=2.0)
+    with pytest.raises(ValueError):
+        pathwise_cost(cov, WeightSpec(W_stages=None, W_T=np.eye(3)))
 
 
 def test_quadrature_weights_sum_matches_trapezoid():
@@ -409,7 +412,7 @@ def test_quadrature_weights_sum_matches_trapezoid():
     times = np.linspace(0.0, 2.0, 9)
     W = np.stack([1.0 * np.eye(1), 3.0 * np.eye(1)])   # two stages on [0,2]
     weights = WeightSpec(W_stages=W, W_T=np.zeros((1, 1)))
-    w_hat = quadrature_weights(times, weights)
+    w_hat = node_weights(times, weights)
     vals = (1.0 + times)[:, None, None]
     traj = Trajectory(coordinates=COV, times=times, values=vals)
     direct = pathwise_cost(traj, weights)
@@ -423,11 +426,67 @@ def test_quadrature_weights_stage_of_midpoint():
     times = np.array([0.0, 0.5, 1.0])
     W = np.stack([np.eye(1), 3.0 * np.eye(1)])
     weights = WeightSpec(W_stages=W, W_T=np.zeros((1, 1)))
-    w_hat = quadrature_weights(times, weights)
+    w_hat = node_weights(times, weights)
     # left subinterval weight 0.25 at stage 1, right 0.25 at stage 3
     assert w_hat[0, 0, 0] == pytest.approx(0.25 * 1.0)
     assert w_hat[1, 0, 0] == pytest.approx(0.25 * 1.0 + 0.25 * 3.0)
     assert w_hat[2, 0, 0] == pytest.approx(0.25 * 3.0)
+
+
+def _loop_node_weights(times, weights):
+    # the per-node loop node_weights replaced: each subinterval adds half its
+    # length times its midpoint's stage matrix to both ends, then W_T is
+    # added to the last node
+    n = weights.n
+    out = np.zeros((len(times), n, n))
+    stages = weights.W_stages
+    if stages is not None:
+        delta = float(times[-1] - times[0]) / stages.shape[0]
+        for i in range(len(times) - 1):
+            dt = times[i + 1] - times[i]
+            mid = 0.5 * (times[i] + times[i + 1]) - times[0]
+            k = min(int(mid / delta), stages.shape[0] - 1)
+            out[i] += 0.5 * dt * stages[k]
+            out[i + 1] += 0.5 * dt * stages[k]
+    out[-1] = weights.W_T + out[-1]
+    return out
+
+
+@pytest.mark.parametrize("grid", ["boundaries", "off_boundaries", "terminal"])
+def test_node_weights_match_the_per_node_loop(rng, grid):
+    # bit for bit, on a grid through the stage boundaries, on one that
+    # misses them, and with a terminal weight alone
+    n, N, T = 3, 5, 1.7
+    stages = np.stack([random_spd(rng, n) for _ in range(N)])
+    W_T = random_spd(rng, n)
+    if grid == "off_boundaries":
+        times = np.sort(np.concatenate(
+            [[0.0, T], rng.uniform(0.0, T, 23)]))
+    else:
+        times = np.linspace(0.0, T, 4 * N + 1)
+    weights = WeightSpec(W_stages=None if grid == "terminal" else stages,
+                         W_T=W_T)
+    table = node_weights(times, weights)
+    assert table.shape == (len(times), n, n)
+    np.testing.assert_array_equal(table, _loop_node_weights(times, weights))
+    if grid == "terminal":
+        assert not table[:-1].any()
+        np.testing.assert_array_equal(table[-1], W_T)
+
+
+@pytest.mark.parametrize("running", [False, True], ids=["terminal", "running"])
+def test_pathwise_cost_of_information_path_is_cost_of_its_inverse(rng,
+                                                                  running):
+    n = 3
+    times = np.linspace(0.0, 2.0, 13)
+    values = np.stack([random_spd(rng, n) for _ in times])
+    info = Trajectory(coordinates=INFO, times=times, values=values)
+    stages = np.stack([random_spd(rng, n) for _ in range(4)])
+    weights = WeightSpec(W_stages=stages if running else None,
+                         W_T=random_spd(rng, n))
+    want = pathwise_cost(invert_trajectory(info), weights, 2.0)
+    assert pathwise_cost(info, weights, 2.0) == pytest.approx(want,
+                                                              rel=1e-14)
 
 
 def test_invert_trajectory_diag():
@@ -459,14 +518,3 @@ def test_invert_trajectory_residual(rng):
         assert np.abs(X @ Xi - np.eye(4)).max() <= 1e-10
 
 
-def test_trajectory_csv_round_trip(rng, tmp_path):
-    times = np.linspace(0.0, 1.0, 3)
-    vals = np.stack([random_spd(rng, 2) for _ in times])
-    traj = Trajectory(coordinates=COV, times=times, values=vals)
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(path, traj)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,x00,x01,x10,x11"
-    row = np.array([float(x) for x in text[1].split(",")])
-    assert row[0] == 0.0
-    np.testing.assert_array_equal(row[1:].reshape(2, 2), vals[0])

@@ -8,22 +8,23 @@ from scipy.optimize import brentq
 
 from infosched import surrogate
 from infosched.model import (
-    Instance,
     InstanceSpec,
     ResourcePolytope,
     Schedule,
-    Sensor,
-    SystemModel,
     ValidationError,
-    WeightSpec,
     random_instance,
 )
-from infosched.riccati import flow_cov, flow_info, invert_trajectory
+from infosched.optimize import ShootingProblem
+from infosched.riccati import (
+    flow_cov,
+    flow_info,
+    invert_trajectory,
+    pathwise_cost,
+)
 from infosched.surrogate import (
     integrate_cov_surrogate,
     integrate_info_surrogate,
     stage_increments,
-    surrogate_objective,
 )
 
 from conftest import make_scalar_instance, mixed_instance, rng_for
@@ -35,6 +36,13 @@ COV_SURROGATE_ROOT = 0.452910851609152
 
 def uniform_schedule(inst, N, level):
     return Schedule(N=N, T=inst.T, rates=np.full((N, inst.M), level))
+
+
+def surrogate_cost(inst, sched, integrate, substeps):
+    # a surrogate's objective: its path at substep resolution, reduced by
+    # the one quadrature of every objective
+    return pathwise_cost(integrate(inst, sched, substeps), inst.weights,
+                         inst.T)
 
 
 # ------------------------------------------------------------- info integrator
@@ -184,8 +192,8 @@ def test_surrogate_divergence_at_high_snr():
 def test_objectives_coincide_without_sensing():
     inst = random_instance(InstanceSpec(n=4, M=3, p=1, seed=3, T=1.0))
     sched = uniform_schedule(inst, 6, 0.0)
-    j_info = surrogate_objective(inst, sched, kind="info", substeps=10)
-    j_cov = surrogate_objective(inst, sched, kind="cov", substeps=10)
+    j_info = surrogate_cost(inst, sched, integrate_info_surrogate, 10)
+    j_cov = surrogate_cost(inst, sched, integrate_cov_surrogate, 10)
     lyap = np.trace(flow_cov(inst.system.P0, inst.system.A, inst.system.Q,
                              1.0, substeps=60))
     assert abs(j_info - j_cov) / j_cov <= 1e-7
@@ -194,16 +202,16 @@ def test_objectives_coincide_without_sensing():
 
 def test_info_objective_scalar_exact():
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
-    j = surrogate_objective(inst, uniform_schedule(inst, 2, 2.0), kind="info",
-                            substeps=10)
+    j = surrogate_cost(inst, uniform_schedule(inst, 2, 2.0),
+                       integrate_info_surrogate, 10)
     assert abs(j - 1.0 / 3.0) <= 1e-12
 
 
 def test_unknown_kind_rejected():
+    # a surrogate kind is chosen where a design problem is posed
     inst = make_scalar_instance()
     with pytest.raises(ValidationError):
-        surrogate_objective(inst, uniform_schedule(inst, 2, 1.0),
-                            kind="magic")
+        ShootingProblem(instance=inst, N=2, kind="magic")
 
 
 @given(st.integers(0, 10_000))
@@ -215,8 +223,8 @@ def test_info_objective_below_cov_objective(seed):
                                         budget=4.0))
     rates = rng.uniform(0.0, 4.0 / M, size=(3, M))
     sched = Schedule(N=3, T=1.0, rates=rates)
-    j_info = surrogate_objective(inst, sched, kind="info", substeps=8)
-    j_cov = surrogate_objective(inst, sched, kind="cov", substeps=8)
+    j_info = surrogate_cost(inst, sched, integrate_info_surrogate, 8)
+    j_cov = surrogate_cost(inst, sched, integrate_cov_surrogate, 8)
     assert j_info <= j_cov + 1e-9 * max(1.0, j_cov)
 
 
