@@ -37,7 +37,6 @@ from .model import (
     load_instance,
     load_schedule,
     random_instance,
-    rate_caps,
     save_instance,
     save_schedule,
     validate_schedule,

@@ -191,16 +191,6 @@ class ResourcePolytope:
         return self.C.shape[1]
 
 
-def rate_caps(polytope: ResourcePolytope) -> np.ndarray:
-    """Componentwise upper bounds lam_j <= min_{i: C_ij > 0} b_i / C_ij."""
-    C, b = polytope.C, polytope.b
-    caps = np.full(C.shape[1], np.inf)
-    for j in range(C.shape[1]):
-        rows = C[:, j] > 0
-        caps[j] = np.min(b[rows] / C[rows, j])
-    return caps
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Objective weights: running W(t) (piecewise constant per control
@@ -532,7 +522,6 @@ __all__ = [
     "load_instance",
     "load_schedule",
     "random_instance",
-    "rate_caps",
     "save_instance",
     "save_schedule",
     "schedule_from_dict",

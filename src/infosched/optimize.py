@@ -15,8 +15,9 @@ roundoff rather than to integrator tolerance.
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
 definiteness at a trial point counts as a failed trial, never as a crash.
-Stage projections use an exact O(M log M) routine for the common single
-budget row and Dykstra's alternating projections for general polytopes.
+A single constraint row is projected exactly, every stage of the table in
+one batched O(M log M) kernel; coupled rows take Dykstra's alternating
+projections, stage by stage.
 """
 
 from __future__ import annotations
@@ -274,21 +275,26 @@ def objective_and_gradient(
 # projections
 
 
-def _project_budget_simplex(v: np.ndarray, budget: float) -> np.ndarray:
-    """Exact projection onto {x >= 0, sum x <= budget} in O(M log M)."""
-    w = np.maximum(v, 0.0)
-    if w.sum() <= budget:
-        return w
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - budget
-    idx = np.arange(1, v.size + 1)
-    # the largest entry always qualifies, but its test u - (u - budget) > 0
-    # is false at budget 0 (and can round to false at a tiny budget); with
-    # rho = 1 the result is v - max(v), clipped: exactly zero at budget 0
-    active = idx[u - css / idx > 0]
-    rho = active[-1] if active.size else 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def _project_row(V: np.ndarray, c: np.ndarray, beta: float) -> np.ndarray:
+    """Exact projection of every row of V onto {x >= 0, c.x <= beta}, c > 0.
+
+    A row outside the budget maps to max(v - theta c, 0), theta cut from the
+    breakpoints v / c sorted in descending order.  At c = 1 every float
+    operation is the one-row simplex projection's, whatever the row count.
+    """
+    if beta == 0.0:     # the set is {0}; a sorted cut would leave roundoff
+        return np.zeros_like(V)
+    W = np.maximum(V, 0.0)
+    inside = (c * W).sum(axis=1) <= beta
+    order = np.argsort(-(V / c), axis=1)
+    v, cs = np.take_along_axis(V, order, axis=1), c[order]
+    ratio = (np.cumsum(cs * v, axis=1) - beta) / np.cumsum(cs * cs, axis=1)
+    # rho: the last active breakpoint, or the first when a tiny budget
+    # rounds its test to false
+    idx = np.arange(1, V.shape[1] + 1)
+    rho = np.max(np.where(v / cs - ratio > 0, idx, 1), axis=1)
+    theta = np.take_along_axis(ratio, rho[:, None] - 1, axis=1)
+    return np.where(inside[:, None], W, np.maximum(V - theta * c, 0.0))
 
 
 def _dykstra(v, C, b, tol, max_iters):
@@ -321,15 +327,21 @@ def project_stage(
     tol: float = 1e-10,
     max_iters: int = 10_000,
 ) -> np.ndarray:
-    """Euclidean projection of one stage's rates onto the admissible set."""
+    """Euclidean projection of one stage's rates onto the admissible set;
+    tol and max_iters bound Dykstra, which only coupled rows take."""
     v = np.asarray(v, dtype=float)
-    C, b = polytope.C, polytope.b
-    if C.shape[0] == 1 and C[0, 0] > 0 and np.all(C[0] == C[0, 0]):
-        return _project_budget_simplex(v, b[0] / C[0, 0])
-    return _dykstra(v, C, b, tol, max_iters)
+    if polytope.C.shape[0] == 1:
+        return project_schedule(v[None], polytope)[0]
+    return _dykstra(v, polytope.C, polytope.b, tol, max_iters)
 
 
 def project_schedule(rates: np.ndarray, polytope: ResourcePolytope) -> np.ndarray:
+    """Project every stage of the rate table: a single row in one exact call
+    scaled to c_0 = 1 (so equal coefficients are exactly 1), coupled rows
+    stage by stage."""
+    C, b = polytope.C, polytope.b
+    if C.shape[0] == 1:
+        return _project_row(rates, C[0] / C[0, 0], b[0] / C[0, 0])
     out = np.empty_like(rates)
     for k in range(rates.shape[0]):
         out[k] = project_stage(rates[k], polytope)

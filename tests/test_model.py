@@ -20,7 +20,6 @@ from infosched.model import (
     load_instance,
     load_schedule,
     random_instance,
-    rate_caps,
     save_instance,
     save_schedule,
     validate_schedule,
@@ -67,23 +66,7 @@ def test_information_increment_scale_cancellation(seed, alpha):
     assert np.linalg.norm(S1 - S2) <= 1e-12 * max(np.linalg.norm(S1), 1.0)
 
 
-# ----------------------------------------------------------------- rate caps
-
-def test_rate_caps_overlapping_rows():
-    poly = ResourcePolytope(C=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
-                            b=np.array([1.0, 1.0]))
-    np.testing.assert_allclose(rate_caps(poly), [1.0, 1.0, 1.0])
-
-
-def test_rate_caps_single_budget_row():
-    poly = ResourcePolytope(C=np.ones((1, 4)), b=np.array([5.0]))
-    np.testing.assert_allclose(rate_caps(poly), [5.0] * 4)
-
-
-def test_rate_caps_box():
-    poly = ResourcePolytope(C=np.eye(3), b=np.ones(3))
-    np.testing.assert_allclose(rate_caps(poly), [1.0, 1.0, 1.0])
-
+# ----------------------------------------------------------------- polytope
 
 def test_rate_caps_rejects_unconstrained_column():
     with pytest.raises(ValidationError):
@@ -92,21 +75,9 @@ def test_rate_caps_rejects_unconstrained_column():
 
 def test_polytope_accepts_zero_budget_rejects_negative():
     poly = ResourcePolytope(C=np.ones((1, 2)), b=np.array([0.0]))
-    np.testing.assert_array_equal(rate_caps(poly), [0.0, 0.0])
+    np.testing.assert_array_equal(poly.b, [0.0])
     with pytest.raises(ValidationError):
         ResourcePolytope(C=np.ones((1, 2)), b=np.array([-1.0]))
-
-
-@given(st.integers(0, 10_000))
-def test_rate_caps_monotone_in_b(seed):
-    rng = rng_for(seed)
-    C = rng.uniform(0.0, 1.0, size=(3, 4))
-    C[rng.integers(0, 3), :] += 0.5        # every column positive somewhere
-    b = rng.uniform(0.5, 2.0, size=3)
-    grow = b + rng.uniform(0.0, 1.0, size=3)
-    caps = rate_caps(ResourcePolytope(C=C, b=b))
-    caps_grown = rate_caps(ResourcePolytope(C=C, b=grow))
-    assert np.all(caps_grown >= caps - 1e-12)
 
 
 # ---------------------------------------------------------------- validation

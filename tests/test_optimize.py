@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import minimize
 
 from infosched.model import (
     Instance,
@@ -100,6 +102,42 @@ def kkt_projection_oracle(v, C, b, tol=1e-9):
     return best[1]
 
 
+def simplex_projection_oracle(v, budget):
+    """The one-row projection onto {x >= 0, sum x <= budget} that the row
+    kernel replaced, kept as its bit-for-bit reference at c = 1."""
+    w = np.maximum(v, 0.0)
+    if w.sum() <= budget:
+        return w
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - budget
+    idx = np.arange(1, v.size + 1)
+    active = idx[u - css / idx > 0]
+    rho = active[-1] if active.size else 1
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def slsqp_projection(v, c, beta):
+    """scipy's SLSQP on min |x - v|^2 / 2 over {x >= 0, c.x <= beta}."""
+    res = minimize(
+        lambda x: 0.5 * float(np.sum((x - v) ** 2)), np.zeros(v.size),
+        jac=lambda x: x - v, method="SLSQP", bounds=[(0.0, None)] * v.size,
+        constraints=[{"type": "ineq", "fun": lambda x: beta - c @ x,
+                      "jac": lambda x: -c}],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    return res.x
+
+
+def tied_table(rng, N, M):
+    """Rows on a 0.5 grid (many ties), every other one with a tied maximum
+    off the grid, scaled row by row by powers of two from 1/64 to 2."""
+    V = np.round(2.0 * rng.normal(scale=3.0, size=(N, M))) / 2.0
+    top = V[::2].max(axis=1, keepdims=True)
+    V[::2, : (M + 1) // 2] = top + rng.uniform(size=top.shape)
+    return V * 2.0 ** rng.integers(-6, 2, size=(N, 1))
+
+
 # ---------------------------------------------------------------------------
 # projections
 
@@ -152,8 +190,8 @@ def test_dykstra_matches_kkt_oracle_on_coupled_rows():
         )
 
 
-def test_dykstra_handles_unequal_single_row():
-    # mixed coefficients disable the sorting fast path but not correctness
+def test_unequal_single_row_is_projected_exactly():
+    # mixed coefficients take the row kernel too: exact, no iteration
     C = np.array([[1.0, 2.0]])
     b = np.array([2.0])
     poly = ResourcePolytope(C=C, b=b)
@@ -161,7 +199,8 @@ def test_dykstra_handles_unequal_single_row():
     for _ in range(25):
         v = rng.uniform(-2.0, 3.0, size=2)
         assert np.allclose(
-            project_stage(v, poly), kkt_projection_oracle(v, C, b), atol=1e-7
+            project_stage(v, poly), kkt_projection_oracle(v, C, b), atol=1e-12,
+            rtol=0.0
         )
 
 
@@ -201,6 +240,116 @@ def test_project_schedule_is_stagewise():
     out = project_schedule(rates, poly)
     assert np.allclose(out[0], project_stage(rates[0], poly))
     assert np.array_equal(out[1], rates[1])
+    # coupled rows stay on Dykstra, one stage at a time
+    C = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    poly = ResourcePolytope(C=C, b=b)
+    rates = np.array([[2.0, 2.0, 2.0], [0.2, 0.3, 0.4], [0.0, 5.0, -1.0]])
+    out = project_schedule(rates, poly)
+    for k in range(len(rates)):
+        assert np.array_equal(out[k], project_stage(rates[k], poly))
+        assert np.allclose(out[k], kkt_projection_oracle(rates[k], C, b),
+                           atol=1e-7)
+    assert np.array_equal(out[1], rates[1])
+
+
+def test_row_kernel_matches_the_simplex_projection_bit_for_bit():
+    # an equal-coefficient row scales to c = 1 exactly, and then every float
+    # operation is the one-row routine's: ties, tiny budgets, one column,
+    # and rows inside and outside the budget in one table
+    rng = rng_for(15)
+    tables = [tied_table(rng, N, M) for N, M in [(30, 30), (7, 1), (1, 9),
+                                                   (12, 39), (5, 130)]]
+    tables += [rng.normal(scale=s, size=(20, 17)) for s in (1e-3, 1.0, 1e3)]
+    for V in tables:
+        for budget in (1e-300, 1e-12, 0.5, 5.0, 100.0):
+            for coef in (1.0, 2.5, 0.3):
+                poly = ResourcePolytope(C=np.full((1, V.shape[1]), coef),
+                                        b=np.array([budget * coef]))
+                beta = poly.b[0] / poly.C[0, 0]
+                want = np.array([simplex_projection_oracle(v, beta)
+                                 for v in V])
+                assert np.array_equal(project_schedule(V, poly), want)
+    # one table, both cases
+    V = tables[0]
+    inside = np.maximum(V, 0.0).sum(axis=1) <= 5.0
+    assert inside.any() and not inside.all()
+    # permutations of one row meet the smallest of their sums as the budget
+    # up to the order of summation, so the inside test must add in the
+    # one-row routine's order
+    w = rng.uniform(0.1, 1.0, size=37)
+    V = np.array([rng.permutation(w) for _ in range(200)])
+    budget = V.sum(axis=1).min()
+    poly = ResourcePolytope(C=np.ones((1, 37)), b=np.array([budget]))
+    want = np.array([simplex_projection_oracle(v, budget) for v in V])
+    assert np.array_equal(project_schedule(V, poly), want)
+    moved = [not np.array_equal(x, v) for x, v in zip(want, V)]
+    assert any(moved) and not all(moved)
+
+
+def test_zero_budget_projects_every_rate_to_exact_zero():
+    rng = rng_for(16)
+    V = tied_table(rng, 20, 12)
+    poly = ResourcePolytope(C=np.ones((1, 12)), b=np.array([0.0]))
+    assert np.array_equal(project_schedule(V, poly), np.zeros_like(V))
+    # the sorted cut leaves roundoff at a tied maximum: the kernel must not
+    assert any(simplex_projection_oracle(v, 0.0).any() for v in V)
+    for _ in range(20):
+        c = rng.uniform(0.1, 5.0, size=(1, 12))
+        out = project_schedule(rng.normal(scale=10.0, size=(15, 12)),
+                               ResourcePolytope(C=c, b=np.array([0.0])))
+        assert np.all(out == 0.0)
+
+
+def test_weighted_row_matches_kkt_oracle_and_slsqp():
+    rng = rng_for(17)
+    for _ in range(40):
+        M = int(rng.integers(1, 6))
+        C = rng.uniform(0.2, 3.0, size=(1, M))
+        b = np.array([rng.uniform(0.1, 4.0)])
+        V = rng.uniform(-2.0, 4.0, size=(6, M))
+        out = project_schedule(V, ResourcePolytope(C=C, b=b))
+        for v, x in zip(V, out):
+            assert np.allclose(x, kkt_projection_oracle(v, C, b), atol=1e-10,
+                               rtol=0.0)
+            assert np.allclose(x, slsqp_projection(v, C[0], b[0]),
+                               atol=1e-10, rtol=0.0)
+
+
+@st.composite
+def weighted_tables(draw):
+    N = draw(st.integers(1, 8))
+    M = draw(st.integers(1, 8))
+    entries = st.floats(-50.0, 50.0, allow_nan=False)
+    U = draw(hnp.arrays(float, (N, M), elements=entries))
+    V = draw(hnp.arrays(float, (N, M), elements=entries))
+    c = draw(hnp.arrays(float, (1, M), elements=st.floats(0.01, 10.0)))
+    return U, V, ResourcePolytope(C=c, b=np.array([draw(st.floats(0.0, 20.0))]))
+
+
+@given(weighted_tables())
+def test_row_kernel_idempotent_nonexpansive_nonnegative(case):
+    U, V, poly = case
+    PU, PV = project_schedule(U, poly), project_schedule(V, poly)
+    assert np.all(PU >= 0.0) and np.all(PV >= 0.0)
+    assert np.allclose(project_schedule(PU, poly), PU, rtol=0.0, atol=1e-12)
+    gap = np.linalg.norm(PU - PV, axis=1)
+    assert np.all(gap <= np.linalg.norm(U - V, axis=1) + 1e-9)
+
+
+@pytest.mark.parametrize("C, b", [
+    (np.ones((1, 3)), [2.0]),
+    (np.array([[0.5, 2.0, 1.0]]), [2.0]),
+    (np.eye(3), [1.0, 2.0, 0.5]),
+    (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), [1.0, 1.0]),
+], ids=["equal", "weighted", "box", "coupled"])
+def test_project_stage_is_the_one_row_schedule(C, b):
+    poly = ResourcePolytope(C=C, b=np.asarray(b))
+    rng = rng_for(18)
+    for _ in range(10):
+        v = rng.uniform(-2.0, 3.0, size=3)
+        assert np.array_equal(project_stage(v, poly),
+                              project_schedule(v[None], poly)[0])
 
 
 def test_centered_rates_values():
