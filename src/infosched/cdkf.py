@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Instance, Schedule, ValidationError
-from .model import _generator, _sym
+from .model import _check_pair, _generator, _seed_sequence, _sym
 from .riccati import (
     COV,
     PositiveDefinitenessError,
@@ -34,8 +34,6 @@ from .riccati import (
     invert_trajectory,
     lyapunov_maps,
     require_pd,
-    sensor_stacks,
-    sensor_table,
     stacked_gains,
 )
 
@@ -155,10 +153,11 @@ def _filter_walk(instance, records, grid):
     records holds one arrival record per run; every run keeps its own stops
     (see _steps) and all runs take step s at once.  Per step: one batched
     P <- Phi P Phi^T + W with each run's map, then one gain update over the
-    runs with an arrival there (riccati.stacked_gains, one solve per output
-    dimension p), then the nodes.  The uncut grid step has one map shared by
-    all runs; the cut segments of a step are mapped together, in one
-    lyapunov_maps call, so only one step's maps are alive at a time.
+    runs with an arrival there (riccati.stacked_gains of the arriving
+    sensors' rows of the instance's padded stacks, one batched solve), then
+    the nodes.  The uncut grid step has one map shared by all runs; the cut
+    segments of a step are mapped together, in one lyapunov_maps call, so
+    only one step's maps are alive at a time.
 
     Yields (kind, arg, P), P the (R, n, n) stack of all runs (live: copy
     what you keep): ("flow", (Phi, W, moved), P) after each step's maps,
@@ -175,7 +174,6 @@ def _filter_walk(instance, records, grid):
     sys = instance.system
     n, R = sys.n, len(records)
     time, sensor, node, kind = _steps(records, grid)
-    table = sensor_table(instance.sensors)
     phi_h, w_h = _maps(sys.A, sys.Q, [grid[1] - grid[0]])
     fixed_phi = np.stack([np.eye(n), phi_h[0]])
     fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
@@ -194,7 +192,7 @@ def _filter_walk(instance, records, grid):
             js, ts = sensor[s, runs], time[s, runs]
             yield "jump", (runs, js, ts), P
             before = P[runs]
-            g = stacked_gains(before, sensor_stacks(table, js))[0]
+            g = stacked_gains(before, instance.H[js], instance.R[js])[0]
             P[runs] = _sym(before - g)
             require_pd(P[runs], lambda i: f"after an arrival from sensor "
                        f"{js[i]} at t={ts[i]:g} in run {runs[i]}")
@@ -273,11 +271,11 @@ def simulate_realization(
     covariance path comes from the same walk as rollout_covariance, so with
     fixed arrivals the two paths agree bit for bit.
     """
-    ss = np.random.SeedSequence(seed)
-    arr_ss, noise_ss = ss.spawn(2)
+    arr_ss, noise_ss = _seed_sequence(seed).spawn(2)
     if arrivals is None:
         if schedule is None:
             raise ValidationError("need a schedule when arrivals are not given")
+        _check_pair(instance, schedule)
         from .montecarlo import sample_arrivals
 
         arrivals = sample_arrivals(schedule, arr_ss)

@@ -269,12 +269,23 @@ class Schedule:
 @dataclass(frozen=True)
 class Instance:
     """A complete scheduling problem: system, sensor pool, rate constraints,
-    and the objective weights."""
+    and the objective weights.
+
+    The sensor pool is also held as stacks, built once here: H of shape
+    (M, p_max, n), R of shape (M, p_max, p_max) and the increments S of
+    shape (M, n, n).  A sensor with p < p_max is padded with zero rows of H
+    and an identity block of R, so H P H^T + R is blockdiag(H_j P H_j^T +
+    R_j, I): its gain is exactly the unpadded one, and the padded rows of
+    (H P H^T + R)^{-1} H P are exact zeros.
+    """
 
     system: SystemModel
     sensors: tuple[Sensor, ...]
     polytope: ResourcePolytope
     weights: WeightSpec
+    H: np.ndarray = field(init=False, repr=False, compare=False)
+    R: np.ndarray = field(init=False, repr=False, compare=False)
+    S: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sensors = tuple(self.sensors)
@@ -295,7 +306,18 @@ class Instance:
             raise ValidationError(
                 f"weights are {self.weights.n}x{self.weights.n}, expected {n}x{n}"
             )
+        p = max(s.p for s in sensors)
+        H = np.zeros((len(sensors), p, n))
+        R = np.tile(np.eye(p), (len(sensors), 1, 1))
+        S = np.empty((len(sensors), n, n))
+        for j, s in enumerate(sensors):
+            H[j, :s.p] = s.H
+            R[j, :s.p, :s.p] = s.R
+            S[j] = s.S
         object.__setattr__(self, "sensors", sensors)
+        object.__setattr__(self, "H", _freeze(H))
+        object.__setattr__(self, "R", _freeze(R))
+        object.__setattr__(self, "S", _freeze(S))
 
     @property
     def n(self) -> int:
@@ -308,6 +330,19 @@ class Instance:
     @property
     def T(self) -> float:
         return self.system.T
+
+
+def _check_pair(instance: Instance, schedule: Schedule) -> None:
+    """The one check that a schedule belongs to an instance: a column per
+    sensor and the instance's horizon."""
+    if schedule.M != instance.M:
+        raise ValidationError(
+            f"schedule has {schedule.M} sensor columns, instance has {instance.M}"
+        )
+    if abs(schedule.T - instance.T) > 1e-9 * max(1.0, instance.T):
+        raise ValidationError(
+            f"schedule horizon {schedule.T:g} != instance horizon {instance.T:g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -367,10 +402,18 @@ class InstanceSpec:
     budget: float = 5.0
 
 
+def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
+    """The SeedSequence of a nonnegative integer seed, the one rule every
+    seeded stream goes through; any other seed is a ValidationError."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
+
+
 def _generator(seed) -> np.random.Generator:
     # Philox is counter-based; streams are reproducible across platforms.
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        seed = _seed_sequence(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -24,13 +24,13 @@ import numpy as np
 
 from .cdkf import ArrivalRecord, _evaluation_grid, _filter_walk
 from .model import Instance, Schedule, ValidationError
-from .model import _dump_json, _generator, _sym
+from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
 from .riccati import COV, INFO, Trajectory, node_weights
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     """Child seed of one Monte Carlo run; documented so studies can be sharded."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
+    return _seed_sequence(master_seed, spawn_key=(run_index,))
 
 
 def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
@@ -84,8 +84,9 @@ def save_mc_report(path, estimate: McEstimate) -> None:
     _dump_json(path, estimate.to_dict())
 
 
-def _sample_runs(schedule, n_runs, seed):
+def _sample_runs(instance, schedule, n_runs, seed):
     """The arrival records of runs 0..n_runs-1, each from its own stream."""
+    _check_pair(instance, schedule)
     if n_runs < 1:
         raise ValidationError(f"need n_runs >= 1, got {n_runs}")
     return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
@@ -144,7 +145,7 @@ def mc_objective(
     stepped together and per_run_costs comes back in run order, so the
     reduction is deterministic.  Paths are not kept.
     """
-    records = _sample_runs(schedule, n_runs, seed)
+    records = _sample_runs(instance, schedule, n_runs, seed)
     return _estimate(_run_costs(instance, records, n_eval))
 
 
@@ -180,7 +181,7 @@ def mc_mean_trajectories(
     Runs, seeding and costs are those of mc_objective; every covariance path
     is kept for the nodewise statistics.
     """
-    records = _sample_runs(schedule, n_runs, seed)
+    records = _sample_runs(instance, schedule, n_runs, seed)
     times = _evaluation_grid(instance.T, n_eval)
     n = instance.n
     p_paths = np.empty((n_runs, n_eval + 1, n, n))

@@ -34,6 +34,7 @@ from .model import (
     ResourcePolytope,
     Schedule,
     ValidationError,
+    _check_pair,
     _sym,
     schedule_to_dict,
 )
@@ -47,12 +48,10 @@ from .riccati import (
     node_weights,
     pathwise_cost,
     require_pd,
-    sensor_table,
     stacked_gains,
 )
 from .surrogate import (
     KINDS,
-    _check_pair,
     cov_rate_rhs,
     integrate_cov_surrogate,
     stage_increments,
@@ -179,8 +178,7 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     # the length of one map step
     h = inst.T / (len(path) - 1)
     U_bar = h * expm_adjoint(X, bar)[:, n:, :n]
-    S = np.stack([s.S for s in inst.sensors])
-    return np.tensordot(U_bar, S, axes=([1, 2], [1, 2]))
+    return np.tensordot(U_bar, inst.S, axes=([1, 2], [1, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +192,13 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 
 class _CovPoint:
     """The cov rate linearized at P: the rate() and vjp(L) of
-    _rk4_reverse's contract."""
+    _rk4_reverse's contract, with the gains g_j and B_j = H_j^T sol_j of
+    every sensor of the instance's stacks (H, R), in one batched solve."""
 
-    def __init__(self, A, Q, stacks, lam, P):
+    def __init__(self, A, Q, H, R, lam, P):
         self.A, self.lam = A, lam
-        self.g, sols = stacked_gains(P, stacks)
-        self.B = np.empty_like(self.g)
-        for (rows, H, _), sol in zip(stacks, sols):
-            self.B[rows] = H.swapaxes(1, 2) @ sol
+        self.g, sol = stacked_gains(P, H, R)
+        self.B = H.swapaxes(1, 2) @ sol
         self._rate = cov_rate_rhs(P, A, Q, lam, self.g)
 
     def rate(self):
@@ -219,7 +216,6 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     # reverse sweep over the substeps of the forward trajectory traj
     inst = problem.instance
     A, Q = inst.system.A, inst.system.Q
-    stacks = sensor_table(inst.sensors)
     N, S = problem.N, problem.substeps
     values = traj.values
     h = inst.T / (N * S)
@@ -229,7 +225,7 @@ def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     Lam = _sym(table[-1])
     G = np.zeros((N, problem.M))
     for k in range(N - 1, -1, -1):
-        linearize = partial(_CovPoint, A, Q, stacks, sched.rates[k])
+        linearize = partial(_CovPoint, A, Q, inst.H, inst.R, sched.rates[k])
         for s in range(S - 1, -1, -1):
             i = k * S + s
             Lam, stages = _rk4_reverse(values[i], h, linearize, Lam)
@@ -529,11 +525,14 @@ def gradient_check(
 ) -> float:
     """Max relative error between the adjoint gradient and central differences.
 
-    Uses per-entry steps h = fd_step * (1 + |rate|); every rate must exceed
-    its own step so the stencil stays in the admissible orthant.  gradient_fn
-    defaults to objective_and_gradient; tests can inject a wrong one as a
-    negative control.
+    Uses per-entry steps h = fd_step * (1 + |rate|), fd_step finite and
+    positive; every rate must exceed its own step so the stencil stays in
+    the admissible orthant.  A non-finite comparison counts as an infinite
+    error.  gradient_fn defaults to objective_and_gradient; tests can inject
+    a wrong one as a negative control.
     """
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValidationError(f"fd_step must be finite and positive, got {fd_step}")
     if gradient_fn is None:
         gradient_fn = objective_and_gradient
     rates = np.asarray(rates, dtype=float)
@@ -555,7 +554,9 @@ def gradient_check(
             dn[k, j] -= h
             fd = (objective(problem, up) - objective(problem, dn)) / (2.0 * h)
             denom = max(abs(fd), abs(G[k, j]), 1e-9 * max(1.0, gmax))
-            worst = max(worst, abs(fd - G[k, j]) / denom)
+            err = abs(fd - G[k, j]) / denom
+            # max() would keep worst over a NaN
+            worst = max(worst, err if math.isfinite(err) else math.inf)
     return worst
 
 

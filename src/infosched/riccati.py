@@ -278,55 +278,19 @@ def covariance_decrement(P, sensor) -> np.ndarray:
     return _sym(HP.T @ np.linalg.solve(M, HP))
 
 
-def sensor_table(sensors):
-    """Every sensor stacked once per output dimension p: one (rows, H, R)
-    per p, rows the sensor indices with that p (a slice when all share one
-    p), H of shape (m, p, n) and R of shape (m, p, p), in index order.  It
-    is the sensor_stacks of all columns."""
-    by_p = {}
-    for j, s in enumerate(sensors):
-        by_p.setdefault(s.p, []).append(j)
-    return [(slice(None) if len(by_p) == 1 else np.array(rows),
-             np.stack([sensors[j].H for j in rows]),
-             np.stack([sensors[j].R for j in rows]))
-            for rows in by_p.values()]
+def stacked_gains(P, H, R):
+    """Gain updates of the stacked sensors (H, R) at P, in one batched solve.
 
-
-def sensor_stacks(table, columns):
-    """The sensors at columns (indices, repeats allowed) taken from a
-    sensor_table and stacked for stacked_gains: one (rows, H, R) per output
-    dimension p present, rows their positions in columns (a slice when the
-    table has one p)."""
-    columns = np.asarray(columns, dtype=int)
-    if len(table) == 1:
-        _, H, R = table[0]
-        return [(slice(None), H[columns], R[columns])]
-    out = []
-    for rows, H, R in table:
-        at = np.flatnonzero(np.isin(columns, rows))
-        if at.size:
-            pick = np.searchsorted(rows, columns[at])
-            out.append((at, H[pick], R[pick]))
-    return out
-
-
-def stacked_gains(P, stacks):
-    """Gain updates of all stacked sensors at P, one batched solve per p.
-
-    P is one matrix, or a stack with one matrix per stacked sensor (a run's
-    covariance beside the sensor that reports to it).  With sol = (H P H^T +
-    R)^{-1} H P, returns the (m, n, n) stack g = sym(P H^T sol) in columns
-    order, each a covariance_decrement, and the sol of each stack, from
-    which the cov adjoint forms B = H^T sol.
+    H and R are rows of an Instance's padded sensor stacks; P is one matrix,
+    or a stack with one matrix per stacked sensor (a run's covariance beside
+    the sensor that reports to it).  With sol = (H P H^T + R)^{-1} H P,
+    returns the stack g = sym(P H^T sol), each a covariance_decrement, and
+    sol, whose padded rows are exact zeros and from which the cov adjoint
+    forms B = H^T sol.
     """
-    g = np.empty((sum(len(H) for _, H, _ in stacks),) + P.shape[-2:])
-    sols = []
-    for rows, H, R in stacks:
-        HP = H @ (P if P.ndim == 2 else P[rows])
-        sol = np.linalg.solve(HP @ H.swapaxes(1, 2) + R, HP)
-        g[rows] = _sym(HP.swapaxes(1, 2) @ sol)
-        sols.append(sol)
-    return g, sols
+    HP = H @ P
+    sol = np.linalg.solve(HP @ H.swapaxes(1, 2) + R, HP)
+    return _sym(HP.swapaxes(1, 2) @ sol), sol
 
 
 def jump_cov(P, sensor) -> np.ndarray:
@@ -473,7 +437,5 @@ __all__ = [
     "pathwise_cost",
     "pd_floor",
     "require_pd",
-    "sensor_stacks",
-    "sensor_table",
     "stacked_gains",
 ]

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError, _sym
+from .model import Instance, Schedule, ValidationError, _check_pair, _sym
 from .riccati import (
     COV,
     INFO,
@@ -44,8 +44,6 @@ from .riccati import (
     info_rhs,
     lyapunov_rhs,
     require_pd,
-    sensor_stacks,
-    sensor_table,
     stacked_gains,
 )
 
@@ -54,19 +52,7 @@ KINDS = ("info", "cov")
 
 def stage_increments(instance: Instance, schedule: Schedule) -> np.ndarray:
     """Per-stage information inputs U_k = sum_j rates[k, j] S_j, shape (N, n, n)."""
-    S = np.stack([s.S for s in instance.sensors])
-    return np.einsum("kj,jab->kab", schedule.rates, S)
-
-
-def _check_pair(instance: Instance, schedule: Schedule) -> None:
-    if schedule.M != instance.M:
-        raise ValidationError(
-            f"schedule has {schedule.M} sensor columns, instance has {instance.M}"
-        )
-    if abs(schedule.T - instance.T) > 1e-9 * max(1.0, instance.T):
-        raise ValidationError(
-            f"schedule horizon {schedule.T:g} != instance horizon {instance.T:g}"
-        )
+    return np.einsum("kj,jab->kab", schedule.rates, instance.S)
 
 
 def cov_rate_rhs(P, A, Q, lam, g):
@@ -109,9 +95,8 @@ def _integrate_surrogate(instance, schedule, substeps, kind, grid):
         U = stage_increments(instance, schedule)
     else:
         X = np.array(sys.P0)
-        # per stage: the sensors with a nonzero rate, stacked, and their rates
-        table = sensor_table(instance.sensors)
-        stages = [(sensor_stacks(table, cols), lam[cols])
+        # per stage: the sensors with a nonzero rate, and their rates
+        stages = [(instance.H[cols], instance.R[cols], lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
     # every stop, with the path recorded at the grid's nodes among them
@@ -126,9 +111,9 @@ def _integrate_surrogate(instance, schedule, substeps, kind, grid):
             Uk = U[k]
             rhs = lambda Y: info_rhs(Y, A, Q) + Uk
         else:
-            stacks, lam = stages[k]
+            H, R, lam = stages[k]
             rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
-                                         stacked_gains(P, stacks)[0])
+                                         stacked_gains(P, H, R)[0])
         X = path[i] = _integrate(X, t - prev, n_steps, rhs)
         require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
     values = path[np.searchsorted(stops, times)]

@@ -112,7 +112,7 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
         events = [(0.4, 0)]
         # the walk's gain update: g = 2 P leaves P - g = -P
         monkeypatch.setattr(cdkf, "stacked_gains",
-                            lambda P, stacks: (2.0 * P, None))
+                            lambda P, H, R: (2.0 * P, None))
     for run in (rollout_covariance,
                 lambda i, a, n_eval: simulate_realization(i, arrivals=a,
                                                           n_eval=n_eval)):
@@ -311,6 +311,14 @@ def test_simulate_estimation_error_consistency():
     # arrivals vary per run, so the right target is the mean filter variance
     filt = np.mean(p_terminal)
     assert abs(emp - filt) / filt <= 0.10
+
+
+def test_simulate_rejects_a_schedule_of_another_instance():
+    inst = make_scalar_instance(T=1.0)
+    for sched in (Schedule(N=2, T=1.0, rates=np.ones((2, 2))),
+                  Schedule(N=2, T=0.5, rates=np.ones((2, 1)))):
+        with pytest.raises(ValidationError, match="columns|horizon"):
+            simulate_realization(inst, schedule=sched, n_eval=4)
 
 
 def test_simulate_filter_states_shape():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from infosched import cli, optimize
-from infosched.model import Schedule, load_schedule, save_instance, save_schedule
+from infosched.model import (
+    InstanceSpec,
+    Schedule,
+    load_schedule,
+    random_instance,
+    save_instance,
+    save_schedule,
+)
 
 from conftest import make_scalar_instance
 
@@ -88,6 +95,22 @@ def test_evaluate_missing_file_is_usage_error(tmp_path, capsys):
             "--schedule", str(sched_path)]
     assert cli.main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("rates,T,message", [
+    (np.ones((2, 1)), 1.0, "schedule has 1 sensor columns, instance has 2"),
+    (np.ones((2, 2)), 0.5, "schedule horizon 0.5 != instance horizon 1"),
+], ids=["columns", "horizon"])
+def test_evaluate_schedule_of_another_instance_is_usage_error(
+        tmp_path, capsys, rates, T, message):
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst_path, random_instance(InstanceSpec(n=2, M=2, T=1.0)))
+    sched_path = tmp_path / "sched.json"
+    write_schedule(sched_path, rates, T=T)
+    argv = ["evaluate", "--instance", str(inst_path),
+            "--schedule", str(sched_path), "--runs", "4", "--n-eval", "10"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_evaluate_zero_schedule_deterministic_report(tmp_path, capsys):
@@ -253,6 +276,36 @@ def test_gradcheck_corrupted_gradient_fails(monkeypatch, capsys):
     monkeypatch.setattr(optimize, "objective_and_gradient", corrupted)
     assert cli.main(["gradcheck", "--kind", "info"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_zero_fd_step_is_usage_error(capsys):
+    # negative control: a zero step used to read max_rel_err=0 and PASS
+    argv = ["gradcheck", "--random", "n=3,M=4,seed=3", "--N", "2",
+            "--fd-step", "0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: fd_step must be finite and positive")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bracket", "gradcheck",
+                                     "solve"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    inst_path = tmp_path / "inst.json"
+    write_scalar_instance(inst_path)
+    sched_path = tmp_path / "sched.json"
+    write_schedule(sched_path, np.ones((2, 1)))
+    files = ["--instance", str(inst_path), "--schedule", str(sched_path),
+             "--runs", "2", "--n-eval", "10", "--seed", "-1"]
+    argv = {
+        "evaluate": ["evaluate"] + files,
+        "bracket": ["bracket"] + files,
+        "gradcheck": ["gradcheck", "--seed", "-1"],
+        "solve": ["solve", "--random", "n=1,M=1,seed=-2", "--N", "2"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: seed must be a nonnegative integer, got -")
 
 
 def test_gradcheck_random_instance_both_kinds(capsys):

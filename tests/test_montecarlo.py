@@ -241,7 +241,7 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
     # P - g = -P there, and the error names that run, its sensor and t
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     monkeypatch.setattr(cdkf, "stacked_gains",
-                        lambda P, stacks: (2.0 * P, None))
+                        lambda P, H, R: (2.0 * P, None))
     empty = ArrivalRecord.from_events([])
     records = [empty, ArrivalRecord.from_events([(0.4, 0)]), empty]
     with pytest.raises(PositiveDefinitenessError,

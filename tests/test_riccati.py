@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import expm_frechet
 
-from infosched.model import Sensor, WeightSpec
+from infosched.model import (
+    Instance,
+    ResourcePolytope,
+    Sensor,
+    SystemModel,
+    WeightSpec,
+)
 from infosched.riccati import (
     COV,
     INFO,
@@ -26,8 +32,6 @@ from infosched.riccati import (
     pathwise_cost,
     covariance_decrement,
     require_pd,
-    sensor_stacks,
-    sensor_table,
     stacked_gains,
 )
 
@@ -296,19 +300,25 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
     n = 4
     sensors = [_ill_conditioned_sensor(rng, p, n) for p in (1, 2, 3) * 3]
     rng.shuffle(sensors)
+    inst = Instance(
+        system=SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n),
+                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
+        sensors=tuple(sensors),
+        polytope=ResourcePolytope(C=np.ones((1, 9)), b=np.ones(1)),
+        weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
     columns = rng.permutation(len(sensors))[:7]
     P = random_spd(rng, n)
-    stacks = sensor_stacks(sensor_table(sensors), columns)
-    g, sols = stacked_gains(P, stacks)
-    assert g.shape == (7, n, n)
+    g, sol = stacked_gains(P, inst.H[columns], inst.R[columns])
+    assert g.shape == (7, n, n) and sol.shape == (7, 3, n)
     for i, j in enumerate(columns):
-        want = covariance_decrement(P, sensors[j])
+        s = sensors[j]
+        want = covariance_decrement(P, s)
         assert np.linalg.norm(g[i] - want) <= 1e-12 * np.linalg.norm(want)
-    for (rows, H, R), sol in zip(stacks, sols):
-        for i, j in enumerate(columns[rows]):
-            s = sensors[j]
-            want = np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
-            assert np.linalg.norm(sol[i] - want) <= 1e-12 * np.linalg.norm(want)
+        want = np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
+        assert np.linalg.norm(sol[i, :s.p] - want) <= \
+            1e-12 * np.linalg.norm(want)
+        # a sensor padded to p = 3 solves for exact zeros in its padded rows
+        assert np.all(sol[i, s.p:] == 0.0)
 
 
 # ---------------------------------------------------------------- trajectory
