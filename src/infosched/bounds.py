@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdkf import _evaluation_grid
-from .model import Instance, Schedule, Sensor, _dump_json, _sym
+from .model import Instance, Schedule, Sensor, ValidationError
+from .model import _dump_json, _seed_sequence, _sym
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
-from .riccati import invert_trajectory, pathwise_cost
+from .riccati import invert_trajectory, pathwise_cost, time_grid
 from .surrogate import integrate_cov_surrogate, integrate_info_surrogate
 
 DET_MARGIN_REL = 1e-7     # integrator-error allowance, times trace/n
@@ -96,14 +96,22 @@ def _nodewise_min_eig(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_sym(a - b))[:, 0]
 
 
+def _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed):
+    # every usage error of a bracket, raised before any work
+    _seed_sequence(seed)
+    time_grid(instance.T, n_eval)
+    for name, value in (("n_runs", n_runs),
+                        ("surrogate_substeps", surrogate_substeps)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
     # both surrogates, recorded on the grid the Monte Carlo runs record on
-    grid = _evaluation_grid(instance.T, n_eval)
-    info_y = integrate_info_surrogate(instance, schedule, surrogate_substeps,
-                                      grid=grid)
-    p_cov = integrate_cov_surrogate(instance, schedule, surrogate_substeps,
-                                    grid=grid)
-    return info_y, p_cov
+    return (integrate_info_surrogate(instance, schedule, surrogate_substeps,
+                                     n_eval),
+            integrate_cov_surrogate(instance, schedule, surrogate_substeps,
+                                    n_eval))
 
 
 def _objective_parts(instance, info_y, p_cov, est):
@@ -127,6 +135,7 @@ def objective_bracket(
     seed: int = 0,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
+    _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed)
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
                        seed=seed)
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
@@ -157,6 +166,7 @@ def trajectory_bracket(
     Y(t) = P(t)^{-1}.  The objective estimate comes from the same
     realizations, each rolled out once.
     """
+    _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed)
     n = instance.n
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
                                      surrogate_substeps)

@@ -35,6 +35,7 @@ from .riccati import (
     lyapunov_maps,
     require_pd,
     stacked_gains,
+    time_grid,
 )
 
 
@@ -94,13 +95,6 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
             f"arrival references sensor {int(arrivals.sensors.max())}, "
             f"instance has {instance.M}"
         )
-
-
-def _evaluation_grid(T: float, n_eval: int) -> np.ndarray:
-    """The uniform grid of n_eval intervals on [0, T] that rollouts record on."""
-    if n_eval < 1:
-        raise ValidationError(f"n_eval must be >= 1, got {n_eval}")
-    return np.linspace(0.0, T, n_eval + 1)
 
 
 # the segment a step flows over: none (a coincident event, the first step or
@@ -210,7 +204,7 @@ def rollout_covariance(
     n_eval: int = 300,
 ) -> Trajectory:
     """Deterministic covariance path of the filter for fixed arrivals."""
-    grid = _evaluation_grid(instance.T, n_eval)
+    grid = time_grid(instance.T, n_eval)
     values = np.empty((n_eval + 1, instance.n, instance.n))
     for kind, arg, P in _filter_walk(instance, [arrivals], grid):
         if kind == "node":
@@ -283,7 +277,7 @@ def simulate_realization(
     rng = _generator(noise_ss)
     sys = instance.system
     n = sys.n
-    grid = _evaluation_grid(sys.T, n_eval)
+    grid = time_grid(instance.T, n_eval)
     chol_R = {j: np.linalg.cholesky(s.R) for j, s in enumerate(instance.sensors)}
 
     x = sys.m0 + np.linalg.cholesky(sys.P0) @ rng.standard_normal(n)

@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValidationError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PositiveDefinitenessError, ProjectionError) as exc:

@@ -351,9 +351,6 @@ class FeasibilityReport:
 
     budget_violation: float        # max over stages of max(C lam_k - b)
     nonneg_violation: float        # max over stages of max(-lam_k)
-    per_stage_budget: np.ndarray
-    per_stage_nonneg: np.ndarray
-    tol: float
     feasible: bool
 
 
@@ -367,16 +364,11 @@ def validate_schedule(
             f"{polytope.n_sensors}"
         )
     slack = schedule.rates @ polytope.C.T - polytope.b  # (N, n_rows)
-    per_budget = slack.max(axis=1)
-    per_nonneg = (-schedule.rates).max(axis=1)
-    budget_violation = float(per_budget.max())
-    nonneg_violation = float(per_nonneg.max())
+    budget_violation = float(slack.max())
+    nonneg_violation = float((-schedule.rates).max())
     return FeasibilityReport(
         budget_violation=budget_violation,
         nonneg_violation=nonneg_violation,
-        per_stage_budget=per_budget,
-        per_stage_nonneg=per_nonneg,
-        tol=tol,
         feasible=(budget_violation <= tol and nonneg_violation <= tol),
     )
 
@@ -505,7 +497,9 @@ def instance_from_dict(data: dict) -> Instance:
         )
         wd = data["weights"]
         weights = WeightSpec(W_stages=wd.get("W_stages"), W_T=wd["WT"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed instance payload: {exc!r}") from exc
     return Instance(system=system, sensors=sensors, polytope=polytope,
                     weights=weights)
@@ -518,7 +512,9 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 def schedule_from_dict(data: dict) -> Schedule:
     try:
         return Schedule(N=int(data["N"]), T=float(data["T"]), rates=data["rates"])
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed schedule payload: {exc!r}") from exc
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdkf import ArrivalRecord, _evaluation_grid, _filter_walk
+from .cdkf import ArrivalRecord, _filter_walk
 from .model import Instance, Schedule, ValidationError
 from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
-from .riccati import COV, INFO, Trajectory, node_weights
+from .riccati import COV, INFO, Trajectory, node_weights, time_grid
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
@@ -88,7 +88,7 @@ def _sample_runs(instance, schedule, n_runs, seed):
     """The arrival records of runs 0..n_runs-1, each from its own stream."""
     _check_pair(instance, schedule)
     if n_runs < 1:
-        raise ValidationError(f"need n_runs >= 1, got {n_runs}")
+        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
     return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
 
 
@@ -100,7 +100,7 @@ def _run_costs(instance, records, n_eval, paths=None):
     riccati.node_weights entry.  The nodes also go to paths[r, i] when paths
     is given.
     """
-    grid = _evaluation_grid(instance.T, n_eval)
+    grid = time_grid(instance.T, n_eval)
     weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))
     for kind, arg, P in _filter_walk(instance, records, grid):
@@ -182,7 +182,7 @@ def mc_mean_trajectories(
     is kept for the nodewise statistics.
     """
     records = _sample_runs(instance, schedule, n_runs, seed)
-    times = _evaluation_grid(instance.T, n_eval)
+    times = time_grid(instance.T, n_eval)
     n = instance.n
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
     costs = _run_costs(instance, records, n_eval, p_paths)

@@ -49,6 +49,7 @@ from .riccati import (
     pathwise_cost,
     require_pd,
     stacked_gains,
+    time_grid,
 )
 from .surrogate import (
     KINDS,
@@ -136,7 +137,7 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
                     ) from None
                 path[k * steps + s] = Y
     values = path[::m]
-    times = np.linspace(0.0, sched.T, N * nodes + 1)
+    times = time_grid(instance.T, N * nodes)
     require_pd(values, lambda i: f"in info surrogate at t={times[i]:g}")
     traj = Trajectory(coordinates=INFO, times=times, values=values)
     return traj, (X, Phi, path)
@@ -382,8 +383,8 @@ class SolveReport:
 
     def to_dict(self, include_timings: bool = True) -> dict:
         timings = self.timings if include_timings else \
-            {k: (0.0 if not isinstance(v, list) else [0.0] * len(v))
-             for k, v in self.timings.items()}
+            {k: ([dict(it, seconds=0.0) for it in v] if isinstance(v, list)
+                 else 0.0) for k, v in self.timings.items()}
         return {
             "schedule": schedule_to_dict(self.schedule),
             "objective": self.objective,
@@ -576,18 +577,16 @@ def benchmark_assembly(
     N: int = 30,
     repetitions: int = 10,
     substeps: int = 10,
-    rates: np.ndarray | None = None,
 ) -> BenchmarkResult:
     """Wall-time comparison of objective_and_gradient for both kinds.
 
-    Both kinds are evaluated at the identical rate table (the centered point
-    by default).  One untimed warmup per kind precedes the measured
+    Both kinds are evaluated at the identical rate table, the centered
+    point.  One untimed warmup per kind precedes the measured
     repetitions; runs are sequential and single-threaded.  The kinds
     alternate inside each repetition, so the two sides of the ratio are
     sampled at the same host speed.
     """
-    if rates is None:
-        rates = centered_rates(instance.polytope, N)
+    rates = centered_rates(instance.polytope, N)
     problems = {kind: ShootingProblem(instance=instance, N=N, kind=kind,
                                       substeps=substeps) for kind in KINDS}
     samples = {kind: {"forward": [], "gradient": []} for kind in KINDS}

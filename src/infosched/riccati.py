@@ -353,9 +353,13 @@ class Trajectory:
     def n(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+
+def time_grid(T: float, n: int) -> np.ndarray:
+    """The uniform grid of n intervals on [0, T]: every recording grid (the
+    surrogates', the rollouts', the design path's) and the stage boundaries."""
+    if n < 1:
+        raise ValidationError(f"n_eval must be >= 1, got {n}")
+    return np.linspace(0.0, T, n + 1)
 
 
 def invert_trajectory(traj: Trajectory) -> Trajectory:
@@ -438,4 +442,5 @@ __all__ = [
     "pd_floor",
     "require_pd",
     "stacked_gains",
+    "time_grid",
 ]

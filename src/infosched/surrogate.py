@@ -17,9 +17,11 @@ stage point: one batched gain solve that grows with M.  That asymmetry is
 the point of the information form and is what the assembly benchmark in the
 optimizer module measures.
 
-Both integrators here step each segment between stops (the recording grid
-merged with the stage boundaries) by the riccati module's RK4 and fail
-loudly if the state at the segment's end leaves the positive definite cone.
+Both integrators record on the uniform grid of n_eval intervals
+(riccati.time_grid), as the rollouts do.  They step each segment between
+stops (the grid's nodes merged with the stage boundaries, which meet nodes
+by integer index) by the riccati module's RK4 and fail loudly if the state
+at the segment's end leaves the positive definite cone.
 The certificates use them, and the covariance-form design path integrates
 the covariance form.  This module returns paths only: every objective is
 riccati.pathwise_cost of one, in either coordinate system.  The optimizer does not integrate the
@@ -29,8 +31,6 @@ map (riccati.hamiltonian_maps), and the design path steps that map instead
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .riccati import (
     lyapunov_rhs,
     require_pd,
     stacked_gains,
+    time_grid,
 )
 
 KINDS = ("info", "cov")
@@ -61,33 +62,23 @@ def cov_rate_rhs(P, A, Q, lam, g):
     return lyapunov_rhs(P, A, Q) - np.einsum("j,jab->ab", lam, g)
 
 
-def _integrate_surrogate(instance, schedule, substeps, kind, grid):
+def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
     _check_pair(instance, schedule)
     if substeps < 1:
         raise ValidationError(f"substeps must be >= 1, got {substeps}")
     sys = instance.system
     A, Q = sys.A, sys.Q
-    N, T = schedule.N, schedule.T
-    delta = schedule.delta
-
-    tol = 1e-9 * max(1.0, T)
-    if grid is None:
-        times = np.linspace(0.0, T, N * substeps + 1)
-    else:
-        times = np.asarray(grid, dtype=float)
-        if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0) \
-                or abs(times[0]) > tol or abs(times[-1] - T) > tol:
-            raise ValidationError(
-                "grid must be strictly increasing and span [0, T]"
-            )
-    # a stage boundary that misses a node by roundoff is that node, so no
-    # segment is an ulp long (on the default grid: exactly one integrator
-    # step per node gap)
-    boundaries = np.linspace(0.0, T, N + 1)
-    i = np.searchsorted(times, boundaries).clip(1, len(times) - 1)
-    near = np.where(times[i] - boundaries < boundaries - times[i - 1],
-                    times[i], times[i - 1])
-    boundaries = np.where(np.abs(near - boundaries) <= tol, near, boundaries)
+    N = schedule.N
+    if n_eval is None:
+        n_eval = N * substeps
+    times = time_grid(instance.T, n_eval)
+    boundaries = time_grid(instance.T, N)
+    # the stops in integer units of T / (N n_eval): node i at i N and stage
+    # boundary k at k n_eval, which is a node (and takes its time) exactly
+    # when N divides k n_eval
+    stops = np.union1d(np.arange(n_eval + 1) * N, np.arange(N + 1) * n_eval)
+    on_node = stops % N == 0
+    at = np.where(on_node, times[stops // N], boundaries[stops // n_eval])
 
     rates = schedule.rates
     if kind == "info":
@@ -99,14 +90,12 @@ def _integrate_surrogate(instance, schedule, substeps, kind, grid):
         stages = [(instance.H[cols], instance.R[cols], lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
-    # every stop, with the path recorded at the grid's nodes among them
-    stops = np.union1d(times, boundaries)
     path = np.empty((len(stops), sys.n, sys.n))
     path[0] = X
-    for i, (prev, t) in enumerate(zip(stops[:-1], stops[1:]), 1):
+    for i, (u0, u1) in enumerate(zip(stops[:-1], stops[1:]), 1):
+        k = u0 // n_eval
         # no step longer than delta / substeps, at least one per segment
-        n_steps = max(1, math.ceil(substeps * (t - prev) / delta - 1e-9))
-        k = min(int((0.5 * (prev + t)) / delta), N - 1)
+        n_steps = -(-substeps * (u1 - u0) // n_eval)
         if kind == "info":
             Uk = U[k]
             rhs = lambda Y: info_rhs(Y, A, Q) + Uk
@@ -114,36 +103,35 @@ def _integrate_surrogate(instance, schedule, substeps, kind, grid):
             H, R, lam = stages[k]
             rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
                                          stacked_gains(P, H, R)[0])
-        X = path[i] = _integrate(X, t - prev, n_steps, rhs)
-        require_pd(X, f"in {kind} surrogate near t={t:g}", SUBSTEP_ADVICE)
-    values = path[np.searchsorted(stops, times)]
+        X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps, rhs)
+        require_pd(X, f"in {kind} surrogate near t={at[i]:g}", SUBSTEP_ADVICE)
     coords = INFO if kind == "info" else COV
-    return Trajectory(coordinates=coords, times=times, values=values)
+    return Trajectory(coordinates=coords, times=times, values=path[on_node])
 
 
 def integrate_info_surrogate(
     instance: Instance,
     schedule: Schedule,
     substeps: int = 10,
-    grid: np.ndarray | None = None,
+    n_eval: int | None = None,
 ) -> Trajectory:
     """Integrate the information-form surrogate.
 
-    Default sampling is substep resolution (N * substeps + 1 nodes); passing
-    an explicit grid records there instead while still honoring stage
-    boundaries and the per-stage substep budget.
+    Records on the uniform grid of n_eval intervals, as the rollouts do;
+    the default N * substeps is substep resolution.  Every stage boundary
+    is a stop, and no step is longer than delta / substeps.
     """
-    return _integrate_surrogate(instance, schedule, substeps, "info", grid)
+    return _integrate_surrogate(instance, schedule, substeps, "info", n_eval)
 
 
 def integrate_cov_surrogate(
     instance: Instance,
     schedule: Schedule,
     substeps: int = 10,
-    grid: np.ndarray | None = None,
+    n_eval: int | None = None,
 ) -> Trajectory:
-    """Integrate the covariance-form surrogate; sampling as in the info form."""
-    return _integrate_surrogate(instance, schedule, substeps, "cov", grid)
+    """Integrate the covariance-form surrogate; recorded as the info form."""
+    return _integrate_surrogate(instance, schedule, substeps, "cov", n_eval)
 
 
 __all__ = [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from infosched import cdkf, montecarlo, surrogate
 from infosched.bounds import (
     objective_bracket,
     save_bracket_report,
@@ -13,7 +14,12 @@ from infosched.bounds import (
     trajectory_bracket,
     write_snr_csv,
 )
-from infosched.model import InstanceSpec, Schedule, random_instance
+from infosched.model import (
+    InstanceSpec,
+    Schedule,
+    ValidationError,
+    random_instance,
+)
 from infosched.montecarlo import mc_objective
 from infosched.riccati import flow_cov
 
@@ -186,3 +192,25 @@ def test_bracket_report_serialization(tmp_path):
         loaded = json.load(fh)
     assert loaded["j_lower"] == rep.j_lower
     assert loaded["margins"].keys() == rep.margins.keys()
+
+
+@pytest.mark.parametrize("bracket", [objective_bracket, trajectory_bracket])
+@pytest.mark.parametrize("bad", [
+    {"seed": -1}, {"n_runs": 0}, {"n_eval": 0}, {"surrogate_substeps": 0},
+], ids=["seed", "n_runs", "n_eval", "surrogate_substeps"])
+def test_bracket_rejects_bad_arguments_before_any_work(monkeypatch, bracket,
+                                                       bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    # the Monte Carlo binds the walk and the sampler by name
+    for module, name in ((surrogate, "_integrate_surrogate"),
+                         (cdkf, "_filter_walk"),
+                         (montecarlo, "_filter_walk"),
+                         (montecarlo, "sample_arrivals")):
+        monkeypatch.setattr(module, name, no_work)
+    inst = make_scalar_instance()
+    sched = Schedule(N=2, T=1.0, rates=np.ones((2, 1)))
+    kw = dict(n_runs=4, n_eval=10, surrogate_substeps=4, seed=0) | bad
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        bracket(inst, sched, **kw)

@@ -97,6 +97,35 @@ def test_evaluate_missing_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _edit_instance(payload):
+    payload["A"][0][0] = "x"
+
+
+@pytest.mark.parametrize("target,edit,message", [
+    ("instance", lambda d: d.update(n="abc"), "malformed instance payload"),
+    ("instance", _edit_instance, "malformed instance payload"),
+    ("schedule", lambda d: d.update(N="two"), "malformed schedule payload"),
+    ("instance", None, "Is a directory"),
+], ids=["instance-n", "instance-A", "schedule-N", "directory"])
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys, target,
+                                                edit, message):
+    paths = {"instance": tmp_path / "inst.json",
+             "schedule": tmp_path / "sched.json"}
+    write_scalar_instance(paths["instance"])
+    write_schedule(paths["schedule"], np.zeros((2, 1)))
+    if edit is None:
+        paths[target] = tmp_path
+    else:
+        payload = json.loads(paths[target].read_text())
+        edit(payload)
+        paths[target].write_text(json.dumps(payload))
+    argv = ["evaluate", "--instance", str(paths["instance"]),
+            "--schedule", str(paths["schedule"]), "--runs", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("rates,T,message", [
     (np.ones((2, 1)), 1.0, "schedule has 1 sensor columns, instance has 2"),
     (np.ones((2, 2)), 0.5, "schedule horizon 0.5 != instance horizon 1"),

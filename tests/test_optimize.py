@@ -854,11 +854,14 @@ def test_solve_report_serialization_and_timing_scrub():
     assert full["schedule"].keys() == {"T", "N", "rates"}
     assert any(v > 0.0 for v in full["timings"].values()
                if not isinstance(v, list))
-    for key, value in scrubbed["timings"].items():
-        if isinstance(value, list):
-            assert value == [0.0] * len(full["timings"][key])
-        else:
-            assert value == 0.0
+    # only wall times are zeroed: each iteration keeps its record
+    steps = full["timings"].pop("per_iteration")
+    assert [it["iteration"] for it in steps] == \
+        list(range(1, report.iterations + 1)) and steps
+    assert all(it["seconds"] > 0.0 for it in steps)
+    assert scrubbed["timings"].pop("per_iteration") == \
+        [dict(it, seconds=0.0) for it in steps]
+    assert scrubbed["timings"] == dict.fromkeys(full["timings"], 0.0)
     json.dumps(scrubbed)
 
 

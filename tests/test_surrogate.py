@@ -236,10 +236,9 @@ def test_outer_ordering_pointwise(seed):
                                         budget=3.0))
     rates = rng.uniform(0.0, 1.5, size=(4, 2))
     sched = Schedule(N=4, T=1.0, rates=rates)
-    grid = np.linspace(0.0, 1.0, 21)
     p_info = invert_trajectory(
-        integrate_info_surrogate(inst, sched, substeps=6, grid=grid))
-    p_cov = integrate_cov_surrogate(inst, sched, substeps=6, grid=grid)
+        integrate_info_surrogate(inst, sched, substeps=6, n_eval=20))
+    p_cov = integrate_cov_surrogate(inst, sched, substeps=6, n_eval=20)
     scale = np.trace(inst.system.P0) / inst.n
     for a, b in zip(p_cov.values, p_info.values):
         diff = 0.5 * (a + a.T) - 0.5 * (b + b.T)
@@ -257,12 +256,12 @@ def test_info_rate_monotonicity():
 
 # -------------------------------------------------------------- grid handling
 
-def test_shared_grid_must_span_horizon():
+@pytest.mark.parametrize("n_eval", [0, -3])
+def test_recording_grid_needs_an_interval(n_eval):
     inst = make_scalar_instance(T=1.0)
     sched = uniform_schedule(inst, 2, 1.0)
-    with pytest.raises(ValidationError):
-        integrate_info_surrogate(inst, sched, substeps=4,
-                                 grid=np.linspace(0.0, 0.5, 5))
+    with pytest.raises(ValidationError, match="n_eval must be >= 1"):
+        integrate_info_surrogate(inst, sched, substeps=4, n_eval=n_eval)
 
 
 def test_schedule_horizon_must_match_instance():
@@ -285,41 +284,64 @@ def test_default_grid_contains_stage_boundaries():
                                rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["info", "cov"])
-def test_explicit_grid_has_no_ulp_segments(monkeypatch, kind):
-    # on linspace(0, 3, 301) six of the 31 stage boundaries miss their grid
-    # node by roundoff; each must still fall on it: one segment per node gap
+def counted_segments(monkeypatch):
+    # (length, steps) of every segment the surrogate integrates
     segments = []
     real = surrogate._integrate
 
-    def counting(x0, dt, *args):
-        segments.append(dt)
-        return real(x0, dt, *args)
+    def counting(x0, dt, n_steps, rhs):
+        segments.append((dt, n_steps))
+        return real(x0, dt, n_steps, rhs)
 
     monkeypatch.setattr(surrogate, "_integrate", counting)
+    return segments
+
+
+@pytest.mark.parametrize("kind", ["info", "cov"])
+def test_explicit_grid_has_no_ulp_segments(monkeypatch, kind):
+    # in floats, six of the 31 stage boundaries miss their node of the
+    # 301-node grid by roundoff; by index each falls on it: one segment per
+    # node gap
+    segments = counted_segments(monkeypatch)
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=4, T=3.0))
     sched = uniform_schedule(inst, 30, 0.7)
     integrate = integrate_info_surrogate if kind == "info" \
         else integrate_cov_surrogate
-    integrate(inst, sched, substeps=10, grid=np.linspace(0.0, 3.0, 301))
+    integrate(inst, sched, substeps=10, n_eval=300)
     assert len(segments) == 300
-    assert min(segments) > 0.5 * 3.0 / 300
+    assert min(dt for dt, _ in segments) > 0.5 * 3.0 / 300
 
 
 @pytest.mark.parametrize("kind", ["info", "cov"])
-def test_grid_off_the_stage_boundaries_records_the_merged_path(kind):
-    # linspace(0, 1, 8) misses both inner boundaries of N = 3 stages: the
-    # path steps over the merged stops and is recorded at the grid's nodes
+def test_boundaries_off_the_grid_are_stops(monkeypatch, kind):
+    # N = 3 stages recorded on n_eval = 7 intervals: in units of T / 21 the
+    # nodes sit at multiples of 3 and the boundaries at multiples of 7, so
+    # both inner boundaries fall between nodes and split their node gap
+    segments = counted_segments(monkeypatch)
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=5, T=1.0))
     sched = Schedule(N=3, T=1.0,
                      rates=rng_for(5).uniform(0.2, 1.5, size=(3, 2)))
     integrate = integrate_info_surrogate if kind == "info" \
         else integrate_cov_surrogate
-    grid = np.linspace(0.0, 1.0, 8)
-    merged = np.union1d(grid, np.linspace(0.0, 1.0, 4))
-    assert len(merged) == 10
-    traj = integrate(inst, sched, substeps=3, grid=grid)
-    full = integrate(inst, sched, substeps=3, grid=merged)
-    np.testing.assert_array_equal(traj.times, grid)
-    np.testing.assert_array_equal(
-        traj.values, full.values[np.searchsorted(merged, grid)])
+    traj = integrate(inst, sched, substeps=3, n_eval=7)
+    stops = sorted(set(range(0, 22, 3)) | {7, 14})
+    du = np.diff(stops)
+    assert len(segments) == len(du) == 9
+    assert [s for _, s in segments] == [-(-3 * d // 7) for d in du]
+    np.testing.assert_allclose([dt for dt, _ in segments], du / 21.0,
+                               rtol=1e-12)
+    np.testing.assert_array_equal(traj.times, np.linspace(0.0, 1.0, 8))
+
+
+def test_boundaries_off_the_grid_keep_the_stage_inputs():
+    # a = q = 0: y(t) = y0 + sum_k lam_k s |[0, t] & stage k| exactly, so each
+    # node sees the right stage's rate on either side of a boundary
+    inst = make_scalar_instance(a=0.0, q=0.0, h=1.5, r=0.5, p0=2.0, T=1.0)
+    lam = np.array([0.7, 2.0, 1.3])
+    sched = Schedule(N=3, T=1.0, rates=lam[:, None])
+    traj = integrate_info_surrogate(inst, sched, substeps=3, n_eval=7)
+    starts = np.arange(3) / 3.0
+    overlap = np.clip(traj.times[:, None] - starts, 0.0, 1.0 / 3.0)
+    expected = 0.5 + 4.5 * overlap @ lam
+    np.testing.assert_allclose(traj.values[:, 0, 0], expected, rtol=0.0,
+                               atol=1e-12)
