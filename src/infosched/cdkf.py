@@ -226,13 +226,6 @@ def rollout_information(
 
 
 @dataclass(frozen=True)
-class FilterState:
-    t: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimulationResult:
     """One joint realization: truth states, filter means, covariance path
     (identical to rollout_covariance for the same arrivals), measurements."""
@@ -242,12 +235,6 @@ class SimulationResult:
     means: np.ndarray             # (n_eval+1, n) filter means
     covariances: Trajectory
     measurements: tuple           # ((t, sensor, z), ...)
-
-    def filter_states(self) -> list[FilterState]:
-        return [
-            FilterState(t=float(t), mean=m, covariance=P)
-            for t, m, P in zip(self.times, self.means, self.covariances.values)
-        ]
 
 
 def simulate_realization(
@@ -322,7 +309,6 @@ def simulate_realization(
 
 __all__ = [
     "ArrivalRecord",
-    "FilterState",
     "SimulationResult",
     "rollout_covariance",
     "rollout_information",

@@ -110,12 +110,12 @@ def _instance_from_args(args) -> "Instance":
 
 
 def cmd_solve(args) -> int:
+    options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     instance = _instance_from_args(args)
     problem = ShootingProblem(
         instance=instance, N=args.N, kind=args.kind,
         substeps=args.substeps,
     )
-    options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     report = solve(problem, options=options)
     norm = report.objective / float(np.trace(instance.system.P0))
     feas = validate_schedule(report.schedule, instance.polytope)
@@ -245,6 +245,11 @@ def _estimate_sweep_seconds(points, args) -> float:
 def cmd_sweep(args) -> int:
     if args.instances < 1:
         raise ValidationError(f"--instances must be >= 1, got {args.instances}")
+    # inf means no cap; nan would never refuse, as estimate > nan is False
+    if not args.max_minutes >= 0:
+        raise ValidationError(
+            f"--max-minutes must be >= 0, got {args.max_minutes}")
+    options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     points = _sweep_points(args)
     if args.full:
         print("warning: --full grids can take hours",
@@ -263,8 +268,7 @@ def cmd_sweep(args) -> int:
             for kind in ("info", "cov"):
                 problem = ShootingProblem(instance=instance, N=args.N,
                                           kind=kind, substeps=args.substeps)
-                report = solve(problem, options=SolveOptions(
-                    max_iters=args.max_iters, grad_tol=args.grad_tol))
+                report = solve(problem, options=options)
                 est = mc_objective(
                     instance, report.schedule, n_runs=args.runs,
                     n_eval=args.n_eval, seed=args.seed,
@@ -326,7 +330,7 @@ def _scalar_gradcheck_instance():
 
 
 def cmd_gradcheck(args) -> int:
-    if args.random:
+    if args.instance or args.random:
         instance = _instance_from_args(args)
         N = args.N
     else:

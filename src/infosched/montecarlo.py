@@ -92,15 +92,14 @@ def _sample_runs(instance, schedule, n_runs, seed):
     return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
 
 
-def _run_costs(instance, records, n_eval, paths=None):
+def _run_costs(instance, records, grid, paths=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
     Each run's cost is the objective of its path, reduced as the walk
-    records its nodes: <W_i, P_i> summed in node order, W_i the node's
-    riccati.node_weights entry.  The nodes also go to paths[r, i] when paths
-    is given.
+    records its nodes on grid: <W_i, P_i> summed in node order, W_i the
+    node's riccati.node_weights entry.  The nodes also go to paths[r, i] when
+    paths is given.
     """
-    grid = time_grid(instance.T, n_eval)
     weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))
     for kind, arg, P in _filter_walk(instance, records, grid):
@@ -145,8 +144,9 @@ def mc_objective(
     stepped together and per_run_costs comes back in run order, so the
     reduction is deterministic.  Paths are not kept.
     """
+    grid = time_grid(instance.T, n_eval)
     records = _sample_runs(instance, schedule, n_runs, seed)
-    return _estimate(_run_costs(instance, records, n_eval))
+    return _estimate(_run_costs(instance, records, grid))
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,6 @@ class McTrajectories:
     y_mean: Trajectory
     p_trace_stderr: np.ndarray
     y_trace_stderr: np.ndarray
-    n_runs: int
     objective: McEstimate
 
 
@@ -181,11 +180,11 @@ def mc_mean_trajectories(
     Runs, seeding and costs are those of mc_objective; every covariance path
     is kept for the nodewise statistics.
     """
-    records = _sample_runs(instance, schedule, n_runs, seed)
     times = time_grid(instance.T, n_eval)
+    records = _sample_runs(instance, schedule, n_runs, seed)
     n = instance.n
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    costs = _run_costs(instance, records, n_eval, p_paths)
+    costs = _run_costs(instance, records, times, p_paths)
     y_paths = _sym(np.linalg.inv(p_paths))
 
     # all realizations identical (e.g. zero schedule): averaging would only
@@ -211,7 +210,6 @@ def mc_mean_trajectories(
         y_mean=Trajectory(coordinates=INFO, times=times, values=y_mean),
         p_trace_stderr=p_se,
         y_trace_stderr=y_se,
-        n_runs=n_runs,
         objective=_estimate(costs),
     )
 

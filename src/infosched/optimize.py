@@ -368,6 +368,15 @@ class SolveOptions:
     max_iters: int = 500
     grad_tol: float = 1e-6
 
+    def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 0:
+            raise ValidationError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValidationError(
+                f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
+
 
 @dataclass
 class SolveReport:

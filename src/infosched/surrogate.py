@@ -130,7 +130,8 @@ def integrate_cov_surrogate(
     substeps: int = 10,
     n_eval: int | None = None,
 ) -> Trajectory:
-    """Integrate the covariance-form surrogate; recorded as the info form."""
+    """Integrate the covariance-form surrogate, recorded in covariance
+    coordinates on the grid of integrate_info_surrogate."""
     return _integrate_surrogate(instance, schedule, substeps, "cov", n_eval)
 
 

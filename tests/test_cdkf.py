@@ -319,13 +319,3 @@ def test_simulate_rejects_a_schedule_of_another_instance():
                   Schedule(N=2, T=0.5, rates=np.ones((2, 1)))):
         with pytest.raises(ValidationError, match="columns|horizon"):
             simulate_realization(inst, schedule=sched, n_eval=4)
-
-
-def test_simulate_filter_states_shape():
-    inst = make_scalar_instance(T=1.0)
-    sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                               seed=0, n_eval=6)
-    states = sim.filter_states()
-    assert len(states) == 7
-    assert states[0].t == 0.0 and states[-1].t == 1.0
-    assert states[-1].covariance.shape == (1, 1)

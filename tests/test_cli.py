@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from infosched import cli, optimize
+from infosched import cli, montecarlo, optimize
 from infosched.model import (
     InstanceSpec,
     Schedule,
@@ -95,6 +95,26 @@ def test_evaluate_missing_file_is_usage_error(tmp_path, capsys):
             "--schedule", str(sched_path)]
     assert cli.main(argv) == 2
     capsys.readouterr()
+
+
+def test_evaluate_bad_n_eval_samples_nothing(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = montecarlo.sample_arrivals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_arrivals", counted)
+    inst_path = tmp_path / "inst.json"
+    write_scalar_instance(inst_path)
+    sched_path = tmp_path / "sched.json"
+    write_schedule(sched_path, np.ones((2, 1)))
+    argv = ["evaluate", "--instance", str(inst_path),
+            "--schedule", str(sched_path), "--runs", "50", "--n-eval", "0"]
+    assert cli.main(argv) == 2
+    assert "n_eval must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == []
 
 
 def _edit_instance(payload):
@@ -234,6 +254,43 @@ def test_sweep_empty_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("command,bad,message", [
+    ("solve", ["--max-iters", "-3"], "max_iters must be an integer >= 0"),
+    ("solve", ["--grad-tol", "nan"], "grad_tol must be finite and >= 0"),
+    ("solve", ["--grad-tol=-1e-6"], "grad_tol must be finite and >= 0"),
+    ("sweep", ["--max-iters", "-1"], "max_iters must be an integer >= 0"),
+    ("sweep", ["--grad-tol", "inf"], "grad_tol must be finite and >= 0"),
+    ("sweep", ["--max-minutes", "nan"], "--max-minutes must be >= 0"),
+    ("sweep", ["--max-minutes", "-1"], "--max-minutes must be >= 0"),
+], ids=["solve-max-iters", "solve-grad-tol-nan", "solve-grad-tol-negative",
+        "sweep-max-iters", "sweep-grad-tol-inf", "sweep-max-minutes-nan",
+        "sweep-max-minutes-negative"])
+def test_bad_solver_options_are_usage_errors(tmp_path, capsys, command, bad,
+                                             message):
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--random", "n=1,M=1,seed=2", "--N", "2",
+                  "--out", str(out)],
+        "sweep": ["sweep", "--sweep", "dimension", "--grid", "2",
+                  "--runs", "2", "--out", str(out)],
+    }[command] + bad
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_infinite_cap_never_refuses(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_estimate_sweep_seconds",
+                        lambda points, args: 1e12)
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2",
+            "--instances", "1", "--runs", "2", "--N", "2", "--substeps", "2",
+            "--max-iters", "1", "--n-eval", "10", "--max-minutes", "inf",
+            "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (tmp_path / "s.csv").exists()
+
+
 def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):
     argv = ["sweep", "--sweep", "dimension", "--grid", "2",
             "--instances", "1", "--runs", "4", "--N", "4",
@@ -335,6 +392,33 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(
         "error: seed must be a nonnegative integer, got -")
+
+
+def test_gradcheck_checks_the_instance_file(tmp_path, monkeypatch, capsys):
+    # the check must run on the file's instance, not the built-in scalar one
+    inst = random_instance(InstanceSpec(n=2, M=3, seed=4, T=1.0, budget=3.0))
+    save_instance(tmp_path / "inst.json", inst)
+    checked = []
+    real = cli.gradient_check
+
+    def recorded(problem, rates, fd_step):
+        checked.append((problem.instance.n, problem.M, problem.N))
+        return real(problem, rates, fd_step=fd_step)
+
+    monkeypatch.setattr(cli, "gradient_check", recorded)
+    argv = ["gradcheck", "--instance", str(tmp_path / "inst.json"),
+            "--kind", "info", "--N", "3", "--substeps", "4"]
+    assert cli.main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert checked == [(2, 3, 3)]
+
+
+def test_gradcheck_missing_instance_file_is_usage_error(tmp_path, capsys):
+    argv = ["gradcheck", "--instance", str(tmp_path / "nope.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error:")
 
 
 def test_gradcheck_random_instance_both_kinds(capsys):

@@ -1,12 +1,13 @@
-"""Every name a module imports is used there or re-exported, and every name
-the package promises exists.
+"""Every name a module imports is used there or re-exported, every name
+the package promises exists, and each has one import path.
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file under src/, tests/ and scripts/.  A name counts as used when it
-is read anywhere in the module or listed in its __all__; a package
-__init__ re-exports everything it imports.  The names the package promises
-are each module's __all__ and the functions the benchmark's tracer wraps
-(perfbench/tracing.py, read without importing it).
+is read anywhere in the module or listed in its __all__.  The names the
+package promises are each module's __all__ and the functions the
+benchmark's tracer wraps (perfbench/tracing.py, read without importing it).
+A public name is imported from the module that defines it: the package root
+binds only __version__, and `from infosched import X` names a submodule.
 """
 
 import ast
@@ -16,9 +17,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# a package __init__ re-exports what it imports
 FILES = sorted(p for d in ("src", "tests", "scripts")
-               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+               for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -82,3 +82,43 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(f"infosched.{module}")
     exported = getattr(mod, "__all__", ())
     assert [n for n in exported if not hasattr(mod, n)] == []
+
+
+def test_package_root_binds_only_the_version():
+    tree = ast.parse((ROOT / "src" / "infosched" / "__init__.py").read_text(
+        encoding="utf-8"))
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   for node in ast.walk(tree))
+    bound = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    assert bound == ["__version__"]
+    assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
+
+
+def root_imports(source, package=False):
+    """Names imported from the package root: `from infosched import X`, and
+    `from . import X` in a module of the package."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and ((node.level == 0 and node.module == "infosched")
+                 or (package and node.level == 1 and node.module is None))
+            for a in node.names]
+
+
+def test_root_imports_names_only_root_imports():
+    source = ("from infosched import cli, model as m\nfrom . import bounds\n"
+              "from infosched.model import Instance\nimport infosched.cdkf\n")
+    assert root_imports(source) == ["cli", "model"]
+    assert root_imports(source, package=True) == ["cli", "model", "bounds"]
+
+
+ROOTED = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", ROOTED,
+                         ids=[str(p.relative_to(ROOT)) for p in ROOTED])
+def test_package_root_imports_name_submodules(path):
+    package = path.parent == ROOT / "src" / "infosched"
+    names = root_imports(path.read_text(encoding="utf-8"), package)
+    assert [n for n in names if n not in MODULES] == []

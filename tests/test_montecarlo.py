@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from infosched import cdkf
+from infosched import cdkf, montecarlo
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     InstanceSpec,
@@ -24,7 +24,12 @@ from infosched.montecarlo import (
     sample_arrivals,
     save_mc_report,
 )
-from infosched.riccati import PositiveDefinitenessError, flow_cov, pathwise_cost
+from infosched.riccati import (
+    PositiveDefinitenessError,
+    flow_cov,
+    pathwise_cost,
+    time_grid,
+)
 
 from conftest import make_scalar_instance, mixed_instance, rng_for
 
@@ -171,7 +176,7 @@ def test_mc_mean_trajectories_independent_of_batch_composition():
     others = [sample_arrivals(sched, run_seed(10, r)) for r in range(3)]
     batch = records[::-1][:3] + others + records[::-1][3:]
     paths = np.empty((9, 31, 4, 4))
-    costs = _run_costs(inst, batch, 30, paths)
+    costs = _run_costs(inst, batch, time_grid(inst.T, 30), paths)
     keep = [8, 7, 6, 2, 1, 0]          # batch positions of runs 0..5
     np.testing.assert_array_equal(paths[keep].mean(axis=0),
                                   out.p_mean.values)
@@ -201,13 +206,13 @@ def _batch_records(inst, grid):
 def test_batched_walk_paths_independent_of_batch():
     inst = mixed_instance(12, T=1.0)
     n_eval = 10
-    grid = np.linspace(0.0, inst.T, n_eval + 1)
+    grid = time_grid(inst.T, n_eval)
     runs, extra = _batch_records(inst, grid)
     three = np.empty((3, n_eval + 1, 4, 4))
-    costs3 = _run_costs(inst, runs, n_eval, three)
+    costs3 = _run_costs(inst, runs, grid, three)
     seven = np.empty((7, n_eval + 1, 4, 4))
     order = [extra[0], runs[2], runs[1], extra[1], runs[0], runs[2], runs[1]]
-    costs7 = _run_costs(inst, order, n_eval, seven)
+    costs7 = _run_costs(inst, order, grid, seven)
     for r, at in enumerate(([4], [2, 6], [1, 5])):
         single = rollout_covariance(inst, runs[r], n_eval)
         np.testing.assert_array_equal(three[r], single.values)
@@ -228,7 +233,7 @@ def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 4), 2.0))
     records = [sample_arrivals(sched, run_seed(3, r)) for r in range(8)]
     paths = np.empty((8, 21, 3, 3))
-    costs = _run_costs(inst, records, 20, paths)
+    costs = _run_costs(inst, records, time_grid(inst.T, 20), paths)
     for r, rec in enumerate(records):
         traj = rollout_covariance(inst, rec, 20)
         np.testing.assert_array_equal(paths[r], traj.values)
@@ -246,7 +251,7 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
     records = [empty, ArrivalRecord.from_events([(0.4, 0)]), empty]
     with pytest.raises(PositiveDefinitenessError,
                        match="arrival from sensor 0 at t=0.4 in run 1"):
-        _run_costs(inst, records, 4)
+        _run_costs(inst, records, time_grid(inst.T, 4))
 
 
 def test_mc_objective_estimate_invariants():
@@ -263,6 +268,23 @@ def test_mc_objective_rejects_zero_runs():
     sched = Schedule(N=1, T=1.0, rates=np.zeros((1, 1)))
     with pytest.raises(ValidationError):
         mc_objective(inst, sched, n_runs=0)
+
+
+@pytest.mark.parametrize("estimate", [mc_objective, mc_mean_trajectories])
+def test_bad_n_eval_is_rejected_before_any_sampling(monkeypatch, estimate):
+    calls = []
+    real = montecarlo.sample_arrivals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_arrivals", counted)
+    inst = make_scalar_instance(T=1.0)
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 3.0))
+    with pytest.raises(ValidationError, match="n_eval must be >= 1, got 0"):
+        estimate(inst, sched, n_runs=50, n_eval=0)
+    assert calls == []
 
 
 def test_mc_report_json(tmp_path):

@@ -755,6 +755,17 @@ def test_shooting_problem_validation():
         ShootingProblem(instance=inst, N=2, substeps=0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"max_iters": -3}, {"max_iters": 2.5}, {"grad_tol": math.nan},
+    {"grad_tol": math.inf}, {"grad_tol": -1e-6},
+], ids=["max_iters-negative", "max_iters-float", "grad_tol-nan",
+        "grad_tol-inf", "grad_tol-negative"])
+def test_solve_options_validation(bad):
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        SolveOptions(**bad)
+    assert SolveOptions(max_iters=0, grad_tol=0.0).max_iters == 0
+
+
 # ---------------------------------------------------------------------------
 # solver behavior
 
