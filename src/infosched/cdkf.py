@@ -3,11 +3,11 @@
 Given an arrival record (time, sensor index) the covariance path of the
 continuous-discrete Kalman filter is deterministic: Lyapunov flow between
 arrivals, gain update at each arrival.  One walk steps it exactly (one
-Lyapunov map per segment between stops) for a whole batch of records at
-once: the Monte Carlo runs of ``montecarlo`` step together, and
-``rollout_covariance`` is the batch of one record, sampled on a uniform
-evaluation grid.  A run's path does not depend on what else the batch
-holds, bit for bit.  ``rollout_information`` is its nodewise inverse.
+Lyapunov map per segment between stops, all from one map family) for a
+whole batch of records at once: the Monte Carlo runs of ``montecarlo`` step
+together, and ``rollout_covariance`` is the batch of one record, sampled on
+a uniform evaluation grid.  A run's path does not depend on what else the
+batch holds, bit for bit.  ``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
@@ -134,8 +134,8 @@ def _steps(records, grid):
     return time, sensor, node, kind
 
 
-def _maps(A, Q, durations):
-    phi, w = lyapunov_maps(A, Q, durations)
+def _maps(family, durations):
+    phi, w = family(durations)
     if not (np.isfinite(phi).all() and np.isfinite(w).all()):
         raise PositiveDefinitenessError("non-finite covariance map")
     return phi, w
@@ -149,9 +149,11 @@ def _filter_walk(instance, records, grid):
     P <- Phi P Phi^T + W with each run's map, then one gain update over the
     runs with an arrival there (riccati.stacked_gains of the arriving
     sensors' rows of the instance's padded stacks, one batched solve), then
-    the nodes.  The uncut grid step has one map shared by all runs; the cut
-    segments of a step are mapped together, in one lyapunov_maps call, so
-    only one step's maps are alive at a time.
+    the nodes.  Every map comes from one riccati.lyapunov_maps family,
+    built once per walk for durations up to the longest grid interval: the
+    uncut grid step has one map shared by all runs, and the cut segments
+    of a step are mapped together, so only one step's maps are alive at a
+    time.
 
     Yields (kind, arg, P), P the (R, n, n) stack of all runs (live: copy
     what you keep): ("flow", (Phi, W, moved), P) after each step's maps,
@@ -168,7 +170,9 @@ def _filter_walk(instance, records, grid):
     sys = instance.system
     n, R = sys.n, len(records)
     time, sensor, node, kind = _steps(records, grid)
-    phi_h, w_h = _maps(sys.A, sys.Q, [grid[1] - grid[0]])
+    # no segment outlasts the longest grid interval: rounding is monotone
+    family = lyapunov_maps(sys.A, sys.Q, np.diff(grid).max())
+    phi_h, w_h = _maps(family, [grid[1] - grid[0]])
     fixed_phi = np.stack([np.eye(n), phi_h[0]])
     fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
     P = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
@@ -178,7 +182,7 @@ def _filter_walk(instance, records, grid):
         cut = np.flatnonzero(kind[s] == CUT)
         if cut.size:
             lengths = time[s, cut] - time[s - 1, cut]
-            phi[cut], w[cut] = _maps(sys.A, sys.Q, lengths)
+            phi[cut], w[cut] = _maps(family, lengths)
         P = _sym(phi @ P @ phi.swapaxes(1, 2) + w)
         yield "flow", (phi, w, kind[s] != IDLE), P
         runs = np.flatnonzero(sensor[s] >= 0)

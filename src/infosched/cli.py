@@ -243,8 +243,10 @@ def _estimate_sweep_seconds(points, args) -> float:
 
 
 def cmd_sweep(args) -> int:
-    if args.instances < 1:
-        raise ValidationError(f"--instances must be >= 1, got {args.instances}")
+    for flag, value in (("--instances", args.instances), ("--runs", args.runs),
+                        ("--n-eval", args.n_eval)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
     # inf means no cap; nan would never refuse, as estimate > nan is False
     if not args.max_minutes >= 0:
         raise ValidationError(

@@ -41,22 +41,22 @@ def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
     seeds give equal records.
     """
     rng = _generator(seed)
+    poisson, uniform = rng.poisson, rng.random
     delta = schedule.delta
     rates = schedule.rates.T
-    times = []
-    sensors = []
     # the positive rates in (sensor, interval) order: a zero rate draws nothing
-    for j, k in zip(*np.nonzero(rates > 0.0)):
-        count = int(rng.poisson(rates[j, k] * delta))
+    js, ks = np.nonzero(rates > 0.0)
+    means = (rates[js, ks] * delta).tolist()
+    starts = (ks * delta).tolist()
+    counts = []
+    times = [np.empty(0)]
+    for mean, start in zip(means, starts):
+        count = poisson(mean)
+        counts.append(count)
         if count:
-            times.append(k * delta + delta * rng.random(count))
-            sensors.append(np.full(count, j, dtype=np.int64))
-    if times:
-        times = np.concatenate(times)
-        sensors = np.concatenate(sensors)
-    else:
-        times = np.empty(0)
-        sensors = np.empty(0, dtype=np.int64)
+            times.append(start + delta * uniform(count))
+    times = np.concatenate(times)
+    sensors = np.repeat(js, counts)
     return ArrivalRecord(times=times, sensors=sensors)
 
 

@@ -12,14 +12,16 @@ at an arrival.  Information coordinates Y = P^{-1} obey the dual pair
 
     Ydot = -Y A - A^T Y - Y Q Y,        Y+ = Y + H^T R^{-1} H.
 
-The filter rollouts step the linear Lyapunov flow by its exact map
-(``lyapunov_maps``).  The optimizer steps the information flow with a
-constant input by its exact linear-fractional map (``hamiltonian_maps``),
-and differentiates the exponential behind it with ``expm_adjoint``.  The
-remaining flows (the certificates' surrogates, the covariance-form design
-path and the ``flow_*`` references) are integrated with one fixed-step
-scheme, classical RK4, defined here once: its forward step paired with the
-step's exact adjoint, which the optimizer's reverse sweep runs.  Every step
+The filter rollouts step the linear Lyapunov flow by its exact maps, one
+family per walk (``lyapunov_maps``: the Taylor coefficients of the Van Loan
+block computed once, each map a polynomial in its duration).  The optimizer
+steps the information flow with a constant input by its exact
+linear-fractional map (``hamiltonian_maps``), and differentiates the
+exponential behind it with ``expm_adjoint``.  The remaining flows (the
+certificates' surrogates, the covariance-form design path and the
+``flow_*`` references) are integrated with one fixed-step scheme, classical
+RK4, defined here once: its forward step paired with the step's exact
+adjoint, which the optimizer's reverse sweep runs.  Every step
 re-symmetrizes the state so roundoff cannot push iterates off the symmetric
 cone, and positive definiteness is enforced against a scale-relative floor.
 Losing it, or a non-finite entry, is a typed error, never silently
@@ -194,22 +196,57 @@ def expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def lyapunov_maps(A, Q, durations):
-    """Exact maps of the Lyapunov flow over each duration d in durations.
+def lyapunov_maps(A, Q, h):
+    """The family of exact Lyapunov flow maps over durations in [0, h].
 
-    Returns stacks (Phi, W) with P(t + d) = Phi P Phi^T + W, where
-    Phi = e^{A d} and W = int_0^d e^{A s} Q e^{A^T s} ds.  Both come from the
-    exponential of the block [[-A, Q], [0, A^T]] d (Van Loan, IEEE TAC
-    1978), all durations in one batch: the working memory of a call grows
-    with their number, which the filter walk keeps to one step's cut
-    segments, at most one per run of the batch.
+    Returns maps(durations), which gives stacks (Phi, W) with
+    P(t + d) = Phi P Phi^T + W, where Phi = e^{A d} and
+    W = int_0^d e^{A s} Q e^{A^T s} ds.  Both are blocks of the exponential
+    of d [[-A, Q], [0, A^T]] (Van Loan, IEEE TAC 1978).  Every duration
+    shares the generator and the bound h, so the family is set up once, as
+    expm would scale Z = h [[-A, Q], [0, A^T]]: by 2^-s to 1-norm theta <= 1,
+    with the Taylor coefficients C_k = (Z / 2^s)^k / k! up to the least
+    degree K whose remainder theta^(K+1) / (K+1)! is within EXPM_DEGREE's
+    at norm 1.  A map is then sum_k t^k C_k at t = d / h, by Horner's rule
+    in t elementwise, squared s times (Moler & Van Loan, SIAM Review 2003):
+    no matrix product mixes durations, so each map depends on its own
+    duration alone, bit for bit, whatever else the batch holds.  A duration
+    outside [0, h] is a ValidationError.
     """
+    if not 0.0 < h < math.inf:
+        raise ValidationError(f"map bound h must be positive and finite, "
+                              f"got {h}")
     n = A.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n], block[:n, n:], block[n:, n:] = -A, Q, A.T
-    F = expm(block * np.asarray(durations, dtype=float)[:, None, None])
-    phi = F[:, n:, n:].transpose(0, 2, 1)
-    return phi, _sym(phi @ F[:, :n, n:])
+    Z = np.zeros((2 * n, 2 * n))
+    Z[:n, :n], Z[:n, n:], Z[n:, n:] = -A, Q, A.T
+    Z *= h
+    norm = float(np.abs(Z).sum(axis=0).max())
+    s = math.ceil(math.log2(max(norm, 1.0)))
+    X = np.ldexp(Z, -s)
+    theta = math.ldexp(norm, -s)
+    tail = 1.0 / math.factorial(EXPM_DEGREE + 1)
+    coeffs = [np.eye(2 * n)]
+    for k in range(1, EXPM_DEGREE + 1):
+        if theta ** k / math.factorial(k) <= tail:
+            break
+        coeffs.append(coeffs[-1] @ X / k)
+
+    def maps(durations):
+        d = np.asarray(durations, dtype=float)
+        if not np.all((d >= 0.0) & (d <= h)):
+            raise ValidationError(
+                f"map durations must lie in [0, {h!r}], got range "
+                f"[{d.min()!r}, {d.max()!r}]")
+        t = (d / h)[:, None, None]
+        F = np.repeat(coeffs[-1][None], len(d), axis=0)
+        for c in coeffs[-2::-1]:
+            F = c + t * F
+        for _ in range(s):
+            F = F @ F
+        phi = F[:, n:, n:].transpose(0, 2, 1)
+        return phi, _sym(phi @ F[:, :n, n:])
+
+    return maps
 
 
 def hamiltonian_maps(A, Q, U, h):

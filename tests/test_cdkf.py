@@ -26,6 +26,7 @@ from infosched.riccati import (
     flow_cov,
     invert_trajectory,
     jump_cov,
+    time_grid,
 )
 
 from conftest import make_scalar_instance, rng_for
@@ -84,6 +85,22 @@ def test_rollout_empty_arrivals_is_lyapunov():
     np.testing.assert_allclose(traj.values[-1], direct, rtol=1e-9)
 
 
+def test_rollout_cut_as_long_as_the_longest_grid_interval():
+    # rounding makes the grid intervals differ: on T=3, n_eval=10 the gap
+    # from an arrival an ulp after node 6 to node 7 exceeds the first
+    # interval, and the walk's map family must still admit it
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=3.0)
+    grid = time_grid(3.0, 10)
+    late = np.nextafter(grid[6], np.inf)
+    assert grid[7] - late > grid[1] - grid[0]
+    cut = rollout_covariance(inst, ArrivalRecord.from_events([(late, 0)]),
+                             n_eval=10)
+    on_node = rollout_covariance(
+        inst, ArrivalRecord.from_events([(grid[6], 0)]), n_eval=10)
+    np.testing.assert_allclose(cut.values[7:], on_node.values[7:],
+                               rtol=1e-14)
+
+
 def test_rollout_failure_names_no_substeps():
     # an exploding exact map is a typed error; a rollout has no substeps
     inst = make_scalar_instance(a=400.0, q=1.0, T=3.0)
@@ -101,11 +118,15 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     events = []
     if where == "node":
-        maps = cdkf.lyapunov_maps
+        family = cdkf.lyapunov_maps
 
-        def negative_noise(A, Q, durations):
-            phi, w = maps(A, Q, durations)
-            return phi, -w
+        def negative_noise(A, Q, h):
+            maps = family(A, Q, h)
+
+            def negated(durations):
+                phi, w = maps(durations)
+                return phi, -w
+            return negated
 
         monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
     else:

@@ -254,6 +254,32 @@ def test_sweep_empty_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("bad,message", [
+    (["--runs", "0"], "--runs must be >= 1, got 0"),
+    (["--n-eval", "0"], "--n-eval must be >= 1, got 0"),
+], ids=["runs", "n-eval"])
+def test_sweep_bad_monte_carlo_size_solves_nothing(tmp_path, monkeypatch,
+                                                   capsys, bad, message):
+    # rejected before the time estimate's gradients and before any solve
+    calls = []
+
+    def counted(real):
+        def run(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return run
+
+    for name in ("solve", "objective_and_gradient"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2",
+            "--instances", "1", "--N", "2", "--substeps", "2",
+            "--max-iters", "1", "--out", str(tmp_path / "s.csv")] + bad
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,bad,message", [
     ("solve", ["--max-iters", "-3"], "max_iters must be an integer >= 0"),
     ("solve", ["--grad-tol", "nan"], "grad_tol must be finite and >= 0"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from infosched import cdkf, montecarlo
+from infosched import cdkf, montecarlo, riccati
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     InstanceSpec,
@@ -164,6 +164,23 @@ def test_mc_objective_independent_of_batch_composition():
     np.testing.assert_array_equal(six.per_run_costs, nine.per_run_costs[:6])
     np.testing.assert_array_equal(six.per_run_costs, again.per_run_costs)
     assert (six.mean, six.std) == (again.mean, again.std)
+
+
+def test_mc_objective_takes_every_map_from_one_family(monkeypatch):
+    # the walk's maps are polynomials of one family, never an exponential
+    calls = []
+    real = riccati.expm
+
+    def counted(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(riccati, "expm", counted)
+    inst = random_instance(InstanceSpec(n=3, M=3, p=1, seed=6, T=1.0))
+    sched = Schedule(N=3, T=1.0, rates=np.full((3, 3), 4.0))
+    est = mc_objective(inst, sched, n_runs=100, n_eval=30, seed=2)
+    assert est.n_runs == 100 and np.isfinite(est.mean)
+    assert calls == []
 
 
 def test_mc_mean_trajectories_independent_of_batch_composition():

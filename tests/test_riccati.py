@@ -12,6 +12,7 @@ from infosched.model import (
     ResourcePolytope,
     Sensor,
     SystemModel,
+    ValidationError,
     WeightSpec,
 )
 from infosched.riccati import (
@@ -161,13 +162,80 @@ def test_expm_batch_equals_single_matrices():
 def test_lyapunov_maps_scalar_closed_form():
     a, q = -1.0, 2.0
     d = np.array([0.0, 1e-3, 0.37, 2.0])
-    phi, w = lyapunov_maps(np.array([[a]]), np.array([[q]]), d)
+    phi, w = lyapunov_maps(np.array([[a]]), np.array([[q]]), d.max())(d)
     np.testing.assert_allclose(phi[:, 0, 0], np.exp(a * d), rtol=1e-14)
     # P(d) = Phi p0 Phi + W against the analytic solution, several p0
     for p0 in (0.2, 5.0):
         got = phi[:, 0, 0] ** 2 * p0 + w[:, 0, 0]
         np.testing.assert_allclose(got, scalar_lyapunov(a, q, p0, d),
                                    rtol=1e-14)
+
+
+def _lyapunov_cases():
+    """(A, Q, h) cases of the map family: "random" needs no squaring, the
+    others square at least once."""
+    rng = rng_for(2003)
+    V = rng.normal(size=(4, 4))
+    jordan = np.diag(np.full(4, -0.7)) + np.diag(np.ones(3), 1)
+    A = rng.normal(size=(3, 3))
+    return {
+        "scalar": (np.array([[-1.0]]), np.array([[2.0]]), 2.0),
+        "random": (rng.normal(size=(4, 4)), random_spd(rng, 4), 0.05),
+        "defective": (V @ jordan @ np.linalg.inv(V), random_spd(rng, 4), 0.5),
+        "noise-free": (A, np.zeros((3, 3)), 1.0),
+        "stiff": (np.diag([-20.0, -1.0, 0.5]) + 0.3 * A, random_spd(rng, 3),
+                  0.3),
+    }
+
+
+def _van_loan(A, Q, d):
+    # phi and W of one duration from scipy's exponential of the block
+    n = A.shape[0]
+    F = scipy_expm(d * np.block([[-A, Q], [np.zeros((n, n)), A.T]]))
+    phi = F[n:, n:].T
+    W = phi @ F[:n, n:]
+    return phi, 0.5 * (W + W.T)
+
+
+@pytest.mark.parametrize("name", sorted(_lyapunov_cases()))
+def test_lyapunov_map_family_matches_scipy(name):
+    A, Q, h = _lyapunov_cases()[name]
+    n = A.shape[0]
+    if name == "stiff":
+        block = np.block([[-A, Q], [np.zeros((n, n)), A.T]])
+        assert h * np.abs(block).sum(axis=0).max() > 2.0
+    d = np.array([0.0, 1e-12 * h, 0.37 * h, h])
+    phi, w = lyapunov_maps(A, Q, h)(d)
+    for i, di in enumerate(d):
+        want_phi, want_w = _van_loan(A, Q, di)
+        for got, want in ((phi[i], want_phi), (w[i], want_w)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lyapunov_map_family_batch_equals_single_durations():
+    # Horner's rule in t is elementwise, so batch neighbours do not interact
+    A, Q, h = _lyapunov_cases()["stiff"]
+    maps = lyapunov_maps(A, Q, h)
+    d = np.array([0.37 * h, 0.0, h, 1e-12 * h, 0.5 * h])
+    single = [maps(d[i:i + 1]) for i in range(len(d))]
+    phi, w = maps(d[::-1])
+    for i, (phi_i, w_i) in enumerate(single[::-1]):
+        np.testing.assert_array_equal(phi[i], phi_i[0])
+        np.testing.assert_array_equal(w[i], w_i[0])
+
+
+@pytest.mark.parametrize("h,durations,message", [
+    (0.37, [0.1, np.nextafter(0.37, 1.0)], "map durations must lie in"),
+    (0.37, [0.1, -5e-324], "map durations must lie in"),
+    (0.37, [0.1, np.nan], "map durations must lie in"),
+    (0.0, [0.0], "map bound h must be positive"),
+    (np.inf, [0.0], "map bound h must be positive"),
+], ids=["above-h", "negative", "nan", "zero-h", "infinite-h"])
+def test_lyapunov_map_family_rejects_durations_outside_its_bound(
+        h, durations, message):
+    A, Q, _ = _lyapunov_cases()["random"]
+    with pytest.raises(ValidationError, match=message):
+        lyapunov_maps(A, Q, h)(durations)
 
 
 def _adjoint_cases():
