@@ -13,10 +13,6 @@ Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
 records the jumped matrix; multiple arrivals at the same instant are
 processed in ascending sensor index.
-
-``simulate_realization`` also samples a state truth path and the filter
-mean through the same maps (x -> Phi x + N(0, W), m -> Phi m), and is meant
-for demos and consistency tests, not for the schedule-design loop.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError
-from .model import _check_pair, _generator, _seed_sequence, _sym
+from .model import Instance, ValidationError, _sym
 from .riccati import (
     COV,
     PositiveDefinitenessError,
@@ -155,11 +150,8 @@ def _filter_walk(instance, records, grid):
     of a step are mapped together, so only one step's maps are alive at a
     time.
 
-    Yields (kind, arg, P), P the (R, n, n) stack of all runs (live: copy
-    what you keep): ("flow", (Phi, W, moved), P) after each step's maps,
-    moved marking the runs whose segment has a length; ("jump", (runs,
-    sensors, times), P) before the gain update of the runs with an arrival;
-    ("node", (runs, nodes), P) with the runs that record a node.  Each run's
+    Yields (runs, nodes, P) at each step where runs record nodes, P the
+    (R, n, n) stack of all runs (live: copy what you keep).  Each run's
     path depends on its own record alone, bit for bit, whatever else the
     batch holds.  An exact map keeps P positive definite up to roundoff: the
     walk checks the maps' finiteness, the runs that jumped and the recorded
@@ -184,11 +176,9 @@ def _filter_walk(instance, records, grid):
             lengths = time[s, cut] - time[s - 1, cut]
             phi[cut], w[cut] = _maps(family, lengths)
         P = _sym(phi @ P @ phi.swapaxes(1, 2) + w)
-        yield "flow", (phi, w, kind[s] != IDLE), P
         runs = np.flatnonzero(sensor[s] >= 0)
         if runs.size:
             js, ts = sensor[s, runs], time[s, runs]
-            yield "jump", (runs, js, ts), P
             before = P[runs]
             g = stacked_gains(before, instance.H[js], instance.R[js])[0]
             P[runs] = _sym(before - g)
@@ -199,7 +189,7 @@ def _filter_walk(instance, records, grid):
             nodes = node[s, runs]
             require_pd(P[runs], lambda i: f"at node t={grid[nodes[i]]:g} "
                        f"in run {runs[i]}")
-            yield "node", (runs, nodes), P
+            yield runs, nodes, P
 
 
 def rollout_covariance(
@@ -210,9 +200,8 @@ def rollout_covariance(
     """Deterministic covariance path of the filter for fixed arrivals."""
     grid = time_grid(instance.T, n_eval)
     values = np.empty((n_eval + 1, instance.n, instance.n))
-    for kind, arg, P in _filter_walk(instance, [arrivals], grid):
-        if kind == "node":
-            values[arg[1]] = P[arg[0]]
+    for runs, nodes, P in _filter_walk(instance, [arrivals], grid):
+        values[nodes] = P[runs]
     return Trajectory(coordinates=COV, times=grid, values=values)
 
 
@@ -225,96 +214,9 @@ def rollout_information(
     return invert_trajectory(rollout_covariance(instance, arrivals, n_eval))
 
 
-# ---------------------------------------------------------------------------
-# truth + filter simulation (demo / consistency checks)
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """One joint realization: truth states, filter means, covariance path
-    (identical to rollout_covariance for the same arrivals), measurements."""
-
-    times: np.ndarray
-    states: np.ndarray            # (n_eval+1, n) truth samples
-    means: np.ndarray             # (n_eval+1, n) filter means
-    covariances: Trajectory
-    measurements: tuple           # ((t, sensor, z), ...)
-
-
-def simulate_realization(
-    instance: Instance,
-    schedule: Schedule | None = None,
-    arrivals: ArrivalRecord | None = None,
-    seed: int = 0,
-    n_eval: int = 300,
-) -> SimulationResult:
-    """Simulate truth, measurements, and the filter along one realization.
-
-    When arrivals is None they are sampled from the schedule first (the seed
-    then covers both arrivals and noise).  The truth is sampled exactly at
-    the stops: x -> Phi x + w with w ~ N(0, W) for the segment's map.  The
-    covariance path comes from the same walk as rollout_covariance, so with
-    fixed arrivals the two paths agree bit for bit.
-    """
-    arr_ss, noise_ss = _seed_sequence(seed).spawn(2)
-    if arrivals is None:
-        if schedule is None:
-            raise ValidationError("need a schedule when arrivals are not given")
-        _check_pair(instance, schedule)
-        from .montecarlo import sample_arrivals
-
-        arrivals = sample_arrivals(schedule, arr_ss)
-
-    rng = _generator(noise_ss)
-    sys = instance.system
-    n = sys.n
-    grid = time_grid(instance.T, n_eval)
-    chol_R = {j: np.linalg.cholesky(s.R) for j, s in enumerate(instance.sensors)}
-
-    x = sys.m0 + np.linalg.cholesky(sys.P0) @ rng.standard_normal(n)
-    m = np.array(sys.m0, dtype=float)
-
-    states = np.empty((n_eval + 1, n))
-    means = np.empty((n_eval + 1, n))
-    values = np.empty((n_eval + 1, n, n))
-    measurements = []
-    for kind, arg, P in _filter_walk(instance, [arrivals], grid):
-        if kind == "flow":
-            Phi, W, moved = arg
-            if moved[0]:
-                # an eigen factor: W may be singular
-                lam, V = np.linalg.eigh(W[0])
-                x = Phi[0] @ x + V @ (np.sqrt(lam.clip(0.0))
-                                      * rng.standard_normal(n))
-                m = Phi[0] @ m
-        elif kind == "jump":
-            j, t = int(arg[1][0]), float(arg[2][0])
-            sensor = instance.sensors[j]
-            z = sensor.H @ x + chol_R[j] @ rng.standard_normal(sensor.p)
-            Mj = sensor.H @ P[0] @ sensor.H.T + sensor.R
-            K = np.linalg.solve(Mj, sensor.H @ P[0]).T
-            m = m + K @ (z - sensor.H @ m)
-            measurements.append((t, j, z))
-        else:
-            i = arg[1][0]
-            states[i] = x
-            means[i] = m
-            values[i] = P[0]
-
-    traj = Trajectory(coordinates=COV, times=grid, values=values)
-    return SimulationResult(
-        times=grid,
-        states=states,
-        means=means,
-        covariances=traj,
-        measurements=tuple(measurements),
-    )
-
 
 __all__ = [
     "ArrivalRecord",
-    "SimulationResult",
     "rollout_covariance",
     "rollout_information",
-    "simulate_realization",
 ]

@@ -102,13 +102,11 @@ def _run_costs(instance, records, grid, paths=None):
     """
     weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))
-    for kind, arg, P in _filter_walk(instance, records, grid):
-        if kind == "node":
-            runs, nodes = arg
-            costs[runs] += (weights[nodes] * P[runs]).reshape(
-                len(runs), -1).sum(axis=1)
-            if paths is not None:
-                paths[runs, nodes] = P[runs]
+    for runs, nodes, P in _filter_walk(instance, records, grid):
+        costs[runs] += (weights[nodes] * P[runs]).reshape(
+            len(runs), -1).sum(axis=1)
+        if paths is not None:
+            paths[runs, nodes] = P[runs]
     return costs
 
 

@@ -14,8 +14,8 @@ at an arrival.  Information coordinates Y = P^{-1} obey the dual pair
 
 The filter rollouts step the linear Lyapunov flow by its exact maps, one
 family per walk (``lyapunov_maps``: the Taylor coefficients of the Van Loan
-block computed once, each map a polynomial in its duration).  The optimizer
-steps the information flow with a constant input by its exact
+block computed once, each map a polynomial in its duration, then doubled).
+The optimizer steps the information flow with a constant input by its exact
 linear-fractional map (``hamiltonian_maps``), and differentiates the
 exponential behind it with ``expm_adjoint``.  The remaining flows (the
 certificates' surrogates, the covariance-form design path and the
@@ -72,8 +72,9 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
     """Raise if x is non-finite or its min eig is at or below the floor.
 
     x may be a stack of matrices, checked with one batched Cholesky; context
-    is then a function of a matrix's index, and the error names the first
-    matrix that fails.  advice, when given, ends the error message.
+    is then a function of a matrix's index (by default the error says the
+    index), and the error names the first matrix that fails.  advice, when
+    given, ends the error message.
     """
     if x.ndim > 2:
         try:
@@ -84,7 +85,8 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
         except np.linalg.LinAlgError:
             pass
         for i in range(x.shape[0]):
-            require_pd(x[i], context(i), advice)
+            require_pd(x[i], context(i) if context else f"at index {i}",
+                       advice)
         return
     floor = pd_floor(x)
     try:
@@ -201,17 +203,20 @@ def lyapunov_maps(A, Q, h):
 
     Returns maps(durations), which gives stacks (Phi, W) with
     P(t + d) = Phi P Phi^T + W, where Phi = e^{A d} and
-    W = int_0^d e^{A s} Q e^{A^T s} ds.  Both are blocks of the exponential
-    of d [[-A, Q], [0, A^T]] (Van Loan, IEEE TAC 1978).  Every duration
-    shares the generator and the bound h, so the family is set up once, as
-    expm would scale Z = h [[-A, Q], [0, A^T]]: by 2^-s to 1-norm theta <= 1,
-    with the Taylor coefficients C_k = (Z / 2^s)^k / k! up to the least
-    degree K whose remainder theta^(K+1) / (K+1)! is within EXPM_DEGREE's
-    at norm 1.  A map is then sum_k t^k C_k at t = d / h, by Horner's rule
-    in t elementwise, squared s times (Moler & Van Loan, SIAM Review 2003):
-    no matrix product mixes durations, so each map depends on its own
-    duration alone, bit for bit, whatever else the batch holds.  A duration
-    outside [0, h] is a ValidationError.
+    W = int_0^d e^{A s} Q e^{A^T s} ds.  Every duration shares the generator
+    and the bound h, so the family is set up once, as expm would scale
+    Z = h [[-A, Q], [0, A^T]]: by 2^-s to 1-norm theta <= 1, with the Taylor
+    coefficients C_k = (Z / 2^s)^k / k! up to the least degree K whose
+    remainder theta^(K+1) / (K+1)! is within EXPM_DEGREE's at norm 1.  A
+    map is then read from sum_k t^k C_k at t = d / h, by Horner's rule in t
+    elementwise: that block is the exponential of (d / 2^s) [[-A, Q],
+    [0, A^T]], and (Phi, W) over d / 2^s are its blocks (Van Loan, IEEE TAC
+    1978).  The pair is doubled s times, W <- Phi W Phi^T + W then
+    Phi <- Phi Phi, so the block's e^{-A d}, which a fast stable mode blows
+    up past W, is never formed beyond d / 2^s.  No matrix product mixes
+    durations, so each map depends on its own duration alone, bit for bit,
+    whatever else the batch holds.  A duration outside [0, h] is a
+    ValidationError.
     """
     if not 0.0 < h < math.inf:
         raise ValidationError(f"map bound h must be positive and finite, "
@@ -241,10 +246,12 @@ def lyapunov_maps(A, Q, h):
         F = np.repeat(coeffs[-1][None], len(d), axis=0)
         for c in coeffs[-2::-1]:
             F = c + t * F
-        for _ in range(s):
-            F = F @ F
         phi = F[:, n:, n:].transpose(0, 2, 1)
-        return phi, _sym(phi @ F[:, :n, n:])
+        w = _sym(phi @ F[:, :n, n:])
+        for _ in range(s):
+            w = _sym(phi @ w @ phi.transpose(0, 2, 1) + w)
+            phi = phi @ phi
+        return phi, w
 
     return maps
 

@@ -8,7 +8,6 @@ from infosched.cdkf import (
     ArrivalRecord,
     rollout_covariance,
     rollout_information,
-    simulate_realization,
 )
 from infosched.model import (
     Instance,
@@ -21,6 +20,7 @@ from infosched.model import (
     WeightSpec,
     random_instance,
 )
+from infosched.montecarlo import run_seed, sample_arrivals
 from infosched.riccati import (
     PositiveDefinitenessError,
     flow_cov,
@@ -134,11 +134,8 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
         # the walk's gain update: g = 2 P leaves P - g = -P
         monkeypatch.setattr(cdkf, "stacked_gains",
                             lambda P, H, R: (2.0 * P, None))
-    for run in (rollout_covariance,
-                lambda i, a, n_eval: simulate_realization(i, arrivals=a,
-                                                          n_eval=n_eval)):
-        with pytest.raises(PositiveDefinitenessError, match=where):
-            run(inst, ArrivalRecord.from_events(events), n_eval=4)
+    with pytest.raises(PositiveDefinitenessError, match=where):
+        rollout_covariance(inst, ArrivalRecord.from_events(events), n_eval=4)
 
 
 def test_rollout_information_no_arrivals_harmonic():
@@ -266,77 +263,49 @@ def test_arrival_jump_decreases_trace():
         assert traces[min(i, len(traces) - 1)] < traces[i - 1]
 
 
-# ---------------------------------------------------------------- simulation
+# ------------------------------------------------- estimation error (scalar)
 
-def test_simulate_constant_when_no_noise_no_arrivals():
-    system = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.zeros((2, 2)),
-                         m0=np.array([1.0, -2.0]), P0=np.eye(2), T=1.0)
-    sensor = Sensor(H=np.eye(2), R=np.eye(2))
-    inst = Instance(system=system, sensors=(sensor,),
-                    polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
-                    weights=WeightSpec(W_stages=None, W_T=np.eye(2)))
-    sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                               seed=3, n_eval=5)
-    for state in sim.states:
-        np.testing.assert_allclose(state, sim.states[0], atol=1e-12)
-    for mean in sim.means:
-        np.testing.assert_allclose(mean, system.m0, atol=1e-12)
-    assert len(sim.measurements) == 0
-
-
-def test_simulate_mean_follows_exact_transition():
-    # no arrivals: m(t) = e^{a t} m0 on the grid, exact up to roundoff
-    system = SystemModel(n=1, A=np.array([[-0.5]]), Q=np.array([[0.2]]),
-                         m0=np.array([2.0]), P0=np.eye(1), T=1.0)
-    sensor = Sensor(H=np.eye(1), R=np.eye(1))
-    inst = Instance(system=system, sensors=(sensor,),
-                    polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
-                    weights=WeightSpec(W_stages=None, W_T=np.eye(1)))
-    sim = simulate_realization(inst, arrivals=ArrivalRecord.from_events([]),
-                               seed=0, n_eval=8)
-    np.testing.assert_allclose(sim.means[:, 0], 2.0 * np.exp(-0.5 * sim.times),
-                               rtol=1e-14)
+def _scalar_filter_run(a, q, r, p0, record, grid, rng):
+    """Truth x, mean m and variance p of the scalar filter (h = 1, m0 = 0)
+    along one arrival record, stepped exactly between its stops by
+    Phi = e^{a d}, W = q (e^{2 a d} - 1) / (2 a) and the scalar gain.
+    Returns p at the grid nodes and the error x - m at T."""
+    x = np.sqrt(p0) * rng.standard_normal()
+    m, p, t = 0.0, p0, 0.0
+    # an arrival comes before the node at its instant
+    stops = sorted([(s, False) for s in record.times]
+                   + [(s, True) for s in grid])
+    path = []
+    for s, is_node in stops:
+        phi = np.exp(a * (s - t))
+        w = q * np.expm1(2.0 * a * (s - t)) / (2.0 * a)
+        x = phi * x + np.sqrt(w) * rng.standard_normal()
+        m, p, t = phi * m, phi * p * phi + w, s
+        if is_node:
+            path.append(p)
+        else:
+            z = x + np.sqrt(r) * rng.standard_normal()
+            k = p / (p + r)
+            m, p = m + k * (z - m), p - k * p
+    return np.array(path), x - m
 
 
-def test_simulate_covariance_path_matches_rollout_bitwise():
-    inst = random_instance(InstanceSpec(n=3, M=2, p=1, seed=6, T=1.0))
-    arr = ArrivalRecord.from_events([(0.21, 1), (0.68, 0)])
-    traj = rollout_covariance(inst, arr, n_eval=20)
-    sim = simulate_realization(inst, arrivals=arr, seed=4, n_eval=20)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(sim.covariances.values, traj.values))
-
-
-def test_simulate_covariance_independent_of_noise_seed():
-    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=9, T=1.0))
-    arr = ArrivalRecord.from_events([(0.3, 0), (0.7, 1)])
-    sim_a = simulate_realization(inst, arrivals=arr, seed=1, n_eval=10)
-    sim_b = simulate_realization(inst, arrivals=arr, seed=2, n_eval=10)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(sim_a.covariances.values, sim_b.covariances.values))
-    # but the realized states differ
-    assert not np.allclose(sim_a.states[-1], sim_b.states[-1])
-
-
-def test_simulate_estimation_error_consistency():
-    # empirical var of x(T) - m(T) over many runs matches the filter P(T)
-    inst = make_scalar_instance(a=-0.5, q=0.5, h=1.0, r=0.5, p0=1.0, T=1.0)
+def test_estimation_error_matches_the_filter_variance():
+    # the rollout is the variance of x - m: its path is the scalar filter's,
+    # and the empirical variance of x(T) - m(T) over runs with sampled
+    # arrivals matches the mean filter variance P(T)
+    a, q, r, p0 = -0.5, 0.5, 0.5, 1.0
+    inst = make_scalar_instance(a=a, q=q, h=1.0, r=r, p0=p0, T=1.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 2.0))
-    errors = []
-    p_terminal = []
-    for r in range(2000):
-        sim = simulate_realization(inst, schedule=sched, seed=r, n_eval=4)
-        errors.append(sim.states[-1][0] - sim.means[-1][0])
-        p_terminal.append(sim.covariances.values[-1][0, 0])
-    emp = np.var(errors, ddof=1)
-    # arrivals vary per run, so the right target is the mean filter variance
+    grid = time_grid(1.0, 4)
+    rng = rng_for(2000)
+    errors, p_terminal = [], []
+    for run in range(2000):
+        record = sample_arrivals(sched, run_seed(0, run))
+        path, error = _scalar_filter_run(a, q, r, p0, record, grid, rng)
+        want = rollout_covariance(inst, record, n_eval=4).values[:, 0, 0]
+        np.testing.assert_allclose(path, want, rtol=1e-12)
+        errors.append(error)
+        p_terminal.append(path[-1])
     filt = np.mean(p_terminal)
-    assert abs(emp - filt) / filt <= 0.10
-
-
-def test_simulate_rejects_a_schedule_of_another_instance():
-    inst = make_scalar_instance(T=1.0)
-    for sched in (Schedule(N=2, T=1.0, rates=np.ones((2, 2))),
-                  Schedule(N=2, T=0.5, rates=np.ones((2, 1)))):
-        with pytest.raises(ValidationError, match="columns|horizon"):
-            simulate_realization(inst, schedule=sched, n_eval=4)
+    assert abs(np.var(errors, ddof=1) - filt) / filt <= 0.10

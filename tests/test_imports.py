@@ -1,5 +1,6 @@
 """Every name a module imports is used there or re-exported, every name
-the package promises exists, and each has one import path.
+the package promises exists, each has one import path, and every function
+and class the package defines is run by something.
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file under src/, tests/ and scripts/.  A name counts as used when it
@@ -8,6 +9,9 @@ package promises are each module's __all__ and the functions the
 benchmark's tracer wraps (perfbench/tracing.py, read without importing it).
 A public name is imported from the module that defines it: the package root
 binds only __version__, and `from infosched import X` names a submodule.
+A top-level definition of the package is read by code under src/ or
+scripts/ outside its own body, or wrapped by the tracer; a name only tests
+read is dead code.
 """
 
 import ast
@@ -122,3 +126,45 @@ def test_package_root_imports_name_submodules(path):
     package = path.parent == ROOT / "src" / "infosched"
     names = root_imports(path.read_text(encoding="utf-8"), package)
     assert [n for n in names if n not in MODULES] == []
+
+
+def read_names(tree):
+    """Every name and attribute that the syntax tree reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def dead_definitions(modules, others, traced):
+    """(module, name) of every top-level function or class of modules
+    ({module: source}) that no code in modules or others (sources) reads
+    outside its own body, and that traced ((module, name) pairs) lacks."""
+    read, defined = set(), []
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            names = read_names(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    for source in others:
+        read |= read_names(ast.parse(source))
+    return [pair for pair in defined
+            if pair[1] not in read and pair not in traced]
+
+
+def test_dead_definitions_names_only_the_unread():
+    modules = {"m": ("def used(): pass\ndef dead(): dead()\n"
+                     "class Traced: pass\ndef called(): pass\nused()\n")}
+    others = ["import m\nm.called()\n"]
+    assert dead_definitions(modules, others, {("m", "Traced")}) == [
+        ("m", "dead")]
+
+
+def test_every_definition_is_run_by_something():
+    package = ROOT / "src" / "infosched"
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in package.glob("*.py")}
+    others = [p.read_text(encoding="utf-8") for d in ("src", "scripts")
+              for p in (ROOT / d).rglob("*.py") if p.parent != package]
+    assert dead_definitions(modules, others, set(traced_names())) == []

@@ -9,8 +9,12 @@ from scipy import stats
 from infosched import cdkf, montecarlo, riccati
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
+    Instance,
     InstanceSpec,
+    ResourcePolytope,
     Schedule,
+    Sensor,
+    SystemModel,
     ValidationError,
     WeightSpec,
     _generator,
@@ -31,7 +35,7 @@ from infosched.riccati import (
     time_grid,
 )
 
-from conftest import make_scalar_instance, mixed_instance, rng_for
+from conftest import make_scalar_instance, mixed_instance, random_spd, rng_for
 
 
 # ------------------------------------------------------------------ sampling
@@ -181,6 +185,26 @@ def test_mc_objective_takes_every_map_from_one_family(monkeypatch):
     est = mc_objective(inst, sched, n_runs=100, n_eval=30, seed=2)
     assert est.n_runs == 100 and np.isfinite(est.mean)
     assert calls == []
+
+
+def test_mc_objective_of_a_terminal_weight_ignores_n_eval_on_a_stiff_a():
+    # with W_T alone the cost is <W_T, P(T)>, whatever the grid; a coarse
+    # grid makes long cuts, which a fast stable mode must not spoil
+    rng = rng_for(60)
+    A = np.diag([-60.0, -1.0, 0.5]) + 0.3 * rng.normal(size=(3, 3))
+    system = SystemModel(n=3, A=A, Q=random_spd(rng, 3), m0=np.zeros(3),
+                         P0=np.eye(3), T=3.0)
+    sensors = tuple(Sensor(H=rng.normal(size=(1, 3)), R=np.eye(1))
+                    for _ in range(2))
+    inst = Instance(system=system, sensors=sensors,
+                    polytope=ResourcePolytope(C=np.ones((1, 2)),
+                                              b=np.array([2.0])),
+                    weights=WeightSpec(W_stages=None, W_T=np.eye(3)))
+    sched = Schedule(N=3, T=3.0, rates=np.ones((3, 2)))
+    fine = mc_objective(inst, sched, n_runs=50, n_eval=300, seed=0).mean
+    for n_eval in (3, 30):
+        coarse = mc_objective(inst, sched, n_runs=50, n_eval=n_eval, seed=0)
+        assert abs(coarse.mean - fine) <= 1e-12 * fine
 
 
 def test_mc_mean_trajectories_independent_of_batch_composition():

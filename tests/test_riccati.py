@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
-from scipy.linalg import expm_frechet
+from scipy.linalg import expm_frechet, solve_continuous_lyapunov
 
 from infosched.model import (
     Instance,
@@ -210,6 +210,27 @@ def test_lyapunov_map_family_matches_scipy(name):
         want_phi, want_w = _van_loan(A, Q, di)
         for got, want in ((phi[i], want_phi), (w[i], want_w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("h", [0.1, 0.8, 3.0])
+@pytest.mark.parametrize("stiffness", [20.0, 60.0, 200.0])
+def test_lyapunov_maps_keep_w_under_a_fast_stable_mode(stiffness, h):
+    # W = X - Phi X Phi^T with A X + X A^T + Q = 0.  The Van Loan block's
+    # e^{-A d} grows like e^{stiffness d} and swamps W if the block itself
+    # is squared.  The tolerance admits the conditioning of e^{A d},
+    # about eps |A d|, which Phi shows as well.
+    rng = rng_for(2024)
+    A = np.diag([-stiffness, -1.0, 0.5]) + 0.3 * rng.normal(size=(3, 3))
+    Q = random_spd(rng, 3)
+    X = solve_continuous_lyapunov(A, -Q)
+    d = np.array([0.37 * h, h])
+    phi, w = lyapunov_maps(A, Q, h)(d)
+    rtol = 1e-13 + np.finfo(float).eps * h * np.abs(A).sum(axis=0).max()
+    for i, di in enumerate(d):
+        want_phi = scipy_expm(A * di)
+        want_w = X - want_phi @ X @ want_phi.T
+        for got, want in ((phi[i], want_phi), (w[i], want_w)):
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def test_lyapunov_map_family_batch_equals_single_durations():
@@ -426,6 +447,8 @@ def test_pd_checks_reject_non_finite_matrices():
     stack = np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)])
     with pytest.raises(PositiveDefinitenessError, match="non-finite entries at 1"):
         require_pd(stack, lambda i: f"at {i}")
+    with pytest.raises(PositiveDefinitenessError, match="at index 1:"):
+        require_pd(np.stack([np.eye(2), -np.eye(2)]))
     with pytest.raises(PositiveDefinitenessError, match="non-finite"):
         require_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
