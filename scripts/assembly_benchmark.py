@@ -2,9 +2,12 @@
 
 The information-form surrogate folds all sensors into one precomputed
 per-stage increment, so its per-substep work is independent of M; the
-covariance-form surrogate takes one batched gain solve over all its sensors
-at every stage point, whose size grows with M.  This script times objective+gradient assembly for both at equal
-rate tables and reports the cov/info median ratio per sensor count.
+covariance-form surrogate contracts the rank-p gain factors of all its
+sensors at every stage point (one batched gain solve, then M p n^2 products
+in its rate and adjoint), whose cost grows with M.  This script times
+objective+gradient assembly for both at equal rate tables and reports the
+cov/info median ratio per sensor count.  An empty --grid or --reps below 1
+is a usage error (exit 2).
 """
 
 import argparse
@@ -27,6 +30,10 @@ def main() -> int:
     args = ap.parse_args()
 
     grid = [int(x) for x in args.grid.split(",") if x.strip()]
+    if not grid:
+        ap.error(f"--grid {args.grid!r} names no sensor count")
+    if args.reps < 1:
+        ap.error(f"--reps must be >= 1, got {args.reps}")
     rows = []
     print(f"{'M':>5} {'info fwd':>10} {'info grad':>10} {'cov fwd':>10} "
           f"{'cov grad':>10} {'ratio':>7}")

@@ -180,8 +180,8 @@ def _filter_walk(instance, records, grid):
         if runs.size:
             js, ts = sensor[s, runs], time[s, runs]
             before = P[runs]
-            g = stacked_gains(before, instance.H[js], instance.R[js])[0]
-            P[runs] = _sym(before - g)
+            HP, sol = stacked_gains(before, instance.H[js], instance.R[js])
+            P[runs] = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
             require_pd(P[runs], lambda i: f"after an arrival from sensor "
                        f"{js[i]} at t={ts[i]:g} in run {runs[i]}")
         runs = np.flatnonzero(node[s] >= 0)

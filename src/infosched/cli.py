@@ -148,6 +148,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    scales = _parse_snr_spec(args.snr_sweep) if args.snr_sweep else None
     instance = load_instance(args.instance)
     schedule = load_schedule(args.schedule)
     kwargs = dict(n_runs=args.runs, n_eval=args.n_eval,
@@ -168,8 +169,7 @@ def cmd_bracket(args) -> int:
     ok = report.contained and (report.trajectory_contained is not False)
     if args.out:
         bounds_mod.save_bracket_report(f"{args.out}.bracket.json", report)
-    if args.snr_sweep:
-        scales = _parse_snr_spec(args.snr_sweep)
+    if scales is not None:
         sweep = bounds_mod.snr_sweep(
             instance, schedule, r_scales=scales, n_runs=args.runs,
             n_eval=args.n_eval,

@@ -7,8 +7,10 @@ linear-fractional map per step (riccati.hamiltonian_maps).  The gradient is
 that map's closed-form adjoint, summed over a stage's steps and carried
 through one Frechet adjoint of the exponential per stage, so the rates enter
 only through U_k = sum_j lam_kj S_j.  The covariance form integrates at
-substep resolution with RK4 and reverses each step, stage state by stage
-state, with one batched gain solve per stage point.  No ODE is
+substep resolution with RK4 and reverses each step.  Stage by stage, it
+replays the RK4 points of all the stage's steps from the recorded nodes in
+four batched gain solves, and carries the adjoint through each point's
+rank-p factors, M p n^2 per point with no (M, n, n) stack.  No ODE is
 solved backwards, so either gradient matches central differences to
 roundoff rather than to integrator tolerance.
 
@@ -43,6 +45,7 @@ from .riccati import (
     PositiveDefinitenessError,
     Trajectory,
     _rk4_reverse,
+    _rk4_stages,
     expm_adjoint,
     hamiltonian_maps,
     node_weights,
@@ -185,55 +188,68 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # covariance form: reverse sweep through the RK4 steps
 #
-# A rate enters through the gain update g_j(P): d rate / d lam_kj = -g_j(P)
-# depends on the state, so every stage point carries g_j and B_j of all
-# sensors (a zero rate still has a gradient), and each stage-rate adjoint is
-# contracted with the g_j of its own point.  A weighted node enters W.
+# A rate enters through the gain update g_j(P) = sym(HP_j^T sol_j), so every
+# stage point carries the factors of all sensors (a zero rate still has a
+# gradient, -<kbar, g_j>).  With At = A^T - sum_j lam_j H_j^T sol_j, the
+# rate's transposed Jacobian at P is, in M p n^2,
+#
+#     vjp(L) = At L + L At^T + sum_j lam_j H_j^T (sol_j L sol_j^T) H_j.
+#
+# A weighted node enters W.
 
 
-class _CovPoint:
-    """The cov rate linearized at P: the rate() and vjp(L) of
-    _rk4_reverse's contract, with the gains g_j and B_j = H_j^T sol_j of
-    every sensor of the instance's stacks (H, R), in one batched solve."""
+def _cov_stage_points(A, Q, H, R, lam, x, h):
+    """The four RK4 stage points' (rate, HP, sol, lam sol, At) of the steps
+    from each of the stacked inputs x, each stacked over the steps: four
+    batched gain solves over every sensor of the stacks (H, R)."""
+    n = A.shape[0]
+    Ht = H.reshape(-1, n).T
 
-    def __init__(self, A, Q, H, R, lam, P):
-        self.A, self.lam = A, lam
-        self.g, sol = stacked_gains(P, H, R)
-        self.B = H.swapaxes(1, 2) @ sol
-        self._rate = cov_rate_rhs(P, A, Q, lam, self.g)
+    def linearize(P):
+        HP, sol = stacked_gains(P[:, None], H, R)
+        lam_sol = lam[:, None, None] * sol
+        At = A.T - Ht @ lam_sol.reshape(len(P), -1, n)
+        return cov_rate_rhs(P, A, Q, lam, HP, sol), HP, sol, lam_sol, At
 
-    def rate(self):
-        return self._rate
+    return _rk4_stages(x, h, linearize)
 
-    def vjp(self, L):
-        # d g_j = dP - (I - B_j^T) dP (I - B_j)
-        BL = self.B @ L
-        terms = BL + BL.swapaxes(1, 2) - BL @ self.B.swapaxes(1, 2)
-        return self.A.T @ L + L @ self.A - np.einsum("j,jab->ab", self.lam,
-                                                      terms)
+
+def _cov_vjp(H, At, lam_sol, sol, L):
+    """vjp(L) of the cov rate at one stage point: At and the (M, p, n)
+    lam_sol and sol are the point's, H the instance's sensor stack."""
+    n = L.shape[0]
+    X = (lam_sol.reshape(-1, n) @ L).reshape(sol.shape)
+    C = X @ sol.swapaxes(1, 2)          # lam_j sol_j L sol_j^T
+    AL = At @ L
+    return AL + AL.T + H.reshape(-1, n).T @ (C @ H).reshape(-1, n)
 
 
 def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
-    # reverse sweep over the substeps of the forward trajectory traj
+    # reverse sweep over the substeps of the forward trajectory traj, each
+    # stage's points replayed from its recorded nodes
     inst = problem.instance
-    A, Q = inst.system.A, inst.system.Q
-    N, S = problem.N, problem.substeps
-    values = traj.values
+    A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
+    N, S, n = problem.N, problem.substeps, inst.n
     h = inst.T / (N * S)
     table = node_weights(traj.times, inst.weights)
     running = inst.weights.W_stages is not None
 
     Lam = _sym(table[-1])
     G = np.zeros((N, problem.M))
+    kbar = np.empty((4, S, n, n))
     for k in range(N - 1, -1, -1):
-        linearize = partial(_CovPoint, A, Q, inst.H, inst.R, sched.rates[k])
+        points = _cov_stage_points(A, Q, H, R, sched.rates[k],
+                                   traj.values[k * S:(k + 1) * S], h)
         for s in range(S - 1, -1, -1):
-            i = k * S + s
-            Lam, stages = _rk4_reverse(values[i], h, linearize, Lam)
-            for pt, kbar in stages:
-                G[k] -= np.einsum("ab,jab->j", kbar, pt.g)
-            if i > 0 and running:
-                Lam = Lam + table[i]
+            vjps = [partial(_cov_vjp, H, At[s], lam_sol[s], sol[s])
+                    for _, _, sol, lam_sol, At in points]
+            Lam, kbar[:, s] = _rk4_reverse(h, vjps, Lam)
+            if running and k * S + s > 0:
+                Lam = Lam + table[k * S + s]
+        # <kbar, g_j> at every step and stage point, g_j = HP_j^T sol_j
+        for (_, HP, sol, _, _), kb in zip(points, kbar):
+            HPk = (HP.reshape(S, -1, n) @ kb).reshape(HP.shape)
+            G[k] -= (HPk * sol).sum(axis=(0, 2, 3))
     return G
 
 
@@ -593,8 +609,10 @@ def benchmark_assembly(
     point.  One untimed warmup per kind precedes the measured
     repetitions; runs are sequential and single-threaded.  The kinds
     alternate inside each repetition, so the two sides of the ratio are
-    sampled at the same host speed.
+    sampled at the same host speed.  repetitions must be at least 1.
     """
+    if repetitions < 1:
+        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     rates = centered_rates(instance.polytope, N)
     problems = {kind: ShootingProblem(instance=instance, N=N, kind=kind,
                                       substeps=substeps) for kind in KINDS}

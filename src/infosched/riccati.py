@@ -112,7 +112,7 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
 
 def lyapunov_rhs(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     AP = A @ P
-    return AP + AP.T + Q
+    return AP + AP.swapaxes(-1, -2) + Q
 
 
 def info_rhs(Y: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -120,35 +120,40 @@ def info_rhs(Y: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return -(YA + YA.T) - Y @ Q @ Y
 
 
+def _rk4_stages(x, h, linearize):
+    """The right-hand side linearized at the four stage points of an RK4
+    step from x, in stage order.  linearize(z) returns a tuple whose first
+    item is the rate at z; x may be a stack of inputs, one step each."""
+    l1 = linearize(x)
+    l2 = linearize(x + 0.5 * h * l1[0])
+    l3 = linearize(x + 0.5 * h * l2[0])
+    l4 = linearize(x + h * l3[0])
+    return l1, l2, l3, l4
+
+
 def _rk4_step(x, h, rhs):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
+    k1, k2, k3, k4 = (l[0] for l in _rk4_stages(x, h, lambda z: (rhs(z),)))
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4_reverse(x, h, linearize, bar):
-    """Carry the adjoint bar of one RK4 step's output back to its input x.
+def _rk4_reverse(h, vjps, bar):
+    """Carry the adjoint bar of one RK4 step's output back to its input.
 
-    linearize(z) is the right-hand side linearized at z: rate() is the rate
-    there, vjp(v) the transposed Jacobian applied to v.  The stage points are
-    recomputed from x.  Returns the adjoint of x and, in stage order, each
-    stage point's linearization paired with the adjoint of its rate.
+    vjps holds, in stage order, the transposed Jacobian of the right-hand
+    side at each stage point of the step (see _rk4_stages), applied as
+    vjp(v).  Returns the adjoint of the input and, in stage order, the
+    adjoint of each stage point's rate.
     """
-    l1 = linearize(x)
-    l2 = linearize(x + 0.5 * h * l1.rate())
-    l3 = linearize(x + 0.5 * h * l2.rate())
-    l4 = linearize(x + h * l3.rate())
+    v1, v2, v3, v4 = vjps
     kb4 = (h / 6.0) * bar
-    xb4 = l4.vjp(kb4)
+    xb4 = v4(kb4)
     kb3 = (h / 3.0) * bar + h * xb4
-    xb3 = l3.vjp(kb3)
+    xb3 = v3(kb3)
     kb2 = (h / 3.0) * bar + 0.5 * h * xb3
-    xb2 = l2.vjp(kb2)
+    xb2 = v2(kb2)
     kb1 = (h / 6.0) * bar + 0.5 * h * xb2
-    x_bar = _sym(bar + xb4 + xb3 + xb2 + l1.vjp(kb1))
-    return x_bar, ((l1, kb1), (l2, kb2), (l3, kb3), (l4, kb4))
+    x_bar = _sym(bar + xb4 + xb3 + xb2 + v1(kb1))
+    return x_bar, (kb1, kb2, kb3, kb4)
 
 
 def _integrate(x0, dt, substeps, rhs):
@@ -323,18 +328,18 @@ def covariance_decrement(P, sensor) -> np.ndarray:
 
 
 def stacked_gains(P, H, R):
-    """Gain updates of the stacked sensors (H, R) at P, in one batched solve.
+    """Rank-p factors of the gain updates of the stacked sensors (H, R) at P.
 
     H and R are rows of an Instance's padded sensor stacks; P is one matrix,
-    or a stack with one matrix per stacked sensor (a run's covariance beside
-    the sensor that reports to it).  With sol = (H P H^T + R)^{-1} H P,
-    returns the stack g = sym(P H^T sol), each a covariance_decrement, and
-    sol, whose padded rows are exact zeros and from which the cov adjoint
-    forms B = H^T sol.
+    or a stack broadcast against the sensor stack (a run's covariance beside
+    the sensor that reports to it, or P[:, None] for every sensor at each
+    P).  Returns (HP, sol), HP = H P and sol = (H P H^T + R)^{-1} H P from
+    one batched solve: the gain update of sensor j is covariance_decrement
+    = sym(HP_j^T sol_j), and the padded rows of both are exact zeros.  Every
+    consumer contracts the factors itself, so no (M, n, n) stack is formed.
     """
     HP = H @ P
-    sol = np.linalg.solve(HP @ H.swapaxes(1, 2) + R, HP)
-    return _sym(HP.swapaxes(1, 2) @ sol), sol
+    return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
 
 
 def jump_cov(P, sensor) -> np.ndarray:

@@ -56,10 +56,17 @@ def stage_increments(instance: Instance, schedule: Schedule) -> np.ndarray:
     return np.einsum("kj,jab->kab", schedule.rates, instance.S)
 
 
-def cov_rate_rhs(P, A, Q, lam, g):
-    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j, with g
-    the stacked gain updates g_j(P) of the sensors whose rates are lam."""
-    return lyapunov_rhs(P, A, Q) - np.einsum("j,jab->ab", lam, g)
+def cov_rate_rhs(P, A, Q, lam, HP, sol):
+    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j(P) of one
+    P or of each in a stack, from the rank-p factors (HP, sol) of the gains
+    (riccati.stacked_gains) of the sensors whose rates are lam.  The sum is
+    one product over the stacked output rows, sym(HP_flat^T (lam sol)_flat).
+    """
+    n = P.shape[-1]
+    rows = P.shape[:-2] + (-1, n)
+    lam_sol = (lam[:, None, None] * sol).reshape(rows)
+    return lyapunov_rhs(P, A, Q) - _sym(
+        HP.reshape(rows).swapaxes(-1, -2) @ lam_sol)
 
 
 def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
@@ -102,7 +109,7 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
         else:
             H, R, lam = stages[k]
             rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
-                                         stacked_gains(P, H, R)[0])
+                                         *stacked_gains(P, H, R))
         X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps, rhs)
         require_pd(X, f"in {kind} surrogate near t={at[i]:g}", SUBSTEP_ADVICE)
     coords = INFO if kind == "info" else COV

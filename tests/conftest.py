@@ -41,15 +41,15 @@ def make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0,
                     weights=weights)
 
 
-def mixed_instance(seed, budget=5.0, T=2.0):
-    """n=4 instance whose five sensors interleave output dimensions 1 and 2."""
+def mixed_instance(seed, budget=5.0, T=2.0, n=4):
+    """Instance whose five sensors interleave output dimensions 1 and 2."""
     from dataclasses import replace
 
     from infosched.model import InstanceSpec, ResourcePolytope, random_instance
 
-    one = random_instance(InstanceSpec(n=4, M=3, p=1, seed=seed, T=T,
+    one = random_instance(InstanceSpec(n=n, M=3, p=1, seed=seed, T=T,
                                        budget=budget))
-    two = random_instance(InstanceSpec(n=4, M=2, p=2, seed=seed + 1, T=T))
+    two = random_instance(InstanceSpec(n=n, M=2, p=2, seed=seed + 1, T=T))
     sensors = (one.sensors[0], two.sensors[0], one.sensors[1],
                two.sensors[1], one.sensors[2])
     return replace(one, sensors=sensors, polytope=ResourcePolytope(

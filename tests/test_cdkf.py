@@ -131,9 +131,10 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
         monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
     else:
         events = [(0.4, 0)]
-        # the walk's gain update: g = 2 P leaves P - g = -P
+        # the walk's gain update: factors (P, 2 I) give g = 2 P, which
+        # leaves P - g = -P
         monkeypatch.setattr(cdkf, "stacked_gains",
-                            lambda P, H, R: (2.0 * P, None))
+                            lambda P, H, R: (P, 2.0 * np.eye(P.shape[-1])))
     with pytest.raises(PositiveDefinitenessError, match=where):
         rollout_covariance(inst, ArrivalRecord.from_events(events), n_eval=4)
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from infosched import cli, montecarlo, optimize
+from infosched import bounds, cli, montecarlo, optimize
 from infosched.model import (
     InstanceSpec,
     Schedule,
@@ -219,16 +219,26 @@ def test_bracket_snr_sweep_writes_csv(tmp_path, capsys):
     assert [r[-1] for r in rows[1:]] == ["1", "1", "1"]
 
 
-def test_bad_snr_spec_is_usage_error(tmp_path, capsys):
+def test_bad_snr_spec_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the spec is parsed before any bracket runs or any file is written
+    calls = []
+    for name in ("objective_bracket", "trajectory_bracket"):
+        def counted(*args, _fn=getattr(bounds, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, counted)
     inst_path = tmp_path / "inst.json"
     write_scalar_instance(inst_path)
     sched_path = tmp_path / "sched.json"
     write_schedule(sched_path, np.zeros((1, 1)))
     argv = ["bracket", "--instance", str(inst_path),
             "--schedule", str(sched_path), "--runs", "2", "--n-eval", "10",
-            "--snr-sweep", "bogus"]
-    assert cli.main(argv) == 2
-    capsys.readouterr()
+            "--snr-sweep", "bogus", "--out", str(tmp_path / "cert")]
+    for mode in ([], ["--objective-only"]):
+        assert cli.main(argv + mode) == 2
+        assert "bad --snr-sweep 'bogus'" in capsys.readouterr().err
+    assert calls == []
+    assert not list(tmp_path.glob("cert*"))
 
 
 @pytest.mark.parametrize("n_eval", ["0", "-3"])

@@ -283,11 +283,12 @@ def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
 
 
 def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
-    # only run 1 of the batch has an arrival; a gain update g = 2 P leaves
-    # P - g = -P there, and the error names that run, its sensor and t
+    # only run 1 of the batch has an arrival; gain factors (P, 2 I) give
+    # g = 2 P, which leaves P - g = -P there, and the error names that run,
+    # its sensor and t
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     monkeypatch.setattr(cdkf, "stacked_gains",
-                        lambda P, H, R: (2.0 * P, None))
+                        lambda P, H, R: (P, 2.0 * np.eye(P.shape[-1])))
     empty = ArrivalRecord.from_events([])
     records = [empty, ArrivalRecord.from_events([(0.4, 0)]), empty]
     with pytest.raises(PositiveDefinitenessError,

@@ -29,10 +29,12 @@ from infosched.riccati import (
     PositiveDefinitenessError,
     Trajectory,
     _rk4_reverse,
+    _rk4_stages,
     _rk4_step,
     covariance_decrement,
     node_weights,
     pathwise_cost,
+    stacked_gains,
 )
 from infosched.optimize import (
     ProjectionError,
@@ -48,7 +50,7 @@ from infosched.optimize import (
     solve,
 )
 
-from conftest import make_scalar_instance, mixed_instance, rng_for
+from conftest import make_scalar_instance, mixed_instance, random_spd, rng_for
 
 
 def kkt_projection_oracle(v, C, b, tol=1e-9):
@@ -668,6 +670,14 @@ class _LoopPoint:
         return out
 
 
+def _loop_point(A, Q, sensors, lam):
+    # _rk4_stages' linearize contract: the rate first
+    def point(X):
+        pt = _LoopPoint(A, Q, sensors, lam, X)
+        return pt.rate(), pt
+    return point
+
+
 def _loop_cov_objective_and_gradient(problem, rates):
     # the cov surrogate and its reverse sweep, stepped with the per-sensor
     # reference point
@@ -686,9 +696,10 @@ def _loop_cov_objective_and_gradient(problem, rates):
     G = np.zeros_like(rates)
     for i in range(N * S - 1, -1, -1):
         k = i // S
-        point = lambda X: _LoopPoint(A, Q, sensors, rates[k], X)
-        Lam, stages = _rk4_reverse(P[i], h, point, Lam)
-        for pt, kbar in stages:
+        point = _loop_point(A, Q, sensors, rates[k])
+        points = [pt for _, pt in _rk4_stages(P[i], h, point)]
+        Lam, kbars = _rk4_reverse(h, [pt.vjp for pt in points], Lam)
+        for pt, kbar in zip(points, kbars):
             G[k] -= [np.sum(kbar * g) for g in pt.g]
         if i > 0:
             Lam = Lam + table[i]
@@ -712,6 +723,63 @@ def test_cov_stacked_kernels_match_a_per_sensor_loop():
     assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
     assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
     assert gradient_check(problem, interior) <= 1e-6
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("rates", ["interior", "one-zero", "all-zero"])
+def test_cov_rank_p_kernels_match_a_per_sensor_loop(rates):
+    # output dimensions 1 and 2 interleaved (padded rows), on a stack of
+    # three step inputs: the rate and vjp of every replayed stage point
+    # against the per-sensor reference stepped from each input alone
+    inst = mixed_instance(seed=81)
+    A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
+    rng = rng_for(82)
+    lam = rng.uniform(0.2, 1.5, size=inst.M)
+    if rates == "one-zero":
+        lam[1] = 0.0        # a p = 2 sensor
+    elif rates == "all-zero":
+        lam[:] = 0.0
+    xs = np.stack([random_spd(rng, inst.n, 0.3) for _ in range(3)])
+    h = 0.05
+    points = optimize._cov_stage_points(A, Q, H, R, lam, xs, h)
+    for s, x in enumerate(xs):
+        ref = _rk4_stages(x, h, _loop_point(A, Q, inst.sensors, lam))
+        # the rate of one matrix, not a stack
+        one = surrogate.cov_rate_rhs(x, A, Q, lam, *stacked_gains(x, H, R))
+        assert _rel(one, ref[0][0]) <= 1e-13
+        for (rate, _, sol, lam_sol, At), (rate_ref, pt) in zip(points, ref):
+            assert _rel(rate[s], rate_ref) <= 1e-13
+            B = rng.normal(size=(inst.n, inst.n))
+            L = B + B.T
+            vjp = optimize._cov_vjp(H, At[s], lam_sol[s], sol[s], L)
+            assert _rel(vjp, pt.vjp(L)) <= 1e-13
+
+
+def test_cov_stage_replay_is_the_step_by_step_replay():
+    # one stage's steps replayed in one batch, or one step at a time
+    inst = mixed_instance(seed=83)
+    A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
+    rng = rng_for(84)
+    lam = rng.uniform(0.0, 1.5, size=inst.M)
+    xs = np.stack([random_spd(rng, inst.n, 0.3) for _ in range(5)])
+    batch = optimize._cov_stage_points(A, Q, H, R, lam, xs, 0.05)
+    for s in range(len(xs)):
+        single = optimize._cov_stage_points(A, Q, H, R, lam, xs[s:s + 1],
+                                            0.05)
+        for got, want in zip(batch, single):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g[s], w[0])
+
+
+def test_cov_gradient_check_when_n_exceeds_p():
+    # n = 12 against p <= 2: the rank-p shapes are far from square
+    inst = mixed_instance(seed=85, n=12)
+    problem = ShootingProblem(instance=inst, N=3, kind="cov", substeps=3)
+    rates = rng_for(86).uniform(0.2, 1.5, size=(3, inst.M))
+    assert gradient_check(problem, rates) <= 1e-6
 
 
 def test_cov_gradient_at_zero_rates_matches_one_sided_differences():
@@ -907,3 +975,11 @@ def test_benchmark_assembly_smoke():
     assert result.ratio > 0.0
     assert all(len(result.samples[k]["gradient"]) == 3 for k in ("info", "cov"))
     assert all(t > 0.0 for t in result.samples["info"]["forward"])
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_benchmark_assembly_rejects_no_repetitions(repetitions):
+    # zero repetitions would report NaN medians and a NaN ratio
+    inst = make_scalar_instance()
+    with pytest.raises(ValidationError, match="repetitions must be >= 1"):
+        benchmark_assembly(inst, N=2, repetitions=repetitions, substeps=2)

@@ -14,6 +14,7 @@ from infosched.model import (
     SystemModel,
     ValidationError,
     WeightSpec,
+    _sym,
 )
 from infosched.riccati import (
     COV,
@@ -397,7 +398,8 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
         weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
     columns = rng.permutation(len(sensors))[:7]
     P = random_spd(rng, n)
-    g, sol = stacked_gains(P, inst.H[columns], inst.R[columns])
+    HP, sol = stacked_gains(P, inst.H[columns], inst.R[columns])
+    g = _sym(HP.swapaxes(1, 2) @ sol)
     assert g.shape == (7, n, n) and sol.shape == (7, 3, n)
     for i, j in enumerate(columns):
         s = sensors[j]

@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -53,3 +55,19 @@ def test_assembly_benchmark_writes_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["M"]) for r in rows] == [2, 3]
     assert all(float(r["ratio"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["--grid", ","], "--grid ',' names no sensor count"),
+    (["--reps", "0"], "--reps must be >= 1, got 0"),
+], ids=["empty-grid", "zero-reps"])
+def test_assembly_benchmark_rejects_empty_work(tmp_path, bad, message):
+    out = tmp_path / "assembly.csv"
+    proc = run_script(
+        "assembly_benchmark.py", "--grid", "2", "--N", "2", "--substeps",
+        "2", "--reps", "1", "--out", str(out), *bad, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
