@@ -24,7 +24,6 @@ import numpy as np
 from .model import Instance, ValidationError, _sym
 from .riccati import (
     COV,
-    PositiveDefinitenessError,
     Trajectory,
     invert_trajectory,
     lyapunov_maps,
@@ -129,13 +128,6 @@ def _steps(records, grid):
     return time, sensor, node, kind
 
 
-def _maps(family, durations):
-    phi, w = family(durations)
-    if not (np.isfinite(phi).all() and np.isfinite(w).all()):
-        raise PositiveDefinitenessError("non-finite covariance map")
-    return phi, w
-
-
 def _filter_walk(instance, records, grid):
     """Step the exact filter covariances of a batch of runs together.
 
@@ -154,8 +146,8 @@ def _filter_walk(instance, records, grid):
     (R, n, n) stack of all runs (live: copy what you keep).  Each run's
     path depends on its own record alone, bit for bit, whatever else the
     batch holds.  An exact map keeps P positive definite up to roundoff: the
-    walk checks the maps' finiteness, the runs that jumped and the recorded
-    nodes, one batch per step.
+    family checks that its maps are finite, and the walk checks the runs
+    that jumped and the recorded nodes, one batch per step.
     """
     for rec in records:
         _check_arrivals(instance, rec)
@@ -164,7 +156,7 @@ def _filter_walk(instance, records, grid):
     time, sensor, node, kind = _steps(records, grid)
     # no segment outlasts the longest grid interval: rounding is monotone
     family = lyapunov_maps(sys.A, sys.Q, np.diff(grid).max())
-    phi_h, w_h = _maps(family, [grid[1] - grid[0]])
+    phi_h, w_h = family([grid[1] - grid[0]])
     fixed_phi = np.stack([np.eye(n), phi_h[0]])
     fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
     P = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
@@ -174,7 +166,7 @@ def _filter_walk(instance, records, grid):
         cut = np.flatnonzero(kind[s] == CUT)
         if cut.size:
             lengths = time[s, cut] - time[s - 1, cut]
-            phi[cut], w[cut] = _maps(family, lengths)
+            phi[cut], w[cut] = family(lengths)
         P = _sym(phi @ P @ phi.swapaxes(1, 2) + w)
         runs = np.flatnonzero(sensor[s] >= 0)
         if runs.size:

@@ -97,14 +97,13 @@ def _parse_snr_spec(text: str) -> np.ndarray:
 
 
 def _instance_from_args(args) -> "Instance":
-    if getattr(args, "instance", None):
+    if args.instance:
         return load_instance(args.instance)
-    if getattr(args, "random", None):
+    if args.random:
         spec_kw = _parse_random_spec(args.random)
         return random_instance(InstanceSpec(
             n=spec_kw["n"], M=spec_kw["M"], p=spec_kw.get("p", 1),
-            seed=spec_kw.get("seed", 0), T=getattr(args, "T", 3.0),
-            budget=getattr(args, "budget", 5.0),
+            seed=spec_kw.get("seed", 0), T=args.T, budget=args.budget,
         ))
     raise ValidationError("provide --instance PATH or --random SPEC")
 
@@ -276,7 +275,8 @@ def cmd_sweep(args) -> int:
                     n_eval=args.n_eval, seed=args.seed,
                 )
                 tr = float(np.trace(instance.system.P0))
-                t = report.timings
+                t = report.to_dict(
+                    include_timings=not args.no_timings)["timings"]
                 rows.append({
                     "sweep": sweep_kind,
                     "point": pt,
@@ -287,12 +287,10 @@ def cmd_sweep(args) -> int:
                     "objective_norm": repr(report.objective / tr),
                     "mc_mean_norm": repr(est.mean / tr),
                     "mc_stderr_norm": repr(est.stderr / tr),
-                    "forward_s": 0.0 if args.no_timings else t["forward_s"],
-                    "gradient_s": 0.0 if args.no_timings
-                    else t["gradient_assembly_s"],
-                    "projection_s": 0.0 if args.no_timings
-                    else t["projection_s"],
-                    "total_s": 0.0 if args.no_timings else t["total_s"],
+                    "forward_s": t["forward_s"],
+                    "gradient_s": t["gradient_assembly_s"],
+                    "projection_s": t["projection_s"],
+                    "total_s": t["total_s"],
                 })
                 print(f"{sweep_kind}={pt} instance={idx} kind={kind} "
                       f"iters={report.iterations} "

@@ -22,6 +22,7 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12      # relative asymmetry allowed on ingestion
 PSD_EIG_FLOOR = -1e-10     # scale-relative floor for "PSD up to noise"
+FEASIBILITY_TOL = 1e-9     # violation a feasible schedule may carry
 
 
 class ValidationError(ValueError):
@@ -355,9 +356,9 @@ class FeasibilityReport:
 
 
 def validate_schedule(
-    schedule: Schedule, polytope: ResourcePolytope, tol: float = 1e-9
+    schedule: Schedule, polytope: ResourcePolytope
 ) -> FeasibilityReport:
-    """Check C lam_k <= b and lam_k >= 0 for every stage k."""
+    """Check C lam_k <= b and lam_k >= 0 to FEASIBILITY_TOL at every stage."""
     if schedule.M != polytope.n_sensors:
         raise ValidationError(
             f"schedule has {schedule.M} sensors, polytope expects "
@@ -369,7 +370,7 @@ def validate_schedule(
     return FeasibilityReport(
         budget_violation=budget_violation,
         nonneg_violation=nonneg_violation,
-        feasible=(budget_violation <= tol and nonneg_violation <= tol),
+        feasible=max(budget_violation, nonneg_violation) <= FEASIBILITY_TOL,
     )
 
 

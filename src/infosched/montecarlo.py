@@ -110,20 +110,23 @@ def _run_costs(instance, records, grid, paths=None):
     return costs
 
 
+def _mean_std(means, spreads):
+    """Mean over the runs (the first axis) of means, and the sample standard
+    deviation over the runs of spreads.  When every run of means is the
+    same (the zero schedule), the mean is that run and the spread exactly
+    zero: averaging equal values leaves roundoff, as fl(n a) / n != a."""
+    if np.all(means == means[0]):
+        return means[0].copy(), np.zeros(spreads.shape[1:])
+    return means.mean(axis=0), spreads.std(axis=0, ddof=1)
+
+
 def _estimate(costs: np.ndarray) -> McEstimate:
-    n_runs = len(costs)
-    mean = float(np.mean(costs))
-    # identical costs (zero schedule) must report exactly zero spread; np.std
-    # of equal values returns ulp noise because fl(n*a)/n != a
-    if n_runs > 1 and not np.all(costs == costs[0]):
-        std = float(np.std(costs, ddof=1))
-    else:
-        std = 0.0
+    mean, std = _mean_std(costs, costs)
     return McEstimate(
-        mean=mean,
-        std=std,
-        stderr=std / np.sqrt(n_runs),
-        n_runs=n_runs,
+        mean=float(mean),
+        std=float(std),
+        stderr=float(std) / np.sqrt(len(costs)),
+        n_runs=len(costs),
         per_run_costs=costs,
     )
 
@@ -184,30 +187,14 @@ def mc_mean_trajectories(
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
     costs = _run_costs(instance, records, times, p_paths)
     y_paths = _sym(np.linalg.inv(p_paths))
-
-    # all realizations identical (e.g. zero schedule): averaging would only
-    # add roundoff, and the spread is exactly zero
-    identical = bool(np.all(p_paths == p_paths[0]))
-    if identical:
-        p_mean = p_paths[0].copy()
-        y_mean = y_paths[0].copy()
-    else:
-        p_mean = p_paths.mean(axis=0)
-        y_mean = y_paths.mean(axis=0)
-    p_traces = np.trace(p_paths, axis1=2, axis2=3)
-    y_traces = np.trace(y_paths, axis1=2, axis2=3)
+    p_mean, p_std = _mean_std(p_paths, np.trace(p_paths, axis1=2, axis2=3))
+    y_mean, y_std = _mean_std(y_paths, np.trace(y_paths, axis1=2, axis2=3))
     scale = np.sqrt(n_runs)
-    if not identical:
-        p_se = p_traces.std(axis=0, ddof=1) / scale
-        y_se = y_traces.std(axis=0, ddof=1) / scale
-    else:
-        p_se = np.zeros(n_eval + 1)
-        y_se = np.zeros(n_eval + 1)
     return McTrajectories(
         p_mean=Trajectory(coordinates=COV, times=times, values=p_mean),
         y_mean=Trajectory(coordinates=INFO, times=times, values=y_mean),
-        p_trace_stderr=p_se,
-        y_trace_stderr=y_se,
+        p_trace_stderr=p_std / scale,
+        y_trace_stderr=y_std / scale,
         objective=_estimate(costs),
     )
 

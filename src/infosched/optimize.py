@@ -310,13 +310,17 @@ def _project_row(V: np.ndarray, c: np.ndarray, beta: float) -> np.ndarray:
     return np.where(inside[:, None], W, np.maximum(V - theta * c, 0.0))
 
 
-def _dykstra(v, C, b, tol, max_iters):
+DYKSTRA_TOL = 1e-10         # converged once a sweep moves no rate further
+DYKSTRA_MAX_ITERS = 10_000  # sweeps before a ProjectionError
+
+
+def _dykstra(v, C, b):
     """Dykstra's alternating projections over the halfspaces and the orthant."""
     K = C.shape[0]
     x = np.maximum(v, 0.0)
     incr = np.zeros((K + 1, v.size))
     row_sq = np.einsum("ij,ij->i", C, C)
-    for _ in range(max_iters):
+    for _ in range(DYKSTRA_MAX_ITERS):
         x_prev = x.copy()
         for s in range(K + 1):
             y = x + incr[s]
@@ -327,38 +331,23 @@ def _dykstra(v, C, b, tol, max_iters):
                 viol = float(c @ y) - b[s - 1]
                 x = y - (viol / row_sq[s - 1]) * c if viol > 0.0 else y
             incr[s] = y - x
-        if np.max(np.abs(x - x_prev)) <= tol:
+        if np.max(np.abs(x - x_prev)) <= DYKSTRA_TOL:
             return x
     raise ProjectionError(
-        f"Dykstra projection did not reach tol={tol:g} in {max_iters} iterations"
+        f"Dykstra projection did not reach tol={DYKSTRA_TOL:g} in "
+        f"{DYKSTRA_MAX_ITERS} iterations"
     )
 
 
-def project_stage(
-    v: np.ndarray,
-    polytope: ResourcePolytope,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-) -> np.ndarray:
-    """Euclidean projection of one stage's rates onto the admissible set;
-    tol and max_iters bound Dykstra, which only coupled rows take."""
-    v = np.asarray(v, dtype=float)
-    if polytope.C.shape[0] == 1:
-        return project_schedule(v[None], polytope)[0]
-    return _dykstra(v, polytope.C, polytope.b, tol, max_iters)
-
-
 def project_schedule(rates: np.ndarray, polytope: ResourcePolytope) -> np.ndarray:
-    """Project every stage of the rate table: a single row in one exact call
-    scaled to c_0 = 1 (so equal coefficients are exactly 1), coupled rows
-    stage by stage."""
+    """Euclidean projection of every stage of the rate table onto the
+    admissible set: a single row in one exact call scaled to c_0 = 1 (so
+    equal coefficients are exactly 1), coupled rows by Dykstra, stage by
+    stage."""
     C, b = polytope.C, polytope.b
     if C.shape[0] == 1:
         return _project_row(rates, C[0] / C[0, 0], b[0] / C[0, 0])
-    out = np.empty_like(rates)
-    for k in range(rates.shape[0]):
-        out[k] = project_stage(rates[k], polytope)
-    return out
+    return np.stack([_dykstra(v, C, b) for v in rates])
 
 
 def centered_rates(polytope: ResourcePolytope, N: int) -> np.ndarray:
@@ -435,8 +424,9 @@ def solve(
 
     Stops when the projected-gradient norm ||lam - proj(lam - grad)||_F /
     sqrt(N M) drops below grad_tol or after max_iters accepted steps.  The
-    returned schedule is the best feasible iterate seen; the objective
-    history holds the accepted (monotone) values.
+    returned schedule is the last accepted iterate, which monotone Armijo
+    acceptance makes the best one seen (of tied values, the latest); the
+    objective history holds the accepted values.
     """
     opts = options or SolveOptions()
     inst = problem.instance
@@ -462,7 +452,6 @@ def solve(
     J, sched, traj, maps = timed("forward_s", _forward, problem, lam)
     G = timed("gradient_assembly_s", _gradient, problem, sched, traj, maps)
     history = [J]
-    best_J, best_lam = J, lam
     gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), BB_MIN), BB_MAX)
     prev_lam = prev_G = None
     iterations = 0
@@ -515,8 +504,6 @@ def solve(
         pg = timed("projection_s", _pg_norm, lam, G, polytope)
         history.append(J)
         iterations += 1
-        if J < best_J:
-            best_J, best_lam = J, lam
         per_iter.append({
             "iteration": iterations,
             "objective": J,
@@ -529,8 +516,8 @@ def solve(
     timings["total_s"] = time.perf_counter() - t_start
     timings["per_iteration"] = per_iter
     return SolveReport(
-        schedule=problem.schedule(best_lam),
-        objective=best_J,
+        schedule=problem.schedule(lam),
+        objective=J,
         iterations=iterations,
         pg_norm=pg,
         converged=converged,
@@ -651,6 +638,5 @@ __all__ = [
     "objective",
     "objective_and_gradient",
     "project_schedule",
-    "project_stage",
     "solve",
 ]

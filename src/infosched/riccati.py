@@ -221,7 +221,8 @@ def lyapunov_maps(A, Q, h):
     up past W, is never formed beyond d / 2^s.  No matrix product mixes
     durations, so each map depends on its own duration alone, bit for bit,
     whatever else the batch holds.  A duration outside [0, h] is a
-    ValidationError.
+    ValidationError, and a map that overflows (an unstable mode over a long
+    duration) a PositiveDefinitenessError.
     """
     if not 0.0 < h < math.inf:
         raise ValidationError(f"map bound h must be positive and finite, "
@@ -256,6 +257,8 @@ def lyapunov_maps(A, Q, h):
         for _ in range(s):
             w = _sym(phi @ w @ phi.transpose(0, 2, 1) + w)
             phi = phi @ phi
+        if not (np.isfinite(phi).all() and np.isfinite(w).all()):
+            raise PositiveDefinitenessError("non-finite covariance map")
         return phi, w
 
     return maps

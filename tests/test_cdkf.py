@@ -111,6 +111,16 @@ def test_rollout_failure_names_no_substeps():
     assert "substeps" not in str(exc.value)
 
 
+def test_rollout_overflowing_map_is_typed():
+    # the map family's own finiteness check, reached through the walk
+    inst = make_scalar_instance(a=1e5, q=1.0, T=1.0)
+    with pytest.raises(PositiveDefinitenessError,
+                       match="non-finite covariance map"), \
+            np.errstate(all="ignore"):
+        rollout_covariance(inst, ArrivalRecord.from_events([(0.5, 0)]),
+                           n_eval=100)
+
+
 @pytest.mark.parametrize("where", ["node", "arrival"])
 def test_rollout_pd_loss_is_typed(monkeypatch, where):
     # the walk checks the recorded nodes and the gain updates of each step;

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,13 @@ import pytest
 
 from infosched import bounds, cli, montecarlo, optimize
 from infosched.model import (
+    Instance,
     InstanceSpec,
+    ResourcePolytope,
     Schedule,
+    Sensor,
+    SystemModel,
+    WeightSpec,
     load_schedule,
     random_instance,
     save_instance,
@@ -462,3 +468,98 @@ def test_gradcheck_random_instance_both_kinds(capsys):
             "--budget", "3", "--N", "3", "--substeps", "4"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.count("PASS") == 2
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs: every command ends with a typed exit, never a traceback
+
+
+def degenerate_case(A, Q=None, P0=None, sensors=None, C=None, b=(2.0,),
+                    rates=0.5):
+    """An instance on T = 1 and a schedule of N = 4 stages.  sensors are
+    (H, R) pairs, by default one scalar sensor per state; rates is a rate
+    per sensor (or one for all), kept small so the Monte Carlo draws few
+    arrivals."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[0]
+    if sensors is None:
+        sensors = [(np.eye(n)[[i]], np.eye(1)) for i in range(n)]
+    M = len(sensors)
+    inst = Instance(
+        system=SystemModel(n=n, A=A, Q=np.eye(n) if Q is None else Q,
+                           m0=np.zeros(n),
+                           P0=np.eye(n) if P0 is None else P0, T=1.0),
+        sensors=tuple(Sensor(H=H, R=R) for H, R in sensors),
+        polytope=ResourcePolytope(C=np.ones((1, M)) if C is None else C,
+                                  b=np.asarray(b, dtype=float)),
+        weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
+    rates = np.broadcast_to(np.asarray(rates, dtype=float), (4, M))
+    return inst, rates
+
+
+DEGENERATE = {
+    "Q0-A0": lambda: degenerate_case(np.zeros((2, 2)), Q=np.zeros((2, 2))),
+    "defective-unstable": lambda: degenerate_case([[0.5, 1.0], [0.0, 0.5]]),
+    "zero-budget": lambda: degenerate_case(-np.eye(2), b=[0.0], rates=0.0),
+    "p2-ill-conditioned-R": lambda: degenerate_case(
+        -np.eye(2), sensors=[(np.eye(2), np.diag([1.0, 1e-13])),
+                             (np.array([[1.0, 1.0]]), np.eye(1))]),
+    "P0-spread": lambda: degenerate_case(
+        -0.5 * np.eye(2), P0=np.diag([1e12, 1e-3])),
+    "stiff-A": lambda: degenerate_case(-1e4),
+    "tiny-R": lambda: degenerate_case(
+        -1.0, sensors=[(np.eye(1), np.array([[1e-200]]))]),
+    "zero-b-row": lambda: degenerate_case(
+        -np.eye(2), sensors=[(np.eye(2)[[i % 2]], np.eye(1))
+                             for i in range(3)],
+        C=np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]), b=[3.0, 0.0],
+        rates=[1.0, 0.0, 1.0]),
+    "zero-rate-columns": lambda: degenerate_case(
+        -np.eye(2), sensors=[(np.eye(2)[[i % 2]], np.eye(1))
+                             for i in range(3)],
+        rates=[0.8, 0.0, 0.0]),
+}
+
+
+def finite_json(path):
+    """True when the JSON file holds only finite numbers."""
+    def finite(x):
+        if isinstance(x, dict):
+            return all(finite(v) for v in x.values())
+        if isinstance(x, list):
+            return all(finite(v) for v in x)
+        return not isinstance(x, float) or math.isfinite(x)
+
+    def refuse(constant):
+        raise ValueError(constant)
+
+    try:
+        return finite(json.loads(path.read_text(), parse_constant=refuse))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_end_typed_with_finite_outputs(tmp_path, capsys,
+                                                         case):
+    inst, rates = DEGENERATE[case]()
+    save_instance(tmp_path / "inst.json", inst)
+    write_schedule(tmp_path / "sched.json", rates)
+    files = ["--instance", str(tmp_path / "inst.json")]
+    mc = ["--schedule", str(tmp_path / "sched.json"), "--runs", "5",
+          "--n-eval", "12"]
+    commands = [
+        ["solve", "--N", "4", "--substeps", "2", "--max-iters", "20",
+         "--out", str(tmp_path / "info")],
+        ["solve", "--kind", "cov", "--N", "4", "--substeps", "2",
+         "--max-iters", "5", "--out", str(tmp_path / "cov")],
+        ["evaluate", "--out", str(tmp_path / "mc.json")] + mc,
+        ["bracket", "--out", str(tmp_path / "cert")] + mc,
+    ]
+    for argv in commands:
+        with np.errstate(all="ignore"):
+            assert cli.main(argv[:1] + files + argv[1:]) in (0, 1, 2), argv
+    capsys.readouterr()
+    written = set(tmp_path.glob("*.json")) - {tmp_path / "inst.json",
+                                              tmp_path / "sched.json"}
+    assert sorted(p.name for p in written if not finite_json(p)) == []

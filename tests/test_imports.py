@@ -1,6 +1,7 @@
 """Every name a module imports is used there or re-exported, every name
-the package promises exists, each has one import path, and every function
-and class the package defines is run by something.
+the package promises exists, each has one import path, every function and
+class the package defines is run by something, and every module-level
+UPPER_CASE constant under src/ or scripts/ is read by code there.
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file under src/, tests/ and scripts/.  A name counts as used when it
@@ -168,3 +169,39 @@ def test_every_definition_is_run_by_something():
     others = [p.read_text(encoding="utf-8") for d in ("src", "scripts")
               for p in (ROOT / d).rglob("*.py") if p.parent != package]
     assert dead_definitions(modules, others, set(traced_names())) == []
+
+
+def unread_constants(sources):
+    """(module, name) of every module-level UPPER_CASE constant of sources
+    ({module: source}) that no source reads.  An assignment stores its
+    targets, so a constant counts as read only where it is loaded."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                       else [])
+            defined += [(module, node.id) for target in targets
+                        for node in ast.walk(target)
+                        if isinstance(node, ast.Name) and node.id.isupper()]
+        read |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 or (isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load))}
+    return [pair for pair in defined if pair[1] not in read]
+
+
+def test_unread_constants_names_only_the_unread():
+    sources = {"m": ("LIMIT = 3\nTOL: float = 1e-9\nLO, HI = 0, 1\n"
+                     "lower = 2\nDEAD = 4\n__all__ = []\n"
+                     "def f(x=LO):\n    return x < LIMIT\n"),
+               "n": "import m\nprint(m.TOL, HI)\n"}
+    assert unread_constants(sources) == [("m", "DEAD")]
+
+
+def test_every_constant_is_read_by_something():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py")}
+    assert unread_constants(sources) == []

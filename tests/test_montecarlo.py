@@ -353,6 +353,20 @@ def test_mc_mean_trajectories_zero_rates():
     assert np.all(out.p_trace_stderr == 0.0)
 
 
+@pytest.mark.parametrize("estimate", [mc_objective, mc_mean_trajectories])
+def test_identical_runs_give_that_run_and_zero_spread(estimate):
+    # a zero schedule makes every run the same; the mean of these three
+    # equal costs would be an ulp off (fl(3 a) / 3 != a)
+    inst = random_instance(InstanceSpec(n=2, M=1, p=1, seed=6, T=1.0))
+    sched = Schedule(N=2, T=1.0, rates=np.zeros((2, 1)))
+    out = estimate(inst, sched, n_runs=3, n_eval=20)
+    est = getattr(out, "objective", out)
+    assert est.mean == est.per_run_costs[0]
+    assert est.std == 0.0 and est.stderr == 0.0
+    if estimate is mc_mean_trajectories:
+        assert np.all(out.y_trace_stderr == 0.0)
+
+
 def test_mc_mean_trajectories_single_run():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=2, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))

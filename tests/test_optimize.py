@@ -46,7 +46,6 @@ from infosched.optimize import (
     objective,
     objective_and_gradient,
     project_schedule,
-    project_stage,
     solve,
 )
 
@@ -144,6 +143,11 @@ def tied_table(rng, N, M):
 # projections
 
 
+def project_stage(v, polytope):
+    """One stage's projection: the one-row table through project_schedule."""
+    return project_schedule(np.asarray(v, dtype=float)[None], polytope)[0]
+
+
 def test_budget_projection_splits_excess_evenly():
     poly = ResourcePolytope(C=np.ones((1, 3)), b=np.array([5.0]))
     out = project_stage(np.array([4.0, 4.0, 0.0]), poly)
@@ -228,12 +232,13 @@ def test_dykstra_projection_idempotent():
         assert np.allclose(project_stage(p, poly), p, atol=1e-8)
 
 
-def test_projection_error_at_iteration_cap():
+def test_projection_error_at_iteration_cap(monkeypatch):
     poly = ResourcePolytope(
         C=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), b=np.array([1.0, 1.0])
     )
+    monkeypatch.setattr(optimize, "DYKSTRA_MAX_ITERS", 1)
     with pytest.raises(ProjectionError, match="iterations"):
-        project_stage(np.array([2.0, 2.0, 2.0]), poly, max_iters=1)
+        project_stage(np.array([2.0, 2.0, 2.0]), poly)
 
 
 def test_project_schedule_is_stagewise():

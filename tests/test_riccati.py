@@ -260,6 +260,18 @@ def test_lyapunov_map_family_rejects_durations_outside_its_bound(
         lyapunov_maps(A, Q, h)(durations)
 
 
+def test_lyapunov_map_family_rejects_an_overflowing_map():
+    # e^{A d} of a fast unstable mode overflows: a typed error, never an inf
+    # or nan map; a short duration of the same family stays finite
+    maps = lyapunov_maps(1e5 * np.eye(2), np.eye(2), 0.01)
+    with pytest.raises(PositiveDefinitenessError,
+                       match="non-finite covariance map"), \
+            np.errstate(all="ignore"):
+        maps([0.01])
+    phi, w = maps([1e-4])
+    assert np.isfinite(phi).all() and np.isfinite(w).all()
+
+
 def _adjoint_cases():
     rng = rng_for(1995)
     cases = {}
