@@ -23,6 +23,7 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12      # relative asymmetry allowed on ingestion
 PSD_EIG_FLOOR = -1e-10     # scale-relative floor for "PSD up to noise"
 FEASIBILITY_TOL = 1e-9     # violation a feasible schedule may carry
+PD_FLOOR_REL = 1e-12       # min eigenvalue must stay above PD_FLOOR_REL * trace/n
 
 
 class ValidationError(ValueError):
@@ -76,6 +77,19 @@ def _check_spd(x: np.ndarray, name: str) -> None:
         )
 
 
+def _check_prior(P0: np.ndarray) -> None:
+    """P0 and its inverse, the first nodes of the covariance and information
+    paths, each clear the floor every path is held to: min eigenvalue above
+    PD_FLOOR_REL * trace/n."""
+    w = np.linalg.eigvalsh(P0)
+    for name, ev in (("P0", w), ("P0^-1", 1.0 / w[::-1])):
+        floor = PD_FLOOR_REL * ev.sum() / len(ev)
+        if ev[0] <= floor:
+            raise ValidationError(
+                f"{name} is too badly scaled: min eigenvalue {ev[0]:.6e} <= "
+                f"floor {floor:.6e} ({PD_FLOOR_REL:g} * trace/n)")
+
+
 def information_increment(H, R) -> np.ndarray:
     """Per-arrival information gain H^T R^{-1} H of a sensor.
 
@@ -116,6 +130,7 @@ class SystemModel:
         _check_psd(Q, "Q")
         P0 = _check_symmetric(_as_matrix(self.P0, "P0", (n, n)), "P0")
         _check_spd(P0, "P0")
+        _check_prior(P0)
         m0 = np.asarray(self.m0, dtype=float)
         if m0.shape != (n,):
             raise ValidationError(f"m0 must have shape ({n},), got {m0.shape}")

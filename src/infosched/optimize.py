@@ -6,7 +6,9 @@ maps: one exponential of a 2n Hamiltonian block per stage, then a
 linear-fractional map per step (riccati.hamiltonian_maps).  The gradient is
 that map's closed-form adjoint, summed over a stage's steps and carried
 through one Frechet adjoint of the exponential per stage, so the rates enter
-only through U_k = sum_j lam_kj S_j.  The covariance form integrates at
+only through U_k = sum_j lam_kj S_j.  Only the carried adjoint runs step by
+step; every other product of the sweep is batched over the recorded path,
+before it or after it.  The covariance form integrates at
 substep resolution with RK4 and reverses each step.  Stage by stage, it
 replays the RK4 points of all the stage's steps from the recorded nodes in
 four batched gain solves, and carries the adjoint through each point's
@@ -109,10 +111,6 @@ def objective(problem: ShootingProblem, rates: np.ndarray) -> float:
 # need the N * substeps + 1 nodes of the trapezoid rule.
 
 
-def _blocks(Phi, n):
-    return Phi[:n, :n], Phi[:n, n:], Phi[n:, :n], Phi[n:, n:]
-
-
 def _info_forward(instance: Instance, sched: Schedule, substeps: int):
     """Exact info surrogate path and what its adjoint reuses: the stage
     maps and every step's state."""
@@ -126,14 +124,16 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
                                      stage_increments(instance, sched),
                                      sched.delta / nodes)
         steps = nodes * m           # map steps per stage
+        # [E + F Y; C + D Y] is one product: left + right @ Y
+        left, right = Phi[:, :, :n], Phi[:, :, n:]
         path = np.empty((N * steps + 1, n, n))
         Y = path[0] = _sym(np.linalg.inv(sys.P0))
         for k in range(N):
-            E, F, C, D = _blocks(Phi[k], n)
             for s in range(1, steps + 1):
+                ZC = left[k] + right[k] @ Y
                 try:
                     # Y+ = (C + D Y) Z^{-1}, transposed: Z^{-T} (C + D Y)^T
-                    Y = _sym(np.linalg.solve((E + F @ Y).T, (C + D @ Y).T))
+                    Y = _sym(np.linalg.solve(ZC[:n].T, ZC[n:].T))
                 except np.linalg.LinAlgError:
                     raise PositiveDefinitenessError(
                         f"singular step map in info surrogate stage {k}"
@@ -147,8 +147,13 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
 
 
 def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
-    # reverse sweep over the steps of the forward path, one Frechet adjoint
-    # of the exponential per stage
+    # reverse sweep over the steps of the forward path: step i carries the
+    # adjoint back as K_i = Lam_{i+1} Z_i^{-T}, Lam_i = sym(Dt_i K_i), with
+    # Z_i = E + F Y_i and Dt_i = (D - Y_{i+1} F)^T.  Only that carry runs
+    # step by step: Z_i and Dt_i are batched before it, and the stage maps'
+    # block adjoints (Ebar = -sum Y_{i+1} K_i, Fbar = -sum Y_{i+1} K_i Y_i,
+    # Cbar = sum K_i, Dbar = sum K_i Y_i over a stage's steps) after it.
+    # Then one Frechet adjoint of the exponential per stage
     inst = problem.instance
     X, Phi, path = maps
     n, N = inst.n, problem.N
@@ -162,22 +167,29 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     if running:
         P = _sym(np.linalg.inv(traj.values))
         node = -_sym(P @ table @ P)
-    bar = np.zeros_like(Phi)    # adjoint of each stage map, block by block
-    for k in range(N - 1, -1, -1):
-        E, F, C, D = _blocks(Phi[k], n)
-        Eb, Fb, Cb, Db = _blocks(bar[k], n)
-        for s in range(steps - 1, -1, -1):
-            i = k * steps + s
-            Y, Y_next = path[i], path[i + 1]
-            K = np.linalg.solve(E + F @ Y, Lam).T       # Lam Z^{-T}
-            YK = Y_next @ K
-            Cb += K
-            Db += K @ Y
-            Eb -= YK
-            Fb -= YK @ Y
-            Lam = _sym((D - Y_next @ F).T @ K)
-            if i > 0 and running and i % m == 0:
-                Lam = Lam + node[i // m]
+    # each step's Y_i and Y_{i+1}, and its stage's blocks, by stage
+    Y0 = path[:-1].reshape(N, steps, n, n)
+    Y1 = path[1:].reshape(N, steps, n, n)
+    E, F, D = Phi[:, None, :n, :n], Phi[:, None, :n, n:], Phi[:, None, n:, n:]
+    Z = (E + F @ Y0).reshape(-1, n, n)
+    DY = (D - Y1 @ F).reshape(-1, n, n)     # Dt_i = DY[i].T
+    Kt = np.empty_like(Z)                   # K_i^T = Z_i^{-1} Lam_{i+1}
+    for i in range(len(Z) - 1, -1, -1):
+        Kt[i] = np.linalg.solve(Z[i], Lam)
+        Lam = _sym(DY[i].T @ Kt[i].T)
+        if i > 0 and running and i % m == 0:
+            Lam = Lam + node[i // m]
+    K = Kt.swapaxes(1, 2).reshape(N, steps, n, n)
+    YK = Y1 @ K
+
+    def total(x):       # over a stage's steps, in the order the sweep met them
+        return x[:, ::-1].sum(axis=1)
+
+    bar = np.empty_like(Phi)    # adjoint of each stage map, block by block
+    bar[:, :n, :n] = -total(YK)
+    bar[:, :n, n:] = -total(YK @ Y0)
+    bar[:, n:, :n] = total(K)
+    bar[:, n:, n:] = total(K @ Y0)
     # U_k enters X_k = h [[A, Q], [U_k, -A^T]] in its lower-left block, h
     # the length of one map step
     h = inst.T / (len(path) - 1)

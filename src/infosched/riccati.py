@@ -43,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError, WeightSpec, _sym
+from .model import PD_FLOOR_REL, ValidationError, WeightSpec, _sym
 
-PD_FLOOR_REL = 1e-12   # min eigenvalue must stay above PD_FLOOR_REL * trace/n
 SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
 MAX_MAP_SPLIT = 1024   # most steps of an information map per step asked for

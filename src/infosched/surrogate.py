@@ -21,7 +21,8 @@ Both integrators record on the uniform grid of n_eval intervals
 (riccati.time_grid), as the rollouts do.  They step each segment between
 stops (the grid's nodes merged with the stage boundaries, which meet nodes
 by integer index) by the riccati module's RK4 and fail loudly if the state
-at the segment's end leaves the positive definite cone.
+at any segment's end leaves the positive definite cone: one batched check of
+every stop after the walk, which names the first stop that fails.
 The certificates use them, and the covariance-form design path integrates
 the covariance form.  This module returns paths only: every objective is
 riccati.pathwise_cost of one, in either coordinate system.  The optimizer does not integrate the
@@ -99,19 +100,23 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
 
     path = np.empty((len(stops), sys.n, sys.n))
     path[0] = X
-    for i, (u0, u1) in enumerate(zip(stops[:-1], stops[1:]), 1):
-        k = u0 // n_eval
-        # no step longer than delta / substeps, at least one per segment
-        n_steps = -(-substeps * (u1 - u0) // n_eval)
-        if kind == "info":
-            Uk = U[k]
-            rhs = lambda Y: info_rhs(Y, A, Q) + Uk
-        else:
-            H, R, lam = stages[k]
-            rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
-                                         *stacked_gains(P, H, R))
-        X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps, rhs)
-        require_pd(X, f"in {kind} surrogate near t={at[i]:g}", SUBSTEP_ADVICE)
+    # a stop that leaves the cone is reported by the one check below, not
+    # warned about on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (u0, u1) in enumerate(zip(stops[:-1], stops[1:]), 1):
+            k = u0 // n_eval
+            # no step longer than delta / substeps, at least one per segment
+            n_steps = -(-substeps * (u1 - u0) // n_eval)
+            if kind == "info":
+                Uk = U[k]
+                rhs = lambda Y: info_rhs(Y, A, Q) + Uk
+            else:
+                H, R, lam = stages[k]
+                rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
+                                             *stacked_gains(P, H, R))
+            X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps, rhs)
+    require_pd(path[1:], lambda i: f"in {kind} surrogate near t={at[i + 1]:g}",
+               SUBSTEP_ADVICE)
     coords = INFO if kind == "info" else COV
     return Trajectory(coordinates=coords, times=times, values=path[on_node])
 

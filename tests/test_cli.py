@@ -15,6 +15,7 @@ from infosched.model import (
     Sensor,
     SystemModel,
     WeightSpec,
+    instance_to_dict,
     load_schedule,
     random_instance,
     save_instance,
@@ -476,10 +477,11 @@ def test_gradcheck_random_instance_both_kinds(capsys):
 
 def degenerate_case(A, Q=None, P0=None, sensors=None, C=None, b=(2.0,),
                     rates=0.5):
-    """An instance on T = 1 and a schedule of N = 4 stages.  sensors are
-    (H, R) pairs, by default one scalar sensor per state; rates is a rate
-    per sensor (or one for all), kept small so the Monte Carlo draws few
-    arrivals."""
+    """The instance file's payload on T = 1 and a schedule of N = 4 stages.
+    sensors are (H, R) pairs, by default one scalar sensor per state; rates
+    is a rate per sensor (or one for all), kept small so the Monte Carlo
+    draws few arrivals.  P0 goes into the payload as given, so a prior the
+    loader refuses still reaches the commands."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     if sensors is None:
@@ -487,14 +489,16 @@ def degenerate_case(A, Q=None, P0=None, sensors=None, C=None, b=(2.0,),
     M = len(sensors)
     inst = Instance(
         system=SystemModel(n=n, A=A, Q=np.eye(n) if Q is None else Q,
-                           m0=np.zeros(n),
-                           P0=np.eye(n) if P0 is None else P0, T=1.0),
+                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
         sensors=tuple(Sensor(H=H, R=R) for H, R in sensors),
         polytope=ResourcePolytope(C=np.ones((1, M)) if C is None else C,
                                   b=np.asarray(b, dtype=float)),
         weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
+    payload = instance_to_dict(inst)
+    if P0 is not None:
+        payload["P0"] = np.asarray(P0, dtype=float).tolist()
     rates = np.broadcast_to(np.asarray(rates, dtype=float), (4, M))
-    return inst, rates
+    return payload, rates
 
 
 DEGENERATE = {
@@ -542,8 +546,8 @@ def finite_json(path):
 @pytest.mark.parametrize("case", sorted(DEGENERATE))
 def test_degenerate_inputs_end_typed_with_finite_outputs(tmp_path, capsys,
                                                          case):
-    inst, rates = DEGENERATE[case]()
-    save_instance(tmp_path / "inst.json", inst)
+    payload, rates = DEGENERATE[case]()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
     write_schedule(tmp_path / "sched.json", rates)
     files = ["--instance", str(tmp_path / "inst.json")]
     mc = ["--schedule", str(tmp_path / "sched.json"), "--runs", "5",
@@ -563,3 +567,22 @@ def test_degenerate_inputs_end_typed_with_finite_outputs(tmp_path, capsys,
     written = set(tmp_path.glob("*.json")) - {tmp_path / "inst.json",
                                               tmp_path / "sched.json"}
     assert sorted(p.name for p in written if not finite_json(p)) == []
+
+
+def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
+    # P0 = diag(1e12, 1e-3) is positive definite, but its min eigenvalue is
+    # below the floor PD_FLOOR_REL * trace/n that every path is held to:
+    # each command refuses it at load, names P0 and writes nothing
+    payload, rates = DEGENERATE["P0-spread"]()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    inputs = set(tmp_path.iterdir())
+    files = ["--instance", str(tmp_path / "inst.json")]
+    mc = ["--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
+    for argv in (["solve", "--out", str(tmp_path / "info")],
+                 ["evaluate", "--out", str(tmp_path / "mc.json")] + mc,
+                 ["bracket", "--out", str(tmp_path / "cert")] + mc):
+        assert cli.main(argv[:1] + files + argv[1:]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: P0 is too badly scaled")
+    assert set(tmp_path.iterdir()) == inputs

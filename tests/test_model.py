@@ -25,6 +25,8 @@ from infosched.model import (
     validate_schedule,
 )
 
+from infosched.riccati import require_pd
+
 from conftest import random_spd, rng_for
 
 
@@ -129,6 +131,29 @@ def test_system_model_rejects_indefinite_p0():
     with pytest.raises(ValidationError):
         SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), m0=np.zeros(2),
                     P0=np.diag([1.0, -1.0]), T=1.0)
+
+
+@pytest.mark.parametrize("diag,name", [
+    ([1e12, 1e-3], "P0 is"),        # P0's own min eigenvalue under its floor
+    ([2e12, 1.0, 1.0], "P0^-1 is"),  # P0 clears it, its inverse does not
+])
+def test_system_model_rejects_a_prior_under_the_pd_floor(diag, name):
+    # the floor is riccati's: a prior that passes here starts every
+    # covariance and information path above it
+    n = len(diag)
+    with pytest.raises(ValidationError, match=name.replace("^", r"\^")):
+        SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), m0=np.zeros(n),
+                    P0=np.diag(diag), T=1.0)
+
+
+@pytest.mark.parametrize("diag", [[1e11, 1.0], [1e11, 1.0, 1.0],
+                                  [1.0, 1e-11]])
+def test_a_prior_that_loads_clears_the_pd_floor_both_ways(diag):
+    n = len(diag)
+    sys = SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), m0=np.zeros(n),
+                      P0=np.diag(diag), T=1.0)
+    require_pd(sys.P0)
+    require_pd(np.linalg.inv(sys.P0))
 
 
 def test_system_model_rejects_nonpositive_horizon():

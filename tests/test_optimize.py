@@ -32,6 +32,7 @@ from infosched.riccati import (
     _rk4_stages,
     _rk4_step,
     covariance_decrement,
+    expm_adjoint,
     node_weights,
     pathwise_cost,
     stacked_gains,
@@ -475,6 +476,121 @@ def test_running_weights_record_every_substep_node():
     np.testing.assert_array_equal(traj.times, np.linspace(0.0, inst.T, 25))
     fine = surrogate.integrate_info_surrogate(inst, sched, substeps=600)
     np.testing.assert_allclose(traj.values, fine.values[::100], rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the batched info adjoint against its step-by-step form
+
+
+def reference_info_gradient(problem, traj, maps):
+    """The info adjoint step by step: every product of a map step inside
+    the sweep, each stage map's adjoint accumulated block by block as the
+    sweep meets its steps."""
+    inst = problem.instance
+    X, Phi, path = maps
+    n, N = inst.n, problem.N
+    steps = (len(path) - 1) // N
+    m = (len(path) - 1) // (len(traj.times) - 1)
+    table = node_weights(traj.times, inst.weights)
+    running = inst.weights.W_stages is not None
+    P = _sym(np.linalg.inv(path[-1]))
+    Lam = -_sym(P @ table[-1] @ P)
+    if running:
+        P = _sym(np.linalg.inv(traj.values))
+        node = -_sym(P @ table @ P)
+    bar = np.zeros_like(Phi)
+    for k in range(N - 1, -1, -1):
+        E, F, D = Phi[k][:n, :n], Phi[k][:n, n:], Phi[k][n:, n:]
+        Eb, Fb, Cb, Db = (bar[k][:n, :n], bar[k][:n, n:], bar[k][n:, :n],
+                          bar[k][n:, n:])
+        for s in range(steps - 1, -1, -1):
+            i = k * steps + s
+            Y, Y_next = path[i], path[i + 1]
+            K = np.linalg.solve(E + F @ Y, Lam).T
+            YK = Y_next @ K
+            Cb += K
+            Db += K @ Y
+            Eb -= YK
+            Fb -= YK @ Y
+            Lam = _sym((D - Y_next @ F).T @ K)
+            if i > 0 and running and i % m == 0:
+                Lam = Lam + node[i // m]
+    h = inst.T / (len(path) - 1)
+    U_bar = h * expm_adjoint(X, bar)[:, n:, :n]
+    return np.tensordot(U_bar, inst.S, axes=([1, 2], [1, 2]))
+
+
+def _sweep_pair(inst, N, substeps, rates):
+    """(batched, step-by-step) info gradients and the map steps per stage."""
+    problem = ShootingProblem(instance=inst, N=N, kind="info",
+                              substeps=substeps)
+    _, _, traj, maps = optimize._forward(problem, rates)
+    steps = (len(maps[2]) - 1) // N
+    return (optimize._info_gradient(problem, traj, maps),
+            reference_info_gradient(problem, traj, maps), steps)
+
+
+def _spread_rates(inst, N, seed):
+    return centered_rates(inst.polytope, N) * \
+        rng_for(seed).uniform(0.0, 2.0, size=(N, inst.M))
+
+
+@pytest.mark.parametrize("case", ["reference", "mixed"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_info_adjoint_is_bit_equal_with_one_step_per_stage(case,
+                                                                   seed):
+    # a terminal weight and no stiff stage: one map step per stage, so no
+    # sum over a stage's steps can reassociate
+    if case == "reference":
+        inst = random_instance(InstanceSpec(n=5, M=30, p=1, seed=0, T=3.0,
+                                            budget=5.0))
+    else:
+        inst = mixed_instance(seed)
+    G, ref, steps = _sweep_pair(inst, 30, 10, _spread_rates(inst, 30, seed))
+    assert steps == 1
+    np.testing.assert_array_equal(G, ref)
+
+
+@pytest.mark.parametrize("case", ["running", "split", "split-running"])
+def test_batched_info_adjoint_matches_the_step_by_step_sweep(case):
+    # several map steps per stage (running-weight nodes, a stiff stage's
+    # split, or both).  The per-stage sums run in the sweep's order, but
+    # the order of a reduction is numpy's to choose, so they may reassociate
+    if case == "running":
+        inst = random_instance(InstanceSpec(n=4, M=5, p=1, seed=3, T=2.0,
+                                            budget=4.0))
+    else:
+        inst = _stiff_instance(5, True, False, 1e-4)
+    if case != "split":
+        inst = replace(inst, weights=WeightSpec(
+            W_stages=_stage_weights(inst.n, 5, 4), W_T=inst.weights.W_T))
+    G, ref, steps = _sweep_pair(inst, 5, 3, _spread_rates(inst, 5, 6))
+    assert steps > 1
+    assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["reference", "split-running"])
+def test_one_product_step_is_the_two_product_step(case):
+    # every step of the forward, [E + F Y; C + D Y] read off one product,
+    # is bit for bit the step formed from the four blocks
+    if case == "reference":
+        inst = random_instance(InstanceSpec(n=5, M=30, p=1, seed=0, T=3.0,
+                                            budget=5.0))
+    else:
+        inst = replace(_stiff_instance(5, True, False, 1e-4),
+                       weights=WeightSpec(W_stages=_stage_weights(3, 5, 4),
+                                          W_T=np.eye(3)))
+    N = 5
+    sched = Schedule(N=N, T=inst.T, rates=_spread_rates(inst, N, 2))
+    _, (_, Phi, path) = optimize._info_forward(inst, sched, 3)
+    n, steps = inst.n, (len(path) - 1) // N
+    for i in range(len(path) - 1):
+        Phi_k = Phi[i // steps]
+        E, F = Phi_k[:n, :n], Phi_k[:n, n:]
+        C, D = Phi_k[n:, :n], Phi_k[n:, n:]
+        Y = path[i]
+        step = _sym(np.linalg.solve((E + F @ Y).T, (C + D @ Y).T))
+        np.testing.assert_array_equal(path[i + 1], step)
 
 
 @pytest.mark.parametrize("blocks", ["zero", "nan"])

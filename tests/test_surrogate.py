@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from infosched.model import (
 )
 from infosched.optimize import ShootingProblem
 from infosched.riccati import (
+    PositiveDefinitenessError,
     flow_cov,
     flow_info,
     invert_trajectory,
@@ -185,6 +187,35 @@ def test_surrogate_divergence_at_high_snr():
     assert p_info == pytest.approx(1.0 / (1.0 + 2.0 / 1e-6), rel=1e-6)
     assert p_cov > 0.01
     assert p_info <= p_cov
+
+
+def test_the_first_stop_that_leaves_the_cone_is_named():
+    # from t = 0.5 a stiff input makes RK4 (one step per quarter) overshoot
+    # through zero, and the later stops overflow.  The walk goes on without
+    # a warning, and its one check of every stop names the first that fails:
+    # the scalar RK4 steps of y' = u_k - y^2 say which
+    inst = make_scalar_instance(q=1.0, budget=1e4, T=1.5)
+    u = [0.0, 0.0, 1000.0, 1000.0, 1000.0, 1000.0]
+    sched = Schedule(N=6, T=1.5, rates=np.array(u)[:, None])
+    y, h, first = 1.0, 0.25, []
+    for k, uk in enumerate(u):
+        def f(y):
+            return uk - y * y
+        with np.errstate(all="ignore"):
+            k1 = f(y)
+            k2 = f(y + 0.5 * h * k1)
+            k3 = f(y + 0.5 * h * k2)
+            k4 = f(y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        if not y > 0.0:
+            first.append((k + 1) * h)
+    assert first[0] == 0.75 and not np.isfinite(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositiveDefinitenessError,
+                           match=r"in info surrogate near t=0\.75: min "
+                                 r"eigenvalue .*; increase substeps"):
+            integrate_info_surrogate(inst, sched, substeps=1)
 
 
 # ----------------------------------------------------------------- objectives
