@@ -3,11 +3,11 @@
 The information-form surrogate folds all sensors into one precomputed
 per-stage increment, so its per-substep work is independent of M; the
 covariance-form surrogate contracts the rank-p gain factors of all its
-sensors at every stage point (one batched gain solve, then M p n^2 products
-in its rate and adjoint), whose cost grows with M.  This script times
-objective+gradient assembly for both at equal rate tables and reports the
-cov/info median ratio per sensor count.  An empty --grid or --reps below 1
-is a usage error (exit 2).
+sensors at every stage point (one batched riccati.stacked_gains call, then
+M p n^2 products in its rate and adjoint), whose cost grows with M.  This
+script times objective+gradient assembly for both at equal rate tables and
+reports the cov/info median ratio per sensor count.  An empty --grid or
+--reps below 1 is a usage error (exit 2).
 """
 
 import argparse

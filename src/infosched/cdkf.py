@@ -135,7 +135,7 @@ def _filter_walk(instance, records, grid):
     (see _steps) and all runs take step s at once.  Per step: one batched
     P <- Phi P Phi^T + W with each run's map, then one gain update over the
     runs with an arrival there (riccati.stacked_gains of the arriving
-    sensors' rows of the instance's padded stacks, one batched solve), then
+    sensors' rows of the instance's padded stacks, one batched call), then
     the nodes.  Every map comes from one riccati.lyapunov_maps family,
     built once per walk for durations up to the longest grid interval: the
     uncut grid step has one map shared by all runs, and the cut segments
@@ -194,7 +194,8 @@ def rollout_covariance(
     values = np.empty((n_eval + 1, instance.n, instance.n))
     for runs, nodes, P in _filter_walk(instance, [arrivals], grid):
         values[nodes] = P[runs]
-    return Trajectory(coordinates=COV, times=grid, values=values)
+    # the walk checked every node it yielded
+    return Trajectory._checked(COV, grid, values)
 
 
 def rollout_information(

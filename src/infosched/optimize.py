@@ -11,10 +11,10 @@ step; every other product of the sweep is batched over the recorded path,
 before it or after it.  The covariance form integrates at
 substep resolution with RK4 and reverses each step.  Stage by stage, it
 replays the RK4 points of all the stage's steps from the recorded nodes in
-four batched gain solves, and carries the adjoint through each point's
-rank-p factors, M p n^2 per point with no (M, n, n) stack.  No ODE is
-solved backwards, so either gradient matches central differences to
-roundoff rather than to integrator tolerance.
+four batched calls of riccati.stacked_gains, and carries the adjoint
+through each point's rank-p factors, M p n^2 per point with no (M, n, n)
+stack.  No ODE is solved backwards, so either gradient matches central
+differences to roundoff rather than to integrator tolerance.
 
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
@@ -142,8 +142,7 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
     values = path[::m]
     times = time_grid(instance.T, N * nodes)
     require_pd(values, lambda i: f"in info surrogate at t={times[i]:g}")
-    traj = Trajectory(coordinates=INFO, times=times, values=values)
-    return traj, (X, Phi, path)
+    return Trajectory._checked(INFO, times, values), (X, Phi, path)
 
 
 def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
@@ -213,7 +212,7 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 def _cov_stage_points(A, Q, H, R, lam, x, h):
     """The four RK4 stage points' (rate, HP, sol, lam sol, At) of the steps
     from each of the stacked inputs x, each stacked over the steps: four
-    batched gain solves over every sensor of the stacks (H, R)."""
+    batched stacked_gains calls over every sensor of the stacks (H, R)."""
     n = A.shape[0]
     Ht = H.reshape(-1, n).T
 

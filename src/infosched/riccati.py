@@ -46,6 +46,7 @@ import numpy as np
 from .model import PD_FLOOR_REL, ValidationError, WeightSpec, _sym
 
 SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
+RK4_REAL_LIMIT = 2.785  # RK4 is stable for real h * lambda in [-2.785, 0]
 EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
 MAX_MAP_SPLIT = 1024   # most steps of an information map per step asked for
 
@@ -335,13 +336,26 @@ def stacked_gains(P, H, R):
     H and R are rows of an Instance's padded sensor stacks; P is one matrix,
     or a stack broadcast against the sensor stack (a run's covariance beside
     the sensor that reports to it, or P[:, None] for every sensor at each
-    P).  Returns (HP, sol), HP = H P and sol = (H P H^T + R)^{-1} H P from
-    one batched solve: the gain update of sensor j is covariance_decrement
-    = sym(HP_j^T sol_j), and the padded rows of both are exact zeros.  Every
-    consumer contracts the factors itself, so no (M, n, n) stack is formed.
+    P).  Returns (HP, sol), HP = H P and sol = (H P H^T + R)^{-1} H P: the
+    gain update of sensor j is covariance_decrement = sym(HP_j^T sol_j), and
+    the padded rows of both are exact zeros.  Every consumer contracts the
+    factors itself, so no (M, n, n) stack is formed.
+
+    Stacks with p = 1 take sol = HP * (1 / S) for the scalar innovation S,
+    the float operations of OpenBLAS's 1x1 solve (its trsm multiplies by the
+    inverted pivot), without a LAPACK call per matrix; as there, a zero S
+    raises LinAlgError and any other S warns of nothing.  Wider stacks take
+    one batched LAPACK solve.
     """
     HP = H @ P
-    return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
+    S = HP @ H.swapaxes(-1, -2) + R
+    if S.shape[-1] > 1:
+        return HP, np.linalg.solve(S, HP)
+    try:
+        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+            return HP, HP * (1.0 / S)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
 
 
 def jump_cov(P, sensor) -> np.ndarray:
@@ -399,6 +413,17 @@ class Trajectory:
             raise ValidationError(str(exc)) from None
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _checked(cls, coordinates: str, times: np.ndarray,
+                 values: np.ndarray) -> "Trajectory":
+        """A path from an integrator that symmetrizes every node and has run
+        require_pd on each with its own message: built without checking the
+        nodes a second time."""
+        traj = object.__new__(cls)
+        traj.__dict__.update(coordinates=coordinates, times=times,
+                             values=values)
+        return traj
 
     @property
     def n(self) -> int:

@@ -13,19 +13,23 @@ rate enters through the state-dependent gain update,
     Pdot = A P + P A^T + Q - sum_j lam_j(t) g_j(P),
 
 which forces the gain update of every sensor with a nonzero rate at every
-stage point: one batched gain solve that grows with M.  That asymmetry is
-the point of the information form and is what the assembly benchmark in the
-optimizer module measures.
+stage point: the gain factors of all of them (riccati.stacked_gains, a
+reciprocal per scalar innovation), then M p n^2 products, work that grows
+with M.  That asymmetry is the point of the information form and is what
+the assembly benchmark in the optimizer module measures.
 
 Both integrators record on the uniform grid of n_eval intervals
 (riccati.time_grid), as the rollouts do.  They step each segment between
 stops (the grid's nodes merged with the stage boundaries, which meet nodes
 by integer index) by the riccati module's RK4 and fail loudly if the state
 at any segment's end leaves the positive definite cone: one batched check of
-every stop after the walk, which names the first stop that fails.
-The certificates use them, and the covariance-form design path integrates
-the covariance form.  This module returns paths only: every objective is
-riccati.pathwise_cost of one, in either coordinate system.  The optimizer does not integrate the
+every stop after the walk, which names the first stop that fails.  The
+covariance kind first refuses a step past RK4's real stability interval for
+the Lyapunov part's stiffest mode, 2 rho(A): there P would grow without
+bound and every stop would still pass.  The certificates use them, and
+the covariance-form design path integrates the covariance form.  This
+module returns paths only: every objective is riccati.pathwise_cost of one,
+in either coordinate system.  The optimizer does not integrate the
 information form: with U_k constant on a stage, the flow has an exact step
 map (riccati.hamiltonian_maps), and the design path steps that map instead
 (optimize).
@@ -39,7 +43,9 @@ from .model import Instance, Schedule, ValidationError, _check_pair, _sym
 from .riccati import (
     COV,
     INFO,
+    RK4_REAL_LIMIT,
     SUBSTEP_ADVICE,
+    PositiveDefinitenessError,
     Trajectory,
     _integrate,
     info_rhs,
@@ -87,6 +93,8 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
     stops = np.union1d(np.arange(n_eval + 1) * N, np.arange(N + 1) * n_eval)
     on_node = stops % N == 0
     at = np.where(on_node, times[stops // N], boundaries[stops // n_eval])
+    # no step longer than delta / substeps, at least one per segment
+    n_steps = -(-substeps * np.diff(stops) // n_eval)
 
     rates = schedule.rates
     if kind == "info":
@@ -94,6 +102,18 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
         U = stage_increments(instance, schedule)
     else:
         X = np.array(sys.P0)
+        # the Lyapunov part's stiffest mode, A's eigenvalues doubled, must
+        # stay inside RK4's real stability interval, or P grows without
+        # bound while every stop stays positive definite.  rho(A) <= |A|_1,
+        # so only a step past the norm's limit needs the eigenvalues
+        h = float(np.max(np.diff(at) / n_steps))
+        if 2.0 * h * np.abs(A).sum(axis=0).max() > RK4_REAL_LIMIT:
+            stiff = 2.0 * float(np.abs(np.linalg.eigvals(A)).max())
+            if h * stiff > RK4_REAL_LIMIT:
+                raise PositiveDefinitenessError(
+                    f"cov surrogate step {h:.3e} is past RK4's stability "
+                    f"limit {RK4_REAL_LIMIT} / (2 rho(A)) = "
+                    f"{RK4_REAL_LIMIT / stiff:.3e}; {SUBSTEP_ADVICE}")
         # per stage: the sensors with a nonzero rate, and their rates
         stages = [(instance.H[cols], instance.R[cols], lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
@@ -103,10 +123,8 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
     # a stop that leaves the cone is reported by the one check below, not
     # warned about on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (u0, u1) in enumerate(zip(stops[:-1], stops[1:]), 1):
+        for i, u0 in enumerate(stops[:-1], 1):
             k = u0 // n_eval
-            # no step longer than delta / substeps, at least one per segment
-            n_steps = -(-substeps * (u1 - u0) // n_eval)
             if kind == "info":
                 Uk = U[k]
                 rhs = lambda Y: info_rhs(Y, A, Q) + Uk
@@ -114,11 +132,12 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
                 H, R, lam = stages[k]
                 rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
                                              *stacked_gains(P, H, R))
-            X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps, rhs)
+            X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps[i - 1],
+                                     rhs)
     require_pd(path[1:], lambda i: f"in {kind} surrogate near t={at[i + 1]:g}",
                SUBSTEP_ADVICE)
     coords = INFO if kind == "info" else COV
-    return Trajectory(coordinates=coords, times=times, values=path[on_node])
+    return Trajectory._checked(coords, times, path[on_node])
 
 
 def integrate_info_surrogate(

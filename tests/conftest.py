@@ -20,6 +20,13 @@ def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarr
     return scale * (B @ B.T + n * np.eye(n))
 
 
+def lapack_gains(P, H, R):
+    """riccati.stacked_gains with LAPACK's solve at every p: the reference
+    of its scalar innovations."""
+    HP = H @ P
+    return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
+
+
 @pytest.fixture
 def rng():
     return rng_for(20260816)

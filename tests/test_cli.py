@@ -586,3 +586,19 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: P0 is too badly scaled")
     assert set(tmp_path.iterdir()) == inputs
+
+
+def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):
+    # A = -1e4 against a step of T / (N substeps) = 0.125: RK4 diverges on
+    # the cov surrogate while every stop stays positive definite, so the
+    # surrogate refuses the step instead of reporting the blow-up
+    payload, _ = DEGENERATE["stiff-A"]()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    argv = ["solve", "--kind", "cov",
+            "--instance", str(tmp_path / "inst.json"), "--N", "4",
+            "--substeps", "2", "--max-iters", "5",
+            "--out", str(tmp_path / "cov")]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "past RK4's stability limit" in err and "increase substeps" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

@@ -846,6 +846,43 @@ def test_cov_stacked_kernels_match_a_per_sensor_loop():
     assert gradient_check(problem, interior) <= 1e-6
 
 
+def test_cov_scalar_gains_match_a_per_sensor_loop():
+    # every sensor has p = 1, so the forward and the replay take the
+    # reciprocal gains; the per-sensor reference solves with LAPACK
+    inst = random_instance(InstanceSpec(n=4, M=5, p=1, seed=63, T=2.0,
+                                        budget=5.0))
+    inst = replace(inst, weights=WeightSpec(
+        W_stages=_stage_weights(4, 4, 63), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=4, kind="cov", substeps=5)
+    rates = rng_for(64).uniform(0.2, 1.5, size=(4, inst.M))
+    rates[2, 1] = 0.0
+    J, G = objective_and_gradient(problem, rates)
+    _, J_ref, G_ref = _loop_cov_objective_and_gradient(problem, rates)
+    assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
+    assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+
+
+@pytest.mark.parametrize("p, calls", [(1, 0), (2, 4 * 2 * 3 + 4 * 2)])
+def test_cov_gains_call_lapack_only_when_p_exceeds_one(monkeypatch, p,
+                                                       calls):
+    # a p = 1 stack solves its scalar innovations without np.linalg.solve;
+    # a p = 2 stack takes one batched solve per stage point: four per RK4
+    # step of the forward, four per stage of the replay
+    inst = random_instance(InstanceSpec(n=3, M=4, p=p, seed=65, T=1.0,
+                                        budget=5.0))
+    problem = ShootingProblem(instance=inst, N=2, kind="cov", substeps=3)
+    rates = centered_rates(inst.polytope, 2)
+    real, count = np.linalg.solve, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    objective_and_gradient(problem, rates)
+    assert count[0] == calls
+
+
 def _rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 

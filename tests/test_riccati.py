@@ -1,5 +1,7 @@
 
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,7 +39,7 @@ from infosched.riccati import (
     stacked_gains,
 )
 
-from conftest import random_spd, rng_for
+from conftest import lapack_gains, mixed_instance, random_spd, rng_for
 
 # frozen oracle: scalar p' = -2p + 2, p(0)=5 -> p(t) = 4 e^{-2t} + 1;
 # a 1e6-step RK4 reference gave 1.0732625555549384, analytic value below
@@ -422,6 +424,100 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
             1e-12 * np.linalg.norm(want)
         # a sensor padded to p = 3 solves for exact zeros in its padded rows
         assert np.all(sol[i, s.p:] == 0.0)
+
+
+def _scalar_sensor_instance(rng, n, M):
+    scales = rng.choice([1e-4, 1e4], size=M)
+    sensors = tuple(Sensor(H=rng.normal(size=(1, n)),
+                           R=random_spd(rng, 1, float(c))) for c in scales)
+    return Instance(
+        system=SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n),
+                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
+        sensors=sensors,
+        polytope=ResourcePolytope(C=np.ones((1, M)), b=np.ones(1)),
+        weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
+
+
+@pytest.mark.parametrize("form", ["one-P", "P-per-point", "P-per-run"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scalar_innovation_gains_match_lapack_to_an_ulp(seed, form):
+    # p = 1 gains are a reciprocal product, not a LAPACK solve; against the
+    # per-sensor solve, sol may differ by an ulp (a BLAS that divides rounds
+    # once where the reciprocal rounds twice), and each of the two products
+    # of the symmetrized decrement by one ulp of its terms.  The forms are
+    # the callers': one P against the sensor stack (the surrogate's rate),
+    # P[:, None] against it (the adjoint's replay), a run's P beside its
+    # arriving sensor (the filter walk)
+    rng = rng_for(900 + seed)
+    n, M = 4, 9
+    inst = _scalar_sensor_instance(rng, n, M)
+    Ps = np.stack([random_spd(rng, n, float(c)) for c in (1e-3, 1.0, 1e3)])
+    if form == "one-P":
+        P, js = Ps[0], np.arange(M)
+        HP, sol = stacked_gains(P, inst.H, inst.R)
+        pairs = [(P, j, HP[j], sol[j]) for j in js]
+    elif form == "P-per-point":
+        HP, sol = stacked_gains(Ps[:, None], inst.H, inst.R)
+        assert sol.shape == (3, M, 1, n)
+        pairs = [(P, j, HP[i, j], sol[i, j]) for i, P in enumerate(Ps)
+                 for j in range(M)]
+    else:
+        js = rng.integers(0, M, size=3)
+        HP, sol = stacked_gains(Ps, inst.H[js], inst.R[js])
+        pairs = [(P, j, HP[i], sol[i]) for i, (P, j) in enumerate(zip(Ps, js))]
+    for P, j, hp, sl in pairs:
+        s = inst.sensors[j]
+        want = np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
+        assert np.all(np.abs(sl - want) <= np.spacing(np.abs(want)))
+        g = _sym(hp.T @ sl)
+        terms = _sym(np.abs(hp.T) @ np.abs(sl))
+        assert np.all(np.abs(g - covariance_decrement(P, s))
+                      <= 2.0 * np.spacing(terms))
+
+
+@pytest.mark.parametrize("P00, R00", [
+    (1.0, -1.0),            # S = 0: singular
+    (np.inf, 1.0),          # S = inf, and inf / inf in HP / S
+    (np.nan, 1.0),
+])
+def test_scalar_innovation_edge_cases_end_as_lapack_does(P00, R00):
+    # the floats and the typed error of LAPACK's 1x1 solve, and no warning
+    # (numpy's solve clears the flags LAPACK's arithmetic raises)
+    P = np.array([[P00, 1.0], [1.0, 1.0]])
+    H, R = np.array([[[1.0, 0.0]]]), np.array([[[R00]]])
+    try:
+        want = lapack_gains(P, H, R)
+    except np.linalg.LinAlgError:
+        want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                stacked_gains(P, H, R)
+            return
+        got = stacked_gains(P, H, R)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert not np.isfinite(got[1]).all()
+
+
+@pytest.mark.parametrize("form", ["P-per-point", "P-per-run"])
+def test_mixed_p_gains_keep_padded_rows_exact_zeros(form):
+    # p_max = 2: the p = 1 sensors' padded rows solve for exact zeros in
+    # the stacked forms as well
+    inst = mixed_instance(seed=91)
+    rng = rng_for(92)
+    Ps = np.stack([random_spd(rng, inst.n) for _ in range(4)])
+    if form == "P-per-point":
+        js = np.arange(inst.M)
+        HP, sol = stacked_gains(Ps[:, None], inst.H, inst.R)
+    else:
+        js = rng.integers(0, inst.M, size=4)
+        HP, sol = stacked_gains(Ps, inst.H[js], inst.R[js])
+    scalar = np.array([inst.sensors[j].p == 1 for j in js])
+    assert scalar.any()
+    assert np.all(HP[..., scalar, 1:, :] == 0.0)
+    assert np.all(sol[..., scalar, 1:, :] == 0.0)
 
 
 # ---------------------------------------------------------------- trajectory

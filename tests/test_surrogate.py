@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from infosched import surrogate
+from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     InstanceSpec,
     ResourcePolytope,
@@ -15,9 +16,10 @@ from infosched.model import (
     ValidationError,
     random_instance,
 )
-from infosched.optimize import ShootingProblem
+from infosched.optimize import ShootingProblem, _info_forward
 from infosched.riccati import (
     PositiveDefinitenessError,
+    Trajectory,
     flow_cov,
     flow_info,
     invert_trajectory,
@@ -29,7 +31,12 @@ from infosched.surrogate import (
     stage_increments,
 )
 
-from conftest import make_scalar_instance, mixed_instance, rng_for
+from conftest import (
+    lapack_gains,
+    make_scalar_instance,
+    mixed_instance,
+    rng_for,
+)
 
 # frozen oracle: p solving ln p - 1/p = -3 (static scalar unit sensor,
 # rate 2 over unit horizon, p0 = 1); brentq-confirmed below
@@ -218,6 +225,49 @@ def test_the_first_stop_that_leaves_the_cone_is_named():
             integrate_info_surrogate(inst, sched, substeps=1)
 
 
+def test_cov_surrogate_refuses_a_step_past_rk4_stability():
+    # A = -100: the Lyapunov part's mode is -200, and RK4's real stability
+    # interval ends near -2.785, so a step must be at most 0.0139.  On the
+    # unit horizon 71 steps would grow P (still positive definite) without
+    # bound, and are refused; 72 steps decay, if slowly
+    def amplification(z):
+        return 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+
+    assert amplification(-200.0 / 71) > 1.0 > amplification(-200.0 / 72)
+    inst = make_scalar_instance(a=-100.0, q=1.0)
+    sched = uniform_schedule(inst, 1, 0.0)
+    with pytest.raises(PositiveDefinitenessError,
+                       match=r"step 1\.408e-02 is past RK4's stability "
+                             r"limit .*; increase substeps"):
+        integrate_cov_surrogate(inst, sched, substeps=71)
+    p_T = integrate_cov_surrogate(inst, sched, substeps=72).values[-1, 0, 0]
+    assert 0.0 < p_T < 1.0
+    # the limit is on the eigenvalues, not on a norm: a non-normal A with
+    # |A|_1 = 21 and rho(A) = 1 runs at a step of 0.1
+    inst = random_instance(InstanceSpec(n=2, M=1, p=1, seed=6, T=1.0))
+    inst = replace(inst, system=replace(
+        inst.system, A=np.array([[-1.0, 20.0], [0.0, -1.0]])))
+    integrate_cov_surrogate(inst, uniform_schedule(inst, 1, 0.5), substeps=10)
+
+
+def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
+    # a rate of 1e300 overflows the first stage point; the p = 1 gains then
+    # meet inf and NaN innovations.  With the LAPACK solve in their place
+    # the path ends in the same typed error, and neither warns
+    inst = make_scalar_instance(q=1.0, r=1e-6, budget=1e301)
+    sched = uniform_schedule(inst, 4, 1e300)
+    errors = []
+    for gains in (surrogate.stacked_gains, lapack_gains):
+        monkeypatch.setattr(surrogate, "stacked_gains", gains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositiveDefinitenessError,
+                               match="non-finite entries") as err:
+                integrate_cov_surrogate(inst, sched, substeps=1)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 # ----------------------------------------------------------------- objectives
 
 def test_objectives_coincide_without_sensing():
@@ -376,3 +426,18 @@ def test_boundaries_off_the_grid_keep_the_stage_inputs():
     expected = 0.5 + 4.5 * overlap @ lam
     np.testing.assert_allclose(traj.values[:, 0, 0], expected, rtol=0.0,
                                atol=1e-12)
+
+
+def test_each_recorded_path_is_checked_once(monkeypatch):
+    # the integrators check every node they record, with their own message;
+    # the Trajectory they return does not check the nodes a second time
+    built = []
+    monkeypatch.setattr(Trajectory, "__post_init__",
+                        lambda self: built.append(self))
+    inst = mixed_instance(seed=43)
+    sched = uniform_schedule(inst, 3, 0.5)
+    integrate_info_surrogate(inst, sched, substeps=2)
+    integrate_cov_surrogate(inst, sched, substeps=2)
+    _info_forward(inst, sched, substeps=2)
+    rollout_covariance(inst, ArrivalRecord(times=[0.4], sensors=[1]), 10)
+    assert built == []
