@@ -12,9 +12,49 @@ reports the cov/info median ratio per sensor count.  An empty --grid or
 
 import argparse
 import csv
+import time
+from types import SimpleNamespace
+
+import numpy as np
 
 from infosched.model import InstanceSpec, random_instance
-from infosched.optimize import benchmark_assembly
+from infosched.optimize import (
+    ShootingProblem,
+    centered_rates,
+    objective,
+    objective_and_gradient,
+)
+from infosched.surrogate import KINDS
+
+
+def benchmark_assembly(instance, N=30, repetitions=10, substeps=10):
+    """Wall-time comparison of objective_and_gradient for both kinds.
+
+    Both kinds are evaluated at the identical rate table, the centered
+    point.  One untimed warmup per kind precedes the measured
+    repetitions; runs are sequential and single-threaded.  The kinds
+    alternate inside each repetition, so the two sides of the ratio are
+    sampled at the same host speed.  Returns the per-kind medians
+    forward_s (objective) and gradient_s (objective_and_gradient), and
+    ratio, the cov / info gradient median.
+    """
+    rates = centered_rates(instance.polytope, N)
+    problems = {kind: ShootingProblem(instance=instance, N=N, kind=kind,
+                                      substeps=substeps) for kind in KINDS}
+    samples = {kind: ([], []) for kind in KINDS}
+    for problem in problems.values():
+        objective_and_gradient(problem, rates)   # warmup, excluded
+    for _ in range(repetitions):
+        for kind, problem in problems.items():
+            for fn, seconds in zip((objective, objective_and_gradient),
+                                   samples[kind]):
+                t0 = time.perf_counter()
+                fn(problem, rates)
+                seconds.append(time.perf_counter() - t0)
+    forward_s = {k: float(np.median(f)) for k, (f, _) in samples.items()}
+    gradient_s = {k: float(np.median(g)) for k, (_, g) in samples.items()}
+    return SimpleNamespace(forward_s=forward_s, gradient_s=gradient_s,
+                           ratio=gradient_s["cov"] / gradient_s["info"])
 
 
 def main() -> int:

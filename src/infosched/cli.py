@@ -20,7 +20,6 @@ import csv
 import json
 import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -44,13 +43,11 @@ from .optimize import (
     SolveOptions,
     centered_rates,
     gradient_check,
-    objective_and_gradient,
     solve,
 )
 from .riccati import PositiveDefinitenessError
 
 GRADCHECK_TOL = 1e-6
-PROBE_RUNS = (2, 8)    # batch sizes timed to predict a sweep's Monte Carlo
 
 
 def _parse_random_spec(text: str) -> dict:
@@ -199,46 +196,11 @@ def _sweep_points(args) -> list[tuple[str, int]]:
 
 
 def _sweep_instance(kind: str, point: int, idx: int, args):
-    if kind == "sensors":
-        spec = InstanceSpec(n=5, M=point, p=1, seed=args.seed + 1000 * idx + point,
-                            T=args.T, budget=args.budget)
-    else:
-        spec = InstanceSpec(n=point, M=30, p=1, seed=args.seed + 1000 * idx + point,
-                            T=args.T, budget=args.budget)
-    return random_instance(spec)
-
-
-def _mc_seconds(instance, schedule, args) -> float:
-    """Predicted time of one --runs Monte Carlo estimate.  The runs are
-    stepped in one batch, so its cost is a fixed part plus a per-run part,
-    fitted to two timed batches of PROBE_RUNS."""
-    seconds = []
-    for n_runs in PROBE_RUNS:
-        t0 = time.perf_counter()
-        mc_objective(instance, schedule, n_runs=n_runs, n_eval=args.n_eval,
-                     seed=args.seed)
-        seconds.append(time.perf_counter() - t0)
-    (r0, r1), (s0, s1) = PROBE_RUNS, seconds
-    per_run = max(0.0, (s1 - s0) / (r1 - r0))
-    return max(0.0, s0 - per_run * r0) + per_run * args.runs
-
-
-def _estimate_sweep_seconds(points, args) -> float:
-    total = 0.0
-    for sweep_kind, pt in points:
-        instance = _sweep_instance(sweep_kind, pt, 0, args)
-        rates = centered_rates(instance.polytope, args.N)
-        per_point = 0.0
-        for kind in ("info", "cov"):
-            problem = ShootingProblem(instance=instance, N=args.N, kind=kind,
-                                      substeps=args.substeps)
-            t0 = time.perf_counter()
-            objective_and_gradient(problem, rates)
-            per_iter = time.perf_counter() - t0
-            per_point += 1.7 * args.max_iters * per_iter
-        per_point += 2.0 * _mc_seconds(instance, problem.schedule(rates), args)
-        total += args.instances * per_point
-    return total
+    n, M = (5, point) if kind == "sensors" else (point, 30)
+    return random_instance(InstanceSpec(
+        n=n, M=M, p=1, seed=args.seed + 1000 * idx + point, T=args.T,
+        budget=args.budget,
+    ))
 
 
 def cmd_sweep(args) -> int:
@@ -246,22 +208,11 @@ def cmd_sweep(args) -> int:
                         ("--n-eval", args.n_eval)):
         if value < 1:
             raise ValidationError(f"{flag} must be >= 1, got {value}")
-    # inf means no cap; nan would never refuse, as estimate > nan is False
-    if not args.max_minutes >= 0:
-        raise ValidationError(
-            f"--max-minutes must be >= 0, got {args.max_minutes}")
     options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     points = _sweep_points(args)
     if args.full:
         print("warning: --full grids can take hours",
               file=sys.stderr)
-    estimate = _estimate_sweep_seconds(points, args)
-    cap = args.max_minutes * 60.0
-    if estimate > cap:
-        print(f"refusing sweep: predicted ~{estimate / 60.0:.1f} min exceeds "
-              f"--max-minutes {args.max_minutes:g}; raise the cap or shrink "
-              f"the grid", file=sys.stderr)
-        return 1
     rows = []
     for sweep_kind, pt in points:
         for idx in range(args.instances):
@@ -428,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-6)
     p.add_argument("--full", action="store_true",
                    help="full-size benchmark grids (slow)")
-    p.add_argument("--max-minutes", type=float, default=30.0,
-                   help="refuse sweeps predicted to run longer than this")
     p.add_argument("--no-timings", action="store_true")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)

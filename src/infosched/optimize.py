@@ -545,22 +545,18 @@ def gradient_check(
     problem: ShootingProblem,
     rates: np.ndarray,
     fd_step: float = 1e-5,
-    gradient_fn=None,
 ) -> float:
     """Max relative error between the adjoint gradient and central differences.
 
     Uses per-entry steps h = fd_step * (1 + |rate|), fd_step finite and
     positive; every rate must exceed its own step so the stencil stays in
     the admissible orthant.  A non-finite comparison counts as an infinite
-    error.  gradient_fn defaults to objective_and_gradient; tests can inject
-    a wrong one as a negative control.
+    error.
     """
     if not (math.isfinite(fd_step) and fd_step > 0.0):
         raise ValidationError(f"fd_step must be finite and positive, got {fd_step}")
-    if gradient_fn is None:
-        gradient_fn = objective_and_gradient
     rates = np.asarray(rates, dtype=float)
-    J0, G = gradient_fn(problem, rates)
+    _, G = objective_and_gradient(problem, rates)
     steps = fd_step * (1.0 + np.abs(rates))
     if np.any(rates - steps < 0.0):
         raise ValidationError(
@@ -584,66 +580,11 @@ def gradient_check(
     return worst
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
-    """Median assembly timings of the two surrogate kinds at one point."""
-
-    repetitions: int
-    forward_s: dict
-    gradient_s: dict
-    ratio: float              # cov / info gradient-assembly medians
-    samples: dict
-
-
-def benchmark_assembly(
-    instance: Instance,
-    N: int = 30,
-    repetitions: int = 10,
-    substeps: int = 10,
-) -> BenchmarkResult:
-    """Wall-time comparison of objective_and_gradient for both kinds.
-
-    Both kinds are evaluated at the identical rate table, the centered
-    point.  One untimed warmup per kind precedes the measured
-    repetitions; runs are sequential and single-threaded.  The kinds
-    alternate inside each repetition, so the two sides of the ratio are
-    sampled at the same host speed.  repetitions must be at least 1.
-    """
-    if repetitions < 1:
-        raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
-    rates = centered_rates(instance.polytope, N)
-    problems = {kind: ShootingProblem(instance=instance, N=N, kind=kind,
-                                      substeps=substeps) for kind in KINDS}
-    samples = {kind: {"forward": [], "gradient": []} for kind in KINDS}
-    for problem in problems.values():
-        objective_and_gradient(problem, rates)   # warmup, excluded
-    for _ in range(repetitions):
-        for kind, problem in problems.items():
-            t0 = time.perf_counter()
-            objective(problem, rates)
-            samples[kind]["forward"].append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            objective_and_gradient(problem, rates)
-            samples[kind]["gradient"].append(time.perf_counter() - t0)
-    forward_med = {k: float(np.median(v["forward"])) for k, v in samples.items()}
-    gradient_med = {k: float(np.median(v["gradient"]))
-                    for k, v in samples.items()}
-    return BenchmarkResult(
-        repetitions=repetitions,
-        forward_s=forward_med,
-        gradient_s=gradient_med,
-        ratio=gradient_med["cov"] / gradient_med["info"],
-        samples=samples,
-    )
-
-
 __all__ = [
-    "BenchmarkResult",
     "ProjectionError",
     "ShootingProblem",
     "SolveOptions",
     "SolveReport",
-    "benchmark_assembly",
     "centered_rates",
     "gradient_check",
     "objective",

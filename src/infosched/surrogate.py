@@ -16,7 +16,7 @@ which forces the gain update of every sensor with a nonzero rate at every
 stage point: the gain factors of all of them (riccati.stacked_gains, a
 reciprocal per scalar innovation), then M p n^2 products, work that grows
 with M.  That asymmetry is the point of the information form and is what
-the assembly benchmark in the optimizer module measures.
+scripts/assembly_benchmark.py measures.
 
 Both integrators record on the uniform grid of n_eval intervals
 (riccati.time_grid), as the rollouts do.  They step each segment between

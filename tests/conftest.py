@@ -1,6 +1,12 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# the scripts under scripts/ import as top-level modules in the tests
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 
 settings.register_profile(
     "suite",

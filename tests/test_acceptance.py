@@ -21,13 +21,13 @@ from infosched.montecarlo import mc_objective, run_seed, sample_arrivals
 from infosched.optimize import (
     ShootingProblem,
     SolveOptions,
-    benchmark_assembly,
     centered_rates,
     solve,
 )
 from infosched.riccati import invert_trajectory, jump_cov
 from infosched.surrogate import integrate_info_surrogate
 
+from assembly_benchmark import benchmark_assembly
 from conftest import make_scalar_instance, random_spd, rng_for
 from test_surrogate import direct_cov_riccati
 

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,23 +270,24 @@ def test_sweep_empty_is_usage_error(tmp_path, capsys, bad):
     assert not (tmp_path / "s.csv").exists()
 
 
+def counted(real, calls):
+    """real, appending its name to calls at each call."""
+    def run(*args, **kwargs):
+        calls.append(real.__name__)
+        return real(*args, **kwargs)
+    return run
+
+
 @pytest.mark.parametrize("bad,message", [
     (["--runs", "0"], "--runs must be >= 1, got 0"),
     (["--n-eval", "0"], "--n-eval must be >= 1, got 0"),
 ], ids=["runs", "n-eval"])
 def test_sweep_bad_monte_carlo_size_solves_nothing(tmp_path, monkeypatch,
                                                    capsys, bad, message):
-    # rejected before the time estimate's gradients and before any solve
+    # rejected before any solve or Monte Carlo estimate
     calls = []
-
-    def counted(real):
-        def run(*args, **kwargs):
-            calls.append(real.__name__)
-            return real(*args, **kwargs)
-        return run
-
-    for name in ("solve", "objective_and_gradient"):
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    for name in ("solve", "mc_objective"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), calls))
     argv = ["sweep", "--sweep", "dimension", "--grid", "2",
             "--instances", "1", "--N", "2", "--substeps", "2",
             "--max-iters", "1", "--out", str(tmp_path / "s.csv")] + bad
@@ -303,11 +303,8 @@ def test_sweep_bad_monte_carlo_size_solves_nothing(tmp_path, monkeypatch,
     ("solve", ["--grad-tol=-1e-6"], "grad_tol must be finite and >= 0"),
     ("sweep", ["--max-iters", "-1"], "max_iters must be an integer >= 0"),
     ("sweep", ["--grad-tol", "inf"], "grad_tol must be finite and >= 0"),
-    ("sweep", ["--max-minutes", "nan"], "--max-minutes must be >= 0"),
-    ("sweep", ["--max-minutes", "-1"], "--max-minutes must be >= 0"),
 ], ids=["solve-max-iters", "solve-grad-tol-nan", "solve-grad-tol-negative",
-        "sweep-max-iters", "sweep-grad-tol-inf", "sweep-max-minutes-nan",
-        "sweep-max-minutes-negative"])
+        "sweep-max-iters", "sweep-grad-tol-inf"])
 def test_bad_solver_options_are_usage_errors(tmp_path, capsys, command, bad,
                                              message):
     out = tmp_path / "out"
@@ -322,16 +319,19 @@ def test_bad_solver_options_are_usage_errors(tmp_path, capsys, command, bad,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_infinite_cap_never_refuses(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_estimate_sweep_seconds",
-                        lambda points, args: 1e12)
+def test_sweep_runs_one_solve_and_one_estimate_per_kind(tmp_path,
+                                                        monkeypatch, capsys):
+    # no probe solves or probe estimates before the sweep's own work
+    calls = []
+    for name in ("solve", "mc_objective"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), calls))
     argv = ["sweep", "--sweep", "dimension", "--grid", "2",
             "--instances", "1", "--runs", "2", "--N", "2", "--substeps", "2",
-            "--max-iters", "1", "--n-eval", "10", "--max-minutes", "inf",
+            "--max-iters", "1", "--n-eval", "10",
             "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert (tmp_path / "s.csv").exists()
+    assert calls == ["solve", "mc_objective"] * 2
 
 
 def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):
@@ -354,38 +354,6 @@ def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "s1.csv").read_bytes() == \
         (tmp_path / "s2.csv").read_bytes()
-
-
-def test_sweep_refuses_over_time_cap(tmp_path, capsys):
-    argv = ["sweep", "--sweep", "sensors", "--grid", "8",
-            "--instances", "2", "--runs", "50", "--N", "4",
-            "--substeps", "2", "--n-eval", "40",
-            "--max-minutes", "0.0001", "--out", str(tmp_path / "s.csv")]
-    assert cli.main(argv) == 1
-    assert "refusing sweep" in capsys.readouterr().err
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_sweep_estimate_fits_fixed_and_per_run_monte_carlo_cost(monkeypatch):
-    # a stubbed clock: a gradient costs 0.01 s and a batch of r runs
-    # 0.5 + 0.002 r s, so --runs 500 costs 1.5 s per estimate, not the
-    # 126 s a linear scaling of 2 runs would predict
-    clock = [0.0]
-
-    def advance(seconds):
-        clock[0] += seconds
-
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
-    monkeypatch.setattr(cli, "objective_and_gradient",
-                        lambda problem, rates: advance(0.01))
-    monkeypatch.setattr(cli, "mc_objective",
-                        lambda *a, n_runs, **kw: advance(0.5 + 0.002 * n_runs))
-    args = cli.build_parser().parse_args(
-        ["sweep", "--grid", "8,10", "--instances", "3", "--runs", "500",
-         "--max-iters", "10", "--out", "unused.csv"])
-    got = cli._estimate_sweep_seconds(cli._sweep_points(args), args)
-    per_point = 2 * 1.7 * 10 * 0.01 + 2 * (0.5 + 0.002 * 500)
-    assert got == pytest.approx(2 * 3 * per_point, rel=1e-9)
 
 
 def test_gradcheck_builtin_scalar_passes(capsys):

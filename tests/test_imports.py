@@ -10,9 +10,9 @@ package promises are each module's __all__ and the functions the
 benchmark's tracer wraps (perfbench/tracing.py, read without importing it).
 A public name is imported from the module that defines it: the package root
 binds only __version__, and `from infosched import X` names a submodule.
-A top-level definition of the package is read by code under src/ or
-scripts/ outside its own body, or wrapped by the tracer; a name only tests
-read is dead code.
+A top-level definition of the package is read by code under src/ outside
+its own body, or wrapped by the tracer; a name only scripts or tests read
+belongs with them, not in the package.
 """
 
 import ast
@@ -136,10 +136,10 @@ def read_names(tree):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def dead_definitions(modules, others, traced):
+def dead_definitions(modules, traced):
     """(module, name) of every top-level function or class of modules
-    ({module: source}) that no code in modules or others (sources) reads
-    outside its own body, and that traced ((module, name) pairs) lacks."""
+    ({module: source}) that no code in modules reads outside its own body,
+    and that traced ((module, name) pairs) lacks."""
     read, defined = set(), []
     for module, source in modules.items():
         for stmt in ast.parse(source).body:
@@ -148,27 +148,21 @@ def dead_definitions(modules, others, traced):
                 defined.append((module, stmt.name))
                 names.discard(stmt.name)
             read |= names
-    for source in others:
-        read |= read_names(ast.parse(source))
     return [pair for pair in defined
             if pair[1] not in read and pair not in traced]
 
 
 def test_dead_definitions_names_only_the_unread():
     modules = {"m": ("def used(): pass\ndef dead(): dead()\n"
-                     "class Traced: pass\ndef called(): pass\nused()\n")}
-    others = ["import m\nm.called()\n"]
-    assert dead_definitions(modules, others, {("m", "Traced")}) == [
-        ("m", "dead")]
+                     "class Traced: pass\ndef called(): pass\nused()\n"),
+               "n": "import m\nm.called()\n"}
+    assert dead_definitions(modules, {("m", "Traced")}) == [("m", "dead")]
 
 
 def test_every_definition_is_run_by_something():
-    package = ROOT / "src" / "infosched"
     modules = {p.stem: p.read_text(encoding="utf-8")
-               for p in package.glob("*.py")}
-    others = [p.read_text(encoding="utf-8") for d in ("src", "scripts")
-              for p in (ROOT / d).rglob("*.py") if p.parent != package]
-    assert dead_definitions(modules, others, set(traced_names())) == []
+               for p in (ROOT / "src").rglob("*.py")}
+    assert dead_definitions(modules, set(traced_names())) == []
 
 
 def unread_constants(sources):

@@ -41,7 +41,6 @@ from infosched.optimize import (
     ProjectionError,
     ShootingProblem,
     SolveOptions,
-    benchmark_assembly,
     centered_rates,
     gradient_check,
     objective,
@@ -731,7 +730,7 @@ def test_gradient_check_rejects_boundary_point():
         gradient_check(problem, np.array([[1.0], [0.0]]))
 
 
-def test_gradient_check_flags_corrupted_gradient():
+def test_gradient_check_flags_corrupted_gradient(monkeypatch):
     inst = make_scalar_instance()
     problem = ShootingProblem(instance=inst, N=2, kind="info", substeps=4)
 
@@ -739,11 +738,12 @@ def test_gradient_check_flags_corrupted_gradient():
         J, G = objective_and_gradient(prob, rates)
         return J, 1.1 * G
 
-    worst = gradient_check(problem, np.ones((2, 1)), gradient_fn=corrupted)
+    monkeypatch.setattr(optimize, "objective_and_gradient", corrupted)
+    worst = gradient_check(problem, np.ones((2, 1)))
     assert worst > 0.05
 
 
-def test_gradient_check_fails_a_nan_gradient_entry():
+def test_gradient_check_fails_a_nan_gradient_entry(monkeypatch):
     # negative control: max(worst, nan) keeps worst, so a NaN entry must
     # count as an infinite error rather than vanish
     problem = ShootingProblem(instance=make_scalar_instance(), N=2,
@@ -754,8 +754,8 @@ def test_gradient_check_fails_a_nan_gradient_entry():
         G[0, 0] = np.nan
         return J, G
 
-    assert gradient_check(problem, np.ones((2, 1)),
-                          gradient_fn=with_nan) == math.inf
+    monkeypatch.setattr(optimize, "objective_and_gradient", with_nan)
+    assert gradient_check(problem, np.ones((2, 1))) == math.inf
 
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-5, math.nan, math.inf])
@@ -1123,21 +1123,3 @@ def test_solve_books_every_projection_as_projection_time(monkeypatch):
     assert report.iterations == 4
     assert len(calls) >= 2 * report.iterations + 1
     assert report.timings["projection_s"] >= len(calls) * delay
-
-
-def test_benchmark_assembly_smoke():
-    inst = make_scalar_instance(budget=2.0)
-    result = benchmark_assembly(inst, N=2, repetitions=3, substeps=2)
-    assert result.repetitions == 3
-    assert set(result.gradient_s) == {"info", "cov"}
-    assert result.ratio > 0.0
-    assert all(len(result.samples[k]["gradient"]) == 3 for k in ("info", "cov"))
-    assert all(t > 0.0 for t in result.samples["info"]["forward"])
-
-
-@pytest.mark.parametrize("repetitions", [0, -1])
-def test_benchmark_assembly_rejects_no_repetitions(repetitions):
-    # zero repetitions would report NaN medians and a NaN ratio
-    inst = make_scalar_instance()
-    with pytest.raises(ValidationError, match="repetitions must be >= 1"):
-        benchmark_assembly(inst, N=2, repetitions=repetitions, substeps=2)

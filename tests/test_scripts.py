@@ -9,6 +9,9 @@ import sys
 
 import pytest
 
+from assembly_benchmark import benchmark_assembly
+from conftest import make_scalar_instance
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -55,6 +58,15 @@ def test_assembly_benchmark_writes_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["M"]) for r in rows] == [2, 3]
     assert all(float(r["ratio"]) > 0.0 for r in rows)
+
+
+def test_benchmark_assembly_smoke():
+    inst = make_scalar_instance(budget=2.0)
+    result = benchmark_assembly(inst, N=2, repetitions=3, substeps=2)
+    assert set(result.forward_s) == set(result.gradient_s) == {"info", "cov"}
+    assert all(t > 0.0 for t in result.forward_s.values())
+    assert result.ratio == result.gradient_s["cov"] / result.gradient_s["info"]
+    assert result.ratio > 0.0
 
 
 @pytest.mark.parametrize("bad,message", [
