@@ -67,13 +67,6 @@ class ArrivalRecord:
     def n_events(self) -> int:
         return int(self.times.size)
 
-    @classmethod
-    def from_events(cls, events) -> "ArrivalRecord":
-        times = [t for t, _ in events]
-        sensors = [j for _, j in events]
-        return cls(times=np.asarray(times, dtype=float),
-                   sensors=np.asarray(sensors, dtype=np.int64))
-
 
 def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
     if arrivals.n_events == 0:

@@ -428,26 +428,21 @@ def _pg_norm(lam, G, polytope):
 
 def solve(
     problem: ShootingProblem,
-    initial="centered",
     options: SolveOptions | None = None,
 ) -> SolveReport:
     """Projected-gradient descent on the surrogate objective.
 
-    Stops when the projected-gradient norm ||lam - proj(lam - grad)||_F /
-    sqrt(N M) drops below grad_tol or after max_iters accepted steps.  The
-    returned schedule is the last accepted iterate, which monotone Armijo
-    acceptance makes the best one seen (of tied values, the latest); the
-    objective history holds the accepted values.
+    Starts at the centered rates.  Stops when the projected-gradient norm
+    ||lam - proj(lam - grad)||_F / sqrt(N M) drops below grad_tol or after
+    max_iters accepted steps.  The returned schedule is the last accepted
+    iterate, which monotone Armijo acceptance makes the best one seen (of
+    tied values, the latest); the objective history holds the accepted
+    values.
     """
     opts = options or SolveOptions()
     inst = problem.instance
     polytope = inst.polytope
-    if isinstance(initial, str):
-        if initial != "centered":
-            raise ValidationError(f"unknown initial point {initial!r}")
-        lam = centered_rates(polytope, problem.N)
-    else:
-        lam = project_schedule(np.asarray(initial, dtype=float), polytope)
+    lam = centered_rates(polytope, problem.N)
 
     t_start = time.perf_counter()
     timings = {"forward_s": 0.0, "gradient_assembly_s": 0.0, "projection_s": 0.0}

@@ -57,10 +57,6 @@ INFO = "information"
 class PositiveDefinitenessError(RuntimeError):
     """An integrated matrix lost positive definiteness."""
 
-    def __init__(self, msg: str, min_eig: float | None = None):
-        super().__init__(msg)
-        self.min_eig = min_eig
-
 
 def pd_floor(x: np.ndarray):
     """Scale-relative positive definiteness floor of x, or of each in a stack."""
@@ -105,9 +101,7 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
     m = float(np.linalg.eigvalsh(_sym(x))[0])
     raise PositiveDefinitenessError(
         f"matrix lost positive definiteness{where}: min eigenvalue "
-        f"{m:.6e} <= floor {floor:.6e}{tail}",
-        min_eig=m,
-    )
+        f"{m:.6e} <= floor {floor:.6e}{tail}")
 
 
 def lyapunov_rhs(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -439,10 +433,12 @@ def time_grid(T: float, n: int) -> np.ndarray:
 
 
 def invert_trajectory(traj: Trajectory) -> Trajectory:
-    """Nodewise inverse; flips between covariance and information coordinates."""
+    """Nodewise inverse; flips between covariance and information coordinates.
+    A derived node at or below the PD floor is a PositiveDefinitenessError."""
     inv = _sym(np.linalg.inv(traj.values))
+    require_pd(inv, lambda i: f"at node t={traj.times[i]:g}")
     coords = INFO if traj.coordinates == COV else COV
-    return Trajectory(coordinates=coords, times=traj.times, values=inv)
+    return Trajectory._checked(coords, traj.times, inv)
 
 
 def node_weights(times: np.ndarray, weights: WeightSpec) -> np.ndarray:

@@ -24,8 +24,9 @@ stops (the grid's nodes merged with the stage boundaries, which meet nodes
 by integer index) by the riccati module's RK4 and fail loudly if the state
 at any segment's end leaves the positive definite cone: one batched check of
 every stop after the walk, which names the first stop that fails.  The
-covariance kind first refuses a step past RK4's real stability interval for
-the Lyapunov part's stiffest mode, 2 rho(A): there P would grow without
+covariance kind first refuses a step h with h (2 rho(A) + max_k sum_j
+lam_kj) past RK4's real stability interval: the Lyapunov part's stiffest
+mode plus the gain load of the busiest stage.  There P would grow without
 bound and every stop would still pass.  The certificates use them, and
 the covariance-form design path integrates the covariance form.  This
 module returns paths only: every objective is riccati.pathwise_cost of one,
@@ -102,18 +103,21 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
         U = stage_increments(instance, schedule)
     else:
         X = np.array(sys.P0)
-        # the Lyapunov part's stiffest mode, A's eigenvalues doubled, must
-        # stay inside RK4's real stability interval, or P grows without
-        # bound while every stop stays positive definite.  rho(A) <= |A|_1,
-        # so only a step past the norm's limit needs the eigenvalues
+        # the stiffest mode, A's eigenvalues doubled for the Lyapunov part
+        # plus the gain load max_k sum_j lam_kj (each g_j has slope at most
+        # 1 in P), must stay inside RK4's real stability interval, or P
+        # grows without bound while every stop stays positive definite.
+        # rho(A) <= |A|_1, so only a step past that bound needs eigenvalues
         h = float(np.max(np.diff(at) / n_steps))
-        if 2.0 * h * np.abs(A).sum(axis=0).max() > RK4_REAL_LIMIT:
-            stiff = 2.0 * float(np.abs(np.linalg.eigvals(A)).max())
+        load = float(rates.sum(axis=1).max())
+        if h * (2.0 * np.abs(A).sum(axis=0).max() + load) > RK4_REAL_LIMIT:
+            stiff = 2.0 * float(np.abs(np.linalg.eigvals(A)).max()) + load
             if h * stiff > RK4_REAL_LIMIT:
                 raise PositiveDefinitenessError(
                     f"cov surrogate step {h:.3e} is past RK4's stability "
-                    f"limit {RK4_REAL_LIMIT} / (2 rho(A)) = "
-                    f"{RK4_REAL_LIMIT / stiff:.3e}; {SUBSTEP_ADVICE}")
+                    f"limit {RK4_REAL_LIMIT} / (2 rho(A) + max_k sum_j "
+                    f"lam_kj) = {RK4_REAL_LIMIT / stiff:.3e}; "
+                    f"{SUBSTEP_ADVICE}")
         # per stage: the sensors with a nonzero rate, and their rates
         stages = [(instance.H[cols], instance.R[cols], lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]

@@ -33,6 +33,15 @@ def lapack_gains(P, H, R):
     return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
 
 
+def arrivals(events):
+    """ArrivalRecord of (time, sensor) pairs."""
+    from infosched.cdkf import ArrivalRecord
+
+    return ArrivalRecord(times=np.asarray([t for t, _ in events], dtype=float),
+                         sensors=np.asarray([j for _, j in events],
+                                            dtype=np.int64))
+
+
 @pytest.fixture
 def rng():
     return rng_for(20260816)

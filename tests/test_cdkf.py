@@ -29,7 +29,7 @@ from infosched.riccati import (
     time_grid,
 )
 
-from conftest import make_scalar_instance, rng_for
+from conftest import arrivals, make_scalar_instance, rng_for
 
 
 # ------------------------------------------------------------ arrival record
@@ -48,10 +48,10 @@ def test_arrival_record_ties_sorted_by_sensor():
 
 def test_rollout_rejects_out_of_range_arrivals():
     inst = make_scalar_instance(T=1.0)
-    late = ArrivalRecord.from_events([(1.5, 0)])
+    late = arrivals([(1.5, 0)])
     with pytest.raises(ValidationError):
         rollout_covariance(inst, late, n_eval=4)
-    bad_sensor = ArrivalRecord.from_events([(0.5, 3)])
+    bad_sensor = arrivals([(0.5, 3)])
     with pytest.raises(ValidationError):
         rollout_covariance(inst, bad_sensor, n_eval=4)
 
@@ -61,7 +61,7 @@ def test_rollout_rejects_out_of_range_arrivals():
 def test_rollout_covariance_scalar_ladder():
     # static scalar state: each unit-information arrival maps p to p/(1+p)
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
-    arr = ArrivalRecord.from_events([(0.5, 0), (1.0, 0)])
+    arr = arrivals([(0.5, 0), (1.0, 0)])
     traj = rollout_covariance(inst, arr, n_eval=2)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0])
     vals = traj.values[:, 0, 0]
@@ -70,7 +70,7 @@ def test_rollout_covariance_scalar_ladder():
 
 def test_rollout_information_scalar_ladder():
     inst = make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0)
-    arr = ArrivalRecord.from_events([(0.5, 0), (1.0, 0)])
+    arr = arrivals([(0.5, 0), (1.0, 0)])
     traj = rollout_information(inst, arr, n_eval=2)
     np.testing.assert_allclose(traj.values[:, 0, 0], [1.0, 2.0, 3.0],
                                rtol=1e-12)
@@ -78,7 +78,7 @@ def test_rollout_information_scalar_ladder():
 
 def test_rollout_empty_arrivals_is_lyapunov():
     inst = random_instance(InstanceSpec(n=3, M=2, p=1, seed=8, T=1.5))
-    empty = ArrivalRecord.from_events([])
+    empty = arrivals([])
     traj = rollout_covariance(inst, empty, n_eval=30)
     direct = flow_cov(inst.system.P0, inst.system.A, inst.system.Q, 1.5,
                       substeps=30 * 6)
@@ -93,10 +93,8 @@ def test_rollout_cut_as_long_as_the_longest_grid_interval():
     grid = time_grid(3.0, 10)
     late = np.nextafter(grid[6], np.inf)
     assert grid[7] - late > grid[1] - grid[0]
-    cut = rollout_covariance(inst, ArrivalRecord.from_events([(late, 0)]),
-                             n_eval=10)
-    on_node = rollout_covariance(
-        inst, ArrivalRecord.from_events([(grid[6], 0)]), n_eval=10)
+    cut = rollout_covariance(inst, arrivals([(late, 0)]), n_eval=10)
+    on_node = rollout_covariance(inst, arrivals([(grid[6], 0)]), n_eval=10)
     np.testing.assert_allclose(cut.values[7:], on_node.values[7:],
                                rtol=1e-14)
 
@@ -106,7 +104,7 @@ def test_rollout_failure_names_no_substeps():
     inst = make_scalar_instance(a=400.0, q=1.0, T=3.0)
     with pytest.raises(PositiveDefinitenessError) as exc, \
             np.errstate(all="ignore"):
-        rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=1)
+        rollout_covariance(inst, arrivals([]), n_eval=1)
     assert "non-finite" in str(exc.value)
     assert "substeps" not in str(exc.value)
 
@@ -117,8 +115,7 @@ def test_rollout_overflowing_map_is_typed():
     with pytest.raises(PositiveDefinitenessError,
                        match="non-finite covariance map"), \
             np.errstate(all="ignore"):
-        rollout_covariance(inst, ArrivalRecord.from_events([(0.5, 0)]),
-                           n_eval=100)
+        rollout_covariance(inst, arrivals([(0.5, 0)]), n_eval=100)
 
 
 @pytest.mark.parametrize("where", ["node", "arrival"])
@@ -146,13 +143,12 @@ def test_rollout_pd_loss_is_typed(monkeypatch, where):
         monkeypatch.setattr(cdkf, "stacked_gains",
                             lambda P, H, R: (P, 2.0 * np.eye(P.shape[-1])))
     with pytest.raises(PositiveDefinitenessError, match=where):
-        rollout_covariance(inst, ArrivalRecord.from_events(events), n_eval=4)
+        rollout_covariance(inst, arrivals(events), n_eval=4)
 
 
 def test_rollout_information_no_arrivals_harmonic():
     inst = make_scalar_instance(a=0.0, q=1.0, p0=1.0, T=1.0)
-    traj = rollout_information(inst, ArrivalRecord.from_events([]),
-                               n_eval=10)
+    traj = rollout_information(inst, arrivals([]), n_eval=10)
     assert abs(traj.values[-1, 0, 0] - 0.5) <= 1e-8
 
 
@@ -203,7 +199,7 @@ def test_rollout_scalar_closed_form_with_arrivals():
     inst = make_scalar_instance(a=a, q=q, p0=p0, T=1.0)
     # a double arrival, one on a grid node, the rest cutting grid steps
     events = [0.05, 0.23, 0.23, 0.5, 0.777, 0.999]
-    arr = ArrivalRecord.from_events([(t, 0) for t in events])
+    arr = arrivals([(t, 0) for t in events])
     traj = rollout_covariance(inst, arr, n_eval=10)
     want = [_scalar_oracle(a, q, p0, events, t) for t in traj.times]
     np.testing.assert_allclose(traj.values[:, 0, 0], want, rtol=1e-13)
@@ -256,7 +252,7 @@ def test_rollout_matches_fine_rk4_on_defective_a(seed, zero_q, n_arrivals):
 
 def test_rollout_grid_node_records_post_jump():
     inst = make_scalar_instance(a=0.0, q=0.0, p0=1.0, T=1.0)
-    arr = ArrivalRecord.from_events([(0.5, 0)])
+    arr = arrivals([(0.5, 0)])
     traj = rollout_covariance(inst, arr, n_eval=2)
     assert traj.values[1, 0, 0] == pytest.approx(0.5, rel=1e-12)
 

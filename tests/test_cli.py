@@ -225,6 +225,34 @@ def test_bracket_snr_sweep_writes_csv(tmp_path, capsys):
     assert [r[-1] for r in rows[1:]] == ["1", "1", "1"]
 
 
+def test_reference_commands_write_every_artifact(tmp_path, capsys):
+    # the README's reference pair at tiny sizes: solve --random --out, then
+    # bracket --snr-sweep --out on the instance and schedule it wrote
+    prefix = str(tmp_path / "ref")
+    assert cli.main(["solve", "--random", "n=5,M=30,p=1,seed=0", "--N", "4",
+                     "--substeps", "2", "--max-iters", "3",
+                     "--out", prefix]) == 0
+    assert cli.main(["bracket", "--instance", f"{prefix}.instance.json",
+                     "--schedule", f"{prefix}.schedule.json", "--runs", "4",
+                     "--n-eval", "20", "--seed", "500",
+                     "--snr-sweep", "1e-2..1e2,2", "--out", prefix]) == 0
+    capsys.readouterr()
+    names = {"ref.instance.json", "ref.schedule.json", "ref.report.json",
+             "ref.bracket.json"}
+    assert {p.name for p in tmp_path.iterdir()} == names | {"ref.snr.csv"}
+    for name in names:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text.endswith("}\n")
+        json.loads(text)
+    report = json.loads((tmp_path / "ref.report.json").read_text())
+    assert report["iterations"] <= 3
+    bracket = json.loads((tmp_path / "ref.bracket.json").read_text())
+    assert bracket["mc"]["n_runs"] == 4
+    assert len(bracket["times"]) == 21
+    with open(tmp_path / "ref.snr.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 3
+
+
 def test_bad_snr_spec_is_usage_error(tmp_path, capsys, monkeypatch):
     # the spec is parsed before any bracket runs or any file is written
     calls = []
@@ -326,7 +354,7 @@ def test_sweep_runs_one_solve_and_one_estimate_per_kind(tmp_path,
     for name in ("solve", "mc_objective"):
         monkeypatch.setattr(cli, name, counted(getattr(cli, name), calls))
     argv = ["sweep", "--sweep", "dimension", "--grid", "2",
-            "--instances", "1", "--runs", "2", "--N", "2", "--substeps", "2",
+            "--instances", "1", "--runs", "2", "--N", "2", "--substeps", "4",
             "--max-iters", "1", "--n-eval", "10",
             "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
@@ -479,6 +507,9 @@ DEGENERATE = {
     "P0-spread": lambda: degenerate_case(
         -0.5 * np.eye(2), P0=np.diag([1e12, 1e-3])),
     "stiff-A": lambda: degenerate_case(-1e4),
+    "stiff-gain": lambda: degenerate_case(
+        0.0, sensors=[(np.eye(1), np.array([[1e-3]]))], b=(400.0,),
+        rates=200.0),
     "tiny-R": lambda: degenerate_case(
         -1.0, sensors=[(np.eye(1), np.array([[1e-200]]))]),
     "zero-b-row": lambda: degenerate_case(
@@ -490,6 +521,10 @@ DEGENERATE = {
         -np.eye(2), sensors=[(np.eye(2)[[i % 2]], np.eye(1))
                              for i in range(3)],
         rates=[0.8, 0.0, 0.0]),
+    "Q0-A0-tiny-R": lambda: degenerate_case(
+        np.zeros((3, 3)), Q=np.zeros((3, 3)),
+        sensors=[(np.eye(3)[[0]], np.array([[1e-12]]))], b=(5.0,),
+        rates=2.0),
 }
 
 
@@ -537,6 +572,23 @@ def test_degenerate_inputs_end_typed_with_finite_outputs(tmp_path, capsys,
     assert sorted(p.name for p in written if not finite_json(p)) == []
 
 
+@pytest.mark.parametrize("mode", [[], ["--objective-only"]],
+                         ids=["trajectory", "objective-only"])
+def test_bracket_pd_loss_of_a_derived_path_is_a_numeric_failure(
+        tmp_path, capsys, mode):
+    # the tiny R drives the information surrogate up until its inverse, the
+    # covariance path the trajectory bracket derives from it, meets the PD
+    # floor; the objective bracket's Monte Carlo loses PD at an arrival
+    payload, rates = DEGENERATE["Q0-A0-tiny-R"]()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    argv = ["bracket", "--instance", str(tmp_path / "inst.json"),
+            "--schedule", str(tmp_path / "sched.json"), "--runs", "5",
+            "--n-eval", "12"] + mode
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
 def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
     # P0 = diag(1e12, 1e-3) is positive definite, but its min eigenvalue is
     # below the floor PD_FLOOR_REL * trace/n that every path is held to:
@@ -557,16 +609,19 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
 
 
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):
-    # A = -1e4 against a step of T / (N substeps) = 0.125: RK4 diverges on
-    # the cov surrogate while every stop stays positive definite, so the
-    # surrogate refuses the step instead of reporting the blow-up
-    payload, _ = DEGENERATE["stiff-A"]()
-    (tmp_path / "inst.json").write_text(json.dumps(payload))
-    argv = ["solve", "--kind", "cov",
-            "--instance", str(tmp_path / "inst.json"), "--N", "4",
-            "--substeps", "2", "--max-iters", "5",
-            "--out", str(tmp_path / "cov")]
-    assert cli.main(argv) == 1
-    out, err = capsys.readouterr()
-    assert "past RK4's stability limit" in err and "increase substeps" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+    # A = -1e4, or a centered rate of 200 on R = 1e-3, against a step of
+    # T / (N substeps) = 0.125: RK4 diverges on the cov surrogate while
+    # every stop stays positive definite, so the surrogate refuses the step
+    # instead of reporting the blow-up
+    for case in ("stiff-A", "stiff-gain"):
+        payload, _ = DEGENERATE[case]()
+        (tmp_path / "inst.json").write_text(json.dumps(payload))
+        argv = ["solve", "--kind", "cov",
+                "--instance", str(tmp_path / "inst.json"), "--N", "4",
+                "--substeps", "2", "--max-iters", "5",
+                "--out", str(tmp_path / "cov")]
+        assert cli.main(argv) == 1, case
+        out, err = capsys.readouterr()
+        assert "past RK4's stability limit" in err, case
+        assert "increase substeps" in err, case
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

@@ -1,7 +1,8 @@
 """Every name a module imports is used there or re-exported, every name
-the package promises exists, each has one import path, every function and
-class the package defines is run by something, and every module-level
-UPPER_CASE constant under src/ or scripts/ is read by code there.
+the package promises exists, each has one import path, every function,
+class and method the package defines is run by something, and every
+module-level UPPER_CASE constant under src/ or scripts/ is read by code
+there.
 
 No linter ships with the project, so this walks the syntax tree of every
 Python file under src/, tests/ and scripts/.  A name counts as used when it
@@ -10,9 +11,10 @@ package promises are each module's __all__ and the functions the
 benchmark's tracer wraps (perfbench/tracing.py, read without importing it).
 A public name is imported from the module that defines it: the package root
 binds only __version__, and `from infosched import X` names a submodule.
-A top-level definition of the package is read by code under src/ outside
-its own body, or wrapped by the tracer; a name only scripts or tests read
-belongs with them, not in the package.
+A top-level definition of the package, and each non-dunder method of its
+top-level classes, is read by code under src/ outside its own body, or
+wrapped by the tracer; a name only scripts or tests read belongs with them,
+not in the package.
 """
 
 import ast
@@ -138,25 +140,40 @@ def read_names(tree):
 
 def dead_definitions(modules, traced):
     """(module, name) of every top-level function or class of modules
-    ({module: source}) that no code in modules reads outside its own body,
-    and that traced ((module, name) pairs) lacks."""
+    ({module: source}), and (module, "Class.method") of every non-dunder
+    method of a top-level class, that no code in modules reads outside its
+    own body, and that traced ((module, name) pairs) lacks."""
     read, defined = set(), []
     for module, source in modules.items():
         for stmt in ast.parse(source).body:
-            names = read_names(stmt)
+            parts = [stmt]
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, stmt.name))
-                names.discard(stmt.name)
-            read |= names
+            if isinstance(stmt, ast.ClassDef):
+                parts = (stmt.decorator_list + stmt.bases + stmt.keywords
+                         + stmt.body)
+            for part in parts:
+                names = read_names(part)
+                names.discard(getattr(stmt, "name", None))
+                if part is not stmt and isinstance(part, ast.FunctionDef) \
+                        and not part.name.startswith("__"):
+                    defined.append((module, f"{stmt.name}.{part.name}"))
+                    names.discard(part.name)
+                read |= names
     return [pair for pair in defined
-            if pair[1] not in read and pair not in traced]
+            if pair[1].split(".")[-1] not in read and pair not in traced]
 
 
 def test_dead_definitions_names_only_the_unread():
     modules = {"m": ("def used(): pass\ndef dead(): dead()\n"
-                     "class Traced: pass\ndef called(): pass\nused()\n"),
-               "n": "import m\nm.called()\n"}
-    assert dead_definitions(modules, {("m", "Traced")}) == [("m", "dead")]
+                     "class Traced: pass\ndef called(): pass\nused()\n"
+                     "class C:\n    def __init__(self): self.kept()\n"
+                     "    def kept(self): pass\n"
+                     "    @property\n    def size(self): pass\n"
+                     "    def gone(self): return self.gone()\n"),
+               "n": "import m\nm.called()\nm.C().size\n"}
+    assert dead_definitions(modules, {("m", "Traced")}) == [
+        ("m", "dead"), ("m", "C.gone")]
 
 
 def test_every_definition_is_run_by_something():

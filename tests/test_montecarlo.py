@@ -35,7 +35,9 @@ from infosched.riccati import (
     time_grid,
 )
 
-from conftest import make_scalar_instance, mixed_instance, random_spd, rng_for
+from conftest import (
+    arrivals, make_scalar_instance, mixed_instance, random_spd, rng_for,
+)
 
 
 # ------------------------------------------------------------------ sampling
@@ -237,10 +239,10 @@ def _batch_records(inst, grid):
     many = [ArrivalRecord(times=rng.uniform(0.0, inst.T, size=k),
                           sensors=rng.integers(0, inst.M, size=k))
             for k in (25, 40, 12)]
-    mixed = ArrivalRecord.from_events(
+    mixed = arrivals(
         [(0.0, 1), (0.31, 3), (0.31, 0), (0.31, 1), (grid[4], 2),
          (grid[4], 3), (0.77, 4), (inst.T, 1)])
-    empty = ArrivalRecord.from_events([])
+    empty = arrivals([])
     return [mixed, empty, many[0]], many[1:]
 
 
@@ -289,8 +291,8 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     monkeypatch.setattr(cdkf, "stacked_gains",
                         lambda P, H, R: (P, 2.0 * np.eye(P.shape[-1])))
-    empty = ArrivalRecord.from_events([])
-    records = [empty, ArrivalRecord.from_events([(0.4, 0)]), empty]
+    empty = arrivals([])
+    records = [empty, arrivals([(0.4, 0)]), empty]
     with pytest.raises(PositiveDefinitenessError,
                        match="arrival from sensor 0 at t=0.4 in run 1"):
         _run_costs(inst, records, time_grid(inst.T, 4))
@@ -347,8 +349,7 @@ def test_mc_mean_trajectories_zero_rates():
     inst = random_instance(InstanceSpec(n=2, M=1, p=1, seed=6, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.zeros((2, 1)))
     out = mc_mean_trajectories(inst, sched, n_runs=3, n_eval=20)
-    from infosched.cdkf import ArrivalRecord
-    det = rollout_covariance(inst, ArrivalRecord.from_events([]), n_eval=20)
+    det = rollout_covariance(inst, arrivals([]), n_eval=20)
     np.testing.assert_array_equal(out.p_mean.values, det.values)
     assert np.all(out.p_trace_stderr == 0.0)
 
@@ -371,8 +372,8 @@ def test_mc_mean_trajectories_single_run():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=2, T=1.0))
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 2), 1.0))
     out = mc_mean_trajectories(inst, sched, n_runs=1, n_eval=15, seed=5)
-    arrivals = sample_arrivals(sched, run_seed(5, 0))
-    single = rollout_covariance(inst, arrivals, n_eval=15)
+    record = sample_arrivals(sched, run_seed(5, 0))
+    single = rollout_covariance(inst, record, n_eval=15)
     np.testing.assert_array_equal(out.p_mean.values, single.values)
     assert np.all(out.p_trace_stderr == 0.0)
 

@@ -1072,15 +1072,6 @@ def test_solve_descends_from_centered_start(kind):
     assert np.all(inst.polytope.C @ rates.T <= inst.polytope.b[:, None] + 1e-9)
 
 
-def test_solve_projects_array_initial():
-    inst = make_scalar_instance(budget=2.0)
-    problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=4)
-    report = solve(problem, initial=np.full((3, 1), 100.0),
-                   options=SolveOptions(max_iters=5))
-    assert np.all(report.schedule.rates <= 2.0 + 1e-9)
-    assert np.all(np.isfinite(report.history))
-
-
 def test_solve_report_serialization_and_timing_scrub():
     inst = make_scalar_instance(budget=2.0)
     problem = ShootingProblem(instance=inst, N=2, kind="info", substeps=2)

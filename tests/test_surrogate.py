@@ -250,12 +250,29 @@ def test_cov_surrogate_refuses_a_step_past_rk4_stability():
     integrate_cov_surrogate(inst, uniform_schedule(inst, 1, 0.5), substeps=10)
 
 
+def test_cov_surrogate_refuses_a_step_stiff_in_its_gain_term():
+    # A = 0, R = 1e-3 at rate 200: the gain term's slope is about the rate,
+    # so h lam = 5 at 10 substeps is past RK4's limit, where the path grows
+    # to 3e45 with every stop positive definite.  At 100 substeps h lam = 0.5
+    inst = make_scalar_instance(q=1.0, r=1e-3, budget=200.0)
+    sched = uniform_schedule(inst, 4, 200.0)
+    with pytest.raises(PositiveDefinitenessError,
+                       match=r"step 2\.500e-02 is past RK4's stability "
+                             r"limit .*; increase substeps"):
+        integrate_cov_surrogate(inst, sched, substeps=10)
+    p_T = integrate_cov_surrogate(inst, sched, substeps=100).values[-1, 0, 0]
+    assert p_T == pytest.approx(5.854e-3, rel=1e-3)
+
+
 def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
-    # a rate of 1e300 overflows the first stage point; the p = 1 gains then
-    # meet inf and NaN innovations.  With the LAPACK solve in their place
-    # the path ends in the same typed error, and neither warns
-    inst = make_scalar_instance(q=1.0, r=1e-6, budget=1e301)
-    sched = uniform_schedule(inst, 4, 1e300)
+    # P0 = 1e307 at a rate of 20 (h lam = 2.5, inside RK4's limit)
+    # overflows the first stage point; the p = 1 gains then meet inf and
+    # NaN innovations.  With the LAPACK solve in their place the path ends
+    # in the same typed error, and neither warns.  (The instance's symmetry
+    # check squares P0's entry, which overflows its norm.)
+    with np.errstate(over="ignore"):
+        inst = make_scalar_instance(q=1.0, r=1e-6, p0=1e307, budget=20.0)
+    sched = uniform_schedule(inst, 4, 20.0)
     errors = []
     for gains in (surrogate.stacked_gains, lapack_gains):
         monkeypatch.setattr(surrogate, "stacked_gains", gains)
@@ -263,7 +280,7 @@ def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
             warnings.simplefilter("error")
             with pytest.raises(PositiveDefinitenessError,
                                match="non-finite entries") as err:
-                integrate_cov_surrogate(inst, sched, substeps=1)
+                integrate_cov_surrogate(inst, sched, substeps=2)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
 
