@@ -3,8 +3,9 @@
 The information-form surrogate folds all sensors into one precomputed
 per-stage increment, so its per-substep work is independent of M; the
 covariance-form surrogate contracts the rank-p gain factors of all its
-sensors at every stage point (one batched riccati.stacked_gains call, then
-M p n^2 products in its rate and adjoint), whose cost grows with M.  This
+sensors at every stage point (riccati.cov_gains: with p = 1, one GEMM of
+the flat sensor rows, then M p n^2 products in its rate and adjoint),
+whose cost grows with M.  This
 script times objective+gradient assembly for both at equal rate tables and
 reports the cov/info median ratio per sensor count.  An empty --grid or
 --reps below 1 is a usage error (exit 2).

@@ -49,23 +49,36 @@ def _as_matrix(x, name: str, shape: tuple[int, int]) -> np.ndarray:
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
+
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """x / c and c = max(max_ij |x_ij|, 1): the norms of x / c cannot
+    overflow, and a matrix with no entry above 1 is checked as it is."""
+    c = max(float(np.abs(x).max()), 1.0)
+    return x / c, c
+
+
 def _check_symmetric(x: np.ndarray, name: str) -> np.ndarray:
-    scale = max(float(np.linalg.norm(x)), 1e-300)
-    skew = float(np.linalg.norm(x - x.T))
+    y, c = _unit_scaled(x)
+    scale = max(float(np.linalg.norm(y)), 1e-300)
+    skew = float(np.linalg.norm(y - y.T))
     if skew > SYMMETRY_RTOL * scale:
         raise ValidationError(
-            f"{name} is not symmetric: ||X - X^T|| = {skew:.3e} "
-            f"exceeds {SYMMETRY_RTOL:g} * ||X|| = {SYMMETRY_RTOL * scale:.3e}"
+            f"{name} is not symmetric: ||X - X^T|| = {c * skew:.3e} exceeds "
+            f"{SYMMETRY_RTOL:g} * ||X|| = {c * SYMMETRY_RTOL * scale:.3e}"
         )
     return _sym(x)
 
 
 def _check_psd(x: np.ndarray, name: str) -> None:
-    scale = max(float(np.linalg.norm(x)), 1.0)
-    w = np.linalg.eigvalsh(x)
+    # the floor PSD_EIG_FLOOR * max(||x||, 1) in units of c: when c > 1,
+    # ||x / c|| >= 1 already
+    y, c = _unit_scaled(x)
+    scale = max(float(np.linalg.norm(y)), 1.0)
+    w = np.linalg.eigvalsh(y)
     if w[0] < PSD_EIG_FLOOR * scale:
         raise ValidationError(
-            f"{name} is not positive semidefinite: min eigenvalue {w[0]:.6e}"
+            f"{name} is not positive semidefinite: min eigenvalue "
+            f"{c * w[0]:.6e}"
         )
 
 

@@ -11,10 +11,13 @@ step; every other product of the sweep is batched over the recorded path,
 before it or after it.  The covariance form integrates at
 substep resolution with RK4 and reverses each step.  Stage by stage, it
 replays the RK4 points of all the stage's steps from the recorded nodes in
-four batched calls of riccati.stacked_gains, and carries the adjoint
-through each point's rank-p factors, M p n^2 per point with no (M, n, n)
-stack.  No ODE is solved backwards, so either gradient matches central
-differences to roundoff rather than to integrator tolerance.
+four batched factors calls of the riccati.cov_gains kernels, and carries
+the adjoint through each point's rank-p factors, M p n^2 per point with no
+(M, n, n) stack.  When every sensor has p = 1 the kernels run on the flat
+(M, n) sensor rows: one GEMM per stage point, and a row-wise dot per
+sensor in the vjp, instead of M tiny matrix products.  No ODE is solved
+backwards, so either gradient matches central differences to roundoff
+rather than to integrator tolerance.
 
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
@@ -48,12 +51,12 @@ from .riccati import (
     Trajectory,
     _rk4_reverse,
     _rk4_stages,
+    cov_gains,
     expm_adjoint,
     hamiltonian_maps,
     node_weights,
     pathwise_cost,
     require_pd,
-    stacked_gains,
     time_grid,
 )
 from .surrogate import (
@@ -206,61 +209,64 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
 #
 #     vjp(L) = At L + L At^T + sum_j lam_j H_j^T (sol_j L sol_j^T) H_j.
 #
+# At p = 1 the last sum is rows^T (c rows), c_j = rowdot(lam_sol_j L, sol_j)
+# (riccati.RowGains.gain_vjp).
+#
 # A weighted node enters W.
 
 
-def _cov_stage_points(A, Q, H, R, lam, x, h):
+def _cov_stage_points(A, Q, gains, lam, x, h):
     """The four RK4 stage points' (rate, HP, sol, lam sol, At) of the steps
     from each of the stacked inputs x, each stacked over the steps: four
-    batched stacked_gains calls over every sensor of the stacks (H, R)."""
-    n = A.shape[0]
-    Ht = H.reshape(-1, n).T
+    batched factors calls of the riccati.cov_gains kernels gains over every
+    sensor, each one GEMM of the flat p = 1 rows against the stack.  A
+    non-finite point passes through without a warning, as in the forward.
+    """
 
     def linearize(P):
-        HP, sol = stacked_gains(P[:, None], H, R)
-        lam_sol = lam[:, None, None] * sol
-        At = A.T - Ht @ lam_sol.reshape(len(P), -1, n)
-        return cov_rate_rhs(P, A, Q, lam, HP, sol), HP, sol, lam_sol, At
+        HP, sol, lam_sol = gains.factors(P, lam)
+        At = A.T - gains.rows.T @ lam_sol
+        G = HP.swapaxes(-1, -2) @ lam_sol
+        return cov_rate_rhs(P, A, Q, G), HP, sol, lam_sol, At
 
-    return _rk4_stages(x, h, linearize)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk4_stages(x, h, linearize)
 
 
-def _cov_vjp(H, At, lam_sol, sol, L):
-    """vjp(L) of the cov rate at one stage point: At and the (M, p, n)
-    lam_sol and sol are the point's, H the instance's sensor stack."""
-    n = L.shape[0]
-    X = (lam_sol.reshape(-1, n) @ L).reshape(sol.shape)
-    C = X @ sol.swapaxes(1, 2)          # lam_j sol_j L sol_j^T
+def _cov_vjp(gains, At, lam_sol, sol, L):
+    """vjp(L) of the cov rate at one stage point: At, lam_sol and sol are
+    the point's, gains its riccati.cov_gains kernels."""
     AL = At @ L
-    return AL + AL.T + H.reshape(-1, n).T @ (C @ H).reshape(-1, n)
+    return AL + AL.T + gains.gain_vjp(lam_sol, sol, L)
 
 
 def _cov_gradient(problem: ShootingProblem, sched: Schedule, traj):
     # reverse sweep over the substeps of the forward trajectory traj, each
     # stage's points replayed from its recorded nodes
     inst = problem.instance
-    A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
-    N, S, n = problem.N, problem.substeps, inst.n
+    A, Q = inst.system.A, inst.system.Q
+    gains = cov_gains(inst.H, inst.R)
+    N, S, M, n = problem.N, problem.substeps, problem.M, inst.n
     h = inst.T / (N * S)
     table = node_weights(traj.times, inst.weights)
     running = inst.weights.W_stages is not None
 
     Lam = _sym(table[-1])
-    G = np.zeros((N, problem.M))
+    G = np.zeros((N, M))
     kbar = np.empty((4, S, n, n))
     for k in range(N - 1, -1, -1):
-        points = _cov_stage_points(A, Q, H, R, sched.rates[k],
+        points = _cov_stage_points(A, Q, gains, sched.rates[k],
                                    traj.values[k * S:(k + 1) * S], h)
         for s in range(S - 1, -1, -1):
-            vjps = [partial(_cov_vjp, H, At[s], lam_sol[s], sol[s])
+            vjps = [partial(_cov_vjp, gains, At[s], lam_sol[s], sol[s])
                     for _, _, sol, lam_sol, At in points]
             Lam, kbar[:, s] = _rk4_reverse(h, vjps, Lam)
             if running and k * S + s > 0:
                 Lam = Lam + table[k * S + s]
-        # <kbar, g_j> at every step and stage point, g_j = HP_j^T sol_j
+        # <kbar, g_j> at every step and stage point, g_j = HP_j^T sol_j:
+        # the rowdot of HP kbar and sol, summed over each sensor's rows
         for (_, HP, sol, _, _), kb in zip(points, kbar):
-            HPk = (HP.reshape(S, -1, n) @ kb).reshape(HP.shape)
-            G[k] -= (HPk * sol).sum(axis=(0, 2, 3))
+            G[k] -= np.vecdot(HP @ kb, sol).reshape(S, M, -1).sum(axis=(0, 2))
     return G
 
 

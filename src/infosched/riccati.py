@@ -333,7 +333,8 @@ def stacked_gains(P, H, R):
     P).  Returns (HP, sol), HP = H P and sol = (H P H^T + R)^{-1} H P: the
     gain update of sensor j is covariance_decrement = sym(HP_j^T sol_j), and
     the padded rows of both are exact zeros.  Every consumer contracts the
-    factors itself, so no (M, n, n) stack is formed.
+    factors itself, so no (M, n, n) stack is formed.  The filter walk takes
+    them per run; the cov rate takes them through cov_gains.
 
     Stacks with p = 1 take sol = HP * (1 / S) for the scalar innovation S,
     the float operations of OpenBLAS's 1x1 solve (its trsm multiplies by the
@@ -345,11 +346,87 @@ def stacked_gains(P, H, R):
     S = HP @ H.swapaxes(-1, -2) + R
     if S.shape[-1] > 1:
         return HP, np.linalg.solve(S, HP)
-    try:
-        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-            return HP, HP * (1.0 / S)
-    except FloatingPointError:
-        raise np.linalg.LinAlgError("Singular matrix") from None
+    if not S.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return HP, HP * (1.0 / S)
+
+
+def cov_gains(H, R):
+    """The gain kernels of the cov rate for the sensor stacks (H, R), rows
+    of an Instance's padded stacks: RowGains when every sensor has one
+    output (p = 1), else StackGains.  The one place the layout is chosen.
+
+    P is one matrix or a stack (S, n, n), taken against every sensor, and
+    lam the sensors' rates.  Each kernel has rows, the (M p, n) output rows
+    of H, and
+      gain_term(P, lam): sum_j lam_j HP_j^T sol_j, the gain load of the
+        rate before symmetrizing (surrogate.cov_rate_rhs);
+      factors(P, lam): (HP, sol, lam_sol) in rows, shaped (..., M p, n),
+        with sol as in stacked_gains and lam_sol_j = lam_j sol_j;
+      gain_vjp(lam_sol, sol, L): of one point, the rank-p part
+        sum_j lam_j H_j^T (sol_j L sol_j^T) H_j of the rate's transposed
+        Jacobian (optimize).
+    """
+    return (RowGains if H.shape[-2] == 1 else StackGains)(H, R)
+
+
+class RowGains:
+    """Gain kernels of one-output sensors on their flat rows (M, n) and
+    variances r (M,).  HP = rows P is one GEMM, the innovations are
+    S = rowdot(HP, rows) + r, the gain term is HP^T ((lam / S) HP) and
+    sol = HP * (1 / S) row by row, the reciprocal product of stacked_gains
+    at p = 1.  A zero S raises LinAlgError; inf and NaN pass through,
+    under the caller's errstate.  The rank-one vjp weighs row j by
+    c_j = rowdot(lam_sol_j L, sol_j): rows^T (c rows)."""
+
+    def __init__(self, H, R):
+        self.rows, self.r = H[:, 0], R[:, 0, 0]
+
+    def _innovations(self, P):
+        HP = self.rows @ P
+        S = np.vecdot(HP, self.rows) + self.r
+        if not S.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return HP, S
+
+    def gain_term(self, P, lam):
+        HP, S = self._innovations(P)
+        return (HP.swapaxes(-1, -2) * (lam / S)[..., None, :]) @ HP
+
+    def factors(self, P, lam):
+        HP, S = self._innovations(P)
+        sol = HP * (1.0 / S)[..., None]
+        return HP, sol, lam[:, None] * sol
+
+    def gain_vjp(self, lam_sol, sol, L):
+        c = np.vecdot(lam_sol @ L, sol)
+        return (self.rows.T * c) @ self.rows
+
+
+class StackGains:
+    """Gain kernels of sensors padded to p > 1 outputs, on the stacks:
+    stacked_gains' batched LAPACK solve, and p x p blocks in the vjp."""
+
+    def __init__(self, H, R):
+        self.H, self.R = H, R
+        self.rows = H.reshape(-1, H.shape[-1])
+
+    def gain_term(self, P, lam):
+        HP, _, lam_sol = self.factors(P, lam)
+        return HP.swapaxes(-1, -2) @ lam_sol
+
+    def factors(self, P, lam):
+        HP, sol = stacked_gains(P[..., None, :, :], self.H, self.R)
+        rows = P.shape[:-2] + self.rows.shape
+        return (HP.reshape(rows), sol.reshape(rows),
+                (lam[:, None, None] * sol).reshape(rows))
+
+    def gain_vjp(self, lam_sol, sol, L):
+        p, n = self.H.shape[1:]
+        X = (lam_sol @ L).reshape(-1, p, n)
+        C = X @ sol.reshape(-1, p, n).swapaxes(1, 2)  # lam_j sol_j L sol_j^T
+        return self.rows.T @ (C @ self.H).reshape(-1, n)
 
 
 def jump_cov(P, sensor) -> np.ndarray:
@@ -497,6 +574,7 @@ __all__ = [
     "INFO",
     "PositiveDefinitenessError",
     "Trajectory",
+    "cov_gains",
     "covariance_decrement",
     "expm",
     "expm_adjoint",

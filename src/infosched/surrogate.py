@@ -13,9 +13,10 @@ rate enters through the state-dependent gain update,
     Pdot = A P + P A^T + Q - sum_j lam_j(t) g_j(P),
 
 which forces the gain update of every sensor with a nonzero rate at every
-stage point: the gain factors of all of them (riccati.stacked_gains, a
-reciprocal per scalar innovation), then M p n^2 products, work that grows
-with M.  That asymmetry is the point of the information form and is what
+stage point: the gain term of all of them (riccati.cov_gains; with p = 1
+one GEMM of the flat sensor rows, a row-wise dot for the scalar
+innovations S and one product HP^T ((lam / S) HP)), M p n^2 work that
+grows with M.  That asymmetry is the point of the information form and is what
 scripts/assembly_benchmark.py measures.
 
 Both integrators record on the uniform grid of n_eval intervals
@@ -49,10 +50,9 @@ from .riccati import (
     PositiveDefinitenessError,
     Trajectory,
     _integrate,
+    cov_gains,
     info_rhs,
-    lyapunov_rhs,
     require_pd,
-    stacked_gains,
     time_grid,
 )
 
@@ -64,17 +64,13 @@ def stage_increments(instance: Instance, schedule: Schedule) -> np.ndarray:
     return np.einsum("kj,jab->kab", schedule.rates, instance.S)
 
 
-def cov_rate_rhs(P, A, Q, lam, HP, sol):
-    """Covariance surrogate rate A P + P A^T + Q - sum_j lam_j g_j(P) of one
-    P or of each in a stack, from the rank-p factors (HP, sol) of the gains
-    (riccati.stacked_gains) of the sensors whose rates are lam.  The sum is
-    one product over the stacked output rows, sym(HP_flat^T (lam sol)_flat).
-    """
-    n = P.shape[-1]
-    rows = P.shape[:-2] + (-1, n)
-    lam_sol = (lam[:, None, None] * sol).reshape(rows)
-    return lyapunov_rhs(P, A, Q) - _sym(
-        HP.reshape(rows).swapaxes(-1, -2) @ lam_sol)
+def cov_rate_rhs(P, A, Q, G):
+    """Covariance surrogate rate A P + P A^T + Q - sym(G) of one P or of
+    each in a stack, G the gain term sum_j lam_j g_j(P) up to symmetry
+    (riccati.cov_gains).  It is B + B^T + Q with B = A P - G / 2, exactly
+    symmetric."""
+    B = A @ P - 0.5 * G
+    return B + B.swapaxes(-1, -2) + Q
 
 
 def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
@@ -119,7 +115,7 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
                     f"lam_kj) = {RK4_REAL_LIMIT / stiff:.3e}; "
                     f"{SUBSTEP_ADVICE}")
         # per stage: the sensors with a nonzero rate, and their rates
-        stages = [(instance.H[cols], instance.R[cols], lam[cols])
+        stages = [(cov_gains(instance.H[cols], instance.R[cols]), lam[cols])
                   for lam, cols in zip(rates, map(np.flatnonzero, rates))]
 
     path = np.empty((len(stops), sys.n, sys.n))
@@ -133,9 +129,9 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
                 Uk = U[k]
                 rhs = lambda Y: info_rhs(Y, A, Q) + Uk
             else:
-                H, R, lam = stages[k]
-                rhs = lambda P: cov_rate_rhs(P, A, Q, lam,
-                                             *stacked_gains(P, H, R))
+                gains, lam = stages[k]
+                rhs = lambda P: cov_rate_rhs(P, A, Q,
+                                             gains.gain_term(P, lam))
             X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps[i - 1],
                                      rhs)
     require_pd(path[1:], lambda i: f"in {kind} surrogate near t={at[i + 1]:g}",

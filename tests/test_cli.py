@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -606,6 +607,27 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: P0 is too badly scaled")
     assert set(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("key, value, error", [
+    ("Q", -np.eye(2), "Q is not positive semidefinite"),
+    ("P0", [[1.0, 0.1], [0.0, 1.0]], "P0 is not symmetric"),
+], ids=["indefinite-Q", "skew-P0"])
+def test_a_bad_matrix_is_refused_at_any_scale(tmp_path, capsys, scale, key,
+                                              value, error):
+    # the checks scale by the largest entry, so a norm past 1.3e154 cannot
+    # overflow and wave the matrix through: the same verdict and exit 2 at
+    # 1 and at 1e200, with no warning
+    payload, _ = degenerate_case(-np.eye(2))
+    payload[key] = (scale * np.asarray(value)).tolist()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--instance",
+                         str(tmp_path / "inst.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error}")
 
 
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):

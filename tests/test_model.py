@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,26 @@ def test_system_model_rejects_indefinite_p0():
     with pytest.raises(ValidationError):
         SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), m0=np.zeros(2),
                     P0=np.diag([1.0, -1.0]), T=1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_system_model_checks_hold_at_any_scale(scale):
+    # the symmetry and semidefiniteness checks divide by the largest entry
+    # before taking norms, which past 1.3e154 would overflow to inf and
+    # pass anything: each shape gets its scale-1 verdict, with no warning
+    def system(Q=np.eye(2), P0=np.eye(2)):
+        return SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, m0=np.zeros(2),
+                           P0=P0, T=1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match="Q is not positive semidefinite"):
+            system(Q=-scale * np.eye(2))
+        with pytest.raises(ValidationError, match="P0 is not symmetric"):
+            system(P0=scale * np.array([[1.0, 0.1], [0.0, 1.0]]))
+        sys = system(Q=scale * np.eye(2), P0=scale * np.eye(2))
+    assert np.array_equal(sys.P0, scale * np.eye(2))
 
 
 @pytest.mark.parametrize("diag,name", [

@@ -31,11 +31,13 @@ from infosched.riccati import (
     _rk4_reverse,
     _rk4_stages,
     _rk4_step,
+    RowGains,
+    StackGains,
+    cov_gains,
     covariance_decrement,
     expm_adjoint,
     node_weights,
     pathwise_cost,
-    stacked_gains,
 )
 from infosched.optimize import (
     ProjectionError,
@@ -887,49 +889,65 @@ def _rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("rates", ["interior", "one-zero", "all-zero"])
+def _flat_instance(seed):
+    """Instance whose five sensors all have p = 1: the flat row layout."""
+    return random_instance(InstanceSpec(n=4, M=5, p=1, seed=seed, T=2.0,
+                                        budget=5.0))
+
+
+@pytest.mark.parametrize("rates", ["interior", "one-zero", "all-zero",
+                                   "flat-one-zero", "flat-all-zero"])
 def test_cov_rank_p_kernels_match_a_per_sensor_loop(rates):
-    # output dimensions 1 and 2 interleaved (padded rows), on a stack of
-    # three step inputs: the rate and vjp of every replayed stage point
-    # against the per-sensor reference stepped from each input alone
-    inst = mixed_instance(seed=81)
+    # output dimensions 1 and 2 interleaved (padded rows), or p = 1 only
+    # (flat rows), on a stack of three step inputs: the rate and vjp of
+    # every replayed stage point against the per-sensor reference stepped
+    # from each input alone
+    flat = rates.startswith("flat-")
+    inst = _flat_instance(87) if flat else mixed_instance(seed=81)
     A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
+    gains = cov_gains(H, R)
+    assert isinstance(gains, RowGains if flat else StackGains)
     rng = rng_for(82)
     lam = rng.uniform(0.2, 1.5, size=inst.M)
-    if rates == "one-zero":
-        lam[1] = 0.0        # a p = 2 sensor
-    elif rates == "all-zero":
+    if rates.endswith("one-zero"):
+        lam[1] = 0.0        # a p = 2 sensor on the mixed instance
+    elif rates.endswith("all-zero"):
         lam[:] = 0.0
     xs = np.stack([random_spd(rng, inst.n, 0.3) for _ in range(3)])
     h = 0.05
-    points = optimize._cov_stage_points(A, Q, H, R, lam, xs, h)
+    points = optimize._cov_stage_points(A, Q, gains, lam, xs, h)
     for s, x in enumerate(xs):
         ref = _rk4_stages(x, h, _loop_point(A, Q, inst.sensors, lam))
-        # the rate of one matrix, not a stack
-        one = surrogate.cov_rate_rhs(x, A, Q, lam, *stacked_gains(x, H, R))
+        # the forward's rate of one matrix, not a stack
+        one = surrogate.cov_rate_rhs(x, A, Q, gains.gain_term(x, lam))
         assert _rel(one, ref[0][0]) <= 1e-13
         for (rate, _, sol, lam_sol, At), (rate_ref, pt) in zip(points, ref):
             assert _rel(rate[s], rate_ref) <= 1e-13
             B = rng.normal(size=(inst.n, inst.n))
             L = B + B.T
-            vjp = optimize._cov_vjp(H, At[s], lam_sol[s], sol[s], L)
+            vjp = optimize._cov_vjp(gains, At[s], lam_sol[s], sol[s], L)
             assert _rel(vjp, pt.vjp(L)) <= 1e-13
 
 
 def test_cov_stage_replay_is_the_step_by_step_replay():
-    # one stage's steps replayed in one batch, or one step at a time
-    inst = mixed_instance(seed=83)
-    A, Q, H, R = inst.system.A, inst.system.Q, inst.H, inst.R
-    rng = rng_for(84)
-    lam = rng.uniform(0.0, 1.5, size=inst.M)
-    xs = np.stack([random_spd(rng, inst.n, 0.3) for _ in range(5)])
-    batch = optimize._cov_stage_points(A, Q, H, R, lam, xs, 0.05)
-    for s in range(len(xs)):
-        single = optimize._cov_stage_points(A, Q, H, R, lam, xs[s:s + 1],
-                                            0.05)
-        for got, want in zip(batch, single):
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g[s], w[0])
+    # one stage's steps replayed in one batch, or one step at a time, on
+    # stacks (mixed p) and on flat rows (p = 1 only, one zero rate)
+    for inst, zero in ((mixed_instance(seed=83), None),
+                       (_flat_instance(88), 2)):
+        A, Q = inst.system.A, inst.system.Q
+        gains = cov_gains(inst.H, inst.R)
+        rng = rng_for(84)
+        lam = rng.uniform(0.0, 1.5, size=inst.M)
+        if zero is not None:
+            lam[zero] = 0.0
+        xs = np.stack([random_spd(rng, inst.n, 0.3) for _ in range(5)])
+        batch = optimize._cov_stage_points(A, Q, gains, lam, xs, 0.05)
+        for s in range(len(xs)):
+            single = optimize._cov_stage_points(A, Q, gains, lam,
+                                                xs[s:s + 1], 0.05)
+            for got, want in zip(batch, single):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g[s], w[0])
 
 
 def test_cov_gradient_check_when_n_exceeds_p():

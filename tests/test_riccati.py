@@ -37,7 +37,11 @@ from infosched.riccati import (
     covariance_decrement,
     require_pd,
     stacked_gains,
+    RowGains,
+    cov_gains,
 )
+from infosched import optimize
+from infosched.surrogate import cov_rate_rhs
 
 from conftest import lapack_gains, mixed_instance, random_spd, rng_for
 
@@ -482,23 +486,44 @@ def test_scalar_innovation_gains_match_lapack_to_an_ulp(seed, form):
 ])
 def test_scalar_innovation_edge_cases_end_as_lapack_does(P00, R00):
     # the floats and the typed error of LAPACK's 1x1 solve, and no warning
-    # (numpy's solve clears the flags LAPACK's arithmetic raises)
+    # (numpy's solve clears the flags LAPACK's arithmetic raises): in the
+    # filter walk's stacked_gains, and on the flat p = 1 rows in the cov
+    # rate, under the errstate the cov surrogate holds, and in the replay
     P = np.array([[P00, 1.0], [1.0, 1.0]])
     H, R = np.array([[[1.0, 0.0]]]), np.array([[[R00]]])
     try:
         want = lapack_gains(P, H, R)
     except np.linalg.LinAlgError:
         want = None
+    gains = cov_gains(H, R)
+    assert isinstance(gains, RowGains)
+    A = Q = np.zeros((2, 2))
+    lam = np.ones(1)
+
+    def rate():
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = cov_rate_rhs(P, A, Q, gains.gain_term(P, lam))
+            HP, sol, _ = gains.factors(P, lam)
+            return HP, sol, out
+
+    calls = (lambda: stacked_gains(P, H, R), rate,
+             lambda: optimize._cov_stage_points(A, Q, gains, lam, P[None],
+                                                0.1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if want is None:
-            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-                stacked_gains(P, H, R)
+            for call in calls:
+                with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                    call()
             return
-        got = stacked_gains(P, H, R)
+        got, flat, points = (call() for call in calls)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     assert not np.isfinite(got[1]).all()
+    for g, w in zip(flat, want):
+        np.testing.assert_array_equal(g, w[:, 0])
+    assert not np.isfinite(flat[2]).all()
+    assert not np.isfinite(points[0][0]).all()
 
 
 @pytest.mark.parametrize("form", ["P-per-point", "P-per-run"])

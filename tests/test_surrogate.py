@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from infosched import surrogate
+from infosched import riccati, surrogate
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     InstanceSpec,
@@ -266,16 +266,15 @@ def test_cov_surrogate_refuses_a_step_stiff_in_its_gain_term():
 
 def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
     # P0 = 1e307 at a rate of 20 (h lam = 2.5, inside RK4's limit)
-    # overflows the first stage point; the p = 1 gains then meet inf and
-    # NaN innovations.  With the LAPACK solve in their place the path ends
-    # in the same typed error, and neither warns.  (The instance's symmetry
-    # check squares P0's entry, which overflows its norm.)
-    with np.errstate(over="ignore"):
-        inst = make_scalar_instance(q=1.0, r=1e-6, p0=1e307, budget=20.0)
+    # overflows the first stage point; the flat p = 1 gains then meet inf
+    # and NaN innovations.  With the LAPACK solve on the stacks in their
+    # place the path ends in the same typed error, and neither warns.
+    inst = make_scalar_instance(q=1.0, r=1e-6, p0=1e307, budget=20.0)
     sched = uniform_schedule(inst, 4, 20.0)
+    monkeypatch.setattr(riccati, "stacked_gains", lapack_gains)
     errors = []
-    for gains in (surrogate.stacked_gains, lapack_gains):
-        monkeypatch.setattr(surrogate, "stacked_gains", gains)
+    for gains in (riccati.RowGains, riccati.StackGains):
+        monkeypatch.setattr(surrogate, "cov_gains", gains)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PositiveDefinitenessError,
