@@ -6,8 +6,9 @@ arrivals, gain update at each arrival.  One walk steps it exactly (one
 Lyapunov map per segment between stops, all from one map family) for a
 whole batch of records at once: the Monte Carlo runs of ``montecarlo`` step
 together, and ``rollout_covariance`` is the batch of one record, sampled on
-a uniform evaluation grid.  A run's path does not depend on what else the
-batch holds, bit for bit.  ``rollout_information`` is its nodewise inverse.
+a uniform evaluation grid, in blocks of steps of which only the covariances
+are carried step by step.  A run's path does not depend on the rest of the
+batch, bit for bit.  ``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
@@ -87,6 +88,7 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
 # the segment a step flows over: none (a coincident event, the first step or
 # padding), an uncut grid step (one map shared by all), or a cut (its own map)
 IDLE, GRID_STEP, CUT = 0, 1, 2
+WALK_BLOCK = 4  # steps per block of the walk, whose maps are alive at once
 
 
 def _steps(records, grid):
@@ -125,22 +127,22 @@ def _filter_walk(instance, records, grid):
     """Step the exact filter covariances of a batch of runs together.
 
     records holds one arrival record per run; every run keeps its own stops
-    (see _steps) and all runs take step s at once.  Per step: one batched
-    P <- Phi P Phi^T + W with each run's map, then one gain update over the
-    runs with an arrival there (riccati.stacked_gains of the arriving
-    sensors' rows of the instance's padded stacks, one batched call), then
-    the nodes.  Every map comes from one riccati.lyapunov_maps family,
-    built once per walk for durations up to the longest grid interval: the
-    uncut grid step has one map shared by all runs, and the cut segments
-    of a step are mapped together, so only one step's maps are alive at a
-    time.
+    (see _steps) and all runs take step s at once, in blocks of WALK_BLOCK
+    steps.  A block's maps come first, from one riccati.lyapunov_maps
+    family per walk for durations up to the longest grid interval: the
+    identity or the uncut grid step's map, shared by all runs, and all cut
+    segments of the block in one family call.  Per step only the carry
+    runs: P <- Phi P Phi^T + W with each run's map, then one gain update of
+    the runs with an arrival there (riccati.stacked_gains of the arriving
+    sensors' rows of the instance's padded stacks).
 
-    Yields (runs, nodes, P) at each step where runs record nodes, P the
-    (R, n, n) stack of all runs (live: copy what you keep).  Each run's
-    path depends on its own record alone, bit for bit, whatever else the
-    batch holds.  An exact map keeps P positive definite up to roundoff: the
-    family checks that its maps are finite, and the walk checks the runs
-    that jumped and the recorded nodes, one batch per step.
+    Yields (runs, nodes, P) once per block that records nodes, in walk
+    order, P the recorded (k, n, n) matrices themselves.  Each run's path
+    depends on its own record alone, bit for bit.  An exact map keeps P
+    positive definite up to roundoff: the family checks its maps are
+    finite, and one require_pd per block takes each step's jumped runs,
+    then its nodes, so it names the loss a step-by-step walk meets first;
+    an exception in a block's carry runs that check first.
     """
     for rec in records:
         _check_arrivals(instance, rec)
@@ -153,28 +155,50 @@ def _filter_walk(instance, records, grid):
     fixed_phi = np.stack([np.eye(n), phi_h[0]])
     fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
     P = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
-    for s in range(len(kind)):
-        shared = np.minimum(kind[s], GRID_STEP)
+
+    def check(checked):
+        def where(i):
+            s, r, at_node = [(s, r, at_node) for s, runs, at_node, _ in checked
+                             for r in runs][i]
+            if at_node:
+                return f"at node t={grid[node[s, r]]:g} in run {r}"
+            return (f"after an arrival from sensor {sensor[s, r]} at "
+                    f"t={time[s, r]:g} in run {r}")
+        if checked:
+            require_pd(np.concatenate([m for *_, m in checked]), where)
+
+    for start in range(0, len(kind), WALK_BLOCK):
+        block = kind[start:start + WALK_BLOCK]
+        shared = np.minimum(block, GRID_STEP)
         phi, w = fixed_phi[shared], fixed_w[shared]
-        cut = np.flatnonzero(kind[s] == CUT)
+        b, cut = np.nonzero(block == CUT)
         if cut.size:
-            lengths = time[s, cut] - time[s - 1, cut]
-            phi[cut], w[cut] = family(lengths)
-        P = _sym(phi @ P @ phi.swapaxes(1, 2) + w)
-        runs = np.flatnonzero(sensor[s] >= 0)
-        if runs.size:
-            js, ts = sensor[s, runs], time[s, runs]
-            before = P[runs]
-            HP, sol = stacked_gains(before, instance.H[js], instance.R[js])
-            P[runs] = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
-            require_pd(P[runs], lambda i: f"after an arrival from sensor "
-                       f"{js[i]} at t={ts[i]:g} in run {runs[i]}")
-        runs = np.flatnonzero(node[s] >= 0)
-        if runs.size:
-            nodes = node[s, runs]
-            require_pd(P[runs], lambda i: f"at node t={grid[nodes[i]]:g} "
-                       f"in run {runs[i]}")
-            yield runs, nodes, P
+            s = start + b
+            phi[b, cut], w[b, cut] = family(time[s, cut] - time[s - 1, cut])
+        checked = []  # (step, runs, at a node, their P) in walk order
+        try:
+            for b in range(len(block)):
+                s = start + b
+                P = _sym(phi[b] @ P @ phi[b].swapaxes(1, 2) + w[b])
+                runs = np.flatnonzero(sensor[s] >= 0)
+                if runs.size:
+                    before, js = P[runs], sensor[s, runs]
+                    HP, sol = stacked_gains(before, instance.H[js],
+                                            instance.R[js])
+                    after = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
+                    P[runs] = after
+                    checked.append((s, runs, False, after))
+                runs = np.flatnonzero(node[s] >= 0)
+                if runs.size:
+                    checked.append((s, runs, True, P[runs]))
+        except Exception:
+            # a loss of positive definiteness before the failure comes first
+            check(checked)
+            raise
+        check(checked)
+        nodes = [(r, node[s, r], m) for s, r, at_node, m in checked if at_node]
+        if nodes:
+            yield tuple(map(np.concatenate, zip(*nodes)))
 
 
 def rollout_covariance(
@@ -185,8 +209,8 @@ def rollout_covariance(
     """Deterministic covariance path of the filter for fixed arrivals."""
     grid = time_grid(instance.T, n_eval)
     values = np.empty((n_eval + 1, instance.n, instance.n))
-    for runs, nodes, P in _filter_walk(instance, [arrivals], grid):
-        values[nodes] = P[runs]
+    for _, nodes, P in _filter_walk(instance, [arrivals], grid):
+        values[nodes] = P
     # the walk checked every node it yielded
     return Trajectory._checked(COV, grid, values)
 

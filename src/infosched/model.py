@@ -66,7 +66,7 @@ def _check_symmetric(x: np.ndarray, name: str) -> np.ndarray:
             f"{name} is not symmetric: ||X - X^T|| = {c * skew:.3e} exceeds "
             f"{SYMMETRY_RTOL:g} * ||X|| = {c * SYMMETRY_RTOL * scale:.3e}"
         )
-    return _sym(x)
+    return 0.5 * x + 0.5 * x.T  # _sym's floats, without overflowing x + x^T
 
 
 def _check_psd(x: np.ndarray, name: str) -> None:
@@ -96,7 +96,7 @@ def _check_prior(P0: np.ndarray) -> None:
     PD_FLOOR_REL * trace/n."""
     w = np.linalg.eigvalsh(P0)
     for name, ev in (("P0", w), ("P0^-1", 1.0 / w[::-1])):
-        floor = PD_FLOOR_REL * ev.sum() / len(ev)
+        floor = PD_FLOOR_REL * (ev / len(ev)).sum()  # ev.sum() can overflow
         if ev[0] <= floor:
             raise ValidationError(
                 f"{name} is too badly scaled: min eigenvalue {ev[0]:.6e} <= "

@@ -96,17 +96,17 @@ def _run_costs(instance, records, grid, paths=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
     Each run's cost is the objective of its path, reduced as the walk
-    records its nodes on grid: <W_i, P_i> summed in node order, W_i the
-    node's riccati.node_weights entry.  The nodes also go to paths[r, i] when
-    paths is given.
+    yields each block's nodes on grid: <W_i, P_i> added in walk order by
+    np.add.at, W_i the node's riccati.node_weights entry.  The nodes also
+    go to paths[r, i] when paths is given.
     """
     weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))
     for runs, nodes, P in _filter_walk(instance, records, grid):
-        costs[runs] += (weights[nodes] * P[runs]).reshape(
-            len(runs), -1).sum(axis=1)
+        np.add.at(costs, runs,
+                  (weights[nodes] * P).reshape(len(runs), -1).sum(axis=1))
         if paths is not None:
-            paths[runs, nodes] = P[runs]
+            paths[runs, nodes] = P
     return costs
 
 

@@ -63,6 +63,39 @@ def make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0,
                     weights=weights)
 
 
+def break_the_walk(monkeypatch, how):
+    """Make the filter walk fail on make_scalar_instance(a=-0.5, q=1.0).
+
+    "node" negates the noise of every map, so P(t_k) = 2 e^{-t_k} - 1 with
+    P0 = 1 and the first node past t = ln 2 loses positive definiteness;
+    "arrival" gives the gain factors (1, P + 1), so every gain update
+    leaves P - (P + 1) = -1 whatever P was; "singular" makes every gain
+    update raise LinAlgError.
+    """
+    from infosched import cdkf
+
+    if how == "node":
+        family = cdkf.lyapunov_maps
+
+        def negative_noise(A, Q, h):
+            maps = family(A, Q, h)
+
+            def negated(durations):
+                phi, w = maps(durations)
+                return phi, -w
+            return negated
+
+        monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
+    elif how == "arrival":
+        monkeypatch.setattr(cdkf, "stacked_gains",
+                            lambda P, H, R: (np.ones_like(P), P + 1.0))
+    else:
+        def singular(P, H, R):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cdkf, "stacked_gains", singular)
+
+
 def mixed_instance(seed, budget=5.0, T=2.0, n=4):
     """Instance whose five sensors interleave output dimensions 1 and 2."""
     from dataclasses import replace

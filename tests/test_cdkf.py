@@ -29,7 +29,9 @@ from infosched.riccati import (
     time_grid,
 )
 
-from conftest import arrivals, make_scalar_instance, rng_for
+from conftest import (
+    arrivals, break_the_walk, make_scalar_instance, rng_for,
+)
 
 
 # ------------------------------------------------------------ arrival record
@@ -118,32 +120,29 @@ def test_rollout_overflowing_map_is_typed():
         rollout_covariance(inst, arrivals([(0.5, 0)]), n_eval=100)
 
 
-@pytest.mark.parametrize("where", ["node", "arrival"])
-def test_rollout_pd_loss_is_typed(monkeypatch, where):
-    # the walk checks the recorded nodes and the gain updates of each step;
-    # a loss is a PositiveDefinitenessError, never malformed input
+@pytest.mark.parametrize("breaks, events, n_eval, message", [
+    (["node"], [], 4, "node"),
+    (["arrival"], [(0.4, 0)], 4, "arrival"),
+    (["node"], [], 20, "at node t=0.7 in run 0"),
+    (["node", "arrival"], [(0.72, 0)], 20, "at node t=0.7 in run 0"),
+    (["node", "singular"], [(0.72, 0)], 20, "at node t=0.7 in run 0"),
+], ids=["node", "arrival", "node-in-a-later-block", "node-then-arrival",
+        "node-then-singular"])
+def test_rollout_pd_loss_is_typed(monkeypatch, breaks, events, n_eval,
+                                  message):
+    # the walk checks the gain updates and the recorded nodes in walk order:
+    # the first loss is reported whatever block it falls in, before a later
+    # loss or failure in its block; a loss is a PositiveDefinitenessError,
+    # never malformed input
+    if n_eval == 20:
+        # the loss at node 14 (t = 0.7) is step 14, the arrival at 0.72 is
+        # step 15: both in one block, and not the first
+        assert 0 < 14 // cdkf.WALK_BLOCK == 15 // cdkf.WALK_BLOCK
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
-    events = []
-    if where == "node":
-        family = cdkf.lyapunov_maps
-
-        def negative_noise(A, Q, h):
-            maps = family(A, Q, h)
-
-            def negated(durations):
-                phi, w = maps(durations)
-                return phi, -w
-            return negated
-
-        monkeypatch.setattr(cdkf, "lyapunov_maps", negative_noise)
-    else:
-        events = [(0.4, 0)]
-        # the walk's gain update: factors (P, 2 I) give g = 2 P, which
-        # leaves P - g = -P
-        monkeypatch.setattr(cdkf, "stacked_gains",
-                            lambda P, H, R: (P, 2.0 * np.eye(P.shape[-1])))
-    with pytest.raises(PositiveDefinitenessError, match=where):
-        rollout_covariance(inst, arrivals(events), n_eval=4)
+    for how in breaks:
+        break_the_walk(monkeypatch, how)
+    with pytest.raises(PositiveDefinitenessError, match=message):
+        rollout_covariance(inst, arrivals(events), n_eval=n_eval)
 
 
 def test_rollout_information_no_arrivals_harmonic():

@@ -609,7 +609,7 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == inputs
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])
 @pytest.mark.parametrize("key, value, error", [
     ("Q", -np.eye(2), "Q is not positive semidefinite"),
     ("P0", [[1.0, 0.1], [0.0, 1.0]], "P0 is not symmetric"),
@@ -617,8 +617,9 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
 def test_a_bad_matrix_is_refused_at_any_scale(tmp_path, capsys, scale, key,
                                               value, error):
     # the checks scale by the largest entry, so a norm past 1.3e154 cannot
-    # overflow and wave the matrix through: the same verdict and exit 2 at
-    # 1 and at 1e200, with no warning
+    # overflow and wave the matrix through, nor can the symmetric part past
+    # 9e307: the same verdict and exit 2 at 1, 1e200 and 1e308, with no
+    # warning
     payload, _ = degenerate_case(-np.eye(2))
     payload[key] = (scale * np.asarray(value)).tolist()
     (tmp_path / "inst.json").write_text(json.dumps(payload))

@@ -134,11 +134,12 @@ def test_system_model_rejects_indefinite_p0():
                     P0=np.diag([1.0, -1.0]), T=1.0)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])
 def test_system_model_checks_hold_at_any_scale(scale):
     # the symmetry and semidefiniteness checks divide by the largest entry
     # before taking norms, which past 1.3e154 would overflow to inf and
-    # pass anything: each shape gets its scale-1 verdict, with no warning
+    # pass anything, and symmetrize without forming x + x^T, which past
+    # 9e307 would: each shape gets its scale-1 verdict, with no warning
     def system(Q=np.eye(2), P0=np.eye(2)):
         return SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, m0=np.zeros(2),
                            P0=P0, T=1.0)
@@ -152,6 +153,17 @@ def test_system_model_checks_hold_at_any_scale(scale):
             system(P0=scale * np.array([[1.0, 0.1], [0.0, 1.0]]))
         sys = system(Q=scale * np.eye(2), P0=scale * np.eye(2))
     assert np.array_equal(sys.P0, scale * np.eye(2))
+
+
+def test_system_model_stores_a_prior_near_the_largest_float():
+    # symmetrizing by (x + x^T) / 2, or the prior's floor by a sum over its
+    # eigenvalues, overflows here; the model keeps the floats it was given
+    P0 = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2),
+                          m0=np.zeros(2), P0=P0, T=1.0)
+    np.testing.assert_array_equal(sys.P0, P0)
 
 
 @pytest.mark.parametrize("diag,name", [

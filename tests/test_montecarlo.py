@@ -36,7 +36,8 @@ from infosched.riccati import (
 )
 
 from conftest import (
-    arrivals, make_scalar_instance, mixed_instance, random_spd, rng_for,
+    arrivals, break_the_walk, make_scalar_instance, mixed_instance,
+    random_spd, rng_for,
 )
 
 
@@ -266,6 +267,23 @@ def test_batched_walk_paths_independent_of_batch():
         assert abs(costs3[r] - want) <= 1e-12 * abs(want)
     # the nodes saw the arrivals: at T the busy run sits below the idle one
     assert np.trace(three[0][-1]) < np.trace(three[1][-1])
+    # a walk of more than three blocks and not a whole number of them: the
+    # idle run's padding crosses block boundaries beside the busy run
+    rng = rng_for(47)
+    k = 3 * cdkf.WALK_BLOCK + 2
+    busy = ArrivalRecord(times=rng.uniform(0.0, inst.T, size=k),
+                         sensors=rng.integers(0, inst.M, size=k))
+    pair = [arrivals([]), busy]
+    steps = len(cdkf._steps(pair, grid)[0])
+    assert steps > 3 * cdkf.WALK_BLOCK and steps % cdkf.WALK_BLOCK
+    two = np.empty((2, n_eval + 1, 4, 4))
+    costs2 = _run_costs(inst, pair, grid, two)
+    for r, rec in enumerate(pair):
+        np.testing.assert_array_equal(
+            two[r], rollout_covariance(inst, rec, n_eval).values)
+        assert costs2[r] == _run_costs(inst, [rec], grid)[0]
+    np.testing.assert_array_equal(two[0], three[1])
+    assert costs2[0] == costs3[1]
 
 
 def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
@@ -296,6 +314,27 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
     with pytest.raises(PositiveDefinitenessError,
                        match="arrival from sensor 0 at t=0.4 in run 1"):
         _run_costs(inst, records, time_grid(inst.T, 4))
+
+
+@pytest.mark.parametrize("breaks, events, message", [
+    (["arrival"], [[], [(0.93, 0)], []],
+     "arrival from sensor 0 at t=0.93 in run 1"),
+    (["node", "arrival"], [[], [(0.72, 0)]], "at node t=0.7 in run 0"),
+    (["node", "singular"], [[], [(0.72, 0)]], "at node t=0.7 in run 0"),
+], ids=["arrival-in-a-later-block", "node-then-arrival",
+        "node-then-singular"])
+def test_batched_walk_reports_the_first_loss_in_walk_order(
+        monkeypatch, breaks, events, message):
+    # on a grid of 20 intervals, every run loses node 14 (t = 0.7) at step
+    # 14 under "node", and run 1's arrival at 0.72 is step 15 of the same
+    # block (0.93 is step 19): the loss met first in walk order is named,
+    # not a later arrival of another run or a failure after it
+    assert 0 < 14 // cdkf.WALK_BLOCK == 15 // cdkf.WALK_BLOCK
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    for how in breaks:
+        break_the_walk(monkeypatch, how)
+    with pytest.raises(PositiveDefinitenessError, match=message):
+        _run_costs(inst, [arrivals(e) for e in events], time_grid(inst.T, 20))
 
 
 def test_mc_objective_estimate_invariants():

@@ -1,5 +1,6 @@
 
 
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from infosched.model import (
 )
 from infosched.riccati import (
     COV,
+    EXPM_DEGREE,
     INFO,
     PositiveDefinitenessError,
     Trajectory,
@@ -217,6 +219,49 @@ def test_lyapunov_map_family_matches_scipy(name):
         want_phi, want_w = _van_loan(A, Q, di)
         for got, want in ((phi[i], want_phi), (w[i], want_w)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _full_block_maps(A, Q, h, d):
+    """The map family with Horner's rule on the whole (2n, 2n) block: the
+    reference of lyapunov_maps' right-column rule.  Returns (phi, w, s)."""
+    n = A.shape[0]
+    Z = np.zeros((2 * n, 2 * n))
+    Z[:n, :n], Z[:n, n:], Z[n:, n:] = -A, Q, A.T
+    Z *= h
+    norm = float(np.abs(Z).sum(axis=0).max())
+    s = math.ceil(math.log2(max(norm, 1.0)))
+    X = np.ldexp(Z, -s)
+    theta = math.ldexp(norm, -s)
+    tail = 1.0 / math.factorial(EXPM_DEGREE + 1)
+    coeffs = [np.eye(2 * n)]
+    for k in range(1, EXPM_DEGREE + 1):
+        if theta ** k / math.factorial(k) <= tail:
+            break
+        coeffs.append(coeffs[-1] @ X / k)
+    t = (np.asarray(d) / h)[:, None, None]
+    F = np.repeat(coeffs[-1][None], len(d), axis=0)
+    for c in coeffs[-2::-1]:
+        F = c + t * F
+    phi = F[:, n:, n:].transpose(0, 2, 1)
+    w = _sym(phi @ F[:, :n, n:])
+    for _ in range(s):
+        w = _sym(phi @ w @ phi.transpose(0, 2, 1) + w)
+        phi = phi @ phi
+    return phi, w, s
+
+
+@pytest.mark.parametrize("name", sorted(_lyapunov_cases()))
+def test_lyapunov_maps_equal_the_full_block_rule(name):
+    # Horner's rule is elementwise, so its right block column alone gives
+    # the maps of the whole block bit for bit
+    A, Q, h = _lyapunov_cases()[name]
+    d = np.array([0.0, 1e-12 * h, 0.37 * h, h])
+    want_phi, want_w, s = _full_block_maps(A, Q, h, d)
+    if name == "stiff":
+        assert s >= 2
+    phi, w = lyapunov_maps(A, Q, h)(d)
+    np.testing.assert_array_equal(phi, want_phi)
+    np.testing.assert_array_equal(w, want_w)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.8, 3.0])
