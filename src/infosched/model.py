@@ -3,9 +3,11 @@
 Everything downstream (the Riccati kernels, the stochastic filter rollouts,
 the deterministic surrogates, the optimizer) consumes the frozen containers
 defined here.  Validation happens once, at construction, so the numerical
-kernels can assume clean inputs: symmetric matrices are re-symmetrized to
-absorb JSON round-trip noise, shapes are checked eagerly, and definiteness
-failures report the offending eigenvalue.
+kernels can assume clean inputs: every array of an instance goes through
+one ingest, _matrix, which checks its shape and finite entries and, for a
+symmetric matrix, symmetry and definiteness (a failure reports the
+offending eigenvalue), then stores its symmetric part to absorb JSON
+round-trip noise.
 
 Randomly generated instances use the counter-based Philox bit generator keyed
 through ``numpy.random.SeedSequence``; numpy guarantees those streams are
@@ -41,53 +43,50 @@ def _freeze(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_matrix(x, name: str, shape: tuple[int, int]) -> np.ndarray:
+def _matrix(x, name: str, shape: tuple, definite: str = "") -> np.ndarray:
+    """The one ingest of a stored array: x as a frozen float array of the
+    given shape with finite entries, checked in that order.
+
+    definite "psd" or "pd" also asks each matrix of x (x may be a stack) to
+    be symmetric to SYMMETRY_RTOL, then positive semidefinite to
+    PSD_EIG_FLOOR * max(||x||, 1) or positive definite, and stores its
+    symmetric part 0.5 x + 0.5 x^T: the floats of _sym, without
+    overflowing x + x^T.  Norms and eigenvalues are taken of x / c, c =
+    max(max_ij |x_ij|, 1), so they cannot overflow, and a matrix with no
+    entry above 1 is checked as it is.  An error in a stack names the first
+    failing matrix, name[k].
+    """
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """x / c and c = max(max_ij |x_ij|, 1): the norms of x / c cannot
-    overflow, and a matrix with no entry above 1 is checked as it is."""
-    c = max(float(np.abs(x).max()), 1.0)
-    return x / c, c
-
-
-def _check_symmetric(x: np.ndarray, name: str) -> np.ndarray:
-    y, c = _unit_scaled(x)
-    scale = max(float(np.linalg.norm(y)), 1e-300)
-    skew = float(np.linalg.norm(y - y.T))
-    if skew > SYMMETRY_RTOL * scale:
+    if not definite:
+        return _freeze(arr)
+    y = arr.reshape(-1, *arr.shape[-2:])      # a matrix is a stack of one
+    c = np.abs(y).max(axis=(1, 2), initial=1.0)
+    y = y / c[:, None, None]
+    scale = np.maximum(np.linalg.norm(y, axis=(1, 2)), 1e-300)
+    skew = np.linalg.norm(y - y.swapaxes(1, 2), axis=(1, 2))
+    w = np.linalg.eigvalsh(0.5 * (y + y.swapaxes(1, 2)))[:, 0]
+    if definite == "pd":
+        kind, low = "definite", w <= 0.0
+    else:
+        kind, low = "semidefinite", w < PSD_EIG_FLOOR * np.maximum(scale, 1.0)
+    label = name if arr.ndim == 2 else name + "[{}]"
+    asym = skew > SYMMETRY_RTOL * scale
+    if asym.any():
+        k = int(np.argmax(asym))               # the first failing matrix
         raise ValidationError(
-            f"{name} is not symmetric: ||X - X^T|| = {c * skew:.3e} exceeds "
-            f"{SYMMETRY_RTOL:g} * ||X|| = {c * SYMMETRY_RTOL * scale:.3e}"
-        )
-    return 0.5 * x + 0.5 * x.T  # _sym's floats, without overflowing x + x^T
-
-
-def _check_psd(x: np.ndarray, name: str) -> None:
-    # the floor PSD_EIG_FLOOR * max(||x||, 1) in units of c: when c > 1,
-    # ||x / c|| >= 1 already
-    y, c = _unit_scaled(x)
-    scale = max(float(np.linalg.norm(y)), 1.0)
-    w = np.linalg.eigvalsh(y)
-    if w[0] < PSD_EIG_FLOOR * scale:
+            f"{label.format(k)} is not symmetric: ||X - X^T|| = "
+            f"{c[k] * skew[k]:.3e} exceeds {SYMMETRY_RTOL:g} * ||X|| = "
+            f"{c[k] * SYMMETRY_RTOL * scale[k]:.3e}")
+    if low.any():
+        k = int(np.argmax(low))
         raise ValidationError(
-            f"{name} is not positive semidefinite: min eigenvalue "
-            f"{c * w[0]:.6e}"
-        )
-
-
-def _check_spd(x: np.ndarray, name: str) -> None:
-    w = np.linalg.eigvalsh(x)
-    if w[0] <= 0.0:
-        raise ValidationError(
-            f"{name} is not positive definite: min eigenvalue {w[0]:.6e}"
-        )
+            f"{label.format(k)} is not positive {kind}: min eigenvalue "
+            f"{c[k] * w[k]:.6e}")
+    return _freeze(0.5 * arr + 0.5 * np.swapaxes(arr, -1, -2))
 
 
 def _check_prior(P0: np.ndarray) -> None:
@@ -101,23 +100,6 @@ def _check_prior(P0: np.ndarray) -> None:
             raise ValidationError(
                 f"{name} is too badly scaled: min eigenvalue {ev[0]:.6e} <= "
                 f"floor {floor:.6e} ({PD_FLOOR_REL:g} * trace/n)")
-
-
-def information_increment(H, R) -> np.ndarray:
-    """Per-arrival information gain H^T R^{-1} H of a sensor.
-
-    The result is explicitly symmetrized, (S + S^T)/2, so accumulating many
-    increments cannot drift off the symmetric cone.  R must be symmetric
-    positive definite; the error message names the offending eigenvalue.
-    """
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if H.ndim != 2:
-        raise ValidationError(f"H must be a matrix, got ndim={H.ndim}")
-    p = H.shape[0]
-    R = _check_symmetric(_as_matrix(R, "R", (p, p)), "R")
-    _check_spd(R, "R")
-    return _sym(H.T @ np.linalg.solve(R, H))
 
 
 @dataclass(frozen=True)
@@ -138,22 +120,18 @@ class SystemModel:
         n = int(self.n)
         if n < 1:
             raise ValidationError(f"state dimension must be >= 1, got {n}")
-        A = _as_matrix(self.A, "A", (n, n))
-        Q = _check_symmetric(_as_matrix(self.Q, "Q", (n, n)), "Q")
-        _check_psd(Q, "Q")
-        P0 = _check_symmetric(_as_matrix(self.P0, "P0", (n, n)), "P0")
-        _check_spd(P0, "P0")
+        A = _matrix(self.A, "A", (n, n))
+        Q = _matrix(self.Q, "Q", (n, n), "psd")
+        P0 = _matrix(self.P0, "P0", (n, n), "pd")
         _check_prior(P0)
-        m0 = np.asarray(self.m0, dtype=float)
-        if m0.shape != (n,):
-            raise ValidationError(f"m0 must have shape ({n},), got {m0.shape}")
+        m0 = _matrix(self.m0, "m0", (n,))
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValidationError(f"horizon T must be positive, got {self.T}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "Q", _freeze(Q))
-        object.__setattr__(self, "m0", _freeze(m0))
-        object.__setattr__(self, "P0", _freeze(P0))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "P0", P0)
         object.__setattr__(self, "T", float(self.T))
 
 
@@ -161,8 +139,10 @@ class SystemModel:
 class Sensor:
     """One sensor: z = H x + v with v ~ N(0, R) at each Poisson arrival.
 
-    The cached increment S = H^T R^{-1} H is what an arrival adds in
-    information coordinates.
+    R is symmetric positive definite and stored as its symmetric part.  The
+    cached increment S = H^T R^{-1} H is what an arrival adds in information
+    coordinates, symmetrized so that accumulating many increments cannot
+    drift off the symmetric cone.
     """
 
     H: np.ndarray
@@ -173,12 +153,11 @@ class Sensor:
         H = np.asarray(self.H, dtype=float)
         if H.ndim != 2 or H.shape[0] < 1:
             raise ValidationError(f"H must be a (p, n) matrix, got shape {H.shape}")
-        if not np.all(np.isfinite(H)):
-            raise ValidationError("H contains non-finite entries")
-        S = information_increment(H, self.R)
-        object.__setattr__(self, "H", _freeze(H))
-        object.__setattr__(self, "R", _freeze(_sym(np.asarray(self.R, dtype=float))))
-        object.__setattr__(self, "S", _freeze(S))
+        H = _matrix(H, "H", H.shape)
+        R = _matrix(self.R, "R", (H.shape[0],) * 2, "pd")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S", _freeze(_sym(H.T @ np.linalg.solve(R, H))))
 
     @property
     def p(self) -> int:
@@ -194,15 +173,10 @@ class ResourcePolytope:
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
-        b = np.asarray(self.b, dtype=float)
         if C.ndim != 2:
             raise ValidationError(f"C must be a matrix, got ndim={C.ndim}")
-        if b.shape != (C.shape[0],):
-            raise ValidationError(
-                f"b must have shape ({C.shape[0]},), got {b.shape}"
-            )
-        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(b))):
-            raise ValidationError("constraint data contains non-finite entries")
+        C = _matrix(C, "C", C.shape)
+        b = _matrix(self.b, "b", C.shape[:1])
         if np.any(C < 0):
             raise ValidationError("C must be elementwise nonnegative")
         if np.any(b < 0):
@@ -212,8 +186,8 @@ class ResourcePolytope:
             raise ValidationError(
                 f"column {j} of C has no positive entry; rate {j} would be unbounded"
             )
-        object.__setattr__(self, "C", _freeze(C))
-        object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "b", b)
 
     @property
     def n_sensors(self) -> int:
@@ -229,27 +203,14 @@ class WeightSpec:
     W_T: np.ndarray
 
     def __post_init__(self):
-        W_T = np.asarray(self.W_T, dtype=float)
-        if W_T.ndim != 2 or W_T.shape[0] != W_T.shape[1]:
-            raise ValidationError(f"W_T must be square, got shape {W_T.shape}")
-        n = W_T.shape[0]
-        W_T = _check_symmetric(_as_matrix(W_T, "W_T", (n, n)), "W_T")
-        _check_psd(W_T, "W_T")
+        n = len(np.atleast_1d(self.W_T))
+        W_T = _matrix(self.W_T, "W_T", (n, n), "psd")
         stages = self.W_stages
         if stages is not None:
-            stages = np.asarray(stages, dtype=float)
-            if stages.ndim != 3 or stages.shape[1:] != (n, n) or stages.shape[0] < 1:
-                raise ValidationError(
-                    f"W_stages must have shape (N, {n}, {n}), got {stages.shape}"
-                )
-            fixed = np.empty_like(stages)
-            for k in range(stages.shape[0]):
-                Wk = _check_symmetric(stages[k], f"W_stages[{k}]")
-                _check_psd(Wk, f"W_stages[{k}]")
-                fixed[k] = Wk
-            stages = _freeze(fixed)
+            N = max(len(np.atleast_1d(stages)), 1)     # at least one stage
+            stages = _matrix(stages, "W_stages", (N, n, n), "psd")
         object.__setattr__(self, "W_stages", stages)
-        object.__setattr__(self, "W_T", _freeze(W_T))
+        object.__setattr__(self, "W_T", W_T)
 
     @property
     def n(self) -> int:
@@ -528,7 +489,7 @@ def instance_from_dict(data: dict) -> Instance:
         weights = WeightSpec(W_stages=wd.get("W_stages"), W_T=wd["WT"])
     except ValidationError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance payload: {exc!r}") from exc
     return Instance(system=system, sensors=sensors, polytope=polytope,
                     weights=weights)
@@ -543,7 +504,7 @@ def schedule_from_dict(data: dict) -> Schedule:
         return Schedule(N=int(data["N"]), T=float(data["T"]), rates=data["rates"])
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed schedule payload: {exc!r}") from exc
 
 
@@ -584,7 +545,6 @@ __all__ = [
     "SystemModel",
     "ValidationError",
     "WeightSpec",
-    "information_increment",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",

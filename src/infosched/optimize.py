@@ -467,13 +467,11 @@ def solve(
     gamma = min(max(1.0 / max(float(np.abs(G).max()), 1e-12), BB_MIN), BB_MAX)
     prev_lam = prev_G = None
     iterations = 0
-    converged = False
     pg = timed("projection_s", _pg_norm, lam, G, polytope)
 
     for _ in range(opts.max_iters):
         iter_t0 = time.perf_counter()
         if pg <= opts.grad_tol:
-            converged = True
             break
         if prev_lam is not None:
             dl = lam - prev_lam
@@ -522,8 +520,6 @@ def solve(
             "step": g_try,
             "seconds": time.perf_counter() - iter_t0,
         })
-    else:
-        converged = pg <= opts.grad_tol
 
     timings["total_s"] = time.perf_counter() - t_start
     timings["per_iteration"] = per_iter
@@ -532,7 +528,7 @@ def solve(
         objective=J,
         iterations=iterations,
         pg_norm=pg,
-        converged=converged,
+        converged=pg <= opts.grad_tol,
         history=history,
         timings=timings,
     )

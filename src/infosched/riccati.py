@@ -67,41 +67,41 @@ def pd_floor(x: np.ndarray):
 def require_pd(x: np.ndarray, context="", advice="") -> None:
     """Raise if x is non-finite or its min eig is at or below the floor.
 
-    x may be a stack of matrices, checked with one batched Cholesky; context
-    is then a function of a matrix's index (by default the error says the
-    index), and the error names the first matrix that fails.  advice, when
-    given, ends the error message.
+    x is a matrix or a stack of matrices, checked with one batched
+    Cholesky; for a stack, context is a function of a matrix's index (by
+    default the error says the index), and the error names the first
+    matrix that fails.  advice, when given, ends the error message.
     """
-    if x.ndim > 2:
-        try:
-            L = np.linalg.cholesky(
-                x - pd_floor(x)[:, None, None] * np.eye(x.shape[-1]))
-            if np.isfinite(L[:, -1, -1]).all():
-                return
-        except np.linalg.LinAlgError:
-            pass
-        for i in range(x.shape[0]):
-            require_pd(x[i], context(i) if context else f"at index {i}",
-                       advice)
+    stack = x if x.ndim > 2 else x[None]    # a matrix is a stack of one
+    floor = pd_floor(stack)
+    shifted = stack - floor[:, None, None] * np.eye(x.shape[-1])
+    if _cholesky_passes(shifted):
         return
-    floor = pd_floor(x)
-    try:
-        # numpy's Cholesky passes NaN through without raising; a non-finite
-        # entry of the lower triangle reaches the last diagonal entry
-        L = np.linalg.cholesky(x - floor * np.eye(x.shape[0]))
-        if math.isfinite(L[-1, -1]):
-            return
-    except np.linalg.LinAlgError:
-        pass
-    where = f" {context}" if context else ""
-    tail = f"; {advice}" if advice else ""
-    if not np.isfinite(x).all():
+    for i in range(len(stack)):
+        if _cholesky_passes(shifted[i]):
+            continue
+        if x.ndim > 2:
+            context = context(i) if context else f"at index {i}"
+        where = f" {context}" if context else ""
+        tail = f"; {advice}" if advice else ""
+        if not np.isfinite(stack[i]).all():
+            raise PositiveDefinitenessError(
+                f"matrix has non-finite entries{where}{tail}")
+        m = float(np.linalg.eigvalsh(_sym(stack[i]))[0])
         raise PositiveDefinitenessError(
-            f"matrix has non-finite entries{where}{tail}")
-    m = float(np.linalg.eigvalsh(_sym(x))[0])
-    raise PositiveDefinitenessError(
-        f"matrix lost positive definiteness{where}: min eigenvalue "
-        f"{m:.6e} <= floor {floor:.6e}{tail}")
+            f"matrix lost positive definiteness{where}: min eigenvalue "
+            f"{m:.6e} <= floor {floor[i]:.6e}{tail}")
+
+
+def _cholesky_passes(x: np.ndarray) -> bool:
+    """Whether the Cholesky factor of x, or of each matrix of a stack,
+    exists and is finite.  numpy's Cholesky passes NaN through without
+    raising; a non-finite entry of the lower triangle reaches the last
+    diagonal entry."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(x)[..., -1, -1]).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def lyapunov_rhs(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:

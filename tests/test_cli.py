@@ -609,6 +609,44 @@ def test_badly_scaled_prior_is_a_usage_error_at_load(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == inputs
 
 
+def _nan_stage_weight(payload):
+    stages = np.stack([np.eye(2)] * 4)
+    stages[2, 0, 0] = math.nan
+    payload["weights"]["W_stages"] = stages.tolist()
+
+
+def _infinite_mean(payload):
+    payload["m0"][1] = math.inf
+
+
+@pytest.mark.parametrize("edit, field, token", [
+    (_nan_stage_weight, "W_stages", "NaN"),
+    (_infinite_mean, "m0", "Infinity"),
+], ids=["nan-W_stages", "inf-m0"])
+def test_a_non_finite_json_token_is_refused_at_load(tmp_path, capsys, edit,
+                                                    field, token):
+    # json reads the NaN and Infinity tokens as floats; the loader refuses
+    # them by name, so no command reports a nan objective or fails later on
+    # a derived quantity
+    payload, rates = degenerate_case(-np.eye(2))
+    edit(payload)
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    assert token in (tmp_path / "inst.json").read_text()
+    write_schedule(tmp_path / "sched.json", rates)
+    inputs = set(tmp_path.iterdir())
+    files = ["--instance", str(tmp_path / "inst.json")]
+    mc = ["--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
+    for argv in (["solve", "--N", "4", "--out", str(tmp_path / "info")],
+                 ["evaluate", "--out", str(tmp_path / "mc.json")] + mc,
+                 ["bracket", "--objective-only",
+                  "--out", str(tmp_path / "cert")] + mc):
+        assert cli.main(argv[:1] + files + argv[1:]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {field} contains non-finite entries\n"
+    assert set(tmp_path.iterdir()) == inputs
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])
 @pytest.mark.parametrize("key, value, error", [
     ("Q", -np.eye(2), "Q is not positive semidefinite"),

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from infosched.model import (
     SystemModel,
     ValidationError,
     WeightSpec,
-    information_increment,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -30,24 +30,27 @@ from infosched.riccati import require_pd
 
 from conftest import random_spd, rng_for
 
+# an overflow or invalid value anywhere in ingest fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ---------------------------------------------------------------- increments
 
 def test_information_increment_row_sensor():
-    S = information_increment(np.array([[1.0, 0.0]]), np.array([[4.0]]))
+    S = Sensor(H=np.array([[1.0, 0.0]]), R=np.array([[4.0]])).S
     np.testing.assert_allclose(S, [[0.25, 0.0], [0.0, 0.0]], atol=1e-15)
 
 
 def test_information_increment_identity():
     np.testing.assert_allclose(
-        information_increment(np.eye(2), np.eye(2)), np.eye(2), atol=1e-15)
+        Sensor(H=np.eye(2), R=np.eye(2)).S, np.eye(2), atol=1e-15)
 
 
 def test_information_increment_vs_explicit_inverse(rng):
     # oracle: form R^{-1} explicitly and multiply
     H = np.linalg.qr(rng.normal(size=(5, 2)))[0].T     # 2x5, orthonormal rows
     R = random_spd(rng, 2)
-    S = information_increment(H, R)
+    S = Sensor(H=H, R=R).S
     oracle = H.T @ np.linalg.inv(R) @ H
     err = np.linalg.norm(S - oracle) / np.linalg.norm(oracle)
     assert err <= 1e-12
@@ -56,7 +59,7 @@ def test_information_increment_vs_explicit_inverse(rng):
 def test_information_increment_rejects_non_spd():
     R = np.array([[1.0, 0.0], [0.0, -2.0]])
     with pytest.raises(ValidationError, match="eigenvalue"):
-        information_increment(np.eye(2), R)
+        Sensor(H=np.eye(2), R=R)
 
 
 @given(st.integers(0, 10_000), st.floats(0.1, 10.0))
@@ -64,8 +67,8 @@ def test_information_increment_scale_cancellation(seed, alpha):
     rng = rng_for(seed)
     H = rng.normal(size=(2, 3))
     R = random_spd(rng, 2)
-    S1 = information_increment(H, R)
-    S2 = information_increment(alpha * H, alpha**2 * R)
+    S1 = Sensor(H=H, R=R).S
+    S2 = Sensor(H=alpha * H, R=alpha**2 * R).S
     assert np.linalg.norm(S1 - S2) <= 1e-12 * max(np.linalg.norm(S1), 1.0)
 
 
@@ -199,8 +202,24 @@ def test_sensor_caches_information_increment():
     H = np.array([[1.0, 0.0]])
     R = np.array([[4.0]])
     s = Sensor(H=H, R=R)
-    np.testing.assert_allclose(s.S, information_increment(H, R))
+    np.testing.assert_allclose(s.S, H.T @ np.linalg.inv(R) @ H)
     assert s.p == 1
+
+
+def test_sensor_stores_a_noise_near_the_largest_float(tmp_path):
+    # symmetrizing R by (R + R^T) / 2 overflows here; the sensor keeps the
+    # float it was given, and so does a JSON round trip
+    s = Sensor(H=[[1.0]], R=[[1e308]])
+    np.testing.assert_array_equal(s.R, [[1e308]])
+    np.testing.assert_array_equal(s.S, [[1e-308]])
+    system = SystemModel(n=1, A=np.zeros((1, 1)), Q=np.eye(1),
+                         m0=np.zeros(1), P0=np.eye(1), T=1.0)
+    inst = Instance(system=system, sensors=(s,),
+                    polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
+                    weights=WeightSpec(W_stages=None, W_T=np.eye(1)))
+    save_instance(tmp_path / "inst.json", inst)
+    np.testing.assert_array_equal(
+        load_instance(tmp_path / "inst.json").sensors[0].R, [[1e308]])
 
 
 def test_instance_rejects_sensor_dimension_mismatch():
@@ -320,6 +339,72 @@ def test_instance_dict_round_trip_with_stage_weights():
                     weights=WeightSpec(W_stages=W, W_T=np.eye(2)))
     back = instance_from_dict(instance_to_dict(inst))
     np.testing.assert_array_equal(back.weights.W_stages, W)
+
+
+def _numeric_leaves(node, path=()):
+    """The path of every number in a JSON payload."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)):
+        yield path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_non_finite_number_anywhere_in_an_instance_is_refused(bad):
+    # every number of a valid payload (sensors of p = 1 and 2, running
+    # weights, two constraint rows), set to NaN or +-inf in turn
+    inst = random_instance(InstanceSpec(n=2, M=2, p=2, seed=4))
+    row = Sensor(H=[[1.0, 0.5]], R=[[2.0]])
+    inst = Instance(
+        system=inst.system, sensors=(row,) + inst.sensors,
+        polytope=ResourcePolytope(C=[[1.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                                  b=[3.0, 2.0]),
+        weights=WeightSpec(W_stages=[np.eye(2), [[2.0, 0.5], [0.5, 1.0]]],
+                           W_T=np.eye(2)))
+    payload = instance_to_dict(inst)
+    leaves = list(_numeric_leaves(payload))
+    assert {path[0] for path in leaves} == set(payload)
+    assert {path[1] for path in leaves if path[0] == "weights"} == {
+        "W_stages", "WT"}
+    accepted = []
+    for path in leaves:
+        data = json.loads(json.dumps(payload))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        try:
+            instance_from_dict(data)
+        except ValidationError:
+            continue
+        accepted.append(path)
+    assert accepted == []
+
+
+@pytest.mark.parametrize("stage,error", [
+    ([[1.0, 0.5], [0.0, 1.0]], "W_stages[2] is not symmetric"),
+    (-np.eye(2), "W_stages[2] is not positive semidefinite"),
+    ([[1.0, math.nan], [math.nan, 1.0]], "W_stages contains non-finite"),
+], ids=["skew", "indefinite", "nan"])
+def test_a_bad_stage_weight_is_named(stage, error):
+    # the stack is checked at once; the error names the first bad stage
+    stages = [np.eye(2), np.eye(2), stage, stage]
+    with pytest.raises(ValidationError, match=error.replace("[", r"\[")):
+        WeightSpec(W_stages=stages, W_T=np.eye(2))
+
+
+def test_stage_weights_are_stored_as_their_symmetric_part():
+    skew = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
+    weights = WeightSpec(W_stages=[skew, np.eye(2)], W_T=np.eye(2))
+    np.testing.assert_array_equal(weights.W_stages[0],
+                                  0.5 * skew + 0.5 * skew.T)
+    np.testing.assert_array_equal(weights.W_stages[0],
+                                  weights.W_stages[0].T)
 
 
 # ----------------------------------------------------- frozen value contract
