@@ -2,13 +2,13 @@
 
 Given an arrival record (time, sensor index) the covariance path of the
 continuous-discrete Kalman filter is deterministic: Lyapunov flow between
-arrivals, gain update at each arrival.  One walk steps it exactly (one
-Lyapunov map per segment between stops, all from one map family) for a
-whole batch of records at once: the Monte Carlo runs of ``montecarlo`` step
-together, and ``rollout_covariance`` is the batch of one record, sampled on
-a uniform evaluation grid, in blocks of steps of which only the covariances
-are carried step by step.  A run's path does not depend on the rest of the
-batch, bit for bit.  ``rollout_information`` is its nodewise inverse.
+arrivals, gain update at each arrival.  One walk steps it exactly for a
+whole batch of records at once, arrival by arrival: every node of a gap
+between arrivals comes from the gap's first node by a power of the grid-step
+map.  The Monte Carlo runs of ``montecarlo`` walk together, and
+``rollout_covariance`` is the batch of one record, on a uniform evaluation
+grid; a run's path does not depend on the rest of the batch, bit for bit.
+``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
@@ -25,6 +25,7 @@ import numpy as np
 from .model import Instance, ValidationError, _sym
 from .riccati import (
     COV,
+    PositiveDefinitenessError,
     Trajectory,
     invert_trajectory,
     lyapunov_maps,
@@ -57,12 +58,10 @@ class ArrivalRecord:
         if np.any(sensors < 0):
             raise ValidationError("sensor indices must be nonnegative")
         order = np.lexsort((sensors, times))
-        times = times[order]
-        sensors = sensors[order]
-        times.setflags(write=False)
-        sensors.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "sensors", sensors)
+        times, sensors = times[order], sensors[order]
+        for name, x in (("times", times), ("sensors", sensors)):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
 
     @property
     def n_events(self) -> int:
@@ -85,120 +84,136 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
         )
 
 
-# the segment a step flows over: none (a coincident event, the first step or
-# padding), an uncut grid step (one map shared by all), or a cut (its own map)
-IDLE, GRID_STEP, CUT = 0, 1, 2
-WALK_BLOCK = 4  # steps per block of the walk, whose maps are alive at once
+WINDOW_ENTRIES = 2**15  # matrix entries of one stack of a window's nodes
 
 
-def _steps(records, grid):
-    """The step table of a batch of arrival records on a recording grid.
+def _map_powers(phi, w, count):
+    """The maps (Phi_j, W_j) of j = 0..count-1 steps of the map (phi, w).
 
-    A run's steps are its arrivals and the grid nodes merged in time order,
-    an arrival before the node at its instant; a step flows over the
-    segment from the run's previous step, applies its arrival, then records
-    its node.  Returns (L, R) tables for R runs: the time, the arriving
-    sensor and the recorded node (-1 for none), and the kind of the segment
-    that ends at the step.  A run with fewer steps than the longest is
-    padded at the end with IDLE steps at T, which do nothing.
+    Doubling from the identity and the step: Phi_{m+j} = Phi_j Phi_m and
+    W_{m+j} = sym(Phi_j W_m Phi_j^T + W_j) for j = 1..m, so the map of j
+    steps does not depend on count, bit for bit.
     """
-    n_nodes = len(grid)
-    shape = (n_nodes + max(rec.n_events for rec in records), len(records))
-    time = np.full(shape, grid[-1])
-    sensor = np.full(shape, -1, dtype=np.int32)
-    node = np.full(shape, -1, dtype=np.int32)
-    on_grid = np.zeros(shape, dtype=bool)
-    nodes = np.arange(n_nodes)
-    for r, rec in enumerate(records):
-        events = np.arange(rec.n_events)
-        at_node = nodes + np.searchsorted(rec.times, grid, side="right")
-        at_event = events + np.searchsorted(grid, rec.times, side="left")
-        time[at_node, r], node[at_node, r], on_grid[at_node, r] = grid, nodes, True
-        time[at_event, r], sensor[at_event, r] = rec.times, rec.sensors
-        on_grid[at_event, r] = np.isin(rec.times, grid)
-    kind = np.full(shape, CUT, dtype=np.int8)
-    kind[1:][on_grid[1:] & on_grid[:-1]] = GRID_STEP
-    kind[1:][time[1:] == time[:-1]] = IDLE
-    kind[0] = IDLE
-    return time, sensor, node, kind
+    n = phi.shape[-1]
+    phis, ws = np.empty((2, count, n, n))
+    phis[0], ws[0], phis[1], ws[1] = np.eye(n), 0.0, phi, w
+    m = 1
+    while m + 1 < count:
+        j = np.arange(1, min(m, count - 1 - m) + 1)
+        phis[m + j] = phis[j] @ phis[m]
+        ws[m + j] = _sym(phis[j] @ ws[m] @ phis[j].swapaxes(1, 2) + ws[j])
+        m *= 2
+    return phis, ws
+
+
+def _check_window(*stops):
+    """require_pd of a window's stops, each (P, runs, times, sensors; -1 for
+    a node): a failure names the earliest loss in time, a jump before a node
+    at the same instant, then the first run in batch order."""
+    try:
+        for P, *_ in stops:
+            require_pd(P)
+    except PositiveDefinitenessError:
+        P, runs, times, sensors = map(np.concatenate, zip(*stops))
+        order = np.lexsort((runs, sensors < 0, times))
+
+        def where(i):
+            r, t, j = runs[order[i]], times[order[i]], sensors[order[i]]
+            if j < 0:
+                return f"at node t={t:g} in run {r}"
+            return f"after an arrival from sensor {j} at t={t:g} in run {r}"
+        require_pd(P[order], where)
 
 
 def _filter_walk(instance, records, grid):
     """Step the exact filter covariances of a batch of runs together.
 
-    records holds one arrival record per run; every run keeps its own stops
-    (see _steps) and all runs take step s at once, in blocks of WALK_BLOCK
-    steps.  A block's maps come first, from one riccati.lyapunov_maps
-    family per walk for durations up to the longest grid interval: the
-    identity or the uncut grid step's map, shared by all runs, and all cut
-    segments of the block in one family call.  Per step only the carry
-    runs: P <- Phi P Phi^T + W with each run's map, then one gain update of
-    the runs with an arrival there (riccati.stacked_gains of the arriving
-    sensors' rows of the instance's padded stacks).
+    records holds one arrival record per run.  Round g of the walk carries
+    every run from its g-th arrival (t = 0 for g = 0) to its next arrival,
+    or to T after its last.  Between arrivals P follows the Lyapunov flow,
+    whose exact maps compose: node j of a gap is Phi_j F Phi_j^T + W_j of
+    the gap's first node F, (Phi_j, W_j) the map of j grid steps
+    (_map_powers, once per walk).  Per round, one call to the walk's
+    riccati.lyapunov_maps family gives each run its cut maps, anchor to
+    first node and last node (or anchor) to arrival.  The round's nodes go
+    in time-ordered windows of grid indices, each of at most WINDOW_ENTRIES
+    / n^2 nodes or of one index, so memory does not grow with a gap: one
+    batched product records a window's nodes, and the runs whose last node
+    is in it take their riccati.stacked_gains update.  The carry ignores
+    overflow: the check below reports a non-finite matrix.
 
-    Yields (runs, nodes, P) once per block that records nodes, in walk
-    order, P the recorded (k, n, n) matrices themselves.  Each run's path
-    depends on its own record alone, bit for bit.  An exact map keeps P
-    positive definite up to roundoff: the family checks its maps are
-    finite, and one require_pd per block takes each step's jumped runs,
-    then its nodes, so it names the loss a step-by-step walk meets first;
-    an exception in a block's carry runs that check first.
+    Yields (runs, nodes, P) per window that records nodes, each run's nodes
+    in time order; a run's path depends on its own record alone, bit for
+    bit.  One require_pd per window checks its post-jump and node matrices.
+    The first failing round is reported, and within it the earliest loss in
+    time, a jump before a node at the same instant, ties in batch order; a
+    singular innovation checks its window's nodes first.
     """
-    for rec in records:
-        _check_arrivals(instance, rec)
     sys = instance.system
-    n, R = sys.n, len(records)
-    time, sensor, node, kind = _steps(records, grid)
-    # no segment outlasts the longest grid interval: rounding is monotone
+    counts = np.array([rec.n_events for rec in records])
+    R, G = len(records), len(grid)
+    budget = max(1, WINDOW_ENTRIES // instance.n**2)   # nodes per window
+    # ends[g, r]: run r's arrival g, which ends its round g (inf: none)
+    ends = np.full((counts.max() + 1, R), np.inf)
+    sensor = np.zeros(ends.shape, dtype=np.int64)
+    for r, rec in enumerate(records):
+        _check_arrivals(instance, rec)
+        ends[:rec.n_events, r] = rec.times
+        sensor[:rec.n_events, r] = rec.sensors
+    # a round's nodes lie in [anchor, end): a node at an arrival is jumped
+    bounds = np.searchsorted(grid, ends)
+    # no cut outlasts the longest grid interval: rounding is monotone
     family = lyapunov_maps(sys.A, sys.Q, np.diff(grid).max())
-    phi_h, w_h = family([grid[1] - grid[0]])
-    fixed_phi = np.stack([np.eye(n), phi_h[0]])
-    fixed_w = np.stack([np.zeros((n, n)), w_h[0]])
-    P = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
-
-    def check(checked):
-        def where(i):
-            s, r, at_node = [(s, r, at_node) for s, runs, at_node, _ in checked
-                             for r in runs][i]
-            if at_node:
-                return f"at node t={grid[node[s, r]]:g} in run {r}"
-            return (f"after an arrival from sensor {sensor[s, r]} at "
-                    f"t={time[s, r]:g} in run {r}")
-        if checked:
-            require_pd(np.concatenate([m for *_, m in checked]), where)
-
-    for start in range(0, len(kind), WALK_BLOCK):
-        block = kind[start:start + WALK_BLOCK]
-        shared = np.minimum(block, GRID_STEP)
-        phi, w = fixed_phi[shared], fixed_w[shared]
-        b, cut = np.nonzero(block == CUT)
-        if cut.size:
-            s = start + b
-            phi[b, cut], w[b, cut] = family(time[s, cut] - time[s - 1, cut])
-        checked = []  # (step, runs, at a node, their P) in walk order
-        try:
-            for b in range(len(block)):
-                s = start + b
-                P = _sym(phi[b] @ P @ phi[b].swapaxes(1, 2) + w[b])
-                runs = np.flatnonzero(sensor[s] >= 0)
-                if runs.size:
-                    before, js = P[runs], sensor[s, runs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis, ws = _map_powers(*family([grid[1] - grid[0]]), G)
+    F = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
+    lo, anchor = np.zeros(R, dtype=np.int64), np.zeros(R)
+    for g, (hi, end) in enumerate(zip(bounds, ends)):
+        walked = np.flatnonzero(hi > lo)
+        arriving = np.flatnonzero(g < counts)
+        a, b, cut = lo[walked], hi[walked], len(walked)
+        last = np.where(hi > lo, grid[hi - 1], anchor)[arriving]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, w = family(np.concatenate(
+                [grid[a] - anchor[walked], end[arriving] - last]))
+            first = _sym(phi[:cut] @ F[walked] @ phi[:cut].swapaxes(1, 2)
+                         + w[:cut])
+        # a window starts where the nodes before an index pass a multiple
+        # of budget; a jump joins the window of its last node
+        starts, joins = [0], np.zeros(len(arriving), dtype=np.int64)
+        if (b - a).sum() > budget:
+            per = np.cumsum(np.bincount(a, minlength=G + 1)
+                            - np.bincount(b, minlength=G + 1))
+            starts = np.flatnonzero(
+                np.diff((np.cumsum(per) - per) // budget, prepend=-1))
+            joins = np.searchsorted(starts[1:], hi[arriving])
+        for s, (i0, i1) in enumerate(zip(starts, [*starts[1:], G + 1])):
+            f = np.maximum(a, i0)   # each run's first node in the window
+            k = np.maximum(np.minimum(b, i1) - f, 0)
+            runs, tops = np.repeat(walked, k), np.cumsum(k)
+            at = np.repeat(f - tops + k, k) + np.arange(len(runs))
+            j = at - lo[runs]
+            mine = joins == s
+            jumps, cuts = arriving[mine], phi[cut:][mine]
+            with np.errstate(over="ignore", invalid="ignore"):
+                P, base = phis[j], np.repeat(first, k, axis=0)
+                P = _sym(P @ base @ P.swapaxes(1, 2) + ws[j])
+                F[walked[k > 0]] = P[tops[k > 0] - 1]
+                nodes = (P, runs, grid[at], np.full(len(runs), -1))
+                before = _sym(cuts @ F[jumps] @ cuts.swapaxes(1, 2)
+                              + w[cut:][mine])
+                js = sensor[g, jumps]
+                try:
                     HP, sol = stacked_gains(before, instance.H[js],
                                             instance.R[js])
-                    after = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
-                    P[runs] = after
-                    checked.append((s, runs, False, after))
-                runs = np.flatnonzero(node[s] >= 0)
-                if runs.size:
-                    checked.append((s, runs, True, P[runs]))
-        except Exception:
-            # a loss of positive definiteness before the failure comes first
-            check(checked)
-            raise
-        check(checked)
-        nodes = [(r, node[s, r], m) for s, r, at_node, m in checked if at_node]
-        if nodes:
-            yield tuple(map(np.concatenate, zip(*nodes)))
+                except np.linalg.LinAlgError:
+                    _check_window(nodes)   # a loss before the failure first
+                    raise
+                F[jumps] = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
+            _check_window((F[jumps], jumps, end[jumps], js), nodes)
+            if len(P):
+                yield runs, at, P
+        lo, anchor = hi, end
 
 
 def rollout_covariance(

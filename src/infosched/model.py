@@ -37,6 +37,13 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
+def _whole(x, name: str) -> int:
+    """x as an int, refusing a value that int() would truncate, like 2.9."""
+    if int(x) != x:
+        raise ValidationError(f"{name} must be a whole number, got {x!r}")
+    return int(x)
+
+
 def _freeze(x: np.ndarray) -> np.ndarray:
     out = np.array(x, dtype=float)
     out.setflags(write=False)
@@ -117,7 +124,7 @@ class SystemModel:
     T: float
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _whole(self.n, "n")
         if n < 1:
             raise ValidationError(f"state dimension must be >= 1, got {n}")
         A = _matrix(self.A, "A", (n, n))
@@ -227,7 +234,7 @@ class Schedule:
     rates: np.ndarray
 
     def __post_init__(self):
-        N = int(self.N)
+        N = _whole(self.N, "N")
         if N < 1:
             raise ValidationError(f"N must be >= 1, got {N}")
         if not (np.isfinite(self.T) and self.T > 0):
@@ -476,10 +483,9 @@ def instance_to_dict(instance: Instance) -> dict:
 
 def instance_from_dict(data: dict) -> Instance:
     try:
-        n = int(data["n"])
         system = SystemModel(
-            n=n, A=data["A"], Q=data["Q"], m0=data["m0"], P0=data["P0"],
-            T=float(data["T"]),
+            n=data["n"], A=data["A"], Q=data["Q"], m0=data["m0"],
+            P0=data["P0"], T=float(data["T"]),
         )
         sensors = tuple(Sensor(H=s["H"], R=s["R"]) for s in data["sensors"])
         polytope = ResourcePolytope(
@@ -501,7 +507,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 def schedule_from_dict(data: dict) -> Schedule:
     try:
-        return Schedule(N=int(data["N"]), T=float(data["T"]), rates=data["rates"])
+        return Schedule(N=data["N"], T=float(data["T"]), rates=data["rates"])
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -46,18 +46,16 @@ def sample_arrivals(schedule: Schedule, seed) -> ArrivalRecord:
     rates = schedule.rates.T
     # the positive rates in (sensor, interval) order: a zero rate draws nothing
     js, ks = np.nonzero(rates > 0.0)
-    means = (rates[js, ks] * delta).tolist()
-    starts = (ks * delta).tolist()
     counts = []
-    times = [np.empty(0)]
-    for mean, start in zip(means, starts):
+    draws = [np.empty(0)]
+    for mean in (rates[js, ks] * delta).tolist():
         count = poisson(mean)
         counts.append(count)
         if count:
-            times.append(start + delta * uniform(count))
-    times = np.concatenate(times)
-    sensors = np.repeat(js, counts)
-    return ArrivalRecord(times=times, sensors=sensors)
+            draws.append(uniform(count))
+    # each draw lands in its interval as start + delta * u
+    times = np.repeat(ks * delta, counts) + delta * np.concatenate(draws)
+    return ArrivalRecord(times=times, sensors=np.repeat(js, counts))
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,9 @@ def _run_costs(instance, records, grid, paths=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
     Each run's cost is the objective of its path, reduced as the walk
-    yields each block's nodes on grid: <W_i, P_i> added in walk order by
-    np.add.at, W_i the node's riccati.node_weights entry.  The nodes also
-    go to paths[r, i] when paths is given.
+    yields each round's nodes on grid: <W_i, P_i> added by np.add.at, so
+    each run's in node-time order, W_i the node's riccati.node_weights
+    entry.  The nodes also go to paths[r, i] when paths is given.
     """
     weights = node_weights(grid, instance.weights)
     costs = np.zeros(len(records))

@@ -73,8 +73,9 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
     matrix that fails.  advice, when given, ends the error message.
     """
     stack = x if x.ndim > 2 else x[None]    # a matrix is a stack of one
-    floor = pd_floor(stack)
-    shifted = stack - floor[:, None, None] * np.eye(x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite: fails
+        floor = pd_floor(stack)
+        shifted = stack - floor[:, None, None] * np.eye(x.shape[-1])
     if _cholesky_passes(shifted):
         return
     for i in range(len(stack)):

@@ -26,6 +26,7 @@ from infosched.riccati import (
     flow_cov,
     invert_trajectory,
     jump_cov,
+    lyapunov_maps,
     time_grid,
 )
 
@@ -130,14 +131,15 @@ def test_rollout_overflowing_map_is_typed():
         "node-then-singular"])
 def test_rollout_pd_loss_is_typed(monkeypatch, breaks, events, n_eval,
                                   message):
-    # the walk checks the gain updates and the recorded nodes in walk order:
-    # the first loss is reported whatever block it falls in, before a later
-    # loss or failure in its block; a loss is a PositiveDefinitenessError,
-    # never malformed input
+    # the walk checks each round's gain updates and recorded nodes: the
+    # earliest loss in time of the first failing round is reported, before
+    # a later loss or failure in that round; a loss is a
+    # PositiveDefinitenessError, never malformed input
     if n_eval == 20:
-        # the loss at node 14 (t = 0.7) is step 14, the arrival at 0.72 is
-        # step 15: both in one block, and not the first
-        assert 0 < 14 // cdkf.WALK_BLOCK == 15 // cdkf.WALK_BLOCK
+        # the loss at node 14 (t = 0.7) and the arrival at 0.72 both fall in
+        # round 0, the node first
+        grid = time_grid(1.0, n_eval)
+        assert grid[13] < np.log(2.0) < grid[14] < 0.72 < grid[15]
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     for how in breaks:
         break_the_walk(monkeypatch, how)
@@ -247,6 +249,24 @@ def test_rollout_matches_fine_rk4_on_defective_a(seed, zero_q, n_arrivals):
         prev = t
     for got, want in zip(traj.values, ref):
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed, count", [(3, 37), (8, 301)])
+def test_map_powers_match_repeated_grid_steps(seed, count):
+    # the doubled maps of j grid steps against j steps of the grid map, on a
+    # defective A, and the map of j steps does not depend on count
+    sys = _defective_instance(seed, zero_q=False).system
+    step = 3.0 / (count - 1)
+    phi, w = (m[0] for m in lyapunov_maps(sys.A, sys.Q, step)([step]))
+    phis, ws = cdkf._map_powers(phi, w, count)
+    Phi, W = np.eye(3), np.zeros((3, 3))
+    for j in range(count):
+        assert np.linalg.norm(phis[j] - Phi) <= 1e-13 * np.linalg.norm(Phi)
+        assert np.linalg.norm(ws[j] - W) <= 1e-13 * np.linalg.norm(W)
+        Phi, W = phi @ Phi, phi @ W @ phi.T + w
+    fewer = cdkf._map_powers(phi, w, count // 2)
+    np.testing.assert_array_equal(fewer[0], phis[:count // 2])
+    np.testing.assert_array_equal(fewer[1], ws[:count // 2])
 
 
 def test_rollout_grid_node_records_post_jump():

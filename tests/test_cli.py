@@ -153,6 +153,28 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys, target,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("target, field, value", [
+    ("instance", "n", 1.5), ("schedule", "N", 2.5),
+])
+def test_a_fractional_count_is_a_usage_error(tmp_path, capsys, target, field,
+                                             value):
+    # the scalar instance has n = 1 and the schedule N = 2, what int() makes
+    # of the edited counts: the loader refuses them instead
+    paths = {"instance": tmp_path / "inst.json",
+             "schedule": tmp_path / "sched.json"}
+    write_scalar_instance(paths["instance"])
+    write_schedule(paths["schedule"], np.ones((2, 1)))
+    payload = json.loads(paths[target].read_text())
+    payload[field] = value
+    paths[target].write_text(json.dumps(payload))
+    argv = ["evaluate", "--instance", str(paths["instance"]),
+            "--schedule", str(paths["schedule"]), "--runs", "2"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {field} must be a whole number, got {value}\n"
+
+
 @pytest.mark.parametrize("rates,T,message", [
     (np.ones((2, 1)), 1.0, "schedule has 1 sensor columns, instance has 2"),
     (np.ones((2, 2)), 0.5, "schedule horizon 0.5 != instance horizon 1"),
@@ -667,6 +689,28 @@ def test_a_bad_matrix_is_refused_at_any_scale(tmp_path, capsys, scale, key,
                          str(tmp_path / "inst.json")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {error}")
+
+
+def test_a_prior_near_the_largest_float_fails_with_one_report(tmp_path,
+                                                             capsys):
+    # the prior loads, but the rollouts' first node overflows: evaluate and
+    # bracket exit 1 naming that node, and no RuntimeWarning comes before
+    payload, rates = degenerate_case(
+        -np.eye(2), P0=[[1e308, 1e307], [1e307, 1e308]])
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    files = ["--instance", str(tmp_path / "inst.json"),
+             "--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
+    for argv in (["evaluate", "--out", str(tmp_path / "mc.json")],
+                 ["bracket", "--objective-only",
+                  "--out", str(tmp_path / "cert")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv + files) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numeric failure: matrix has non-finite entries at "
+                       "node t=0 in run 0\n")
 
 
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):

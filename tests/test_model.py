@@ -23,6 +23,8 @@ from infosched.model import (
     random_instance,
     save_instance,
     save_schedule,
+    schedule_from_dict,
+    schedule_to_dict,
     validate_schedule,
 )
 
@@ -339,6 +341,20 @@ def test_instance_dict_round_trip_with_stage_weights():
                     weights=WeightSpec(W_stages=W, W_T=np.eye(2)))
     back = instance_from_dict(instance_to_dict(inst))
     np.testing.assert_array_equal(back.weights.W_stages, W)
+
+
+def test_a_count_that_int_would_truncate_is_refused():
+    # int() reads 2.9 as 2: the loaders refuse it, and take a whole float
+    inst = instance_to_dict(random_instance(InstanceSpec(n=2, M=2, seed=4)))
+    sched = schedule_to_dict(Schedule(N=2, T=1.0, rates=np.ones((2, 2))))
+    with pytest.raises(ValidationError, match="n must be a whole number, "
+                                              "got 2.9"):
+        instance_from_dict(inst | {"n": 2.9})
+    with pytest.raises(ValidationError, match="N must be a whole number, "
+                                              "got 2.5"):
+        schedule_from_dict(sched | {"N": 2.5})
+    assert instance_from_dict(inst | {"n": 2.0}).n == 2
+    assert schedule_from_dict(sched | {"N": 2.0}).N == 2
 
 
 def _numeric_leaves(node, path=()):

@@ -267,15 +267,16 @@ def test_batched_walk_paths_independent_of_batch():
         assert abs(costs3[r] - want) <= 1e-12 * abs(want)
     # the nodes saw the arrivals: at T the busy run sits below the idle one
     assert np.trace(three[0][-1]) < np.trace(three[1][-1])
-    # a walk of more than three blocks and not a whole number of them: the
-    # idle run's padding crosses block boundaries beside the busy run
+    # one run has more rounds than another: the idle run records all its
+    # nodes in round 0 and then sits out while the busy run walks on
     rng = rng_for(47)
-    k = 3 * cdkf.WALK_BLOCK + 2
+    k = 14
     busy = ArrivalRecord(times=rng.uniform(0.0, inst.T, size=k),
                          sensors=rng.integers(0, inst.M, size=k))
     pair = [arrivals([]), busy]
-    steps = len(cdkf._steps(pair, grid)[0])
-    assert steps > 3 * cdkf.WALK_BLOCK and steps % cdkf.WALK_BLOCK
+    rounds = [runs for runs, _, _ in cdkf._filter_walk(inst, pair, grid)]
+    assert len(rounds) > 3 and 0 in rounds[0]
+    assert all(0 not in runs and 1 in runs for runs in rounds[1:])
     two = np.empty((2, n_eval + 1, 4, 4))
     costs2 = _run_costs(inst, pair, grid, two)
     for r, rec in enumerate(pair):
@@ -284,6 +285,72 @@ def test_batched_walk_paths_independent_of_batch():
         assert costs2[r] == _run_costs(inst, [rec], grid)[0]
     np.testing.assert_array_equal(two[0], three[1])
     assert costs2[0] == costs3[1]
+
+
+def _segment_oracle(inst, record, grid):
+    """The nodes of one run, one segment at a time: the family's map of each
+    segment between consecutive stops, then jump_cov at an arrival (before
+    the node at its instant, coincident arrivals by sensor)."""
+    sys = inst.system
+    family = riccati.lyapunov_maps(sys.A, sys.Q, np.diff(grid).max())
+    stops = sorted([(t, 0, j) for t, j in zip(record.times, record.sensors)]
+                   + [(t, 1, i) for i, t in enumerate(grid)])
+    P, prev, nodes = sys.P0, 0.0, np.empty((len(grid), sys.n, sys.n))
+    for t, at_node, k in stops:
+        phi, w = family([t - prev])
+        P, prev = phi[0] @ P @ phi[0].T + w[0], t
+        if at_node:
+            nodes[k] = P
+        else:
+            P = riccati.jump_cov(P, inst.sensors[k])
+    return nodes
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0, -400.0],
+                         ids=["stable", "unstable", "stiff"])
+def test_batched_walk_matches_a_segment_by_segment_oracle(shift):
+    # arrivals at t = 0, at T, coincident, on a node, none and many, from
+    # p = 1 and p = 2 sensors, in one batch: each run's nodes as composed
+    # one segment at a time
+    inst = mixed_instance(12, T=1.0)
+    sys = inst.system
+    inst = replace(inst, system=replace(sys, A=sys.A + shift * np.eye(4)))
+    grid = time_grid(inst.T, 10)
+    records = sum(_batch_records(inst, grid), [])
+    paths = np.full((len(records), len(grid), 4, 4), np.nan)
+    for runs, nodes, P in cdkf._filter_walk(inst, records, grid):
+        paths[runs, nodes] = P
+    for path, record in zip(paths, records):
+        for got, want in zip(path, _segment_oracle(inst, record, grid)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("nodes", [1, 5])
+def test_walk_windows_bound_the_nodes_held_at_once(monkeypatch, nodes):
+    # a round's nodes go in time-ordered windows of at most
+    # WINDOW_ENTRIES / n^2 nodes, or of one grid index: idle runs, whose
+    # round 0 holds every node, are walked a window at a time, and no path
+    # or cost depends on the window size, bit for bit
+    inst = mixed_instance(12, T=1.0)
+    grid = time_grid(inst.T, 10)
+    records = sum(_batch_records(inst, grid), []) + [arrivals([])] * 4
+    whole = np.empty((len(records), len(grid), 4, 4))
+    costs = _run_costs(inst, records, grid, whole)
+    rounds = len(list(cdkf._filter_walk(inst, records, grid)))
+    monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", 16 * nodes)
+    windows = list(cdkf._filter_walk(inst, records, grid))
+    assert len(windows) > rounds
+    seen = [[] for _ in records]
+    paths = np.full_like(whole, np.nan)
+    for runs, at, P in windows:
+        assert len(runs) <= nodes or np.all(at == at[0])
+        paths[runs, at] = P
+        for r, i in zip(runs, at):
+            seen[r].append(i)
+    # every run's nodes once each, in time order
+    assert all(s == list(range(len(grid))) for s in seen)
+    np.testing.assert_array_equal(paths, whole)
+    np.testing.assert_array_equal(_run_costs(inst, records, grid), costs)
 
 
 def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
@@ -325,12 +392,64 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
         "node-then-singular"])
 def test_batched_walk_reports_the_first_loss_in_walk_order(
         monkeypatch, breaks, events, message):
-    # on a grid of 20 intervals, every run loses node 14 (t = 0.7) at step
-    # 14 under "node", and run 1's arrival at 0.72 is step 15 of the same
-    # block (0.93 is step 19): the loss met first in walk order is named,
-    # not a later arrival of another run or a failure after it
-    assert 0 < 14 // cdkf.WALK_BLOCK == 15 // cdkf.WALK_BLOCK
+    # on a grid of 20 intervals, every run loses node 14 (t = 0.7) under
+    # "node", and run 1's arrival at 0.72 ends round 0 after it: the
+    # earliest loss of the first failing round is named, not a later
+    # arrival of another run or a failure after it; "arrival" alone breaks
+    # only run 1's jump at 0.93
+    grid = time_grid(1.0, 20)
+    assert grid[13] < np.log(2.0) < grid[14] < 0.72 < grid[15]
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    for how in breaks:
+        break_the_walk(monkeypatch, how)
+    with pytest.raises(PositiveDefinitenessError, match=message):
+        _run_costs(inst, [arrivals(e) for e in events], time_grid(inst.T, 20))
+
+
+def test_batched_walk_reports_the_first_failing_round(monkeypatch):
+    # under "node", run 1 (no arrivals) loses node 14 (t = 0.7) in round 0;
+    # run 0's jump at 0.3 brings its loss forward to node 12 (t = 0.6) of
+    # its round 1: the first failing round is reported, not the earliest
+    # loss in time
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    grid = time_grid(inst.T, 20)
+    break_the_walk(monkeypatch, "node")
+    records = [arrivals([(0.3, 0)]), arrivals([])]
+    with pytest.raises(PositiveDefinitenessError,
+                       match="at node t=0.7 in run 1"):
+        _run_costs(inst, records, grid)
+    with pytest.raises(PositiveDefinitenessError,
+                       match="at node t=0.6 in run 0"):
+        _run_costs(inst, records[:1], grid)
+    # at one instant a jump comes before a node of an earlier run: run 1's
+    # arrival on node 14 ends its round 0 there
+    break_the_walk(monkeypatch, "arrival")
+    records = [arrivals([]), arrivals([(grid[14], 0)])]
+    with pytest.raises(PositiveDefinitenessError,
+                       match="after an arrival from sensor 0 at t=0.7 in "
+                             "run 1"):
+        _run_costs(inst, records, grid)
+
+
+@pytest.mark.parametrize("entries", [cdkf.WINDOW_ENTRIES, 1],
+                         ids=["rounds", "one-node-windows"])
+@pytest.mark.parametrize("breaks, events, message", [
+    (["node", "arrival"], [[], [(0.62, 0)]],
+     "after an arrival from sensor 0 at t=0.62 in run 1"),
+    (["node", "arrival"], [[], [(0.72, 0)]], "at node t=0.7 in run 0"),
+    (["node", "arrival"], [[], [(0.8, 0)]], "at node t=0.7 in run 0"),
+    (["node"], [[(0.3, 0)], []], "at node t=0.7 in run 1"),
+], ids=["jump-in-an-earlier-window", "jump-in-the-node's-window",
+        "jump-in-a-later-window", "later-round"])
+def test_windows_keep_the_first_loss_rule(monkeypatch, entries, breaks,
+                                          events, message):
+    # under "node" every run without an earlier arrival loses node 14
+    # (t = 0.7) in round 0; under "arrival" every jump loses.  Whatever
+    # window a loss falls in, the first failing round is reported and
+    # within it the earliest loss in time: a jump at 0.62 before run 0's
+    # node, run 0's node before a jump at 0.72 or 0.8 of run 1
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", entries)
     for how in breaks:
         break_the_walk(monkeypatch, how)
     with pytest.raises(PositiveDefinitenessError, match=message):

@@ -633,6 +633,17 @@ def test_pd_checks_reject_non_finite_matrices():
         require_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_require_pd_reports_an_infinite_matrix_without_warnings():
+    # an infinite diagonal gives an infinite floor, inf * 0 in the shift:
+    # the check is the only report
+    with pytest.raises(PositiveDefinitenessError,
+                       match="non-finite entries at index 1"):
+        require_pd(np.stack([np.eye(2), np.diag([np.inf, 1.0])]))
+    with pytest.raises(PositiveDefinitenessError, match="non-finite"):
+        require_pd(np.full((2, 2), np.inf))
+
+
 def test_only_integrators_advise_more_substeps():
     with pytest.raises(PositiveDefinitenessError, match="increase substeps"):
         flow_info(np.array([[1.0]]), np.array([[0.0]]), np.array([[5.0]]),
