@@ -105,6 +105,19 @@ def _instance_from_args(args) -> "Instance":
     raise ValidationError("provide --instance PATH or --random SPEC")
 
 
+def _per_trace(x: float, P0: np.ndarray) -> float:
+    """x / trace(P0), every command's normalized value.  A trace past the
+    largest float is taken in units of P0's largest diagonal entry s, as
+    (x / s) / trace(P0 / s), so a prior near it normalizes without
+    overflow."""
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(P0))
+    if np.isfinite(tr):
+        return x / tr
+    s = float(np.diag(P0).max())
+    return (x / s) / float(np.trace(P0 / s))
+
+
 def cmd_solve(args) -> int:
     options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     instance = _instance_from_args(args)
@@ -113,7 +126,7 @@ def cmd_solve(args) -> int:
         substeps=args.substeps,
     )
     report = solve(problem, options=options)
-    norm = report.objective / float(np.trace(instance.system.P0))
+    norm = _per_trace(report.objective, instance.system.P0)
     feas = validate_schedule(report.schedule, instance.polytope)
     print(f"kind={args.kind} iterations={report.iterations} "
           f"converged={report.converged} pg_norm={report.pg_norm:.3e}")
@@ -135,9 +148,10 @@ def cmd_evaluate(args) -> int:
         instance, schedule, n_runs=args.runs, n_eval=args.n_eval,
         seed=args.seed,
     )
-    tr = float(np.trace(instance.system.P0))
+    mean, stderr = (_per_trace(x, instance.system.P0)
+                    for x in (est.mean, est.stderr))
     print(f"runs={est.n_runs} mean={est.mean:.9g} stderr={est.stderr:.3g}")
-    print(f"normalized mean={est.mean / tr:.9g} stderr={est.stderr / tr:.3g}")
+    print(f"normalized mean={mean:.9g} stderr={stderr:.3g}")
     if args.out:
         save_mc_report(args.out, est)
     return 0
@@ -225,7 +239,9 @@ def cmd_sweep(args) -> int:
                     instance, report.schedule, n_runs=args.runs,
                     n_eval=args.n_eval, seed=args.seed,
                 )
-                tr = float(np.trace(instance.system.P0))
+                objective, mean, stderr = (
+                    _per_trace(x, instance.system.P0)
+                    for x in (report.objective, est.mean, est.stderr))
                 t = report.to_dict(
                     include_timings=not args.no_timings)["timings"]
                 rows.append({
@@ -235,9 +251,9 @@ def cmd_sweep(args) -> int:
                     "kind": kind,
                     "iterations": report.iterations,
                     "converged": int(report.converged),
-                    "objective_norm": repr(report.objective / tr),
-                    "mc_mean_norm": repr(est.mean / tr),
-                    "mc_stderr_norm": repr(est.stderr / tr),
+                    "objective_norm": repr(objective),
+                    "mc_mean_norm": repr(mean),
+                    "mc_stderr_norm": repr(stderr),
                     "forward_s": t["forward_s"],
                     "gradient_s": t["gradient_assembly_s"],
                     "projection_s": t["projection_s"],
@@ -245,7 +261,7 @@ def cmd_sweep(args) -> int:
                 })
                 print(f"{sweep_kind}={pt} instance={idx} kind={kind} "
                       f"iters={report.iterations} "
-                      f"mc_norm={est.mean / tr:.6g}")
+                      f"mc_norm={mean:.6g}")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

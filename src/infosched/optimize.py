@@ -5,19 +5,20 @@ the information form a forward pass steps the surrogate by its exact stage
 maps: one exponential of a 2n Hamiltonian block per stage, then a
 linear-fractional map per step (riccati.hamiltonian_maps).  The gradient is
 that map's closed-form adjoint, summed over a stage's steps and carried
-through one Frechet adjoint of the exponential per stage, so the rates enter
-only through U_k = sum_j lam_kj S_j.  Only the carried adjoint runs step by
-step; every other product of the sweep is batched over the recorded path,
-before it or after it.  The covariance form integrates at
-substep resolution with RK4 and reverses each step.  Stage by stage, it
-replays the RK4 points of all the stage's steps from the recorded nodes in
-four batched factors calls of the riccati.cov_gains kernels, and carries
-the adjoint through each point's rank-p factors, M p n^2 per point with no
-(M, n, n) stack.  When every sensor has p = 1 the kernels run on the flat
-(M, n) sensor rows: one GEMM per stage point, and a row-wise dot per
-sensor in the vjp, instead of M tiny matrix products.  No ODE is solved
-backwards, so either gradient matches central differences to roundoff
-rather than to integrator tolerance.
+back through the forward's own exponential: its scaling-and-squaring loop
+run in reverse on the powers the forward kept (riccati.expm's pullback),
+so the rates enter only through U_k = sum_j lam_kj S_j.  Only the carried
+adjoint runs step by step; every other product of the sweep is batched
+over the recorded path, before it or after it.  The covariance form
+integrates at substep resolution with RK4 and reverses each step.  Stage
+by stage, it replays the RK4 points of all the stage's steps from the
+recorded nodes in four batched factors calls of the riccati.cov_gains
+kernels, and carries the adjoint through each point's rank-p factors,
+M p n^2 per point with no (M, n, n) stack.  When every sensor has p = 1
+the kernels run on the flat (M, n) sensor rows: one GEMM per stage point,
+and a row-wise dot per sensor in the vjp, instead of M tiny matrix
+products.  No ODE is solved backwards, so either gradient matches central
+differences to roundoff rather than to integrator tolerance.
 
 Descent is projected gradient with a Barzilai-Borwein step, safeguarded by
 monotone Armijo backtracking on the projection arc.  Losing positive
@@ -52,7 +53,6 @@ from .riccati import (
     _rk4_reverse,
     _rk4_stages,
     cov_gains,
-    expm_adjoint,
     hamiltonian_maps,
     node_weights,
     pathwise_cost,
@@ -116,16 +116,16 @@ def objective(problem: ShootingProblem, rates: np.ndarray) -> float:
 
 def _info_forward(instance: Instance, sched: Schedule, substeps: int):
     """Exact info surrogate path and what its adjoint reuses: the stage
-    maps and every step's state."""
+    maps' pullback to U_k, the stage maps and every step's state."""
     _check_pair(instance, sched)
     sys = instance.system
     n, N = sys.n, sched.N
     nodes = 1 if instance.weights.W_stages is None else substeps
     # a non-finite map is reported by the node check below, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        X, Phi, m = hamiltonian_maps(sys.A, sys.Q,
-                                     stage_increments(instance, sched),
-                                     sched.delta / nodes)
+        U_pullback, Phi, m = hamiltonian_maps(
+            sys.A, sys.Q, stage_increments(instance, sched),
+            sched.delta / nodes)
         steps = nodes * m           # map steps per stage
         # [E + F Y; C + D Y] is one product: left + right @ Y
         left, right = Phi[:, :, :n], Phi[:, :, n:]
@@ -145,7 +145,7 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
     values = path[::m]
     times = time_grid(instance.T, N * nodes)
     require_pd(values, lambda i: f"in info surrogate at t={times[i]:g}")
-    return Trajectory._checked(INFO, times, values), (X, Phi, path)
+    return Trajectory._checked(INFO, times, values), (U_pullback, Phi, path)
 
 
 def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
@@ -155,9 +155,9 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     # step by step: Z_i and Dt_i are batched before it, and the stage maps'
     # block adjoints (Ebar = -sum Y_{i+1} K_i, Fbar = -sum Y_{i+1} K_i Y_i,
     # Cbar = sum K_i, Dbar = sum K_i Y_i over a stage's steps) after it.
-    # Then one Frechet adjoint of the exponential per stage
+    # Then the exponential's pullback, which hamiltonian_maps chains to U_k
     inst = problem.instance
-    X, Phi, path = maps
+    U_pullback, Phi, path = maps
     n, N = inst.n, problem.N
     steps = (len(path) - 1) // N
     m = (len(path) - 1) // (len(traj.times) - 1)     # map steps per node
@@ -192,11 +192,7 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     bar[:, :n, n:] = -total(YK @ Y0)
     bar[:, n:, :n] = total(K)
     bar[:, n:, n:] = total(K @ Y0)
-    # U_k enters X_k = h [[A, Q], [U_k, -A^T]] in its lower-left block, h
-    # the length of one map step
-    h = inst.T / (len(path) - 1)
-    U_bar = h * expm_adjoint(X, bar)[:, n:, :n]
-    return np.tensordot(U_bar, inst.S, axes=([1, 2], [1, 2]))
+    return np.tensordot(U_pullback(bar), inst.S, axes=([1, 2], [1, 2]))
 
 
 # ---------------------------------------------------------------------------

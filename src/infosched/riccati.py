@@ -17,7 +17,8 @@ family per walk (``lyapunov_maps``: the Taylor coefficients of the Van Loan
 block computed once, each map a polynomial in its duration, then doubled).
 The optimizer steps the information flow with a constant input by its exact
 linear-fractional map (``hamiltonian_maps``), and differentiates the
-exponential behind it with ``expm_adjoint``.  The remaining flows (the
+exponential behind it by the pullback ``expm`` returns: the forward's own
+scaling-and-squaring loop run in reverse.  The remaining flows (the
 certificates' surrogates, the covariance-form design path and the
 ``flow_*`` references) are integrated with one fixed-step scheme, classical
 RK4, defined here once: its forward step paired with the step's exact
@@ -179,23 +180,58 @@ def flow_info(Y, A, Q, dt, substeps: int = 100) -> np.ndarray:
     return out
 
 
-def expm(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential of each matrix in a stack X.
+def expm(X: np.ndarray):
+    """Matrix exponential of each matrix in a stack X, and its pullback.
 
     Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005): each
     matrix is scaled by its own 2^-s to 1-norm at most 1, its Taylor
     polynomial evaluated by Horner's rule, and the result squared s times.
+
+    Returns (expm(X), pullback).  pullback(B, rows, cols) is the block
+    [rows, cols] of Xbar, the adjoint of the derivative of expm at X applied
+    to B, one per pair: <L(X, V), B> = <V, Xbar> for every direction V, L
+    the Frechet derivative.  It runs the forward's own loop in reverse on
+    the powers the forward kept (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 2009): each squaring E -> E E, under the same per-matrix mask,
+    carries G <- G E^T + E^T G; each Horner step E_k = I + X E_{k+1} / k,
+    from k = 1 up, adds the block of (G / k) E_{k+1}^T to Xbar and carries
+    G <- X^T (G / k); the first step, I + X / EXPM_DEGREE, adds
+    G / EXPM_DEGREE.  Only the block asked for is accumulated.
     """
     norm = np.abs(X).sum(axis=-2).max(axis=-1)
     s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(int)
     X = X / np.ldexp(1.0, s)[..., None, None]
     eye = np.eye(X.shape[-1])
-    E = eye + X / EXPM_DEGREE
+    # E_k at index k - 1, in one block, so a repeated call reuses the
+    # allocator's pages rather than faulting in fresh ones per iterate
+    horner = np.empty((EXPM_DEGREE,) + X.shape)
+    E = np.divide(X, EXPM_DEGREE, out=horner[-1])
+    E += eye
     for k in range(EXPM_DEGREE - 1, 0, -1):
-        E = eye + (X @ E) / k
+        E = np.matmul(X, E, out=horner[k - 1])
+        E /= k
+        E += eye
+    squared = []                # the input of each squaring
     for i in range(int(s.max(initial=0))):
+        squared.append(E)
         E = np.where((s > i)[..., None, None], E @ E, E)
-    return E
+
+    def pullback(B, rows=slice(None), cols=slice(None)):
+        G = B
+        for i in range(len(squared) - 1, -1, -1):
+            Et = squared[i].swapaxes(-1, -2)
+            G = np.where((s > i)[..., None, None], G @ Et + Et @ G, G)
+        Xt = X.swapaxes(-1, -2)
+        bar = 0.0
+        for k in range(1, EXPM_DEGREE):
+            Gk = G / k
+            Et = horner[k][..., cols, :].swapaxes(-1, -2)
+            bar = bar + Gk[..., rows, :] @ Et
+            G = Xt @ Gk
+        bar = bar + G[..., rows, cols] / EXPM_DEGREE
+        return bar / np.ldexp(1.0, s)[..., None, None]
+
+    return E, pullback
 
 
 def lyapunov_maps(A, Q, h):
@@ -278,9 +314,11 @@ def hamiltonian_maps(A, Q, U, h):
     1-norm of X_k balanced by a diagonal similarity, which the map does not
     see), and a long step loses the weakly driven directions to roundoff.
     So a step of length h is taken as m steps, m the least power of two
-    with every g_k / m <= 1.  Returns the stacks X and expm(X), one matrix
-    per U_k, and m.  An input so stiff that m would exceed MAX_MAP_SPLIT is
-    a typed error.
+    with every g_k / m <= 1.  Returns (U_pullback, expm(X), m), one map
+    per U_k: U_pullback(bar) carries the adjoint bar of each expm(X_k) back
+    to the (N, n, n) adjoints of the U_k, through expm's pullback on the
+    lower-left block alone, where U_k enters X_k as (h/m) U_k.  An input so
+    stiff that m would exceed MAX_MAP_SPLIT is a typed error.
     """
     n = A.shape[0]
     X = np.empty((len(U), 2 * n, 2 * n))
@@ -298,28 +336,12 @@ def hamiltonian_maps(A, Q, U, h):
         )
     m = 2 ** max(0, math.ceil(math.log2(max(growth, 1.0))))
     X /= m
-    return X, expm(X), m
+    Phi, pullback = expm(X)
 
+    def U_pullback(bar):
+        return (h / m) * pullback(bar, slice(n, None), slice(None, n))
 
-def expm_adjoint(X, B):
-    """Adjoint of the derivative of expm at X, applied to B, for each pair.
-
-    Returns Xbar with <L(X, V), B> = <V, Xbar> for every direction V, where
-    L(X, V) is the Frechet derivative of expm at X.  Xbar = L(X^T, B) is the
-    upper-right block of expm([[X^T, B], [0, X^T]]) (Najfeld & Havel, Adv.
-    Appl. Math. 1995; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).  It
-    is linear in B, so each B enters the block at unit 1-norm and the block
-    keeps the scaling of X.
-    """
-    d = X.shape[-1]
-    c = np.abs(B).sum(axis=-2).max(axis=-1)[..., None, None]
-    c = np.where(c > 0.0, c, 1.0)
-    Xt = X.swapaxes(-1, -2)
-    block = np.zeros(X.shape[:-2] + (2 * d, 2 * d))
-    block[..., :d, :d] = Xt
-    block[..., :d, d:] = B / c
-    block[..., d:, d:] = Xt
-    return c * expm(block)[..., :d, d:]
+    return U_pullback, Phi, m
 
 
 def covariance_decrement(P, sensor) -> np.ndarray:
@@ -582,7 +604,6 @@ __all__ = [
     "cov_gains",
     "covariance_decrement",
     "expm",
-    "expm_adjoint",
     "flow_cov",
     "flow_info",
     "hamiltonian_maps",

@@ -713,6 +713,25 @@ def test_a_prior_near_the_largest_float_fails_with_one_report(tmp_path,
                        "node t=0 in run 0\n")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_normalizes_a_prior_near_the_largest_float(tmp_path, capsys):
+    # trace(P0) overflows, so solve divides in units of P0's largest
+    # diagonal entry: a nonzero finite normalized value and no warning
+    P0 = np.full((5, 5), 1e306)
+    np.fill_diagonal(P0, 1e308)
+    payload, _ = degenerate_case(-np.eye(5), P0=P0)
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    assert cli.main(["solve", "--instance", str(tmp_path / "inst.json"),
+                     "--max-iters", "3"]) == 0
+    out, err = capsys.readouterr()
+    fields = dict(f.split("=") for f in out.split()
+                  if f.startswith(("objective=", "normalized=")))
+    normalized = float(fields["normalized"])
+    assert 0.0 < normalized < math.inf and err == ""
+    want = float(fields["objective"]) / 1e308 / 5.0     # trace(P0) = 5e308
+    assert normalized == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):
     # A = -1e4, or a centered rate of 200 on R = 1e-3, against a step of
     # T / (N substeps) = 0.125: RK4 diverges on the cov surrogate while

@@ -35,7 +35,6 @@ from infosched.riccati import (
     StackGains,
     cov_gains,
     covariance_decrement,
-    expm_adjoint,
     node_weights,
     pathwise_cost,
 )
@@ -486,9 +485,9 @@ def test_running_weights_record_every_substep_node():
 def reference_info_gradient(problem, traj, maps):
     """The info adjoint step by step: every product of a map step inside
     the sweep, each stage map's adjoint accumulated block by block as the
-    sweep meets its steps."""
+    sweep meets its steps, then the same pullback of the exponential."""
     inst = problem.instance
-    X, Phi, path = maps
+    U_pullback, Phi, path = maps
     n, N = inst.n, problem.N
     steps = (len(path) - 1) // N
     m = (len(path) - 1) // (len(traj.times) - 1)
@@ -516,9 +515,7 @@ def reference_info_gradient(problem, traj, maps):
             Lam = _sym((D - Y_next @ F).T @ K)
             if i > 0 and running and i % m == 0:
                 Lam = Lam + node[i // m]
-    h = inst.T / (len(path) - 1)
-    U_bar = h * expm_adjoint(X, bar)[:, n:, :n]
-    return np.tensordot(U_bar, inst.S, axes=([1, 2], [1, 2]))
+    return np.tensordot(U_pullback(bar), inst.S, axes=([1, 2], [1, 2]))
 
 
 def _sweep_pair(inst, N, substeps, rates):
@@ -603,8 +600,9 @@ def test_exact_forward_failures_are_typed(monkeypatch, blocks):
     real = optimize.hamiltonian_maps
 
     def broken(A, Q, U, h):
-        X, Phi, m = real(A, Q, U, h)
-        return X, np.full_like(Phi, 0.0 if blocks == "zero" else np.nan), m
+        U_pullback, Phi, m = real(A, Q, U, h)
+        bad = np.full_like(Phi, 0.0 if blocks == "zero" else np.nan)
+        return U_pullback, bad, m
 
     monkeypatch.setattr(optimize, "hamiltonian_maps", broken)
     match = "singular" if blocks == "zero" else "non-finite"
@@ -723,6 +721,24 @@ def test_gradient_matches_central_differences(seed, kind, weights):
     problem = ShootingProblem(instance=inst, N=5, kind=kind, substeps=6)
     rates = centered_rates(inst.polytope, 5)
     assert gradient_check(problem, rates) <= 1e-6
+
+
+def test_info_gradient_matches_central_differences_at_twenty_states():
+    # the north star's n = 20, with running weights: each stage's two nodes
+    # are split into map steps (m = 2), and each map step's exponential is
+    # squared (s = 2), so the adjoint runs both loops of expm back.  Four
+    # sensors see few of the 20 states, so J is thousands of times its
+    # gradient, and a step of 1e-4 keeps the differences' roundoff well
+    # below the tolerance
+    inst = random_instance(InstanceSpec(n=20, M=4, p=1, seed=22, T=2.0,
+                                        budget=100.0))
+    inst = replace(inst, weights=WeightSpec(
+        W_stages=_stage_weights(20, 3, 22), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=3, kind="info", substeps=2)
+    rates = centered_rates(inst.polytope, 3)
+    _, (_, _, path) = optimize._info_forward(inst, problem.schedule(rates), 2)
+    assert (len(path) - 1) // (3 * 2) >= 2
+    assert gradient_check(problem, rates, fd_step=1e-4) <= 1e-6
 
 
 def test_gradient_check_rejects_boundary_point():

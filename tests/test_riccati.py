@@ -26,7 +26,6 @@ from infosched.riccati import (
     PositiveDefinitenessError,
     Trajectory,
     expm,
-    expm_adjoint,
     flow_cov,
     flow_info,
     hamiltonian_maps,
@@ -157,15 +156,15 @@ def _expm_cases():
 def test_expm_matches_scipy(name):
     X = _expm_cases()[name]
     want = scipy_expm(X)
-    got = expm(X[None])[0]
+    got = expm(X[None])[0][0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_expm_batch_equals_single_matrices():
     # scaling is chosen per matrix, so batch neighbours do not interact
     X = np.stack([_expm_cases()[f"random-{v:g}"] for v in (1e-6, 0.5, 40.0)])
-    single = np.stack([expm(x[None])[0] for x in X])
-    np.testing.assert_array_equal(expm(X), single)
+    single = np.stack([expm(x[None])[0][0] for x in X])
+    np.testing.assert_array_equal(expm(X)[0], single)
 
 
 def test_lyapunov_maps_scalar_closed_form():
@@ -336,17 +335,27 @@ def _adjoint_cases():
     return cases
 
 
-@pytest.mark.parametrize("name", sorted(_adjoint_cases()))
+def _pullback_cases():
+    # the adjoint's own cases, then every expm case: norms 1e-12 to 40
+    # (s up to 6), a Jordan block and a nilpotent matrix
+    cases = _adjoint_cases()
+    cases.update((f"expm-{k}", v) for k, v in _expm_cases().items())
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_pullback_cases()))
 def test_expm_adjoint_is_the_frechet_adjoint(name):
-    # <L(X, V), B> = <V, adjoint(X, B)>, with scipy's Frechet derivative as
-    # a test-only oracle for L
-    X = _adjoint_cases()[name]
+    # expm's pullback: <L(X, V), B> = <V, pullback(B)>, with scipy's
+    # Frechet derivative as a test-only oracle for L
+    X = _pullback_cases()[name]
+    d = X.shape[-1]
     rng = rng_for(len(name))
-    B = rng.normal(size=(3, 6, 6))
-    got = expm_adjoint(np.repeat(X[None], 3, axis=0), B)
+    B = rng.normal(size=(3, d, d))
+    _, pullback = expm(np.repeat(X[None], 3, axis=0))
+    got = pullback(B)
     for b, xbar in zip(B, got):
         for _ in range(3):
-            V = rng.normal(size=(6, 6))
+            V = rng.normal(size=(d, d))
             lhs = np.vdot(expm_frechet(X, V, compute_expm=False), b)
             rhs = np.vdot(V, xbar)
             scale = np.linalg.norm(expm_frechet(X, V, compute_expm=False)) \
@@ -356,7 +365,40 @@ def test_expm_adjoint_is_the_frechet_adjoint(name):
 
 def test_expm_adjoint_of_zero_adjoint_is_zero():
     X = _adjoint_cases()["random-5"][None]
-    np.testing.assert_array_equal(expm_adjoint(X, np.zeros_like(X)), 0.0)
+    _, pullback = expm(X)
+    np.testing.assert_array_equal(pullback(np.zeros_like(X)), 0.0)
+
+
+def test_expm_pullback_batch_equals_single_matrices():
+    # each matrix runs its own squarings back (s = 0, 0 and 6 here), so
+    # batch neighbours do not interact, in the full Xbar or in a block
+    X = np.stack([_expm_cases()[f"random-{v:g}"] for v in (1e-6, 0.5, 40.0)])
+    B = rng_for(2009).normal(size=X.shape)
+    _, pullback = expm(X)
+    for block in ((slice(None), slice(None)), (slice(2, None), slice(None, 2))):
+        single = np.stack([expm(x[None])[1](b[None], *block)[0]
+                           for x, b in zip(X, B)])
+        np.testing.assert_array_equal(pullback(B, *block), single)
+
+
+def test_hamiltonian_pullback_is_the_lower_left_block():
+    # U_k enters X_k = (h/m) [[A, Q], [U_k, -A^T]] in its lower-left block,
+    # so the pullback to U_k is (h/m) times that block of expm's pullback
+    rng = rng_for(1973)
+    n, h = 3, 2.0
+    A = rng.normal(size=(n, n))
+    Q = random_spd(rng, n)
+    U = np.stack([random_spd(rng, n, scale=s) for s in (0.1, 4.0, 40.0)])
+    U_pullback, Phi, m = hamiltonian_maps(A, Q, U, h)
+    assert m >= 2
+    X = np.block([[A, Q], [np.zeros((n, n)), -A.T]]) * (h / m)
+    X = np.repeat(X[None], len(U), axis=0)
+    X[:, n:, :n] = h * U / m
+    E, pullback = expm(X)
+    np.testing.assert_array_equal(E, Phi)
+    bar = rng.normal(size=Phi.shape)
+    want = (h / m) * pullback(bar)[:, n:, :n]
+    assert np.abs(U_pullback(bar) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("a", [-0.8, 0.0, 0.3])
