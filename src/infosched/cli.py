@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("info", "cov", "both"), default="both")
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--substeps", type=int, default=10)
-    p.add_argument("--fd-step", type=float, default=1e-5)
+    p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

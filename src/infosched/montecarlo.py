@@ -10,10 +10,11 @@ generator keyed by SeedSequence(entropy=s, spawn_key=(r,)).  Within a run,
 draws happen sensor-major then interval-major.  All runs of an estimate are
 stepped together in one batched filter walk (cdkf), and each run's cost is
 reduced as the walk records its nodes, with the node weights
-(riccati.node_weights) behind every other objective too.  Because every run
-owns its stream and its path does not depend on the rest of the batch, a
-run's cost is bit-identical whatever batch it is stepped in, and estimates
-reduce the costs in run order.
+(riccati.node_weights) behind every other objective too; a walk that keeps
+no paths forms only the weighted nodes and each gap's last.  Because every
+run owns its stream and its path does not depend on the rest of the batch,
+a run's cost is bit-identical whatever batch it is stepped in, and
+estimates reduce the costs in run order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ import numpy as np
 from .cdkf import ArrivalRecord, _filter_walk
 from .model import Instance, Schedule, ValidationError
 from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
-from .riccati import COV, INFO, Trajectory, node_weights, time_grid
+from .riccati import (
+    COV,
+    INFO,
+    PositiveDefinitenessError,
+    Trajectory,
+    node_weights,
+    read_nodes,
+    time_grid,
+)
 
 
 def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
@@ -94,18 +103,38 @@ def _run_costs(instance, records, grid, paths=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
     Each run's cost is the objective of its path, reduced as the walk
-    yields each round's nodes on grid: <W_i, P_i> added by np.add.at, so
-    each run's in node-time order, W_i the node's riccati.node_weights
-    entry.  The nodes also go to paths[r, i] when paths is given.
+    yields each round's nodes on grid: <W_i, P_i> added by np.add.at over
+    the weighted nodes (riccati.read_nodes), so each run's in node-time
+    order, W_i the node's riccati.node_weights entry.  When paths is given,
+    the walk forms every node and paths[r, i] receives it; otherwise it
+    forms only the weighted nodes and each gap's last (with W_T alone, one
+    node per gap), and the costs are the same, bit for bit.  Such a walk
+    checks only what it forms, so when it fails, the full walk runs on the
+    same records to name the first loss, as with paths.
     """
     weights = node_weights(grid, instance.weights)
-    costs = np.zeros(len(records))
-    for runs, nodes, P in _filter_walk(instance, records, grid):
-        np.add.at(costs, runs,
-                  (weights[nodes] * P).reshape(len(runs), -1).sum(axis=1))
-        if paths is not None:
-            paths[runs, nodes] = P
-    return costs
+    read = read_nodes(weights)
+    every, n2 = read.all(), instance.n**2
+
+    def walk(mask):
+        costs = np.zeros(len(records))
+        for runs, nodes, P in _filter_walk(instance, records, grid, mask):
+            if paths is not None:
+                paths[runs, nodes] = P
+            if not every:
+                on = read[nodes]
+                runs, nodes, P = runs[on], nodes[on], P[on]
+            np.add.at(costs, runs,
+                      (weights[nodes] * P).reshape(len(runs), n2).sum(axis=1))
+        return costs
+
+    if paths is not None or every:
+        return walk(None)
+    try:
+        return walk(read)
+    except (PositiveDefinitenessError, np.linalg.LinAlgError):
+        walk(None)     # raises the full walk's report of the first loss
+        raise
 
 
 def _mean_std(means, spreads):
@@ -141,7 +170,9 @@ def mc_objective(
     Per run: sample arrivals, step the exact covariance recursion and sample
     it on the evaluation grid, apply the trapezoid objective.  All runs are
     stepped together and per_run_costs comes back in run order, so the
-    reduction is deterministic.  Paths are not kept.
+    reduction is deterministic.  Paths are not kept, so the walk forms only
+    the nodes the objective weights and each gap's last: with W_T alone, one
+    node per gap between arrivals.
     """
     grid = time_grid(instance.T, n_eval)
     records = _sample_runs(instance, schedule, n_runs, seed)

@@ -31,10 +31,10 @@ of them.
 
 The objective of a path is one quadrature, defined here once:
 ``node_weights`` is the table of per-node weight matrices (trapezoid rule of
-the running weight plus W_T on the last node), and ``pathwise_cost`` reduces
-a path in either coordinate system with it.  The surrogate bounds, the
-Monte Carlo costs, the design objective and both adjoint seeds read the
-same table.
+the running weight plus W_T on the last node), ``read_nodes`` the nodes it
+weights, and ``pathwise_cost`` reduces a path in either coordinate system
+with it.  The surrogate bounds, the Monte Carlo costs, the design objective
+and both adjoint seeds read the same table.
 """
 
 from __future__ import annotations
@@ -568,6 +568,13 @@ def node_weights(times: np.ndarray, weights: WeightSpec) -> np.ndarray:
     return table
 
 
+def read_nodes(table: np.ndarray) -> np.ndarray:
+    """The nodes a node_weights table reads: a mask of its nonzero matrices.
+
+    With a terminal weight alone, the last node."""
+    return table.any(axis=(1, 2))
+
+
 def pathwise_cost(
     traj: Trajectory, weights: WeightSpec, horizon: float | None = None
 ) -> float:
@@ -589,7 +596,7 @@ def pathwise_cost(
                 f"expected [0, {horizon:g}]"
             )
     table = node_weights(traj.times, weights)
-    at = np.flatnonzero(table.any(axis=(1, 2)))
+    at = np.flatnonzero(read_nodes(table))
     values = traj.values[at]
     if traj.coordinates == INFO:
         values = _sym(np.linalg.inv(values))
@@ -616,6 +623,7 @@ __all__ = [
     "node_weights",
     "pathwise_cost",
     "pd_floor",
+    "read_nodes",
     "require_pd",
     "stacked_gains",
     "time_grid",

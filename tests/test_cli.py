@@ -436,6 +436,38 @@ def test_gradcheck_zero_fd_step_is_usage_error(capsys):
     assert captured.err.startswith("error: fd_step must be finite and positive")
 
 
+# J is about 1.1e4 against gradient entries from 0.26 to 7.1: the
+# differences' roundoff is large next to the smaller entries
+GRADCHECK_N20 = ["gradcheck", "--random", "n=20,M=3,p=1,seed=21", "--T", "2",
+                 "--budget", "200", "--N", "3", "--substeps", "2",
+                 "--kind", "info"]
+
+
+def test_gradcheck_passes_when_the_objective_dwarfs_its_gradient(capsys):
+    # central differences of second order read 2.3e-5 here at any step
+    # that keeps their truncation small; the five-point stencil reads ~2e-7
+    assert cli.main(GRADCHECK_N20) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pick", [np.argmin, np.argmax],
+                         ids=["smallest", "largest"])
+def test_gradcheck_fails_one_entry_off_by_a_ten_thousandth(monkeypatch,
+                                                          capsys, pick):
+    # negative control: the correct gradient with one entry, the smallest
+    # or the largest, scaled by 1 + 1e-4
+    exact = optimize.objective_and_gradient
+
+    def nudged(problem, rates):
+        J, G = exact(problem, rates)
+        G.flat[pick(np.abs(G))] *= 1.0 + 1e-4
+        return J, G
+
+    monkeypatch.setattr(optimize, "objective_and_gradient", nudged)
+    assert cli.main(GRADCHECK_N20) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["evaluate", "bracket", "gradcheck",
                                      "solve"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):

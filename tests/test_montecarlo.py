@@ -456,6 +456,125 @@ def test_windows_keep_the_first_loss_rule(monkeypatch, entries, breaks,
         _run_costs(inst, [arrivals(e) for e in events], time_grid(inst.T, 20))
 
 
+def _zero_stage_weights(inst):
+    """inst with running weights on stages 1 and 3 of 4 and all-zero
+    stages 0 and 2, so the nodes inside those two are not read."""
+    W = rng_for(5).normal(size=(4, inst.n, inst.n))
+    W = W @ W.transpose(0, 2, 1)
+    W[[0, 2]] = 0.0
+    return replace(inst, weights=WeightSpec(W_stages=W, W_T=inst.weights.W_T))
+
+
+READ_CASES = {
+    "terminal": lambda: random_instance(
+        InstanceSpec(n=3, M=4, p=1, seed=5, T=1.5)),
+    "zero-stages": lambda: _zero_stage_weights(random_instance(
+        InstanceSpec(n=3, M=4, p=2, seed=5, T=1.5))),
+    "mixed-p": lambda: mixed_instance(12, T=1.5),
+}
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_costs_form_only_the_read_nodes_bit_for_bit(case):
+    # without paths the walk forms only the weighted nodes and each gap's
+    # last: every run's cost, and every node it forms, is the full walk's
+    inst = READ_CASES[case]()
+    sched = Schedule(N=3, T=1.5, rates=np.full((3, inst.M), 2.0))
+    records = [sample_arrivals(sched, run_seed(3, r)) for r in range(8)]
+    grid = time_grid(inst.T, 20)
+    read = riccati.read_nodes(riccati.node_weights(grid, inst.weights))
+    assert 0 < read.sum() < len(grid)
+    paths = np.empty((8, 21, inst.n, inst.n))
+    full = _run_costs(inst, records, grid, paths)
+    np.testing.assert_array_equal(_run_costs(inst, records, grid), full)
+    formed = 0
+    for runs, nodes, P in cdkf._filter_walk(inst, records, grid, read):
+        np.testing.assert_array_equal(P, paths[runs, nodes])
+        formed += len(nodes)
+    gaps = sum(rec.n_events + 1 for rec in records)
+    assert formed <= len(records) * read.sum() + gaps
+    assert formed < len(records) * len(grid)
+
+
+@pytest.mark.parametrize("entries", [cdkf.WINDOW_ENTRIES, 16],
+                         ids=["rounds", "one-node-windows"])
+def test_reduced_walk_costs_independent_of_batch(monkeypatch, entries):
+    # with W_T alone, run r's cost is the same in a batch of 3 and of 7,
+    # and the full walk's, whatever the windows
+    inst = mixed_instance(12, T=1.0)
+    grid = time_grid(inst.T, 10)
+    runs, extra = _batch_records(inst, grid)
+    order = [extra[0], runs[2], runs[1], extra[1], runs[0], runs[2], runs[1]]
+    monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", entries)
+    costs3 = _run_costs(inst, runs, grid)
+    costs7 = _run_costs(inst, order, grid)
+    np.testing.assert_array_equal(
+        costs7, _run_costs(inst, order, grid, np.empty((7, 11, 4, 4))))
+    for r, at in enumerate(([4], [2, 6], [1, 5])):
+        for i in at:
+            assert costs7[i] == costs3[r]
+    read = riccati.read_nodes(riccati.node_weights(grid, inst.weights))
+    for _, at, _ in cdkf._filter_walk(inst, order, grid, read):
+        assert len(at) <= max(1, entries // 16) or np.all(at == at[0])
+
+
+@pytest.mark.parametrize("breaks", [["node"], ["node", "singular"],
+                                    ["singular"]])
+def test_reduced_walk_reports_the_first_loss_as_the_full_walk(monkeypatch,
+                                                              breaks):
+    # with W_T alone the walk reads node 20 (t = 1); under "node" run 0
+    # loses node 14 (t = 0.7), which the reduced walk does not form, and
+    # its own first failure is run 1's last node before 0.93 (t = 0.9): the
+    # costs name the full walk's first loss, as the paths do
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    grid = time_grid(inst.T, 20)
+    for how in breaks:
+        break_the_walk(monkeypatch, how)
+    records = [arrivals([]), arrivals([(0.93, 0)])]
+    errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
+    with pytest.raises(errors) as full:
+        _run_costs(inst, records, grid, np.empty((2, 21, 1, 1)))
+    with pytest.raises(errors) as reduced:
+        _run_costs(inst, records, grid)
+    assert type(reduced.value) is type(full.value)
+    assert str(reduced.value) == str(full.value)
+    if "node" in breaks:
+        assert "at node t=0.7 in run 0" in str(full.value)
+        read = riccati.read_nodes(riccati.node_weights(grid, inst.weights))
+        with pytest.raises(PositiveDefinitenessError,
+                           match="at node t=0.9 in run 1"):
+            list(cdkf._filter_walk(inst, records, grid, read))
+
+
+def test_objective_walk_checks_one_node_per_gap_with_a_terminal_weight(
+        monkeypatch):
+    # the matrices the walk's require_pd sees: with W_T alone at most one
+    # node per gap, the read node and the jumps; with running weights on
+    # every stage, every node and the jumps
+    checked = []
+    real = cdkf.require_pd
+
+    def spy(x, *args):
+        checked.append(len(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(cdkf, "require_pd", spy)
+    inst = random_instance(InstanceSpec(n=2, M=3, p=1, seed=8, T=1.0))
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 3), 3.0))
+    records = [sample_arrivals(sched, run_seed(4, r)) for r in range(6)]
+    runs, events = len(records), sum(rec.n_events for rec in records)
+    assert events > runs
+    grid = time_grid(inst.T, 50)
+    _run_costs(inst, records, grid)
+    assert sum(checked) <= (events + runs) + runs + events < runs * len(grid)
+    checked.clear()
+    W = np.broadcast_to(np.eye(2), (2, 2, 2))
+    _run_costs(replace(inst, weights=WeightSpec(W_stages=W,
+                                                W_T=np.zeros((2, 2)))),
+               records, grid)
+    assert sum(checked) == runs * len(grid) + events
+
+
 def test_mc_objective_estimate_invariants():
     inst = make_scalar_instance(T=1.0)
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 1), 3.0))
