@@ -88,7 +88,7 @@ def _parse_snr_spec(text: str) -> np.ndarray:
         raise ValidationError(
             f"bad --snr-sweep {text!r}, expected 'lo..hi,count'"
         ) from exc
-    if lo <= 0 or hi <= lo or count < 2:
+    if not 0.0 < lo < hi < np.inf or count < 2:   # NaN fails every test
         raise ValidationError(f"bad --snr-sweep range {text!r}")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 

@@ -344,17 +344,17 @@ def _check_pair(instance: Instance, schedule: Schedule) -> None:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Worst constraint violations of a schedule against a polytope."""
+    """Worst budget violation of a schedule against a polytope (a
+    Schedule's rates are nonnegative by construction)."""
 
     budget_violation: float        # max over stages of max(C lam_k - b)
-    nonneg_violation: float        # max over stages of max(-lam_k)
     feasible: bool
 
 
 def validate_schedule(
     schedule: Schedule, polytope: ResourcePolytope
 ) -> FeasibilityReport:
-    """Check C lam_k <= b and lam_k >= 0 to FEASIBILITY_TOL at every stage."""
+    """Check C lam_k <= b to FEASIBILITY_TOL at every stage."""
     if schedule.M != polytope.n_sensors:
         raise ValidationError(
             f"schedule has {schedule.M} sensors, polytope expects "
@@ -362,11 +362,9 @@ def validate_schedule(
         )
     slack = schedule.rates @ polytope.C.T - polytope.b  # (N, n_rows)
     budget_violation = float(slack.max())
-    nonneg_violation = float((-schedule.rates).max())
     return FeasibilityReport(
         budget_violation=budget_violation,
-        nonneg_violation=nonneg_violation,
-        feasible=max(budget_violation, nonneg_violation) <= FEASIBILITY_TOL,
+        feasible=budget_violation <= FEASIBILITY_TOL,
     )
 
 

@@ -53,6 +53,7 @@ from .riccati import (
     _rk4_reverse,
     _rk4_stages,
     cov_gains,
+    cov_rhs,
     hamiltonian_maps,
     node_weights,
     pathwise_cost,
@@ -61,7 +62,6 @@ from .riccati import (
 )
 from .surrogate import (
     KINDS,
-    cov_rate_rhs,
     integrate_cov_surrogate,
     stage_increments,
 )
@@ -223,7 +223,7 @@ def _cov_stage_points(A, Q, gains, lam, x, h):
         HP, sol, lam_sol = gains.factors(P, lam)
         At = A.T - gains.rows.T @ lam_sol
         G = HP.swapaxes(-1, -2) @ lam_sol
-        return cov_rate_rhs(P, A, Q, G), HP, sol, lam_sol, At
+        return cov_rhs(P, A, Q, G), HP, sol, lam_sol, At
 
     with np.errstate(over="ignore", invalid="ignore"):
         return _rk4_stages(x, h, linearize)

@@ -106,9 +106,13 @@ def _cholesky_passes(x: np.ndarray) -> bool:
         return False
 
 
-def lyapunov_rhs(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    AP = A @ P
-    return AP + AP.swapaxes(-1, -2) + Q
+def cov_rhs(P, A, Q, G=0.0):
+    """Covariance rate A P + P A^T + Q - sym(G) of one P or of each in a
+    stack: the Lyapunov flow at G = 0, the covariance surrogate with G its
+    gain term sum_j lam_j g_j(P) up to symmetry (cov_gains).  It is
+    B + B^T + Q with B = A P - G / 2, exactly symmetric."""
+    B = A @ P - 0.5 * G
+    return B + B.swapaxes(-1, -2) + Q
 
 
 def info_rhs(Y: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -168,7 +172,7 @@ def _integrate(x0, dt, substeps, rhs):
 
 def flow_cov(P, A, Q, dt, substeps: int = 100) -> np.ndarray:
     """Propagate a covariance through the Lyapunov flow for a time dt."""
-    out = _integrate(P, dt, substeps, lambda X: lyapunov_rhs(X, A, Q))
+    out = _integrate(P, dt, substeps, lambda X: cov_rhs(X, A, Q))
     require_pd(out, f"after covariance flow over dt={dt:g}", SUBSTEP_ADVICE)
     return out
 
@@ -344,39 +348,22 @@ def hamiltonian_maps(A, Q, U, h):
     return U_pullback, Phi, m
 
 
-def covariance_decrement(P, sensor) -> np.ndarray:
-    """Gain update g(P) = P H^T (H P H^T + R)^{-1} H P for one arrival."""
-    HP = sensor.H @ P
-    M = HP @ sensor.H.T + sensor.R
-    return _sym(HP.T @ np.linalg.solve(M, HP))
-
-
 def stacked_gains(P, H, R):
     """Rank-p factors of the gain updates of the stacked sensors (H, R) at P.
 
-    H and R are rows of an Instance's padded sensor stacks; P is one matrix,
-    or a stack broadcast against the sensor stack (a run's covariance beside
-    the sensor that reports to it, or P[:, None] for every sensor at each
-    P).  Returns (HP, sol), HP = H P and sol = (H P H^T + R)^{-1} H P: the
-    gain update of sensor j is covariance_decrement = sym(HP_j^T sol_j), and
-    the padded rows of both are exact zeros.  Every consumer contracts the
-    factors itself, so no (M, n, n) stack is formed.  The filter walk takes
-    them per run; the cov rate takes them through cov_gains.
-
-    Stacks with p = 1 take sol = HP * (1 / S) for the scalar innovation S,
-    the float operations of OpenBLAS's 1x1 solve (its trsm multiplies by the
-    inverted pivot), without a LAPACK call per matrix; as there, a zero S
-    raises LinAlgError and any other S warns of nothing.  Wider stacks take
-    one batched LAPACK solve.
+    H and R are rows of an Instance's padded sensor stacks, or one sensor's
+    matrices; P is one matrix, or a stack broadcast against the sensor
+    stack (a run's covariance beside the sensor that reports to it, or
+    P[..., None, :, :] for every sensor at each P).  Returns (HP, sol),
+    HP = H P and sol = (H P H^T + R)^{-1} H P by one batched LAPACK solve
+    at every p: the gain update of sensor j is g_j(P) = sym(HP_j^T sol_j),
+    and the padded rows of both are exact zeros.  A singular innovation
+    raises LinAlgError.  The filter walk, StackGains and jump_cov take
+    the gains here; the cov rate of one-output sensors takes RowGains'
+    flat rows instead (cov_gains).
     """
     HP = H @ P
-    S = HP @ H.swapaxes(-1, -2) + R
-    if S.shape[-1] > 1:
-        return HP, np.linalg.solve(S, HP)
-    if not S.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return HP, HP * (1.0 / S)
+    return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
 
 
 def cov_gains(H, R):
@@ -388,7 +375,7 @@ def cov_gains(H, R):
     lam the sensors' rates.  Each kernel has rows, the (M p, n) output rows
     of H, and
       gain_term(P, lam): sum_j lam_j HP_j^T sol_j, the gain load of the
-        rate before symmetrizing (surrogate.cov_rate_rhs);
+        rate before symmetrizing (cov_rhs);
       factors(P, lam): (HP, sol, lam_sol) in rows, shaped (..., M p, n),
         with sol as in stacked_gains and lam_sol_j = lam_j sol_j;
       gain_vjp(lam_sol, sol, L): of one point, the rank-p part
@@ -402,9 +389,10 @@ class RowGains:
     """Gain kernels of one-output sensors on their flat rows (M, n) and
     variances r (M,).  HP = rows P is one GEMM, the innovations are
     S = rowdot(HP, rows) + r, the gain term is HP^T ((lam / S) HP) and
-    sol = HP * (1 / S) row by row, the reciprocal product of stacked_gains
-    at p = 1.  A zero S raises LinAlgError; inf and NaN pass through,
-    under the caller's errstate.  The rank-one vjp weighs row j by
+    sol = HP * (1 / S) row by row: the one gain that takes a reciprocal
+    rather than stacked_gains' LAPACK solve, so a stage point costs one
+    GEMM.  A zero S raises LinAlgError; inf and NaN pass through, under
+    the caller's errstate.  The rank-one vjp weighs row j by
     c_j = rowdot(lam_sol_j L, sol_j): rows^T (c rows)."""
 
     def __init__(self, H, R):
@@ -458,7 +446,8 @@ class StackGains:
 
 def jump_cov(P, sensor) -> np.ndarray:
     """Covariance after processing one arrival from the given sensor."""
-    return _sym(P - covariance_decrement(P, sensor))
+    HP, sol = stacked_gains(P, sensor.H, sensor.R)
+    return _sym(P - _sym(HP.T @ sol))
 
 
 def jump_info(Y, sensor) -> np.ndarray:
@@ -609,7 +598,7 @@ __all__ = [
     "PositiveDefinitenessError",
     "Trajectory",
     "cov_gains",
-    "covariance_decrement",
+    "cov_rhs",
     "expm",
     "flow_cov",
     "flow_info",
@@ -619,7 +608,6 @@ __all__ = [
     "jump_cov",
     "jump_info",
     "lyapunov_maps",
-    "lyapunov_rhs",
     "node_weights",
     "pathwise_cost",
     "pd_floor",

@@ -16,7 +16,8 @@ which forces the gain update of every sensor with a nonzero rate at every
 stage point: the gain term of all of them (riccati.cov_gains; with p = 1
 one GEMM of the flat sensor rows, a row-wise dot for the scalar
 innovations S and one product HP^T ((lam / S) HP)), M p n^2 work that
-grows with M.  That asymmetry is the point of the information form and is what
+grows with M, subtracted from the Lyapunov rate in riccati.cov_rhs.  That
+asymmetry is the point of the information form and is what
 scripts/assembly_benchmark.py measures.
 
 Both integrators record on the uniform grid of n_eval intervals
@@ -51,6 +52,7 @@ from .riccati import (
     Trajectory,
     _integrate,
     cov_gains,
+    cov_rhs,
     info_rhs,
     require_pd,
     time_grid,
@@ -62,15 +64,6 @@ KINDS = ("info", "cov")
 def stage_increments(instance: Instance, schedule: Schedule) -> np.ndarray:
     """Per-stage information inputs U_k = sum_j rates[k, j] S_j, shape (N, n, n)."""
     return np.einsum("kj,jab->kab", schedule.rates, instance.S)
-
-
-def cov_rate_rhs(P, A, Q, G):
-    """Covariance surrogate rate A P + P A^T + Q - sym(G) of one P or of
-    each in a stack, G the gain term sum_j lam_j g_j(P) up to symmetry
-    (riccati.cov_gains).  It is B + B^T + Q with B = A P - G / 2, exactly
-    symmetric."""
-    B = A @ P - 0.5 * G
-    return B + B.swapaxes(-1, -2) + Q
 
 
 def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
@@ -130,8 +123,7 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
                 rhs = lambda Y: info_rhs(Y, A, Q) + Uk
             else:
                 gains, lam = stages[k]
-                rhs = lambda P: cov_rate_rhs(P, A, Q,
-                                             gains.gain_term(P, lam))
+                rhs = lambda P: cov_rhs(P, A, Q, gains.gain_term(P, lam))
             X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps[i - 1],
                                      rhs)
     require_pd(path[1:], lambda i: f"in {kind} surrogate near t={at[i + 1]:g}",
@@ -168,7 +160,6 @@ def integrate_cov_surrogate(
 
 __all__ = [
     "KINDS",
-    "cov_rate_rhs",
     "integrate_cov_surrogate",
     "integrate_info_surrogate",
     "stage_increments",

@@ -27,10 +27,22 @@ def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarr
 
 
 def lapack_gains(P, H, R):
-    """riccati.stacked_gains with LAPACK's solve at every p: the reference
-    of its scalar innovations."""
+    """The gain factors (HP, sol) by LAPACK's solve at every p, written
+    apart from riccati.stacked_gains: the reference of its edge cases and
+    of RowGains' scalar innovations."""
     HP = H @ P
     return HP, np.linalg.solve(HP @ H.swapaxes(-1, -2) + R, HP)
+
+
+def covariance_decrement(P, sensor):
+    """Gain update g(P) = P H^T (H P H^T + R)^{-1} H P of one arrival,
+    solved for the one sensor: the per-sensor reference of the package's
+    stacked gains."""
+    from infosched.model import _sym
+
+    HP = sensor.H @ P
+    M = HP @ sensor.H.T + sensor.R
+    return _sym(HP.T @ np.linalg.solve(M, HP))
 
 
 def arrivals(events):

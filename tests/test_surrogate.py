@@ -32,7 +32,6 @@ from infosched.surrogate import (
 )
 
 from conftest import (
-    lapack_gains,
     make_scalar_instance,
     mixed_instance,
     rng_for,
@@ -271,7 +270,6 @@ def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
     # place the path ends in the same typed error, and neither warns.
     inst = make_scalar_instance(q=1.0, r=1e-6, p0=1e307, budget=20.0)
     sched = uniform_schedule(inst, 4, 20.0)
-    monkeypatch.setattr(riccati, "stacked_gains", lapack_gains)
     errors = []
     for gains in (riccati.RowGains, riccati.StackGains):
         monkeypatch.setattr(surrogate, "cov_gains", gains)
