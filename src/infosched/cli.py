@@ -29,6 +29,7 @@ from .model import (
     ValidationError,
     _dump_json,
     _generator,
+    instance_from_dict,
     load_instance,
     load_schedule,
     random_instance,
@@ -283,17 +284,12 @@ def cmd_sweep(args) -> int:
 
 
 def _scalar_gradcheck_instance():
-    from .model import (
-        Instance, ResourcePolytope, Sensor, SystemModel, WeightSpec,
-    )
-
-    system = SystemModel(n=1, A=np.zeros((1, 1)), Q=np.zeros((1, 1)),
-                         m0=np.zeros(1), P0=np.ones((1, 1)), T=1.0)
-    sensor = Sensor(H=np.ones((1, 1)), R=np.ones((1, 1)))
-    polytope = ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1))
-    weights = WeightSpec(W_stages=None, W_T=np.ones((1, 1)))
-    return Instance(system=system, sensors=(sensor,), polytope=polytope,
-                    weights=weights)
+    one = [[1.0]]
+    return instance_from_dict({
+        "n": 1, "T": 1.0, "A": [[0.0]], "Q": [[0.0]], "P0": one,
+        "sensors": [{"H": one, "R": one}],
+        "constraints": {"C": one, "b": [1.0]},
+        "weights": {"W_stages": None, "WT": one}})
 
 
 def cmd_gradcheck(args) -> int:

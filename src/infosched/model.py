@@ -7,7 +7,8 @@ kernels can assume clean inputs: every array of an instance goes through
 one ingest, _matrix, which checks its shape and finite entries and, for a
 symmetric matrix, symmetry and definiteness (a failure reports the
 offending eigenvalue), then stores its symmetric part to absorb JSON
-round-trip noise.
+round-trip noise.  A Sensor is the unchecked (H, R) input record: an
+Instance checks its pool's stacks, the same number of checks at any M.
 
 Randomly generated instances use the counter-based Philox bit generator keyed
 through ``numpy.random.SeedSequence``; numpy guarantees those streams are
@@ -50,7 +51,8 @@ def _freeze(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matrix(x, name: str, shape: tuple, definite: str = "") -> np.ndarray:
+def _matrix(x, name: str, shape: tuple, definite: str = "",
+            index=None) -> np.ndarray:
     """The one ingest of a stored array: x as a frozen float array of the
     given shape with finite entries, checked in that order.
 
@@ -61,7 +63,7 @@ def _matrix(x, name: str, shape: tuple, definite: str = "") -> np.ndarray:
     overflowing x + x^T.  Norms and eigenvalues are taken of x / c, c =
     max(max_ij |x_ij|, 1), so they cannot overflow, and a matrix with no
     entry above 1 is checked as it is.  An error in a stack names the first
-    failing matrix, name[k].
+    failing matrix, name[k], or name[index[k]] for a part index of a stack.
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
@@ -81,17 +83,18 @@ def _matrix(x, name: str, shape: tuple, definite: str = "") -> np.ndarray:
     else:
         kind, low = "semidefinite", w < PSD_EIG_FLOOR * np.maximum(scale, 1.0)
     label = name if arr.ndim == 2 else name + "[{}]"
+    at = range(len(y)) if index is None else index
     asym = skew > SYMMETRY_RTOL * scale
     if asym.any():
         k = int(np.argmax(asym))               # the first failing matrix
         raise ValidationError(
-            f"{label.format(k)} is not symmetric: ||X - X^T|| = "
+            f"{label.format(at[k])} is not symmetric: ||X - X^T|| = "
             f"{c[k] * skew[k]:.3e} exceeds {SYMMETRY_RTOL:g} * ||X|| = "
             f"{c[k] * SYMMETRY_RTOL * scale[k]:.3e}")
     if low.any():
         k = int(np.argmax(low))
         raise ValidationError(
-            f"{label.format(k)} is not positive {kind}: min eigenvalue "
+            f"{label.format(at[k])} is not positive {kind}: min eigenvalue "
             f"{c[k] * w[k]:.6e}")
     return _freeze(0.5 * arr + 0.5 * np.swapaxes(arr, -1, -2))
 
@@ -113,13 +116,12 @@ def _check_prior(P0: np.ndarray) -> None:
 class SystemModel:
     """Linear stochastic system dx = A x dt + dw with E[dw dw^T] = Q dt.
 
-    Holds the prior mean/covariance and the horizon; n is the state dimension.
+    Holds the prior covariance and the horizon; n is the state dimension.
     """
 
     n: int
     A: np.ndarray
     Q: np.ndarray
-    m0: np.ndarray
     P0: np.ndarray
     T: float
 
@@ -131,44 +133,42 @@ class SystemModel:
         Q = _matrix(self.Q, "Q", (n, n), "psd")
         P0 = _matrix(self.P0, "P0", (n, n), "pd")
         _check_prior(P0)
-        m0 = _matrix(self.m0, "m0", (n,))
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValidationError(f"horizon T must be positive, got {self.T}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "P0", P0)
         object.__setattr__(self, "T", float(self.T))
 
 
+def _increments(H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """What an arrival adds in information coordinates, S = sym(H^T R^{-1}
+    H), symmetrized so that a sum of increments stays symmetric; of one
+    sensor or, by one batched solve, of each sensor of the stacks."""
+    return _sym(H.swapaxes(-1, -2) @ np.linalg.solve(R, H))
+
+
 @dataclass(frozen=True)
 class Sensor:
-    """One sensor: z = H x + v with v ~ N(0, R) at each Poisson arrival.
+    """One sensor's input record: z = H x + v with v ~ N(0, R) at each
+    Poisson arrival, H of shape (p, n) and R of shape (p, p).
 
-    R is symmetric positive definite and stored as its symmetric part.  The
-    cached increment S = H^T R^{-1} H is what an arrival adds in information
-    coordinates, symmetrized so that accumulating many increments cannot
-    drift off the symmetric cone.
+    A record is not checked: an Instance checks its whole pool at once.
     """
 
     H: np.ndarray
     R: np.ndarray
-    S: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
-        if H.ndim != 2 or H.shape[0] < 1:
-            raise ValidationError(f"H must be a (p, n) matrix, got shape {H.shape}")
-        H = _matrix(H, "H", H.shape)
-        R = _matrix(self.R, "R", (H.shape[0],) * 2, "pd")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "S", _freeze(_sym(H.T @ np.linalg.solve(R, H))))
 
     @property
     def p(self) -> int:
-        return self.H.shape[0]
+        return len(self.H)
+
+    @property
+    def S(self) -> np.ndarray:
+        """The information increment sym(H^T R^{-1} H), read-only."""
+        return _freeze(_increments(np.asarray(self.H, dtype=float),
+                                   np.asarray(self.R, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -268,12 +268,14 @@ class Instance:
     """A complete scheduling problem: system, sensor pool, rate constraints,
     and the objective weights.
 
-    The sensor pool is also held as stacks, built once here: H of shape
-    (M, p_max, n), R of shape (M, p_max, p_max) and the increments S of
-    shape (M, n, n).  A sensor with p < p_max is padded with zero rows of H
-    and an identity block of R, so H P H^T + R is blockdiag(H_j P H_j^T +
-    R_j, I): its gain is exactly the unpadded one, and the padded rows of
-    (H P H^T + R)^{-1} H P are exact zeros.
+    The sensor pool is held as the stacks every kernel reads, checked once
+    here: H of shape (M, p_max, n), R of shape (M, p_max, p_max) and the
+    increments S of shape (M, n, n) from one batched solve.  A sensor with
+    p < p_max is padded with zero rows of H and an identity block of R, so
+    H P H^T + R is blockdiag(H_j P H_j^T + R_j, I): its gain is exactly the
+    unpadded one, and the padded rows of (H P H^T + R)^{-1} H P are exact
+    zeros.  Each output dimension is checked as its own stack: the identity
+    block would loosen R_j's symmetry threshold.  sensors holds views of them.
     """
 
     system: SystemModel
@@ -285,36 +287,37 @@ class Instance:
     S: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sensors = tuple(self.sensors)
-        if len(sensors) < 1:
+        n, M = self.system.n, len(self.sensors)
+        if M < 1:
             raise ValidationError("instance needs at least one sensor")
-        n = self.system.n
-        for j, s in enumerate(sensors):
-            if s.H.shape[1] != n:
-                raise ValidationError(
-                    f"sensor {j}: H has {s.H.shape[1]} columns, expected {n}"
-                )
-        if self.polytope.n_sensors != len(sensors):
-            raise ValidationError(
-                f"C has {self.polytope.n_sensors} columns but instance has "
-                f"{len(sensors)} sensors"
-            )
+        if self.polytope.n_sensors != M:
+            raise ValidationError(f"C has {self.polytope.n_sensors} columns "
+                                  f"but instance has {M} sensors")
         if self.weights.n != n:
-            raise ValidationError(
-                f"weights are {self.weights.n}x{self.weights.n}, expected {n}x{n}"
-            )
-        p = max(s.p for s in sensors)
-        H = np.zeros((len(sensors), p, n))
-        R = np.tile(np.eye(p), (len(sensors), 1, 1))
-        S = np.empty((len(sensors), n, n))
-        for j, s in enumerate(sensors):
-            H[j, :s.p] = s.H
-            R[j, :s.p, :s.p] = s.R
-            S[j] = s.S
-        object.__setattr__(self, "sensors", sensors)
-        object.__setattr__(self, "H", _freeze(H))
-        object.__setattr__(self, "R", _freeze(R))
-        object.__setattr__(self, "S", _freeze(S))
+            raise ValidationError(f"weights are {self.weights.n}x"
+                                  f"{self.weights.n}, expected {n}x{n}")
+        Hs = [np.asarray(s.H, dtype=float) for s in self.sensors]
+        Rs = [np.asarray(s.R, dtype=float) for s in self.sensors]
+        for j, (h, r) in enumerate(zip(Hs, Rs)):
+            q = len(h) if h.ndim == 2 and h.shape[1] == n else 0
+            if not q or r.shape != (q, q):
+                raise ValidationError(
+                    f"sensor {j}: H and R must have shapes (p, {n}) and "
+                    f"(p, p) with p >= 1, got {h.shape} and {r.shape}")
+        ps = np.array([len(h) for h in Hs])
+        p = int(ps.max())
+        H, R = np.zeros((M, p, n)), np.tile(np.eye(p), (M, 1, 1))
+        for q in sorted(set(ps.tolist())):
+            js = np.flatnonzero(ps == q)
+            H[js, :q] = _matrix([Hs[j] for j in js], "H", (len(js), q, n))
+            R[js, :q, :q] = _matrix([Rs[j] for j in js], "R", (len(js), q, q),
+                                    "pd", index=js)
+        H, R = _freeze(H), _freeze(R)
+        object.__setattr__(self, "sensors", tuple(
+            Sensor(H=H[j, :q], R=R[j, :q, :q]) for j, q in enumerate(ps)))
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S", _freeze(_increments(H, R)))
 
     @property
     def n(self) -> int:
@@ -415,7 +418,7 @@ def random_instance(spec: InstanceSpec) -> Instance:
     """Draw an instance following a fixed recipe.
 
     A = V diag(mu) V^T with V random orthogonal and a stable/unstable split of
-    eigenvalues; Q = I, P0 = 100 I, m0 = 0.  Each sensor has orthonormal rows
+    eigenvalues; Q = I and P0 = 100 I.  Each sensor has orthonormal rows
     (QR factor of a Gaussian matrix) and R with random orthogonal eigenbasis
     and eigenvalues uniform on [1, 10].  The constraint is one budget row:
     sum_j lam_j <= budget.  Draws happen in a fixed order (A first, then each
@@ -435,9 +438,7 @@ def random_instance(spec: InstanceSpec) -> Instance:
     )
     A = V @ np.diag(mu) @ V.T
 
-    system = SystemModel(
-        n=n, A=A, Q=np.eye(n), m0=np.zeros(n), P0=100.0 * np.eye(n), T=spec.T
-    )
+    system = SystemModel(n=n, A=A, Q=np.eye(n), P0=100.0 * np.eye(n), T=spec.T)
 
     sensors = []
     for _ in range(M):
@@ -468,7 +469,6 @@ def instance_to_dict(instance: Instance) -> dict:
         "A": instance.system.A.tolist(),
         "Q": instance.system.Q.tolist(),
         "P0": instance.system.P0.tolist(),
-        "m0": instance.system.m0.tolist(),
         "sensors": [{"H": s.H.tolist(), "R": s.R.tolist()} for s in instance.sensors],
         "constraints": {"C": instance.polytope.C.tolist(),
                         "b": instance.polytope.b.tolist()},
@@ -480,23 +480,23 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """The instance of a payload.  Keys it does not read are ignored, such as
+    the prior mean that older payloads carry: no result depends on it."""
     try:
-        system = SystemModel(
-            n=data["n"], A=data["A"], Q=data["Q"], m0=data["m0"],
-            P0=data["P0"], T=float(data["T"]),
-        )
-        sensors = tuple(Sensor(H=s["H"], R=s["R"]) for s in data["sensors"])
+        system = SystemModel(n=data["n"], A=data["A"], Q=data["Q"],
+                             P0=data["P0"], T=float(data["T"]))
+        sensors = [Sensor(H=s["H"], R=s["R"]) for s in data["sensors"]]
         polytope = ResourcePolytope(
             C=data["constraints"]["C"], b=data["constraints"]["b"]
         )
         wd = data["weights"]
         weights = WeightSpec(W_stages=wd.get("W_stages"), W_T=wd["WT"])
+        return Instance(system=system, sensors=sensors, polytope=polytope,
+                        weights=weights)
     except ValidationError:
         raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed instance payload: {exc!r}") from exc
-    return Instance(system=system, sensors=sensors, polytope=polytope,
-                    weights=weights)
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

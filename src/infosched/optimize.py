@@ -68,7 +68,8 @@ from .surrogate import (
 
 
 class ProjectionError(RuntimeError):
-    """Dykstra's iteration failed to converge within the cap."""
+    """Dykstra's iteration failed to converge within the cap, or a solver
+    trial's projected rates are not a valid rate table."""
 
 
 @dataclass(frozen=True)
@@ -493,6 +494,8 @@ def solve(
                                                    problem, trial)
             except PositiveDefinitenessError:
                 J_trial = math.inf     # failed trial, not a crash
+            except ValidationError as exc:   # the projection's roundoff
+                raise ProjectionError(f"projected trial rates: {exc}") from None
             if J_trial <= J + ARMIJO_C1 * float(np.vdot(G, d)):
                 accepted = True
                 break

@@ -67,7 +67,7 @@ def make_scalar_instance(a=0.0, q=0.0, h=1.0, r=1.0, p0=1.0, T=1.0,
     )
 
     system = SystemModel(n=1, A=np.array([[a]]), Q=np.array([[q]]),
-                         m0=np.zeros(1), P0=np.array([[p0]]), T=T)
+                         P0=np.array([[p0]]), T=T)
     sensor = Sensor(H=np.array([[h]]), R=np.array([[r]]))
     polytope = ResourcePolytope(C=np.ones((1, 1)), b=np.array([budget]))
     weights = WeightSpec(W_stages=None, W_T=np.array([[w_T]]))

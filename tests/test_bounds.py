@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ from infosched.bounds import (
 )
 from infosched.model import (
     InstanceSpec,
+    ResourcePolytope,
     Schedule,
+    Sensor,
     ValidationError,
     random_instance,
 )
 from infosched.montecarlo import mc_objective
+from infosched.optimize import ShootingProblem, SolveOptions, solve
 from infosched.riccati import flow_cov
 
 from conftest import make_scalar_instance, rng_for
@@ -104,6 +108,39 @@ def test_trajectory_bracket_estimate_equals_mc_objective():
     np.testing.assert_array_equal(rep.mc.per_run_costs, est.per_run_costs)
     assert (rep.mc.mean, rep.mc.std, rep.mc.stderr, rep.mc.n_runs) == \
         (est.mean, est.std, est.stderr, est.n_runs)
+
+
+def _with_idle_sensors(inst, count):
+    """inst with count more sensors, H = 0 and R = I, in its budget row."""
+    p, n = inst.H.shape[1:]
+    idle = tuple(Sensor(H=np.zeros((p, n)), R=np.eye(p)) for _ in range(count))
+    C = np.hstack([inst.polytope.C, np.ones((1, count))])
+    return replace(inst, sensors=inst.sensors + idle,
+                   polytope=ResourcePolytope(C=C, b=inst.polytope.b))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_idle_padded_sensors_change_no_result(p):
+    # a sensor that observes nothing, at rate zero, draws no arrival and adds
+    # no information: the Monte Carlo costs and the cov bound are the same
+    # floats, the info bound sums its zero increments
+    inst = random_instance(InstanceSpec(n=3, M=4, p=p, seed=21))
+    padded = _with_idle_sensors(inst, 3)
+    rates = rng_for(22).uniform(0.0, 1.5, (5, 4))
+    scheds = [Schedule(N=5, T=inst.T, rates=rates),
+              Schedule(N=5, T=inst.T, rates=np.pad(rates, ((0, 0), (0, 3))))]
+    reps = [objective_bracket(i, s, n_runs=20, n_eval=60, seed=4)
+            for i, s in zip((inst, padded), scheds)]
+    assert np.array_equal(reps[0].mc.per_run_costs, reps[1].mc.per_run_costs)
+    assert reps[0].j_upper == reps[1].j_upper
+    assert abs(reps[0].j_lower - reps[1].j_lower) <= 1e-14 * reps[0].j_lower
+    # the design spends nothing on them
+    got = [solve(ShootingProblem(i, N=4), SolveOptions(grad_tol=1e-8))
+           for i in (inst, padded)]
+    assert all(r.converged for r in got)
+    assert abs(got[1].objective - got[0].objective) <= \
+        1e-7 * abs(got[0].objective)
+    assert got[1].schedule.rates[:, 4:].max() <= 1e-8
 
 
 def test_scale_sensor_noise_rescales_information():

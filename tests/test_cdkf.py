@@ -215,7 +215,7 @@ def _defective_instance(seed, zero_q):
     A = V @ J @ np.linalg.inv(V)
     B = rng.normal(size=(3, 3))
     Q = np.zeros((3, 3)) if zero_q else 0.3 * B @ B.T
-    system = SystemModel(n=3, A=A, Q=Q, m0=np.zeros(3), P0=np.eye(3), T=1.0)
+    system = SystemModel(n=3, A=A, Q=Q, P0=np.eye(3), T=1.0)
     sensors = []
     for _ in range(2):
         C = rng.normal(size=(2, 2))

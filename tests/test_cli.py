@@ -1,7 +1,9 @@
 import csv
 import json
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -580,7 +582,7 @@ def degenerate_case(A, Q=None, P0=None, sensors=None, C=None, b=(2.0,),
     M = len(sensors)
     inst = Instance(
         system=SystemModel(n=n, A=A, Q=np.eye(n) if Q is None else Q,
-                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
+                           P0=np.eye(n), T=1.0),
         sensors=tuple(Sensor(H=H, R=R) for H, R in sensors),
         polytope=ResourcePolytope(C=np.ones((1, M)) if C is None else C,
                                   b=np.asarray(b, dtype=float)),
@@ -709,14 +711,14 @@ def _nan_stage_weight(payload):
     payload["weights"]["W_stages"] = stages.tolist()
 
 
-def _infinite_mean(payload):
-    payload["m0"][1] = math.inf
+def _infinite_noise(payload):
+    payload["sensors"][1]["R"][0][0] = math.inf
 
 
 @pytest.mark.parametrize("edit, field, token", [
     (_nan_stage_weight, "W_stages", "NaN"),
-    (_infinite_mean, "m0", "Infinity"),
-], ids=["nan-W_stages", "inf-m0"])
+    (_infinite_noise, "R", "Infinity"),
+], ids=["nan-W_stages", "inf-R"])
 def test_a_non_finite_json_token_is_refused_at_load(tmp_path, capsys, edit,
                                                     field, token):
     # json reads the NaN and Infinity tokens as floats; the loader refuses
@@ -738,6 +740,25 @@ def test_a_non_finite_json_token_is_refused_at_load(tmp_path, capsys, edit,
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {field} contains non-finite entries\n"
+    assert set(tmp_path.iterdir()) == inputs
+
+
+def test_a_projection_below_the_orthant_is_a_numeric_failure(tmp_path,
+                                                            capsys):
+    # on two coupled rows Dykstra's point can end a few 1e-11 below zero;
+    # Schedule refuses it, and solve reports a numeric failure (exit 1), not
+    # a usage error, and writes no output
+    inst = random_instance(InstanceSpec(n=2, M=3, seed=1))
+    inst = replace(inst, polytope=ResourcePolytope(
+        C=[[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]], b=[5.0, 1.0]))
+    save_instance(tmp_path / "inst.json", inst)
+    inputs = set(tmp_path.iterdir())
+    assert cli.main(["solve", "--instance", str(tmp_path / "inst.json"),
+                     "--N", "4", "--out", str(tmp_path / "info")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"numeric failure: projected trial rates: rates must "
+                        r"be nonnegative, min entry -\d\.\d{3}e-\d\d\n", err)
     assert set(tmp_path.iterdir()) == inputs
 
 

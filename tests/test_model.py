@@ -54,10 +54,68 @@ def test_information_increment_vs_explicit_inverse(rng):
     assert err <= 1e-12
 
 
+def _pool_instance(sensors, n=3):
+    """An instance of the given sensors on a plain system."""
+    M = len(sensors)
+    return Instance(
+        system=SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), P0=np.eye(n),
+                           T=1.0),
+        sensors=sensors,
+        polytope=ResourcePolytope(C=np.ones((1, M)), b=np.ones(1)),
+        weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
+
+
 def test_information_increment_rejects_non_spd():
+    # the pool is checked as a stack per output dimension; the error names
+    # the sensor by its index in the pool, not in its stack
     R = np.array([[1.0, 0.0], [0.0, -2.0]])
-    with pytest.raises(ValidationError, match="eigenvalue"):
-        Sensor(H=np.eye(2), R=R)
+    sensors = [Sensor(H=np.eye(3)[:2], R=np.eye(2)),
+               Sensor(H=np.eye(3)[:1], R=np.eye(1)),
+               Sensor(H=np.eye(3)[1:], R=R)]
+    with pytest.raises(ValidationError, match=r"R\[2\] is not positive "
+                                              "definite: min eigenvalue"):
+        _pool_instance(sensors)
+
+
+def test_padding_keeps_each_sensors_symmetry_threshold():
+    # an identity block would raise the norm the threshold scales with:
+    # this R is rejected alone, so it is rejected beside a 3-output sensor
+    skew = np.array([[1.0, 1.1e-12], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"R\[0\] is not symmetric"):
+        _pool_instance([Sensor(H=np.eye(3)[:2], R=skew)])
+    with pytest.raises(ValidationError, match=r"R\[1\] is not symmetric"):
+        _pool_instance([Sensor(H=np.eye(3), R=np.eye(3)),
+                        Sensor(H=np.eye(3)[:2], R=skew)])
+
+
+def test_an_instance_checks_its_pool_in_a_fixed_number_of_calls(monkeypatch):
+    # one check per stack: the ingest makes as many _matrix calls for 300
+    # sensors as for 3
+    from infosched import model
+
+    calls = []
+    check = model._matrix
+    monkeypatch.setattr(model, "_matrix",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    counts = []
+    for M in (3, 300):
+        payload = instance_to_dict(random_instance(
+            InstanceSpec(n=3, M=M, p=2, seed=5)))
+        calls.clear()
+        instance_from_dict(payload)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[0] > 0
+
+
+def test_instance_sensors_are_read_only_views_of_the_stacks():
+    inst = _pool_instance([Sensor(H=[[1.0, 0.0, 0.0]], R=[[2.0]]),
+                           Sensor(H=np.eye(3)[1:], R=[[2.0, 0.5], [0.5, 1.0]])])
+    for j, s in enumerate(inst.sensors):
+        assert np.shares_memory(s.H, inst.H) and np.shares_memory(s.R, inst.R)
+        np.testing.assert_array_equal(s.H, inst.H[j, :s.p])
+        np.testing.assert_array_equal(s.S, inst.S[j])
+        with pytest.raises(ValueError):
+            s.R[0, 0] = 5.0
 
 
 @given(st.integers(0, 10_000), st.floats(0.1, 10.0))
@@ -124,13 +182,12 @@ def test_schedule_clips_roundoff_negatives():
 def test_system_model_rejects_asymmetric_q():
     Q = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValidationError):
-        SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, m0=np.zeros(2),
-                    P0=np.eye(2), T=1.0)
+        SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, P0=np.eye(2), T=1.0)
 
 
 def test_system_model_rejects_indefinite_p0():
     with pytest.raises(ValidationError):
-        SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), m0=np.zeros(2),
+        SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2),
                     P0=np.diag([1.0, -1.0]), T=1.0)
 
 
@@ -141,8 +198,7 @@ def test_system_model_checks_hold_at_any_scale(scale):
     # pass anything, and symmetrize without forming x + x^T, which past
     # 9e307 would: each shape gets its scale-1 verdict, with no warning
     def system(Q=np.eye(2), P0=np.eye(2)):
-        return SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, m0=np.zeros(2),
-                           P0=P0, T=1.0)
+        return SystemModel(n=2, A=np.zeros((2, 2)), Q=Q, P0=P0, T=1.0)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -161,8 +217,7 @@ def test_system_model_stores_a_prior_near_the_largest_float():
     P0 = np.array([[1e308, 1e307], [1e307, 1e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sys = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2),
-                          m0=np.zeros(2), P0=P0, T=1.0)
+        sys = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), P0=P0, T=1.0)
     np.testing.assert_array_equal(sys.P0, P0)
 
 
@@ -175,24 +230,24 @@ def test_system_model_rejects_a_prior_under_the_pd_floor(diag, name):
     # covariance and information path above it
     n = len(diag)
     with pytest.raises(ValidationError, match=name.replace("^", r"\^")):
-        SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), m0=np.zeros(n),
-                    P0=np.diag(diag), T=1.0)
+        SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), P0=np.diag(diag),
+                    T=1.0)
 
 
 @pytest.mark.parametrize("diag", [[1e11, 1.0], [1e11, 1.0, 1.0],
                                   [1.0, 1e-11]])
 def test_a_prior_that_loads_clears_the_pd_floor_both_ways(diag):
     n = len(diag)
-    sys = SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), m0=np.zeros(n),
-                      P0=np.diag(diag), T=1.0)
+    sys = SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n), P0=np.diag(diag),
+                      T=1.0)
     require_pd(sys.P0)
     require_pd(np.linalg.inv(sys.P0))
 
 
 def test_system_model_rejects_nonpositive_horizon():
     with pytest.raises(ValidationError):
-        SystemModel(n=1, A=np.zeros((1, 1)), Q=np.zeros((1, 1)),
-                    m0=np.zeros(1), P0=np.eye(1), T=0.0)
+        SystemModel(n=1, A=np.zeros((1, 1)), Q=np.zeros((1, 1)), P0=np.eye(1),
+                    T=0.0)
 
 
 def test_sensor_caches_information_increment():
@@ -209,8 +264,8 @@ def test_sensor_stores_a_noise_near_the_largest_float(tmp_path):
     s = Sensor(H=[[1.0]], R=[[1e308]])
     np.testing.assert_array_equal(s.R, [[1e308]])
     np.testing.assert_array_equal(s.S, [[1e-308]])
-    system = SystemModel(n=1, A=np.zeros((1, 1)), Q=np.eye(1),
-                         m0=np.zeros(1), P0=np.eye(1), T=1.0)
+    system = SystemModel(n=1, A=np.zeros((1, 1)), Q=np.eye(1), P0=np.eye(1),
+                         T=1.0)
     inst = Instance(system=system, sensors=(s,),
                     polytope=ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1)),
                     weights=WeightSpec(W_stages=None, W_T=np.eye(1)))
@@ -220,8 +275,8 @@ def test_sensor_stores_a_noise_near_the_largest_float(tmp_path):
 
 
 def test_instance_rejects_sensor_dimension_mismatch():
-    system = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2),
-                         m0=np.zeros(2), P0=np.eye(2), T=1.0)
+    system = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), P0=np.eye(2),
+                         T=1.0)
     bad = Sensor(H=np.ones((1, 3)), R=np.eye(1))
     poly = ResourcePolytope(C=np.ones((1, 1)), b=np.ones(1))
     with pytest.raises(ValidationError):
@@ -230,8 +285,8 @@ def test_instance_rejects_sensor_dimension_mismatch():
 
 
 def test_instance_rejects_polytope_sensor_count_mismatch():
-    system = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2),
-                         m0=np.zeros(2), P0=np.eye(2), T=1.0)
+    system = SystemModel(n=2, A=np.zeros((2, 2)), Q=np.eye(2), P0=np.eye(2),
+                         T=1.0)
     s = Sensor(H=np.ones((1, 2)), R=np.eye(1))
     poly = ResourcePolytope(C=np.ones((1, 3)), b=np.ones(1))
     with pytest.raises(ValidationError):
@@ -278,7 +333,6 @@ def test_random_instance_fixed_conventions():
                                         budget=4.0))
     np.testing.assert_array_equal(inst.system.Q, np.eye(3))
     np.testing.assert_array_equal(inst.system.P0, 100.0 * np.eye(3))
-    np.testing.assert_array_equal(inst.system.m0, np.zeros(3))
     np.testing.assert_array_equal(inst.polytope.C, np.ones((1, 2)))
     np.testing.assert_array_equal(inst.polytope.b, [4.0])
     assert inst.T == 2.5
@@ -311,7 +365,7 @@ def test_instance_json_keys(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(path, inst)
     data = json.loads(path.read_text())
-    assert set(data) == {"n", "T", "A", "Q", "P0", "m0", "sensors",
+    assert set(data) == {"n", "T", "A", "Q", "P0", "sensors",
                          "constraints", "weights"}
     assert set(data["constraints"]) == {"C", "b"}
     assert set(data["weights"]) == {"W_stages", "WT"}

@@ -195,8 +195,7 @@ def test_mc_objective_of_a_terminal_weight_ignores_n_eval_on_a_stiff_a():
     # grid makes long cuts, which a fast stable mode must not spoil
     rng = rng_for(60)
     A = np.diag([-60.0, -1.0, 0.5]) + 0.3 * rng.normal(size=(3, 3))
-    system = SystemModel(n=3, A=A, Q=random_spd(rng, 3), m0=np.zeros(3),
-                         P0=np.eye(3), T=3.0)
+    system = SystemModel(n=3, A=A, Q=random_spd(rng, 3), P0=np.eye(3), T=3.0)
     sensors = tuple(Sensor(H=rng.normal(size=(1, 3)), R=np.eye(1))
                     for _ in range(2))
     inst = Instance(system=system, sensors=sensors,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize
@@ -652,7 +652,6 @@ def test_zero_information_sensor_has_zero_gradient_column():
         n=2,
         A=np.array([[-0.3, 0.0], [0.0, 0.2]]),
         Q=0.4 * np.eye(2),
-        m0=np.zeros(2),
         P0=np.eye(2),
         T=1.0,
     )
@@ -678,7 +677,6 @@ def test_duplicate_sensors_share_gradient_columns():
         n=2,
         A=np.array([[-0.2, 0.1], [0.0, -0.4]]),
         Q=0.3 * np.eye(2),
-        m0=np.zeros(2),
         P0=2.0 * np.eye(2),
         T=1.5,
     )
@@ -1004,6 +1002,23 @@ def test_objective_agrees_with_gradient_forward_pass():
         rates = centered_rates(inst.polytope, 3)
         J, _ = objective_and_gradient(problem, rates)
         assert J == objective(problem, rates)
+
+
+@settings(derandomize=True)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]), st.sampled_from([3, 4]),
+       st.booleans(), st.sampled_from([0.5, 3.0, 20.0]))
+def test_info_objective_is_convex_along_chords(seed, n, M, running, top):
+    # convexity of the info surrogate in the rates is measured, not proven:
+    # the midpoint of a chord between two rate tables lies under it
+    rng = rng_for(seed)
+    inst = random_instance(InstanceSpec(n=n, M=M, p=1, seed=seed))
+    if running:
+        inst = replace(inst, weights=WeightSpec(
+            W_stages=_stage_weights(n, 3, seed + 1), W_T=np.eye(n)))
+    problem = ShootingProblem(instance=inst, N=3)
+    a, b = rng.uniform(0.0, top, (2, 3, M))
+    Ja, Jb, Jmid = (objective(problem, x) for x in (a, b, 0.5 * (a + b)))
+    assert Jmid <= 0.5 * (Ja + Jb) + 1e-12 * abs(Jmid)
 
 
 def test_shooting_problem_validation():

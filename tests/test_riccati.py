@@ -520,7 +520,7 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
     rng.shuffle(sensors)
     inst = Instance(
         system=SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n),
-                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
+                           P0=np.eye(n), T=1.0),
         sensors=tuple(sensors),
         polytope=ResourcePolytope(C=np.ones((1, 9)), b=np.ones(1)),
         weights=WeightSpec(W_stages=None, W_T=np.eye(n)))
@@ -546,7 +546,7 @@ def _scalar_sensor_instance(rng, n, M):
                            R=random_spd(rng, 1, float(c))) for c in scales)
     return Instance(
         system=SystemModel(n=n, A=np.zeros((n, n)), Q=np.eye(n),
-                           m0=np.zeros(n), P0=np.eye(n), T=1.0),
+                           P0=np.eye(n), T=1.0),
         sensors=sensors,
         polytope=ResourcePolytope(C=np.ones((1, M)), b=np.ones(1)),
         weights=WeightSpec(W_stages=None, W_T=np.eye(n)))

@@ -34,6 +34,7 @@ from infosched.surrogate import (
 from conftest import (
     make_scalar_instance,
     mixed_instance,
+    random_spd,
     rng_for,
 )
 
@@ -125,6 +126,46 @@ def test_stage_increments_values():
     S0, S1 = inst.sensors[0].S, inst.sensors[1].S
     np.testing.assert_allclose(U[0], 0.5 * S0 + 2.0 * S1)
     np.testing.assert_allclose(U[1], S1)
+
+
+def _euler_rate_jacobian(step, x, lam, d=0.5):
+    """Rows d step(x, lam) / d lam_j of one explicit-Euler step, by central
+    differences: both surrogate steps are affine in the rates, so the
+    differences are exact up to roundoff."""
+    rows = []
+    for j in range(lam.size):
+        e = d * np.eye(lam.size)[j]
+        rows.append((step(x, lam + e) - step(x, lam - e)) / (2.0 * d))
+    return np.stack(rows)
+
+
+def test_rates_enter_the_info_step_apart_from_the_state():
+    # the paper's mechanism: rates enter the info form through additive
+    # increments, so its rate Jacobian is the same at every state (no mixed
+    # state-rate derivative); the cov form's gain term weighs each rate by
+    # a gain of the state, so its rate Jacobian moves with the state
+    inst = mixed_instance(8)                # sensors of p = 1 and p = 2
+    A, Q, h = inst.system.A, inst.system.Q, 0.05
+    lam = np.linspace(0.5, 1.5, inst.M)
+    gains = riccati.cov_gains(inst.H, inst.R)
+
+    def info_step(Y, lam):
+        sched = Schedule(N=1, T=inst.T, rates=lam[None])
+        U = stage_increments(inst, sched)[0]
+        return Y + h * (riccati.info_rhs(Y, A, Q) + U)
+
+    def cov_step(P, lam):
+        return P + h * riccati.cov_rhs(P, A, Q, gains.gain_term(P, lam))
+
+    rng = rng_for(41)
+    states = [random_spd(rng, inst.n), random_spd(rng, inst.n, 10.0)]
+    info = [_euler_rate_jacobian(info_step, X, lam) for X in states]
+    cov = [_euler_rate_jacobian(cov_step, X, lam) for X in states]
+    # a difference of two steps carries the roundoff of the state's entries
+    roundoff = 32 * np.finfo(float).eps * max(np.abs(X).max() for X in states)
+    assert np.abs(info[0] - info[1]).max() <= roundoff
+    assert np.abs(info[0] - h * inst.S).max() <= roundoff
+    assert np.abs(cov[0] - cov[1]).max() >= 0.1 * np.abs(cov[0]).max()
 
 
 # -------------------------------------------------------------- cov integrator
