@@ -62,14 +62,20 @@ def _matrix(x, name: str, shape: tuple, definite: str = "",
     symmetric part 0.5 x + 0.5 x^T: the floats of _sym, without
     overflowing x + x^T.  Norms and eigenvalues are taken of x / c, c =
     max(max_ij |x_ij|, 1), so they cannot overflow, and a matrix with no
-    entry above 1 is checked as it is.  An error in a stack names the first
-    failing matrix, name[k], or name[index[k]] for a part index of a stack.
+    entry above 1 is checked as it is.  An error in a stack (x of three
+    axes) names the first failing matrix, name[k], or name[index[k]] for a
+    part index of a stack.
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
+    label = name + "[{}]" if arr.ndim == 3 else name
+    at = range(len(arr)) if index is None else index
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.argmin(finite.reshape(len(arr), -1).all(axis=1)))
+        raise ValidationError(
+            f"{label.format(at[k])} contains non-finite entries")
     if not definite:
         return _freeze(arr)
     y = arr.reshape(-1, *arr.shape[-2:])      # a matrix is a stack of one
@@ -82,8 +88,6 @@ def _matrix(x, name: str, shape: tuple, definite: str = "",
         kind, low = "definite", w <= 0.0
     else:
         kind, low = "semidefinite", w < PSD_EIG_FLOOR * np.maximum(scale, 1.0)
-    label = name if arr.ndim == 2 else name + "[{}]"
-    at = range(len(y)) if index is None else index
     asym = skew > SYMMETRY_RTOL * scale
     if asym.any():
         k = int(np.argmax(asym))               # the first failing matrix
@@ -99,13 +103,18 @@ def _matrix(x, name: str, shape: tuple, definite: str = "",
     return _freeze(0.5 * arr + 0.5 * np.swapaxes(arr, -1, -2))
 
 
+def pd_floor(d: np.ndarray):
+    """PD_FLOOR_REL * trace/n of a matrix, or of each in a stack, from its
+    diagonal or eigenvalues d: sum(d / n), as trace / n can overflow."""
+    return PD_FLOOR_REL * (d / d.shape[-1]).sum(axis=-1)
+
+
 def _check_prior(P0: np.ndarray) -> None:
     """P0 and its inverse, the first nodes of the covariance and information
-    paths, each clear the floor every path is held to: min eigenvalue above
-    PD_FLOOR_REL * trace/n."""
+    paths, each clear the floor every path is held to (pd_floor)."""
     w = np.linalg.eigvalsh(P0)
     for name, ev in (("P0", w), ("P0^-1", 1.0 / w[::-1])):
-        floor = PD_FLOOR_REL * (ev / len(ev)).sum()  # ev.sum() can overflow
+        floor = pd_floor(ev)
         if ev[0] <= floor:
             raise ValidationError(
                 f"{name} is too badly scaled: min eigenvalue {ev[0]:.6e} <= "
@@ -159,10 +168,6 @@ class Sensor:
 
     H: np.ndarray
     R: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return len(self.H)
 
     @property
     def S(self) -> np.ndarray:
@@ -309,7 +314,8 @@ class Instance:
         H, R = np.zeros((M, p, n)), np.tile(np.eye(p), (M, 1, 1))
         for q in sorted(set(ps.tolist())):
             js = np.flatnonzero(ps == q)
-            H[js, :q] = _matrix([Hs[j] for j in js], "H", (len(js), q, n))
+            H[js, :q] = _matrix([Hs[j] for j in js], "H", (len(js), q, n),
+                                index=js)
             R[js, :q, :q] = _matrix([Rs[j] for j in js], "R", (len(js), q, q),
                                     "pd", index=js)
         H, R = _freeze(H), _freeze(R)

@@ -33,6 +33,8 @@ from .riccati import (
     Trajectory,
     node_weights,
     read_nodes,
+    require_finite,
+    require_pd,
     time_grid,
 )
 
@@ -110,7 +112,8 @@ def _run_costs(instance, records, grid, paths=None):
     forms only the weighted nodes and each gap's last (with W_T alone, one
     node per gap), and the costs are the same, bit for bit.  Such a walk
     checks only what it forms, so when it fails, the full walk runs on the
-    same records to name the first loss, as with paths.
+    same records to name the first loss, as with paths.  A cost that
+    overflows is a PositiveDefinitenessError naming the first such run.
     """
     weights = node_weights(grid, instance.weights)
     read = read_nodes(weights)
@@ -124,9 +127,11 @@ def _run_costs(instance, records, grid, paths=None):
             if not every:
                 on = read[nodes]
                 runs, nodes, P = runs[on], nodes[on], P[on]
-            np.add.at(costs, runs,
-                      (weights[nodes] * P).reshape(len(runs), n2).sum(axis=1))
-        return costs
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                np.add.at(costs, runs, (weights[nodes] * P).reshape(
+                    len(runs), n2).sum(axis=1))
+        run = int(np.argmin(np.isfinite(costs)))   # the first to overflow
+        return require_finite(costs, f"Monte Carlo cost of run {run}")
 
     if paths is not None or every:
         return walk(None)
@@ -137,18 +142,34 @@ def _run_costs(instance, records, grid, paths=None):
         raise
 
 
-def _mean_std(means, spreads):
-    """Mean over the runs (the first axis) of means, and the sample standard
-    deviation over the runs of spreads.  When every run of means is the
-    same (the zero schedule), the mean is that run and the spread exactly
-    zero: averaging equal values leaves roundoff, as fl(n a) / n != a."""
-    if np.all(means == means[0]):
-        return means[0].copy(), np.zeros(spreads.shape[1:])
-    return means.mean(axis=0), spreads.std(axis=0, ddof=1)
+def _mean_std(chunks, spread, name):
+    """Mean over the runs, and sample standard deviation over the runs of
+    spread(x), for the runs' values x in chunks along the first axis, in
+    run order.  The sum adds each chunk's sum(axis=0), so a stack given as
+    one chunk or run by run has the floats of its mean(axis=0).  When every
+    run equals run 0 (the zero schedule), the mean is run 0 and the spread
+    exactly zero: averaging equal values leaves roundoff, fl(n a) / n != a.
+    A mean or spread that overflows is a PositiveDefinitenessError."""
+    total, spreads, same = None, [], True
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for x in chunks:
+            if total is None:
+                first, total = x[0], x.sum(axis=0)
+            else:
+                total += x.sum(axis=0)
+            same = same and bool(np.all(x == first))
+            spreads.append(spread(x))
+        spreads = np.concatenate(spreads)
+        if same:
+            mean, std = first.copy(), np.zeros(spreads.shape[1:])
+        else:
+            mean, std = total / len(spreads), spreads.std(axis=0, ddof=1)
+    return (require_finite(mean, f"Monte Carlo mean of the {name}"),
+            require_finite(std, f"Monte Carlo spread of the {name}"))
 
 
 def _estimate(costs: np.ndarray) -> McEstimate:
-    mean, std = _mean_std(costs, costs)
+    mean, std = _mean_std([costs], lambda x: x, "cost")
     return McEstimate(
         mean=float(mean),
         std=float(std),
@@ -208,20 +229,28 @@ def mc_mean_trajectories(
     """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
 
     Runs, seeding and costs are those of mc_objective; every covariance path
-    is kept for the nodewise statistics.
+    is kept for the nodewise statistics, and each run's information path is
+    formed, added and dropped in turn, so no second stack is held.
     """
     times = time_grid(instance.T, n_eval)
     records = _sample_runs(instance, schedule, n_runs, seed)
     n = instance.n
     p_paths = np.empty((n_runs, n_eval + 1, n, n))
     costs = _run_costs(instance, records, times, p_paths)
-    y_paths = _sym(np.linalg.inv(p_paths))
-    p_mean, p_std = _mean_std(p_paths, np.trace(p_paths, axis1=2, axis2=3))
-    y_mean, y_std = _mean_std(y_paths, np.trace(y_paths, axis1=2, axis2=3))
+    trace = lambda x: np.trace(x, axis1=2, axis2=3)
+    p_mean, p_std = _mean_std([p_paths], trace, "covariance path")
+    y_mean, y_std = _mean_std(
+        (_sym(np.linalg.inv(p_paths[r:r + 1])) for r in range(n_runs)),
+        trace, "information path")
+    # the means are symmetric as every run's node is: each is checked once,
+    # and one below the floor is a numeric failure, not malformed input
+    for coords, mean in ((COV, p_mean), (INFO, y_mean)):
+        require_pd(mean, lambda i: f"in the mean {coords} path at node "
+                                   f"t={times[i]:g}")
     scale = np.sqrt(n_runs)
     return McTrajectories(
-        p_mean=Trajectory(coordinates=COV, times=times, values=p_mean),
-        y_mean=Trajectory(coordinates=INFO, times=times, values=y_mean),
+        p_mean=Trajectory._checked(COV, times, p_mean),
+        y_mean=Trajectory._checked(INFO, times, y_mean),
         p_trace_stderr=p_std / scale,
         y_trace_stderr=y_std / scale,
         objective=_estimate(costs),

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PD_FLOOR_REL, ValidationError, WeightSpec, _sym
+from .model import ValidationError, WeightSpec, _sym, pd_floor
 
 SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 RK4_REAL_LIMIT = 2.785  # RK4 is stable for real h * lambda in [-2.785, 0]
@@ -59,14 +59,8 @@ class PositiveDefinitenessError(RuntimeError):
     """An integrated matrix lost positive definiteness."""
 
 
-def pd_floor(x: np.ndarray):
-    """Scale-relative positive definiteness floor of x, or of each in a stack."""
-    n = x.shape[-1]
-    return PD_FLOOR_REL * np.maximum(x.trace(axis1=-2, axis2=-1) / n, 1e-300)
-
-
 def require_pd(x: np.ndarray, context="", advice="") -> None:
-    """Raise if x is non-finite or its min eig is at or below the floor.
+    """Raise if x is non-finite or its min eig is at or below pd_floor.
 
     x is a matrix or a stack of matrices, checked with one batched
     Cholesky; for a stack, context is a function of a matrix's index (by
@@ -75,7 +69,7 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
     """
     stack = x if x.ndim > 2 else x[None]    # a matrix is a stack of one
     with np.errstate(over="ignore", invalid="ignore"):   # non-finite: fails
-        floor = pd_floor(stack)
+        floor = pd_floor(np.diagonal(stack, axis1=1, axis2=2))
         shifted = stack - floor[:, None, None] * np.eye(x.shape[-1])
     if _cholesky_passes(shifted):
         return
@@ -93,6 +87,14 @@ def require_pd(x: np.ndarray, context="", advice="") -> None:
         raise PositiveDefinitenessError(
             f"matrix lost positive definiteness{where}: min eigenvalue "
             f"{m:.6e} <= floor {floor[i]:.6e}{tail}")
+
+
+def require_finite(x, name: str):
+    """x, if every entry is finite; else a PositiveDefinitenessError naming
+    it.  A reported number that overflowed fails here, never as an inf."""
+    if not np.isfinite(x).all():
+        raise PositiveDefinitenessError(f"{name} is not finite")
+    return x
 
 
 def _cholesky_passes(x: np.ndarray) -> bool:
@@ -504,9 +506,9 @@ class Trajectory:
     @classmethod
     def _checked(cls, coordinates: str, times: np.ndarray,
                  values: np.ndarray) -> "Trajectory":
-        """A path from an integrator that symmetrizes every node and has run
-        require_pd on each with its own message: built without checking the
-        nodes a second time."""
+        """A path the package derived (an integrator's, an inverse, a Monte
+        Carlo mean), symmetric node by node, whose nodes have passed
+        require_pd with its own message: built without a second check."""
         traj = object.__new__(cls)
         traj.__dict__.update(coordinates=coordinates, times=times,
                              values=values)
@@ -571,7 +573,8 @@ def pathwise_cost(
 
     Reduces the path with its node_weights table.  An information path is
     inverted at its weighted nodes only (with a terminal weight alone, the
-    last).  When horizon is given, the grid must span [0, horizon].
+    last).  When horizon is given, the grid must span [0, horizon].  A cost
+    that is not finite (an overflow) is a PositiveDefinitenessError.
     """
     if weights.n != traj.n:
         raise ValidationError(
@@ -587,9 +590,11 @@ def pathwise_cost(
     table = node_weights(traj.times, weights)
     at = np.flatnonzero(read_nodes(table))
     values = traj.values[at]
-    if traj.coordinates == INFO:
-        values = _sym(np.linalg.inv(values))
-    return float(np.tensordot(table[at], values, axes=3))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        if traj.coordinates == INFO:
+            values = _sym(np.linalg.inv(values))
+        cost = float(np.tensordot(table[at], values, axes=3))
+    return require_finite(cost, "pathwise cost")
 
 
 __all__ = [
@@ -610,8 +615,8 @@ __all__ = [
     "lyapunov_maps",
     "node_weights",
     "pathwise_cost",
-    "pd_floor",
     "read_nodes",
+    "require_finite",
     "require_pd",
     "stacked_gains",
     "time_grid",

@@ -143,6 +143,30 @@ def test_idle_padded_sensors_change_no_result(p):
     assert got[1].schedule.rates[:, 4:].max() <= 1e-8
 
 
+def test_idle_padded_sensors_change_no_result_at_scale():
+    # the same padding with 1996 idle sensors, M = 2000: the pool is
+    # checked and stepped as stacks, so the padded solve and bracket stay
+    # fast (0.3 s and 0.03 s on a 2-core host), every idle rate stays
+    # exactly zero, and the objective moves by roundoff (7.8e-12 measured)
+    inst = random_instance(InstanceSpec(n=3, M=4, p=1, seed=21))
+    padded = _with_idle_sensors(inst, 1996)
+    assert padded.M == 2000
+    got = [solve(ShootingProblem(i, N=4), SolveOptions(grad_tol=1e-8))
+           for i in (inst, padded)]
+    assert all(r.converged for r in got)
+    assert abs(got[1].objective - got[0].objective) <= \
+        1e-9 * abs(got[0].objective)
+    assert np.all(got[1].schedule.rates[:, 4:] == 0.0)
+    rates = rng_for(22).uniform(0.0, 1.5, (5, 4))
+    scheds = [Schedule(N=5, T=inst.T, rates=rates),
+              Schedule(N=5, T=inst.T, rates=np.pad(rates, ((0, 0), (0, 1996))))]
+    reps = [objective_bracket(i, s, n_runs=20, n_eval=60, seed=4)
+            for i, s in zip((inst, padded), scheds)]
+    assert np.array_equal(reps[0].mc.per_run_costs, reps[1].mc.per_run_costs)
+    assert reps[0].j_upper == reps[1].j_upper
+    assert abs(reps[0].j_lower - reps[1].j_lower) <= 1e-14 * reps[0].j_lower
+
+
 def test_scale_sensor_noise_rescales_information():
     inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=6))
     scaled = scale_sensor_noise(inst, 2.0)

@@ -716,14 +716,14 @@ def _infinite_noise(payload):
 
 
 @pytest.mark.parametrize("edit, field, token", [
-    (_nan_stage_weight, "W_stages", "NaN"),
-    (_infinite_noise, "R", "Infinity"),
+    (_nan_stage_weight, "W_stages[2]", "NaN"),
+    (_infinite_noise, "R[1]", "Infinity"),
 ], ids=["nan-W_stages", "inf-R"])
 def test_a_non_finite_json_token_is_refused_at_load(tmp_path, capsys, edit,
                                                     field, token):
     # json reads the NaN and Infinity tokens as floats; the loader refuses
-    # them by name, so no command reports a nan objective or fails later on
-    # a derived quantity
+    # them by name and stack index, so no command reports a nan objective or
+    # fails later on a derived quantity
     payload, rates = degenerate_case(-np.eye(2))
     edit(payload)
     (tmp_path / "inst.json").write_text(json.dumps(payload))
@@ -822,6 +822,49 @@ def test_solve_normalizes_a_prior_near_the_largest_float(tmp_path, capsys):
     assert 0.0 < normalized < math.inf and err == ""
     want = float(fields["objective"]) / 1e308 / 5.0     # trace(P0) = 5e308
     assert normalized == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+def _huge_prior_case(A):
+    # n = 4, P0 = 6e307 I, whose trace overflows; one sensor, zero schedule
+    return degenerate_case(A, sensors=[(np.eye(4)[[0]], np.eye(1))],
+                           P0=6e307 * np.eye(4), rates=0.0)
+
+
+def test_an_overflowing_cost_is_a_numeric_failure(tmp_path, capsys):
+    # A = 0 keeps P(T) = (6e307 + 1) I: the prior clears the floor at t = 0,
+    # and <W_T, P(T)> = 2.4e308 overflows, so evaluate and bracket name the
+    # cost, exit 1 and write nothing, where a report would read mean=inf
+    payload, rates = _huge_prior_case(np.zeros((4, 4)))
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    inputs = set(tmp_path.iterdir())
+    files = ["--instance", str(tmp_path / "inst.json"),
+             "--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
+    for argv in (["evaluate", "--out", str(tmp_path / "mc.json")],
+                 ["bracket", "--objective-only",
+                  "--out", str(tmp_path / "cert")]):
+        assert cli.main(argv + files) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("numeric failure: Monte Carlo cost of run 0 is not "
+                       "finite\n")
+    assert set(tmp_path.iterdir()) == inputs
+
+
+def test_a_prior_whose_trace_overflows_evaluates_to_a_finite_mean(tmp_path,
+                                                                   capsys):
+    # A = -I: P(T) = 6e307 e^{-2} I + ..., so the cost is finite and the
+    # same prior evaluates, its floor finite at every node
+    payload, rates = _huge_prior_case(-np.eye(4))
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    assert cli.main(["evaluate", "--instance", str(tmp_path / "inst.json"),
+                     "--schedule", str(tmp_path / "sched.json"),
+                     "--runs", "5", "--out", str(tmp_path / "mc.json")]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "mean=3.2480468e+307 stderr=0" in out
+    mean = json.loads((tmp_path / "mc.json").read_text())["mean"]
+    assert mean == pytest.approx(4 * (6e307 * math.exp(-2.0)), rel=1e-12)
 
 
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):

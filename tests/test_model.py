@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infosched.model import (
+    PD_FLOOR_REL,
     Instance,
     InstanceSpec,
     ResourcePolytope,
@@ -20,6 +21,7 @@ from infosched.model import (
     instance_to_dict,
     load_instance,
     load_schedule,
+    pd_floor,
     random_instance,
     save_instance,
     save_schedule,
@@ -77,6 +79,21 @@ def test_information_increment_rejects_non_spd():
         _pool_instance(sensors)
 
 
+@pytest.mark.parametrize("field, j", [("H", 2), ("R", 1), ("H", 0)])
+def test_a_non_finite_sensor_entry_names_the_sensor(field, j):
+    # as a symmetry or definiteness failure does: the pool index, whatever
+    # the sensor's position in its output dimension's stack
+    sensors = [Sensor(H=np.eye(3)[:2], R=np.eye(2)),
+               Sensor(H=np.eye(3)[:1], R=np.eye(1)),
+               Sensor(H=np.eye(3)[1:], R=np.eye(2))]
+    bad = {"H": sensors[j].H.copy(), "R": sensors[j].R.copy()}
+    bad[field][-1, -1] = math.nan
+    sensors[j] = Sensor(**bad)
+    with pytest.raises(ValidationError,
+                       match=rf"^{field}\[{j}\] contains non-finite entries$"):
+        _pool_instance(sensors)
+
+
 def test_padding_keeps_each_sensors_symmetry_threshold():
     # an identity block would raise the norm the threshold scales with:
     # this R is rejected alone, so it is rejected beside a 3-output sensor
@@ -112,7 +129,7 @@ def test_instance_sensors_are_read_only_views_of_the_stacks():
                            Sensor(H=np.eye(3)[1:], R=[[2.0, 0.5], [0.5, 1.0]])])
     for j, s in enumerate(inst.sensors):
         assert np.shares_memory(s.H, inst.H) and np.shares_memory(s.R, inst.R)
-        np.testing.assert_array_equal(s.H, inst.H[j, :s.p])
+        np.testing.assert_array_equal(s.H, inst.H[j, :len(s.H)])
         np.testing.assert_array_equal(s.S, inst.S[j])
         with pytest.raises(ValueError):
             s.R[0, 0] = 5.0
@@ -244,6 +261,16 @@ def test_a_prior_that_loads_clears_the_pd_floor_both_ways(diag):
     require_pd(np.linalg.inv(sys.P0))
 
 
+def test_a_prior_whose_trace_overflows_clears_the_one_floor():
+    # trace(P0) = 2.4e308 overflows, trace / n would read an infinite floor;
+    # the one floor sums d / n, so the prior that loads passes require_pd
+    P0 = 6e307 * np.eye(4)
+    sys = SystemModel(n=4, A=np.zeros((4, 4)), Q=np.eye(4), P0=P0, T=1.0)
+    assert pd_floor(np.diag(sys.P0)) == PD_FLOOR_REL * 6e307
+    require_pd(sys.P0)
+    require_pd(np.stack([sys.P0, np.eye(4)]))
+
+
 def test_system_model_rejects_nonpositive_horizon():
     with pytest.raises(ValidationError):
         SystemModel(n=1, A=np.zeros((1, 1)), Q=np.zeros((1, 1)), P0=np.eye(1),
@@ -255,7 +282,7 @@ def test_sensor_caches_information_increment():
     R = np.array([[4.0]])
     s = Sensor(H=H, R=R)
     np.testing.assert_allclose(s.S, H.T @ np.linalg.inv(R) @ H)
-    assert s.p == 1
+    assert len(s.H) == 1
 
 
 def test_sensor_stores_a_noise_near_the_largest_float(tmp_path):
@@ -454,7 +481,7 @@ def test_a_non_finite_number_anywhere_in_an_instance_is_refused(bad):
 @pytest.mark.parametrize("stage,error", [
     ([[1.0, 0.5], [0.0, 1.0]], "W_stages[2] is not symmetric"),
     (-np.eye(2), "W_stages[2] is not positive semidefinite"),
-    ([[1.0, math.nan], [math.nan, 1.0]], "W_stages contains non-finite"),
+    ([[1.0, math.nan], [math.nan, 1.0]], "W_stages[2] contains non-finite"),
 ], ids=["skew", "indefinite", "nan"])
 def test_a_bad_stage_weight_is_named(stage, error):
     # the stack is checked at once; the error names the first bad stage

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from math import factorial
 
@@ -669,6 +670,65 @@ def test_mc_mean_trajectories_jensen_direction():
         floor = 3.0 * out.p_trace_stderr[i] + 1e-9 * np.trace(
             out.p_mean.values[i])
         assert np.linalg.eigvalsh(diff).min() >= -floor
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0], ids=["zero", "positive"])
+def test_mean_paths_are_the_stack_reductions_bit_for_bit(rate):
+    # each run's information path is inverted and added in run order, the
+    # sum mean(axis=0) takes over the stack of every run's inverse; with no
+    # arrivals every run is run 0, and the zero-spread rule holds for both
+    inst = mixed_instance(5, T=1.0)
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 5), rate))
+    out = mc_mean_trajectories(inst, sched, n_runs=40, n_eval=20, seed=2)
+    records = [sample_arrivals(sched, run_seed(2, r)) for r in range(40)]
+    paths = np.empty((40, 21, 4, 4))
+    _run_costs(inst, records, time_grid(inst.T, 20), paths)
+    y = np.linalg.inv(paths)
+    y = 0.5 * (y + y.transpose(0, 1, 3, 2))
+    for stack, mean, stderr in ((paths, out.p_mean, out.p_trace_stderr),
+                                (y, out.y_mean, out.y_trace_stderr)):
+        if rate == 0.0:
+            np.testing.assert_array_equal(mean.values, stack[0])
+            assert np.all(stderr == 0.0)
+        else:
+            np.testing.assert_array_equal(mean.values, stack.mean(axis=0))
+            np.testing.assert_array_equal(
+                stderr, np.trace(stack, axis1=2, axis2=3).std(axis=0, ddof=1)
+                / np.sqrt(40))
+
+
+def test_mean_paths_hold_one_path_stack():
+    # the covariance paths are the one (runs, n_eval + 1, n, n) stack: the
+    # information paths are formed one run at a time, where the stack of
+    # them and its symmetrizing temporaries peaked at 3.0 stacks
+    inst = random_instance(InstanceSpec(n=5, M=10, p=1, seed=4))
+    sched = Schedule(N=10, T=inst.T, rates=np.full((10, 10), 0.5))
+    stack = 200 * 301 * 5 * 5 * 8
+    tracemalloc.start()
+    try:
+        mc_mean_trajectories(inst, sched, n_runs=200, n_eval=300, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stack
+
+
+@pytest.mark.parametrize("p0, runs, what", [(6e307, 20, "mean"),
+                                             (1e200, 5, "spread")])
+def test_an_overflowing_mean_or_spread_is_a_numeric_failure(p0, runs, what):
+    # R = P0: every run costs about P0 / (arrivals + 1).  Twenty runs near
+    # 6e307 overflow the sums of the costs and of the node-0 covariances;
+    # at 1e200 the means are finite and the squares behind the spreads
+    # overflow.  Each is named, and no overflow warning escapes.
+    inst = make_scalar_instance(p0=p0, r=p0)
+    sched = Schedule(N=1, T=1.0, rates=[[0.7]])
+    with pytest.raises(PositiveDefinitenessError,
+                       match=f"Monte Carlo {what} of the cost is not finite"):
+        mc_objective(inst, sched, n_runs=runs, n_eval=4, seed=0)
+    with pytest.raises(PositiveDefinitenessError,
+                       match=f"Monte Carlo {what} of the covariance path is "
+                             f"not finite"):
+        mc_mean_trajectories(inst, sched, n_runs=runs, n_eval=4, seed=0)
 
 
 def test_mc_mean_trajectories_same_realizations():

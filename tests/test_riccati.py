@@ -534,10 +534,10 @@ def test_stacked_gains_match_per_sensor_decrements(seed):
         want = covariance_decrement(P, s)
         assert np.linalg.norm(g[i] - want) <= 1e-12 * np.linalg.norm(want)
         want = np.linalg.solve(s.H @ P @ s.H.T + s.R, s.H @ P)
-        assert np.linalg.norm(sol[i, :s.p] - want) <= \
+        assert np.linalg.norm(sol[i, :len(s.H)] - want) <= \
             1e-12 * np.linalg.norm(want)
         # a sensor padded to p = 3 solves for exact zeros in its padded rows
-        assert np.all(sol[i, s.p:] == 0.0)
+        assert np.all(sol[i, len(s.H):] == 0.0)
 
 
 def _scalar_sensor_instance(rng, n, M):
@@ -649,7 +649,7 @@ def test_mixed_p_gains_keep_padded_rows_exact_zeros(form):
     else:
         js = rng.integers(0, inst.M, size=4)
         HP, sol = stacked_gains(Ps, inst.H[js], inst.R[js])
-    scalar = np.array([inst.sensors[j].p == 1 for j in js])
+    scalar = np.array([len(inst.sensors[j].H) == 1 for j in js])
     assert scalar.any()
     assert np.all(HP[..., scalar, 1:, :] == 0.0)
     assert np.all(sol[..., scalar, 1:, :] == 0.0)
@@ -761,6 +761,18 @@ def test_pathwise_cost_requires_covariance_and_full_span():
         pathwise_cost(traj, weights, horizon=2.0)
     with pytest.raises(ValueError):
         pathwise_cost(cov, WeightSpec(W_stages=None, W_T=np.eye(3)))
+
+
+@pytest.mark.parametrize("coords, value", [(COV, 1e308), (INFO, 1e-308)])
+def test_a_pathwise_cost_that_overflows_is_a_numeric_failure(coords, value):
+    # the path clears the floor at every node, but <I, P(T)> = 2e308 is
+    # past the largest float: a typed failure naming the cost, not an inf
+    times = np.linspace(0.0, 1.0, 3)
+    traj = _const_traj(value * np.eye(2), times, coords=coords)
+    weights = WeightSpec(W_stages=None, W_T=np.eye(2))
+    with pytest.raises(PositiveDefinitenessError,
+                       match="^pathwise cost is not finite$"):
+        pathwise_cost(traj, weights)
 
 
 def test_quadrature_weights_sum_matches_trapezoid():

@@ -1,6 +1,8 @@
 """Smoke runs of the scripts under scripts/ at tiny sizes."""
 
 import csv
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -60,3 +62,24 @@ def test_assembly_benchmark_rejects_empty_work(tmp_path, bad, message):
     assert message in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_output_digests_print_one_stable_line_per_command(tmp_path):
+    # certify_ref at one seed: evaluate, then the trajectory bracket; each
+    # line digests stdout, stderr and the files the command wrote, and a
+    # second run prints the same bytes
+    args = ("output_digests.py", "--seeds", "3", "--workloads", "certify_ref")
+    runs = [run_script(*args, cwd=tmp_path) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert [line["argv"][0] for line in lines] == ["evaluate", "bracket"]
+    assert [sorted(line["files"]) for line in lines] == \
+        [["evaluate.json"], ["bracket.bracket.json"]]
+    empty = hashlib.sha256(b"").hexdigest()
+    for line in lines:
+        assert (line["workload"], line["seed"], line["exit"]) == \
+            ("certify_ref", 3, 0)
+        assert line["stderr"] == empty and line["stdout"] != empty
+        assert all(len(h) == 64 for h in line["files"].values())
+    assert list(tmp_path.iterdir()) == []
