@@ -18,7 +18,9 @@ are stepped together in one batched filter walk.  Matrix-level margins
 are the nodewise minimum eigenvalues of symmetrized differences;
 deterministic comparisons get a scale-relative tolerance 1e-7 * trace/n to
 absorb integrator error, statistical comparisons add three standard errors
-of the nodewise trace.
+of the nodewise trace.  Every trace/n is model.trace_over_n, the rule of
+the positive-definiteness floor, which cannot overflow; a trace of P0 that
+does is refused before any work.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Instance, Schedule, Sensor, ValidationError
-from .model import _dump_json, _seed_sequence, _sym
+from .model import _dump_json, _seed_sequence, _sym, trace_over_n
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
-from .riccati import invert_trajectory, pathwise_cost, time_grid
+from .riccati import (invert_trajectory, pathwise_cost, require_finite,
+                      time_grid)
 from .surrogate import integrate_cov_surrogate, integrate_info_surrogate
 
 DET_MARGIN_REL = 1e-7     # integrator-error allowance, times trace/n
@@ -96,13 +99,18 @@ def save_bracket_report(path, report: BracketReport) -> None:
 
 
 def _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed):
-    # every usage error of a bracket, raised before any work
+    """trace(P0), after every refusal of a bracket, raised before any work:
+    each usage error, then a trace past the largest float, which would
+    normalize every objective to zero."""
     _seed_sequence(seed)
     time_grid(instance.T, n_eval)
     for name, value in (("n_runs", n_runs),
                         ("surrogate_substeps", surrogate_substeps)):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
+    with np.errstate(over="ignore"):   # checked here
+        return float(require_finite(np.trace(instance.system.P0),
+                                    "trace of P0"))
 
 
 def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
@@ -134,7 +142,8 @@ def objective_bracket(
     seed: int = 0,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
-    _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed)
+    trace_p0 = _check_arguments(instance, n_runs, n_eval, surrogate_substeps,
+                                seed)
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
                        seed=seed)
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
@@ -145,7 +154,7 @@ def objective_bracket(
         j_lower=j_lower,
         j_upper=j_upper,
         mc=est,
-        trace_p0=float(np.trace(instance.system.P0)),
+        trace_p0=trace_p0,
         contained=contained,
     )
 
@@ -165,8 +174,8 @@ def trajectory_bracket(
     Y(t) = P(t)^{-1}.  The objective estimate comes from the same
     realizations, each rolled out once.
     """
-    _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed)
-    n = instance.n
+    trace_p0 = _check_arguments(instance, n_runs, n_eval, surrogate_substeps,
+                                seed)
     info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
                                      surrogate_substeps)
     p_info = invert_trajectory(info_y)
@@ -176,15 +185,10 @@ def trajectory_bracket(
     j_lower, j_upper, contained = _objective_parts(instance, p_info, p_cov,
                                                    est)
 
-    p_scale = np.maximum(
-        np.trace(p_cov.values, axis1=1, axis2=2),
-        np.trace(p_info.values, axis1=1, axis2=2),
-    ) / n
-    det_tol = DET_MARGIN_REL * p_scale
-    y_scale = np.maximum(
-        np.trace(info_y.values, axis1=1, axis2=2),
-        np.trace(mct.y_mean.values, axis1=1, axis2=2),
-    ) / n
+    # each pair's larger trace/n, by the floor's overflow-safe rule
+    scale = lambda x: trace_over_n(np.diagonal(x.values, axis1=1, axis2=2))
+    det_tol = DET_MARGIN_REL * np.maximum(scale(p_cov), scale(p_info))
+    y_scale = np.maximum(scale(info_y), scale(mct.y_mean))
 
     # each comparison's nodewise min eigenvalue, from one batched eigvalsh
     pairs = {"cov_minus_info": (p_cov, p_info),
@@ -206,7 +210,7 @@ def trajectory_bracket(
         j_lower=j_lower,
         j_upper=j_upper,
         mc=est,
-        trace_p0=float(np.trace(instance.system.P0)),
+        trace_p0=trace_p0,
         contained=contained,
         times=info_y.times,
         margins=margins,

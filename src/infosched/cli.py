@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import statistics
 import sys
@@ -228,50 +229,47 @@ def cmd_sweep(args) -> int:
     if args.full:
         print("warning: --full grids can take hours",
               file=sys.stderr)
-    rows = []
-    for sweep_kind, pt in points:
-        for idx in range(args.instances):
-            instance = _sweep_instance(sweep_kind, pt, idx, args)
-            for kind in ("info", "cov"):
-                problem = ShootingProblem(instance=instance, N=args.N,
-                                          kind=kind, substeps=args.substeps)
-                report = solve(problem, options=options)
-                est = mc_objective(
-                    instance, report.schedule, n_runs=args.runs,
-                    n_eval=args.n_eval, seed=args.seed,
-                )
-                objective, mean, stderr = (
-                    _per_trace(x, instance.system.P0)
-                    for x in (report.objective, est.mean, est.stderr))
-                t = report.to_dict(
-                    include_timings=not args.no_timings)["timings"]
-                rows.append({
-                    "sweep": sweep_kind,
-                    "point": pt,
-                    "instance": idx,
-                    "kind": kind,
-                    "iterations": report.iterations,
-                    "converged": int(report.converged),
-                    "objective_norm": repr(objective),
-                    "mc_mean_norm": repr(mean),
-                    "mc_stderr_norm": repr(stderr),
-                    "forward_s": t["forward_s"],
-                    "gradient_s": t["gradient_assembly_s"],
-                    "projection_s": t["projection_s"],
-                    "total_s": t["total_s"],
-                })
-                print(f"{sweep_kind}={pt} instance={idx} kind={kind} "
-                      f"iters={report.iterations} "
-                      f"mc_norm={mean:.6g}")
+    # every instance is built, and so checked, and the CSV opened before
+    # the first solve, so a bad flag or an unwritable path costs no work;
+    # each row is flushed as its point finishes, so none is lost
+    cases = [(sweep_kind, pt, idx, _sweep_instance(sweep_kind, pt, idx, args))
+             for sweep_kind, pt in points for idx in range(args.instances)]
+    means = {}
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow([
+            "sweep", "point", "instance", "kind", "iterations", "converged",
+            "objective_norm", "mc_mean_norm", "mc_stderr_norm", "forward_s",
+            "gradient_s", "projection_s", "total_s",
+        ])
+        for (sweep_kind, pt, idx, instance), kind in itertools.product(
+                cases, ("info", "cov")):
+            problem = ShootingProblem(instance=instance, N=args.N, kind=kind,
+                                      substeps=args.substeps)
+            report = solve(problem, options=options)
+            est = mc_objective(
+                instance, report.schedule, n_runs=args.runs,
+                n_eval=args.n_eval, seed=args.seed,
+            )
+            objective, mean, stderr = (
+                _per_trace(x, instance.system.P0)
+                for x in (report.objective, est.mean, est.stderr))
+            t = report.to_dict(include_timings=not args.no_timings)["timings"]
+            writer.writerow([
+                sweep_kind, pt, idx, kind, report.iterations,
+                int(report.converged), repr(objective), repr(mean),
+                repr(stderr), t["forward_s"], t["gradient_assembly_s"],
+                t["projection_s"], t["total_s"],
+            ])
+            fh.flush()
+            means.setdefault((pt, kind), []).append(mean)
+            print(f"{sweep_kind}={pt} instance={idx} kind={kind} "
+                  f"iters={report.iterations} "
+                  f"mc_norm={mean:.6g}")
     # per-point medians and interquartile ranges on stdout
     for sweep_kind, pt in points:
         for kind in ("info", "cov"):
-            vals = [float(r["mc_mean_norm"]) for r in rows
-                    if r["point"] == pt and r["kind"] == kind]
+            vals = means[pt, kind]
             med = statistics.median(vals)
             if len(vals) >= 2:
                 q = statistics.quantiles(vals, n=4)

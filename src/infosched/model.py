@@ -103,10 +103,15 @@ def _matrix(x, name: str, shape: tuple, definite: str = "",
     return _freeze(0.5 * arr + 0.5 * np.swapaxes(arr, -1, -2))
 
 
+def trace_over_n(d: np.ndarray):
+    """trace/n of a matrix, or of each in a stack, from its diagonal or
+    eigenvalues d: sum(d / n), as trace / n can overflow."""
+    return (d / d.shape[-1]).sum(axis=-1)
+
+
 def pd_floor(d: np.ndarray):
-    """PD_FLOOR_REL * trace/n of a matrix, or of each in a stack, from its
-    diagonal or eigenvalues d: sum(d / n), as trace / n can overflow."""
-    return PD_FLOOR_REL * (d / d.shape[-1]).sum(axis=-1)
+    """PD_FLOOR_REL * trace_over_n(d), the floor every path is held to."""
+    return PD_FLOOR_REL * trace_over_n(d)
 
 
 def _check_prior(P0: np.ndarray) -> None:
@@ -519,9 +524,11 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 
 def _dump_json(path, payload: dict) -> None:
+    """payload as JSON at path.  A NaN or infinity raises ValueError before
+    the file is opened, so no report carries one and none is left partial."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path) -> dict:

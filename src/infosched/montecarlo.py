@@ -14,7 +14,9 @@ reduced as the walk records its nodes, with the node weights
 no paths forms only the weighted nodes and each gap's last.  Because every
 run owns its stream and its path does not depend on the rest of the batch,
 a run's cost is bit-identical whatever batch it is stepped in, and
-estimates reduce the costs in run order.
+estimates reduce the costs in run order.  The nodewise moments of the paths
+come from one stack: the covariance paths, then the same stack overwritten
+in place with their inverses, the information paths.
 """
 
 from __future__ import annotations
@@ -142,34 +144,32 @@ def _run_costs(instance, records, grid, paths=None):
         raise
 
 
-def _mean_std(chunks, spread, name):
-    """Mean over the runs, and sample standard deviation over the runs of
-    spread(x), for the runs' values x in chunks along the first axis, in
-    run order.  The sum adds each chunk's sum(axis=0), so a stack given as
-    one chunk or run by run has the floats of its mean(axis=0).  When every
-    run equals run 0 (the zero schedule), the mean is run 0 and the spread
-    exactly zero: averaging equal values leaves roundoff, fl(n a) / n != a.
-    A mean or spread that overflows is a PositiveDefinitenessError."""
-    total, spreads, same = None, [], True
+def _mean_std(x, name):
+    """Mean over the runs of x, the cost vector or the (runs, nodes, n, n)
+    path stack, and the sample standard deviation over the runs of each
+    cost or of each node's trace.  When every run equals run 0 (the zero
+    schedule), the mean is run 0 and the spread exactly zero: averaging
+    equal values leaves roundoff, fl(n a) / n != a.  Where the squared
+    deviations overflow on finite values, they are taken in units of the
+    largest deviation; every other spread keeps the floats of np.std.  A
+    mean or spread that overflows is a PositiveDefinitenessError."""
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        for x in chunks:
-            if total is None:
-                first, total = x[0], x.sum(axis=0)
-            else:
-                total += x.sum(axis=0)
-            same = same and bool(np.all(x == first))
-            spreads.append(spread(x))
-        spreads = np.concatenate(spreads)
-        if same:
-            mean, std = first.copy(), np.zeros(spreads.shape[1:])
+        s = np.trace(x, axis1=2, axis2=3) if x.ndim > 1 else x
+        if np.all(x == x[0]):
+            mean, std = x[0].copy(), np.zeros(s.shape[1:])
         else:
-            mean, std = total / len(spreads), spreads.std(axis=0, ddof=1)
+            mean, std = x.mean(axis=0), s.std(axis=0, ddof=1)
+            if not np.isfinite(std).all():
+                d = s - s.mean(axis=0)
+                c = np.abs(d).max(axis=0)
+                std = np.where(np.isfinite(std), std, c * np.sqrt(
+                    ((d / c) ** 2).sum(axis=0) / (len(s) - 1)))
     return (require_finite(mean, f"Monte Carlo mean of the {name}"),
             require_finite(std, f"Monte Carlo spread of the {name}"))
 
 
 def _estimate(costs: np.ndarray) -> McEstimate:
-    mean, std = _mean_std([costs], lambda x: x, "cost")
+    mean, std = _mean_std(costs, "cost")
     return McEstimate(
         mean=float(mean),
         std=float(std),
@@ -228,20 +228,20 @@ def mc_mean_trajectories(
 ) -> McTrajectories:
     """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
 
-    Runs, seeding and costs are those of mc_objective; every covariance path
-    is kept for the nodewise statistics, and each run's information path is
-    formed, added and dropped in turn, so no second stack is held.
+    Runs, seeding and costs are those of mc_objective.  Every covariance
+    path is kept in one (runs, n_eval + 1, n, n) stack; once its moments are
+    taken, the stack is overwritten run by run with the information paths,
+    whose moments it then gives, so no second stack is held.
     """
     times = time_grid(instance.T, n_eval)
     records = _sample_runs(instance, schedule, n_runs, seed)
     n = instance.n
-    p_paths = np.empty((n_runs, n_eval + 1, n, n))
-    costs = _run_costs(instance, records, times, p_paths)
-    trace = lambda x: np.trace(x, axis1=2, axis2=3)
-    p_mean, p_std = _mean_std([p_paths], trace, "covariance path")
-    y_mean, y_std = _mean_std(
-        (_sym(np.linalg.inv(p_paths[r:r + 1])) for r in range(n_runs)),
-        trace, "information path")
+    paths = np.empty((n_runs, n_eval + 1, n, n))
+    costs = _run_costs(instance, records, times, paths)
+    p_mean, p_std = _mean_std(paths, "covariance path")
+    for r in range(n_runs):
+        paths[r] = _sym(np.linalg.inv(paths[r]))
+    y_mean, y_std = _mean_std(paths, "information path")
     # the means are symmetric as every run's node is: each is checked once,
     # and one below the floor is a numeric failure, not malformed input
     for coords, mean in ((COV, p_mean), (INFO, y_mean)):

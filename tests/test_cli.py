@@ -412,6 +412,21 @@ def test_bad_solver_options_are_usage_errors(tmp_path, capsys, command, bad,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_to_an_unwritable_path_solves_nothing(tmp_path, monkeypatch,
+                                                    capsys):
+    # the CSV is opened before the first solve, not after the whole grid
+    calls = []
+    for name in ("solve", "mc_objective"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), calls))
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2",
+            "--instances", "1", "--runs", "2", "--N", "2", "--substeps", "4",
+            "--max-iters", "1", "--n-eval", "10",
+            "--out", str(tmp_path / "missing" / "s.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_sweep_runs_one_solve_and_one_estimate_per_kind(tmp_path,
                                                         monkeypatch, capsys):
     # no probe solves or probe estimates before the sweep's own work
@@ -786,24 +801,26 @@ def test_a_bad_matrix_is_refused_at_any_scale(tmp_path, capsys, scale, key,
 
 def test_a_prior_near_the_largest_float_fails_with_one_report(tmp_path,
                                                              capsys):
-    # the prior loads, but the rollouts' first node overflows: evaluate and
-    # bracket exit 1 naming that node, and no RuntimeWarning comes before
+    # the prior loads, but the rollouts' first node overflows: evaluate
+    # exits 1 naming that node, bracket naming the trace of P0 it refuses
+    # before sampling, and no RuntimeWarning comes before
     payload, rates = degenerate_case(
         -np.eye(2), P0=[[1e308, 1e307], [1e307, 1e308]])
     (tmp_path / "inst.json").write_text(json.dumps(payload))
     write_schedule(tmp_path / "sched.json", rates)
     files = ["--instance", str(tmp_path / "inst.json"),
              "--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
-    for argv in (["evaluate", "--out", str(tmp_path / "mc.json")],
-                 ["bracket", "--objective-only",
-                  "--out", str(tmp_path / "cert")]):
+    for argv, error in (
+            (["evaluate", "--out", str(tmp_path / "mc.json")],
+             "matrix has non-finite entries at node t=0 in run 0"),
+            (["bracket", "--objective-only", "--out", str(tmp_path / "cert")],
+             "trace of P0 is not finite")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(argv + files) == 1, argv
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("numeric failure: matrix has non-finite entries at "
-                       "node t=0 in run 0\n")
+        assert err == f"numeric failure: {error}\n"
 
 
 def test_solve_normalizes_a_prior_near_the_largest_float(tmp_path, capsys):
@@ -824,22 +841,26 @@ def test_solve_normalizes_a_prior_near_the_largest_float(tmp_path, capsys):
     assert normalized == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
-def _huge_prior_case(A):
-    # n = 4, P0 = 6e307 I, whose trace overflows; one sensor, zero schedule
-    return degenerate_case(A, sensors=[(np.eye(4)[[0]], np.eye(1))],
-                           P0=6e307 * np.eye(4), rates=0.0)
+def _huge_prior_files(tmp_path, p0, a, w_T=1e-3):
+    # n = 3, P0 = p0 I, A = a I, Q = I, W_T = w_T I, one sensor, the zero
+    # schedule on T = 1
+    payload, rates = degenerate_case(a * np.eye(3),
+                                     sensors=[(np.eye(3)[[0]], np.eye(1))],
+                                     P0=p0 * np.eye(3), rates=0.0)
+    payload["weights"]["WT"] = (w_T * np.eye(3)).tolist()
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", rates)
+    return ["--instance", str(tmp_path / "inst.json"),
+            "--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
 
 
 def test_an_overflowing_cost_is_a_numeric_failure(tmp_path, capsys):
-    # A = 0 keeps P(T) = (6e307 + 1) I: the prior clears the floor at t = 0,
-    # and <W_T, P(T)> = 2.4e308 overflows, so evaluate and bracket name the
-    # cost, exit 1 and write nothing, where a report would read mean=inf
-    payload, rates = _huge_prior_case(np.zeros((4, 4)))
-    (tmp_path / "inst.json").write_text(json.dumps(payload))
-    write_schedule(tmp_path / "sched.json", rates)
+    # trace(P0) = 1.5e308 is finite, and A = 0.2 I grows P(T) to about
+    # 7.5e307 I, so <W_T, P(T)> = 2.2e308 overflows: evaluate and bracket
+    # name the cost, exit 1 and write nothing, where a report would read
+    # mean=inf
+    files = _huge_prior_files(tmp_path, 5e307, 0.2, w_T=1.0)
     inputs = set(tmp_path.iterdir())
-    files = ["--instance", str(tmp_path / "inst.json"),
-             "--schedule", str(tmp_path / "sched.json"), "--runs", "5"]
     for argv in (["evaluate", "--out", str(tmp_path / "mc.json")],
                  ["bracket", "--objective-only",
                   "--out", str(tmp_path / "cert")]):
@@ -851,11 +872,52 @@ def test_an_overflowing_cost_is_a_numeric_failure(tmp_path, capsys):
     assert set(tmp_path.iterdir()) == inputs
 
 
+@pytest.mark.parametrize("flags", [
+    ["--objective-only"], [], ["--objective-only", "--snr-sweep", "1..10,2"],
+], ids=["objective", "trajectory", "snr-sweep"])
+def test_a_bracket_refuses_a_trace_of_p0_past_the_largest_float(
+        tmp_path, monkeypatch, capsys, flags):
+    # trace(6e307 I) = 1.8e308 overflows while the cost on W_T = 1e-3 I is
+    # finite and evaluate normalizes it; every normalized bound would read
+    # 0, so each bracket refuses before any sampling and writes nothing
+    files = _huge_prior_files(tmp_path, 6e307, 0.0) + ["--n-eval", "10"]
+    inputs = set(tmp_path.iterdir())
+    calls = []
+    monkeypatch.setattr(montecarlo, "sample_arrivals",
+                        counted(montecarlo.sample_arrivals, calls))
+    argv = ["bracket", "--out", str(tmp_path / "cert")] + files + flags
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "numeric failure: trace of P0 is not finite\n")
+    assert calls == []
+    assert set(tmp_path.iterdir()) == inputs
+
+
+def test_trajectory_tolerances_stay_finite_past_an_overflowing_trace(
+        tmp_path, capsys):
+    # P0 = 5e307 I has a finite trace, but on A = 0.2 I P(T)'s trace
+    # overflows; the tolerance scales are trace/n by the floor's rule, so
+    # every tolerance is finite and the verdict is the finite comparison
+    files = _huge_prior_files(tmp_path, 5e307, 0.2) + [
+        "--n-eval", "10", "--surrogate-substeps", "2"]
+    assert cli.main(["bracket", "--out", str(tmp_path / "cert")] + files) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "cert.bracket.json").read_text())
+    tols = report["margin_tol"]
+    assert all(math.isfinite(t) for key in tols for t in tols[key])
+    assert report["trajectory_contained"] == all(
+        m >= -t for key in tols
+        for m, t in zip(report["margins"][key], tols[key]))
+
+
 def test_a_prior_whose_trace_overflows_evaluates_to_a_finite_mean(tmp_path,
                                                                    capsys):
-    # A = -I: P(T) = 6e307 e^{-2} I + ..., so the cost is finite and the
-    # same prior evaluates, its floor finite at every node
-    payload, rates = _huge_prior_case(-np.eye(4))
+    # n = 4, P0 = 6e307 I, whose trace overflows, and A = -I: P(T) =
+    # 6e307 e^{-2} I + ..., so the cost is finite and the prior evaluates,
+    # its floor finite at every node
+    payload, rates = degenerate_case(-np.eye(4),
+                                     sensors=[(np.eye(4)[[0]], np.eye(1))],
+                                     P0=6e307 * np.eye(4), rates=0.0)
     (tmp_path / "inst.json").write_text(json.dumps(payload))
     write_schedule(tmp_path / "sched.json", rates)
     assert cli.main(["evaluate", "--instance", str(tmp_path / "inst.json"),

@@ -17,6 +17,7 @@ from infosched.model import (
     SystemModel,
     ValidationError,
     WeightSpec,
+    _dump_json,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -397,6 +398,16 @@ def test_instance_json_keys(tmp_path):
     assert set(data["constraints"]) == {"C", "b"}
     assert set(data["weights"]) == {"W_stages", "WT"}
     assert data["weights"]["W_stages"] is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_report_refuses_a_non_finite_number_and_writes_nothing(tmp_path,
+                                                                  bad):
+    # JSON has no NaN or Infinity: the payload is refused before the file
+    # is opened, so no partial report is left
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _dump_json(tmp_path / "r.json", {"mean": 1.0, "std": [0.5, bad]})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_schedule_json_round_trip(tmp_path):

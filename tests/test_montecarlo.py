@@ -1,7 +1,9 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from math import factorial
+from statistics import stdev
 
 import numpy as np
 import pytest
@@ -713,22 +715,40 @@ def test_mean_paths_hold_one_path_stack():
     assert peak < 1.5 * stack
 
 
-@pytest.mark.parametrize("p0, runs, what", [(6e307, 20, "mean"),
-                                             (1e200, 5, "spread")])
-def test_an_overflowing_mean_or_spread_is_a_numeric_failure(p0, runs, what):
+def test_an_overflowing_mean_is_a_numeric_failure():
     # R = P0: every run costs about P0 / (arrivals + 1).  Twenty runs near
-    # 6e307 overflow the sums of the costs and of the node-0 covariances;
-    # at 1e200 the means are finite and the squares behind the spreads
-    # overflow.  Each is named, and no overflow warning escapes.
-    inst = make_scalar_instance(p0=p0, r=p0)
+    # 6e307 overflow the sums of the costs and of the node-0 covariances.
+    # Each is named, and no overflow warning escapes.
+    inst = make_scalar_instance(p0=6e307, r=6e307)
     sched = Schedule(N=1, T=1.0, rates=[[0.7]])
     with pytest.raises(PositiveDefinitenessError,
-                       match=f"Monte Carlo {what} of the cost is not finite"):
-        mc_objective(inst, sched, n_runs=runs, n_eval=4, seed=0)
+                       match="Monte Carlo mean of the cost is not finite"):
+        mc_objective(inst, sched, n_runs=20, n_eval=4, seed=0)
     with pytest.raises(PositiveDefinitenessError,
-                       match=f"Monte Carlo {what} of the covariance path is "
-                             f"not finite"):
-        mc_mean_trajectories(inst, sched, n_runs=runs, n_eval=4, seed=0)
+                       match="Monte Carlo mean of the covariance path is "
+                             "not finite"):
+        mc_mean_trajectories(inst, sched, n_runs=20, n_eval=4, seed=0)
+
+
+def test_a_spread_whose_squares_overflow_is_exact():
+    # at P0 = R = 1e200 the costs and nodes are finite and so are their
+    # spreads, but the squared deviations behind np.std overflow; the
+    # reported spreads match statistics.stdev, exact over Fractions
+    inst = make_scalar_instance(p0=1e200, r=1e200)
+    sched = Schedule(N=1, T=1.0, rates=[[0.7]])
+    est = mc_objective(inst, sched, n_runs=5, n_eval=4, seed=0)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.std(est.per_run_costs, ddof=1))
+    assert est.std == pytest.approx(
+        float(stdev(map(Fraction, est.per_run_costs))), rel=1e-13)
+    records = [sample_arrivals(sched, run_seed(0, r)) for r in range(5)]
+    paths = np.empty((5, 5, 1, 1))
+    _run_costs(inst, records, time_grid(1.0, 4), paths)
+    exact = [float(stdev(map(Fraction, node))) / np.sqrt(5)
+             for node in paths[:, :, 0, 0].T]
+    out = mc_mean_trajectories(inst, sched, n_runs=5, n_eval=4, seed=0)
+    assert exact[-1] > 1e190
+    np.testing.assert_allclose(out.p_trace_stderr, exact, rtol=1e-13, atol=0)
 
 
 def test_mc_mean_trajectories_same_realizations():
