@@ -10,7 +10,9 @@ map.  The Monte Carlo runs of ``montecarlo`` walk together, and
 grid; a run's path does not depend on the rest of the batch, bit for bit.
 A caller that reads only some nodes (a cost with a terminal weight alone
 reads the last) has the walk form just those and each gap's last node, with
-the same floats.  ``rollout_information`` is its nodewise inverse.
+the same floats, and can keep each gap's first node, from which every node
+is formed again a window at a time (the Monte Carlo moments).
+``rollout_information`` is its nodewise inverse.
 
 Conventions: the state at an arrival time is the post-jump value (left-limit
 convention for the flow), so a grid node that coincides with an arrival
@@ -108,6 +110,48 @@ def _map_powers(phi, w, count):
     return phis, ws
 
 
+def _node(maps, first, j):
+    """Node j of the gaps whose first nodes are first (a stack aligned with
+    j): sym(Phi_j F Phi_j^T + W_j), maps the walk's (Phi_j, Phi_j^T, W_j)."""
+    phis, phts, ws = maps
+    return _sym(phis[j] @ first @ phts[j] + ws[j])
+
+
+class _Gaps:
+    """Each gap's first node, as a walk keeps them (_filter_walk's gaps).
+
+    A node depends on its gap's first node alone, so every node of every
+    run can be formed again from these, with the walk's floats, while they
+    hold one matrix per gap, not one per node.
+    """
+
+    def __init__(self):
+        self.maps, self.n_runs, self.rounds = None, 0, []
+
+    def windows(self, grid):
+        """(i, P), once: P the nodes i.. of every run, run-major, a (runs,
+        w, n, n) block of at most WINDOW_ENTRIES entries or of one node
+        index, in time order; each block is require_pd'd."""
+        runs, starts, firsts = map(np.concatenate, zip(*self.rounds))
+        self.rounds = []
+        R, G, n = self.n_runs, len(grid), firsts.shape[-1]
+        # a run's gaps are ordered by first node: node i is in the last
+        # gap of its run that starts at or before i
+        keys = runs * G + starts
+        order = np.argsort(keys)
+        keys, base = keys[order], np.arange(R)[:, None] * G
+        w = max(1, WINDOW_ENTRIES // (R * n * n))
+        for i in range(0, G, w):
+            at = np.arange(i, min(i + w, G))
+            q = (base + at).ravel()     # node i of run r is r G + i
+            k = np.searchsorted(keys, q, "right") - 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = _node(self.maps, firsts[order[k]], q - keys[k])
+            require_pd(P, lambda m: f"at node t={grid[at[m % len(at)]]:g} "
+                                    f"in run {m // len(at)}")
+            yield i, P.reshape(R, len(at), n, n)
+
+
 def _check_window(*stops):
     """One require_pd of a window's stops, each (P, runs, times, sensors; -1
     for a node): a failure names the earliest loss in time, a jump before a
@@ -126,7 +170,7 @@ def _check_window(*stops):
         require_pd(P[order], where)
 
 
-def _filter_walk(instance, records, grid, read=None):
+def _filter_walk(instance, records, grid, read=None, gaps=None):
     """Step the exact filter covariances of a batch of runs together.
 
     records holds one arrival record per run.  Round g of the walk carries
@@ -149,7 +193,16 @@ def _filter_walk(instance, records, grid, read=None):
     the gap's first by its own power map, a formed node does not depend on
     the nodes skipped, bit for bit.  The windows stay the full walk's, so
     the index arrays of a window stay within its bound however few of its
-    nodes are read.
+    nodes are read.  gaps, a _Gaps, keeps each round's (runs, first node
+    index, first node), from which the nodes skipped can be formed again.
+
+    Memory grows with the batch by the round's O(R n^2) working set: each
+    run's carried matrix, first node and two cut maps, and in the family
+    call a Horner table of two n x n blocks per cut.  At n = 20 the traced
+    peak of mc_objective grew about 50 kB (16 matrices) per run, at round
+    0's family call, where every run cuts twice.  Walking the runs in
+    batches would bound it, but the first failing round is taken over the
+    whole batch.
 
     Yields (runs, nodes, P) per window that records nodes, each run's nodes
     in time order; a run's path depends on its own record alone, bit for
@@ -177,7 +230,9 @@ def _filter_walk(instance, records, grid, read=None):
     with np.errstate(over="ignore", invalid="ignore"):
         phis, ws = _map_powers(*family([grid[1] - grid[0]]), G)
     # a stack's product with a strided transpose runs 2.5-2.8x slower
-    phts = np.ascontiguousarray(phis.swapaxes(1, 2))
+    maps = phis, np.ascontiguousarray(phis.swapaxes(1, 2)), ws
+    if gaps is not None:
+        gaps.maps, gaps.n_runs = maps, R
     F = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
     lo, anchor = np.zeros(R, dtype=np.int64), np.zeros(R)
     for g, (hi, end) in enumerate(zip(bounds, ends)):
@@ -190,6 +245,8 @@ def _filter_walk(instance, records, grid, read=None):
                 [grid[a] - anchor[walked], end[arriving] - last]))
             first = _sym(phi[:cut] @ F[walked] @ phi[:cut].swapaxes(1, 2)
                          + w[:cut])
+        if gaps is not None:
+            gaps.rounds.append((walked, a, first))
         # a window starts where the nodes before an index pass a multiple
         # of budget; a jump joins the window of its last node
         starts, joins = [0], np.zeros(len(arriving), dtype=np.int64)
@@ -212,7 +269,7 @@ def _filter_walk(instance, records, grid, read=None):
             mine = joins == s
             jumps, cuts = arriving[mine], phi[cut:][mine]
             with np.errstate(over="ignore", invalid="ignore"):
-                P = _sym(phis[j] @ first[slot] @ phts[j] + ws[j])
+                P = _node(maps, first[slot], j)
                 F[runs[carry]] = P[carry]
                 nodes = (P, runs, grid[at], np.full(len(runs), -1))
                 before = _sym(cuts @ F[jumps] @ cuts.swapaxes(1, 2)

@@ -10,22 +10,25 @@ generator keyed by SeedSequence(entropy=s, spawn_key=(r,)).  Within a run,
 draws happen sensor-major then interval-major.  All runs of an estimate are
 stepped together in one batched filter walk (cdkf), and each run's cost is
 reduced as the walk records its nodes, with the node weights
-(riccati.node_weights) behind every other objective too; a walk that keeps
-no paths forms only the weighted nodes and each gap's last.  Because every
-run owns its stream and its path does not depend on the rest of the batch,
-a run's cost is bit-identical whatever batch it is stepped in, and
-estimates reduce the costs in run order.  The nodewise moments of the paths
-come from one stack: the covariance paths, then the same stack overwritten
-in place with their inverses, the information paths.
+(riccati.node_weights) behind every other objective too; the walk forms
+only the weighted nodes and each gap's last.  Because every run owns its
+stream and its path does not depend on the rest of the batch, a run's cost
+is bit-identical whatever batch it is stepped in, and estimates reduce the
+costs in run order.  The nodewise moments of the paths are reduced a window
+of nodes at a time, every run's nodes formed again from its gaps' first
+nodes, so no stack of paths is held: memory grows with runs as a trace
+table and the gaps' first nodes, not as runs x grid matrices.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdkf import ArrivalRecord, _filter_walk
+from .cdkf import ArrivalRecord, _filter_walk, _Gaps
 from .model import Instance, Schedule, ValidationError
 from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
 from .riccati import (
@@ -103,29 +106,42 @@ def _sample_runs(instance, schedule, n_runs, seed):
     return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
 
 
-def _run_costs(instance, records, grid, paths=None):
+@contextlib.contextmanager
+def _first_loss(instance, records, grid):
+    """Report a failure within as the full walk does.  A walk that forms
+    only some nodes checks only those, and nodes formed again from a walk's
+    gaps are checked after it; on a failure, the full walk, which checks
+    every node as it goes, runs on the same records to name the first loss
+    (cdkf._filter_walk)."""
+    try:
+        yield
+    except (PositiveDefinitenessError, np.linalg.LinAlgError):
+        for _ in _filter_walk(instance, records, grid):
+            pass
+        raise
+
+
+def _run_costs(instance, records, grid, gaps=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
     Each run's cost is the objective of its path, reduced as the walk
     yields each round's nodes on grid: <W_i, P_i> added by np.add.at over
     the weighted nodes (riccati.read_nodes), so each run's in node-time
-    order, W_i the node's riccati.node_weights entry.  When paths is given,
-    the walk forms every node and paths[r, i] receives it; otherwise it
-    forms only the weighted nodes and each gap's last (with W_T alone, one
-    node per gap), and the costs are the same, bit for bit.  Such a walk
-    checks only what it forms, so when it fails, the full walk runs on the
-    same records to name the first loss, as with paths.  A cost that
-    overflows is a PositiveDefinitenessError naming the first such run.
+    order, W_i the node's riccati.node_weights entry.  The walk forms only
+    the weighted nodes and each gap's last (with W_T alone, one node per
+    gap), and the costs are the full walk's, bit for bit.  gaps, a
+    cdkf._Gaps, keeps each gap's first node, from which every node can be
+    formed again.  A cost that overflows is a PositiveDefinitenessError
+    naming the first such run; any failure names the full walk's first
+    loss (_first_loss).
     """
     weights = node_weights(grid, instance.weights)
     read = read_nodes(weights)
     every, n2 = read.all(), instance.n**2
-
-    def walk(mask):
-        costs = np.zeros(len(records))
-        for runs, nodes, P in _filter_walk(instance, records, grid, mask):
-            if paths is not None:
-                paths[runs, nodes] = P
+    costs = np.zeros(len(records))
+    with _first_loss(instance, records, grid):
+        for runs, nodes, P in _filter_walk(instance, records, grid,
+                                           None if every else read, gaps):
             if not every:
                 on = read[nodes]
                 runs, nodes, P = runs[on], nodes[on], P[on]
@@ -135,45 +151,57 @@ def _run_costs(instance, records, grid, paths=None):
         run = int(np.argmin(np.isfinite(costs)))   # the first to overflow
         return require_finite(costs, f"Monte Carlo cost of run {run}")
 
-    if paths is not None or every:
-        return walk(None)
-    try:
-        return walk(read)
-    except (PositiveDefinitenessError, np.linalg.LinAlgError):
-        walk(None)     # raises the full walk's report of the first loss
-        raise
 
-
-def _mean_std(x, name):
+class _Moments:
     """Mean over the runs of x, the cost vector or the (runs, nodes, n, n)
-    path stack, and the sample standard deviation over the runs of each
-    cost or of each node's trace.  When every run equals run 0 (the zero
-    schedule), the mean is run 0 and the spread exactly zero: averaging
-    equal values leaves roundoff, fl(n a) / n != a.  Where the squared
-    deviations overflow on finite values, they are taken in units of the
-    largest deviation; every other spread keeps the floats of np.std.  A
-    mean or spread that overflows is a PositiveDefinitenessError."""
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        s = np.trace(x, axis1=2, axis2=3) if x.ndim > 1 else x
-        if np.all(x == x[0]):
-            mean, std = x[0].copy(), np.zeros(s.shape[1:])
-        else:
-            mean, std = x.mean(axis=0), s.std(axis=0, ddof=1)
-            if not np.isfinite(std).all():
-                d = s - s.mean(axis=0)
-                c = np.abs(d).max(axis=0)
-                std = np.where(np.isfinite(std), std, c * np.sqrt(
-                    ((d / c) ** 2).sum(axis=0) / (len(s) - 1)))
-    return (require_finite(mean, f"Monte Carlo mean of the {name}"),
-            require_finite(std, f"Monte Carlo spread of the {name}"))
+    paths, and the sample standard deviation over the runs of each cost or
+    of each node's trace, taken a window of nodes at a time (add).  When
+    every run equals run 0 (the zero schedule), the mean is run 0 and the
+    spread exactly zero: averaging equal values leaves roundoff, fl(n a) / n
+    != a.  Where the squared deviations overflow on finite values, they are
+    taken in units of the largest deviation; every other spread keeps the
+    floats of np.std.  A mean or spread that overflows is a
+    PositiveDefinitenessError."""
+
+    def __init__(self, shape):
+        """shape, that of x: (runs,) or (runs, nodes, n, n)."""
+        self.mean, self.run0 = np.empty(shape[1:]), np.empty(shape[1:])
+        self.s = np.empty(shape[:2])    # the costs, or the node traces
+        self.same = True
+
+    def add(self, at, x):
+        """The runs' x at nodes at (a slice; ... for the costs)."""
+        with np.errstate(over="ignore", invalid="ignore"):   # see result
+            self.s[:, at] = np.trace(x, axis1=2, axis2=3) if x.ndim > 1 else x
+            self.mean[at] = x.mean(axis=0)
+        if self.same:      # run 0 is needed only while every run equals it
+            self.run0[at] = x[0]
+            self.same = bool(np.all(x == x[0]))
+
+    def result(self, name):
+        s = self.s
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            if self.same:
+                mean, std = self.run0, np.zeros(s.shape[1:])
+            else:
+                mean, std = self.mean, s.std(axis=0, ddof=1)
+                if not np.isfinite(std).all():
+                    d = s - s.mean(axis=0)
+                    c = np.abs(d).max(axis=0)
+                    std = np.where(np.isfinite(std), std, c * np.sqrt(
+                        ((d / c) ** 2).sum(axis=0) / (len(s) - 1)))
+        return (require_finite(mean, f"Monte Carlo mean of the {name}"),
+                require_finite(std, f"Monte Carlo spread of the {name}"))
 
 
 def _estimate(costs: np.ndarray) -> McEstimate:
-    mean, std = _mean_std(costs, "cost")
+    moments = _Moments(costs.shape)
+    moments.add(..., costs)
+    mean, std = moments.result("cost")
     return McEstimate(
         mean=float(mean),
         std=float(std),
-        stderr=float(std) / np.sqrt(len(costs)),
+        stderr=float(std) / math.sqrt(len(costs)),
         n_runs=len(costs),
         per_run_costs=costs,
     )
@@ -228,20 +256,26 @@ def mc_mean_trajectories(
 ) -> McTrajectories:
     """Sample means of P(t) and Y(t) = P(t)^{-1} over arrival realizations.
 
-    Runs, seeding and costs are those of mc_objective.  Every covariance
-    path is kept in one (runs, n_eval + 1, n, n) stack; once its moments are
-    taken, the stack is overwritten run by run with the information paths,
-    whose moments it then gives, so no second stack is held.
+    Runs, seeding and costs are those of mc_objective, from the same walk,
+    which keeps each gap's first node (cdkf._Gaps).  The nodes are formed
+    again from those a window at a time, every run's at once, and each
+    window of covariances and of their inverses is added to the nodewise
+    run means and (runs, n_eval + 1) trace tables, then dropped: no stack
+    of paths is held, and the means are those of the stacks, bit for bit.
     """
     times = time_grid(instance.T, n_eval)
     records = _sample_runs(instance, schedule, n_runs, seed)
-    n = instance.n
-    paths = np.empty((n_runs, n_eval + 1, n, n))
-    costs = _run_costs(instance, records, times, paths)
-    p_mean, p_std = _mean_std(paths, "covariance path")
-    for r in range(n_runs):
-        paths[r] = _sym(np.linalg.inv(paths[r]))
-    y_mean, y_std = _mean_std(paths, "information path")
+    gaps = _Gaps()
+    costs = _run_costs(instance, records, times, gaps)
+    shape = (n_runs, n_eval + 1, instance.n, instance.n)
+    p, y = _Moments(shape), _Moments(shape)
+    with _first_loss(instance, records, times):
+        for i, P in gaps.windows(times):
+            at = slice(i, i + P.shape[1])
+            p.add(at, P)
+            y.add(at, _sym(np.linalg.inv(P)))
+    p_mean, p_std = p.result("covariance path")
+    y_mean, y_std = y.result("information path")
     # the means are symmetric as every run's node is: each is checked once,
     # and one below the floor is a numeric failure, not malformed input
     for coords, mean in ((COV, p_mean), (INFO, y_mean)):

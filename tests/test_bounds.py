@@ -231,6 +231,8 @@ def test_write_snr_csv_round_trips(tmp_path):
     for row, (r, rep) in zip(rows[1:], sweep):
         assert float(row[0]) == r
         assert float(row[1]) == rep.j_lower
+        assert float(row[2]) == rep.mc.mean
+        assert float(row[3]) == rep.mc.stderr > 0.0
         assert float(row[4]) == rep.j_upper
         assert row[7] in {"0", "1"}
 

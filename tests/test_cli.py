@@ -464,6 +464,50 @@ def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):
         (tmp_path / "s2.csv").read_bytes()
 
 
+def test_sweep_csv_cells_are_the_reported_numbers(tmp_path, monkeypatch,
+                                                  capsys):
+    # every numeric cell parses with float() and is the number of the row's
+    # solve report or Monte Carlo estimate, normalized by trace(P0)
+    seen = []
+
+    def recorded(real):
+        def run(*args, **kwargs):
+            seen.append((args[0], real(*args, **kwargs)))
+            return seen[-1][1]
+        return run
+
+    for name in ("solve", "mc_objective"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2",
+            "--instances", "1", "--runs", "3", "--N", "2", "--substeps", "4",
+            "--max-iters", "2", "--n-eval", "10",
+            "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and len(seen) == 4
+    for row, (problem, report), (instance, est) in zip(rows, seen[::2],
+                                                       seen[1::2]):
+        assert problem.instance is instance and row["kind"] == problem.kind
+        timings = report.to_dict()["timings"]
+        P0 = instance.system.P0
+        want = {
+            "point": 2, "instance": 0, "iterations": report.iterations,
+            "converged": int(report.converged),
+            "objective_norm": cli._per_trace(report.objective, P0),
+            "mc_mean_norm": cli._per_trace(est.mean, P0),
+            "mc_stderr_norm": cli._per_trace(est.stderr, P0),
+            "forward_s": timings["forward_s"],
+            "gradient_s": timings["gradient_assembly_s"],
+            "projection_s": timings["projection_s"],
+            "total_s": timings["total_s"],
+        }
+        assert est.stderr > 0.0
+        for key, value in want.items():
+            assert float(row[key]) == value, key
+
+
 def test_gradcheck_builtin_scalar_passes(capsys):
     assert cli.main(["gradcheck", "--kind", "both"]) == 0
     out = capsys.readouterr().out

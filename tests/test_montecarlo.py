@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from infosched import cdkf, montecarlo, riccati
+from infosched.bounds import save_bracket_report, trajectory_bracket
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     Instance,
@@ -212,6 +213,21 @@ def test_mc_objective_of_a_terminal_weight_ignores_n_eval_on_a_stiff_a():
         assert abs(coarse.mean - fine) <= 1e-12 * fine
 
 
+def _full_walk(inst, records, grid):
+    """Every run's path from the full walk, which forms and checks every
+    node, and each run's cost reduced from it node by node in time order,
+    as the walk's costs are: the oracle of the walks that skip nodes."""
+    paths = np.full((len(records), len(grid), inst.n, inst.n), np.nan)
+    for runs, nodes, P in cdkf._filter_walk(inst, records, grid):
+        paths[runs, nodes] = P
+    weights = riccati.node_weights(grid, inst.weights)
+    costs = np.zeros(len(records))
+    for i in np.flatnonzero(riccati.read_nodes(weights)):
+        costs += (weights[i] * paths[:, i]).reshape(len(records), -1).sum(
+            axis=1)
+    return paths, costs
+
+
 def test_mc_mean_trajectories_independent_of_batch_composition():
     # the paths behind the means, walked in another batch (reversed, with
     # runs of another seed between), give the same statistics bit for bit
@@ -221,8 +237,7 @@ def test_mc_mean_trajectories_independent_of_batch_composition():
     records = [sample_arrivals(sched, run_seed(9, r)) for r in range(6)]
     others = [sample_arrivals(sched, run_seed(10, r)) for r in range(3)]
     batch = records[::-1][:3] + others + records[::-1][3:]
-    paths = np.empty((9, 31, 4, 4))
-    costs = _run_costs(inst, batch, time_grid(inst.T, 30), paths)
+    paths, costs = _full_walk(inst, batch, time_grid(inst.T, 30))
     keep = [8, 7, 6, 2, 1, 0]          # batch positions of runs 0..5
     np.testing.assert_array_equal(paths[keep].mean(axis=0),
                                   out.p_mean.values)
@@ -254,11 +269,9 @@ def test_batched_walk_paths_independent_of_batch():
     n_eval = 10
     grid = time_grid(inst.T, n_eval)
     runs, extra = _batch_records(inst, grid)
-    three = np.empty((3, n_eval + 1, 4, 4))
-    costs3 = _run_costs(inst, runs, grid, three)
-    seven = np.empty((7, n_eval + 1, 4, 4))
+    three, costs3 = _full_walk(inst, runs, grid)
     order = [extra[0], runs[2], runs[1], extra[1], runs[0], runs[2], runs[1]]
-    costs7 = _run_costs(inst, order, grid, seven)
+    seven, costs7 = _full_walk(inst, order, grid)
     for r, at in enumerate(([4], [2, 6], [1, 5])):
         single = rollout_covariance(inst, runs[r], n_eval)
         np.testing.assert_array_equal(three[r], single.values)
@@ -279,8 +292,7 @@ def test_batched_walk_paths_independent_of_batch():
     rounds = [runs for runs, _, _ in cdkf._filter_walk(inst, pair, grid)]
     assert len(rounds) > 3 and 0 in rounds[0]
     assert all(0 not in runs and 1 in runs for runs in rounds[1:])
-    two = np.empty((2, n_eval + 1, 4, 4))
-    costs2 = _run_costs(inst, pair, grid, two)
+    two, costs2 = _full_walk(inst, pair, grid)
     for r, rec in enumerate(pair):
         np.testing.assert_array_equal(
             two[r], rollout_covariance(inst, rec, n_eval).values)
@@ -336,8 +348,7 @@ def test_walk_windows_bound_the_nodes_held_at_once(monkeypatch, nodes):
     inst = mixed_instance(12, T=1.0)
     grid = time_grid(inst.T, 10)
     records = sum(_batch_records(inst, grid), []) + [arrivals([])] * 4
-    whole = np.empty((len(records), len(grid), 4, 4))
-    costs = _run_costs(inst, records, grid, whole)
+    whole, costs = _full_walk(inst, records, grid)
     rounds = len(list(cdkf._filter_walk(inst, records, grid)))
     monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", 16 * nodes)
     windows = list(cdkf._filter_walk(inst, records, grid))
@@ -362,8 +373,7 @@ def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
                                             W_T=np.eye(3)))
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 4), 2.0))
     records = [sample_arrivals(sched, run_seed(3, r)) for r in range(8)]
-    paths = np.empty((8, 21, 3, 3))
-    costs = _run_costs(inst, records, time_grid(inst.T, 20), paths)
+    paths, costs = _full_walk(inst, records, time_grid(inst.T, 20))
     for r, rec in enumerate(records):
         traj = rollout_covariance(inst, rec, 20)
         np.testing.assert_array_equal(paths[r], traj.values)
@@ -478,7 +488,7 @@ READ_CASES = {
 
 @pytest.mark.parametrize("case", READ_CASES)
 def test_costs_form_only_the_read_nodes_bit_for_bit(case):
-    # without paths the walk forms only the weighted nodes and each gap's
+    # the walk of the costs forms only the weighted nodes and each gap's
     # last: every run's cost, and every node it forms, is the full walk's
     inst = READ_CASES[case]()
     sched = Schedule(N=3, T=1.5, rates=np.full((3, inst.M), 2.0))
@@ -486,8 +496,7 @@ def test_costs_form_only_the_read_nodes_bit_for_bit(case):
     grid = time_grid(inst.T, 20)
     read = riccati.read_nodes(riccati.node_weights(grid, inst.weights))
     assert 0 < read.sum() < len(grid)
-    paths = np.empty((8, 21, inst.n, inst.n))
-    full = _run_costs(inst, records, grid, paths)
+    paths, full = _full_walk(inst, records, grid)
     np.testing.assert_array_equal(_run_costs(inst, records, grid), full)
     formed = 0
     for runs, nodes, P in cdkf._filter_walk(inst, records, grid, read):
@@ -511,7 +520,7 @@ def test_reduced_walk_costs_independent_of_batch(monkeypatch, entries):
     costs3 = _run_costs(inst, runs, grid)
     costs7 = _run_costs(inst, order, grid)
     np.testing.assert_array_equal(
-        costs7, _run_costs(inst, order, grid, np.empty((7, 11, 4, 4))))
+        costs7, _full_walk(inst, order, grid)[1])
     for r, at in enumerate(([4], [2, 6], [1, 5])):
         for i in at:
             assert costs7[i] == costs3[r]
@@ -535,7 +544,7 @@ def test_reduced_walk_reports_the_first_loss_as_the_full_walk(monkeypatch,
     records = [arrivals([]), arrivals([(0.93, 0)])]
     errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
     with pytest.raises(errors) as full:
-        _run_costs(inst, records, grid, np.empty((2, 21, 1, 1)))
+        _full_walk(inst, records, grid)
     with pytest.raises(errors) as reduced:
         _run_costs(inst, records, grid)
     assert type(reduced.value) is type(full.value)
@@ -683,8 +692,7 @@ def test_mean_paths_are_the_stack_reductions_bit_for_bit(rate):
     sched = Schedule(N=2, T=1.0, rates=np.full((2, 5), rate))
     out = mc_mean_trajectories(inst, sched, n_runs=40, n_eval=20, seed=2)
     records = [sample_arrivals(sched, run_seed(2, r)) for r in range(40)]
-    paths = np.empty((40, 21, 4, 4))
-    _run_costs(inst, records, time_grid(inst.T, 20), paths)
+    paths, _ = _full_walk(inst, records, time_grid(inst.T, 20))
     y = np.linalg.inv(paths)
     y = 0.5 * (y + y.transpose(0, 1, 3, 2))
     for stack, mean, stderr in ((paths, out.p_mean, out.p_trace_stderr),
@@ -699,20 +707,94 @@ def test_mean_paths_are_the_stack_reductions_bit_for_bit(rate):
                 / np.sqrt(40))
 
 
-def test_mean_paths_hold_one_path_stack():
-    # the covariance paths are the one (runs, n_eval + 1, n, n) stack: the
-    # information paths are formed one run at a time, where the stack of
-    # them and its symmetrizing temporaries peaked at 3.0 stacks
+def test_mean_paths_hold_no_path_stack():
+    # no (runs, n_eval + 1, n, n) stack is held: the walk keeps each gap's
+    # first node, and the moments take a window of nodes at a time into
+    # (runs, n_eval + 1) trace tables; holding every path peaked at 1.18
+    # stacks at both run counts
     inst = random_instance(InstanceSpec(n=5, M=10, p=1, seed=4))
     sched = Schedule(N=10, T=inst.T, rates=np.full((10, 10), 0.5))
-    stack = 200 * 301 * 5 * 5 * 8
-    tracemalloc.start()
-    try:
-        mc_mean_trajectories(inst, sched, n_runs=200, n_eval=300, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * stack
+    for n_runs in (200, 800):
+        stack = n_runs * 301 * 5 * 5 * 8
+        tracemalloc.start()
+        try:
+            mc_mean_trajectories(inst, sched, n_runs=n_runs, n_eval=300,
+                                 seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * stack, n_runs
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0], ids=["zero", "positive"])
+def test_mean_paths_and_bracket_do_not_depend_on_the_window(monkeypatch,
+                                                            tmp_path, rate):
+    # the default window holds all 31 nodes of the 12 runs at once, the
+    # patched one a node at a time: the means, the spreads (zero for the
+    # zero schedule) and the bracket JSON are the same, bit for bit
+    inst = mixed_instance(5, T=1.0)
+    sched = Schedule(N=2, T=1.0, rates=np.full((2, 5), rate))
+    kw = dict(n_runs=12, n_eval=30, seed=4)
+    assert cdkf.WINDOW_ENTRIES >= 12 * 31 * 16
+    outs = []
+    for entries in (cdkf.WINDOW_ENTRIES, 1):
+        monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", entries)
+        path = tmp_path / f"{entries}.json"
+        save_bracket_report(path, trajectory_bracket(
+            inst, sched, surrogate_substeps=4, **kw))
+        outs.append((mc_mean_trajectories(inst, sched, **kw),
+                     path.read_bytes()))
+    (one, one_json), (many, many_json) = outs
+    for name in ("p_mean", "y_mean"):
+        np.testing.assert_array_equal(getattr(one, name).values,
+                                      getattr(many, name).values)
+    for name in ("p_trace_stderr", "y_trace_stderr"):
+        np.testing.assert_array_equal(getattr(one, name),
+                                      getattr(many, name))
+        assert (getattr(one, name) == 0.0).all() == (rate == 0.0)
+    assert one_json == many_json
+
+
+def _break_one_power(monkeypatch):
+    """Make the map of three grid steps lose positive definiteness, so
+    node 3 of every gap is lost and no other node."""
+    real = cdkf._map_powers
+
+    def broken(phi, w, count):
+        phis, ws = real(phi, w, count)
+        ws[3] = -10.0 * np.eye(len(phi[0]))
+        return phis, ws
+
+    monkeypatch.setattr(cdkf, "_map_powers", broken)
+
+
+@pytest.mark.parametrize("how", ["node", "arrival", "singular", "one-power"])
+def test_mean_paths_report_the_first_loss_as_the_full_walk(monkeypatch, how):
+    # with W_T alone the walk of the costs forms one node per gap, and the
+    # moments form the others again from the gaps' first nodes; the error
+    # is the full walk's, type and message.  "one-power" loses only node 3
+    # of each gap, which the walk of the costs never forms here: run 0's
+    # arrival at t = 0.004 puts its node 3 at t = 0.2, first in run order,
+    # but the full walk names run 1's at t = 0.15 in round 0
+    inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
+    sched = Schedule(N=1, T=1.0, rates=[[1.0]])
+    if how == "one-power":
+        _break_one_power(monkeypatch)
+    else:
+        break_the_walk(monkeypatch, how)
+    records = [sample_arrivals(sched, run_seed(3, r)) for r in range(4)]
+    assert [rec.n_events for rec in records] == [2, 0, 0, 2]
+    errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
+    with pytest.raises(errors) as full:
+        for _ in cdkf._filter_walk(inst, records, time_grid(1.0, 20)):
+            pass
+    with pytest.raises(errors) as means:
+        mc_mean_trajectories(inst, sched, n_runs=4, n_eval=20, seed=3)
+    assert type(means.value) is type(full.value)
+    assert str(means.value) == str(full.value)
+    if how == "one-power":
+        assert "at node t=0.15 in run 1" in str(full.value)
+        mc_objective(inst, sched, n_runs=4, n_eval=20, seed=3)
 
 
 def test_an_overflowing_mean_is_a_numeric_failure():
@@ -742,8 +824,7 @@ def test_a_spread_whose_squares_overflow_is_exact():
     assert est.std == pytest.approx(
         float(stdev(map(Fraction, est.per_run_costs))), rel=1e-13)
     records = [sample_arrivals(sched, run_seed(0, r)) for r in range(5)]
-    paths = np.empty((5, 5, 1, 1))
-    _run_costs(inst, records, time_grid(1.0, 4), paths)
+    paths, _ = _full_walk(inst, records, time_grid(1.0, 4))
     exact = [float(stdev(map(Fraction, node))) / np.sqrt(5)
              for node in paths[:, :, 0, 0].T]
     out = mc_mean_trajectories(inst, sched, n_runs=5, n_eval=4, seed=0)
