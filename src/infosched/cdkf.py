@@ -122,31 +122,40 @@ class _Gaps:
 
     A node depends on its gap's first node alone, so every node of every
     run can be formed again from these, with the walk's floats, while they
-    hold one matrix per gap, not one per node.
+    hold one matrix per gap with nodes, never more than one per node.  The
+    walk knows every gap before round 0, so they go in one store, each
+    run's in time order, and no round's first nodes are copied twice.
     """
 
-    def __init__(self):
-        self.maps, self.n_runs, self.rounds = None, 0, []
+    def open(self, maps, G, bounds):
+        """Before round 0: bounds[g, r] ends run r's nodes of round g, which
+        start at bounds[g - 1, r] (0 for g = 0)."""
+        per = np.count_nonzero(np.diff(bounds, axis=0, prepend=0), axis=0)
+        self.maps, self.G = maps, G
+        self.slot = np.cumsum(per) - per    # each run's next gap
+        self.keys = np.empty(per.sum(), dtype=np.int64)   # r G + first node
+        self.firsts = np.empty((per.sum(),) + maps[0].shape[1:])
+
+    def keep(self, runs, a, first):
+        """A round's gaps: runs, their first node indices a, first nodes."""
+        at = self.slot[runs]
+        self.keys[at], self.firsts[at] = runs * self.G + a, first
+        self.slot[runs] += 1
 
     def windows(self, grid):
-        """(i, P), once: P the nodes i.. of every run, run-major, a (runs,
+        """(i, P): P the nodes i.. of every run, run-major, a (runs,
         w, n, n) block of at most WINDOW_ENTRIES entries or of one node
         index, in time order; each block is require_pd'd."""
-        runs, starts, firsts = map(np.concatenate, zip(*self.rounds))
-        self.rounds = []
-        R, G, n = self.n_runs, len(grid), firsts.shape[-1]
-        # a run's gaps are ordered by first node: node i is in the last
-        # gap of its run that starts at or before i
-        keys = runs * G + starts
-        order = np.argsort(keys)
-        keys, base = keys[order], np.arange(R)[:, None] * G
+        R, G, n = len(self.slot), self.G, self.firsts.shape[-1]
+        base = np.arange(R)[:, None] * G
         w = max(1, WINDOW_ENTRIES // (R * n * n))
         for i in range(0, G, w):
             at = np.arange(i, min(i + w, G))
             q = (base + at).ravel()     # node i of run r is r G + i
-            k = np.searchsorted(keys, q, "right") - 1
+            # node i is in the last gap of its run that starts at or before i
+            k = np.searchsorted(self.keys, q, "right") - 1
             with np.errstate(over="ignore", invalid="ignore"):
-                P = _node(self.maps, firsts[order[k]], q - keys[k])
+                P = _node(self.maps, self.firsts[k], q - self.keys[k])
             require_pd(P, lambda m: f"at node t={grid[at[m % len(at)]]:g} "
                                     f"in run {m // len(at)}")
             yield i, P.reshape(R, len(at), n, n)
@@ -193,8 +202,9 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
     the gap's first by its own power map, a formed node does not depend on
     the nodes skipped, bit for bit.  The windows stay the full walk's, so
     the index arrays of a window stay within its bound however few of its
-    nodes are read.  gaps, a _Gaps, keeps each round's (runs, first node
-    index, first node), from which the nodes skipped can be formed again.
+    nodes are read.  gaps, a _Gaps, is opened before round 0 and keeps
+    each gap's first node as its round forms it, from which the nodes
+    skipped can be formed again.
 
     Memory grows with the batch by the round's O(R n^2) working set: each
     run's carried matrix, first node and two cut maps, and in the family
@@ -232,7 +242,7 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
     # a stack's product with a strided transpose runs 2.5-2.8x slower
     maps = phis, np.ascontiguousarray(phis.swapaxes(1, 2)), ws
     if gaps is not None:
-        gaps.maps, gaps.n_runs = maps, R
+        gaps.open(maps, G, bounds)
     F = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
     lo, anchor = np.zeros(R, dtype=np.int64), np.zeros(R)
     for g, (hi, end) in enumerate(zip(bounds, ends)):
@@ -246,7 +256,7 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
             first = _sym(phi[:cut] @ F[walked] @ phi[:cut].swapaxes(1, 2)
                          + w[:cut])
         if gaps is not None:
-            gaps.rounds.append((walked, a, first))
+            gaps.keep(walked, a, first)
         # a window starts where the nodes before an index pass a multiple
         # of budget; a jump joins the window of its last node
         starts, joins = [0], np.zeros(len(arriving), dtype=np.int64)

@@ -17,7 +17,9 @@ is bit-identical whatever batch it is stepped in, and estimates reduce the
 costs in run order.  The nodewise moments of the paths are reduced a window
 of nodes at a time, every run's nodes formed again from its gaps' first
 nodes, so no stack of paths is held: memory grows with runs as a trace
-table and the gaps' first nodes, not as runs x grid matrices.
+table and the gaps' first nodes, one matrix per gap with nodes, which is
+never more than the path stack and far less when arrivals are sparser
+than nodes.
 """
 
 from __future__ import annotations

@@ -237,7 +237,9 @@ def test_mc_mean_trajectories_independent_of_batch_composition():
     records = [sample_arrivals(sched, run_seed(9, r)) for r in range(6)]
     others = [sample_arrivals(sched, run_seed(10, r)) for r in range(3)]
     batch = records[::-1][:3] + others + records[::-1][3:]
-    paths, costs = _full_walk(inst, batch, time_grid(inst.T, 30))
+    grid = time_grid(inst.T, 30)
+    paths, costs = _full_walk(inst, batch, grid)
+    np.testing.assert_array_equal(_run_costs(inst, batch, grid), costs)
     keep = [8, 7, 6, 2, 1, 0]          # batch positions of runs 0..5
     np.testing.assert_array_equal(paths[keep].mean(axis=0),
                                   out.p_mean.values)
@@ -272,6 +274,8 @@ def test_batched_walk_paths_independent_of_batch():
     three, costs3 = _full_walk(inst, runs, grid)
     order = [extra[0], runs[2], runs[1], extra[1], runs[0], runs[2], runs[1]]
     seven, costs7 = _full_walk(inst, order, grid)
+    np.testing.assert_array_equal(_run_costs(inst, runs, grid), costs3)
+    np.testing.assert_array_equal(_run_costs(inst, order, grid), costs7)
     for r, at in enumerate(([4], [2, 6], [1, 5])):
         single = rollout_covariance(inst, runs[r], n_eval)
         np.testing.assert_array_equal(three[r], single.values)
@@ -373,7 +377,11 @@ def test_batched_walk_costs_match_pathwise_cost_with_running_weights():
                                             W_T=np.eye(3)))
     sched = Schedule(N=3, T=1.5, rates=np.full((3, 4), 2.0))
     records = [sample_arrivals(sched, run_seed(3, r)) for r in range(8)]
-    paths, costs = _full_walk(inst, records, time_grid(inst.T, 20))
+    grid = time_grid(inst.T, 20)
+    # every node is weighted, so the walk of the costs forms every node
+    assert riccati.read_nodes(riccati.node_weights(grid, inst.weights)).all()
+    paths, _ = _full_walk(inst, records, grid)
+    costs = _run_costs(inst, records, grid)
     for r, rec in enumerate(records):
         traj = rollout_covariance(inst, rec, 20)
         np.testing.assert_array_equal(paths[r], traj.values)
@@ -707,6 +715,29 @@ def test_mean_paths_are_the_stack_reductions_bit_for_bit(rate):
                 / np.sqrt(40))
 
 
+def _traced_peak_in_stacks(inst, sched, n_runs, n_eval):
+    """Traced peak of mc_mean_trajectories in (runs, n_eval + 1, n, n)
+    stacks, and the gaps with nodes the walk keeps per run."""
+    kept = []
+    real = cdkf._Gaps.windows
+
+    def windows(gaps, grid):
+        kept.append(len(gaps.firsts) / n_runs)
+        return real(gaps, grid)
+
+    stack = n_runs * (n_eval + 1) * inst.n**2 * 8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cdkf._Gaps, "windows", windows)
+        tracemalloc.start()
+        try:
+            mc_mean_trajectories(inst, sched, n_runs=n_runs, n_eval=n_eval,
+                                 seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / stack, kept[0]
+
+
 def test_mean_paths_hold_no_path_stack():
     # no (runs, n_eval + 1, n, n) stack is held: the walk keeps each gap's
     # first node, and the moments take a window of nodes at a time into
@@ -715,15 +746,21 @@ def test_mean_paths_hold_no_path_stack():
     inst = random_instance(InstanceSpec(n=5, M=10, p=1, seed=4))
     sched = Schedule(N=10, T=inst.T, rates=np.full((10, 10), 0.5))
     for n_runs in (200, 800):
-        stack = n_runs * 301 * 5 * 5 * 8
-        tracemalloc.start()
-        try:
-            mc_mean_trajectories(inst, sched, n_runs=n_runs, n_eval=300,
-                                 seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.5 * stack, n_runs
+        peak, per_run = _traced_peak_in_stacks(inst, sched, n_runs, 300)
+        assert per_run < 20 and peak < 0.5, n_runs
+
+
+def test_mean_paths_with_more_arrivals_than_nodes_hold_at_most_a_stack():
+    # about 600 arrivals per run on 301 nodes: the walk keeps one first node
+    # per gap with nodes, at most one per node (here 260 of 301), in one
+    # store filled as it walks, so nothing holds the store twice; holding
+    # every path peaked at 1.53 stacks, concatenating the walk's rounds at
+    # 2.19
+    inst = random_instance(InstanceSpec(n=5, M=10, p=1, seed=4))
+    sched = Schedule(N=10, T=inst.T, rates=np.full((10, 10), 20.0))
+    peak, per_run = _traced_peak_in_stacks(inst, sched, 200, 300)
+    assert 250 < per_run <= 301
+    assert peak < 1.5
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0], ids=["zero", "positive"])
