@@ -7,7 +7,8 @@ whole batch of records at once, arrival by arrival: every node of a gap
 between arrivals comes from the gap's first node by a power of the grid-step
 map.  The Monte Carlo runs of ``montecarlo`` walk together, and
 ``rollout_covariance`` is the batch of one record, on a uniform evaluation
-grid; a run's path does not depend on the rest of the batch, bit for bit.
+grid; a run's path does not depend on the rest of the batch, bit for bit,
+and a failing batch fails as its lowest failing run walked alone.
 A caller that reads only some nodes (a cost with a terminal weight alone
 reads the last) has the walk form just those and each gap's last node, with
 the same floats, and can keep each gap's first node, from which every node
@@ -118,7 +119,7 @@ def _node(maps, first, j):
 
 
 class _Gaps:
-    """Each gap's first node, as a walk keeps them (_filter_walk's gaps).
+    """Each gap's first node, as a walk keeps them (_walk's gaps).
 
     A node depends on its gap's first node alone, so every node of every
     run can be formed again from these, with the walk's floats, while they
@@ -127,11 +128,11 @@ class _Gaps:
     run's in time order, and no round's first nodes are copied twice.
     """
 
-    def open(self, maps, G, bounds):
-        """Before round 0: bounds[g, r] ends run r's nodes of round g, which
-        start at bounds[g - 1, r] (0 for g = 0)."""
+    def open(self, walk, maps, bounds):
+        """Before round 0 of walk, its (instance, records, grid): bounds[g,
+        r] ends run r's nodes of round g, from bounds[g - 1, r] (0 at 0)."""
         per = np.count_nonzero(np.diff(bounds, axis=0, prepend=0), axis=0)
-        self.maps, self.G = maps, G
+        self.walk, self.maps, self.G = walk, maps, len(walk[2])
         self.slot = np.cumsum(per) - per    # each run's next gap
         self.keys = np.empty(per.sum(), dtype=np.int64)   # r G + first node
         self.firsts = np.empty((per.sum(),) + maps[0].shape[1:])
@@ -142,10 +143,11 @@ class _Gaps:
         self.keys[at], self.firsts[at] = runs * self.G + a, first
         self.slot[runs] += 1
 
-    def windows(self, grid):
+    def windows(self):
         """(i, P): P the nodes i.. of every run, run-major, a (runs,
         w, n, n) block of at most WINDOW_ENTRIES entries or of one node
-        index, in time order; each block is require_pd'd."""
+        index, in time order.  Each block is require_pd'd, and a failure is
+        the walk's (_lowest_failure)."""
         R, G, n = len(self.slot), self.G, self.firsts.shape[-1]
         base = np.arange(R)[:, None] * G
         w = max(1, WINDOW_ENTRIES // (R * n * n))
@@ -156,30 +158,44 @@ class _Gaps:
             k = np.searchsorted(self.keys, q, "right") - 1
             with np.errstate(over="ignore", invalid="ignore"):
                 P = _node(self.maps, self.firsts[k], q - self.keys[k])
-            require_pd(P, lambda m: f"at node t={grid[at[m % len(at)]]:g} "
-                                    f"in run {m // len(at)}")
+            try:
+                require_pd(P)
+            except PositiveDefinitenessError as error:
+                raise _lowest_failure(*self.walk) or error from None
             yield i, P.reshape(R, len(at), n, n)
 
 
-def _check_window(*stops):
-    """One require_pd of a window's stops, each (P, runs, times, sensors; -1
-    for a node): a failure names the earliest loss in time, a jump before a
-    node at the same instant, then the first run in batch order."""
-    try:
-        require_pd(np.concatenate([P for P, *_ in stops]))
-    except PositiveDefinitenessError:
-        P, runs, times, sensors = map(np.concatenate, zip(*stops))
-        order = np.lexsort((runs, sensors < 0, times))
-
-        def where(i):
-            r, t, j = runs[order[i]], times[order[i]], sensors[order[i]]
-            if j < 0:
-                return f"at node t={t:g} in run {r}"
-            return f"after an arrival from sensor {j} at t={t:g} in run {r}"
-        require_pd(P[order], where)
+def _lowest_failure(instance, records, grid):
+    """The error of the lowest failing run of records walked alone, naming
+    the run by its index in records (None if no run fails): the failure of
+    a batch, full or read-masked walk or window of its gaps.  No product of
+    the walk mixes runs, so a batch fails exactly when one of its runs
+    does, and halving finds the lowest in about one walk of the batch.  A
+    run alone reports its earliest loss, a jump before a node at the same
+    instant, and a node loss before a singular innovation after it."""
+    lo, hi = 0, len(records)    # the runs below lo pass
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            for _ in _walk(instance, records[lo:mid], grid, run0=lo):
+                pass
+            lo = mid
+        except (PositiveDefinitenessError, np.linalg.LinAlgError) as error:
+            if mid == lo + 1:
+                return error
+            hi = mid
 
 
 def _filter_walk(instance, records, grid, read=None, gaps=None):
+    """_walk of a batch, which fails as its lowest failing run fails alone
+    (_lowest_failure): like a path, an error ignores the rest of the batch."""
+    try:
+        yield from _walk(instance, records, grid, read, gaps)
+    except (PositiveDefinitenessError, np.linalg.LinAlgError) as error:
+        raise _lowest_failure(instance, records, grid) or error from None
+
+
+def _walk(instance, records, grid, read=None, gaps=None, run0=0):
     """Step the exact filter covariances of a batch of runs together.
 
     records holds one arrival record per run.  Round g of the walk carries
@@ -192,9 +208,9 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
     first node and last node (or anchor) to arrival.  The round's nodes go
     in time-ordered windows of grid indices, each of at most WINDOW_ENTRIES
     / n^2 nodes or of one index, so memory does not grow with a gap: one
-    batched product records a window's nodes, and the runs whose last node
-    is in it take their riccati.stacked_gains update.  The carry ignores
-    overflow: the check below reports a non-finite matrix.
+    batched product records a window's nodes.  Then the runs that arrive
+    take their riccati.stacked_gains update.  The carry ignores overflow:
+    the checks below report a non-finite matrix.
 
     read, a boolean mask over grid (None: every node), names the nodes the
     caller reads.  Each gap then forms only its read nodes and its last
@@ -211,16 +227,14 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
     call a Horner table of two n x n blocks per cut.  At n = 20 the traced
     peak of mc_objective grew about 50 kB (16 matrices) per run, at round
     0's family call, where every run cuts twice.  Walking the runs in
-    batches would bound it, but the first failing round is taken over the
-    whole batch.
+    batches would bound it: neither a run's path nor the failure of a
+    batch (_filter_walk) depends on the rest of the batch.
 
     Yields (runs, nodes, P) per window that records nodes, each run's nodes
     in time order; a run's path depends on its own record alone, bit for
-    bit.  One require_pd per window checks its post-jump and node matrices,
-    so the nodes skipped are not checked.  The first failing round is
-    reported, and within it the earliest loss in time, a jump before a node
-    at the same instant, ties in batch order; a singular innovation checks
-    its window's nodes first.
+    bit.  One require_pd per window checks its nodes, and one per round
+    the post-jump matrices after them, so the nodes skipped are not
+    checked; an error names records[r] run run0 + r.
     """
     sys = instance.system
     counts = np.array([rec.n_events for rec in records])
@@ -242,7 +256,7 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
     # a stack's product with a strided transpose runs 2.5-2.8x slower
     maps = phis, np.ascontiguousarray(phis.swapaxes(1, 2)), ws
     if gaps is not None:
-        gaps.open(maps, G, bounds)
+        gaps.open((instance, records, grid), maps, bounds)
     F = np.repeat(np.asarray(sys.P0, dtype=float)[None], R, axis=0)
     lo, anchor = np.zeros(R, dtype=np.int64), np.zeros(R)
     for g, (hi, end) in enumerate(zip(bounds, ends)):
@@ -258,15 +272,14 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
         if gaps is not None:
             gaps.keep(walked, a, first)
         # a window starts where the nodes before an index pass a multiple
-        # of budget; a jump joins the window of its last node
-        starts, joins = [0], np.zeros(len(arriving), dtype=np.int64)
+        # of budget
+        starts = [0]
         if (b - a).sum() > budget:
             per = np.cumsum(np.bincount(a, minlength=G + 1)
                             - np.bincount(b, minlength=G + 1))
             starts = np.flatnonzero(
                 np.diff((np.cumsum(per) - per) // budget, prepend=-1))
-            joins = np.searchsorted(starts[1:], hi[arriving])
-        for s, (i0, i1) in enumerate(zip(starts, [*starts[1:], G + 1])):
+        for i0, i1 in zip(starts, [*starts[1:], G + 1]):
             f = np.maximum(a, i0)   # each run's first node in the window
             k = np.maximum(np.minimum(b, i1) - f, 0)
             slot = np.repeat(np.arange(cut), k)     # position in walked
@@ -276,25 +289,22 @@ def _filter_walk(instance, records, grid, read=None, gaps=None):
                 keep = read[at] | carry
                 slot, at, carry = slot[keep], at[keep], carry[keep]
             runs, j = walked[slot], at - a[slot]
-            mine = joins == s
-            jumps, cuts = arriving[mine], phi[cut:][mine]
             with np.errstate(over="ignore", invalid="ignore"):
                 P = _node(maps, first[slot], j)
-                F[runs[carry]] = P[carry]
-                nodes = (P, runs, grid[at], np.full(len(runs), -1))
-                before = _sym(cuts @ F[jumps] @ cuts.swapaxes(1, 2)
-                              + w[cut:][mine])
-                js = sensor[g, jumps]
-                try:
-                    HP, sol = stacked_gains(before, instance.H[js],
-                                            instance.R[js])
-                except np.linalg.LinAlgError:
-                    _check_window(nodes)   # a loss before the failure first
-                    raise
-                F[jumps] = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
-            _check_window((F[jumps], jumps, end[jumps], js), nodes)
+            F[runs[carry]] = P[carry]
+            require_pd(P, lambda m: f"at node t={grid[at[m]]:g} "
+                                    f"in run {run0 + runs[m]}")
             if len(P):
                 yield runs, at, P
+        # each run's arrival ends its round, after its nodes
+        cuts, js = phi[cut:], sensor[g, arriving]
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = _sym(cuts @ F[arriving] @ cuts.swapaxes(1, 2) + w[cut:])
+            HP, sol = stacked_gains(before, instance.H[js], instance.R[js])
+            F[arriving] = _sym(before - _sym(HP.swapaxes(1, 2) @ sol))
+        require_pd(F[arriving], lambda m: (
+            f"after an arrival from sensor {js[m]} at t={end[arriving[m]]:g} "
+            f"in run {run0 + arriving[m]}"))
         lo, anchor = hi, end
 
 

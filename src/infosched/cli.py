@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import statistics
 import sys
@@ -30,6 +29,7 @@ from .model import (
     ValidationError,
     _dump_json,
     _generator,
+    _seed_sequence,
     instance_from_dict,
     load_instance,
     load_schedule,
@@ -224,16 +224,24 @@ def cmd_sweep(args) -> int:
                         ("--n-eval", args.n_eval)):
         if value < 1:
             raise ValidationError(f"{flag} must be >= 1, got {value}")
+    _seed_sequence(args.seed)   # the estimates' seed, refused before a solve
     options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     points = _sweep_points(args)
     if args.full:
         print("warning: --full grids can take hours",
               file=sys.stderr)
-    # every instance is built, and so checked, and the CSV opened before
-    # the first solve, so a bad flag or an unwritable path costs no work;
-    # each row is flushed as its point finishes, so none is lost
-    cases = [(sweep_kind, pt, idx, _sweep_instance(sweep_kind, pt, idx, args))
-             for sweep_kind, pt in points for idx in range(args.instances)]
+    # every problem is built, and so checked, before the CSV is opened, and
+    # the CSV before the first solve, so a bad flag or an unwritable path
+    # costs no work and leaves no file; each row is flushed as its point
+    # finishes, so none is lost
+    instances = [
+        (sweep_kind, pt, idx, _sweep_instance(sweep_kind, pt, idx, args))
+        for sweep_kind, pt in points for idx in range(args.instances)]
+    cases = [(sweep_kind, pt, idx, ShootingProblem(
+                 instance=instance, N=args.N, kind=kind,
+                 substeps=args.substeps))
+             for sweep_kind, pt, idx, instance in instances
+             for kind in ("info", "cov")]
     means = {}
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -242,10 +250,8 @@ def cmd_sweep(args) -> int:
             "objective_norm", "mc_mean_norm", "mc_stderr_norm", "forward_s",
             "gradient_s", "projection_s", "total_s",
         ])
-        for (sweep_kind, pt, idx, instance), kind in itertools.product(
-                cases, ("info", "cov")):
-            problem = ShootingProblem(instance=instance, N=args.N, kind=kind,
-                                      substeps=args.substeps)
+        for sweep_kind, pt, idx, problem in cases:
+            instance, kind = problem.instance, problem.kind
             report = solve(problem, options=options)
             est = mc_objective(
                 instance, report.schedule, n_runs=args.runs,

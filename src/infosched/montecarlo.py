@@ -14,17 +14,17 @@ reduced as the walk records its nodes, with the node weights
 only the weighted nodes and each gap's last.  Because every run owns its
 stream and its path does not depend on the rest of the batch, a run's cost
 is bit-identical whatever batch it is stepped in, and estimates reduce the
-costs in run order.  The nodewise moments of the paths are reduced a window
-of nodes at a time, every run's nodes formed again from its gaps' first
-nodes, so no stack of paths is held: memory grows with runs as a trace
-table and the gaps' first nodes, one matrix per gap with nodes, which is
-never more than the path stack and far less when arrivals are sparser
-than nodes.
+costs in run order; a failing batch names its lowest failing run's loss,
+as that run walked alone reports it (cdkf._lowest_failure).  The nodewise
+moments of the paths are reduced a window of nodes at a time, every run's
+nodes formed again from its gaps' first nodes, so no stack of paths is
+held: memory grows with runs as a trace table and the gaps' first nodes,
+one matrix per gap with nodes, which is never more than the path stack and
+far less when arrivals are sparser than nodes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -36,7 +36,6 @@ from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
 from .riccati import (
     COV,
     INFO,
-    PositiveDefinitenessError,
     Trajectory,
     node_weights,
     read_nodes,
@@ -108,21 +107,6 @@ def _sample_runs(instance, schedule, n_runs, seed):
     return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
 
 
-@contextlib.contextmanager
-def _first_loss(instance, records, grid):
-    """Report a failure within as the full walk does.  A walk that forms
-    only some nodes checks only those, and nodes formed again from a walk's
-    gaps are checked after it; on a failure, the full walk, which checks
-    every node as it goes, runs on the same records to name the first loss
-    (cdkf._filter_walk)."""
-    try:
-        yield
-    except (PositiveDefinitenessError, np.linalg.LinAlgError):
-        for _ in _filter_walk(instance, records, grid):
-            pass
-        raise
-
-
 def _run_costs(instance, records, grid, gaps=None):
     """Pathwise costs of a batch of runs, stepped together in one filter walk.
 
@@ -134,24 +118,23 @@ def _run_costs(instance, records, grid, gaps=None):
     gap), and the costs are the full walk's, bit for bit.  gaps, a
     cdkf._Gaps, keeps each gap's first node, from which every node can be
     formed again.  A cost that overflows is a PositiveDefinitenessError
-    naming the first such run; any failure names the full walk's first
-    loss (_first_loss).
+    naming the first such run; a failing walk names its lowest failing
+    run's loss, as that run walked alone reports it (cdkf._filter_walk).
     """
     weights = node_weights(grid, instance.weights)
     read = read_nodes(weights)
     every, n2 = read.all(), instance.n**2
     costs = np.zeros(len(records))
-    with _first_loss(instance, records, grid):
-        for runs, nodes, P in _filter_walk(instance, records, grid,
-                                           None if every else read, gaps):
-            if not every:
-                on = read[nodes]
-                runs, nodes, P = runs[on], nodes[on], P[on]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                np.add.at(costs, runs, (weights[nodes] * P).reshape(
-                    len(runs), n2).sum(axis=1))
-        run = int(np.argmin(np.isfinite(costs)))   # the first to overflow
-        return require_finite(costs, f"Monte Carlo cost of run {run}")
+    for runs, nodes, P in _filter_walk(instance, records, grid,
+                                       None if every else read, gaps):
+        if not every:
+            on = read[nodes]
+            runs, nodes, P = runs[on], nodes[on], P[on]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            np.add.at(costs, runs, (weights[nodes] * P).reshape(
+                len(runs), n2).sum(axis=1))
+    run = int(np.argmin(np.isfinite(costs)))   # the first to overflow
+    return require_finite(costs, f"Monte Carlo cost of run {run}")
 
 
 class _Moments:
@@ -271,11 +254,10 @@ def mc_mean_trajectories(
     costs = _run_costs(instance, records, times, gaps)
     shape = (n_runs, n_eval + 1, instance.n, instance.n)
     p, y = _Moments(shape), _Moments(shape)
-    with _first_loss(instance, records, times):
-        for i, P in gaps.windows(times):
-            at = slice(i, i + P.shape[1])
-            p.add(at, P)
-            y.add(at, _sym(np.linalg.inv(P)))
+    for i, P in gaps.windows():
+        at = slice(i, i + P.shape[1])
+        p.add(at, P)
+        y.add(at, _sym(np.linalg.inv(P)))
     p_mean, p_std = p.result("covariance path")
     y_mean, y_std = y.result("information path")
     # the means are symmetric as every run's node is: each is checked once,

@@ -82,7 +82,7 @@ def break_the_walk(monkeypatch, how):
     P0 = 1 and the first node past t = ln 2 loses positive definiteness;
     "arrival" gives the gain factors (1, P + 1), so every gain update
     leaves P - (P + 1) = -1 whatever P was; "singular" makes every gain
-    update raise LinAlgError.
+    update raise LinAlgError, and passes a round without one.
     """
     from infosched import cdkf
 
@@ -102,8 +102,12 @@ def break_the_walk(monkeypatch, how):
         monkeypatch.setattr(cdkf, "stacked_gains",
                             lambda P, H, R: (np.ones_like(P), P + 1.0))
     else:
+        real = cdkf.stacked_gains
+
         def singular(P, H, R):
-            raise np.linalg.LinAlgError("Singular matrix")
+            if len(P):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(P, H, R)
 
         monkeypatch.setattr(cdkf, "stacked_gains", singular)
 

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, one PASS/FAIL line each.
+"""Acceptance gate: one test per criterion, one PASS/FAIL line each, and
+criterion 8's claim counted by work as well as timed.
 
 Every test prints "[criterion N] PASS/FAIL <detail> (<elapsed>s, cap <cap>s)"
 and asserts both the numeric check and its runtime cap.  Run with -s to see
@@ -14,7 +15,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
-from infosched import cli
+from infosched import cli, riccati
 from infosched.bounds import objective_bracket, snr_sweep, trajectory_bracket
 from infosched.model import InstanceSpec, Schedule, Sensor, random_instance
 from infosched.montecarlo import mc_objective, run_seed, sample_arrivals
@@ -22,6 +23,7 @@ from infosched.optimize import (
     ShootingProblem,
     SolveOptions,
     centered_rates,
+    objective_and_gradient,
     solve,
 )
 from infosched.riccati import invert_trajectory, jump_cov
@@ -191,6 +193,44 @@ def test_criterion_8_assembly_cost_trend():
             "cov/info gradient-assembly median ratios at M=30,60,100: "
             + ", ".join(f"{r:.1f}" for r in ratios)
             + " (each > 1, nondecreasing)", t0, 600.0)
+
+
+def test_criterion_8_claim_counted_by_work(monkeypatch):
+    # criterion 8's instances at the centered rates, counted rather than
+    # timed, over one objective_and_gradient: the cov kind's gain kernels
+    # take each of the M sensor rows at 8 N S stage points (four RK4
+    # stages per step, forward and replay), which grows with M; the info
+    # kind's work at the stages is one matrix exponential of its N
+    # Hamiltonians at every M
+    N, S = 30, 10
+    rows, expms = [], []
+
+    def counted(kernel):
+        def run(gains, P, lam):
+            rows.append(len(gains.rows) * (P.size // P.shape[-1] ** 2))
+            return kernel(gains, P, lam)
+        return run
+
+    for name in ("gain_term", "factors"):
+        monkeypatch.setattr(riccati.RowGains, name,
+                            counted(getattr(riccati.RowGains, name)))
+    expm = riccati.expm
+    monkeypatch.setattr(riccati, "expm",
+                        lambda X: expms.append(X.shape) or expm(X))
+    for M in (30, 60, 100):
+        inst = random_instance(InstanceSpec(n=5, M=M, p=1, seed=800 + M,
+                                            T=3.0, budget=5.0))
+        rates = centered_rates(inst.polytope, N)
+        for kind in ("cov", "info"):
+            rows.clear()
+            expms.clear()
+            objective_and_gradient(
+                ShootingProblem(instance=inst, N=N, kind=kind, substeps=S),
+                rates)
+            if kind == "cov":
+                assert sum(rows) == 8 * N * S * M and expms == []
+            else:
+                assert rows == [] and expms == [(N, 10, 10)]
 
 
 def test_criterion_9_poisson_sampler_statistics():

@@ -131,10 +131,9 @@ def test_rollout_overflowing_map_is_typed():
         "node-then-singular"])
 def test_rollout_pd_loss_is_typed(monkeypatch, breaks, events, n_eval,
                                   message):
-    # the walk checks each round's gain updates and recorded nodes: the
-    # earliest loss in time of the first failing round is reported, before
-    # a later loss or failure in that round; a loss is a
-    # PositiveDefinitenessError, never malformed input
+    # the walk checks each round's recorded nodes, then its gain update:
+    # the run's earliest loss in time is reported, before a later loss or
+    # failure; a loss is a PositiveDefinitenessError, never malformed input
     if n_eval == 20:
         # the loss at node 14 (t = 0.7) and the arrival at 0.72 both fall in
         # round 0, the node first

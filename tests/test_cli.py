@@ -390,6 +390,27 @@ def test_sweep_bad_monte_carlo_size_solves_nothing(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad,message", [
+    (["--N", "0"], "N must be >= 1, got 0"),
+    (["--substeps", "0"], "substeps must be >= 1, got 0"),
+    (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+], ids=["N", "substeps", "seed"])
+def test_sweep_bad_problem_or_seed_writes_no_csv(tmp_path, monkeypatch,
+                                                 capsys, bad, message):
+    # each point's problem is built, and the estimates' seed checked, before
+    # the CSV is opened: no solve, no estimate and no header-only file
+    calls = []
+    for name in ("solve", "mc_objective"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), calls))
+    argv = ["sweep", "--sweep", "dimension", "--grid", "2",
+            "--instances", "1", "--runs", "2", "--max-iters", "1",
+            "--out", str(tmp_path / "s.csv")] + bad
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,bad,message", [
     ("solve", ["--max-iters", "-3"], "max_iters must be an integer >= 0"),
     ("solve", ["--grad-tol", "nan"], "grad_tol must be finite and >= 0"),
@@ -819,6 +840,38 @@ def test_a_projection_below_the_orthant_is_a_numeric_failure(tmp_path,
     assert re.fullmatch(r"numeric failure: projected trial rates: rates must "
                         r"be nonnegative, min entry -\d\.\d{3}e-\d\d\n", err)
     assert set(tmp_path.iterdir()) == inputs
+
+
+def _set_sensor_0_h(payload):
+    payload["sensors"][0]["H"] = [[1.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: d.update(A=(-np.eye(3)).tolist()),
+     "A must have shape (2, 2), got (3, 3)"),
+    (lambda d: d.update(n=0), "state dimension must be >= 1, got 0"),
+    (lambda d: d.update(sensors=[]), "instance needs at least one sensor"),
+    (lambda d: d["weights"].update(WT=np.eye(3).tolist()),
+     "weights are 3x3, expected 2x2"),
+    (lambda d: d["weights"].update(W_stages=np.zeros((4, 3, 3)).tolist()),
+     "W_stages must have shape (4, 2, 2), got (4, 3, 3)"),
+    (_set_sensor_0_h, "sensor 0: H and R must have shapes (p, 2) and (p, p) "
+                      "with p >= 1, got (1, 3) and (1, 1)"),
+    (lambda d: d["constraints"].update(C=[[1.0, 1.0, 1.0]]),
+     "C has 3 columns but instance has 2 sensors"),
+], ids=["A-shape", "n-zero", "no-sensors", "WT-shape", "W_stages-shape",
+        "H-width", "C-columns"])
+def test_a_malformed_instance_shape_is_refused(tmp_path, capsys, edit, error):
+    # the 2-state, 2-sensor instance with one part of the wrong size: exit
+    # 2 naming it, and nothing written
+    payload, _ = degenerate_case(-np.eye(2))
+    edit(payload)
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    argv = ["solve", "--instance", str(tmp_path / "inst.json"),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["inst.json"]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e308])

@@ -413,10 +413,9 @@ def test_batched_walk_names_the_run_that_lost_pd(monkeypatch):
 def test_batched_walk_reports_the_first_loss_in_walk_order(
         monkeypatch, breaks, events, message):
     # on a grid of 20 intervals, every run loses node 14 (t = 0.7) under
-    # "node", and run 1's arrival at 0.72 ends round 0 after it: the
-    # earliest loss of the first failing round is named, not a later
-    # arrival of another run or a failure after it; "arrival" alone breaks
-    # only run 1's jump at 0.93
+    # "node", and run 1's arrival at 0.72 comes after it: run 0's loss is
+    # named, not run 1's later arrival or a failure after it; "arrival"
+    # alone breaks only run 1's jump at 0.93
     grid = time_grid(1.0, 20)
     assert grid[13] < np.log(2.0) < grid[14] < 0.72 < grid[15]
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
@@ -429,45 +428,45 @@ def test_batched_walk_reports_the_first_loss_in_walk_order(
 def test_batched_walk_reports_the_first_failing_round(monkeypatch):
     # under "node", run 1 (no arrivals) loses node 14 (t = 0.7) in round 0;
     # run 0's jump at 0.3 brings its loss forward to node 12 (t = 0.6) of
-    # its round 1: the first failing round is reported, not the earliest
-    # loss in time
+    # its round 1: the lowest failing run is reported, as it fails alone,
+    # whatever round another run fails in
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     grid = time_grid(inst.T, 20)
     break_the_walk(monkeypatch, "node")
     records = [arrivals([(0.3, 0)]), arrivals([])]
+    for batch in (records, records[:1]):
+        with pytest.raises(PositiveDefinitenessError,
+                           match="at node t=0.6 in run 0"):
+            _run_costs(inst, batch, grid)
     with pytest.raises(PositiveDefinitenessError,
-                       match="at node t=0.7 in run 1"):
-        _run_costs(inst, records, grid)
-    with pytest.raises(PositiveDefinitenessError,
-                       match="at node t=0.6 in run 0"):
-        _run_costs(inst, records[:1], grid)
-    # at one instant a jump comes before a node of an earlier run: run 1's
-    # arrival on node 14 ends its round 0 there
+                       match="at node t=0.7 in run 0"):
+        _run_costs(inst, records[::-1], grid)
+    # at one instant a run's jump comes before its node: the arrival on
+    # node 14 ends round 0 there, and node 14 is the jumped matrix
     break_the_walk(monkeypatch, "arrival")
-    records = [arrivals([]), arrivals([(grid[14], 0)])]
+    records = [arrivals([(grid[14], 0)]), arrivals([])]
     with pytest.raises(PositiveDefinitenessError,
                        match="after an arrival from sensor 0 at t=0.7 in "
-                             "run 1"):
+                             "run 0"):
         _run_costs(inst, records, grid)
 
 
 @pytest.mark.parametrize("entries", [cdkf.WINDOW_ENTRIES, 1],
                          ids=["rounds", "one-node-windows"])
 @pytest.mark.parametrize("breaks, events, message", [
-    (["node", "arrival"], [[], [(0.62, 0)]],
-     "after an arrival from sensor 0 at t=0.62 in run 1"),
+    (["node", "arrival"], [[], [(0.62, 0)]], "at node t=0.7 in run 0"),
     (["node", "arrival"], [[], [(0.72, 0)]], "at node t=0.7 in run 0"),
     (["node", "arrival"], [[], [(0.8, 0)]], "at node t=0.7 in run 0"),
-    (["node"], [[(0.3, 0)], []], "at node t=0.7 in run 1"),
+    (["node"], [[(0.3, 0)], []], "at node t=0.6 in run 0"),
 ], ids=["jump-in-an-earlier-window", "jump-in-the-node's-window",
         "jump-in-a-later-window", "later-round"])
 def test_windows_keep_the_first_loss_rule(monkeypatch, entries, breaks,
                                           events, message):
     # under "node" every run without an earlier arrival loses node 14
-    # (t = 0.7) in round 0; under "arrival" every jump loses.  Whatever
-    # window a loss falls in, the first failing round is reported and
-    # within it the earliest loss in time: a jump at 0.62 before run 0's
-    # node, run 0's node before a jump at 0.72 or 0.8 of run 1
+    # (t = 0.7) in round 0, and run 0's jump at 0.3 brings its loss forward
+    # to t = 0.6; under "arrival" every jump loses.  Whatever window a loss
+    # falls in, run 0's own first loss is reported, not run 1's jump at
+    # 0.62, 0.72 or 0.8
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", entries)
     for how in breaks:
@@ -542,27 +541,28 @@ def test_reduced_walk_costs_independent_of_batch(monkeypatch, entries):
 def test_reduced_walk_reports_the_first_loss_as_the_full_walk(monkeypatch,
                                                               breaks):
     # with W_T alone the walk reads node 20 (t = 1); under "node" run 0
-    # loses node 14 (t = 0.7), which the reduced walk does not form, and
-    # its own first failure is run 1's last node before 0.93 (t = 0.9): the
-    # costs name the full walk's first loss, as the paths do
+    # loses node 14 (t = 0.7), which the reduced walk does not form, so
+    # that walk's own failure is a later node (t = 1): the costs name run
+    # 0's first loss, as run 0 walked alone reports it
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     grid = time_grid(inst.T, 20)
     for how in breaks:
         break_the_walk(monkeypatch, how)
     records = [arrivals([]), arrivals([(0.93, 0)])]
     errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
-    with pytest.raises(errors) as full:
-        _full_walk(inst, records, grid)
-    with pytest.raises(errors) as reduced:
-        _run_costs(inst, records, grid)
-    assert type(reduced.value) is type(full.value)
-    assert str(reduced.value) == str(full.value)
+    alone = cdkf._lowest_failure(inst, records, grid)
+    for walk in (lambda: _full_walk(inst, records, grid),
+                 lambda: _run_costs(inst, records, grid)):
+        with pytest.raises(errors) as failed:
+            walk()
+        assert type(failed.value) is type(alone)
+        assert str(failed.value) == str(alone)
     if "node" in breaks:
-        assert "at node t=0.7 in run 0" in str(full.value)
+        assert "at node t=0.7 in run 0" in str(alone)
         read = riccati.read_nodes(riccati.node_weights(grid, inst.weights))
         with pytest.raises(PositiveDefinitenessError,
-                           match="at node t=0.9 in run 1"):
-            list(cdkf._filter_walk(inst, records, grid, read))
+                           match="at node t=1 in run 0"):
+            list(cdkf._walk(inst, records, grid, read))
 
 
 def test_objective_walk_checks_one_node_per_gap_with_a_terminal_weight(
@@ -721,9 +721,9 @@ def _traced_peak_in_stacks(inst, sched, n_runs, n_eval):
     kept = []
     real = cdkf._Gaps.windows
 
-    def windows(gaps, grid):
+    def windows(gaps):
         kept.append(len(gaps.firsts) / n_runs)
-        return real(gaps, grid)
+        return real(gaps)
 
     stack = n_runs * (n_eval + 1) * inst.n**2 * 8
     with pytest.MonkeyPatch.context() as mp:
@@ -809,10 +809,10 @@ def _break_one_power(monkeypatch):
 def test_mean_paths_report_the_first_loss_as_the_full_walk(monkeypatch, how):
     # with W_T alone the walk of the costs forms one node per gap, and the
     # moments form the others again from the gaps' first nodes; the error
-    # is the full walk's, type and message.  "one-power" loses only node 3
-    # of each gap, which the walk of the costs never forms here: run 0's
-    # arrival at t = 0.004 puts its node 3 at t = 0.2, first in run order,
-    # but the full walk names run 1's at t = 0.15 in round 0
+    # is the lowest failing run's walked alone, type and message.
+    # "one-power" loses only node 3 of each gap, which the walk of the
+    # costs never forms here: run 0's arrival at t = 0.004 puts its node 3
+    # at t = 0.2, named before run 1's at t = 0.15
     inst = make_scalar_instance(a=-0.5, q=1.0, T=1.0)
     sched = Schedule(N=1, T=1.0, rates=[[1.0]])
     if how == "one-power":
@@ -821,17 +821,74 @@ def test_mean_paths_report_the_first_loss_as_the_full_walk(monkeypatch, how):
         break_the_walk(monkeypatch, how)
     records = [sample_arrivals(sched, run_seed(3, r)) for r in range(4)]
     assert [rec.n_events for rec in records] == [2, 0, 0, 2]
-    errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
-    with pytest.raises(errors) as full:
-        for _ in cdkf._filter_walk(inst, records, time_grid(1.0, 20)):
-            pass
-    with pytest.raises(errors) as means:
+    alone = cdkf._lowest_failure(inst, records, time_grid(1.0, 20))
+    with pytest.raises((PositiveDefinitenessError,
+                        np.linalg.LinAlgError)) as means:
         mc_mean_trajectories(inst, sched, n_runs=4, n_eval=20, seed=3)
-    assert type(means.value) is type(full.value)
-    assert str(means.value) == str(full.value)
+    assert type(means.value) is type(alone)
+    assert str(means.value) == str(alone)
     if how == "one-power":
-        assert "at node t=0.15 in run 1" in str(full.value)
+        assert "at node t=0.2 in run 0" in str(alone)
         mc_objective(inst, sched, n_runs=4, n_eval=20, seed=3)
+
+
+# P0 = 3: no arrivals, one at 0.3, one at 0.62, and one every 0.1 from 0.12
+RULE_RECORDS = [[], [(0.3, 0)], [(0.62, 0)],
+                [(0.12 + 0.1 * k, 0) for k in range(9)]]
+
+
+@pytest.mark.parametrize("breaks", [
+    ["node"], ["arrival"], ["singular"], ["node", "arrival"],
+    ["node", "singular"], ["one-power"],
+], ids="-".join)
+def test_a_failing_batch_names_its_lowest_failing_run_as_walked_alone(
+        monkeypatch, breaks):
+    # under each break some of these runs fail alone and some do not.
+    # Through the full walk, the costs' read-masked walk and the moments'
+    # gap windows, a batch's error is its lowest failing run's, type and
+    # message, as rollout_covariance of that run alone reports it, with the
+    # run's batch index: runs that do not fail, before or after it, and
+    # runs that fail after it change only that index
+    inst = make_scalar_instance(a=-0.5, q=1.0, p0=3.0, T=1.0)
+    for how in breaks:
+        if how == "one-power":
+            _break_one_power(monkeypatch)
+        else:
+            break_the_walk(monkeypatch, how)
+    grid = time_grid(inst.T, 20)
+    errors = (PositiveDefinitenessError, np.linalg.LinAlgError)
+    pool = [arrivals(events) for events in RULE_RECORDS]
+    solo = []
+    for rec in pool:
+        try:
+            rollout_covariance(inst, rec, 20)
+            solo.append(None)
+        except errors as exc:
+            solo.append(exc)
+    passing = [i for i, exc in enumerate(solo) if exc is None]
+    failing = [i for i, exc in enumerate(solo) if exc is not None]
+    assert passing and len(failing) >= 2
+    sched = Schedule(N=1, T=1.0, rates=[[1.0]])
+    for order in (failing, passing + failing + passing,
+                  2 * passing + failing[::-1] + passing, failing + passing):
+        batch = [pool[i] for i in order]
+        r = next(k for k, i in enumerate(order) if solo[i] is not None)
+        want = solo[order[r]]
+        monkeypatch.setattr(montecarlo, "_sample_runs", lambda *_: batch)
+        walks = [lambda: list(cdkf._filter_walk(inst, batch, grid)),
+                 lambda: mc_mean_trajectories(inst, sched, len(batch), 20)]
+        if breaks == ["one-power"]:
+            # no read node and no gap's last is node 3 of its gap: only
+            # the gap windows see the loss
+            _run_costs(inst, batch, grid)
+        else:
+            walks.append(lambda: _run_costs(inst, batch, grid))
+        for walk in walks:
+            with pytest.raises(errors) as failed:
+                walk()
+            assert type(failed.value) is type(want)
+            assert str(failed.value) == str(want).replace(
+                "in run 0", f"in run {r}")
 
 
 def test_an_overflowing_mean_is_a_numeric_failure():

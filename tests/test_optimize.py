@@ -1122,6 +1122,62 @@ def test_solve_descends_from_centered_start(kind):
     assert np.all(inst.polytope.C @ rates.T <= inst.polytope.b[:, None] + 1e-9)
 
 
+def _recorded_forwards(monkeypatch, fail_trials=False):
+    """The rate tables optimize._forward is called at, in call order; with
+    fail_trials, every call after the first (each a line-search trial)
+    loses positive definiteness, which the line search rejects."""
+    calls, real = [], optimize._forward
+
+    def forward(problem, rates):
+        calls.append(rates.copy())
+        if fail_trials and len(calls) > 1:
+            raise PositiveDefinitenessError("failed trial")
+        return real(problem, rates)
+
+    monkeypatch.setattr(optimize, "_forward", forward)
+    return calls
+
+
+def test_solve_stops_when_the_line_search_finds_no_descent(monkeypatch):
+    # with no gradient tolerance the solver descends until the last
+    # iteration's MAX_BACKTRACKS trials all fail Armijo's test: an early
+    # stop, short of max_iters and not converged, whose report is the last
+    # accepted iterate and its objective
+    calls = _recorded_forwards(monkeypatch)
+    inst = random_instance(InstanceSpec(n=3, M=4, p=1, seed=1, T=1.0))
+    problem = ShootingProblem(instance=inst, N=4)
+    report = solve(problem, SolveOptions(grad_tol=0.0, max_iters=20000))
+    trials = len(calls)
+    assert 0 < report.iterations < 20000
+    assert not report.converged and report.pg_norm > 0.0
+    hist = np.asarray(report.history)
+    assert len(hist) == report.iterations + 1 and np.all(np.diff(hist) <= 0)
+    assert report.objective == hist[-1] == objective(problem,
+                                                     report.schedule.rates)
+    accepted = max(k for k, rates in enumerate(calls[:trials])
+                   if np.array_equal(rates, report.schedule.rates))
+    assert trials - 1 - accepted == optimize.MAX_BACKTRACKS
+
+
+def test_solve_stops_when_the_projected_step_vanishes(monkeypatch):
+    # every trial fails, and with backtracks to spare the halved step drops
+    # below 1e-15 of the rates: the solver stops at the start, as the
+    # projected step no longer moves it, before MAX_BACKTRACKS trials
+    inst = random_instance(InstanceSpec(n=3, M=4, p=1, seed=1, T=1.0))
+    problem = ShootingProblem(instance=inst, N=4)
+    start = centered_rates(inst.polytope, 4)
+    J = objective(problem, start)
+    monkeypatch.setattr(optimize, "MAX_BACKTRACKS", 1000)
+    calls = _recorded_forwards(monkeypatch, fail_trials=True)
+    report = solve(problem, SolveOptions(grad_tol=0.0, max_iters=5))
+    assert report.iterations == 0 and not report.converged
+    assert 2 < len(calls) < 100
+    np.testing.assert_array_equal(report.schedule.rates, start)
+    assert report.history == [report.objective] == [J]
+    last = np.linalg.norm(calls[-1] - start)
+    assert 0.0 < last <= 2e-15 * (1.0 + np.linalg.norm(start))
+
+
 def test_solve_report_serialization_and_timing_scrub():
     inst = make_scalar_instance(budget=2.0)
     problem = ShootingProblem(instance=inst, N=2, kind="info", substeps=2)
