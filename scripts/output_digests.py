@@ -6,14 +6,17 @@ For each workload of perfbench/workloads.py and each seed, the inputs are
 generated into a temporary directory and every command of the workload, then
 its probe (the general_dense solve), is run through infosched.cli.main in
 that directory, one at a time, with BLAS on one thread.  A solve gets
---no-timings, so its report has no wall-time field.  Each command prints one
-line: the workload, the seed, the argv, the exit code, and the SHA-256 of
-stdout, of stderr and of each file the command wrote.  The package is the
-infosched on PYTHONPATH, so running the script against two source trees and
-diffing the output checks that a change leaves every output byte-identical.
-Nothing under perfbench/ is written.  --workloads picks a subset.
+--no-timings, so its report has no wall-time field.  Then, under the name
+other_commands, one tiny run of each command no workload runs, on
+certify_ref's files at the seed: bracket --objective-only and --snr-sweep,
+sweep, gradcheck, solve --random and a refused evaluate, each with
+--no-timings where it is offered.  Each command prints one line: the
+workload, the seed, the argv, the exit code, and the SHA-256 of stdout, of
+stderr and of each file the command wrote.  The package is the infosched on
+PYTHONPATH, so running the script against two source trees and diffing the
+output checks that a change leaves every output byte-identical.  Nothing
+under perfbench/ is written.  --workloads picks a subset.
 """
-
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -28,6 +31,7 @@ import json
 import pathlib
 import sys
 import tempfile
+from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -64,26 +68,57 @@ def run(argv: list, workdir: pathlib.Path, inputs: set) -> dict:
             "stderr": _sha(err.getvalue().encode()), "files": files}
 
 
-def digests(workload: str, seed: int):
-    """One record per command of the workload at seed, probe last."""
+def workload_commands(workload: str, seed: int):
+    """The input files and argvs of the workload at seed, probe last."""
     files, commands, probe = workloads.WORKLOADS[workload](seed)
+    argvs = [list(cmd.argv) + (["--no-timings"] if cmd.argv[0] == "solve"
+                               else [])
+             for cmd in commands + ([probe] if probe is not None else [])]
+    return files, argvs
+
+
+def other_commands(seed: int):
+    """certify_ref's input files at seed and one tiny argv of each command
+    that no workload runs."""
+    files, _, _ = workloads.WORKLOADS["certify_ref"](seed)
+    pair = ["--instance", "instance.json", "--schedule", "schedule.json"]
+    small = pair + ["--runs", "4", "--n-eval", "20"]
+    tiny = ["--N", "2", "--T", "1", "--substeps", "4", "--max-iters", "2"]
+    return files, [
+        ["bracket", *small, "--objective-only", "--out", "objective"],
+        ["bracket", *small, "--snr-sweep", "1e-1..1e1,3", "--out", "snr"],
+        ["sweep", "--grid", "2", "--instances", "1", "--runs", "2",
+         "--n-eval", "10", "--seed", str(seed), *tiny, "--no-timings",
+         "--out", "sweep.csv"],
+        ["gradcheck", "--N", "2", "--seed", str(seed)],
+        ["solve", "--random", f"n=2,M=3,seed={seed}", *tiny, "--no-timings",
+         "--out", "random"],
+        ["evaluate", *pair, "--seed", "-1"],
+    ]
+
+
+SOURCES = {name: partial(workload_commands, name)
+           for name in workloads.WORKLOADS}
+SOURCES["other_commands"] = other_commands
+
+
+def digests(source: str, seed: int):
+    """One record per command of the source at seed, in order."""
+    files, argvs = SOURCES[source](seed)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         for name, payload in files.items():
             workloads.write_json(workdir / name, payload)
-        for cmd in commands + ([probe] if probe is not None else []):
-            argv = list(cmd.argv)
-            if argv[0] == "solve":
-                argv.append("--no-timings")
-            yield {"workload": workload, "seed": seed, "argv": argv,
+        for argv in argvs:
+            yield {"workload": source, "seed": seed, "argv": argv,
                    **run(argv, workdir, set(files))}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--workloads", nargs="+", choices=sorted(workloads.WORKLOADS),
-                    default=list(workloads.WORKLOADS))
+    ap.add_argument("--workloads", nargs="+", choices=sorted(SOURCES),
+                    default=list(SOURCES))
     args = ap.parse_args(argv)
     for workload in args.workloads:
         for seed in args.seeds:

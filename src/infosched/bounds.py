@@ -12,9 +12,13 @@ and the Monte Carlo objective reduce their paths with one table of node
 weights (riccati.node_weights) on one evaluation grid, where the surrogates
 are recorded and the rollouts sampled.  The objective bracket's information
 bound inverts its path at the weighted nodes only; the trajectory bracket
-inverts the whole path once and reads the bound from that inverse.  Every
-derived path is checked once, where it is formed.  The Monte Carlo runs
-are stepped together in one batched filter walk.  Matrix-level margins
+inverts the whole path once and reads the bound from that inverse.  Both
+brackets work in one order: every argument is checked, then both
+surrogates are integrated, then the Monte Carlo runs, so a surrogate that
+refuses its step costs no sampling; one helper (_report) builds each
+BracketReport, whose to_dict is the JSON report.  Every derived path is
+checked once, where it is formed.  The Monte Carlo runs are stepped
+together in one batched filter walk.  Matrix-level margins
 are the nodewise minimum eigenvalues of symmetrized differences;
 deterministic comparisons get a scale-relative tolerance 1e-7 * trace/n to
 absorb integrator error, statistical comparisons add three standard errors
@@ -31,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Instance, Schedule, Sensor, ValidationError
-from .model import _dump_json, _seed_sequence, _sym, trace_over_n
+from .model import _seed_sequence, _sym, trace_over_n
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
 from .riccati import (invert_trajectory, pathwise_cost, require_finite,
                       time_grid)
@@ -94,14 +98,12 @@ class BracketReport:
         return out
 
 
-def save_bracket_report(path, report: BracketReport) -> None:
-    _dump_json(path, report.to_dict())
-
-
-def _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed):
-    """trace(P0), after every refusal of a bracket, raised before any work:
-    each usage error, then a trace past the largest float, which would
-    normalize every objective to zero."""
+def _surrogate_paths(instance, schedule, n_runs, n_eval, surrogate_substeps,
+                     seed):
+    """trace(P0) and both surrogate paths, recorded on the grid the Monte
+    Carlo runs record on.  Every refusal of a bracket comes first, before
+    any work: each usage error, then a trace past the largest float, which
+    would normalize every objective to zero."""
     _seed_sequence(seed)
     time_grid(instance.T, n_eval)
     for name, value in (("n_runs", n_runs),
@@ -109,28 +111,29 @@ def _check_arguments(instance, n_runs, n_eval, surrogate_substeps, seed):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
     with np.errstate(over="ignore"):   # checked here
-        return float(require_finite(np.trace(instance.system.P0),
-                                    "trace of P0"))
-
-
-def _surrogate_paths(instance, schedule, n_eval, surrogate_substeps):
-    # both surrogates, recorded on the grid the Monte Carlo runs record on
-    return (integrate_info_surrogate(instance, schedule, surrogate_substeps,
+        trace_p0 = float(require_finite(np.trace(instance.system.P0),
+                                        "trace of P0"))
+    return (trace_p0,
+            integrate_info_surrogate(instance, schedule, surrogate_substeps,
                                      n_eval),
             integrate_cov_surrogate(instance, schedule, surrogate_substeps,
                                     n_eval))
 
 
-def _objective_parts(instance, info, p_cov, est):
+def _report(instance, trace_p0, lower, p_cov, est, **margins) -> BracketReport:
+    """The certificate of the lower and upper surrogate paths and the Monte
+    Carlo estimate est; margins, the trajectory bracket's fields."""
     # the node weights of the evaluation grid, as for the Monte Carlo
     # objective, so all three objectives share one quadrature
-    j_lower = pathwise_cost(info, instance.weights, instance.T)
+    j_lower = pathwise_cost(lower, instance.weights, instance.T)
     j_upper = pathwise_cost(p_cov, instance.weights, instance.T)
     # the deterministic term absorbs surrogate-vs-rollout step resolution;
     # it only matters when the Monte Carlo spread is exactly zero
     slack = 3.0 * est.stderr + DET_MARGIN_REL * max(abs(j_lower), abs(j_upper))
-    contained = bool(j_lower - slack <= est.mean <= j_upper + slack)
-    return j_lower, j_upper, contained
+    return BracketReport(
+        j_lower=j_lower, j_upper=j_upper, mc=est, trace_p0=trace_p0,
+        contained=bool(j_lower - slack <= est.mean <= j_upper + slack),
+        **margins)
 
 
 def objective_bracket(
@@ -142,21 +145,11 @@ def objective_bracket(
     seed: int = 0,
 ) -> BracketReport:
     """Scalar certificate: surrogate bounds plus a Monte Carlo point estimate."""
-    trace_p0 = _check_arguments(instance, n_runs, n_eval, surrogate_substeps,
-                                seed)
+    trace_p0, info_y, p_cov = _surrogate_paths(
+        instance, schedule, n_runs, n_eval, surrogate_substeps, seed)
     est = mc_objective(instance, schedule, n_runs=n_runs, n_eval=n_eval,
                        seed=seed)
-    info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
-                                     surrogate_substeps)
-    j_lower, j_upper, contained = _objective_parts(instance, info_y, p_cov,
-                                                   est)
-    return BracketReport(
-        j_lower=j_lower,
-        j_upper=j_upper,
-        mc=est,
-        trace_p0=trace_p0,
-        contained=contained,
-    )
+    return _report(instance, trace_p0, info_y, p_cov, est)
 
 
 def trajectory_bracket(
@@ -174,16 +167,11 @@ def trajectory_bracket(
     Y(t) = P(t)^{-1}.  The objective estimate comes from the same
     realizations, each rolled out once.
     """
-    trace_p0 = _check_arguments(instance, n_runs, n_eval, surrogate_substeps,
-                                seed)
-    info_y, p_cov = _surrogate_paths(instance, schedule, n_eval,
-                                     surrogate_substeps)
+    trace_p0, info_y, p_cov = _surrogate_paths(
+        instance, schedule, n_runs, n_eval, surrogate_substeps, seed)
     p_info = invert_trajectory(info_y)
     mct = mc_mean_trajectories(instance, schedule, n_runs=n_runs,
                                n_eval=n_eval, seed=seed)
-    est = mct.objective
-    j_lower, j_upper, contained = _objective_parts(instance, p_info, p_cov,
-                                                   est)
 
     # each pair's larger trace/n, by the floor's overflow-safe rule
     scale = lambda x: trace_over_n(np.diagonal(x.values, axis1=1, axis2=2))
@@ -206,17 +194,9 @@ def trajectory_bracket(
     trajectory_contained = all(
         bool(np.all(margins[key] >= -margin_tol[key])) for key in margins
     )
-    return BracketReport(
-        j_lower=j_lower,
-        j_upper=j_upper,
-        mc=est,
-        trace_p0=trace_p0,
-        contained=contained,
-        times=info_y.times,
-        margins=margins,
-        margin_tol=margin_tol,
-        trajectory_contained=trajectory_contained,
-    )
+    return _report(instance, trace_p0, p_info, p_cov, mct.objective,
+                   times=info_y.times, margins=margins, margin_tol=margin_tol,
+                   trajectory_contained=trajectory_contained)
 
 
 def scale_sensor_noise(instance: Instance, r_scale: float) -> Instance:
@@ -279,7 +259,6 @@ def write_snr_csv(path, sweep: list[tuple[float, BracketReport]]) -> None:
 __all__ = [
     "BracketReport",
     "objective_bracket",
-    "save_bracket_report",
     "scale_sensor_noise",
     "snr_sweep",
     "trajectory_bracket",

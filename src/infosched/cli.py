@@ -38,7 +38,7 @@ from .model import (
     save_schedule,
     validate_schedule,
 )
-from .montecarlo import mc_objective, save_mc_report
+from .montecarlo import mc_objective
 from .optimize import (
     ProjectionError,
     ShootingProblem,
@@ -48,6 +48,7 @@ from .optimize import (
     solve,
 )
 from .riccati import PositiveDefinitenessError
+from .surrogate import KINDS
 
 GRADCHECK_TOL = 1e-6
 
@@ -155,7 +156,7 @@ def cmd_evaluate(args) -> int:
     print(f"runs={est.n_runs} mean={est.mean:.9g} stderr={est.stderr:.3g}")
     print(f"normalized mean={mean:.9g} stderr={stderr:.3g}")
     if args.out:
-        save_mc_report(args.out, est)
+        _dump_json(args.out, est.to_dict())
     return 0
 
 
@@ -180,13 +181,10 @@ def cmd_bracket(args) -> int:
              else f" trajectory_contained={report.trajectory_contained}"))
     ok = report.contained and (report.trajectory_contained is not False)
     if args.out:
-        bounds_mod.save_bracket_report(f"{args.out}.bracket.json", report)
+        _dump_json(f"{args.out}.bracket.json", report.to_dict())
     if scales is not None:
-        sweep = bounds_mod.snr_sweep(
-            instance, schedule, r_scales=scales, n_runs=args.runs,
-            n_eval=args.n_eval,
-            surrogate_substeps=args.surrogate_substeps, seed=args.seed,
-        )
+        sweep = bounds_mod.snr_sweep(instance, schedule, r_scales=scales,
+                                     **kwargs)
         for r, rep in sweep:
             print(f"r_scale={r:.4g} contained={rep.contained} "
                   f"width={rep.normalized_width:.4g}")
@@ -241,7 +239,7 @@ def cmd_sweep(args) -> int:
                  instance=instance, N=args.N, kind=kind,
                  substeps=args.substeps))
              for sweep_kind, pt, idx, instance in instances
-             for kind in ("info", "cov")]
+             for kind in KINDS]
     means = {}
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -274,7 +272,7 @@ def cmd_sweep(args) -> int:
                   f"mc_norm={mean:.6g}")
     # per-point medians and interquartile ranges on stdout
     for sweep_kind, pt in points:
-        for kind in ("info", "cov"):
+        for kind in KINDS:
             vals = means[pt, kind]
             med = statistics.median(vals)
             if len(vals) >= 2:
@@ -304,7 +302,7 @@ def cmd_gradcheck(args) -> int:
         instance = _scalar_gradcheck_instance()
         N = min(args.N, 2)
     rng = _generator(args.seed)
-    kinds = ("info", "cov") if args.kind == "both" else (args.kind,)
+    kinds = KINDS if args.kind == "both" else (args.kind,)
     worst = 0.0
     ok = True
     for kind in kinds:
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimize a schedule")
     add_common_instance(p)
-    p.add_argument("--kind", choices=("info", "cov"), default="info")
+    p.add_argument("--kind", choices=KINDS, default="info")
     p.add_argument("--N", type=int, default=30, help="control intervals")
     p.add_argument("--substeps", type=int, default=10,
                    help="integrator steps per stage (cov); for info only the "
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="adjoint gradient vs central differences")
     add_common_instance(p)
-    p.add_argument("--kind", choices=("info", "cov", "both"), default="both")
+    p.add_argument("--kind", choices=KINDS + ("both",), default="both")
     p.add_argument("--N", type=int, default=10)
     p.add_argument("--substeps", type=int, default=10)
     p.add_argument("--fd-step", type=float, default=1e-3)

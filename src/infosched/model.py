@@ -38,9 +38,18 @@ def _sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
+def _number(x, name: str):
+    """x, refusing a bool or a string, which int() and float() would take
+    as a number: True as 1, "3" as 3."""
+    if isinstance(x, (bool, np.bool_, str)):
+        raise TypeError(f"{name} must be a number, got {x!r}")
+    return x
+
+
 def _whole(x, name: str) -> int:
-    """x as an int, refusing a value that int() would truncate, like 2.9."""
-    if int(x) != x:
+    """x as an int, refusing a value that int() would truncate, like 2.9,
+    or a bool or a string (_number)."""
+    if int(_number(x, name)) != x:
         raise ValidationError(f"{name} must be a whole number, got {x!r}")
     return int(x)
 
@@ -147,7 +156,7 @@ class SystemModel:
         Q = _matrix(self.Q, "Q", (n, n), "psd")
         P0 = _matrix(self.P0, "P0", (n, n), "pd")
         _check_prior(P0)
-        if not (np.isfinite(self.T) and self.T > 0):
+        if not (np.isfinite(_number(self.T, "T")) and self.T > 0):
             raise ValidationError(f"horizon T must be positive, got {self.T}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "A", A)
@@ -247,7 +256,7 @@ class Schedule:
         N = _whole(self.N, "N")
         if N < 1:
             raise ValidationError(f"N must be >= 1, got {N}")
-        if not (np.isfinite(self.T) and self.T > 0):
+        if not (np.isfinite(_number(self.T, "T")) and self.T > 0):
             raise ValidationError(f"T must be positive, got {self.T}")
         rates = np.asarray(self.rates, dtype=float)
         if rates.ndim != 2 or rates.shape[0] != N:
@@ -495,7 +504,7 @@ def instance_from_dict(data: dict) -> Instance:
     the prior mean that older payloads carry: no result depends on it."""
     try:
         system = SystemModel(n=data["n"], A=data["A"], Q=data["Q"],
-                             P0=data["P0"], T=float(data["T"]))
+                             P0=data["P0"], T=data["T"])
         sensors = [Sensor(H=s["H"], R=s["R"]) for s in data["sensors"]]
         polytope = ResourcePolytope(
             C=data["constraints"]["C"], b=data["constraints"]["b"]
@@ -516,7 +525,7 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 def schedule_from_dict(data: dict) -> Schedule:
     try:
-        return Schedule(N=data["N"], T=float(data["T"]), rates=data["rates"])
+        return Schedule(N=data["N"], T=data["T"], rates=data["rates"])
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -20,7 +20,8 @@ moments of the paths are reduced a window of nodes at a time, every run's
 nodes formed again from its gaps' first nodes, so no stack of paths is
 held: memory grows with runs as a trace table and the gaps' first nodes,
 one matrix per gap with nodes, which is never more than the path stack and
-far less when arrivals are sparser than nodes.
+far less when arrivals are sparser than nodes.  An estimate's report is
+McEstimate.to_dict, which the caller writes (cli, by model._dump_json).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .cdkf import ArrivalRecord, _filter_walk, _Gaps
 from .model import Instance, Schedule, ValidationError
-from .model import _check_pair, _dump_json, _generator, _seed_sequence, _sym
+from .model import _check_pair, _generator, _seed_sequence, _sym
 from .riccati import (
     COV,
     INFO,
@@ -93,10 +94,6 @@ class McEstimate:
             "n_runs": self.n_runs,
             "costs": [float(c) for c in self.per_run_costs],
         }
-
-
-def save_mc_report(path, estimate: McEstimate) -> None:
-    _dump_json(path, estimate.to_dict())
 
 
 def _sample_runs(instance, schedule, n_runs, seed):
@@ -282,5 +279,4 @@ __all__ = [
     "mc_objective",
     "run_seed",
     "sample_arrivals",
-    "save_mc_report",
 ]

@@ -126,8 +126,15 @@ def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
                 rhs = lambda P: cov_rhs(P, A, Q, gains.gain_term(P, lam))
             X = path[i] = _integrate(X, at[i] - at[i - 1], n_steps[i - 1],
                                      rhs)
-    require_pd(path[1:], lambda i: f"in {kind} surrogate near t={at[i + 1]:g}",
-               SUBSTEP_ADVICE)
+    # the cov kind refused an unstable step above, so its first non-finite
+    # stop is an overflow that no step size mends: the advice goes with the
+    # stops before it only
+    finite = len(path) if kind == "info" else int(
+        np.isfinite(path).all(axis=(1, 2)).cumprod().sum())
+    where = lambda i: f"in {kind} surrogate near t={at[i + 1]:g}"
+    require_pd(path[1:finite], where, SUBSTEP_ADVICE)
+    if finite < len(path):
+        require_pd(path[1:], where)
     coords = INFO if kind == "info" else COV
     return Trajectory._checked(coords, times, path[on_node])
 

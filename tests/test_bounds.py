@@ -9,7 +9,6 @@ import pytest
 from infosched import cdkf, montecarlo, surrogate
 from infosched.bounds import (
     objective_bracket,
-    save_bracket_report,
     scale_sensor_noise,
     snr_sweep,
     trajectory_bracket,
@@ -21,13 +20,14 @@ from infosched.model import (
     Schedule,
     Sensor,
     ValidationError,
+    _dump_json,
     random_instance,
 )
 from infosched.montecarlo import mc_objective
 from infosched.optimize import ShootingProblem, SolveOptions, solve
-from infosched.riccati import flow_cov
+from infosched.riccati import PositiveDefinitenessError, flow_cov
 
-from conftest import make_scalar_instance, rng_for
+from conftest import break_the_walk, make_scalar_instance, rng_for
 
 # ln p - 1/p = -3 root: terminal variance of the covariance-side surrogate
 # for the static unit-sensor problem at rate 2 over a unit horizon
@@ -250,7 +250,7 @@ def test_bracket_report_serialization(tmp_path):
     assert all(len(v) == 21 for v in out["margins"].values())
     assert isinstance(out["trajectory_contained"], bool)
     path = tmp_path / "report.json"
-    save_bracket_report(path, rep)
+    _dump_json(path, rep.to_dict())
     with open(path) as fh:
         loaded = json.load(fh)
     assert loaded["j_lower"] == rep.j_lower
@@ -277,3 +277,28 @@ def test_bracket_rejects_bad_arguments_before_any_work(monkeypatch, bracket,
     kw = dict(n_runs=4, n_eval=10, surrogate_substeps=4, seed=0) | bad
     with pytest.raises(ValidationError, match=next(iter(bad))):
         bracket(inst, sched, **kw)
+
+
+@pytest.mark.parametrize("bracket", [objective_bracket, trajectory_bracket])
+def test_a_surrogate_that_refuses_its_step_costs_no_monte_carlo_work(
+        monkeypatch, bracket):
+    # R = 1e-3 at rate 200 puts the cov surrogate's step of 0.025 past RK4's
+    # limit (Q = 0 keeps the info surrogate linear, and inside it), and
+    # every broken gain update of the walk would fail too: both
+    # brackets integrate their surrogates before they sample, so the
+    # surrogate's refusal is the error, and no arrival is drawn
+    inst = make_scalar_instance(a=-0.5, r=1e-3, budget=200.0)
+    sched = Schedule(N=4, T=1.0, rates=np.full((4, 1), 200.0))
+    kw = dict(n_runs=3, n_eval=20, seed=0)
+    break_the_walk(monkeypatch, "arrival")
+    with pytest.raises(PositiveDefinitenessError):
+        mc_objective(inst, sched, **kw)
+    calls = []
+    real = montecarlo.sample_arrivals
+    monkeypatch.setattr(montecarlo, "sample_arrivals",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(PositiveDefinitenessError,
+                       match=r"cov surrogate step 2\.500e-02 is past RK4's "
+                             r"stability limit"):
+        bracket(inst, sched, surrogate_substeps=10, **kw)
+    assert calls == []

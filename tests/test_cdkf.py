@@ -49,6 +49,16 @@ def test_arrival_record_ties_sorted_by_sensor():
     np.testing.assert_array_equal(rec.sensors, [0, 1])
 
 
+@pytest.mark.parametrize("times, sensors, message", [
+    ([0.1, 0.2], [0], r"^times and sensors must align, got \(2,\) vs \(1,\)$"),
+    ([0.1, np.inf], [0, 0], "^arrival times contain non-finite entries$"),
+    ([0.1, 0.2], [0, -1], "^sensor indices must be nonnegative$"),
+], ids=["misaligned", "non-finite", "negative-sensor"])
+def test_arrival_record_refuses_a_malformed_record(times, sensors, message):
+    with pytest.raises(ValidationError, match=message):
+        ArrivalRecord(times=np.array(times), sensors=np.array(sensors))
+
+
 def test_rollout_rejects_out_of_range_arrivals():
     inst = make_scalar_instance(T=1.0)
     late = arrivals([(1.5, 0)])

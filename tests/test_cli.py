@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import statistics
 import warnings
 from dataclasses import replace
 
@@ -85,6 +86,34 @@ def test_solve_requires_an_instance_source(capsys):
 def test_bad_random_spec_is_usage_error(capsys):
     assert cli.main(["solve", "--random", "n=bogus,M=2"]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("n=2,M", "bad --random entry 'M', expected key=value"),
+    ("n=2,M=2,q=1", "unknown --random key 'q', expected n, M, p, seed"),
+    ("M=2", "--random needs n=..."),
+    ("n=2", "--random needs M=..."),
+], ids=["no-equals", "unknown-key", "no-n", "no-M"])
+def test_a_malformed_random_spec_is_a_usage_error(tmp_path, capsys, spec,
+                                                  message):
+    argv = ["solve", "--random", spec, "--N", "2", "--out",
+            str(tmp_path / "r")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_random_entry_is_skipped(tmp_path, capsys):
+    argv = ["solve", "--N", "2", "--max-iters", "1", "--no-timings"]
+    outs = []
+    for prefix, spec in (("a", "n=2,,M=3"), ("b", "n=2,M=3")):
+        assert cli.main(argv + ["--random", spec, "--out",
+                                str(tmp_path / prefix)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    for suffix in ("schedule", "report", "instance"):
+        assert (tmp_path / f"a.{suffix}.json").read_bytes() == \
+            (tmp_path / f"b.{suffix}.json").read_bytes()
 
 
 def test_malformed_instance_json_is_usage_error(tmp_path, capsys):
@@ -175,6 +204,39 @@ def test_a_fractional_count_is_a_usage_error(tmp_path, capsys, target, field,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {field} must be a whole number, got {value}\n"
+
+
+@pytest.mark.parametrize("targets, field, value", [
+    (["instance"], "n", True), (["schedule"], "N", True),
+    (["instance", "schedule"], "T", True), (["instance"], "T", "1"),
+    (["schedule"], "T", "1"),
+], ids=["n-true", "N-true", "T-true", "instance-T-string",
+        "schedule-T-string"])
+def test_a_bool_or_a_string_is_not_a_number(tmp_path, capsys, targets, field,
+                                            value):
+    # int() and float() take True as 1 and "1" as 1.0, the scalar files' own
+    # n and T: the loaders refuse them, naming the field, and write nothing
+    paths = {"instance": tmp_path / "inst.json",
+             "schedule": tmp_path / "sched.json"}
+    write_scalar_instance(paths["instance"])
+    write_schedule(paths["schedule"], np.ones((1, 1)))
+    for target in targets:
+        payload = json.loads(paths[target].read_text())
+        payload[field] = value
+        paths[target].write_text(json.dumps(payload))
+    files = ["--instance", str(paths["instance"])]
+    runs = [["evaluate", "--schedule", str(paths["schedule"]),
+             "--runs", "2"] + files]
+    if "instance" in targets:
+        runs.append(["solve", "--N", "1", "--max-iters", "1"] + files)
+    for argv in runs:
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: malformed {targets[0]} payload: ")
+        assert f"{field} must be a number, got {value!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["inst.json", "sched.json"]
 
 
 @pytest.mark.parametrize("rates,T,message", [
@@ -483,6 +545,63 @@ def test_sweep_tiny_grid_byte_stable(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "s1.csv").read_bytes() == \
         (tmp_path / "s2.csv").read_bytes()
+
+
+TINY_SWEEP = ["sweep", "--sweep", "dimension", "--runs", "2", "--N", "2",
+              "--T", "1", "--substeps", "4", "--max-iters", "2",
+              "--n-eval", "10", "--no-timings"]
+
+
+def _sweep_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_points_that_are_not_integers_are_a_usage_error(tmp_path,
+                                                              capsys):
+    argv = TINY_SWEEP + ["--grid", "2,x", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: bad --grid '2,x'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_without_a_grid_runs_the_default_points(tmp_path, capsys):
+    argv = TINY_SWEEP + ["--instances", "1", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = _sweep_rows(tmp_path / "s.csv")
+    assert [(r["point"], r["kind"]) for r in rows] == [
+        (pt, kind) for pt in ("2", "4", "8") for kind in ("info", "cov")]
+    assert [line.split()[1] for line in out.splitlines()
+            if line.startswith("summary")] == \
+        ["dimension=2", "dimension=2", "dimension=4", "dimension=4",
+         "dimension=8", "dimension=8"]
+
+
+def test_sweep_full_with_a_grid_warns_and_summarizes_the_csv(tmp_path,
+                                                             capsys):
+    # --full with --grid runs the grid alone; each summary line is the
+    # median and interquartile range of the CSV's mc_mean_norm column
+    argv = TINY_SWEEP + ["--full", "--grid", "2", "--instances", "2",
+                         "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: --full grids can take hours\n"
+    rows = _sweep_rows(tmp_path / "s.csv")
+    assert [(r["point"], r["instance"], r["kind"]) for r in rows] == [
+        ("2", idx, kind) for idx in ("0", "1") for kind in ("info", "cov")]
+    summary = [line for line in out.splitlines()
+               if line.startswith("summary")]
+    expected = []
+    for kind in ("info", "cov"):
+        vals = [float(r["mc_mean_norm"]) for r in rows if r["kind"] == kind]
+        assert len(set(vals)) == 2
+        q = statistics.quantiles(vals, n=4)
+        expected.append(f"summary dimension=2 kind={kind} "
+                        f"median={statistics.median(vals):.6g} "
+                        f"iqr={q[2] - q[0]:.3g}")
+    assert summary == expected
 
 
 def test_sweep_csv_cells_are_the_reported_numbers(tmp_path, monkeypatch,
@@ -1024,6 +1143,31 @@ def test_a_prior_whose_trace_overflows_evaluates_to_a_finite_mean(tmp_path,
     assert err == "" and "mean=3.2480468e+307 stderr=0" in out
     mean = json.loads((tmp_path / "mc.json").read_text())["mean"]
     assert mean == pytest.approx(4 * (6e307 * math.exp(-2.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("substeps", ["10", "640"])
+def test_a_cov_surrogate_overflow_advises_no_substeps(tmp_path, capsys,
+                                                      substeps):
+    # P0 = 6e307 I on A = -I: RK4's stage sum overflows in the first step at
+    # any substep count, while the Monte Carlo evaluates.  The cov kind
+    # refuses a step past RK4's limit before it starts, so the non-finite
+    # stop is an overflow, reported without advice
+    payload, _ = degenerate_case(-np.eye(2),
+                                 sensors=[(np.eye(2)[[0]], np.eye(1))],
+                                 P0=6e307 * np.eye(2))
+    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    write_schedule(tmp_path / "sched.json", np.zeros((2, 1)))
+    files = ["--instance", str(tmp_path / "inst.json"),
+             "--schedule", str(tmp_path / "sched.json"), "--runs", "5",
+             "--n-eval", "20"]
+    assert cli.main(["bracket", "--objective-only", "--surrogate-substeps",
+                     substeps, "--out", str(tmp_path / "cert")] + files) == 1
+    assert capsys.readouterr() == (
+        "", "numeric failure: matrix has non-finite entries in cov surrogate "
+            "near t=0.05\n")
+    assert not (tmp_path / "cert.bracket.json").exists()
+    assert cli.main(["evaluate"] + files) == 0
+    assert "mean=1.6240234e+307" in capsys.readouterr().out
 
 
 def test_stiff_cov_solve_asks_for_substeps(tmp_path, capsys):

@@ -153,6 +153,15 @@ def test_rate_caps_rejects_unconstrained_column():
         ResourcePolytope(C=np.array([[1.0, 0.0]]), b=np.array([1.0]))
 
 
+@pytest.mark.parametrize("C, message", [
+    ([1.0, 1.0], "^C must be a matrix, got ndim=1$"),
+    ([[1.0, -1.0]], "^C must be elementwise nonnegative$"),
+], ids=["vector", "negative"])
+def test_polytope_refuses_a_malformed_c(C, message):
+    with pytest.raises(ValidationError, match=message):
+        ResourcePolytope(C=np.array(C), b=np.array([1.0]))
+
+
 def test_polytope_accepts_zero_budget_rejects_negative():
     poly = ResourcePolytope(C=np.ones((1, 2)), b=np.array([0.0]))
     np.testing.assert_array_equal(poly.b, [0.0])
@@ -188,6 +197,21 @@ def test_validate_dimension_mismatch():
 def test_schedule_rejects_negative_rates():
     with pytest.raises(ValidationError):
         Schedule(N=2, T=1.0, rates=np.array([[0.5, -0.3], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("N, T, rates, message", [
+    (0, 1.0, np.zeros((0, 1)), "^N must be >= 1, got 0$"),
+    (2, 0.0, np.zeros((2, 1)), "^T must be positive, got 0.0$"),
+    (2, -1.0, np.zeros((2, 1)), "^T must be positive, got -1.0$"),
+    (2, 1.0, np.zeros((3, 1)),
+     r"^rates must have shape \(2, M\), got \(3, 1\)$"),
+    (2, 1.0, np.zeros(2), r"^rates must have shape \(2, M\), got \(2,\)$"),
+    (2, 1.0, np.array([[0.0], [np.nan]]),
+     "^rates contain non-finite entries$"),
+], ids=["no-stage", "zero-T", "negative-T", "rows", "vector", "non-finite"])
+def test_schedule_refuses_a_malformed_field(N, T, rates, message):
+    with pytest.raises(ValidationError, match=message):
+        Schedule(N=N, T=T, rates=rates)
 
 
 def test_schedule_clips_roundoff_negatives():
@@ -371,6 +395,12 @@ def test_random_instance_fixed_conventions():
 def test_random_instance_rejects_p_above_n():
     with pytest.raises(ValidationError):
         random_instance(InstanceSpec(n=2, M=1, p=3, seed=0))
+
+
+def test_random_instance_needs_a_sensor():
+    with pytest.raises(ValidationError,
+                       match="^need at least one sensor, got M=0$"):
+        random_instance(InstanceSpec(n=2, M=0))
 
 
 # ----------------------------------------------------------------- JSON I/O

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from infosched import cdkf, montecarlo, riccati
-from infosched.bounds import save_bracket_report, trajectory_bracket
+from infosched.bounds import trajectory_bracket
 from infosched.cdkf import ArrivalRecord, rollout_covariance
 from infosched.model import (
     Instance,
@@ -21,6 +21,7 @@ from infosched.model import (
     SystemModel,
     ValidationError,
     WeightSpec,
+    _dump_json,
     _generator,
     random_instance,
 )
@@ -30,7 +31,6 @@ from infosched.montecarlo import (
     mc_objective,
     run_seed,
     sample_arrivals,
-    save_mc_report,
 )
 from infosched.riccati import (
     PositiveDefinitenessError,
@@ -632,7 +632,7 @@ def test_mc_report_json(tmp_path):
     sched = Schedule(N=1, T=1.0, rates=np.full((1, 1), 2.0))
     est = mc_objective(inst, sched, n_runs=4, n_eval=15, seed=1)
     path = tmp_path / "mc.json"
-    save_mc_report(path, est)
+    _dump_json(path, est.to_dict())
     data = json.loads(path.read_text())
     assert set(data) == {"mean", "std", "stderr", "n_runs", "costs"}
     assert data["n_runs"] == 4
@@ -777,8 +777,8 @@ def test_mean_paths_and_bracket_do_not_depend_on_the_window(monkeypatch,
     for entries in (cdkf.WINDOW_ENTRIES, 1):
         monkeypatch.setattr(cdkf, "WINDOW_ENTRIES", entries)
         path = tmp_path / f"{entries}.json"
-        save_bracket_report(path, trajectory_bracket(
-            inst, sched, surrogate_substeps=4, **kw))
+        _dump_json(path, trajectory_bracket(
+            inst, sched, surrogate_substeps=4, **kw).to_dict())
         outs.append((mc_mean_trajectories(inst, sched, **kw),
                      path.read_bytes()))
     (one, one_json), (many, many_json) = outs

@@ -1220,3 +1220,19 @@ def test_solve_books_every_projection_as_projection_time(monkeypatch):
     assert report.iterations == 4
     assert len(calls) >= 2 * report.iterations + 1
     assert report.timings["projection_s"] >= len(calls) * delay
+
+
+def test_a_step_without_curvature_doubles_the_last_accepted_one(monkeypatch):
+    # one fixed gradient table makes every <dl, dg> zero, so each trial
+    # step after the first is twice the last accepted one: from the start
+    # 5 at a cap of 10, steps 1, 2 and 4 reach the cap, where the
+    # projected gradient vanishes
+    inst = make_scalar_instance(budget=10.0)
+    problem = ShootingProblem(instance=inst, N=2)
+    fixed = -np.ones((2, 1))
+    monkeypatch.setattr(optimize, "_gradient", lambda *args: fixed)
+    report = solve(problem, SolveOptions(max_iters=10))
+    steps = [it["step"] for it in report.timings["per_iteration"]]
+    assert steps == [1.0, 2.0, 4.0]
+    assert report.converged and report.pg_norm == 0.0
+    np.testing.assert_array_equal(report.schedule.rates, np.full((2, 1), 10.0))

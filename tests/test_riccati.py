@@ -668,6 +668,32 @@ def test_trajectory_requires_increasing_grid():
         _const_traj(np.eye(2), [0.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("coords, times, values, message", [
+    ("cov", [0.0, 1.0], np.stack([np.eye(2)] * 2),
+     "^coordinates must be 'covariance' or 'information', got 'cov'$"),
+    (COV, [0.0], np.eye(2)[None],
+     "^times must be a 1-D grid with >= 2 nodes$"),
+    (COV, [[0.0, 1.0]], np.stack([np.eye(2)] * 2),
+     "^times must be a 1-D grid with >= 2 nodes$"),
+    (COV, [0.0, 1.0], np.eye(2),
+     r"^values must have shape \(len\(times\), n, n\), got \(2, 2\)$"),
+    (COV, [0.0, 1.0], np.ones((2, 2, 3)),
+     r"^values must have shape \(len\(times\), n, n\), got \(2, 2, 3\)$"),
+], ids=["coordinates", "one-node", "2-D-times", "matrix", "non-square"])
+def test_trajectory_refuses_a_malformed_path(coords, times, values, message):
+    with pytest.raises(ValidationError, match=message):
+        Trajectory(coordinates=coords, times=np.array(times), values=values)
+
+
+@pytest.mark.parametrize("dt, substeps, message", [
+    (-1.0, 10, "^dt must be nonnegative, got -1.0$"),
+    (1.0, 0, "^substeps must be >= 1, got 0$"),
+], ids=["negative-dt", "no-substep"])
+def test_a_flow_refuses_a_negative_time_or_no_substep(dt, substeps, message):
+    with pytest.raises(ValidationError, match=message):
+        flow_cov(np.eye(2), -np.eye(2), np.eye(2), dt, substeps=substeps)
+
+
 def test_trajectory_requires_pd_nodes():
     vals = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValueError, match="positive definiteness"):

@@ -83,3 +83,30 @@ def test_output_digests_print_one_stable_line_per_command(tmp_path):
         assert line["stderr"] == empty and line["stdout"] != empty
         assert all(len(h) == 64 for h in line["files"].values())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_digests_cover_the_commands_no_workload_runs(tmp_path):
+    # one tiny run of each, on certify_ref's files at the seed; the refused
+    # evaluate writes nothing and says why on stderr
+    args = ("output_digests.py", "--seeds", "3", "--workloads",
+            "other_commands")
+    runs = [run_script(*args, cwd=tmp_path) for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert [(line["argv"][0], sorted(line["files"])) for line in lines] == [
+        ("bracket", ["objective.bracket.json"]),
+        ("bracket", ["snr.bracket.json", "snr.snr.csv"]),
+        ("sweep", ["sweep.csv"]),
+        ("gradcheck", []),
+        ("solve", ["random.instance.json", "random.report.json",
+                   "random.schedule.json"]),
+        ("evaluate", []),
+    ]
+    assert all(line["workload"] == "other_commands" and line["seed"] == 3
+               for line in lines)
+    assert [line["exit"] for line in lines[2:]] == [0, 0, 0, 2]
+    assert all("--no-timings" in line["argv"]
+               for line in lines if line["argv"][0] in ("sweep", "solve"))
+    assert lines[-1]["stderr"] != hashlib.sha256(b"").hexdigest()
+    assert list(tmp_path.iterdir()) == []

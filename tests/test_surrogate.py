@@ -323,6 +323,30 @@ def test_a_non_finite_innovation_ends_as_lapack_does(monkeypatch):
     assert errors[0] == errors[1]
 
 
+def test_a_finite_cov_stop_that_loses_the_cone_advises_substeps(
+        monkeypatch):
+    # a rate of -2 I takes P from I through zero at t = 0.5 with every stop
+    # finite: more substeps may mend that, so the advice stays
+    monkeypatch.setattr(surrogate, "cov_rhs",
+                        lambda P, A, Q, G: -2.0 * np.eye(len(P)))
+    inst = make_scalar_instance(q=1.0)
+    with pytest.raises(PositiveDefinitenessError,
+                       match=r"^matrix lost positive definiteness in cov "
+                             r"surrogate near t=0\.5: .*; increase "
+                             r"substeps$"):
+        integrate_cov_surrogate(inst, uniform_schedule(inst, 2, 0.0),
+                                substeps=4)
+
+
+@pytest.mark.parametrize("integrate", [integrate_info_surrogate,
+                                       integrate_cov_surrogate])
+def test_a_surrogate_needs_a_substep(integrate):
+    inst = make_scalar_instance(T=1.0)
+    with pytest.raises(ValidationError,
+                       match="^substeps must be >= 1, got 0$"):
+        integrate(inst, uniform_schedule(inst, 2, 1.0), substeps=0)
+
+
 # ----------------------------------------------------------------- objectives
 
 def test_objectives_coincide_without_sensing():
