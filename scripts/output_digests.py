@@ -10,7 +10,9 @@ that directory, one at a time, with BLAS on one thread.  A solve gets
 other_commands, one tiny run of each command no workload runs, on
 certify_ref's files at the seed: bracket --objective-only and --snr-sweep,
 sweep, gradcheck, solve --random and a refused evaluate, each with
---no-timings where it is offered.  Each command prints one line: the
+--no-timings where it is offered, and four runs refused for a count below
+its least: evaluate --runs 0, bracket --surrogate-substeps 0, sweep
+--instances 0 and solve --N 0.  Each command prints one line: the
 workload, the seed, the argv, the exit code, and the SHA-256 of stdout, of
 stderr and of each file the command wrote.  The package is the infosched on
 PYTHONPATH, so running the script against two source trees and diffing the
@@ -94,6 +96,11 @@ def other_commands(seed: int):
         ["solve", "--random", f"n=2,M=3,seed={seed}", *tiny, "--no-timings",
          "--out", "random"],
         ["evaluate", *pair, "--seed", "-1"],
+        # a count below its least, refused before any work
+        ["evaluate", *pair, "--runs", "0"],
+        ["bracket", *pair, "--surrogate-substeps", "0"],
+        ["sweep", "--instances", "0", "--no-timings", "--out", "sweep.csv"],
+        ["solve", "--random", "n=2,M=3", "--N", "0", "--no-timings"],
     ]
 
 

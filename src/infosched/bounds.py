@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Instance, Schedule, Sensor, ValidationError
-from .model import _seed_sequence, _sym, trace_over_n
+from .model import _count, _number, _seed_sequence, _sym, trace_over_n
 from .montecarlo import McEstimate, mc_mean_trajectories, mc_objective
 from .riccati import (invert_trajectory, pathwise_cost, require_finite,
                       time_grid)
@@ -106,18 +106,14 @@ def _surrogate_paths(instance, schedule, n_runs, n_eval, surrogate_substeps,
     would normalize every objective to zero."""
     _seed_sequence(seed)
     time_grid(instance.T, n_eval)
-    for name, value in (("n_runs", n_runs),
-                        ("surrogate_substeps", surrogate_substeps)):
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
+    _count(n_runs, "n_runs")
+    substeps = _count(surrogate_substeps, "surrogate_substeps")
     with np.errstate(over="ignore"):   # checked here
         trace_p0 = float(require_finite(np.trace(instance.system.P0),
                                         "trace of P0"))
     return (trace_p0,
-            integrate_info_surrogate(instance, schedule, surrogate_substeps,
-                                     n_eval),
-            integrate_cov_surrogate(instance, schedule, surrogate_substeps,
-                                    n_eval))
+            integrate_info_surrogate(instance, schedule, substeps, n_eval),
+            integrate_cov_surrogate(instance, schedule, substeps, n_eval))
 
 
 def _report(instance, trace_p0, lower, p_cov, est, **margins) -> BracketReport:
@@ -200,7 +196,10 @@ def trajectory_bracket(
 
 
 def scale_sensor_noise(instance: Instance, r_scale: float) -> Instance:
-    """New instance with every R_j multiplied by r_scale (S_j rescales too)."""
+    """New instance with every R_j times r_scale > 0 (S_j rescales too)."""
+    if not (np.isfinite(_number(r_scale, "r_scale")) and r_scale > 0):
+        raise ValidationError(
+            f"r_scale must be finite and positive, got {r_scale!r}")
     sensors = tuple(Sensor(H=s.H, R=r_scale * s.R) for s in instance.sensors)
     return replace(instance, sensors=sensors)
 

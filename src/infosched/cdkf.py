@@ -53,17 +53,20 @@ class ArrivalRecord:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
-        sensors = np.asarray(self.sensors, dtype=np.int64).ravel()
+        sensors = np.asarray(self.sensors).ravel()
         if times.shape != sensors.shape:
             raise ValidationError(
                 f"times and sensors must align, got {times.shape} vs {sensors.shape}"
             )
         if times.size and not np.all(np.isfinite(times)):
             raise ValidationError("arrival times contain non-finite entries")
+        if sensors.dtype.kind == "f" and not np.all(
+                np.isfinite(sensors) & (sensors == np.trunc(sensors))):
+            raise ValidationError("sensor indices must be whole numbers")
         if np.any(sensors < 0):
             raise ValidationError("sensor indices must be nonnegative")
         order = np.lexsort((sensors, times))
-        times, sensors = times[order], sensors[order]
+        times, sensors = times[order], sensors[order].astype(np.int64)
         for name, x in (("times", times), ("sensors", sensors)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -82,11 +85,10 @@ def _check_arrivals(instance: Instance, arrivals: ArrivalRecord) -> None:
             f"arrival times must lie in [0, {T:g}], got range "
             f"[{arrivals.times[0]:g}, {arrivals.times[-1]:g}]"
         )
-    if int(arrivals.sensors.max()) >= instance.M:
+    top = int(arrivals.sensors.max())
+    if top >= instance.M:
         raise ValidationError(
-            f"arrival references sensor {int(arrivals.sensors.max())}, "
-            f"instance has {instance.M}"
-        )
+            f"arrival references sensor {top}, instance has {instance.M}")
 
 
 WINDOW_ENTRIES = 2**15  # matrix entries of one stack of a window's nodes
@@ -315,7 +317,7 @@ def rollout_covariance(
 ) -> Trajectory:
     """Deterministic covariance path of the filter for fixed arrivals."""
     grid = time_grid(instance.T, n_eval)
-    values = np.empty((n_eval + 1, instance.n, instance.n))
+    values = np.empty((len(grid), instance.n, instance.n))
     for _, nodes, P in _filter_walk(instance, [arrivals], grid):
         values[nodes] = P
     # the walk checked every node it yielded

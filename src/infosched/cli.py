@@ -27,6 +27,7 @@ from . import bounds as bounds_mod
 from .model import (
     InstanceSpec,
     ValidationError,
+    _count,
     _dump_json,
     _generator,
     _seed_sequence,
@@ -218,10 +219,9 @@ def _sweep_instance(kind: str, point: int, idx: int, args):
 
 
 def cmd_sweep(args) -> int:
-    for flag, value in (("--instances", args.instances), ("--runs", args.runs),
-                        ("--n-eval", args.n_eval)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be >= 1, got {value}")
+    _count(args.instances, "--instances")
+    _count(args.runs, "--runs")
+    _count(args.n_eval, "--n-eval")
     _seed_sequence(args.seed)   # the estimates' seed, refused before a solve
     options = SolveOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     points = _sweep_points(args)

@@ -9,6 +9,9 @@ symmetric matrix, symmetry and definiteness (a failure reports the
 offending eigenvalue), then stores its symmetric part to absorb JSON
 round-trip noise.  A Sensor is the unchecked (H, R) input record: an
 Instance checks its pool's stacks, the same number of checks at any M.
+Every count is read once, where it enters, by _count: a whole number, never
+truncated; a bool or a string is a TypeError (_number), which the loaders
+report as a malformed payload.
 
 Randomly generated instances use the counter-based Philox bit generator keyed
 through ``numpy.random.SeedSequence``; numpy guarantees those streams are
@@ -48,10 +51,18 @@ def _number(x, name: str):
 
 def _whole(x, name: str) -> int:
     """x as an int, refusing a value that int() would truncate, like 2.9,
-    or a bool or a string (_number)."""
-    if int(_number(x, name)) != x:
+    NaN or an infinity, or a bool or a string (_number)."""
+    if not (abs(_number(x, name)) < math.inf and int(x) == x):
         raise ValidationError(f"{name} must be a whole number, got {x!r}")
     return int(x)
+
+
+def _count(x, name: str, least: int = 1) -> int:
+    """The one reading of a count: _whole(x, name), at least least."""
+    n = _whole(x, name)
+    if n < least:
+        raise ValidationError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def _freeze(x: np.ndarray) -> np.ndarray:
@@ -149,9 +160,7 @@ class SystemModel:
     T: float
 
     def __post_init__(self):
-        n = _whole(self.n, "n")
-        if n < 1:
-            raise ValidationError(f"state dimension must be >= 1, got {n}")
+        n = _count(self.n, "n")
         A = _matrix(self.A, "A", (n, n))
         Q = _matrix(self.Q, "Q", (n, n), "psd")
         P0 = _matrix(self.P0, "P0", (n, n), "pd")
@@ -253,9 +262,7 @@ class Schedule:
     rates: np.ndarray
 
     def __post_init__(self):
-        N = _whole(self.N, "N")
-        if N < 1:
-            raise ValidationError(f"N must be >= 1, got {N}")
+        N = _count(self.N, "N")
         if not (np.isfinite(_number(self.T, "T")) and self.T > 0):
             raise ValidationError(f"T must be positive, got {self.T}")
         rates = np.asarray(self.rates, dtype=float)
@@ -444,7 +451,7 @@ def random_instance(spec: InstanceSpec) -> Instance:
     sum_j lam_j <= budget.  Draws happen in a fixed order (A first, then each
     sensor's H before its R), so a seed pins the instance bit for bit.
     """
-    n, M, p = int(spec.n), int(spec.M), int(spec.p)
+    n, M, p = _whole(spec.n, "n"), _whole(spec.M, "M"), _whole(spec.p, "p")
     if not (1 <= p <= n):
         raise ValidationError(f"need 1 <= p <= n, got p={p}, n={n}")
     if M < 1:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdkf import ArrivalRecord, _filter_walk, _Gaps
-from .model import Instance, Schedule, ValidationError
-from .model import _check_pair, _generator, _seed_sequence, _sym
+from .model import Instance, Schedule
+from .model import _check_pair, _count, _generator, _seed_sequence, _sym
 from .riccati import (
     COV,
     INFO,
@@ -99,9 +99,8 @@ class McEstimate:
 def _sample_runs(instance, schedule, n_runs, seed):
     """The arrival records of runs 0..n_runs-1, each from its own stream."""
     _check_pair(instance, schedule)
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-    return [sample_arrivals(schedule, run_seed(seed, r)) for r in range(n_runs)]
+    return [sample_arrivals(schedule, run_seed(seed, r))
+            for r in range(_count(n_runs, "n_runs"))]
 
 
 def _run_costs(instance, records, grid, gaps=None):
@@ -249,7 +248,7 @@ def mc_mean_trajectories(
     records = _sample_runs(instance, schedule, n_runs, seed)
     gaps = _Gaps()
     costs = _run_costs(instance, records, times, gaps)
-    shape = (n_runs, n_eval + 1, instance.n, instance.n)
+    shape = (len(records), len(times), instance.n, instance.n)
     p, y = _Moments(shape), _Moments(shape)
     for i, P in gaps.windows():
         at = slice(i, i + P.shape[1])
@@ -262,7 +261,7 @@ def mc_mean_trajectories(
     for coords, mean in ((COV, p_mean), (INFO, y_mean)):
         require_pd(mean, lambda i: f"in the mean {coords} path at node "
                                    f"t={times[i]:g}")
-    scale = np.sqrt(n_runs)
+    scale = np.sqrt(len(records))
     return McTrajectories(
         p_mean=Trajectory._checked(COV, times, p_mean),
         y_mean=Trajectory._checked(INFO, times, y_mean),

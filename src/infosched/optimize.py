@@ -43,6 +43,7 @@ from .model import (
     Schedule,
     ValidationError,
     _check_pair,
+    _count,
     _sym,
     schedule_to_dict,
 )
@@ -84,12 +85,8 @@ class ShootingProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if int(self.N) < 1:
-            raise ValidationError(f"N must be >= 1, got {self.N}")
-        if int(self.substeps) < 1:
-            raise ValidationError(f"substeps must be >= 1, got {self.substeps}")
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "substeps", int(self.substeps))
+        object.__setattr__(self, "N", _count(self.N, "N"))
+        object.__setattr__(self, "substeps", _count(self.substeps, "substeps"))
 
     @property
     def M(self) -> int:
@@ -369,7 +366,7 @@ def centered_rates(polytope: ResourcePolytope, N: int) -> np.ndarray:
     rowsum = polytope.C @ np.ones(polytope.n_sensors)
     pos = rowsum > 0
     t_star = float(np.min(polytope.b[pos] / rowsum[pos]))
-    return np.full((N, polytope.n_sensors), 0.5 * t_star)
+    return np.full((_count(N, "N"), polytope.n_sensors), 0.5 * t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +385,8 @@ class SolveOptions:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) \
-                or self.max_iters < 0:
-            raise ValidationError(
-                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters",
+                           _count(self.max_iters, "max_iters", least=0))
         if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
             raise ValidationError(
                 f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")

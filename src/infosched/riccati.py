@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError, WeightSpec, _sym, pd_floor
+from .model import ValidationError, WeightSpec, _count, _sym, pd_floor
 
 SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 RK4_REAL_LIMIT = 2.785  # RK4 is stable for real h * lambda in [-2.785, 0]
@@ -159,12 +159,9 @@ def _rk4_reverse(h, vjps, bar):
 
 
 def _integrate(x0, dt, substeps, rhs):
-    if dt < 0:
-        raise ValidationError(f"dt must be nonnegative, got {dt}")
+    # runs once per surrogate stop: its callers check dt and substeps
     if dt == 0.0:
         return x0.copy()
-    if substeps < 1:
-        raise ValidationError(f"substeps must be >= 1, got {substeps}")
     h = dt / substeps
     x = x0
     for _ in range(substeps):
@@ -172,18 +169,22 @@ def _integrate(x0, dt, substeps, rhs):
     return x
 
 
+def _flow(X, dt, substeps, rhs, what):
+    if dt < 0:
+        raise ValidationError(f"dt must be nonnegative, got {dt}")
+    out = _integrate(X, dt, _count(substeps, "substeps"), rhs)
+    require_pd(out, f"after {what} flow over dt={dt:g}", SUBSTEP_ADVICE)
+    return out
+
+
 def flow_cov(P, A, Q, dt, substeps: int = 100) -> np.ndarray:
     """Propagate a covariance through the Lyapunov flow for a time dt."""
-    out = _integrate(P, dt, substeps, lambda X: cov_rhs(X, A, Q))
-    require_pd(out, f"after covariance flow over dt={dt:g}", SUBSTEP_ADVICE)
-    return out
+    return _flow(P, dt, substeps, lambda X: cov_rhs(X, A, Q), "covariance")
 
 
 def flow_info(Y, A, Q, dt, substeps: int = 100) -> np.ndarray:
     """Propagate an information matrix through the dual flow for a time dt."""
-    out = _integrate(Y, dt, substeps, lambda X: info_rhs(X, A, Q))
-    require_pd(out, f"after information flow over dt={dt:g}", SUBSTEP_ADVICE)
-    return out
+    return _flow(Y, dt, substeps, lambda X: info_rhs(X, A, Q), "information")
 
 
 def expm(X: np.ndarray):
@@ -522,9 +523,7 @@ class Trajectory:
 def time_grid(T: float, n: int) -> np.ndarray:
     """The uniform grid of n intervals on [0, T]: every recording grid (the
     surrogates', the rollouts', the design path's) and the stage boundaries."""
-    if n < 1:
-        raise ValidationError(f"n_eval must be >= 1, got {n}")
-    return np.linspace(0.0, T, n + 1)
+    return np.linspace(0.0, T, _count(n, "n_eval") + 1)
 
 
 def invert_trajectory(traj: Trajectory) -> Trajectory:

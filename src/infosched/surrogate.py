@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Instance, Schedule, ValidationError, _check_pair, _sym
+from .model import Instance, Schedule, _check_pair, _count, _sym
 from .riccati import (
     COV,
     INFO,
@@ -68,14 +68,12 @@ def stage_increments(instance: Instance, schedule: Schedule) -> np.ndarray:
 
 def _integrate_surrogate(instance, schedule, substeps, kind, n_eval):
     _check_pair(instance, schedule)
-    if substeps < 1:
-        raise ValidationError(f"substeps must be >= 1, got {substeps}")
+    substeps = _count(substeps, "substeps")
     sys = instance.system
     A, Q = sys.A, sys.Q
     N = schedule.N
-    if n_eval is None:
-        n_eval = N * substeps
-    times = time_grid(instance.T, n_eval)
+    times = time_grid(instance.T, N * substeps if n_eval is None else n_eval)
+    n_eval = len(times) - 1
     boundaries = time_grid(instance.T, N)
     # the stops in integer units of T / (N n_eval): node i at i N and stage
     # boundary k at k n_eval, which is a node (and takes its time) exactly

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from infosched import cdkf, montecarlo, surrogate
+from infosched import bounds, cdkf, montecarlo, surrogate
 from infosched.bounds import (
     objective_bracket,
     scale_sensor_noise,
@@ -175,6 +175,21 @@ def test_scale_sensor_noise_rescales_information():
         assert np.allclose(new.R, 2.0 * orig.R)
         assert np.allclose(new.S, 0.5 * orig.S, rtol=1e-12)
     assert scaled.system is inst.system
+
+
+@pytest.mark.parametrize("r_scale, error", [
+    (True, TypeError), ("3", TypeError), (math.nan, ValidationError),
+    (math.inf, ValidationError), (-1.0, ValidationError),
+    (0.0, ValidationError),
+], ids=["bool", "string", "nan", "inf", "negative", "zero"])
+def test_scale_sensor_noise_refuses_a_bad_scale(monkeypatch, r_scale, error):
+    # refused before the instance is rebuilt, naming r_scale, not the data
+    inst = random_instance(InstanceSpec(n=2, M=2, p=1, seed=6))
+    built = []
+    monkeypatch.setattr(bounds, "Sensor", lambda **kw: built.append(kw))
+    with pytest.raises(error, match="^r_scale must be "):
+        scale_sensor_noise(inst, r_scale)
+    assert built == []
 
 
 def test_snr_sweep_contained_and_width_shrinks():

@@ -53,7 +53,10 @@ def test_arrival_record_ties_sorted_by_sensor():
     ([0.1, 0.2], [0], r"^times and sensors must align, got \(2,\) vs \(1,\)$"),
     ([0.1, np.inf], [0, 0], "^arrival times contain non-finite entries$"),
     ([0.1, 0.2], [0, -1], "^sensor indices must be nonnegative$"),
-], ids=["misaligned", "non-finite", "negative-sensor"])
+    ([0.5, 0.7], [1.7, True], "^sensor indices must be whole numbers$"),
+    ([0.5, 0.7], [0, np.nan], "^sensor indices must be whole numbers$"),
+], ids=["misaligned", "non-finite", "negative-sensor", "fractional-sensor",
+        "nan-sensor"])
 def test_arrival_record_refuses_a_malformed_record(times, sensors, message):
     with pytest.raises(ValidationError, match=message):
         ArrivalRecord(times=np.array(times), sensors=np.array(sensors))

@@ -474,10 +474,10 @@ def test_sweep_bad_problem_or_seed_writes_no_csv(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,bad,message", [
-    ("solve", ["--max-iters", "-3"], "max_iters must be an integer >= 0"),
+    ("solve", ["--max-iters", "-3"], "max_iters must be >= 0, got -3"),
     ("solve", ["--grad-tol", "nan"], "grad_tol must be finite and >= 0"),
     ("solve", ["--grad-tol=-1e-6"], "grad_tol must be finite and >= 0"),
-    ("sweep", ["--max-iters", "-1"], "max_iters must be an integer >= 0"),
+    ("sweep", ["--max-iters", "-1"], "max_iters must be >= 0, got -1"),
     ("sweep", ["--grad-tol", "inf"], "grad_tol must be finite and >= 0"),
 ], ids=["solve-max-iters", "solve-grad-tol-nan", "solve-grad-tol-negative",
         "sweep-max-iters", "sweep-grad-tol-inf"])
@@ -577,6 +577,20 @@ def test_sweep_without_a_grid_runs_the_default_points(tmp_path, capsys):
             if line.startswith("summary")] == \
         ["dimension=2", "dimension=2", "dimension=4", "dimension=4",
          "dimension=8", "dimension=8"]
+
+
+@pytest.mark.parametrize("sweep, full, points", [
+    ("sensors", [], [10, 20, 40]),
+    ("sensors", ["--full"], [10, 20, 40, 60, 80, 100]),
+    ("dimension", [], [2, 4, 8]),
+    ("dimension", ["--full"], [2, 4, 8, 12, 16, 20]),
+], ids=["sensors", "sensors-full", "dimension", "dimension-full"])
+def test_sweep_default_points(sweep, full, points):
+    # the points of each sweep without --grid, read from the parsed
+    # arguments without running one
+    args = cli.build_parser().parse_args(
+        ["sweep", "--sweep", sweep, "--out", "unused.csv"] + full)
+    assert cli._sweep_points(args) == [(sweep, pt) for pt in points]
 
 
 def test_sweep_full_with_a_grid_warns_and_summarizes_the_csv(tmp_path,
@@ -968,7 +982,7 @@ def _set_sensor_0_h(payload):
 @pytest.mark.parametrize("edit, error", [
     (lambda d: d.update(A=(-np.eye(3)).tolist()),
      "A must have shape (2, 2), got (3, 3)"),
-    (lambda d: d.update(n=0), "state dimension must be >= 1, got 0"),
+    (lambda d: d.update(n=0), "n must be >= 1, got 0"),
     (lambda d: d.update(sensors=[]), "instance needs at least one sensor"),
     (lambda d: d["weights"].update(WT=np.eye(3).tolist()),
      "weights are 3x3, expected 2x2"),

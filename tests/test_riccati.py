@@ -12,12 +12,14 @@ from scipy.linalg import expm_frechet, solve_continuous_lyapunov
 
 from infosched.model import (
     Instance,
+    InstanceSpec,
     ResourcePolytope,
     Sensor,
     SystemModel,
     ValidationError,
     WeightSpec,
     _sym,
+    random_instance,
 )
 from infosched.riccati import (
     COV,
@@ -40,6 +42,7 @@ from infosched.riccati import (
     RowGains,
     cov_gains,
     cov_rhs,
+    info_rhs,
 )
 from infosched import optimize
 
@@ -912,3 +915,39 @@ def test_invert_trajectory_residual(rng):
         assert np.abs(X @ Xi - np.eye(4)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_instance(InstanceSpec(n=5, M=30, p=1, seed=0)),
+    lambda: mixed_instance(12),
+], ids=["rows", "stacks"])
+def test_the_rates_enter_the_info_rate_additively(make):
+    # the paper's derivative claim: the info stage rate info_rhs(Y) +
+    # sum_j lam_j S_j is additive in the rates, so its mixed state-rate
+    # central difference is roundoff, eps |f| / (e d); the cov stage rate's
+    # gain term couples P and lam, and its mixed difference is not
+    inst = make()
+    A, Q = inst.system.A, inst.system.Q
+    rng = rng_for(5)
+    X = random_spd(rng, inst.n)
+    E = _sym(rng.normal(size=(inst.n, inst.n)))
+    lam = rng.uniform(0.5, 1.5, inst.M)
+    e, d = 1e-4, 1e-3
+    gains = cov_gains(inst.H, inst.R)
+    assert isinstance(gains, RowGains) == (inst.H.shape[1] == 1)
+
+    def info(Y, rates):
+        return info_rhs(Y, A, Q) + np.einsum("j,jab->ab", rates, inst.S)
+
+    def cov(P, rates):
+        return cov_rhs(P, A, Q, gains.gain_term(P, rates))
+
+    def mixed(f):
+        worst = 0.0
+        for step in d * np.eye(inst.M):
+            m = (f(X + e * E, lam + step) - f(X - e * E, lam + step)
+                 - f(X + e * E, lam - step) + f(X - e * E, lam - step))
+            worst = max(worst, float(np.abs(m).max()) / (4.0 * e * d))
+        return worst
+
+    roundoff = np.finfo(float).eps * np.abs(info(X, lam)).max() / (e * d)
+    assert mixed(info) <= roundoff
+    assert mixed(cov) > 1e3 * roundoff

@@ -87,7 +87,8 @@ def test_output_digests_print_one_stable_line_per_command(tmp_path):
 
 def test_output_digests_cover_the_commands_no_workload_runs(tmp_path):
     # one tiny run of each, on certify_ref's files at the seed; the refused
-    # evaluate writes nothing and says why on stderr
+    # evaluate and the four refused counts write nothing and say why on
+    # stderr
     args = ("output_digests.py", "--seeds", "3", "--workloads",
             "other_commands")
     runs = [run_script(*args, cwd=tmp_path) for _ in range(2)]
@@ -102,11 +103,16 @@ def test_output_digests_cover_the_commands_no_workload_runs(tmp_path):
         ("solve", ["random.instance.json", "random.report.json",
                    "random.schedule.json"]),
         ("evaluate", []),
+        ("evaluate", []),
+        ("bracket", []),
+        ("sweep", []),
+        ("solve", []),
     ]
     assert all(line["workload"] == "other_commands" and line["seed"] == 3
                for line in lines)
-    assert [line["exit"] for line in lines[2:]] == [0, 0, 0, 2]
+    assert [line["exit"] for line in lines[2:]] == [0, 0, 0, 2, 2, 2, 2, 2]
     assert all("--no-timings" in line["argv"]
                for line in lines if line["argv"][0] in ("sweep", "solve"))
-    assert lines[-1]["stderr"] != hashlib.sha256(b"").hexdigest()
+    assert all(line["stderr"] != hashlib.sha256(b"").hexdigest()
+               for line in lines[5:])
     assert list(tmp_path.iterdir()) == []
