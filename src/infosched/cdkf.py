@@ -225,10 +225,10 @@ def _walk(instance, records, grid, read=None, gaps=None, run0=0):
     skipped can be formed again.
 
     Memory grows with the batch by the round's O(R n^2) working set: each
-    run's carried matrix, first node and two cut maps, and in the family
-    call a Horner table of two n x n blocks per cut.  At n = 20 the traced
-    peak of mc_objective grew about 50 kB (16 matrices) per run, at round
-    0's family call, where every run cuts twice.  Walking the runs in
+    run's carried matrix, first node and two cut maps (the family's Horner
+    table is read in chunks of at most riccati.MAP_ENTRIES entries).  At
+    n = 20 the traced peak of mc_objective grew about 37 kB (12 matrices)
+    per run from 100 to 400 runs.  Walking the runs in
     batches would bound it: neither a run's path nor the failure of a
     batch (_filter_walk) depends on the rest of the batch.
 

@@ -421,8 +421,9 @@ class InstanceSpec:
 
 def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
     """The SeedSequence of a nonnegative integer seed, the one rule every
-    seeded stream goes through; any other seed is a ValidationError."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    seeded stream goes through: a bool or a string is _number's TypeError,
+    any other seed that is not a nonnegative integer a ValidationError."""
+    if not isinstance(_number(seed, "seed"), (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.SeedSequence(seed, spawn_key=spawn_key)
 

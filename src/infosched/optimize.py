@@ -9,7 +9,11 @@ back through the forward's own exponential: its scaling-and-squaring loop
 run in reverse on the powers the forward kept (riccati.expm's pullback),
 so the rates enter only through U_k = sum_j lam_kj S_j.  Only the carried
 adjoint runs step by step; every other product of the sweep is batched
-over the recorded path, before it or after it.  The covariance form
+over the recorded path, before it or after it.  The two step-by-step
+loops, the forward's map steps and the adjoint's carry, solve their n x n
+systems by LAPACK's dgesv gufunc directly (_solve): the routine
+np.linalg.solve runs, so the same floats, without the per-call wrapper
+that cost more than the solve itself.  The covariance form
 integrates at substep resolution with RK4 and reverses each step.  Stage
 by stage, it replays the RK4 points of all the stage's steps from the
 recorded nodes in four batched factors calls of the riccati.cov_gains
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import (
     Instance,
@@ -66,6 +71,21 @@ from .surrogate import (
     integrate_cov_surrogate,
     stage_increments,
 )
+
+
+_solve = _umath_linalg.solve
+"""X = A^{-1} B for one or a stack of square systems: LAPACK's dgesv, the
+gufunc np.linalg.solve itself calls on the same arrays, so it gives the same
+floats.  The info form's two step-by-step loops (_info_forward's map step
+and _info_gradient's carry) call it directly: on a 5 x 5 system the
+wrapper's argument coercion, type resolution and errstate context took
+about 6 of np.linalg.solve's 10 us per call (2-core Xeon, numpy 2.4), and
+a design solve makes some 20,000 such calls in sequence.  Unlike the
+wrapper it does not raise on a singular system: LAPACK's solution is
+filled with NaN, and the floating-point error state decides whether that
+warns, so each caller checks for it.  np.linalg.solve stays the bitwise
+reference of the tests that replay these loops step by step.  The module
+is private to numpy, and every numpy >= 2.0 has it."""
 
 
 class ProjectionError(RuntimeError):
@@ -130,16 +150,18 @@ def _info_forward(instance: Instance, sched: Schedule, substeps: int):
         path = np.empty((N * steps + 1, n, n))
         Y = path[0] = _sym(np.linalg.inv(sys.P0))
         for k in range(N):
+            lk, rk = left[k], right[k]
             for s in range(1, steps + 1):
-                ZC = left[k] + right[k] @ Y
-                try:
-                    # Y+ = (C + D Y) Z^{-1}, transposed: Z^{-T} (C + D Y)^T
-                    Y = _sym(np.linalg.solve(ZC[:n].T, ZC[n:].T))
-                except np.linalg.LinAlgError:
+                ZC = lk + rk @ Y
+                # Y+ = (C + D Y) Z^{-1}, transposed: Z^{-T} (C + D Y)^T
+                X = _solve(ZC[:n].T, ZC[n:].T)
+                Y = path[k * steps + s] = 0.5 * (X + X.T)
+                # LAPACK fills a singular system's solution with NaN; a
+                # non-finite map is reported by the node check below
+                x = Y[0, 0]
+                if x != x and np.isfinite(ZC).all():
                     raise PositiveDefinitenessError(
-                        f"singular step map in info surrogate stage {k}"
-                    ) from None
-                path[k * steps + s] = Y
+                        f"singular step map in info surrogate stage {k}")
     values = path[::m]
     times = time_grid(instance.T, N * nodes)
     require_pd(values, lambda i: f"in info surrogate at t={times[i]:g}")
@@ -172,13 +194,23 @@ def _info_gradient(problem: ShootingProblem, traj, maps) -> np.ndarray:
     Y1 = path[1:].reshape(N, steps, n, n)
     E, F, D = Phi[:, None, :n, :n], Phi[:, None, :n, n:], Phi[:, None, n:, n:]
     Z = (E + F @ Y0).reshape(-1, n, n)
-    DY = (D - Y1 @ F).reshape(-1, n, n)     # Dt_i = DY[i].T
+    Dt = (D - Y1 @ F).reshape(-1, n, n).swapaxes(1, 2)
     Kt = np.empty_like(Z)                   # K_i^T = Z_i^{-1} Lam_{i+1}
-    for i in range(len(Z) - 1, -1, -1):
-        Kt[i] = np.linalg.solve(Z[i], Lam)
-        Lam = _sym(DY[i].T @ Kt[i].T)
-        if i > 0 and running and i % m == 0:
-            Lam = Lam + node[i // m]
+    # Z_i is the matrix the forward's step solved with, so LAPACK's NaN
+    # fill of a singular one is not expected here; if it comes, the check
+    # after the sweep reports it
+    with np.errstate(invalid="ignore"):
+        for i in range(len(Z) - 1, -1, -1):
+            kt = Kt[i] = _solve(Z[i], Lam)
+            L = Dt[i] @ kt.T
+            Lam = 0.5 * (L + L.T)
+            if i > 0 and running and i % m == 0:
+                Lam = Lam + node[i // m]
+    finite = np.isfinite(Kt).all(axis=(1, 2))
+    if not finite.all():
+        k = np.flatnonzero(~finite).max() // steps     # where the sweep met it
+        raise PositiveDefinitenessError(
+            f"non-finite adjoint in info surrogate stage {k}")
     K = Kt.swapaxes(1, 2).reshape(N, steps, n, n)
     YK = Y1 @ K
 

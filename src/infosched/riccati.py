@@ -50,6 +50,7 @@ SUBSTEP_ADVICE = "increase substeps"   # what an integrator's PD error suggests
 RK4_REAL_LIMIT = 2.785  # RK4 is stable for real h * lambda in [-2.785, 0]
 EXPM_DEGREE = 18       # Taylor degree; truncation below 1/19! ~ 8e-18 at norm 1
 MAX_MAP_SPLIT = 1024   # most steps of an information map per step asked for
+MAP_ENTRIES = 2**14    # Horner table entries of one chunk of a map family call
 
 COV = "covariance"
 INFO = "information"
@@ -259,7 +260,9 @@ def lyapunov_maps(A, Q, h):
     e^{-A d}, which a fast stable mode blows up past W, is never formed
     beyond d / 2^s.  No matrix product mixes
     durations, so each map depends on its own duration alone, bit for bit,
-    whatever else the batch holds.  A duration outside [0, h] is a
+    whatever else the batch holds.  So the durations are read in chunks of
+    at most MAP_ENTRIES Horner table entries (2 n^2 per duration), and the
+    table does not grow with the batch.  A duration outside [0, h] is a
     ValidationError, and a map that overflows (an unstable mode over a long
     duration) a PositiveDefinitenessError.
     """
@@ -283,14 +286,9 @@ def lyapunov_maps(A, Q, h):
     # a strided column view would run the rule about 3x slower
     columns = [np.ascontiguousarray(c[:, n:]) for c in coeffs]
 
-    def maps(durations):
-        d = np.asarray(durations, dtype=float)
-        if not np.all((d >= 0.0) & (d <= h)):
-            raise ValidationError(
-                f"map durations must lie in [0, {h!r}], got range "
-                f"[{d.min()!r}, {d.max()!r}]")
-        t = (d / h)[:, None, None]
-        F = np.repeat(columns[-1][None], len(d), axis=0)
+    def chunk(t):
+        F = np.repeat(columns[-1][None], len(t), axis=0)
+        t = t[:, None, None]
         for c in columns[-2::-1]:
             F *= t
             F += c
@@ -299,6 +297,29 @@ def lyapunov_maps(A, Q, h):
         for _ in range(s):
             w = _sym(phi @ w @ phi.transpose(0, 2, 1) + w)
             phi = phi @ phi
+        return phi, w
+
+    def maps(durations):
+        d = np.asarray(durations, dtype=float)
+        if not np.all((d >= 0.0) & (d <= h)):
+            raise ValidationError(
+                f"map durations must lie in [0, {h!r}], got range "
+                f"[{d.min()!r}, {d.max()!r}]")
+        t = d / h
+        per = max(1, MAP_ENTRIES // (2 * n * n))    # durations per chunk
+        phi, w = chunk(t[:per])
+        if len(t) > per:
+            # every chunk in the memory layout an unsplit call returns (phi
+            # a transposed view when s = 0): a product with a map then
+            # takes the same BLAS path, and gives the same floats, however
+            # the call split
+            Phi, W = np.empty((len(t), n, n)), np.empty((len(t), n, n))
+            if s == 0:
+                Phi = Phi.swapaxes(1, 2)
+            Phi[:per], W[:per] = phi, w
+            for i in range(per, len(t), per):
+                Phi[i:i + per], W[i:i + per] = chunk(t[i:i + per])
+            phi, w = Phi, W
         if not (np.isfinite(phi).all() and np.isfinite(w).all()):
             raise PositiveDefinitenessError("non-finite covariance map")
         return phi, w

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 from scipy.optimize import brentq
 
-from infosched import cli, riccati
+from infosched import cli, optimize, riccati
 from infosched.bounds import objective_bracket, snr_sweep, trajectory_bracket
 from infosched.model import InstanceSpec, Schedule, Sensor, random_instance
 from infosched.montecarlo import mc_objective, run_seed, sample_arrivals
@@ -199,11 +199,13 @@ def test_criterion_8_claim_counted_by_work(monkeypatch):
     # criterion 8's instances at the centered rates, counted rather than
     # timed, over one objective_and_gradient: the cov kind's gain kernels
     # take each of the M sensor rows at 8 N S stage points (four RK4
-    # stages per step, forward and replay), which grows with M; the info
-    # kind's work at the stages is one matrix exponential of its N
-    # Hamiltonians at every M
+    # stages per step, forward and replay), which grows with M, and with
+    # p = 1 no LAPACK solve; the info kind's work at the stages is one
+    # matrix exponential of its N Hamiltonians and 2 N solves of n x n
+    # systems at every M: a terminal weight makes each stage one map step,
+    # solved once in the forward and once in the reverse sweep
     N, S = 30, 10
-    rows, expms = [], []
+    rows, expms, solves = [], [], []
 
     def counted(kernel):
         def run(gains, P, lam):
@@ -217,6 +219,11 @@ def test_criterion_8_claim_counted_by_work(monkeypatch):
     expm = riccati.expm
     monkeypatch.setattr(riccati, "expm",
                         lambda X: expms.append(X.shape) or expm(X))
+    for module, name in ((optimize, "_solve"), (np.linalg, "solve")):
+        def counted_solve(a, b, _real=getattr(module, name)):
+            solves.append(a.shape)
+            return _real(a, b)
+        monkeypatch.setattr(module, name, counted_solve)
     for M in (30, 60, 100):
         inst = random_instance(InstanceSpec(n=5, M=M, p=1, seed=800 + M,
                                             T=3.0, budget=5.0))
@@ -224,13 +231,16 @@ def test_criterion_8_claim_counted_by_work(monkeypatch):
         for kind in ("cov", "info"):
             rows.clear()
             expms.clear()
+            solves.clear()
             objective_and_gradient(
                 ShootingProblem(instance=inst, N=N, kind=kind, substeps=S),
                 rates)
             if kind == "cov":
-                assert sum(rows) == 8 * N * S * M and expms == []
+                assert sum(rows) == 8 * N * S * M
+                assert expms == [] and solves == []
             else:
                 assert rows == [] and expms == [(N, 10, 10)]
+                assert solves == [(5, 5)] * 2 * N
 
 
 def test_criterion_9_poisson_sampler_statistics():

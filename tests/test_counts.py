@@ -1,5 +1,6 @@
 """Every count the package takes is read by one rule, model._count: a whole
-number at least its least value, refused where it enters, before any work."""
+number at least its least value, refused where it enters, before any work.
+A seed is read by model._seed_sequence, which refuses a bool the same way."""
 import math
 import re
 
@@ -140,3 +141,23 @@ def test_a_whole_float_count_is_read_as_an_int(entry, value):
     name, _, call, _ = ENTRIES[entry]
     got = getattr(call(value), name)
     assert type(got) is int and got == value
+
+
+SEEDED = {
+    "random_instance": lambda seed: _random(seed=seed),
+    "mc_objective": lambda seed: mc_objective(INST, SCHED, **RUN, seed=seed),
+    "objective_bracket": lambda seed: objective_bracket(INST, SCHED, **RUN,
+                                                        seed=seed),
+    "trajectory_bracket": lambda seed: trajectory_bracket(INST, SCHED, **RUN,
+                                                          seed=seed),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_],
+                         ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_a_bool_seed_is_a_type_error(work, entry, value):
+    # True is not seed 1: refused before any draw or integration
+    with pytest.raises(TypeError, match="^seed must be a number, got "):
+        SEEDED[entry](value)
+    assert work == []

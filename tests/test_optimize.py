@@ -611,6 +611,56 @@ def test_exact_forward_failures_are_typed(monkeypatch, blocks):
         objective(problem, np.ones((2, 1)))
 
 
+def test_a_singular_step_in_the_reverse_sweep_is_typed():
+    # the reverse sweep solves with each step's Z_i = E + F Y_i, which the
+    # forward already solved with; were one singular, LAPACK's NaN fill
+    # would raise the solver's typed error, never give a NaN gradient
+    problem = ShootingProblem(instance=make_scalar_instance(q=1.0), N=2,
+                              kind="info")
+    _, _, traj, (U_pullback, Phi, path) = optimize._forward(
+        problem, np.ones((2, 1)))
+    singular = Phi.copy()
+    singular[1, :1] = 0.0       # stage 1's E and F: Z = 0
+    with pytest.raises(PositiveDefinitenessError,
+                       match="non-finite adjoint in info surrogate stage 1"):
+        optimize._info_gradient(problem, traj, (U_pullback, singular, path))
+
+
+@pytest.mark.parametrize("weights", ["terminal", "running"])
+def test_a_solve_writes_the_report_of_numpys_own_solve(monkeypatch, weights):
+    # the info form's two step-by-step loops call LAPACK's dgesv gufunc
+    # directly (optimize._solve).  np.linalg.solve runs the same routine on
+    # the same arrays, so a whole solve, whose Barzilai-Borwein steps
+    # amplify roundoff, writes its report byte for byte: iterations,
+    # history and schedule.  Every solve it makes is compared as well,
+    # since a later rounding can absorb a one-ulp move of a single one
+    inst = random_instance(InstanceSpec(n=3, M=4, p=1, seed=0, T=2.0,
+                                        budget=4.0))
+    if weights == "running":
+        inst = replace(inst, weights=WeightSpec(
+            W_stages=_stage_weights(3, 6, 5), W_T=inst.weights.W_T))
+    problem = ShootingProblem(instance=inst, N=6, kind="info", substeps=2)
+
+    def run(kernel):
+        solves = []
+
+        def recorded(a, b):
+            solves.append(kernel(a, b))
+            return solves[-1]
+
+        monkeypatch.setattr(optimize, "_solve", recorded)
+        rep = solve(problem, SolveOptions(max_iters=60))
+        return json.dumps(rep.to_dict(include_timings=False)), solves
+
+    direct, direct_solves = run(optimize._solve)
+    assert json.loads(direct)["iterations"] >= 30
+    reference, reference_solves = run(np.linalg.solve)
+    assert reference == direct
+    assert len(reference_solves) == len(direct_solves)
+    for x, y in zip(reference_solves, direct_solves):
+        np.testing.assert_array_equal(x, y)
+
+
 def test_too_stiff_stage_is_typed():
     # a step is split until each map step grows by at most e; past
     # MAX_MAP_SPLIT steps that is a typed error, not a stall.  Scalar, a = 0:

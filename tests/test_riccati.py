@@ -44,7 +44,7 @@ from infosched.riccati import (
     cov_rhs,
     info_rhs,
 )
-from infosched import optimize
+from infosched import optimize, riccati
 
 from conftest import (covariance_decrement, lapack_gains, mixed_instance,
                       random_spd, rng_for)
@@ -308,6 +308,35 @@ def test_lyapunov_map_family_batch_equals_single_durations():
     for i, (phi_i, w_i) in enumerate(single[::-1]):
         np.testing.assert_array_equal(phi[i], phi_i[0])
         np.testing.assert_array_equal(w[i], w_i[0])
+
+
+@pytest.mark.parametrize("per", [1, 7, "all"])
+@pytest.mark.parametrize("name", ["random", "stiff", "n=20"])
+def test_lyapunov_maps_in_chunks_equal_one_call(monkeypatch, name, per):
+    # no product mixes durations, so a call read in chunks of per
+    # durations gives every map of one unsplit call bit for bit, in its
+    # memory layout: a later product with a map then takes the same BLAS
+    # path, whose floats at n = 20 depend on it
+    if name == "n=20":
+        rng = rng_for(2020)
+        A, Q, h = 0.1 * rng.normal(size=(20, 20)), random_spd(rng, 20), 0.01
+    else:
+        A, Q, h = _lyapunov_cases()[name]
+    n = A.shape[0]
+    d = h * rng_for(7).uniform(size=30)
+    P = random_spd(rng_for(8), n)
+    maps = lyapunov_maps(A, Q, h)
+    monkeypatch.setattr(riccati, "MAP_ENTRIES", 2 * n * n * len(d))
+    want = maps(d)
+    chunk = len(d) if per == "all" else per
+    monkeypatch.setattr(riccati, "MAP_ENTRIES", 2 * n * n * chunk)
+    got = maps(d)
+    for x, y in zip(got, want):
+        np.testing.assert_array_equal(x, y)
+        assert x.strides[1:] == y.strides[1:]
+    (phi, w), (phi1, w1) = got, want
+    np.testing.assert_array_equal(phi @ P @ phi.swapaxes(1, 2) + w,
+                                  phi1 @ P @ phi1.swapaxes(1, 2) + w1)
 
 
 @pytest.mark.parametrize("h,durations,message", [
